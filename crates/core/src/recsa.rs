@@ -31,9 +31,9 @@
 //! reordering).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use simnet::ProcessId;
+use simnet::{PeerTable, ProcessId};
 
 use crate::types::{
     same_config, same_ntf, same_set, shared_config, shared_ntf, shared_set, ConfigSet, ConfigValue,
@@ -74,6 +74,57 @@ simnet::wire_struct_codec!(RecSaMsg {
     echo
 });
 
+/// Index `k` of the paper's per-processor arrays: what this processor holds
+/// about `pₖ` (its own entry included). One record per peer, so handling a
+/// message touches one table slot instead of six.
+///
+/// A `None` field is an array entry that was never written. It reads as the
+/// line-31 default, but it is not the same thing as a stored default:
+/// `configSet()` overwrites the entries that exist, not the ones that don't.
+#[derive(Debug, Clone, Default)]
+struct Peer {
+    /// `config[k]` — own entry or most recently received value.
+    config: Option<SharedConfig>,
+    /// `FD[k]` — own detector reading or the value received from `pₖ`.
+    fd: Option<SharedSet>,
+    /// `FD[k].part` as received from `pₖ` (never set for the own entry; see
+    /// [`RecSa::my_part_shared`]).
+    part_rx: Option<SharedSet>,
+    /// `prp[k]` — replacement notification.
+    prp: Option<SharedNtf>,
+    /// `all[k]` flag.
+    all: bool,
+    /// `echo[k]` — what `pₖ` last echoed back of our own values.
+    echo: Option<EchoTriple>,
+}
+
+/// The line-31 defaults, interned once per processor so that reading an
+/// unwritten array entry hands out a reference instead of a table lookup.
+#[derive(Debug, Clone)]
+struct Defaults {
+    config: SharedConfig,
+    ntf: SharedNtf,
+    set: SharedSet,
+    echo: EchoTriple,
+}
+
+impl Defaults {
+    fn new() -> Self {
+        let ntf = shared_ntf(Notification::dflt());
+        let set = shared_set(BTreeSet::new());
+        Defaults {
+            config: shared_config(ConfigValue::default()),
+            echo: EchoTriple {
+                part: set.clone(),
+                prp: ntf.clone(),
+                all: false,
+            },
+            ntf,
+            set,
+        }
+    }
+}
+
 /// The state and behaviour of one processor's recSA layer.
 ///
 /// Received values are stored as the shared allocations they arrived in, so
@@ -82,18 +133,12 @@ simnet::wire_struct_codec!(RecSaMsg {
 #[derive(Debug, Clone)]
 pub struct RecSa {
     me: ProcessId,
-    /// `config[]` — own entry plus most recently received values.
-    config: BTreeMap<ProcessId, SharedConfig>,
-    /// `FD[]` — own detector reading plus values received from peers.
-    fd: BTreeMap<ProcessId, SharedSet>,
-    /// `FD[].part` as received from peers.
-    part_rx: BTreeMap<ProcessId, SharedSet>,
-    /// `prp[]` — replacement notifications.
-    prp: BTreeMap<ProcessId, SharedNtf>,
-    /// `all[]` flags.
-    all: BTreeMap<ProcessId, bool>,
-    /// `echo[]` — what each peer last echoed back of our own values.
-    echo: BTreeMap<ProcessId, EchoTriple>,
+    /// The `config[]`, `FD[]`, `prp[]`, `all[]` and `echo[]` arrays, one
+    /// [`Peer`] record per index. Read and written per message and per peer
+    /// per step, hence index-addressed; identifiers only a forged packet or a
+    /// transient fault can produce spill (see [`PeerTable`]).
+    peers: PeerTable<Peer>,
+    dflt: Defaults,
     /// `allSeen` — peers observed to have completed the current phase.
     all_seen: BTreeSet<ProcessId>,
     /// Count of brute-force resets started locally (observability only).
@@ -124,7 +169,7 @@ impl RecSa {
     /// state.
     pub fn new_participant(me: ProcessId) -> Self {
         let mut s = Self::new_joiner(me);
-        s.config.insert(me, shared_config(ConfigValue::Bottom));
+        s.peer_mut(me).config = Some(shared_config(ConfigValue::Bottom));
         s
     }
 
@@ -132,7 +177,7 @@ impl RecSa {
     /// current configuration (e.g. when restarting a steady-state scenario).
     pub fn new_with_config(me: ProcessId, cfg: ConfigSet) -> Self {
         let mut s = Self::new_joiner(me);
-        s.config.insert(me, shared_config(ConfigValue::Set(cfg)));
+        s.peer_mut(me).config = Some(shared_config(ConfigValue::Set(cfg)));
         s
     }
 
@@ -142,12 +187,8 @@ impl RecSa {
     pub fn new_joiner(me: ProcessId) -> Self {
         RecSa {
             me,
-            config: BTreeMap::new(),
-            fd: BTreeMap::new(),
-            part_rx: BTreeMap::new(),
-            prp: BTreeMap::new(),
-            all: BTreeMap::new(),
-            echo: BTreeMap::new(),
+            peers: PeerTable::new(),
+            dflt: Defaults::new(),
             all_seen: BTreeSet::new(),
             resets_started: 0,
             delicate_installs: 0,
@@ -181,64 +222,56 @@ impl RecSa {
 
     // ----- accessors with the defaults prescribed by line 31 ---------------
     //
-    // Each accessor hands out a clone of the stored shared allocation —
-    // `O(log n)` map lookup, `O(1)` clone — falling back to the canonical
-    // default for processors never heard from.
+    // Each accessor borrows the stored shared allocation — one indexed
+    // lookup, no refcount traffic — falling back to the canonical default for
+    // entries never written.
 
-    fn config_of(&self, k: ProcessId) -> SharedConfig {
-        self.config
-            .get(&k)
-            .cloned()
-            .unwrap_or_else(|| shared_config(ConfigValue::default()))
+    /// The record of `pₖ`, created empty when this is the first write to it.
+    fn peer_mut(&mut self, k: ProcessId) -> &mut Peer {
+        self.peers.get_or_insert_with(k, Peer::default)
     }
 
-    fn prp_of(&self, k: ProcessId) -> SharedNtf {
-        self.prp
-            .get(&k)
-            .cloned()
-            .unwrap_or_else(|| shared_ntf(Notification::dflt()))
+    fn config_of(&self, k: ProcessId) -> &SharedConfig {
+        let stored = self.peers.get(k).and_then(|p| p.config.as_ref());
+        stored.unwrap_or(&self.dflt.config)
+    }
+
+    fn prp_of(&self, k: ProcessId) -> &SharedNtf {
+        let stored = self.peers.get(k).and_then(|p| p.prp.as_ref());
+        stored.unwrap_or(&self.dflt.ntf)
     }
 
     fn all_of(&self, k: ProcessId) -> bool {
-        self.all.get(&k).copied().unwrap_or(false)
+        self.peers.get(k).is_some_and(|p| p.all)
     }
 
-    fn echo_of(&self, k: ProcessId) -> EchoTriple {
-        self.echo.get(&k).cloned().unwrap_or_else(|| EchoTriple {
-            part: shared_set(BTreeSet::new()),
-            prp: shared_ntf(Notification::dflt()),
-            all: false,
-        })
+    fn echo_of(&self, k: ProcessId) -> &EchoTriple {
+        let stored = self.peers.get(k).and_then(|p| p.echo.as_ref());
+        stored.unwrap_or(&self.dflt.echo)
     }
 
-    fn fd_of(&self, k: ProcessId) -> SharedSet {
-        self.fd
-            .get(&k)
-            .cloned()
-            .unwrap_or_else(|| shared_set(BTreeSet::new()))
+    fn fd_of(&self, k: ProcessId) -> &SharedSet {
+        let stored = self.peers.get(k).and_then(|p| p.fd.as_ref());
+        stored.unwrap_or(&self.dflt.set)
     }
 
-    fn part_of(&self, k: ProcessId) -> SharedSet {
-        if k == self.me {
-            self.my_part_shared()
-        } else {
-            self.part_rx
-                .get(&k)
-                .cloned()
-                .unwrap_or_else(|| shared_set(BTreeSet::new()))
-        }
+    /// `FD[k].part` as last received from a peer `pₖ` (`k ≠ i`).
+    fn part_rx_of(&self, k: ProcessId) -> &SharedSet {
+        debug_assert_ne!(k, self.me, "own participant set is computed, not received");
+        let stored = self.peers.get(k).and_then(|p| p.part_rx.as_ref());
+        stored.unwrap_or(&self.dflt.set)
     }
 
     /// The trusted set currently installed as `FD[i]` (set by the latest
     /// [`RecSa::step`]).
     pub fn my_trusted(&self) -> BTreeSet<ProcessId> {
-        (*self.fd_of(self.me)).clone()
+        (**self.fd_of(self.me)).clone()
     }
 
     /// [`RecSa::my_trusted`] without the set copy: the shared allocation
     /// installed as `FD[i]`.
     pub fn my_trusted_shared(&self) -> SharedSet {
-        self.fd_of(self.me)
+        self.fd_of(self.me).clone()
     }
 
     /// The participant set `FD[i].part = {pⱼ ∈ FD[i] : config[j] ≠ ]}`.
@@ -278,12 +311,12 @@ impl RecSa {
 
     /// Own `config[i]` value.
     pub fn own_config(&self) -> ConfigValue {
-        (*self.config_of(self.me)).clone()
+        (**self.config_of(self.me)).clone()
     }
 
     /// Own notification `prp[i]`.
     pub fn own_notification(&self) -> Notification {
-        (*self.prp_of(self.me)).clone()
+        (**self.prp_of(self.me)).clone()
     }
 
     /// The configuration this processor has installed, if it currently holds
@@ -295,7 +328,11 @@ impl RecSa {
     /// The participant set most recently reported by `k` (`FD[k].part`),
     /// used by the Reconfiguration Management layer to compute its `core()`.
     pub fn part_reported_by(&self, k: ProcessId) -> SharedSet {
-        self.part_of(k)
+        if k == self.me {
+            self.my_part_shared()
+        } else {
+            self.part_rx_of(k).clone()
+        }
     }
 
     /// Turns this processor into a brute-force resetter (`config[·] ← ⊥`).
@@ -347,9 +384,9 @@ impl RecSa {
             for k in scope.iter().copied().chain(me_extra) {
                 let v = self.config_of(k);
                 if v.marks_participant() {
-                    match counts.iter_mut().find(|(c, _)| same_config(c, &v)) {
+                    match counts.iter_mut().find(|(c, _)| same_config(c, v)) {
                         Some((_, n)) => *n += 1,
-                        None => counts.push((v, 1)),
+                        None => counts.push((v.clone(), 1)),
                     }
                 }
             }
@@ -381,7 +418,7 @@ impl RecSa {
         if self.no_reco() {
             self.chs_config_shared()
         } else {
-            self.config_of(self.me)
+            self.config_of(self.me).clone()
         }
     }
 
@@ -421,17 +458,17 @@ impl RecSa {
         // (2) Exactly one configuration exists among the trusted processors,
         //     and it is a concrete, non-empty set (no reset in progress).
         let me_extra = (!trusted.contains(&self.me)).then_some(self.me);
-        let mut unique: Option<SharedConfig> = None;
+        let mut unique: Option<&SharedConfig> = None;
         for k in trusted.iter().copied().chain(me_extra) {
             let v = self.config_of(k);
             if v.marks_participant() {
                 if v.is_bottom() || v.is_empty_set() {
                     return false;
                 }
-                match &unique {
+                match unique {
                     None => unique = Some(v),
                     Some(u) => {
-                        if !same_config(u, &v) {
+                        if !same_config(u, v) {
                             return false;
                         }
                     }
@@ -446,7 +483,7 @@ impl RecSa {
         //     back).
         let am_participant = self.is_participant();
         for k in part.iter().filter(|k| **k != self.me) {
-            if !same_set(&self.part_of(*k), &part) {
+            if !same_set(self.part_rx_of(*k), &part) {
                 return false;
             }
             if am_participant && !same_set(&self.echo_of(*k).part, &part) {
@@ -474,8 +511,7 @@ impl RecSa {
         if !self.no_reco() {
             return false;
         }
-        self.prp
-            .insert(self.me, shared_ntf(Notification::proposal(set)));
+        self.peer_mut(self.me).prp = Some(shared_ntf(Notification::proposal(set)));
         self.touch();
         true
     }
@@ -488,7 +524,7 @@ impl RecSa {
             return false;
         }
         let chosen = self.chs_config_shared();
-        self.config.insert(self.me, chosen);
+        self.peer_mut(self.me).config = Some(chosen);
         self.invalidate_part();
         self.touch();
         true
@@ -520,7 +556,8 @@ impl RecSa {
         // cache keyed on it) without even building the union.
         let me = self.me;
         let extra = usize::from(!trusted_now.contains(&me));
-        let unchanged = self.fd.get(&me).is_some_and(|old| {
+        let installed = self.peers.get(me).and_then(|p| p.fd.as_ref());
+        let unchanged = installed.is_some_and(|old| {
             old.len() == trusted_now.len() + extra
                 && old.contains(&me)
                 && trusted_now.iter().all(|k| old.contains(k))
@@ -528,11 +565,10 @@ impl RecSa {
         if !unchanged {
             let mut trusted = trusted_now.clone();
             trusted.insert(me);
-            let trusted = shared_set(trusted);
-            self.fd.insert(me, trusted);
+            self.peer_mut(me).fd = Some(shared_set(trusted));
             self.invalidate_part();
         }
-        let trusted = self.fd_of(self.me);
+        let trusted = self.fd_of(me).clone();
 
         // Clean after crashes (line 25a): entries of processors outside the
         // participant view are reset to (], dfltNtf). An entry is dirty only
@@ -540,29 +576,18 @@ impl RecSa {
         // i.e. differs observably from the (], dfltNtf) it would be reset
         // to — so the quiescent case is a read-only sweep.
         let part = self.my_part_shared();
-        let needs_clean = self
-            .config
-            .iter()
-            .any(|(k, v)| !part.contains(k) && v.marks_participant())
-            || self
-                .prp
-                .iter()
-                .any(|(k, n)| !part.contains(k) && !n.is_default());
+        let needs_clean = self.peers.iter().any(|(k, p)| {
+            let marks_participant = p.config.as_ref().is_some_and(|v| v.marks_participant());
+            let notifies = p.prp.as_ref().is_some_and(|n| !n.is_default());
+            (marks_participant || notifies) && !part.contains(&k)
+        });
         if needs_clean {
-            let known: Vec<ProcessId> = self
-                .config
-                .keys()
-                .chain(self.prp.keys())
-                .copied()
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect();
             let non_part = shared_config(ConfigValue::NonParticipant);
             let dflt = shared_ntf(Notification::dflt());
-            for k in known {
-                if !part.contains(&k) {
-                    self.config.insert(k, non_part.clone());
-                    self.prp.insert(k, dflt.clone());
+            for (k, p) in self.peers.iter_mut() {
+                if (p.config.is_some() || p.prp.is_some()) && !part.contains(&k) {
+                    p.config = Some(non_part.clone());
+                    p.prp = Some(dflt.clone());
                 }
             }
             self.invalidate_part();
@@ -591,20 +616,21 @@ impl RecSa {
             return;
         }
         self.touch();
-        self.fd.insert(from, msg.fd);
-        self.part_rx.insert(from, msg.part);
+        let peer = self.peer_mut(from);
+        peer.fd = Some(msg.fd);
+        peer.part_rx = Some(msg.part);
         // The sender's configuration entry feeds `FD[i].part`.
-        let stale = match self.config.get(&from) {
-            Some(old) => !same_config(old, &msg.config),
-            None => true,
-        };
-        self.config.insert(from, msg.config);
+        let stale = !peer
+            .config
+            .as_ref()
+            .is_some_and(|old| same_config(old, &msg.config));
+        peer.config = Some(msg.config);
+        peer.prp = Some(msg.prp);
+        peer.all = msg.all;
+        peer.echo = Some(msg.echo);
         if stale {
             self.invalidate_part();
         }
-        self.prp.insert(from, msg.prp);
-        self.all.insert(from, msg.all);
-        self.echo.insert(from, msg.echo);
     }
 
     // ----- internal helpers ---------------------------------------------------
@@ -617,15 +643,21 @@ impl RecSa {
         }
         let val = shared_config(val);
         let dflt = shared_ntf(Notification::dflt());
-        let mut keys: BTreeSet<ProcessId> = self.config.keys().copied().collect();
-        keys.extend(self.prp.keys().copied());
-        keys.extend(self.fd_of(self.me).iter().copied());
-        keys.insert(self.me);
-        for k in keys {
-            self.config.insert(k, val.clone());
-            self.prp.insert(k, dflt.clone());
+        // Every entry that exists, plus those of the trusted processors and
+        // our own, whether they exist or not.
+        for (_, p) in self.peers.iter_mut() {
+            if p.config.is_some() || p.prp.is_some() {
+                p.config = Some(val.clone());
+                p.prp = Some(dflt.clone());
+            }
         }
-        self.all.insert(self.me, false);
+        let trusted = self.fd_of(self.me).clone();
+        for k in trusted.iter().copied().chain([self.me]) {
+            let p = self.peer_mut(k);
+            p.config = Some(val.clone());
+            p.prp = Some(dflt.clone());
+        }
+        self.peer_mut(self.me).all = false;
         self.all_seen.clear();
         self.invalidate_part();
         self.touch();
@@ -641,6 +673,7 @@ impl RecSa {
             .map(|k| self.prp_of(k))
             .filter(|n| !n.is_default())
             .max()
+            .cloned()
     }
 
     /// Stale-information detection (Definition 3.1).
@@ -676,14 +709,13 @@ impl RecSa {
             n.phase == Phase::Two && n.set.is_some()
         });
         if phase2_exists {
-            let mut first: Option<SharedNtf> = None;
+            let mut first: Option<&ConfigSet> = None;
             for k in part.iter().copied().chain(prp_extra) {
-                let n = self.prp_of(k);
-                if let Some(s) = &n.set {
-                    match &first {
-                        None => first = Some(n.clone()),
+                if let Some(s) = &self.prp_of(k).set {
+                    match first {
+                        None => first = Some(s),
                         Some(f) => {
-                            if f.set.as_ref() != Some(s) {
+                            if f != s {
                                 return true;
                             }
                         }
@@ -709,7 +741,7 @@ impl RecSa {
         // configuration contains no active participant.
         let own = self.config_of(me);
         let chs;
-        let current: Option<&ConfigSet> = match &*own {
+        let current: Option<&ConfigSet> = match &**own {
             ConfigValue::Set(s) => Some(s),
             ConfigValue::Bottom => None,
             ConfigValue::NonParticipant => {
@@ -722,7 +754,7 @@ impl RecSa {
             let views_stable = part
                 .iter()
                 .filter(|k| **k != me)
-                .all(|k| same_set(&self.fd_of(*k), &my_fd) && same_set(&self.part_of(*k), part));
+                .all(|k| same_set(self.fd_of(*k), my_fd) && same_set(self.part_rx_of(*k), part));
             if views_stable && cfg.iter().all(|m| !part.contains(m)) {
                 return true;
             }
@@ -735,17 +767,17 @@ impl RecSa {
     fn brute_force_branch(&mut self, trusted: &SharedSet) {
         // Conflict: more than one concrete configuration in view.
         let me_extra = (!trusted.contains(&self.me)).then_some(self.me);
-        let mut unique: Option<SharedConfig> = None;
+        let mut unique: Option<&SharedConfig> = None;
         let mut conflict = false;
         for k in trusted.iter().copied().chain(me_extra) {
             let v = self.config_of(k);
             if v.as_set().is_none() {
                 continue;
             }
-            match &unique {
+            match unique {
                 None => unique = Some(v),
                 Some(u) => {
-                    if !same_config(u, &v) {
+                    if !same_config(u, v) {
                         conflict = true;
                         break;
                     }
@@ -759,7 +791,7 @@ impl RecSa {
         // Reset completion: when the trusted processors all report the same
         // failure-detector reading, adopt it as the configuration.
         if self.config_of(self.me).is_bottom() && self.fd_views_agree(trusted) {
-            self.config_set_all(ConfigValue::Set((*self.fd_of(self.me)).clone()));
+            self.config_set_all(ConfigValue::Set((**self.fd_of(self.me)).clone()));
         }
     }
 
@@ -770,7 +802,7 @@ impl RecSa {
         trusted
             .iter()
             .filter(|k| **k != self.me)
-            .all(|k| same_set(&self.fd_of(*k), &mine))
+            .all(|k| same_set(self.fd_of(*k), mine))
     }
 
     /// The delicate-replacement branch (line 28).
@@ -791,10 +823,11 @@ impl RecSa {
                 if !part.is_empty()
                     && part
                         .iter()
-                        .all(|k| same_config(&self.config_of(*k), &installed))
+                        .all(|k| same_config(self.config_of(*k), &installed))
                 {
-                    self.prp.insert(me, shared_ntf(Notification::dflt()));
-                    self.all.insert(me, false);
+                    let own = self.peer_mut(me);
+                    own.prp = Some(shared_ntf(Notification::dflt()));
+                    own.all = false;
                     self.all_seen.clear();
                     return;
                 }
@@ -804,23 +837,17 @@ impl RecSa {
         // Converge to the lexicographically maximal notification (phase-1
         // selection; also how phase-0 processors adopt an ongoing
         // replacement — cf. Claim 3.12 part (1)).
-        if self.prp_of(me) < max {
-            self.prp.insert(me, max.clone());
-            self.all.insert(me, false);
+        if *self.prp_of(me) < max {
+            let own = self.peer_mut(me);
+            own.prp = Some(max);
+            own.all = false;
             self.all_seen.clear();
         }
 
         // Phase-2 action: install the selected proposal (idempotent).
-        let my_prp = self.prp_of(me);
+        let my_prp = self.prp_of(me).clone();
         if my_prp.phase == Phase::Two {
-            if let Some(set) = &my_prp.set {
-                if self.config_of(me).as_set() != Some(set) {
-                    self.config
-                        .insert(me, shared_config(ConfigValue::Set(set.clone())));
-                    self.delicate_installs += 1;
-                    self.invalidate_part();
-                }
-            }
+            self.install(&my_prp);
         }
 
         // Unison bookkeeping: `all[i]` and `allSeen`.
@@ -828,7 +855,7 @@ impl RecSa {
         let all_i = others
             .iter()
             .all(|k| self.echo_no_all(*k, part, &my_prp) && self.same(*k, part, &my_prp));
-        self.all.insert(me, all_i);
+        self.peer_mut(me).all = all_i;
         for k in &others {
             if self.same(*k, part, &my_prp) && self.all_of(*k) {
                 self.all_seen.insert(*k);
@@ -839,33 +866,39 @@ impl RecSa {
         if self.echo_all(&others, part, &my_prp, all_i) && self.all_seen_complete(part, all_i) {
             let new_phase = my_prp.phase.increment();
             self.all_seen.clear();
-            self.all.insert(me, false);
+            self.peer_mut(me).all = false;
             match new_phase {
                 Phase::Zero => {
-                    self.prp.insert(me, shared_ntf(Notification::dflt()));
+                    self.peer_mut(me).prp = Some(shared_ntf(Notification::dflt()));
                 }
                 Phase::Two => {
                     let promoted = Notification {
                         phase: Phase::Two,
                         set: my_prp.set.clone(),
                     };
-                    if let Some(set) = &promoted.set {
-                        if self.config_of(me).as_set() != Some(set) {
-                            self.config
-                                .insert(me, shared_config(ConfigValue::Set(set.clone())));
-                            self.delicate_installs += 1;
-                            self.invalidate_part();
-                        }
-                    }
-                    self.prp.insert(me, shared_ntf(promoted));
+                    self.install(&promoted);
+                    self.peer_mut(me).prp = Some(shared_ntf(promoted));
                 }
                 Phase::One => {}
             }
         }
     }
 
+    /// The phase-2 action: adopt the set `ntf` proposes as `config[i]`
+    /// (idempotent; a notification without a set installs nothing).
+    fn install(&mut self, ntf: &Notification) {
+        let Some(set) = &ntf.set else {
+            return;
+        };
+        if self.config_of(self.me).as_set() != Some(set) {
+            self.peer_mut(self.me).config = Some(shared_config(ConfigValue::Set(set.clone())));
+            self.delicate_installs += 1;
+            self.invalidate_part();
+        }
+    }
+
     fn same(&self, k: ProcessId, part: &SharedSet, my_prp: &SharedNtf) -> bool {
-        same_set(&self.part_of(k), part) && same_ntf(&self.prp_of(k), my_prp)
+        same_set(self.part_rx_of(k), part) && same_ntf(self.prp_of(k), my_prp)
     }
 
     fn echo_no_all(&self, k: ProcessId, part: &SharedSet, my_prp: &SharedNtf) -> bool {
@@ -919,8 +952,8 @@ impl RecSa {
                     prp: prp.clone(),
                     all,
                     echo: EchoTriple {
-                        part: self.part_of(pj),
-                        prp: self.prp_of(pj),
+                        part: self.part_rx_of(pj).clone(),
+                        prp: self.prp_of(pj).clone(),
                         all: self.all_of(pj),
                     },
                 },
@@ -932,14 +965,14 @@ impl RecSa {
 
     /// Overwrites a `config[]` entry, modelling a transient fault.
     pub fn corrupt_config(&mut self, k: ProcessId, val: ConfigValue) {
-        self.config.insert(k, shared_config(val));
+        self.peer_mut(k).config = Some(shared_config(val));
         self.invalidate_part();
         self.touch();
     }
 
     /// Overwrites a `prp[]` entry, modelling a transient fault.
     pub fn corrupt_notification(&mut self, k: ProcessId, n: Notification) {
-        self.prp.insert(k, shared_ntf(n));
+        self.peer_mut(k).prp = Some(shared_ntf(n));
         self.touch();
     }
 
@@ -951,13 +984,15 @@ impl RecSa {
 
     /// Overwrites an `echo[]` entry, modelling a transient fault.
     pub fn corrupt_echo(&mut self, k: ProcessId, e: EchoTriple) {
-        self.echo.insert(k, e);
+        self.peer_mut(k).echo = Some(e);
         self.touch();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::types::config_set;
 
@@ -1288,6 +1323,98 @@ mod tests {
         assert_eq!(h.converged(), Some(config_set([0, 1, 2])));
     }
 
+    /// A steady four-processor system, returned as processor 0's layer and
+    /// the failure-detector reading it steps with.
+    fn steady_node() -> (RecSa, BTreeSet<ProcessId>) {
+        let cfg = config_set([0, 1, 2, 3]);
+        let mut h = Harness::with_config(4, &cfg);
+        h.rounds(10);
+        assert!(h.node(0).no_reco());
+        (h.node(0).clone(), h.alive.clone())
+    }
+
+    /// Everything of `node`'s state a peer could observe, plus the entries
+    /// held about `ghost`.
+    fn observable(
+        node: &mut RecSa,
+        trusted: &BTreeSet<ProcessId>,
+        ghost: ProcessId,
+    ) -> impl std::fmt::Debug {
+        let sent = node.step(trusted);
+        (
+            sent,
+            node.own_config(),
+            node.own_notification(),
+            node.resets_started(),
+            node.no_reco(),
+            (**node.config_of(ghost)).clone(),
+            (**node.prp_of(ghost)).clone(),
+            node.echo_of(ghost).clone(),
+        )
+    }
+
+    /// Identifiers above the per-peer table's dense limit (which only a
+    /// transient fault or a forged packet can produce) take the spill path.
+    /// It must be the same array: a corrupted spilled entry goes through
+    /// `step_with` exactly as a corrupted array-indexed one does — cleaned by
+    /// line 25a when the identifier is not trusted, counted as a participant
+    /// whose notification is adopted when it is.
+    #[test]
+    fn corruption_above_the_dense_limit_steps_like_corruption_below_it() {
+        let dense = ProcessId::new(77);
+        for spilled in [PeerTable::<()>::DENSE_LIMIT, u32::MAX].map(ProcessId::new) {
+            for ghost_is_trusted in [false, true] {
+                let observe = |ghost: ProcessId| {
+                    let (mut node, mut trusted) = steady_node();
+                    node.corrupt_config(ghost, ConfigValue::Set(config_set([5, 6])));
+                    node.corrupt_notification(ghost, Notification::proposal(config_set([9])));
+                    node.corrupt_echo(
+                        ghost,
+                        EchoTriple {
+                            part: shared_set(config_set([1])),
+                            prp: shared_ntf(Notification::proposal(config_set([5]))),
+                            all: true,
+                        },
+                    );
+                    if ghost_is_trusted {
+                        trusted.insert(ghost);
+                    }
+                    let first = observable(&mut node, &trusted, ghost);
+                    let second = observable(&mut node, &trusted, ghost);
+                    (first, second)
+                };
+                // Compared as text, with the ghost's name masked: the two runs
+                // differ in nothing but which identifier the ghost carries.
+                let masked = |ghost: ProcessId| {
+                    format!("{:?}", observe(ghost)).replace(&format!("{ghost:?}"), "ghost")
+                };
+                assert_eq!(
+                    masked(spilled),
+                    masked(dense),
+                    "spilled {spilled:?} diverged from dense {dense:?} (trusted: {ghost_is_trusted})"
+                );
+            }
+        }
+    }
+
+    /// An untrusted corrupted entry is reset to `(], dfltNtf)` by line 25a
+    /// whichever side of the dense limit its identifier falls on, and the
+    /// processor's own state is untouched.
+    #[test]
+    fn untrusted_spilled_entries_are_cleaned_without_a_reset() {
+        let ghost = ProcessId::new(u32::MAX);
+        let (mut node, trusted) = steady_node();
+        node.corrupt_config(ghost, ConfigValue::Set(config_set([5, 6])));
+        node.corrupt_notification(ghost, Notification::proposal(config_set([9])));
+        let sent = node.step(&trusted);
+        assert_eq!(sent.len(), 3, "ghost entry must not attract broadcasts");
+        assert!(node.config_of(ghost).is_non_participant());
+        assert!(node.prp_of(ghost).is_default());
+        assert_eq!(node.resets_started(), 0);
+        assert_eq!(node.installed_config(), Some(config_set([0, 1, 2, 3])));
+        assert!(node.no_reco());
+    }
+
     #[test]
     fn get_config_reports_bottom_during_reset() {
         let mut h = Harness::participants(2);
@@ -1315,6 +1442,8 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::types::config_set;
     use proptest::prelude::*;

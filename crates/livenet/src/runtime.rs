@@ -344,13 +344,21 @@ where
                 stats.ticks += 1;
                 let mut ctx = Context::new(me, Round::new(round), &ids);
                 node.on_timer(&mut ctx);
-                outbox.extend(ctx.into_outbox().into_iter().map(|(to, p)| (to, p.into_msg())));
+                outbox.extend(
+                    ctx.into_outbox()
+                        .into_iter()
+                        .map(|(to, p)| (to, p.into_msg())),
+                );
             }
             Event::Packet { from, msg } => {
                 stats.recv += 1;
                 let mut ctx = Context::new(me, Round::new(round), &ids);
                 node.on_message(from, msg, &mut ctx);
-                outbox.extend(ctx.into_outbox().into_iter().map(|(to, p)| (to, p.into_msg())));
+                outbox.extend(
+                    ctx.into_outbox()
+                        .into_iter()
+                        .map(|(to, p)| (to, p.into_msg())),
+                );
             }
             Event::Peer { id, addr } => {
                 if id != me && !book.contains_key(&id) {

@@ -1180,13 +1180,14 @@ fn bench_guard(
                         // absolute floor but not this one. Cross-machine
                         // comparisons keep the absolute floor only.
                         let base_pc = baseline.get("parallel_campaign");
-                        let base_field = |name: &str| {
-                            base_pc.and_then(|b| b.get(name)).and_then(Json::as_u64)
-                        };
+                        let base_field =
+                            |name: &str| base_pc.and_then(|b| b.get(name)).and_then(Json::as_u64);
                         if let (Some(bj), Some(bc), Some(base_speedup)) = (
                             base_field("jobs"),
                             base_field("cores"),
-                            base_pc.and_then(|b| b.get("speedup")).and_then(Json::as_f64),
+                            base_pc
+                                .and_then(|b| b.get("speedup"))
+                                .and_then(Json::as_f64),
                         ) {
                             let same_width = bj.min(bc.max(1)) == jobs.min(cores.max(1));
                             let rel_floor = base_speedup * (1.0 - max_regression);

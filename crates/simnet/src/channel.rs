@@ -743,7 +743,7 @@ mod reference {
                     arena.clear();
                     oracle.clear();
                 }
-                Op::Advance(by) => now = now + *by,
+                Op::Advance(by) => now += *by,
             }
             let in_flight: Vec<u32> = arena.in_flight().map(|p| *p.msg()).collect();
             prop_assert_eq!(in_flight, oracle.msgs());

@@ -6,12 +6,12 @@ use crate::channel::ChannelPolicy;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
     /// Event-driven run queue (the default): a process is woken only when it
-    /// has deliverable packets or a due timer, and packet delivery reads a
-    /// per-destination index instead of scanning every channel.
+    /// has deliverable packets or a due timer, and packet delivery reads
+    /// the destination's own row of channels.
     #[default]
     EventDriven,
-    /// The legacy whole-system scan: every round visits every process and
-    /// examines every channel in the network to find deliverable packets.
+    /// The legacy whole-system scan: every round examines every process and
+    /// is charged a scan of every channel in the network per examination.
     /// Kept as a baseline for the scheduler benchmarks; behaviourally
     /// identical to [`SchedulerMode::EventDriven`] for the same seed.
     RoundScan,

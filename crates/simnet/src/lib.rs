@@ -95,6 +95,7 @@ pub mod metrics;
 pub mod network;
 pub mod partition;
 pub mod payload;
+pub mod peer_table;
 pub mod plan;
 pub mod process;
 pub mod report;
@@ -124,6 +125,7 @@ pub use metrics::Metrics;
 pub use network::Network;
 pub use partition::{AsymmetricCutPlan, PartitionPlan};
 pub use payload::Payload;
+pub use peer_table::PeerTable;
 pub use plan::{ByzantinePlan, FaultAction, FaultPlan, ForgeKind, PlanCtx, RunObservations};
 pub use process::{Context, Process, ProcessId, ProcessStatus};
 pub use report::Json;

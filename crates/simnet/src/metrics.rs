@@ -134,8 +134,8 @@ impl Metrics {
         self.channel_scans
     }
 
-    /// Total channels examined through the inbound index (event-driven
-    /// delivery).
+    /// Total non-empty channels visited in the destinations' rows
+    /// (event-driven delivery).
     pub fn channel_visits(&self) -> u64 {
         self.channel_visits
     }

@@ -154,6 +154,9 @@ impl<M> FanOut<M> {
     /// The next handle. Panics if called more often than the `n` the fan-out
     /// was created for (only possible for `n == 1`, where there is nothing
     /// left to hand out).
+    // Not an `Iterator`: the sequence never ends and `next` cannot return
+    // `None`, so the trait's contract would be a lie.
+    #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Payload<M> {
         match &mut self.inner {
             FanOutRepr::Once(slot) => {

@@ -15,12 +15,15 @@
 //! * **event-driven** (the default): a run queue of wake-ups. A process is
 //!   visited only when its timer is due ([`SimConfig::timer_period`]) or a
 //!   packet addressed to it has become deliverable; packet delivery reads
-//!   the network's per-destination inbound index. A quiescent system does no
+//!   the destination's own row of channels. A quiescent system does no
 //!   delivery work at all, so large, sparse simulations cost only what their
 //!   active processes do.
 //! * **round-scan** (the legacy baseline): every round examines every
-//!   process and scans the network's channels to rediscover the same due
-//!   set the run queue indexes — kept for the scheduler benchmarks.
+//!   process to rediscover the same due set the run queue indexes, and is
+//!   *charged* a whole-network channel scan per examination
+//!   ([`crate::Metrics::channel_scans`]) — the cost model of this crate
+//!   before the run queue existed, kept for the scheduler benchmarks. The
+//!   channels it reads are the same rows the event-driven path reads.
 //!
 //! For the same seed the two strategies produce byte-identical executions
 //! (same deliveries, same trace, same process states) at any timer period —
@@ -87,6 +90,30 @@ impl WakeQueue {
             }
             self.due.pop();
             into.push(id);
+        }
+    }
+}
+
+/// Hands the sends `from` queued in one step to the network, draining
+/// `outbox` in place so the buffer (and its capacity) can be recycled by the
+/// caller. Under event-driven scheduling (`packet_wakes` given) every enqueued
+/// packet also wakes its destination at the round it becomes deliverable.
+///
+/// A free function over the simulation's send-side fields rather than a
+/// method: the round loops call it while holding the stepping process's slot.
+fn flush_outbox<M: Clone>(
+    network: &mut Network<M>,
+    rng: &mut SimRng,
+    metrics: &mut Metrics,
+    mut packet_wakes: Option<&mut WakeQueue>,
+    now: Round,
+    from: ProcessId,
+    outbox: &mut Vec<(ProcessId, Payload<M>)>,
+) {
+    for (to, payload) in outbox.drain(..) {
+        let ready = network.send_payload(from, to, payload, now, rng, metrics);
+        if let (Some(wakes), Some(ready)) = (packet_wakes.as_deref_mut(), ready) {
+            wakes.schedule(ready.max(now), to);
         }
     }
 }
@@ -259,7 +286,7 @@ impl<P: Process> Simulation<P> {
 
     /// One round of the event-driven run queue: only processes with a due
     /// timer, a deliverable packet or a white-box network mutation are
-    /// visited, and their packet delivery reads the per-destination index.
+    /// visited, and their packet delivery reads the destination's channel row.
     ///
     /// Wake-ups are a conservative hint, not the source of truth: a woken
     /// process is visited only when it is actually *due* (timer due, or a
@@ -336,26 +363,35 @@ impl<P: Process> Simulation<P> {
                 // bound): re-wake the destination when they become due.
                 self.packet_wakes.schedule(ready.max(self.now), id);
             }
+            // One slot lookup per visit, not per message: nothing a process
+            // does in a step can crash it or remove it (only the harness can,
+            // between steps), so the slot resolved here stays valid for
+            // every delivery and the timer step below. A destination that
+            // crashed earlier in this round drops its batch undelivered.
+            let Some(slot) = self.slots.get_mut(&id) else {
+                continue;
+            };
+            if !slot.status.is_active() {
+                continue;
+            }
             for (from, msg) in deliveries.drain(..) {
-                // The destination may have crashed earlier in this round.
-                let Some(slot) = self.slots.get_mut(&id) else {
-                    break;
-                };
-                if !slot.status.is_active() {
-                    break;
-                }
                 self.trace.record(TraceEvent::Delivered { from, to: id });
                 let mut ctx = Context::with_outbox(id, self.now, &all_ids, outbox);
                 slot.process.on_message(from, msg, &mut ctx);
                 slot.activity += 1;
                 outbox = ctx.into_outbox();
-                self.flush(id, &mut outbox);
+                flush_outbox(
+                    &mut self.network,
+                    &mut self.rng,
+                    &mut self.metrics,
+                    Some(&mut self.packet_wakes),
+                    self.now,
+                    id,
+                    &mut outbox,
+                );
             }
             // ...then take the timer step if it is due.
-            let Some(slot) = self.slots.get_mut(&id) else {
-                continue;
-            };
-            if !slot.status.is_active() || slot.next_timer > self.now {
+            if slot.next_timer > self.now {
                 continue;
             }
             self.trace.record(TraceEvent::TimerStep(id));
@@ -371,7 +407,15 @@ impl<P: Process> Simulation<P> {
             slot.next_timer = next;
             slot.timer_steps += 1;
             self.timer_wakes.schedule(next, id);
-            self.flush(id, &mut outbox);
+            flush_outbox(
+                &mut self.network,
+                &mut self.rng,
+                &mut self.metrics,
+                Some(&mut self.packet_wakes),
+                self.now,
+                id,
+                &mut outbox,
+            );
         }
 
         self.ids_snapshot = all_ids;
@@ -384,10 +428,10 @@ impl<P: Process> Simulation<P> {
     }
 
     /// One round of the legacy whole-system scan: the due processes are
-    /// found by examining every process and every channel in the network
-    /// instead of consulting the run queue — the behaviour of this crate
-    /// before the run queue existed, kept as the baseline the scheduler
-    /// benchmarks compare against.
+    /// found by examining every process (and charging a whole-network channel
+    /// scan for each examination) instead of consulting the run queue — the
+    /// cost model of this crate before the run queue existed, kept as the
+    /// baseline the scheduler benchmarks compare against.
     ///
     /// The visited set is exactly the due set of
     /// [`Simulation::step_round_event`] — a process with neither a due timer
@@ -414,8 +458,8 @@ impl<P: Process> Simulation<P> {
                 order.push(id);
                 continue;
             }
-            // The baseline cost model: finding a due packet means scanning
-            // the whole network for channels towards `id`.
+            // The baseline cost model: finding a due packet is charged as a
+            // scan of the whole network for channels towards `id`.
             self.metrics.record_channel_scan(self.network.link_count());
             match self.network.earliest_inbound_ready_scan(id) {
                 Some(ready) if ready <= self.now => order.push(id),
@@ -434,26 +478,31 @@ impl<P: Process> Simulation<P> {
                 &mut self.rng,
                 &mut self.metrics,
             );
+            // One slot lookup per visit (see `step_round_event`).
+            let Some(slot) = self.slots.get_mut(&id) else {
+                continue;
+            };
+            if !slot.status.is_active() {
+                continue;
+            }
             for (from, msg) in deliveries {
-                // The destination may have crashed earlier in this round.
-                let Some(slot) = self.slots.get_mut(&id) else {
-                    break;
-                };
-                if !slot.status.is_active() {
-                    break;
-                }
                 self.trace.record(TraceEvent::Delivered { from, to: id });
                 let mut ctx = Context::with_outbox(id, self.now, &all_ids, outbox);
                 slot.process.on_message(from, msg, &mut ctx);
                 slot.activity += 1;
                 outbox = ctx.into_outbox();
-                self.flush(id, &mut outbox);
+                flush_outbox(
+                    &mut self.network,
+                    &mut self.rng,
+                    &mut self.metrics,
+                    None,
+                    self.now,
+                    id,
+                    &mut outbox,
+                );
             }
             // ...then take one timer step (the `do forever` loop body).
-            let Some(slot) = self.slots.get_mut(&id) else {
-                continue;
-            };
-            if !slot.status.is_active() || slot.next_timer > self.now {
+            if slot.next_timer > self.now {
                 continue;
             }
             self.trace.record(TraceEvent::TimerStep(id));
@@ -467,33 +516,20 @@ impl<P: Process> Simulation<P> {
                 .unwrap_or(self.config.timer_period());
             slot.next_timer = self.now + period;
             slot.timer_steps += 1;
-            self.flush(id, &mut outbox);
+            flush_outbox(
+                &mut self.network,
+                &mut self.rng,
+                &mut self.metrics,
+                None,
+                self.now,
+                id,
+                &mut outbox,
+            );
         }
 
         self.scratch_outbox = outbox;
         self.metrics.record_round();
         self.now = self.now.next();
-    }
-
-    /// Hands the queued sends to the network, draining `outbox` in place so
-    /// the buffer (and its capacity) can be recycled by the caller.
-    fn flush(&mut self, from: ProcessId, outbox: &mut Vec<(ProcessId, Payload<P::Msg>)>) {
-        let event_driven = self.config.scheduler() == SchedulerMode::EventDriven;
-        for (to, payload) in outbox.drain(..) {
-            let ready = self.network.send_payload(
-                from,
-                to,
-                payload,
-                self.now,
-                &mut self.rng,
-                &mut self.metrics,
-            );
-            if event_driven {
-                if let Some(ready) = ready {
-                    self.packet_wakes.schedule(ready.max(self.now), to);
-                }
-            }
-        }
     }
 
     /// The current round.
