@@ -470,8 +470,10 @@ impl simnet::ScenarioTarget for ReconfigNode {
             .then_some(true)
     }
 
-    /// The node-local conjunct of [`Self::converged`]: a settled participant
+    /// The node-local conjunct of [`ScenarioTarget::converged`]: a settled participant
     /// of a calm, installed configuration.
+    ///
+    /// [`ScenarioTarget::converged`]: simnet::ScenarioTarget::converged
     fn settled(&self) -> bool {
         self.is_participant() && self.no_reconfiguration() && self.installed_config().is_some()
     }

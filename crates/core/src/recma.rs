@@ -17,9 +17,9 @@
 //! `noMaj`/`needReconf` information to `O(N²·cap)`; the benchmark
 //! `recma_triggerings` measures this.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use simnet::ProcessId;
+use simnet::{PeerTable, ProcessId};
 
 use crate::recsa::RecSa;
 use crate::types::{same_config, same_set, shared_set, ConfigSet, SharedConfig, SharedSet};
@@ -40,14 +40,22 @@ simnet::wire_struct_codec!(RecMaMsg {
     need_reconf
 });
 
+/// One processor's entry of `noMaj[]` and `needReconf[]`. The two arrays are
+/// only ever written together, so they share a record; a processor without
+/// one reads as `false`/`false`, which is also what the record defaults to.
+#[derive(Debug, Clone, Copy, Default)]
+struct Flags {
+    no_maj: bool,
+    need_reconf: bool,
+}
+
 /// The Reconfiguration Management layer of one processor.
 #[derive(Debug, Clone)]
 pub struct RecMa {
     me: ProcessId,
-    /// `noMaj[]` — own flag plus the most recently received flags.
-    no_maj: BTreeMap<ProcessId, bool>,
-    /// `needReconf[]` — own flag plus the most recently received flags.
-    need_reconf: BTreeMap<ProcessId, bool>,
+    /// `noMaj[]` and `needReconf[]` — own flags plus the most recently
+    /// received ones, array-indexed by the raw identifier.
+    flags: PeerTable<Flags>,
     /// `prevConfig` — the configuration seen in the previous iteration
     /// (the shared allocation; comparison is pointer-first).
     prev_config: Option<SharedConfig>,
@@ -60,8 +68,7 @@ impl RecMa {
     pub fn new(me: ProcessId) -> Self {
         RecMa {
             me,
-            no_maj: BTreeMap::new(),
-            need_reconf: BTreeMap::new(),
+            flags: PeerTable::new(),
             prev_config: None,
             triggerings: 0,
         }
@@ -74,15 +81,27 @@ impl RecMa {
 
     /// Own `noMaj` flag (observability).
     pub fn no_majority_flag(&self) -> bool {
-        self.no_maj.get(&self.me).copied().unwrap_or(false)
+        self.flags_of(self.me).no_maj
+    }
+
+    /// The flags stored for `k`; `false`/`false` when none are.
+    fn flags_of(&self, k: ProcessId) -> Flags {
+        self.flags.get(k).copied().unwrap_or_default()
+    }
+
+    fn set_flags(&mut self, k: ProcessId, no_maj: bool, need_reconf: bool) {
+        self.flags.insert(
+            k,
+            Flags {
+                no_maj,
+                need_reconf,
+            },
+        );
     }
 
     fn flush_flags(&mut self) {
-        for v in self.no_maj.values_mut() {
-            *v = false;
-        }
-        for v in self.need_reconf.values_mut() {
-            *v = false;
+        for (_, flags) in self.flags.iter_mut() {
+            *flags = Flags::default();
         }
     }
 
@@ -144,8 +163,7 @@ impl RecMa {
         }
         let me = self.me;
         let cur_conf = recsa.get_config_shared(); // line 7
-        self.no_maj.insert(me, false); // line 8
-        self.need_reconf.insert(me, false);
+        self.set_flags(me, false, false); // line 8
 
         // Line 9: a configuration change invalidates all collected flags.
         if let Some(prev) = &self.prev_config {
@@ -160,22 +178,18 @@ impl RecMa {
             if let Some(cur_set) = cur_conf.as_set() {
                 let trusted = recsa.my_trusted_shared();
 
-                // Line 12: majority visibility test.
+                // Line 12: majority visibility test. `noMaj[i]` stays in this
+                // local until the prediction path stores it: nothing reads
+                // the processor's own entry before that, and the
+                // majority-collapse path flushes it anyway.
                 let visible = cur_set.iter().filter(|m| trusted.contains(m)).count();
-                if visible < cur_set.len() / 2 + 1 {
-                    self.no_maj.insert(me, true);
-                }
+                let no_maj = visible < cur_set.len() / 2 + 1;
 
                 let core = self.core(recsa);
-                let core_agrees_no_majority = !core.is_empty()
-                    && core
-                        .iter()
-                        .all(|k| *k == me || self.no_maj.get(k).copied().unwrap_or(false));
+                let core_agrees_no_majority =
+                    !core.is_empty() && core.iter().all(|k| *k == me || self.flags_of(*k).no_maj);
 
-                if self.no_maj.get(&me).copied().unwrap_or(false)
-                    && core.len() > 1
-                    && core_agrees_no_majority
-                {
+                if no_maj && core.len() > 1 && core_agrees_no_majority {
                     // Lines 13–14: majority collapse — trigger with the local
                     // participant set as the proposed configuration.
                     if recsa.estab(recsa.my_part()) {
@@ -185,13 +199,11 @@ impl RecMa {
                 } else {
                     // Lines 16–18: prediction-function path.
                     let wants = eval_conf(cur_set);
-                    self.need_reconf.insert(me, wants);
+                    self.set_flags(me, no_maj, wants);
                     let supporters = cur_set
                         .iter()
                         .filter(|m| trusted.contains(m))
-                        .filter(|m| {
-                            self.need_reconf.get(m).copied().unwrap_or(false) || **m == me && wants
-                        })
+                        .filter(|m| self.flags_of(**m).need_reconf)
                         .count();
                     if wants && supporters > cur_set.len() / 2 {
                         if recsa.estab(recsa.my_part()) {
@@ -204,8 +216,10 @@ impl RecMa {
         }
 
         // Line 19: exchange the flags with every trusted participant.
-        let no_maj = self.no_maj.get(&me).copied().unwrap_or(false);
-        let need_reconf = self.need_reconf.get(&me).copied().unwrap_or(false);
+        let Flags {
+            no_maj,
+            need_reconf,
+        } = self.flags_of(me);
         for p in recsa.my_part_shared().iter().copied().filter(|p| *p != me) {
             sink(
                 p,
@@ -223,20 +237,20 @@ impl RecMa {
         if !is_participant || from == self.me {
             return;
         }
-        self.no_maj.insert(from, msg.no_maj);
-        self.need_reconf.insert(from, msg.need_reconf);
+        self.set_flags(from, msg.no_maj, msg.need_reconf);
     }
 
     /// Overwrites the stored flags of `peer`, modelling transient faults
     /// (used by the `recma_triggerings` experiment).
     pub fn corrupt_flags(&mut self, peer: ProcessId, no_maj: bool, need_reconf: bool) {
-        self.no_maj.insert(peer, no_maj);
-        self.need_reconf.insert(peer, need_reconf);
+        self.set_flags(peer, no_maj, need_reconf);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::types::config_set;
 
@@ -253,17 +267,16 @@ mod tests {
 
     impl Harness {
         fn with_config(n: u32, cfg: &ConfigSet) -> Self {
-            let recsa = (0..n)
-                .map(|i| {
-                    (
-                        ProcessId::new(i),
-                        RecSa::new_with_config(ProcessId::new(i), cfg.clone()),
-                    )
-                })
+            Harness::with_ids(0..n, cfg)
+        }
+
+        fn with_ids(ids: impl IntoIterator<Item = u32>, cfg: &ConfigSet) -> Self {
+            let recsa = ids
+                .into_iter()
+                .map(ProcessId::new)
+                .map(|id| (id, RecSa::new_with_config(id, cfg.clone())))
                 .collect::<BTreeMap<_, _>>();
-            let recma = (0..n)
-                .map(|i| (ProcessId::new(i), RecMa::new(ProcessId::new(i))))
-                .collect();
+            let recma = recsa.keys().map(|id| (*id, RecMa::new(*id))).collect();
             let alive = recsa.keys().copied().collect();
             Harness {
                 recsa,
@@ -421,6 +434,98 @@ mod tests {
         assert!(h.total_triggerings() <= 1);
         let final_cfg = h.config_of(0).expect("a configuration is installed");
         assert_eq!(h.config_of(1), Some(final_cfg));
+    }
+
+    /// Flags stored for an identifier above the dense limit (the table's
+    /// ordered spill) drive a step exactly like flags stored for a small
+    /// one, and a flush clears them the same.
+    #[test]
+    fn flags_of_a_spilled_identifier_step_like_dense_ones() {
+        let run = |x: u32| {
+            let p0 = ProcessId::new(0);
+            let px = ProcessId::new(x);
+            let cfg = config_set([0, 1, 2, x]);
+            let mut h = Harness::with_ids([0, 1, 2, x], &cfg);
+            h.rounds(15);
+            h.crash(2);
+            h.rounds(15);
+            assert_eq!(h.total_triggerings(), 0);
+            // Transient fault at p0: both surviving peers appear to support
+            // the reconfiguration p0's prediction function asks for.
+            let recma = h.recma.get_mut(&p0).unwrap();
+            recma.corrupt_flags(ProcessId::new(1), false, true);
+            recma.corrupt_flags(px, true, true);
+            assert!(recma.flags_of(px).need_reconf);
+            let sent: Vec<(bool, RecMaMsg)> = recma
+                .step(h.recsa.get_mut(&p0).unwrap(), |_| true)
+                .into_iter()
+                .map(|(to, msg)| (to == px, msg))
+                .collect();
+            let recma = &h.recma[&p0];
+            // The trigger flushed every stored flag, spilled or not.
+            assert_eq!(recma.triggerings(), 1);
+            assert!(!recma.flags_of(px).no_maj && !recma.flags_of(px).need_reconf);
+            assert!(!recma.flags_of(ProcessId::new(1)).need_reconf);
+            h.rounds(80);
+            (
+                sent,
+                h.total_triggerings(),
+                h.config_of(0) == Some(config_set([0, 1, x])),
+            )
+        };
+        let dense = run(7);
+        let spilled = run(PeerTable::<Flags>::DENSE_LIMIT + 7);
+        assert_eq!(dense, spilled);
+        assert!(dense.2, "the triggered reconfiguration did not complete");
+    }
+
+    /// A peer whose flags were received as `false` and a peer never heard
+    /// from read the same everywhere the flags are consulted.
+    #[test]
+    fn stored_false_and_absent_flags_are_indistinguishable() {
+        let cfg = config_set([0, 1, 2, 3, 4]);
+        let mut h = Harness::with_config(5, &cfg);
+        h.rounds(15);
+        h.crash(2);
+        h.crash(3);
+        h.crash(4);
+        // While the survivors work towards the reconfiguration, probe p0's
+        // every state with a recMA that never heard from anyone and with
+        // one that heard `false` from everyone.
+        let p0 = ProcessId::new(0);
+        let mut consulted_the_core = false;
+        for _ in 0..40 {
+            h.round();
+            let absent = RecMa::new(p0);
+            let mut stored = RecMa::new(p0);
+            for k in 0..5 {
+                stored.corrupt_flags(ProcessId::new(k), false, false);
+            }
+            let outcomes: Vec<_> = [absent, stored]
+                .into_iter()
+                .map(|mut recma| {
+                    let sent = recma.step(&mut h.recsa[&p0].clone(), |_| true);
+                    (sent, recma.no_majority_flag(), recma.triggerings())
+                })
+                .collect();
+            assert_eq!(outcomes[0], outcomes[1]);
+            let (sent, no_majority, triggerings) = &outcomes[0];
+            if *no_majority {
+                // p0 sees no majority and its core is {p0, p1}: p1's `noMaj`
+                // was read, as `false` either way, so nothing fired.
+                consulted_the_core = true;
+                assert_eq!(*triggerings, 0);
+                let own_flags = RecMaMsg {
+                    no_maj: true,
+                    need_reconf: true,
+                };
+                assert_eq!(sent, &vec![(ProcessId::new(1), own_flags)]);
+            }
+        }
+        assert!(
+            consulted_the_core,
+            "no probe reached the majority-loss path"
+        );
     }
 
     #[test]

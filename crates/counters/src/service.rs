@@ -779,8 +779,10 @@ impl simnet::ScenarioTarget for CounterNode {
         ))
     }
 
-    /// The node-local conjunct of [`Self::converged`]: no in-flight or
+    /// The node-local conjunct of [`ScenarioTarget::converged`]: no in-flight or
     /// queued work, and (for members) a maximal counter to agree on.
+    ///
+    /// [`ScenarioTarget::converged`]: simnet::ScenarioTarget::converged
     fn settled(&self) -> bool {
         self.pending.is_none()
             && self.queued_increments == 0

@@ -22,6 +22,9 @@
 //! Peers are discovered from the cluster file and from inbound [`Hello`]s
 //! (which carry the dialer's data port), so a rejoiner with a fresh id that
 //! was never in the file becomes routable on first contact.
+//!
+//! [`Process::on_timer`]: simnet::Process::on_timer
+//! [`Process::on_message`]: simnet::Process::on_message
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};

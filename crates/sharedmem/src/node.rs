@@ -750,8 +750,10 @@ impl simnet::ScenarioTarget for SharedMemNode {
         ))
     }
 
-    /// The node-local conjunct of [`Self::converged`]: a calm, installed
+    /// The node-local conjunct of [`ScenarioTarget::converged`]: a calm, installed
     /// reconfiguration layer and no operation in flight or queued.
+    ///
+    /// [`ScenarioTarget::converged`]: simnet::ScenarioTarget::converged
     fn settled(&self) -> bool {
         let r = self.reconfig();
         r.is_participant()
@@ -762,7 +764,9 @@ impl simnet::ScenarioTarget for SharedMemNode {
 
     /// The agreement token: the installed configuration for everyone, plus
     /// one component per workload register for configuration members —
-    /// mirroring [`Self::converged`]'s member-only register comparison.
+    /// mirroring [`ScenarioTarget::converged`]'s member-only register comparison.
+    ///
+    /// [`ScenarioTarget::converged`]: simnet::ScenarioTarget::converged
     fn settle_token(&self) -> String {
         let r = self.reconfig();
         let Some(config) = r.installed_config() else {

@@ -9,6 +9,7 @@
 //! probability below one.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::payload::Payload;
 use crate::rng::SimRng;
@@ -103,13 +104,21 @@ pub enum SendOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Channel<M> {
-    policy: ChannelPolicy,
+    /// Shared, never mutated in place: a [`crate::Network`] hands all of its
+    /// channels the one policy it holds, so the lines every send and
+    /// delivery touches carry a pointer instead of a copy per channel.
+    policy: Arc<ChannelPolicy>,
     queue: VecDeque<InFlight<M>>,
 }
 
 impl<M: Clone> Channel<M> {
     /// Creates an empty channel with the given policy.
     pub fn new(policy: ChannelPolicy) -> Self {
+        Channel::with_shared_policy(Arc::new(policy))
+    }
+
+    /// Creates an empty channel following a policy held elsewhere.
+    pub(crate) fn with_shared_policy(policy: Arc<ChannelPolicy>) -> Self {
         Channel {
             policy,
             queue: VecDeque::new(),
@@ -136,6 +145,11 @@ impl<M: Clone> Channel<M> {
     /// (and reordering decisions) follow the new policy. Scenario-driven
     /// loss/delay spikes use this through [`crate::Network::set_policy`].
     pub fn set_policy(&mut self, policy: ChannelPolicy) {
+        self.set_shared_policy(Arc::new(policy));
+    }
+
+    /// [`Channel::set_policy`] with a policy held elsewhere.
+    pub(crate) fn set_shared_policy(&mut self, policy: Arc<ChannelPolicy>) {
         self.policy = policy;
     }
 

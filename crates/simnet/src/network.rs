@@ -2,6 +2,7 @@
 //! processors.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use crate::channel::{Channel, ChannelPolicy, SendOutcome};
 use crate::metrics::Metrics;
@@ -58,7 +59,8 @@ impl<M> Row<M> {
 /// connectivity changes.
 #[derive(Debug, Clone)]
 pub struct Network<M> {
-    policy: ChannelPolicy,
+    /// The one policy every channel of this network points at.
+    policy: Arc<ChannelPolicy>,
     /// The channels, destination-major: one [`Row`] per destination, indexed
     /// by the destination's identifier.
     rows: PeerTable<Row<M>>,
@@ -78,7 +80,7 @@ impl<M: Clone> Network<M> {
     /// Creates an empty network whose channels all follow `policy`.
     pub fn new(policy: ChannelPolicy) -> Self {
         Network {
-            policy,
+            policy: Arc::new(policy),
             rows: PeerTable::new(),
             link_count: 0,
             blocked: BTreeSet::new(),
@@ -104,8 +106,9 @@ impl<M: Clone> Network<M> {
     /// (see [`crate::fault::SpikePlan`]); the change is applied at a round
     /// boundary, so executions stay byte-identical across scheduler modes.
     pub fn set_policy(&mut self, policy: ChannelPolicy) {
+        let policy = Arc::new(policy);
         for channel in self.channels_mut() {
-            channel.set_policy(policy.clone());
+            channel.set_shared_policy(Arc::clone(&policy));
         }
         self.policy = policy;
     }
@@ -188,7 +191,8 @@ impl<M: Clone> Network<M> {
             Ok(at) => at,
             Err(at) => {
                 row.senders.insert(at, from);
-                row.channels.insert(at, Channel::new(self.policy.clone()));
+                row.channels
+                    .insert(at, Channel::with_shared_policy(Arc::clone(&self.policy)));
                 self.link_count += 1;
                 at
             }

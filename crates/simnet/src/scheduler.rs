@@ -39,6 +39,7 @@ use crate::config::{SchedulerMode, SimConfig};
 use crate::metrics::Metrics;
 use crate::network::Network;
 use crate::payload::Payload;
+use crate::peer_table::PeerTable;
 use crate::process::{Context, Process, ProcessId, ProcessStatus};
 use crate::report;
 use crate::rng::SimRng;
@@ -65,32 +66,78 @@ struct Slot<P> {
     activity: u64,
 }
 
-/// A run queue of wake-ups keyed by round: the heart of the event-driven
-/// scheduler. A min-heap of `(round, id)` pairs: pushing and popping reuse
-/// the heap's backing storage, so a steady-state round touches no
-/// allocator (the `BTreeMap<Round, BTreeSet>` this replaces allocated and
-/// freed tree nodes every round). Double-scheduling a process for the same
-/// round is harmless — the scheduler deduplicates the merged wake set.
+/// The wake-ups of the event-driven scheduler: which processes to examine
+/// at which round boundary. One type serves the timer wakes and the packet
+/// wakes.
+///
+/// A wake is keyed by `(process, round)`, not by what caused it, and the set
+/// stores each key once: in a steady round — zero-delay links, period-1
+/// timers — every packet and every timer step asks for a wake at the next
+/// round boundary, and all a request after the first costs is one read of
+/// the process's stamp in `last`. Such a round leaves at most one entry per
+/// process in `soon` (a plain vector, handed over wholesale at the
+/// boundary), however many packets were sent; nothing is ordered and nothing
+/// is allocated. Only wakes for rounds beyond the next boundary (delayed
+/// packets, slowed timers) go through the ordered `later` heap, one entry
+/// per request that differs from the process's previous one.
+///
+/// The stamp is exact for a run of requests naming the same round and lets
+/// a duplicate through when requests for different rounds alternate; the
+/// scheduler deduplicates the merged wake set anyway, so that costs a vector
+/// slot, never a step.
 #[derive(Debug, Clone, Default)]
-struct WakeQueue {
-    due: BinaryHeap<Reverse<(Round, ProcessId)>>,
+struct WakeSet {
+    /// The earliest round the next [`WakeSet::pop_due`] can be for: one past
+    /// the round popped last. A wake for this round or an earlier one is due
+    /// at that pop whatever round it names.
+    horizon: Round,
+    /// Processes with a wake due at the next pop.
+    soon: Vec<ProcessId>,
+    /// Wakes for rounds after `horizon`, earliest first.
+    later: BinaryHeap<Reverse<(Round, ProcessId)>>,
+    /// Per process, the round (raised to `horizon`) of the wake requested
+    /// for it last. That wake is still pending exactly when the round is not
+    /// before `horizon`. Identifiers are attacker-controlled — a process may
+    /// send to a forged `ProcessId(u32::MAX)` — hence a [`PeerTable`], which
+    /// spills instead of allocating by identifier.
+    last: PeerTable<Round>,
 }
 
-impl WakeQueue {
+impl WakeSet {
     fn schedule(&mut self, round: Round, id: ProcessId) {
-        self.due.push(Reverse((round, id)));
+        let due = round.max(self.horizon);
+        if self.last.get(id) == Some(&due) {
+            return;
+        }
+        self.last.insert(id, due);
+        if due == self.horizon {
+            self.soon.push(id);
+        } else {
+            self.later.push(Reverse((due, id)));
+        }
     }
 
     /// Removes every wake-up scheduled at or before `now`, appending the
-    /// process identifiers (possibly with duplicates) to `into`.
+    /// process identifiers (possibly with duplicates) to `into`. `now` must
+    /// be later than every round popped before — the scheduler pops each
+    /// round boundary once, in order.
     fn pop_due(&mut self, now: Round, into: &mut Vec<ProcessId>) {
-        while let Some(&Reverse((round, id))) = self.due.peek() {
+        debug_assert!(now >= self.horizon, "wake set popped out of order");
+        into.append(&mut self.soon);
+        while let Some(&Reverse((round, id))) = self.later.peek() {
             if round > now {
                 break;
             }
-            self.due.pop();
+            self.later.pop();
             into.push(id);
         }
+        self.horizon = now.next();
+    }
+
+    /// Number of wakes held.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.soon.len() + self.later.len()
     }
 }
 
@@ -105,7 +152,7 @@ fn flush_outbox<M: Clone>(
     network: &mut Network<M>,
     rng: &mut SimRng,
     metrics: &mut Metrics,
-    mut packet_wakes: Option<&mut WakeQueue>,
+    mut packet_wakes: Option<&mut WakeSet>,
     now: Round,
     from: ProcessId,
     outbox: &mut Vec<(ProcessId, Payload<M>)>,
@@ -131,9 +178,9 @@ pub struct Simulation<P: Process> {
     metrics: Metrics,
     trace: Trace,
     /// Wake-ups due to timers (event-driven mode).
-    timer_wakes: WakeQueue,
+    timer_wakes: WakeSet,
     /// Wake-ups due to deliverable packets (event-driven mode).
-    packet_wakes: WakeQueue,
+    packet_wakes: WakeSet,
     /// Per-round scratch buffers, recycled so a steady-state round performs
     /// no allocation: the merged wake set, the shuffled visiting order, the
     /// delivery batch, and the outbox handed to [`Context`].
@@ -164,8 +211,8 @@ impl<P: Process> Simulation<P> {
             network,
             metrics: Metrics::new(),
             trace: Trace::new(),
-            timer_wakes: WakeQueue::default(),
-            packet_wakes: WakeQueue::default(),
+            timer_wakes: WakeSet::default(),
+            packet_wakes: WakeSet::default(),
             scratch_woken: Vec::new(),
             scratch_order: Vec::new(),
             scratch_deliveries: Vec::new(),
@@ -214,7 +261,15 @@ impl<P: Process> Simulation<P> {
             },
         );
         self.ids_dirty = true;
-        self.timer_wakes.schedule(self.now, id);
+        self.wake_timer(self.now, id);
+    }
+
+    /// Schedules a timer wake from outside the round loop. The round-scan
+    /// loop never pops the wake sets, so under it nothing is fed to them.
+    fn wake_timer(&mut self, round: Round, id: ProcessId) {
+        if self.config.scheduler() == SchedulerMode::EventDriven {
+            self.timer_wakes.schedule(round, id);
+        }
     }
 
     /// The next never-used identifier: what [`Simulation::add_process`]
@@ -646,14 +701,15 @@ impl<P: Process> Simulation<P> {
             assert!(p > 0, "timer period override must be at least 1 round");
         }
         let now = self.now;
-        if let Some(slot) = self.slots.get_mut(&id) {
-            match period {
-                Some(p) => slot.timer_period_override = Some(p),
-                None => {
-                    if slot.timer_period_override.take().is_some() && slot.next_timer > now {
-                        slot.next_timer = now;
-                        self.timer_wakes.schedule(now, id);
-                    }
+        let Some(slot) = self.slots.get_mut(&id) else {
+            return;
+        };
+        match period {
+            Some(p) => slot.timer_period_override = Some(p),
+            None => {
+                if slot.timer_period_override.take().is_some() && slot.next_timer > now {
+                    slot.next_timer = now;
+                    self.wake_timer(now, id);
                 }
             }
         }
@@ -1132,6 +1188,93 @@ mod tests {
         assert!(event.2[4] < event.2[0]);
     }
 
+    /// However many packets a round sends to a destination, the boundary
+    /// finds one wake for it — and one for its timer.
+    #[test]
+    fn many_packets_to_one_destination_leave_one_wake() {
+        let n = 6;
+        let mut sim = sim_with(n, SimConfig::default().with_seed(13).with_max_delay(0));
+        sim.run_rounds(3);
+        assert_eq!(sim.metrics().messages_sent(), 3 * n * (n - 1));
+        assert_eq!(sim.packet_wakes.len() as u64, n);
+        assert_eq!(sim.timer_wakes.len() as u64, n);
+
+        let mut wakes = WakeSet::default();
+        for _ in 0..1000 {
+            wakes.schedule(Round::ZERO, ProcessId::new(7));
+        }
+        assert_eq!(wakes.len(), 1);
+    }
+
+    /// A wake a million rounds out and a wake for a forged maximal
+    /// identifier each cost one entry: nothing is sized by the distance to
+    /// the wake or by the identifier.
+    #[test]
+    fn distant_wakes_and_forged_identifiers_allocate_by_population() {
+        let slow = ProcessId::new(3);
+        let forged = ProcessId::new(u32::MAX);
+        let mut wakes = WakeSet::default();
+        wakes.schedule(Round::new(1_000_000), slow);
+        wakes.schedule(Round::ZERO, forged);
+        wakes.schedule(Round::new(1_000_000), forged);
+        assert_eq!(wakes.len(), 3);
+        assert!(wakes.soon.capacity() + wakes.later.capacity() <= 16);
+        assert_eq!(wakes.last.iter().count(), 2);
+
+        let mut popped = Vec::new();
+        wakes.pop_due(Round::ZERO, &mut popped);
+        assert_eq!(popped, vec![forged]);
+        wakes.pop_due(Round::new(999_999), &mut popped);
+        assert_eq!(popped, vec![forged]);
+        wakes.pop_due(Round::new(1_000_000), &mut popped);
+        popped.sort_unstable();
+        assert_eq!(popped, vec![slow, forged, forged]);
+        assert_eq!(wakes.len(), 0);
+
+        // The same through a simulation: a period-10⁶ timer and sends to a
+        // forged identifier run in bounded space.
+        #[derive(Debug)]
+        struct SendsToGhost;
+        impl Process for SendsToGhost {
+            type Msg = u64;
+            fn on_timer(&mut self, ctx: &mut Context<'_, u64>) {
+                ctx.send(ProcessId::new(u32::MAX), 1);
+            }
+            fn on_message(&mut self, _from: ProcessId, _msg: u64, _ctx: &mut Context<'_, u64>) {}
+        }
+        let mut sim: Simulation<SendsToGhost> =
+            Simulation::new(SimConfig::default().with_seed(14).with_max_delay(0));
+        let a = sim.add_process(SendsToGhost);
+        sim.set_timer_period_override(a, Some(1_000_000));
+        sim.add_process(SendsToGhost);
+        sim.run_rounds(50);
+        assert_eq!(sim.timer_steps_of(a), Some(1));
+        assert!(sim.timer_wakes.len() <= 2);
+        assert!(sim.packet_wakes.len() <= 1);
+    }
+
+    /// The round-scan loop never pops the wake sets, so nothing may pile up
+    /// in them however often timers are slowed and restored.
+    #[test]
+    fn wake_sets_stay_bounded_when_never_popped() {
+        let cfg = SimConfig::default()
+            .with_seed(15)
+            .with_scheduler(SchedulerMode::RoundScan);
+        let n = 4;
+        let mut sim = sim_with(n, cfg);
+        for _ in 0..500 {
+            for id in sim.ids() {
+                sim.set_timer_period_override(id, Some(3));
+            }
+            sim.step_round();
+            for id in sim.ids() {
+                sim.set_timer_period_override(id, None);
+            }
+        }
+        assert!(sim.timer_wakes.len() as u64 <= n);
+        assert!(sim.packet_wakes.len() as u64 <= n);
+    }
+
     /// White-box packet injection still reaches the destination under
     /// event-driven scheduling (the dirty-set wake-up path).
     #[test]
@@ -1154,5 +1297,99 @@ mod tests {
         sim.network_mut().inject(a, b, 99);
         sim.run_rounds(2);
         assert_eq!(sim.process(b).unwrap().received, 1);
+    }
+}
+
+/// The run queue the wake set replaced, transcribed verbatim: a min-heap of
+/// `(round, id)` pairs taking one push per request. It exists only as the
+/// oracle for `wake_set_matches_heap_reference`.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[derive(Default)]
+    struct WakeQueue {
+        due: BinaryHeap<Reverse<(Round, ProcessId)>>,
+    }
+
+    impl WakeQueue {
+        fn schedule(&mut self, round: Round, id: ProcessId) {
+            self.due.push(Reverse((round, id)));
+        }
+
+        fn pop_due(&mut self, now: Round, into: &mut Vec<ProcessId>) {
+            while let Some(&Reverse((round, id))) = self.due.peek() {
+                if round > now {
+                    break;
+                }
+                self.due.pop();
+                into.push(id);
+            }
+        }
+    }
+
+    const LIMIT: u32 = PeerTable::<()>::DENSE_LIMIT;
+
+    /// Identifiers that collide often: a few small ones, a few on either
+    /// side of the dense limit, spilled ones, and the maximal ones.
+    fn id((region, offset): (u8, u32)) -> ProcessId {
+        ProcessId::new(match region {
+            0 => offset,
+            1 => LIMIT - 3 + offset,
+            2 => LIMIT + 1000 + offset,
+            _ => u32::MAX - offset,
+        })
+    }
+
+    /// Pops both queues at `now` and compares what the scheduler reads of
+    /// the result: the sorted, deduplicated identifiers.
+    fn pop_both(set: &mut WakeSet, oracle: &mut WakeQueue, now: Round) {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        set.pop_due(now, &mut got);
+        oracle.pop_due(now, &mut want);
+        for popped in [&mut got, &mut want] {
+            popped.sort_unstable();
+            popped.dedup();
+        }
+        prop_assert_eq!(got, want, "popped sets differ at {}", now);
+    }
+
+    proptest! {
+        /// Under random interleavings of requests (for rounds long past,
+        /// just past, at the next boundary, one past it, a few rounds out
+        /// and a million rounds out) and pops (the clock advancing by one
+        /// or jumping), the wake set wakes exactly the processes the heap
+        /// wakes at every boundary, and both drain to empty.
+        #[test]
+        fn wake_set_matches_heap_reference(
+            raw_ops in proptest::collection::vec((0u8..8, (0u8..4, 0u32..6), 0u8..6, 0u64..5), 0..240),
+        ) {
+            let mut set = WakeSet::default();
+            let mut oracle = WakeQueue::default();
+            // The round the next pop is for.
+            let mut now = Round::new(2);
+            for (sel, raw_id, when, by) in raw_ops {
+                if sel < 6 {
+                    let round = match when {
+                        0 => Round::ZERO,
+                        1 => Round::new(now.as_u64() - 1),
+                        2 => now,
+                        3 => now + 1,
+                        4 => now + 2 + by,
+                        _ => now + 1_000_000,
+                    };
+                    set.schedule(round, id(raw_id));
+                    oracle.schedule(round, id(raw_id));
+                } else {
+                    pop_both(&mut set, &mut oracle, now);
+                    now += if sel == 6 { 1 } else { 1 + by };
+                }
+            }
+            pop_both(&mut set, &mut oracle, now);
+            pop_both(&mut set, &mut oracle, now + 3_000_000);
+            prop_assert_eq!(set.len(), 0);
+            prop_assert!(oracle.due.is_empty());
+        }
     }
 }

@@ -1095,9 +1095,11 @@ impl simnet::ScenarioTarget for SmrNode {
         Some(true)
     }
 
-    /// The node-local conjunct of [`Self::converged`]: the reconfiguration
+    /// The node-local conjunct of [`ScenarioTarget::converged`]: the reconfiguration
     /// layer is calm and installed, and — for configuration members — a
     /// view is installed with no undelivered inputs.
+    ///
+    /// [`ScenarioTarget::converged`]: simnet::ScenarioTarget::converged
     fn settled(&self) -> bool {
         let r = self.reconfig();
         if !r.is_participant() || !r.no_reconfiguration() {
@@ -1115,7 +1117,9 @@ impl simnet::ScenarioTarget for SmrNode {
     /// The agreement token: the installed configuration plus — for members
     /// — the view identifier/membership and the replica state. Non-members
     /// report only the configuration component, mirroring
-    /// [`Self::converged`]'s two loops.
+    /// [`ScenarioTarget::converged`]'s two loops.
+    ///
+    /// [`ScenarioTarget::converged`]: simnet::ScenarioTarget::converged
     fn settle_token(&self) -> String {
         let r = self.reconfig();
         let Some(config) = r.installed_config() else {
