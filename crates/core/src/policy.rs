@@ -55,7 +55,7 @@ impl EvalPolicy {
                 if config.is_empty() {
                     return false;
                 }
-                let missing = config.iter().filter(|m| !trusted.contains(m)).count();
+                let missing = config.difference(trusted).count();
                 (missing as f64) >= fraction * (config.len() as f64) && missing > 0
             }
         }

@@ -33,7 +33,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 
-use simnet::{PeerTable, ProcessId};
+use simnet::{Ascending, PeerTable, ProcessId};
 
 use crate::types::{
     same_config, same_ntf, same_set, shared_config, shared_ntf, shared_set, ConfigSet, ConfigValue,
@@ -560,7 +560,7 @@ impl RecSa {
         let unchanged = installed.is_some_and(|old| {
             old.len() == trusted_now.len() + extra
                 && old.contains(&me)
-                && trusted_now.iter().all(|k| old.contains(k))
+                && trusted_now.is_subset(old)
         });
         if !unchanged {
             let mut trusted = trusted_now.clone();
@@ -576,10 +576,12 @@ impl RecSa {
         // i.e. differs observably from the (], dfltNtf) it would be reset
         // to — so the quiescent case is a read-only sweep.
         let part = self.my_part_shared();
+        // Peers and participants both ascend: one walk of each.
+        let mut participants = Ascending::new(part.iter().copied());
         let needs_clean = self.peers.iter().any(|(k, p)| {
             let marks_participant = p.config.as_ref().is_some_and(|v| v.marks_participant());
             let notifies = p.prp.as_ref().is_some_and(|n| !n.is_default());
-            (marks_participant || notifies) && !part.contains(&k)
+            (marks_participant || notifies) && !participants.contains(&k)
         });
         if needs_clean {
             let non_part = shared_config(ConfigValue::NonParticipant);

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use simnet::ProcessId;
+use simnet::{Ascending, ProcessId};
 
 use crate::estimate::gap_estimate;
 use crate::trust::TrustView;
@@ -277,11 +277,13 @@ impl ThetaFailureDetector {
         let in_window = |b: i128| saturate(self.total - b).saturating_sub(freshest) <= self.theta;
         let mut window = 0usize;
         let mut me_in_window = false;
+        // Entries and the cached set both ascend: one walk of each.
+        let mut cached_ids = Ascending::new(cached.iter().copied());
         for (p, b) in self.entries() {
             if in_window(b) {
                 window += 1;
                 me_in_window |= p == self.me;
-                if window > self.n_bound || !cached.contains(&p) {
+                if window > self.n_bound || !cached_ids.contains(&p) {
                     return false;
                 }
             }

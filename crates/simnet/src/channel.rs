@@ -62,6 +62,12 @@ pub struct InFlight<M> {
 }
 
 impl<M> InFlight<M> {
+    /// A packet deliverable from `ready_at` on (for [`crate::Network`]'s
+    /// rows, which hold their packets themselves).
+    pub(crate) fn new(payload: Payload<M>, ready_at: Round) -> Self {
+        InFlight { payload, ready_at }
+    }
+
     /// A shared view of the payload.
     pub fn msg(&self) -> &M {
         self.payload.get()
@@ -74,6 +80,11 @@ impl<M: Clone> InFlight<M> {
     /// aliases into other packets.
     pub fn msg_mut(&mut self) -> &mut M {
         self.payload.make_mut()
+    }
+
+    /// Delivery: the message by value, as [`Payload::into_msg`] yields it.
+    pub(crate) fn into_msg(self) -> M {
+        self.payload.into_msg()
     }
 }
 

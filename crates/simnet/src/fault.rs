@@ -586,7 +586,7 @@ impl SkewPlan {
 
 /// A schedule of in-flight payload corruption: at given rounds, the
 /// contents of every packet currently travelling towards the victims are
-/// corrupted through [`crate::Channel::in_flight_mut`]. The packets
+/// corrupted through [`crate::Network::corrupt_inbound_payloads`]. The packets
 /// themselves survive — corruption never creates or destroys packets, per
 /// the paper's channel model — but their payloads are shuffled across the
 /// victim's inbound channels (so a packet arrives attributed to the wrong

@@ -81,6 +81,7 @@
 #![warn(missing_docs)]
 
 pub mod adversary;
+pub mod ascending;
 pub mod campaign;
 pub mod channel;
 pub mod codec;
@@ -109,6 +110,7 @@ pub mod time;
 pub mod trace;
 
 pub use adversary::ScriptedFaults;
+pub use ascending::Ascending;
 pub use campaign::{Campaign, CampaignReport, RunRecord};
 pub use channel::{Channel, ChannelPolicy, InFlight};
 pub use codec::{DecodeError, Reader, WireCodec};
@@ -122,7 +124,7 @@ pub use history::{History, HistoryCfg, HistoryRecorder, Observed, OpKind, OpResp
 pub use linearize::{Spec, Verdict};
 pub use load::{Arrival, LoadProfile};
 pub use metrics::Metrics;
-pub use network::Network;
+pub use network::{ChannelView, Network};
 pub use partition::{AsymmetricCutPlan, PartitionPlan};
 pub use payload::Payload;
 pub use peer_table::PeerTable;

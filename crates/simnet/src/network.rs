@@ -1,10 +1,17 @@
-//! The fully connected network: one [`Channel`] per ordered pair of
-//! processors.
+//! The fully connected network: one bounded FIFO link per ordered pair of
+//! processors, stored destination-major.
+//!
+//! A link obeys the law [`crate::Channel`] states — loss, duplication,
+//! bounded capacity with oldest-first eviction, random delay, FIFO or
+//! reordered delivery among ready packets — but no `Channel` value exists
+//! here: the packets in flight towards one destination live in that
+//! destination's `Row`. `Channel` remains the one-link reference model and
+//! the building block of this module's test oracle.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use crate::channel::{Channel, ChannelPolicy, SendOutcome};
+use crate::channel::{ChannelPolicy, InFlight, SendOutcome};
 use crate::metrics::Metrics;
 use crate::payload::Payload;
 use crate::peer_table::PeerTable;
@@ -12,72 +19,478 @@ use crate::process::ProcessId;
 use crate::rng::SimRng;
 use crate::time::Round;
 
-/// Every channel towards one destination: the senders in ascending order
-/// and, parallel to them, their channels.
+/// Packets a link holds inline in its destination's row before it overflows:
+/// what a link's own ring buffer used to start at, and one more than the
+/// three packets per link per round a steady reconfiguration stack sends.
+const INLINE_SLOTS: usize = 4;
+
+/// The ring header of one dense sender: which of its [`INLINE_SLOTS`] slots
+/// are occupied.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ring {
+    /// Slot of the oldest inline packet; `0` whenever the ring is empty, so
+    /// a link that is drained every round keeps reusing the same slots.
+    head: u8,
+    /// Inline packets held.
+    len: u8,
+    /// Whether the link exists: set by its first use, never reset.
+    exists: bool,
+}
+
+impl Ring {
+    /// The slot, relative to the sender's first, of the `k`-th oldest packet.
+    fn slot(self, k: usize) -> usize {
+        (self.head as usize + k) % INLINE_SLOTS
+    }
+
+    fn is_full(self) -> bool {
+        self.len as usize == INLINE_SLOTS
+    }
+}
+
+/// Why a ring slot may be unwrapped: the slots `head..head + len` (wrapping)
+/// of a ring are occupied, the others hold `None`.
+const OCCUPIED: &str = "a ring's first `len` slots from `head` are occupied";
+
+/// Lowers `earliest` to `ready_at` when that is sooner.
+fn note_ready(earliest: &mut Option<Round>, ready_at: Round) {
+    *earliest = Some(earliest.map_or(ready_at, |round| round.min(ready_at)));
+}
+
+/// Every packet in flight towards one destination.
 ///
-/// This is the unit the delivery path works on — a delivery iterates its
-/// destination's row directly, a send binary-searches one row — so neither
-/// walks a network-wide ordered map. A row only grows: a sender enters it
-/// when its channel is created and never leaves (clearing a channel empties
-/// it, nothing more), so whether a sender has packets in flight is read off
-/// the channel itself, never off row membership, and steady-state sends and
-/// deliveries touch the allocator exactly zero times.
+/// A sender below [`PeerTable::DENSE_LIMIT`] is addressed by its raw
+/// identifier `s`: `rings[s]` is its ring header and `slots[4s..4s + 4]` its
+/// inline packets, so finding a link is an index computation and the whole
+/// row is one allocation a delivery streams through. Packets beyond the
+/// inline four — and every packet of a sender at or above the dense limit,
+/// which only forged identifiers produce — queue in `overflow`; a link's
+/// FIFO is its inline ring followed by its overflow queue, and
+///
+/// > overflow non-empty ⇒ ring full (dense sender)
+///
+/// holds between calls: whatever vacates an inline slot refills it from the
+/// overflow front. A row only grows: a link enters it on first use and never
+/// leaves, and overflow queues keep their buffers, so steady-state sends and
+/// deliveries touch the allocator exactly zero times, and a row that is
+/// never drained stays bounded by `capacity` packets per link.
+///
+/// The row is sized by the largest dense identifier it has seen, not by how
+/// many senders it has: `largest + 1` ring headers and four slots each
+/// (`(largest + 1) × 4 × size_of::<Option<InFlight<M>>>()`, 288 B per
+/// identifier for the 72-byte packets of the protocol stacks), all of which
+/// [`Row::busy_senders`] walks per delivery. Honest identifiers are `0..n`,
+/// so that is the population; one packet from a forged identifier just below
+/// the dense limit costs that destination ≈ 1.2 MB for good — bounded by the
+/// limit, and pinned by `forged_dense_sender_costs_at_most_the_dense_limit`.
 #[derive(Debug, Clone)]
 struct Row<M> {
-    senders: Vec<ProcessId>,
-    channels: Vec<Channel<M>>,
+    rings: Vec<Ring>,
+    slots: Vec<Option<InFlight<M>>>,
+    overflow: PeerTable<VecDeque<InFlight<M>>>,
 }
 
 impl<M> Row<M> {
     fn new() -> Self {
         Row {
-            senders: Vec::new(),
-            channels: Vec::new(),
+            rings: Vec::new(),
+            slots: Vec::new(),
+            overflow: PeerTable::new(),
         }
     }
 
-    fn channel(&self, from: ProcessId) -> Option<&Channel<M>> {
-        let at = self.senders.binary_search(&from).ok()?;
-        Some(&self.channels[at])
+    /// The index of `from`'s ring, or `None` for an identifier at or above
+    /// the dense limit, whose packets all queue in the overflow.
+    fn dense(from: ProcessId) -> Option<usize> {
+        PeerTable::<()>::dense_index(from)
     }
 
-    fn channel_mut(&mut self, from: ProcessId) -> Option<&mut Channel<M>> {
-        let at = self.senders.binary_search(&from).ok()?;
-        Some(&mut self.channels[at])
+    /// The ring of `from`, when it is a dense sender this row has seen.
+    fn ring(&self, from: ProcessId) -> Option<(usize, Ring)> {
+        let s = Self::dense(from)?;
+        Some((s, *self.rings.get(s)?))
+    }
+
+    /// Creates the link from `from` when it does not exist yet; returns
+    /// whether it did not.
+    fn open(&mut self, from: ProcessId) -> bool {
+        let Some(s) = Self::dense(from) else {
+            let mut created = false;
+            self.overflow.get_or_insert_with(from, || {
+                created = true;
+                VecDeque::new()
+            });
+            return created;
+        };
+        if s >= self.rings.len() {
+            // Sized exactly: a row ends at its population, and doubling
+            // would hold up to twice the slots it uses.
+            let more = s + 1 - self.rings.len();
+            self.rings.reserve_exact(more);
+            self.rings.resize(s + 1, Ring::default());
+            self.slots.reserve_exact(more * INLINE_SLOTS);
+            self.slots.resize_with((s + 1) * INLINE_SLOTS, || None);
+        }
+        !std::mem::replace(&mut self.rings[s].exists, true)
+    }
+
+    /// The senders with packets in flight into this row, ascending: read off
+    /// the ring headers, since a dense link with anything in flight has an
+    /// inline packet.
+    fn busy_senders(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        let dense = self
+            .rings
+            .iter()
+            .enumerate()
+            .filter(|(_, ring)| ring.len > 0)
+            .map(|(s, _)| ProcessId::new(s as u32));
+        let spilled = self.overflow.spilled();
+        let spilled = spilled.filter(|(_, queue)| !queue.is_empty());
+        dense.chain(spilled.map(|(from, _)| from))
+    }
+
+    /// The senders that have a link into this row, ascending.
+    fn senders(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        let dense = self
+            .rings
+            .iter()
+            .enumerate()
+            .filter(|(_, ring)| ring.exists)
+            .map(|(s, _)| ProcessId::new(s as u32));
+        dense.chain(self.overflow.spilled().map(|(from, _)| from))
+    }
+
+    /// Number of packets in flight from `from`.
+    fn len(&self, from: ProcessId) -> usize {
+        match self.ring(from) {
+            Some((_, ring)) if !ring.is_full() => ring.len as usize,
+            Some(_) => INLINE_SLOTS + self.overflow.get(from).map_or(0, VecDeque::len),
+            None => self.overflow.get(from).map_or(0, VecDeque::len),
+        }
+    }
+
+    /// Number of packets in flight in the whole row.
+    fn in_flight(&self) -> usize {
+        let inline: usize = self.rings.iter().map(|ring| ring.len as usize).sum();
+        let overflow: usize = self.overflow.iter().map(|(_, queue)| queue.len()).sum();
+        inline + overflow
+    }
+
+    /// The packets in flight from `from`, oldest first.
+    fn packets(&self, from: ProcessId) -> impl Iterator<Item = &InFlight<M>> + '_ {
+        // Only a full ring — or a sender that has none — has an overflow.
+        let (head, inline, overflows) = match self.ring(from) {
+            Some((s, ring)) => (
+                ring.head as usize,
+                &self.slots[s * INLINE_SLOTS..(s + 1) * INLINE_SLOTS],
+                ring.is_full(),
+            ),
+            None => (0, &[][..], true),
+        };
+        let (wrapped, front) = inline.split_at(head);
+        let overflow = overflows.then(|| self.overflow.get(from)).flatten();
+        let overflow = overflow.into_iter().flatten();
+        front.iter().chain(wrapped).flatten().chain(overflow)
+    }
+
+    /// [`Row::packets`] with the packets mutable. The link must exist.
+    fn packets_mut(&mut self, from: ProcessId) -> impl Iterator<Item = &mut InFlight<M>> + '_ {
+        let (head, inline) = match Self::dense(from) {
+            Some(s) => (
+                self.rings[s].head as usize,
+                &mut self.slots[s * INLINE_SLOTS..(s + 1) * INLINE_SLOTS],
+            ),
+            None => (0, &mut [][..]),
+        };
+        let (wrapped, front) = inline.split_at_mut(head);
+        let overflow = self.overflow.get_mut(from).into_iter().flatten();
+        front.iter_mut().chain(wrapped).flatten().chain(overflow)
+    }
+
+    /// The earliest round at which a packet from `from` becomes deliverable.
+    fn earliest_ready(&self, from: ProcessId) -> Option<Round> {
+        self.packets(from).map(|packet| packet.ready_at).min()
+    }
+
+    /// The head slot of dense sender `s` has just been emptied: the oldest
+    /// overflow packet, if any, takes it as the ring's new tail; otherwise
+    /// the ring shrinks.
+    fn vacate_head(&mut self, s: usize) {
+        let ring = &mut self.rings[s];
+        let refill = if ring.is_full() {
+            self.overflow
+                .get_mut(ProcessId::new(s as u32))
+                .and_then(VecDeque::pop_front)
+        } else {
+            None
+        };
+        match refill {
+            Some(packet) => {
+                self.slots[s * INLINE_SLOTS + ring.head as usize] = Some(packet);
+                ring.head = ring.slot(1) as u8;
+            }
+            None => {
+                ring.len -= 1;
+                ring.head = if ring.len == 0 { 0 } else { ring.slot(1) as u8 };
+            }
+        }
+    }
+
+    /// Removes the `k`-th oldest packet of the link from `from`.
+    fn remove(&mut self, from: ProcessId, k: usize) -> Option<InFlight<M>> {
+        let inline = match self.ring(from) {
+            Some((s, ring)) if k < ring.len as usize => {
+                let base = s * INLINE_SLOTS;
+                let packet = self.slots[base + ring.slot(k)].take();
+                // Close the gap from the front, so the hole ends up at the
+                // head.
+                for j in (0..k).rev() {
+                    self.slots[base + ring.slot(j + 1)] = self.slots[base + ring.slot(j)].take();
+                }
+                self.vacate_head(s);
+                return packet;
+            }
+            Some((_, ring)) => ring.len as usize,
+            None => 0,
+        };
+        self.overflow.get_mut(from)?.remove(k - inline)
+    }
+
+    /// Discards the inline packets of dense sender `s`.
+    fn clear_ring(&mut self, s: usize) {
+        if self.rings[s].len > 0 {
+            self.slots[s * INLINE_SLOTS..(s + 1) * INLINE_SLOTS].fill_with(|| None);
+            self.rings[s] = Ring {
+                exists: self.rings[s].exists,
+                ..Ring::default()
+            };
+        }
+    }
+
+    /// Discards every packet in flight in the row.
+    fn clear_all(&mut self) {
+        for s in 0..self.rings.len() {
+            self.clear_ring(s);
+        }
+        for (_, queue) in self.overflow.iter_mut() {
+            queue.clear();
+        }
+    }
+
+    /// Discards every packet in flight from `from`.
+    fn clear(&mut self, from: ProcessId) {
+        if let Some((s, _)) = self.ring(from) {
+            self.clear_ring(s);
+        }
+        if let Some(queue) = self.overflow.get_mut(from) {
+            queue.clear();
+        }
+    }
+
+    /// Enqueues a packet carrying `payload`, deliverable from `ready_at` on,
+    /// on the link from `from` — which must exist — under the bounded
+    /// `capacity`: a full link evicts its oldest packet first. Returns
+    /// whether it did.
+    fn enqueue(
+        &mut self,
+        from: ProcessId,
+        payload: Payload<M>,
+        ready_at: Round,
+        capacity: usize,
+    ) -> bool {
+        let full = self.len(from) >= capacity;
+        if full {
+            self.remove(from, 0);
+        }
+        if let Some(s) = Self::dense(from) {
+            let ring = &mut self.rings[s];
+            if !ring.is_full() {
+                let slot = &mut self.slots[s * INLINE_SLOTS + ring.slot(ring.len as usize)];
+                debug_assert!(slot.is_none(), "a slot past the ring's tail is empty");
+                // Not `*slot = …`: an assignment first loads the slot to
+                // drop what it held, and on a send that load is the cache
+                // miss. Nothing is forgotten — the slot holds `None`.
+                std::mem::forget(slot.replace(InFlight::new(payload, ready_at)));
+                ring.len += 1;
+                return full;
+            }
+        }
+        self.overflow
+            .get_or_insert_with(from, VecDeque::new)
+            .push_back(InFlight::new(payload, ready_at));
+        full
     }
 }
 
-/// The collection of unidirectional channels between every ordered pair of
-/// processors. Channels are created lazily when first used, so the network
+impl<M: Clone> Row<M> {
+    /// Delivers up to `limit` packets of the link from `from` whose round has
+    /// come, oldest first, handing each to `sink`; returns the earliest round
+    /// at which a packet left behind becomes deliverable.
+    ///
+    /// One pass over the link's FIFO: a packet is delivered, or it is kept
+    /// and slides towards the head past the holes the delivered ones left —
+    /// within the ring, then from the overflow into the ring while the ring
+    /// has room.
+    fn drain_fifo(
+        &mut self,
+        from: ProcessId,
+        now: Round,
+        limit: usize,
+        mut sink: impl FnMut(M),
+    ) -> Option<Round> {
+        let mut budget = limit;
+        let mut next_ready = None;
+        if let Some((s, ring)) = self.ring(from) {
+            let slots = &mut self.slots[s * INLINE_SLOTS..(s + 1) * INLINE_SLOTS];
+            // Packets delivered ahead of the first kept one only advance the
+            // head; later ones leave holes that kept packets close.
+            let (mut skipped, mut kept) = (0, 0);
+            for k in 0..ring.len as usize {
+                let at = ring.slot(k);
+                let ready_at = slots[at].as_ref().expect(OCCUPIED).ready_at;
+                if budget > 0 && ready_at <= now {
+                    budget -= 1;
+                    skipped += usize::from(kept == 0);
+                    sink(slots[at].take().expect(OCCUPIED).into_msg());
+                } else {
+                    note_ready(&mut next_ready, ready_at);
+                    let to = ring.slot(skipped + kept);
+                    if to != at {
+                        slots[to] = slots[at].take();
+                    }
+                    kept += 1;
+                }
+            }
+            let head = if kept == 0 { 0 } else { ring.slot(skipped) };
+            self.rings[s] = Ring {
+                head: head as u8,
+                len: kept as u8,
+                ..ring
+            };
+            if !ring.is_full() {
+                return next_ready;
+            }
+        }
+        let Some(queue) = self.overflow.get_mut(from) else {
+            return next_ready;
+        };
+        let mut at = 0;
+        while at < queue.len() {
+            let ready_at = queue[at].ready_at;
+            if budget > 0 && ready_at <= now {
+                budget -= 1;
+                sink(queue.remove(at).expect("`at` is in range").into_msg());
+                continue;
+            }
+            note_ready(&mut next_ready, ready_at);
+            match Self::dense(from) {
+                // Kept packets fill the ring before any stays behind, so the
+                // one moving in is always the overflow front.
+                Some(s) if !self.rings[s].is_full() => {
+                    let ring = &mut self.rings[s];
+                    self.slots[s * INLINE_SLOTS + ring.slot(ring.len as usize)] = queue.pop_front();
+                    ring.len += 1;
+                }
+                _ => at += 1,
+            }
+        }
+        next_ready
+    }
+
+    /// [`Row::drain_fifo`] under a reordering policy: each delivered packet
+    /// is drawn uniformly among those whose round has come. `ready` is
+    /// scratch space.
+    fn drain_reordered(
+        &mut self,
+        from: ProcessId,
+        now: Round,
+        limit: usize,
+        rng: &mut SimRng,
+        ready: &mut Vec<usize>,
+        mut sink: impl FnMut(M),
+    ) -> Option<Round> {
+        for _ in 0..limit {
+            ready.clear();
+            ready.extend(
+                self.packets(from)
+                    .enumerate()
+                    .filter(|(_, packet)| packet.ready_at <= now)
+                    .map(|(k, _)| k),
+            );
+            let Some(packet) = rng.choose(ready).and_then(|&k| self.remove(from, k)) else {
+                break;
+            };
+            sink(packet.into_msg());
+        }
+        self.earliest_ready(from)
+    }
+}
+
+/// A read-only view of the link `from → to`: its packets in flight, oldest
+/// first. Returned by [`Network::channel`].
+#[derive(Debug)]
+pub struct ChannelView<'a, M> {
+    row: &'a Row<M>,
+    from: ProcessId,
+}
+
+impl<'a, M> ChannelView<'a, M> {
+    /// The packets in flight, oldest first.
+    pub fn in_flight(&self) -> impl Iterator<Item = &'a InFlight<M>> + 'a {
+        self.row.packets(self.from)
+    }
+}
+
+/// The rest of [`Channel`](crate::channel::Channel)'s read surface, for
+/// comparing a link with the one-link model; no production caller needs it.
+#[cfg(test)]
+impl<M> ChannelView<'_, M> {
+    fn len(&self) -> usize {
+        self.row.len(self.from)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn earliest_ready(&self) -> Option<Round> {
+        self.row.earliest_ready(self.from)
+    }
+}
+
+/// The collection of unidirectional links between every ordered pair of
+/// processors. Links are created lazily when first used, so the network
 /// grows as processors join.
 ///
 /// Individual links can be *blocked* to model network partitions: packets
 /// sent over a blocked link are silently dropped (and counted as lost) until
 /// the link is unblocked. Packets already in flight when the link is blocked
-/// stay in the channel and are delivered once the partition heals, matching
+/// stay in the link and are delivered once the partition heals, matching
 /// the paper's model in which channels keep their (bounded) contents across
 /// connectivity changes.
 #[derive(Debug, Clone)]
 pub struct Network<M> {
-    /// The one policy every channel of this network points at.
+    /// The one policy every link of this network follows.
     policy: Arc<ChannelPolicy>,
-    /// The channels, destination-major: one [`Row`] per destination, indexed
-    /// by the destination's identifier.
+    /// The packets in flight, destination-major: one [`Row`] per
+    /// destination, indexed by the destination's identifier.
     rows: PeerTable<Row<M>>,
-    /// Number of channels across all rows.
+    /// Number of links across all rows.
     link_count: usize,
     blocked: BTreeSet<(ProcessId, ProcessId)>,
-    /// Destinations whose incoming channels were mutated outside the normal
-    /// send path (injection, white-box channel access). The scheduler drains
+    /// Destinations whose incoming links were mutated outside the normal
+    /// send path (injection, white-box packet access). The scheduler drains
     /// this to wake the affected processes.
     dirty: BTreeSet<ProcessId>,
-    /// Scratch list of row positions recycled across deliveries so
-    /// steady-state delivery performs no allocation.
-    scratch_visit: Vec<usize>,
+    /// Scratch lists recycled across deliveries so steady-state delivery
+    /// performs no allocation: the senders to visit, and the ready packets
+    /// of one link under reordering.
+    scratch_visit: Vec<ProcessId>,
+    scratch_ready: Vec<usize>,
 }
 
 impl<M: Clone> Network<M> {
-    /// Creates an empty network whose channels all follow `policy`.
+    /// Creates an empty network whose links all follow `policy`.
     pub fn new(policy: ChannelPolicy) -> Self {
         Network {
             policy: Arc::new(policy),
@@ -86,6 +499,7 @@ impl<M: Clone> Network<M> {
             blocked: BTreeSet::new(),
             dirty: BTreeSet::new(),
             scratch_visit: Vec::new(),
+            scratch_ready: Vec::new(),
         }
     }
 
@@ -94,23 +508,13 @@ impl<M: Clone> Network<M> {
         &self.policy
     }
 
-    fn channels_mut(&mut self) -> impl Iterator<Item = &mut Channel<M>> + '_ {
-        self.rows
-            .iter_mut()
-            .flat_map(|(_, row)| row.channels.iter_mut())
-    }
-
-    /// Replaces the policy of every channel — existing and future. Packets
+    /// Replaces the policy of every link — existing and future. Packets
     /// already in flight keep their assigned delivery rounds. The scenario
     /// engine uses this to model message-drop/duplication/delay *spikes*
     /// (see [`crate::fault::SpikePlan`]); the change is applied at a round
     /// boundary, so executions stay byte-identical across scheduler modes.
     pub fn set_policy(&mut self, policy: ChannelPolicy) {
-        let policy = Arc::new(policy);
-        for channel in self.channels_mut() {
-            channel.set_shared_policy(Arc::clone(&policy));
-        }
-        self.policy = policy;
+        self.policy = Arc::new(policy);
     }
 
     /// Blocks the unidirectional link `from → to`: subsequent sends over it
@@ -183,21 +587,14 @@ impl<M: Clone> Network<M> {
         self.blocked.len()
     }
 
-    /// The channel `from → to`, created (with the current policy) when it
-    /// does not exist yet.
-    fn channel_entry(&mut self, from: ProcessId, to: ProcessId) -> &mut Channel<M> {
+    /// The row of `to` with the link `from → to` in it, both created when
+    /// they do not exist yet.
+    fn link_entry(&mut self, from: ProcessId, to: ProcessId) -> &mut Row<M> {
         let row = self.rows.get_or_insert_with(to, Row::new);
-        let at = match row.senders.binary_search(&from) {
-            Ok(at) => at,
-            Err(at) => {
-                row.senders.insert(at, from);
-                row.channels
-                    .insert(at, Channel::with_shared_policy(Arc::clone(&self.policy)));
-                self.link_count += 1;
-                at
-            }
-        };
-        &mut row.channels[at]
+        if row.open(from) {
+            self.link_count += 1;
+        }
+        row
     }
 
     /// Sends `msg` from `from` to `to` at round `now`, recording the outcome
@@ -233,18 +630,50 @@ impl<M: Clone> Network<M> {
             metrics.record_send(SendOutcome::Lost);
             return None;
         }
-        let (outcome, ready) = self
-            .channel_entry(from, to)
-            .send_payload_timed(payload, now, rng);
+        let ChannelPolicy {
+            capacity,
+            loss_probability,
+            duplication_probability,
+            max_delay_rounds,
+            ..
+        } = *self.policy;
+        let row = self.link_entry(from, to);
+        // Outcomes and RNG draw order — loss, duplication, one delay per
+        // enqueue — are `Channel::send_payload_timed`'s.
+        if rng.chance(loss_probability) {
+            metrics.record_send(SendOutcome::Lost);
+            return None;
+        }
+        let duplicated = rng.chance(duplication_probability);
+        let mut enqueue = |payload: Payload<M>, ok: SendOutcome| {
+            let delay = match max_delay_rounds {
+                0 => 0,
+                max => rng.range_inclusive(0, max),
+            };
+            let ready_at = now + delay;
+            if row.enqueue(from, payload, ready_at, capacity) {
+                (SendOutcome::EvictedOld, ready_at)
+            } else {
+                (ok, ready_at)
+            }
+        };
+        let (outcome, ready) = if duplicated {
+            let (first, dup) = payload.split();
+            let (_, first_ready) = enqueue(first, SendOutcome::Enqueued);
+            let (outcome, dup_ready) = enqueue(dup, SendOutcome::Duplicated);
+            (outcome, first_ready.min(dup_ready))
+        } else {
+            enqueue(payload, SendOutcome::Enqueued)
+        };
         metrics.record_send(outcome);
-        ready
+        Some(ready)
     }
 
     /// The one delivery loop: drains up to `limit` deliverable packets
-    /// addressed to `to` into `into`, visiting the non-empty channels of its
-    /// row in a random interleaving of senders (shuffled from ascending
-    /// sender order). Returns the number of channels visited and the earliest
-    /// round at which `to` has another deliverable packet.
+    /// addressed to `to` into `into`, visiting the non-empty links of its row
+    /// in a random interleaving of senders (shuffled from ascending sender
+    /// order). Returns the number of links visited and the earliest round at
+    /// which `to` has another deliverable packet.
     fn deliver_row_into(
         &mut self,
         to: ProcessId,
@@ -259,32 +688,28 @@ impl<M: Clone> Network<M> {
         };
         let visit = &mut self.scratch_visit;
         visit.clear();
-        visit.extend(
-            row.channels
-                .iter()
-                .enumerate()
-                .filter(|(_, ch)| !ch.is_empty())
-                .map(|(at, _)| at),
-        );
+        visit.extend(row.busy_senders());
         rng.shuffle(visit);
         let start = into.len();
-        for &at in visit.iter() {
-            let delivered = into.len() - start;
-            if delivered >= limit {
-                break;
-            }
-            let from = row.senders[at];
-            row.channels[at].drain_ready_with(now, limit - delivered, rng, |msg| {
+        // Earliest next delivery among the packets left in flight to `to`;
+        // links past the limit are still read for it, but not drained.
+        let mut next_ready = None;
+        for &from in visit.iter() {
+            let budget = limit - (into.len() - start);
+            let sink = |msg| {
                 metrics.record_delivery();
                 into.push((from, msg));
-            });
+            };
+            let left = if self.policy.reorder {
+                row.drain_reordered(from, now, budget, rng, &mut self.scratch_ready, sink)
+            } else {
+                row.drain_fifo(from, now, budget, sink)
+            };
+            if let Some(ready_at) = left {
+                note_ready(&mut next_ready, ready_at);
+            }
         }
         metrics.record_delivery_batch(into.len() - start);
-        // Earliest next delivery among the packets still in flight to `to`.
-        let next_ready = visit
-            .iter()
-            .filter_map(|&at| row.channels[at].earliest_ready())
-            .min();
         (visit.len(), next_ready)
     }
 
@@ -348,67 +773,75 @@ impl<M: Clone> Network<M> {
     }
 
     /// Removes every packet-wake obligation recorded since the last call:
-    /// destinations whose inbound channels were touched through the white-box
-    /// APIs ([`Network::inject`], [`Network::channel_mut`]). The scheduler
+    /// destinations whose inbound links were touched through the white-box
+    /// APIs ([`Network::inject`], [`Network::in_flight_mut`]). The scheduler
     /// wakes these processes on the next round so out-of-band packets are
     /// still delivered under event-driven scheduling.
     pub fn take_dirty(&mut self) -> BTreeSet<ProcessId> {
         std::mem::take(&mut self.dirty)
     }
 
-    /// Places a packet directly into the channel `from → to`, bypassing the
-    /// loss/delay model. Models stale channel contents after a transient
-    /// fault.
+    /// Places a packet directly into the link `from → to`, bypassing the
+    /// loss/delay model (the bounded capacity is still enforced). Models
+    /// stale channel contents after a transient fault.
     pub fn inject(&mut self, from: ProcessId, to: ProcessId, msg: M) {
-        self.channel_entry(from, to).inject(msg);
+        let capacity = self.policy.capacity;
+        self.link_entry(from, to)
+            .enqueue(from, Payload::owned(msg), Round::ZERO, capacity);
         self.dirty.insert(to);
     }
 
-    /// Discards every packet in flight on the channel `from → to`.
+    /// Discards every packet in flight on the link `from → to`.
     pub fn clear_channel(&mut self, from: ProcessId, to: ProcessId) {
-        if let Some(ch) = self.rows.get_mut(to).and_then(|row| row.channel_mut(from)) {
-            ch.clear();
+        if let Some(row) = self.rows.get_mut(to) {
+            row.clear(from);
         }
     }
 
     /// Discards every packet in flight anywhere in the network.
     pub fn clear_all(&mut self) {
-        for ch in self.channels_mut() {
-            ch.clear();
+        for (_, row) in self.rows.iter_mut() {
+            row.clear_all();
         }
     }
 
-    /// Total number of packets in flight across all channels.
+    /// Total number of packets in flight across all links.
     pub fn in_flight_total(&self) -> usize {
-        self.rows
-            .iter()
-            .flat_map(|(_, row)| row.channels.iter())
-            .map(Channel::len)
-            .sum()
+        self.rows.iter().map(|(_, row)| row.in_flight()).sum()
     }
 
-    /// Immutable access to the channel `from → to`, if it exists.
-    pub fn channel(&self, from: ProcessId, to: ProcessId) -> Option<&Channel<M>> {
-        self.rows.get(to)?.channel(from)
+    /// A read-only view of the link `from → to`, if it exists.
+    pub fn channel(&self, from: ProcessId, to: ProcessId) -> Option<ChannelView<'_, M>> {
+        let row = self.rows.get(to)?;
+        let exists = match row.ring(from) {
+            Some((_, ring)) => ring.exists,
+            None => row.overflow.get(from).is_some(),
+        };
+        exists.then_some(ChannelView { row, from })
     }
 
-    /// Mutable access to the channel `from → to`, creating it if necessary.
-    /// Exposed so fault injectors and white-box tests can corrupt channel
-    /// contents. Schedules a wake-up for `to`, whatever the caller goes on to
-    /// do with the channel: the delivery path reads emptiness off the channel
-    /// itself, so a wake-up that finds nothing deliverable costs nothing.
-    pub fn channel_mut(&mut self, from: ProcessId, to: ProcessId) -> &mut Channel<M> {
+    /// Mutable access to the packets in flight on the link `from → to`,
+    /// oldest first, creating the link if necessary. Exposed so fault
+    /// injectors and white-box tests can corrupt channel contents. Schedules
+    /// a wake-up for `to`, whatever the caller goes on to do with the
+    /// packets: the delivery path reads emptiness off the row itself, so a
+    /// wake-up that finds nothing deliverable costs nothing.
+    pub fn in_flight_mut(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+    ) -> impl Iterator<Item = &mut InFlight<M>> + '_ {
         self.dirty.insert(to);
-        self.channel_entry(from, to)
+        self.link_entry(from, to).packets_mut(from)
     }
 
-    /// Iterates over all `(from, to)` pairs that currently have a channel, in
+    /// Iterates over all `(from, to)` pairs that currently have a link, in
     /// ascending `(from, to)` order.
     pub fn links(&self) -> impl Iterator<Item = (ProcessId, ProcessId)> + '_ {
         let mut links: Vec<(ProcessId, ProcessId)> = self
             .rows
             .iter()
-            .flat_map(|(to, row)| row.senders.iter().map(move |from| (*from, to)))
+            .flat_map(|(to, row)| row.senders().map(move |from| (from, to)))
             .collect();
         links.sort_unstable();
         links.into_iter()
@@ -422,12 +855,9 @@ impl<M: Clone> Network<M> {
     /// The earliest round at which any packet in flight towards `to` becomes
     /// deliverable (the schedulers' due check).
     pub fn earliest_inbound_ready(&self, to: ProcessId) -> Option<Round> {
-        self.rows
-            .get(to)?
-            .channels
-            .iter()
-            .filter_map(Channel::earliest_ready)
-            .min()
+        let row = self.rows.get(to)?;
+        let busy = row.busy_senders();
+        busy.filter_map(|from| row.earliest_ready(from)).min()
     }
 
     /// [`Network::earliest_inbound_ready`] under the name the round-scan
@@ -460,12 +890,27 @@ impl<M: Clone> Network<M> {
         let Some(row) = self.rows.get_mut(to) else {
             return 0;
         };
-        let mut payloads: Vec<&mut M> = row
-            .channels
-            .iter_mut()
-            .flat_map(|ch| ch.in_flight_mut())
-            .map(|packet| packet.msg_mut())
-            .collect();
+        // Dense senders in lockstep with their overflow queues (a queue
+        // implies a ring), then the spilled senders the table lists last.
+        let mut payloads: Vec<&mut M> = Vec::new();
+        let mut overflow = row.overflow.iter_mut().peekable();
+        let inline = row.slots.chunks_exact_mut(INLINE_SLOTS);
+        for (s, (ring, inline)) in row.rings.iter().zip(inline).enumerate() {
+            let (wrapped, front) = inline.split_at_mut(ring.head as usize);
+            payloads.extend(
+                front
+                    .iter_mut()
+                    .chain(wrapped)
+                    .flatten()
+                    .map(InFlight::msg_mut),
+            );
+            if let Some((_, queue)) =
+                overflow.next_if(|(from, _)| Row::<M>::dense(*from) == Some(s))
+            {
+                payloads.extend(queue.iter_mut().map(InFlight::msg_mut));
+            }
+        }
+        payloads.extend(overflow.flat_map(|(_, queue)| queue).map(InFlight::msg_mut));
         let touched = payloads.len();
         if touched > 0 {
             mutate(&mut payloads);
@@ -674,6 +1119,142 @@ mod tests {
         assert!(net.channel(p[0], p[1]).is_some());
         assert!(net.channel(p[1], p[0]).is_none());
     }
+
+    /// A crashed destination's row takes evicting sends forever: it must stay
+    /// at `capacity` packets per link and stop allocating once it got there.
+    #[test]
+    fn never_drained_row_is_bounded_by_capacity() {
+        let p = ids(9);
+        let mut net: Network<u32> = Network::new(ChannelPolicy::default());
+        assert_eq!(net.policy().capacity, 16);
+        let mut rng = SimRng::seed_from(11);
+        let mut metrics = Metrics::default();
+        let footprint = |net: &Network<u32>| {
+            let row = net.rows.get(p[8]).unwrap();
+            let overflow: usize = row.overflow.iter().map(|(_, q)| q.capacity()).sum();
+            (row.slots.capacity(), overflow)
+        };
+        let mut after_fill = None;
+        for nth in 0..200u32 {
+            for from in &p[..8] {
+                let evicted = metrics.messages_evicted();
+                net.send(*from, p[8], nth, Round::ZERO, &mut rng, &mut metrics);
+                assert_eq!(metrics.messages_evicted() - evicted, u64::from(nth >= 16));
+            }
+            if nth == 15 {
+                after_fill = Some(footprint(&net));
+            }
+        }
+        assert_eq!(net.in_flight_total(), 8 * 16);
+        assert_eq!(Some(footprint(&net)), after_fill);
+        assert_eq!(footprint(&net).0, 8 * INLINE_SLOTS, "slots sized exactly");
+        // What is left is the newest 16 of each link, oldest first.
+        let left: Vec<u32> = net
+            .channel(p[3], p[8])
+            .unwrap()
+            .in_flight()
+            .map(|x| *x.msg())
+            .collect();
+        assert_eq!(left, (184..200).collect::<Vec<_>>());
+    }
+
+    /// A row is sized by the largest dense sender it has seen: a forged
+    /// identifier just below the dense limit buys exactly the limit's worth
+    /// of rings and slots, once, and one at the limit buys none.
+    #[test]
+    fn forged_dense_sender_costs_at_most_the_dense_limit() {
+        let limit = PeerTable::<()>::DENSE_LIMIT;
+        let to = ProcessId::new(0);
+        let mut net: Network<u32> = Network::new(reliable());
+        let mut rng = SimRng::seed_from(12);
+        let mut metrics = Metrics::default();
+        for raw in [limit, limit - 1, 1, limit - 1] {
+            let from = ProcessId::new(raw);
+            net.send(from, to, raw, Round::ZERO, &mut rng, &mut metrics);
+        }
+        let row = net.rows.get(to).unwrap();
+        assert_eq!(row.rings.capacity(), limit as usize);
+        assert_eq!(row.slots.capacity(), limit as usize * INLINE_SLOTS);
+        let senders: Vec<u32> = row.busy_senders().map(ProcessId::as_u32).collect();
+        assert_eq!(senders, vec![1, limit - 1, limit]);
+    }
+
+    /// Sends and one-packet deliveries interleaved on one link, so the ring
+    /// wraps, overflows and refills: every delivery is what a `Channel` fed
+    /// the same operations and random stream delivers.
+    #[test]
+    fn wrapping_ring_delivers_in_channel_order() {
+        use crate::channel::Channel;
+        let p = ids(2);
+        let policy = ChannelPolicy {
+            max_delay_rounds: 2,
+            capacity: 6,
+            ..ChannelPolicy::default()
+        };
+        let mut net: Network<u32> = Network::new(policy.clone());
+        let mut oracle: Channel<u32> = Channel::new(policy);
+        let (mut rng, mut oracle_rng) = (SimRng::seed_from(12), SimRng::seed_from(12));
+        let mut metrics = Metrics::default();
+        let mut value = 0;
+        for step in 0..50u64 {
+            let now = Round::new(step);
+            // Two sends per delivery until the link is full, then one.
+            for _ in 0..if step < 12 { 2 } else { 1 } {
+                value += 1;
+                net.send(p[0], p[1], value, now, &mut rng, &mut metrics);
+                oracle.send(value, now, &mut oracle_rng);
+            }
+            let mut got = Vec::new();
+            net.deliver_due_into(p[1], now, 1, &mut rng, &mut metrics, &mut got);
+            let got: Vec<u32> = got.into_iter().map(|(_, m)| m).collect();
+            assert_eq!(
+                got,
+                oracle.drain_ready(now, 1, &mut oracle_rng),
+                "step {step}"
+            );
+            let view = net.channel(p[0], p[1]).unwrap();
+            assert!(view.in_flight().eq(oracle.in_flight()), "step {step}");
+        }
+        assert!(metrics.messages_evicted() > 0 && metrics.messages_delivered() > 40);
+    }
+
+    /// The read-only view lists a link's inline packets, then its overflow,
+    /// oldest first — here 7 packets behind a ring whose head has moved.
+    #[test]
+    fn channel_view_lists_inline_then_overflow() {
+        use crate::channel::Channel;
+        let p = ids(2);
+        let mut net: Network<u32> = Network::new(reliable());
+        let mut oracle: Channel<u32> = Channel::new(reliable());
+        // A reliable policy draws nothing, so the streams need not be paired.
+        let mut rng = SimRng::seed_from(13);
+        let mut metrics = Metrics::default();
+        // Packet `m` is sent at, and so ready from, round `m`.
+        let send = |net: &mut Network<u32>, oracle: &mut Channel<u32>, values| {
+            for m in values {
+                let now = Round::new(u64::from(m));
+                let quiet = &mut SimRng::seed_from(0);
+                net.send(p[0], p[1], m, now, quiet, &mut Metrics::default());
+                oracle.send(m, now, quiet);
+            }
+        };
+        send(&mut net, &mut oracle, 1..=5);
+        let delivered = net.deliver_to(p[1], Round::new(2), 2, &mut rng, &mut metrics);
+        assert_eq!(delivered, vec![(p[0], 1), (p[0], 2)]);
+        assert_eq!(oracle.drain_ready(Round::new(2), 2, &mut rng), vec![1, 2]);
+        send(&mut net, &mut oracle, 6..=9);
+        let view = net.channel(p[0], p[1]).unwrap();
+        assert_eq!(view.len(), 7);
+        assert!(!view.is_empty());
+        let listed: Vec<u32> = view.in_flight().map(|x| *x.msg()).collect();
+        assert_eq!(listed, vec![3, 4, 5, 6, 7, 8, 9]);
+        assert!(view.in_flight().eq(oracle.in_flight()));
+        assert_eq!(view.earliest_ready(), Some(Round::new(3)));
+        assert_eq!(view.earliest_ready(), oracle.earliest_ready());
+        let row = net.rows.get(p[1]).unwrap();
+        assert_eq!(row.rings[0].head, 2, "the ring wraps");
+        assert_eq!(row.overflow.get(p[0]).unwrap().len(), 3);
+    }
 }
 
 #[cfg(test)]
@@ -689,7 +1270,7 @@ mod proptests {
         /// policies and random interleavings of every mutating entry point.
         #[test]
         fn row_network_matches_ordered_map_reference(
-            raw_policy in (1usize..6, 0.0f64..0.3, 0.0f64..0.3, 0u64..4, any::<bool>()),
+            raw_policy in (1usize..13, 0.0f64..0.3, 0.0f64..0.3, 0u64..4, any::<bool>()),
             raw_ops in proptest::collection::vec((0u8..32, 0u8..8, 0u8..8, 0u32..1000), 0..160),
             seed in 0u64..u64::MAX,
         ) {
@@ -709,6 +1290,7 @@ mod reference {
     use std::collections::BTreeMap;
 
     use super::*;
+    use crate::channel::Channel;
     use proptest::prelude::*;
     use rand::RngCore;
 
@@ -1006,14 +1588,19 @@ mod reference {
     }
 
     /// The identifiers the ops range over: few, so that ops collide on the
-    /// same channels, and one of them far above the dense limit, so that the
-    /// spill path is exercised.
+    /// same links, and two of them on either side of the dense limit — the
+    /// largest inline sender and one far into the spill.
     fn id(raw: u8) -> ProcessId {
         match raw {
+            6 => ProcessId::new(PeerTable::<()>::DENSE_LIMIT - 1),
             7 => ProcessId::new(u32::MAX - 3),
             raw => ProcessId::new(u32::from(raw)),
         }
     }
+
+    /// The link a share of the sends and deliveries is steered onto, so that
+    /// its ring wraps, overflows and refills between deliveries.
+    const BUSY: (u8, u8) = (1, 2);
 
     /// One step of the random interleaving the equivalence property drives
     /// through both networks.
@@ -1046,10 +1633,13 @@ mod reference {
         /// Decodes one raw `(selector, a, b, value)` tuple.
         pub fn decode(&(sel, a, b, value): &(u8, u8, u8, u32)) -> Op {
             let (from, to) = (id(a), id(b));
+            let due_limit = (value % 5) as usize * (value % 3) as usize;
             match sel {
-                0..=7 => Op::Send(from, to, value),
+                0..=2 => Op::Send(id(BUSY.0), id(BUSY.1), value),
+                3..=7 => Op::Send(from, to, value),
                 8..=11 => Op::SendShared(from, to, value),
-                12..=15 => Op::DeliverDue(to, (value % 5) as usize * (value % 3) as usize),
+                12 => Op::DeliverDue(id(BUSY.1), due_limit),
+                13..=15 => Op::DeliverDue(to, due_limit),
                 16..=18 => Op::DeliverTo(to, (value % 7) as usize),
                 19 => Op::Inject(from, to, value),
                 20 => Op::ChannelMut(from, to, value % 49 + 1),
@@ -1060,7 +1650,7 @@ mod reference {
                 25 => Op::ClearChannel(from, to),
                 26 => Op::ClearAll,
                 27 => Op::SetPolicy(policy((
-                    (value % 5) as usize + 1,
+                    (value % 12) as usize + 1,
                     f64::from(a) / 24.0,
                     f64::from(b) / 24.0,
                     u64::from(value % 4),
@@ -1129,7 +1719,7 @@ mod reference {
                     oracle.inject(*from, *to, *m);
                 }
                 Op::ChannelMut(from, to, delta) => {
-                    for packet in rows.channel_mut(*from, *to).in_flight_mut() {
+                    for packet in rows.in_flight_mut(*from, *to) {
                         *packet.msg_mut() += delta;
                     }
                     for packet in oracle.channel_mut(*from, *to).in_flight_mut() {

@@ -72,7 +72,7 @@ impl<V> PeerTable<V> {
     }
 
     /// The dense slot index of `id`, or `None` when it spills.
-    fn dense_index(id: ProcessId) -> Option<usize> {
+    pub(crate) fn dense_index(id: ProcessId) -> Option<usize> {
         (id.as_u32() < Self::DENSE_LIMIT).then_some(id.as_u32() as usize)
     }
 
@@ -124,6 +124,13 @@ impl<V> PeerTable<V> {
             .enumerate()
             .filter_map(|(i, slot)| Some((ProcessId::new(i as u32), slot.as_ref()?)));
         dense.chain(self.spill.iter().map(|(id, v)| (*id, v)))
+    }
+
+    /// The `(id, entry)` pairs of identifiers at or above
+    /// [`PeerTable::DENSE_LIMIT`], ascending — reached without walking the
+    /// dense slots.
+    pub(crate) fn spilled(&self) -> impl Iterator<Item = (ProcessId, &V)> + '_ {
+        self.spill.iter().map(|(id, v)| (*id, v))
     }
 
     /// All `(id, entry)` pairs in ascending identifier order, entries mutable.
