@@ -8,7 +8,7 @@
 //! destination's `Row`. `Channel` remains the one-link reference model and
 //! the building block of this module's test oracle.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::channel::{ChannelPolicy, InFlight, SendOutcome};
@@ -19,272 +19,180 @@ use crate::process::ProcessId;
 use crate::rng::SimRng;
 use crate::time::Round;
 
-/// Packets a link holds inline in its destination's row before it overflows:
-/// what a link's own ring buffer used to start at, and one more than the
-/// three packets per link per round a steady reconfiguration stack sends.
-const INLINE_SLOTS: usize = 4;
-
-/// The ring header of one dense sender: which of its [`INLINE_SLOTS`] slots
-/// are occupied.
-#[derive(Debug, Clone, Copy, Default)]
-struct Ring {
-    /// Slot of the oldest inline packet; `0` whenever the ring is empty, so
-    /// a link that is drained every round keeps reusing the same slots.
-    head: u8,
-    /// Inline packets held.
-    len: u8,
-    /// Whether the link exists: set by its first use, never reset.
-    exists: bool,
-}
-
-impl Ring {
-    /// The slot, relative to the sender's first, of the `k`-th oldest packet.
-    fn slot(self, k: usize) -> usize {
-        (self.head as usize + k) % INLINE_SLOTS
-    }
-
-    fn is_full(self) -> bool {
-        self.len as usize == INLINE_SLOTS
-    }
-}
-
-/// Why a ring slot may be unwrapped: the slots `head..head + len` (wrapping)
-/// of a ring are occupied, the others hold `None`.
-const OCCUPIED: &str = "a ring's first `len` slots from `head` are occupied";
-
 /// Lowers `earliest` to `ready_at` when that is sooner.
 fn note_ready(earliest: &mut Option<Round>, ready_at: Round) {
     *earliest = Some(earliest.map_or(ready_at, |round| round.min(ready_at)));
 }
 
-/// Every packet in flight towards one destination.
+/// One entry of a row's arrival log: a packet and the link it travels on.
+#[derive(Debug, Clone)]
+struct Logged<M> {
+    from: ProcessId,
+    packet: InFlight<M>,
+}
+
+/// The record of one link into a row. Its presence in [`Row::links`] is the
+/// link's existence: it enters on first use and never leaves.
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    /// Packets in flight on the link.
+    len: u32,
+    /// Capacity evictions not yet applied to the log: the link's `evicted`
+    /// oldest log entries are no longer in flight.
+    evicted: u32,
+    /// Scratch of one delivery: the next free position of the link's bucket
+    /// while the log is grouped by sender.
+    cursor: u32,
+}
+
+/// Every packet in flight towards one destination, in arrival order.
 ///
-/// A sender below [`PeerTable::DENSE_LIMIT`] is addressed by its raw
-/// identifier `s`: `rings[s]` is its ring header and `slots[4s..4s + 4]` its
-/// inline packets, so finding a link is an index computation and the whole
-/// row is one allocation a delivery streams through. Packets beyond the
-/// inline four — and every packet of a sender at or above the dense limit,
-/// which only forged identifiers produce — queue in `overflow`; a link's
-/// FIFO is its inline ring followed by its overflow queue, and
+/// A send appends to `log`; the FIFO of the link from `s` is *the log
+/// filtered by sender `s`, minus the link's `evicted` oldest entries*. A
+/// full link therefore evicts by counting: whoever next walks the log — a
+/// delivery, [`Row::settle`] — discards that many of the link's oldest
+/// entries, and every reader skips them. So an evicted payload is dropped at
+/// the next log walk rather than at the evicting send; since payload sharing
+/// is unobservable, no delivery, digest or report can tell.
 ///
-/// > overflow non-empty ⇒ ring full (dense sender)
+/// Between calls every log entry is `Some`, `live` is the sum of the links'
+/// `len`, and `log.len() - live` is the sum of their `evicted`. The entries are
+/// `Option`s so that a delivery can take packets out in sender order and
+/// close the holes once, at its end.
 ///
-/// holds between calls: whatever vacates an inline slot refills it from the
-/// overflow front. A row only grows: a link enters it on first use and never
-/// leaves, and overflow queues keep their buffers, so steady-state sends and
-/// deliveries touch the allocator exactly zero times, and a row that is
-/// never drained stays bounded by `capacity` packets per link.
+/// A row only grows: links never leave `links`, and `log` keeps its buffer,
+/// so steady-state sends and deliveries touch the allocator exactly zero
+/// times. A row that is never drained settles whenever evicted entries come
+/// to outnumber live ones, which bounds its log by `2 × capacity` entries
+/// per link.
 ///
-/// The row is sized by the largest dense identifier it has seen, not by how
-/// many senders it has: `largest + 1` ring headers and four slots each
-/// (`(largest + 1) × 4 × size_of::<Option<InFlight<M>>>()`, 288 B per
-/// identifier for the 72-byte packets of the protocol stacks), all of which
-/// [`Row::busy_senders`] walks per delivery. Honest identifiers are `0..n`,
-/// so that is the population; one packet from a forged identifier just below
-/// the dense limit costs that destination ≈ 1.2 MB for good — bounded by the
-/// limit, and pinned by `forged_dense_sender_costs_at_most_the_dense_limit`.
+/// `links` is sized by the largest dense identifier the row has seen, not by
+/// how many senders it has, and a delivery walks all of it. Honest
+/// identifiers are `0..n`, so that is the population; one packet from a
+/// forged identifier just below the dense limit costs that destination
+/// `DENSE_LIMIT × size_of::<Option<Link>>()` = 64 KB for good — pinned by
+/// `forged_dense_sender_costs_at_most_the_dense_limit`.
 #[derive(Debug, Clone)]
 struct Row<M> {
-    rings: Vec<Ring>,
-    slots: Vec<Option<InFlight<M>>>,
-    overflow: PeerTable<VecDeque<InFlight<M>>>,
+    log: Vec<Option<Logged<M>>>,
+    links: PeerTable<Link>,
+    live: usize,
 }
+
+/// Why a log entry's link may be unwrapped.
+const LINKED: &str = "a packet is logged on a link its row holds";
+
+/// Why a log entry may be unwrapped: a delivery, which makes the only holes,
+/// closes them before it returns.
+const LOGGED: &str = "the log has no holes between calls";
 
 impl<M> Row<M> {
     fn new() -> Self {
         Row {
-            rings: Vec::new(),
-            slots: Vec::new(),
-            overflow: PeerTable::new(),
+            log: Vec::new(),
+            links: PeerTable::new(),
+            live: 0,
         }
-    }
-
-    /// The index of `from`'s ring, or `None` for an identifier at or above
-    /// the dense limit, whose packets all queue in the overflow.
-    fn dense(from: ProcessId) -> Option<usize> {
-        PeerTable::<()>::dense_index(from)
-    }
-
-    /// The ring of `from`, when it is a dense sender this row has seen.
-    fn ring(&self, from: ProcessId) -> Option<(usize, Ring)> {
-        let s = Self::dense(from)?;
-        Some((s, *self.rings.get(s)?))
     }
 
     /// Creates the link from `from` when it does not exist yet; returns
     /// whether it did not.
     fn open(&mut self, from: ProcessId) -> bool {
-        let Some(s) = Self::dense(from) else {
-            let mut created = false;
-            self.overflow.get_or_insert_with(from, || {
-                created = true;
-                VecDeque::new()
-            });
-            return created;
-        };
-        if s >= self.rings.len() {
-            // Sized exactly: a row ends at its population, and doubling
-            // would hold up to twice the slots it uses.
-            let more = s + 1 - self.rings.len();
-            self.rings.reserve_exact(more);
-            self.rings.resize(s + 1, Ring::default());
-            self.slots.reserve_exact(more * INLINE_SLOTS);
-            self.slots.resize_with((s + 1) * INLINE_SLOTS, || None);
-        }
-        !std::mem::replace(&mut self.rings[s].exists, true)
+        let mut created = false;
+        self.links.get_or_insert_with(from, || {
+            created = true;
+            Link::default()
+        });
+        created
     }
 
-    /// The senders with packets in flight into this row, ascending: read off
-    /// the ring headers, since a dense link with anything in flight has an
-    /// inline packet.
+    /// The senders with packets in flight into this row, ascending.
     fn busy_senders(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        let dense = self
-            .rings
-            .iter()
-            .enumerate()
-            .filter(|(_, ring)| ring.len > 0)
-            .map(|(s, _)| ProcessId::new(s as u32));
-        let spilled = self.overflow.spilled();
-        let spilled = spilled.filter(|(_, queue)| !queue.is_empty());
-        dense.chain(spilled.map(|(from, _)| from))
+        let busy = self.links.iter().filter(|(_, link)| link.len > 0);
+        busy.map(|(from, _)| from)
     }
 
     /// The senders that have a link into this row, ascending.
     fn senders(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        let dense = self
-            .rings
-            .iter()
-            .enumerate()
-            .filter(|(_, ring)| ring.exists)
-            .map(|(s, _)| ProcessId::new(s as u32));
-        dense.chain(self.overflow.spilled().map(|(from, _)| from))
-    }
-
-    /// Number of packets in flight from `from`.
-    fn len(&self, from: ProcessId) -> usize {
-        match self.ring(from) {
-            Some((_, ring)) if !ring.is_full() => ring.len as usize,
-            Some(_) => INLINE_SLOTS + self.overflow.get(from).map_or(0, VecDeque::len),
-            None => self.overflow.get(from).map_or(0, VecDeque::len),
-        }
-    }
-
-    /// Number of packets in flight in the whole row.
-    fn in_flight(&self) -> usize {
-        let inline: usize = self.rings.iter().map(|ring| ring.len as usize).sum();
-        let overflow: usize = self.overflow.iter().map(|(_, queue)| queue.len()).sum();
-        inline + overflow
+        self.links.iter().map(|(from, _)| from)
     }
 
     /// The packets in flight from `from`, oldest first.
     fn packets(&self, from: ProcessId) -> impl Iterator<Item = &InFlight<M>> + '_ {
-        // Only a full ring — or a sender that has none — has an overflow.
-        let (head, inline, overflows) = match self.ring(from) {
-            Some((s, ring)) => (
-                ring.head as usize,
-                &self.slots[s * INLINE_SLOTS..(s + 1) * INLINE_SLOTS],
-                ring.is_full(),
-            ),
-            None => (0, &[][..], true),
-        };
-        let (wrapped, front) = inline.split_at(head);
-        let overflow = overflows.then(|| self.overflow.get(from)).flatten();
-        let overflow = overflow.into_iter().flatten();
-        front.iter().chain(wrapped).flatten().chain(overflow)
+        let evicted = self.links.get(from).map_or(0, |link| link.evicted);
+        let sent = self.log.iter().flatten().filter(move |e| e.from == from);
+        sent.skip(evicted as usize).map(|e| &e.packet)
     }
 
-    /// [`Row::packets`] with the packets mutable. The link must exist.
+    /// [`Row::packets`] with the packets mutable.
     fn packets_mut(&mut self, from: ProcessId) -> impl Iterator<Item = &mut InFlight<M>> + '_ {
-        let (head, inline) = match Self::dense(from) {
-            Some(s) => (
-                self.rings[s].head as usize,
-                &mut self.slots[s * INLINE_SLOTS..(s + 1) * INLINE_SLOTS],
-            ),
-            None => (0, &mut [][..]),
-        };
-        let (wrapped, front) = inline.split_at_mut(head);
-        let overflow = self.overflow.get_mut(from).into_iter().flatten();
-        front.iter_mut().chain(wrapped).flatten().chain(overflow)
+        self.settle();
+        let sent = self
+            .log
+            .iter_mut()
+            .flatten()
+            .filter(move |e| e.from == from);
+        sent.map(|e| &mut e.packet)
     }
 
-    /// The earliest round at which a packet from `from` becomes deliverable.
-    fn earliest_ready(&self, from: ProcessId) -> Option<Round> {
-        self.packets(from).map(|packet| packet.ready_at).min()
-    }
-
-    /// The head slot of dense sender `s` has just been emptied: the oldest
-    /// overflow packet, if any, takes it as the ring's new tail; otherwise
-    /// the ring shrinks.
-    fn vacate_head(&mut self, s: usize) {
-        let ring = &mut self.rings[s];
-        let refill = if ring.is_full() {
-            self.overflow
-                .get_mut(ProcessId::new(s as u32))
-                .and_then(VecDeque::pop_front)
-        } else {
-            None
-        };
-        match refill {
-            Some(packet) => {
-                self.slots[s * INLINE_SLOTS + ring.head as usize] = Some(packet);
-                ring.head = ring.slot(1) as u8;
-            }
-            None => {
-                ring.len -= 1;
-                ring.head = if ring.len == 0 { 0 } else { ring.slot(1) as u8 };
-            }
+    /// The earliest round at which a packet in flight in the row becomes
+    /// deliverable: one pass over the log, whatever is pending.
+    fn earliest_ready(&self) -> Option<Round> {
+        let entries = self.log.iter().flatten();
+        if self.log.len() == self.live {
+            return entries.map(|e| e.packet.ready_at).min();
         }
-    }
-
-    /// Removes the `k`-th oldest packet of the link from `from`.
-    fn remove(&mut self, from: ProcessId, k: usize) -> Option<InFlight<M>> {
-        let inline = match self.ring(from) {
-            Some((s, ring)) if k < ring.len as usize => {
-                let base = s * INLINE_SLOTS;
-                let packet = self.slots[base + ring.slot(k)].take();
-                // Close the gap from the front, so the hole ends up at the
-                // head.
-                for j in (0..k).rev() {
-                    self.slots[base + ring.slot(j + 1)] = self.slots[base + ring.slot(j)].take();
-                }
-                self.vacate_head(s);
-                return packet;
+        // How many of each link's oldest entries went by; they count as gone
+        // until the link's pending evictions are covered.
+        let mut skipped: PeerTable<u32> = PeerTable::new();
+        let in_flight = entries.filter(|e| {
+            let evicted = self.links.get(e.from).map_or(0, |link| link.evicted);
+            if evicted == 0 {
+                return true;
             }
-            Some((_, ring)) => ring.len as usize,
-            None => 0,
-        };
-        self.overflow.get_mut(from)?.remove(k - inline)
+            let skipped = skipped.get_or_insert_with(e.from, || 0);
+            let gone = *skipped < evicted;
+            *skipped += u32::from(gone);
+            !gone
+        });
+        in_flight.map(|e| e.packet.ready_at).min()
     }
 
-    /// Discards the inline packets of dense sender `s`.
-    fn clear_ring(&mut self, s: usize) {
-        if self.rings[s].len > 0 {
-            self.slots[s * INLINE_SLOTS..(s + 1) * INLINE_SLOTS].fill_with(|| None);
-            self.rings[s] = Ring {
-                exists: self.rings[s].exists,
-                ..Ring::default()
-            };
+    /// Applies the pending evictions: discards each link's `evicted` oldest
+    /// log entries.
+    fn settle(&mut self) {
+        if self.log.len() == self.live {
+            return;
         }
+        let links = &mut self.links;
+        self.log.retain(|entry| {
+            let from = entry.as_ref().expect(LOGGED).from;
+            let link = links.get_mut(from).expect(LINKED);
+            let evicted = link.evicted > 0;
+            link.evicted -= u32::from(evicted);
+            !evicted
+        });
     }
 
     /// Discards every packet in flight in the row.
     fn clear_all(&mut self) {
-        for s in 0..self.rings.len() {
-            self.clear_ring(s);
-        }
-        for (_, queue) in self.overflow.iter_mut() {
-            queue.clear();
+        self.log.clear();
+        self.live = 0;
+        for (_, link) in self.links.iter_mut() {
+            *link = Link::default();
         }
     }
 
     /// Discards every packet in flight from `from`.
     fn clear(&mut self, from: ProcessId) {
-        if let Some((s, _)) = self.ring(from) {
-            self.clear_ring(s);
-        }
-        if let Some(queue) = self.overflow.get_mut(from) {
-            queue.clear();
-        }
+        self.settle();
+        let Some(link) = self.links.get_mut(from).filter(|link| link.len > 0) else {
+            return;
+        };
+        self.live -= link.len as usize;
+        link.len = 0;
+        self.log
+            .retain(|entry| entry.as_ref().is_some_and(|e| e.from != from));
     }
 
     /// Enqueues a packet carrying `payload`, deliverable from `ready_at` on,
@@ -298,132 +206,142 @@ impl<M> Row<M> {
         ready_at: Round,
         capacity: usize,
     ) -> bool {
-        let full = self.len(from) >= capacity;
-        if full {
-            self.remove(from, 0);
+        let link = self.links.get_mut(from).expect(LINKED);
+        let full = link.len as usize >= capacity;
+        // A full link that holds nothing (capacity 0) has nothing to evict.
+        let evicts = full && link.len > 0;
+        if evicts {
+            link.evicted += 1;
+        } else {
+            link.len += 1;
+            self.live += 1;
         }
-        if let Some(s) = Self::dense(from) {
-            let ring = &mut self.rings[s];
-            if !ring.is_full() {
-                let slot = &mut self.slots[s * INLINE_SLOTS + ring.slot(ring.len as usize)];
-                debug_assert!(slot.is_none(), "a slot past the ring's tail is empty");
-                // Not `*slot = …`: an assignment first loads the slot to
-                // drop what it held, and on a send that load is the cache
-                // miss. Nothing is forgotten — the slot holds `None`.
-                std::mem::forget(slot.replace(InFlight::new(payload, ready_at)));
-                ring.len += 1;
-                return full;
-            }
+        // Counting the packet about to be logged, evicted entries would
+        // outnumber live ones.
+        if evicts && self.log.len() >= 2 * self.live {
+            self.settle();
         }
-        self.overflow
-            .get_or_insert_with(from, VecDeque::new)
-            .push_back(InFlight::new(payload, ready_at));
+        if self.log.len() == self.log.capacity() {
+            // Half again, not `push`'s doubling: the log ends at a high-water
+            // mark scheduling sets, and what it grows past that is never used.
+            self.log.reserve_exact((self.log.len() / 2).max(4));
+        }
+        let packet = InFlight::new(payload, ready_at);
+        self.log.push(Some(Logged { from, packet }));
         full
     }
 }
 
 impl<M: Clone> Row<M> {
-    /// Delivers up to `limit` packets of the link from `from` whose round has
-    /// come, oldest first, handing each to `sink`; returns the earliest round
-    /// at which a packet left behind becomes deliverable.
-    ///
-    /// One pass over the link's FIFO: a packet is delivered, or it is kept
-    /// and slides towards the head past the holes the delivered ones left —
-    /// within the ring, then from the overflow into the ring while the ring
-    /// has room.
-    fn drain_fifo(
+    /// The one delivery loop: hands `sink` up to `limit` packets whose round
+    /// has come, visiting the links with packets in flight in a random
+    /// interleaving of senders (shuffled from ascending sender order) and
+    /// each link oldest first — or, when `reorder` is set, in uniform draws
+    /// among its ready packets. Returns the number of links visited and the
+    /// earliest round at which a packet left behind becomes deliverable.
+    fn deliver(
         &mut self,
-        from: ProcessId,
         now: Round,
         limit: usize,
-        mut sink: impl FnMut(M),
-    ) -> Option<Round> {
+        reorder: bool,
+        rng: &mut SimRng,
+        scratch: &mut Scratch,
+        mut sink: impl FnMut(ProcessId, M),
+    ) -> (usize, Option<Round>) {
+        let Scratch {
+            visit,
+            order,
+            ready,
+        } = scratch;
+        visit.clear();
+        visit.extend(self.busy_senders());
+        rng.shuffle(visit);
+        // Group the log by sender, in visit order: a counting sort of log
+        // positions whose buckets are the links' `len`, so each bucket lists
+        // its link's packets oldest first. The same pass applies the pending
+        // evictions.
+        let mut end = 0;
+        for &from in visit.iter() {
+            let link = self.links.get_mut(from).expect(LINKED);
+            link.cursor = end;
+            end += link.len;
+        }
+        order.clear();
+        order.resize(self.live, 0);
+        for (at, entry) in self.log.iter_mut().enumerate() {
+            let from = entry.as_ref().expect(LOGGED).from;
+            let link = self.links.get_mut(from).expect(LINKED);
+            if link.evicted > 0 {
+                link.evicted -= 1;
+                *entry = None;
+            } else {
+                order[link.cursor as usize] = at as u32;
+                link.cursor += 1;
+            }
+        }
+        // The limit applies across links; links past it are still read for
+        // the earliest next delivery, but not drained.
         let mut budget = limit;
         let mut next_ready = None;
-        if let Some((s, ring)) = self.ring(from) {
-            let slots = &mut self.slots[s * INLINE_SLOTS..(s + 1) * INLINE_SLOTS];
-            // Packets delivered ahead of the first kept one only advance the
-            // head; later ones leave holes that kept packets close.
-            let (mut skipped, mut kept) = (0, 0);
-            for k in 0..ring.len as usize {
-                let at = ring.slot(k);
-                let ready_at = slots[at].as_ref().expect(OCCUPIED).ready_at;
-                if budget > 0 && ready_at <= now {
+        let mut begin = 0;
+        for &from in visit.iter() {
+            let link = self.links.get_mut(from).expect(LINKED);
+            let bucket = &order[begin..link.cursor as usize];
+            begin = link.cursor as usize;
+            let before = budget;
+            if reorder {
+                // `Channel` draws one `choose` per delivered packet among
+                // the positions of the ready ones, and only how many there
+                // are decides the draw.
+                let log = &self.log;
+                let due = |at: &usize| log[*at].as_ref().expect(LOGGED).packet.ready_at <= now;
+                ready.clear();
+                ready.extend(bucket.iter().map(|&at| at as usize).filter(due));
+                while budget > 0 {
+                    let Some(pick) = rng.index(ready.len()) else {
+                        break;
+                    };
                     budget -= 1;
-                    skipped += usize::from(kept == 0);
-                    sink(slots[at].take().expect(OCCUPIED).into_msg());
+                    let logged = self.log[ready.remove(pick)].take().expect(LOGGED);
+                    sink(from, logged.packet.into_msg());
+                }
+            }
+            for &at in bucket {
+                let slot = &mut self.log[at as usize];
+                // A hole is a packet the draws above delivered.
+                let Some(ready_at) = slot.as_ref().map(|e| e.packet.ready_at) else {
+                    continue;
+                };
+                if !reorder && budget > 0 && ready_at <= now {
+                    budget -= 1;
+                    sink(from, slot.take().expect(LOGGED).packet.into_msg());
                 } else {
                     note_ready(&mut next_ready, ready_at);
-                    let to = ring.slot(skipped + kept);
-                    if to != at {
-                        slots[to] = slots[at].take();
-                    }
-                    kept += 1;
                 }
             }
-            let head = if kept == 0 { 0 } else { ring.slot(skipped) };
-            self.rings[s] = Ring {
-                head: head as u8,
-                len: kept as u8,
-                ..ring
-            };
-            if !ring.is_full() {
-                return next_ready;
-            }
+            let delivered = before - budget;
+            link.len -= delivered as u32;
+            self.live -= delivered;
         }
-        let Some(queue) = self.overflow.get_mut(from) else {
-            return next_ready;
-        };
-        let mut at = 0;
-        while at < queue.len() {
-            let ready_at = queue[at].ready_at;
-            if budget > 0 && ready_at <= now {
-                budget -= 1;
-                sink(queue.remove(at).expect("`at` is in range").into_msg());
-                continue;
-            }
-            note_ready(&mut next_ready, ready_at);
-            match Self::dense(from) {
-                // Kept packets fill the ring before any stays behind, so the
-                // one moving in is always the overflow front.
-                Some(s) if !self.rings[s].is_full() => {
-                    let ring = &mut self.rings[s];
-                    self.slots[s * INLINE_SLOTS + ring.slot(ring.len as usize)] = queue.pop_front();
-                    ring.len += 1;
-                }
-                _ => at += 1,
-            }
+        if self.live == 0 {
+            self.log.clear();
+        } else if self.log.len() > self.live {
+            self.log.retain(Option::is_some);
         }
-        next_ready
+        (visit.len(), next_ready)
     }
+}
 
-    /// [`Row::drain_fifo`] under a reordering policy: each delivered packet
-    /// is drawn uniformly among those whose round has come. `ready` is
-    /// scratch space.
-    fn drain_reordered(
-        &mut self,
-        from: ProcessId,
-        now: Round,
-        limit: usize,
-        rng: &mut SimRng,
-        ready: &mut Vec<usize>,
-        mut sink: impl FnMut(M),
-    ) -> Option<Round> {
-        for _ in 0..limit {
-            ready.clear();
-            ready.extend(
-                self.packets(from)
-                    .enumerate()
-                    .filter(|(_, packet)| packet.ready_at <= now)
-                    .map(|(k, _)| k),
-            );
-            let Some(packet) = rng.choose(ready).and_then(|&k| self.remove(from, k)) else {
-                break;
-            };
-            sink(packet.into_msg());
-        }
-        self.earliest_ready(from)
-    }
+/// Lists recycled across deliveries so steady-state delivery performs no
+/// allocation.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The senders to visit.
+    visit: Vec<ProcessId>,
+    /// Log positions grouped by sender, in visit order.
+    order: Vec<u32>,
+    /// The log positions of one link's ready packets, under reordering.
+    ready: Vec<usize>,
 }
 
 /// A read-only view of the link `from → to`: its packets in flight, oldest
@@ -446,7 +364,8 @@ impl<'a, M> ChannelView<'a, M> {
 #[cfg(test)]
 impl<M> ChannelView<'_, M> {
     fn len(&self) -> usize {
-        self.row.len(self.from)
+        let link = self.row.links.get(self.from);
+        link.map_or(0, |link| link.len as usize)
     }
 
     fn is_empty(&self) -> bool {
@@ -454,7 +373,7 @@ impl<M> ChannelView<'_, M> {
     }
 
     fn earliest_ready(&self) -> Option<Round> {
-        self.row.earliest_ready(self.from)
+        self.in_flight().map(|packet| packet.ready_at).min()
     }
 }
 
@@ -482,11 +401,8 @@ pub struct Network<M> {
     /// send path (injection, white-box packet access). The scheduler drains
     /// this to wake the affected processes.
     dirty: BTreeSet<ProcessId>,
-    /// Scratch lists recycled across deliveries so steady-state delivery
-    /// performs no allocation: the senders to visit, and the ready packets
-    /// of one link under reordering.
-    scratch_visit: Vec<ProcessId>,
-    scratch_ready: Vec<usize>,
+    /// Recycled by [`Row::deliver`].
+    scratch: Scratch,
 }
 
 impl<M: Clone> Network<M> {
@@ -498,8 +414,7 @@ impl<M: Clone> Network<M> {
             link_count: 0,
             blocked: BTreeSet::new(),
             dirty: BTreeSet::new(),
-            scratch_visit: Vec::new(),
-            scratch_ready: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -669,11 +584,9 @@ impl<M: Clone> Network<M> {
         Some(ready)
     }
 
-    /// The one delivery loop: drains up to `limit` deliverable packets
-    /// addressed to `to` into `into`, visiting the non-empty links of its row
-    /// in a random interleaving of senders (shuffled from ascending sender
-    /// order). Returns the number of links visited and the earliest round at
-    /// which `to` has another deliverable packet.
+    /// [`Row::deliver`] on the row of `to`, into `into`: returns the number
+    /// of links visited and the earliest round at which `to` has another
+    /// deliverable packet.
     fn deliver_row_into(
         &mut self,
         to: ProcessId,
@@ -686,31 +599,15 @@ impl<M: Clone> Network<M> {
         let Some(row) = self.rows.get_mut(to) else {
             return (0, None);
         };
-        let visit = &mut self.scratch_visit;
-        visit.clear();
-        visit.extend(row.busy_senders());
-        rng.shuffle(visit);
         let start = into.len();
-        // Earliest next delivery among the packets left in flight to `to`;
-        // links past the limit are still read for it, but not drained.
-        let mut next_ready = None;
-        for &from in visit.iter() {
-            let budget = limit - (into.len() - start);
-            let sink = |msg| {
-                metrics.record_delivery();
-                into.push((from, msg));
-            };
-            let left = if self.policy.reorder {
-                row.drain_reordered(from, now, budget, rng, &mut self.scratch_ready, sink)
-            } else {
-                row.drain_fifo(from, now, budget, sink)
-            };
-            if let Some(ready_at) = left {
-                note_ready(&mut next_ready, ready_at);
-            }
-        }
+        let sink = |from, msg| {
+            metrics.record_delivery();
+            into.push((from, msg));
+        };
+        let reorder = self.policy.reorder;
+        let outcome = row.deliver(now, limit, reorder, rng, &mut self.scratch, sink);
         metrics.record_delivery_batch(into.len() - start);
-        (visit.len(), next_ready)
+        outcome
     }
 
     /// Drains up to `limit` deliverable packets addressed to `to`, across all
@@ -807,17 +704,14 @@ impl<M: Clone> Network<M> {
 
     /// Total number of packets in flight across all links.
     pub fn in_flight_total(&self) -> usize {
-        self.rows.iter().map(|(_, row)| row.in_flight()).sum()
+        self.rows.iter().map(|(_, row)| row.live).sum()
     }
 
     /// A read-only view of the link `from → to`, if it exists.
     pub fn channel(&self, from: ProcessId, to: ProcessId) -> Option<ChannelView<'_, M>> {
         let row = self.rows.get(to)?;
-        let exists = match row.ring(from) {
-            Some((_, ring)) => ring.exists,
-            None => row.overflow.get(from).is_some(),
-        };
-        exists.then_some(ChannelView { row, from })
+        row.links.get(from)?;
+        Some(ChannelView { row, from })
     }
 
     /// Mutable access to the packets in flight on the link `from → to`,
@@ -855,9 +749,7 @@ impl<M: Clone> Network<M> {
     /// The earliest round at which any packet in flight towards `to` becomes
     /// deliverable (the schedulers' due check).
     pub fn earliest_inbound_ready(&self, to: ProcessId) -> Option<Round> {
-        let row = self.rows.get(to)?;
-        let busy = row.busy_senders();
-        busy.filter_map(|from| row.earliest_ready(from)).min()
+        self.rows.get(to)?.earliest_ready()
     }
 
     /// [`Network::earliest_inbound_ready`] under the name the round-scan
@@ -890,27 +782,15 @@ impl<M: Clone> Network<M> {
         let Some(row) = self.rows.get_mut(to) else {
             return 0;
         };
-        // Dense senders in lockstep with their overflow queues (a queue
-        // implies a ring), then the spilled senders the table lists last.
-        let mut payloads: Vec<&mut M> = Vec::new();
-        let mut overflow = row.overflow.iter_mut().peekable();
-        let inline = row.slots.chunks_exact_mut(INLINE_SLOTS);
-        for (s, (ring, inline)) in row.rings.iter().zip(inline).enumerate() {
-            let (wrapped, front) = inline.split_at_mut(ring.head as usize);
-            payloads.extend(
-                front
-                    .iter_mut()
-                    .chain(wrapped)
-                    .flatten()
-                    .map(InFlight::msg_mut),
-            );
-            if let Some((_, queue)) =
-                overflow.next_if(|(from, _)| Row::<M>::dense(*from) == Some(s))
-            {
-                payloads.extend(queue.iter_mut().map(InFlight::msg_mut));
-            }
-        }
-        payloads.extend(overflow.flat_map(|(_, queue)| queue).map(InFlight::msg_mut));
+        row.settle();
+        // Arrival order, stably sorted by sender: ascending sender, each
+        // link oldest first.
+        let mut logged: Vec<&mut Logged<M>> = row.log.iter_mut().flatten().collect();
+        logged.sort_by_key(|entry| entry.from);
+        let mut payloads: Vec<&mut M> = logged
+            .into_iter()
+            .map(|entry| entry.packet.msg_mut())
+            .collect();
         let touched = payloads.len();
         if touched > 0 {
             mutate(&mut payloads);
@@ -1120,8 +1000,9 @@ mod tests {
         assert!(net.channel(p[1], p[0]).is_none());
     }
 
-    /// A crashed destination's row takes evicting sends forever: it must stay
-    /// at `capacity` packets per link and stop allocating once it got there.
+    /// A crashed destination's row takes evicting sends forever: its log must
+    /// stay within `2 × capacity` entries per link and stop allocating once
+    /// it got there.
     #[test]
     fn never_drained_row_is_bounded_by_capacity() {
         let p = ids(9);
@@ -1129,25 +1010,26 @@ mod tests {
         assert_eq!(net.policy().capacity, 16);
         let mut rng = SimRng::seed_from(11);
         let mut metrics = Metrics::default();
-        let footprint = |net: &Network<u32>| {
-            let row = net.rows.get(p[8]).unwrap();
-            let overflow: usize = row.overflow.iter().map(|(_, q)| q.capacity()).sum();
-            (row.slots.capacity(), overflow)
-        };
-        let mut after_fill = None;
+        let mut footprint = None;
         for nth in 0..200u32 {
             for from in &p[..8] {
                 let evicted = metrics.messages_evicted();
                 net.send(*from, p[8], nth, Round::ZERO, &mut rng, &mut metrics);
                 assert_eq!(metrics.messages_evicted() - evicted, u64::from(nth >= 16));
+                let log = &net.rows.get(p[8]).unwrap().log;
+                assert!(
+                    log.len() <= 2 * 16 * 8,
+                    "{} entries at send {nth}",
+                    log.len()
+                );
             }
-            if nth == 15 {
-                after_fill = Some(footprint(&net));
+            // Two fills: the links are full, and as many evictions are pending.
+            let capacity = net.rows.get(p[8]).unwrap().log.capacity();
+            if nth >= 31 {
+                assert_eq!(*footprint.get_or_insert(capacity), capacity, "send {nth}");
             }
         }
         assert_eq!(net.in_flight_total(), 8 * 16);
-        assert_eq!(Some(footprint(&net)), after_fill);
-        assert_eq!(footprint(&net).0, 8 * INLINE_SLOTS, "slots sized exactly");
         // What is left is the newest 16 of each link, oldest first.
         let left: Vec<u32> = net
             .channel(p[3], p[8])
@@ -1158,9 +1040,10 @@ mod tests {
         assert_eq!(left, (184..200).collect::<Vec<_>>());
     }
 
-    /// A row is sized by the largest dense sender it has seen: a forged
-    /// identifier just below the dense limit buys exactly the limit's worth
-    /// of rings and slots, once, and one at the limit buys none.
+    /// A row's link table is sized by the largest dense sender it has seen: a
+    /// forged identifier just below the dense limit buys the limit's worth
+    /// of link records, once, and one at the limit buys none. The log grows
+    /// by packets, not by identifiers.
     #[test]
     fn forged_dense_sender_costs_at_most_the_dense_limit() {
         let limit = PeerTable::<()>::DENSE_LIMIT;
@@ -1173,17 +1056,19 @@ mod tests {
             net.send(from, to, raw, Round::ZERO, &mut rng, &mut metrics);
         }
         let row = net.rows.get(to).unwrap();
-        assert_eq!(row.rings.capacity(), limit as usize);
-        assert_eq!(row.slots.capacity(), limit as usize * INLINE_SLOTS);
+        let per_link = std::mem::size_of::<Option<Link>>();
+        assert_eq!(per_link, 16);
+        assert!(row.links.dense_footprint() <= limit as usize * per_link);
+        assert_eq!(row.log.len(), 4);
         let senders: Vec<u32> = row.busy_senders().map(ProcessId::as_u32).collect();
         assert_eq!(senders, vec![1, limit - 1, limit]);
     }
 
-    /// Sends and one-packet deliveries interleaved on one link, so the ring
-    /// wraps, overflows and refills: every delivery is what a `Channel` fed
+    /// Sends and one-packet deliveries interleaved on one link that fills up
+    /// and then evicts on every send: every delivery is what a `Channel` fed
     /// the same operations and random stream delivers.
     #[test]
-    fn wrapping_ring_delivers_in_channel_order() {
+    fn interleaved_sends_and_deliveries_follow_channel_order() {
         use crate::channel::Channel;
         let p = ids(2);
         let policy = ChannelPolicy {
@@ -1214,14 +1099,16 @@ mod tests {
             );
             let view = net.channel(p[0], p[1]).unwrap();
             assert!(view.in_flight().eq(oracle.in_flight()), "step {step}");
+            // A delivery leaves the log holding exactly what is in flight.
+            assert_eq!(net.rows.get(p[1]).unwrap().log.len(), view.len());
         }
         assert!(metrics.messages_evicted() > 0 && metrics.messages_delivered() > 40);
     }
 
-    /// The read-only view lists a link's inline packets, then its overflow,
-    /// oldest first — here 7 packets behind a ring whose head has moved.
+    /// The read-only view lists a link's packets oldest first — here the 7
+    /// left after a partial delivery and more sends.
     #[test]
-    fn channel_view_lists_inline_then_overflow() {
+    fn channel_view_lists_oldest_first_after_partial_delivery() {
         use crate::channel::Channel;
         let p = ids(2);
         let mut net: Network<u32> = Network::new(reliable());
@@ -1251,9 +1138,78 @@ mod tests {
         assert!(view.in_flight().eq(oracle.in_flight()));
         assert_eq!(view.earliest_ready(), Some(Round::new(3)));
         assert_eq!(view.earliest_ready(), oracle.earliest_ready());
-        let row = net.rows.get(p[1]).unwrap();
-        assert_eq!(row.rings[0].head, 2, "the ring wraps");
-        assert_eq!(row.overflow.get(p[0]).unwrap().len(), 3);
+    }
+
+    /// Capacity evictions stay pending in the log until something walks it.
+    /// After evicting sends and **before any delivery**, every reader and
+    /// every white-box entry sees what `Channel`s fed the same sends hold.
+    #[test]
+    fn eviction_is_invisible_until_settled() {
+        use crate::channel::Channel;
+        let p = ids(4);
+        let to = p[3];
+        let policy = ChannelPolicy {
+            capacity: 3,
+            max_delay_rounds: 3,
+            ..ChannelPolicy::default()
+        };
+        let mut filled: Network<u32> = Network::new(policy.clone());
+        let mut oracle: Vec<Channel<u32>> = vec![Channel::new(policy); 3];
+        let (mut rng, mut oracle_rng) = (SimRng::seed_from(14), SimRng::seed_from(14));
+        let mut metrics = Metrics::default();
+        // Fill the links with 3, 2 and 3 packets, then evict 5 on the first
+        // and 1 on the last.
+        let senders = [0, 1, 2, 0, 1, 2, 0, 2, 0, 0, 0, 2, 0, 0];
+        for (value, from) in senders.into_iter().enumerate() {
+            // Ten rounds apart, so an older packet is ready sooner.
+            let now = Round::new(value as u64 * 10);
+            let value = value as u32;
+            filled.send(p[from], to, value, now, &mut rng, &mut metrics);
+            oracle[from].send(value, now, &mut oracle_rng);
+        }
+        assert_eq!(metrics.messages_evicted(), 6);
+        let row = filled.rows.get(to).unwrap();
+        assert_eq!((row.log.len(), row.live), (14, 8), "nothing settled yet");
+
+        let held = |ch: &Channel<u32>| ch.in_flight().cloned().collect::<Vec<_>>();
+        let in_flight: Vec<Vec<InFlight<u32>>> = oracle.iter().map(held).collect();
+        let view = |net: &Network<u32>, from: usize| -> Vec<InFlight<u32>> {
+            let view = net.channel(p[from], to).unwrap();
+            view.in_flight().cloned().collect()
+        };
+        for (from, want) in in_flight.iter().enumerate() {
+            assert_eq!(&view(&filled, from), want, "link {from}");
+        }
+        let earliest = oracle.iter().filter_map(Channel::earliest_ready).min();
+        assert_eq!(filled.earliest_inbound_ready(to), earliest);
+        assert!(earliest >= Some(Round::new(10)), "packet 0 was evicted");
+        assert_eq!(filled.in_flight_total(), 8);
+
+        for (from, want) in in_flight.iter().enumerate() {
+            let mut net = filled.clone();
+            let got: Vec<InFlight<u32>> =
+                net.in_flight_mut(p[from], to).map(|x| x.clone()).collect();
+            assert_eq!(&got, want, "link {from}");
+        }
+
+        let mut net = filled.clone();
+        let mut seen = Vec::new();
+        let touched = net.corrupt_inbound_payloads(to, |payloads| {
+            seen.extend(payloads.iter().map(|m| **m));
+        });
+        let ascending: Vec<u32> = in_flight.iter().flatten().map(|x| *x.msg()).collect();
+        assert_eq!(touched, 8);
+        assert_eq!(seen, ascending);
+
+        for cleared in 0..3 {
+            let mut net = filled.clone();
+            net.clear_channel(p[cleared], to);
+            assert_eq!(net.in_flight_total(), 8 - in_flight[cleared].len());
+            for (from, kept) in in_flight.iter().enumerate() {
+                let want: &[InFlight<u32>] = if from == cleared { &[] } else { kept };
+                assert_eq!(view(&net, from), want, "link {from}, {cleared} cleared");
+            }
+        }
     }
 }
 
@@ -1271,7 +1227,7 @@ mod proptests {
         #[test]
         fn row_network_matches_ordered_map_reference(
             raw_policy in (1usize..13, 0.0f64..0.3, 0.0f64..0.3, 0u64..4, any::<bool>()),
-            raw_ops in proptest::collection::vec((0u8..32, 0u8..8, 0u8..8, 0u32..1000), 0..160),
+            raw_ops in proptest::collection::vec((0u8..40, 0u8..8, 0u8..8, 0u32..1000), 0..160),
             seed in 0u64..u64::MAX,
         ) {
             let ops: Vec<reference::Op> = raw_ops.iter().map(reference::Op::decode).collect();
@@ -1598,8 +1554,9 @@ mod reference {
         }
     }
 
-    /// The link a share of the sends and deliveries is steered onto, so that
-    /// its ring wraps, overflows and refills between deliveries.
+    /// The link a share of the sends, deliveries and white-box accesses is
+    /// steered onto, so that it fills up and evicts between deliveries, and
+    /// evictions are still pending when a white-box entry reads the link.
     const BUSY: (u8, u8) = (1, 2);
 
     /// One step of the random interleaving the equivalence property drives
@@ -1658,7 +1615,12 @@ mod reference {
                 ))),
                 28 => Op::Corrupt(to, value % 49 + 1),
                 29 => Op::TakeDirty,
-                _ => Op::Advance(u64::from(value % 3)),
+                30..=31 => Op::Advance(u64::from(value % 3)),
+                32..=35 => Op::Send(id(BUSY.0), id(BUSY.1), value),
+                36 => Op::ChannelMut(id(BUSY.0), id(BUSY.1), value % 49 + 1),
+                37 => Op::Corrupt(id(BUSY.1), value % 49 + 1),
+                38 => Op::ClearChannel(id(BUSY.0), id(BUSY.1)),
+                _ => Op::Inject(id(BUSY.0), id(BUSY.1), value),
             }
         }
     }

@@ -72,7 +72,7 @@ impl<V> PeerTable<V> {
     }
 
     /// The dense slot index of `id`, or `None` when it spills.
-    pub(crate) fn dense_index(id: ProcessId) -> Option<usize> {
+    fn dense_index(id: ProcessId) -> Option<usize> {
         (id.as_u32() < Self::DENSE_LIMIT).then_some(id.as_u32() as usize)
     }
 
@@ -126,11 +126,11 @@ impl<V> PeerTable<V> {
         dense.chain(self.spill.iter().map(|(id, v)| (*id, v)))
     }
 
-    /// The `(id, entry)` pairs of identifiers at or above
-    /// [`PeerTable::DENSE_LIMIT`], ascending — reached without walking the
-    /// dense slots.
-    pub(crate) fn spilled(&self) -> impl Iterator<Item = (ProcessId, &V)> + '_ {
-        self.spill.iter().map(|(id, v)| (*id, v))
+    /// Bytes the dense vector holds, used or not: what a forged identifier
+    /// below the limit can make a table cost.
+    #[cfg(test)]
+    pub(crate) fn dense_footprint(&self) -> usize {
+        self.dense.capacity() * std::mem::size_of::<Option<V>>()
     }
 
     /// All `(id, entry)` pairs in ascending identifier order, entries mutable.
