@@ -23,7 +23,7 @@ use crate::join::{JoinMsg, Joining};
 use crate::policy::{AdmissionPolicy, EvalPolicy};
 use crate::recma::{RecMa, RecMaMsg};
 use crate::recsa::{RecSa, RecSaMsg};
-use crate::types::{ConfigSet, ConfigValue};
+use crate::types::{ConfigSet, ConfigValue, SharedSet};
 
 /// Static configuration of a [`ReconfigNode`].
 #[derive(Debug, Clone)]
@@ -175,7 +175,12 @@ impl ReconfigNode {
 
     /// The configuration installed locally, if it is a concrete set.
     pub fn installed_config(&self) -> Option<ConfigSet> {
-        self.recsa.installed_config()
+        self.installed_config_ref().cloned()
+    }
+
+    /// [`ReconfigNode::installed_config`], borrowed.
+    pub fn installed_config_ref(&self) -> Option<&ConfigSet> {
+        self.recsa.own_config_shared().as_set()
     }
 
     /// `noReco()`: `true` while no reconfiguration activity is apparent.
@@ -191,6 +196,11 @@ impl ReconfigNode {
     /// The failure detector's current trusted set.
     pub fn trusted(&self) -> BTreeSet<ProcessId> {
         self.fd.trusted()
+    }
+
+    /// [`ReconfigNode::trusted`] behind the detector's shared handle.
+    pub fn trusted_shared(&self) -> SharedSet {
+        self.fd.trusted_shared()
     }
 
     /// The participant set as seen by this node.

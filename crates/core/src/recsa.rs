@@ -311,18 +311,29 @@ impl RecSa {
 
     /// Own `config[i]` value.
     pub fn own_config(&self) -> ConfigValue {
-        (**self.config_of(self.me)).clone()
+        (**self.own_config_shared()).clone()
+    }
+
+    /// [`RecSa::own_config`] behind the shared handle it is stored in: read
+    /// it in place, or clone the handle to keep reading across a step.
+    pub fn own_config_shared(&self) -> &SharedConfig {
+        self.config_of(self.me)
     }
 
     /// Own notification `prp[i]`.
     pub fn own_notification(&self) -> Notification {
-        (**self.prp_of(self.me)).clone()
+        (**self.own_notification_shared()).clone()
+    }
+
+    /// [`RecSa::own_notification`] behind the shared handle it is stored in.
+    pub fn own_notification_shared(&self) -> &SharedNtf {
+        self.prp_of(self.me)
     }
 
     /// The configuration this processor has installed, if it currently holds
     /// a concrete one.
     pub fn installed_config(&self) -> Option<ConfigSet> {
-        self.config_of(self.me).as_set().cloned()
+        self.own_config_shared().as_set().cloned()
     }
 
     /// The participant set most recently reported by `k` (`FD[k].part`),

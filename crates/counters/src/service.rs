@@ -17,7 +17,7 @@
 //! are answered with `Abort`, and exhausted counters are cancelled by moving
 //! to a fresh maximal label.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use labels::{Labeler, LabelerMsg};
 use reconfig::ConfigSet;
@@ -177,7 +177,7 @@ pub struct CounterNode {
     /// Increments requested through [`CounterNode::queue_increment`], started
     /// one at a time from the periodic step.
     queued_increments: u64,
-    completed: Vec<IncrementOutcome>,
+    completed: VecDeque<IncrementOutcome>,
     /// Reusable audience buffer for the periodic gossip broadcast; cleared
     /// and refilled every step so the steady state allocates nothing here.
     gossip_scratch: Vec<ProcessId>,
@@ -207,7 +207,7 @@ impl CounterNode {
             pending_age: 0,
             op_timeout: DEFAULT_OP_TIMEOUT,
             queued_increments: 0,
-            completed: Vec::new(),
+            completed: VecDeque::new(),
             gossip_scratch: Vec::new(),
         }
     }
@@ -272,7 +272,7 @@ impl CounterNode {
 
     /// Outcomes of increment operations that finished since the last call.
     pub fn take_completed(&mut self) -> Vec<IncrementOutcome> {
-        std::mem::take(&mut self.completed)
+        std::mem::take(&mut self.completed).into()
     }
 
     /// Tells the service whether a reconfiguration is currently taking place
@@ -296,7 +296,7 @@ impl CounterNode {
         // the requester instead of dropping it silently (embedders such as
         // the SMR view election wait for an outcome).
         if self.pending.take().is_some() {
-            self.completed.push(IncrementOutcome::Aborted);
+            self.completed.push_back(IncrementOutcome::Aborted);
         }
     }
 
@@ -457,7 +457,7 @@ impl CounterNode {
             return Vec::new();
         }
         if abort {
-            self.completed.push(IncrementOutcome::Aborted);
+            self.completed.push_back(IncrementOutcome::Aborted);
             return Vec::new();
         }
         let PendingPhase::Read { replies } = &mut pending.phase else {
@@ -499,7 +499,7 @@ impl CounterNode {
                 match self.labeler.create_next_label() {
                     Some(label) => Counter::zero(label, self.me),
                     None => {
-                        self.completed.push(IncrementOutcome::Aborted);
+                        self.completed.push_back(IncrementOutcome::Aborted);
                         return Vec::new();
                     }
                 }
@@ -507,7 +507,7 @@ impl CounterNode {
             _ => {
                 // Non-members abort when no legit, non-exhausted counter is
                 // available (Algorithm 4.5 returns ⊥).
-                self.completed.push(IncrementOutcome::Aborted);
+                self.completed.push_back(IncrementOutcome::Aborted);
                 return Vec::new();
             }
         };
@@ -542,7 +542,7 @@ impl CounterNode {
             return;
         }
         if abort {
-            self.completed.push(IncrementOutcome::Aborted);
+            self.completed.push_back(IncrementOutcome::Aborted);
             return;
         }
         let PendingPhase::Write { counter, acks } = &mut pending.phase else {
@@ -553,7 +553,8 @@ impl CounterNode {
         if acks.len() >= majority {
             let committed = counter.clone();
             self.adopt(committed.clone());
-            self.completed.push(IncrementOutcome::Committed(committed));
+            self.completed
+                .push_back(IncrementOutcome::Committed(committed));
         } else {
             self.pending = Some(pending);
         }
@@ -575,7 +576,7 @@ impl Layer for CounterNode {
             if self.pending_age > self.op_timeout {
                 self.pending = None;
                 self.pending_age = 0;
-                self.completed.push(IncrementOutcome::Aborted);
+                self.completed.push_back(IncrementOutcome::Aborted);
             }
         }
         // Start one queued increment when the slot is free.
@@ -770,13 +771,8 @@ impl simnet::ScenarioTarget for CounterNode {
     }
 
     fn complete_local(&mut self) -> Option<bool> {
-        if self.completed.is_empty() {
-            return None;
-        }
-        Some(matches!(
-            self.completed.remove(0),
-            IncrementOutcome::Committed(_)
-        ))
+        let outcome = self.completed.pop_front()?;
+        Some(matches!(outcome, IncrementOutcome::Committed(_)))
     }
 
     /// The node-local conjunct of [`ScenarioTarget::converged`]: no in-flight or
@@ -821,10 +817,7 @@ impl simnet::ScenarioTarget for CounterNode {
         via: simnet::ProcessId,
     ) -> Option<simnet::OpResponse> {
         let node = sim.process_mut(via)?;
-        if node.completed.is_empty() {
-            return None;
-        }
-        Some(match node.completed.remove(0) {
+        Some(match node.completed.pop_front()? {
             IncrementOutcome::Committed(c) => simnet::OpResponse {
                 ok: true,
                 observed: Some(simnet::Observed::Token([
@@ -1260,13 +1253,8 @@ mod seeded_bug {
 
         fn complete_op(sim: &mut simnet::Simulation<Self>, via: ProcessId) -> Option<bool> {
             let node = sim.process_mut(via)?;
-            if node.inner.completed.is_empty() {
-                return None;
-            }
-            Some(matches!(
-                node.inner.completed.remove(0),
-                IncrementOutcome::Committed(_)
-            ))
+            let outcome = node.inner.completed.pop_front()?;
+            Some(matches!(outcome, IncrementOutcome::Committed(_)))
         }
 
         fn op_spec(key: u64, value: u64) -> Option<(u64, simnet::OpKind)> {
@@ -1278,10 +1266,7 @@ mod seeded_bug {
             via: ProcessId,
         ) -> Option<simnet::OpResponse> {
             let node = sim.process_mut(via)?;
-            if node.inner.completed.is_empty() {
-                return None;
-            }
-            Some(match node.inner.completed.remove(0) {
+            Some(match node.inner.completed.pop_front()? {
                 IncrementOutcome::Committed(c) => simnet::OpResponse {
                     ok: true,
                     observed: Some(simnet::Observed::Token([

@@ -130,7 +130,7 @@ impl LabelPair {
 /// A bounded queue of label pairs for one creator (the paper's
 /// `storedLabels[j]` queues). The most recently used entry sits at the front;
 /// exceeding the bound drops the oldest entry.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabelQueue {
     entries: Vec<LabelPair>,
     bound: usize,
@@ -160,32 +160,61 @@ impl LabelQueue {
         self.entries.iter()
     }
 
-    /// Mutable iteration over the stored pairs.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut LabelPair> {
-        self.entries.iter_mut()
-    }
-
     /// Adds (or refreshes) a pair at the front of the queue. If a pair with
     /// the same main label exists, the cancelled version wins and duplicates
-    /// are removed.
-    pub fn add(&mut self, pair: LabelPair) {
+    /// are removed. Returns `true` when the queue changed, order included.
+    pub fn add(&mut self, pair: LabelPair) -> bool {
         if let Some(pos) = self.entries.iter().position(|p| p.ml == pair.ml) {
-            let mut existing = self.entries.remove(pos);
-            if existing.is_legit() && !pair.is_legit() {
-                existing = pair;
+            let cancels = self.entries[pos].is_legit() && !pair.is_legit();
+            if cancels {
+                self.entries[pos] = pair;
             }
-            self.entries.insert(0, existing);
+            self.entries[..=pos].rotate_right(1);
+            cancels || pos != 0
         } else {
             self.entries.insert(0, pair);
             if self.entries.len() > self.bound {
                 self.entries.pop();
             }
+            true
         }
     }
 
-    /// Removes every stored pair.
-    pub fn clear(&mut self) {
-        self.entries.clear();
+    /// Predicts [`LabelQueue::add`] returning `false` for `pair`: the front
+    /// entry carries the same main label and `pair` brings no cancellation
+    /// it lacks.
+    pub(crate) fn holds_in_front(&self, pair: &LabelPair) -> bool {
+        self.entries
+            .first()
+            .is_some_and(|front| front.ml == pair.ml && (!front.is_legit() || pair.is_legit()))
+    }
+
+    /// The receipt action's bookkeeping for one creator's queue: cancels
+    /// every legit pair whose main label another stored label dominates
+    /// and — with `cancel_twins`, for a remote creator — every legit pair
+    /// that is incomparable with another stored label, so that the creator
+    /// (or the global maximum of another creator) takes over. Returns
+    /// `true` when a pair was cancelled.
+    pub(crate) fn cancel_superseded(&mut self, cancel_twins: bool) -> bool {
+        let mut cancelled = false;
+        for i in 0..self.entries.len() {
+            let ml = &self.entries[i].ml;
+            if !self.entries[i].is_legit() {
+                continue;
+            }
+            let mut others = self.entries.iter().map(|p| &p.ml);
+            let witness = match others.clone().find(|l| ml.lb_less(l)) {
+                None if cancel_twins => {
+                    others.find(|l| ml.incomparable(l) && ml.creator == l.creator)
+                }
+                found => found,
+            };
+            if let Some(witness) = witness.cloned() {
+                self.entries[i].cancel(witness);
+                cancelled = true;
+            }
+        }
+        cancelled
     }
 
     /// The most recent legit pair, if any.
@@ -272,7 +301,5 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert!(!q.iter().find(|p| p.ml == newest).unwrap().is_legit());
         assert!(q.newest_legit().is_some());
-        q.clear();
-        assert!(q.is_empty());
     }
 }

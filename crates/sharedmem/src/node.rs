@@ -268,9 +268,8 @@ impl SharedMemNode {
     /// configuration.
     pub fn is_member(&self) -> bool {
         self.reconfig
-            .installed_config()
-            .map(|cfg| cfg.contains(&self.me))
-            .unwrap_or(false)
+            .installed_config_ref()
+            .is_some_and(|cfg| cfg.contains(&self.me))
     }
 
     /// The locally stored value of `key`, if any (no quorum interaction).
@@ -337,7 +336,7 @@ impl SharedMemNode {
     /// gone and completed ops carry no atomicity promise. Always `false`
     /// when no population was declared.
     fn config_collapsed(&self) -> bool {
-        match (self.population, self.config_members()) {
+        match (self.population, Self::members_of(&self.reconfig)) {
             (Some(n), Some(cfg)) => (cfg.len() as u32) * 2 <= n,
             _ => false,
         }
@@ -349,8 +348,8 @@ impl SharedMemNode {
     /// participant-set churn) so that register operations suspend only while
     /// the configuration really is in flux.
     fn reconfiguring(&self) -> bool {
-        !self.reconfig.recsa().own_notification().is_default()
-            || self.reconfig.recsa().own_config().is_bottom()
+        let recsa = self.reconfig.recsa();
+        !recsa.own_notification_shared().is_default() || recsa.own_config_shared().is_bottom()
     }
 
     fn record_outcome(&mut self, outcome: OpOutcome) {
@@ -363,9 +362,11 @@ impl SharedMemNode {
         self.completed.push((outcome, collapsed));
     }
 
-    fn config_members(&self) -> Option<ConfigSet> {
-        self.reconfig
-            .installed_config()
+    /// The installed configuration, when it is a non-empty set. Borrows the
+    /// reconfiguration layer only, so the other fields stay writable.
+    fn members_of(reconfig: &ReconfigNode) -> Option<&ConfigSet> {
+        reconfig
+            .installed_config_ref()
             .filter(|cfg| !cfg.is_empty())
     }
 
@@ -447,7 +448,7 @@ impl SharedMemNode {
         current: Option<TaggedValue>,
         out: &mut Outbox<SharedMemMsg>,
     ) {
-        let Some(cfg) = self.config_members() else {
+        let Some(cfg) = Self::members_of(&self.reconfig) else {
             return;
         };
         let Some(pending) = &mut self.pending else {
@@ -459,7 +460,7 @@ impl SharedMemNode {
         let step = pending.on_query_response(
             from,
             current,
-            &cfg,
+            cfg,
             &self.quorum,
             self.me,
             self.exhaustion_bound,
@@ -482,7 +483,7 @@ impl SharedMemNode {
     }
 
     fn drive_ack(&mut self, from: ProcessId, op: OpId) {
-        let Some(cfg) = self.config_members() else {
+        let Some(cfg) = Self::members_of(&self.reconfig) else {
             return;
         };
         let Some(pending) = &mut self.pending else {
@@ -491,7 +492,7 @@ impl SharedMemNode {
         if pending.op() != op {
             return;
         }
-        if let OpStep::Done(outcome) = pending.on_ack(from, &cfg, &self.quorum) {
+        if let OpStep::Done(outcome) = pending.on_ack(from, cfg, &self.quorum) {
             self.pending = None;
             self.record_outcome(outcome);
         }
@@ -511,14 +512,17 @@ impl Layer for SharedMemNode {
         // 1. Reconfiguration stack, forwarded through our wire format.
         out.extend(self.reconfig.poll(peers));
 
-        let config = self.config_members();
+        // The handle keeps the installed configuration readable while this
+        // node's own fields are written.
+        let installed = self.reconfig.recsa().own_config_shared().clone();
+        let config = installed.as_set().filter(|cfg| !cfg.is_empty());
         let reconfiguring = self.reconfiguring();
 
         // 2. Post-reconfiguration state transfer: when the installed
         //    configuration changes, every member pushes its store to the new
         //    members so the register contents survive the replacement.
         if !reconfiguring {
-            if let Some(cfg) = &config {
+            if let Some(cfg) = config {
                 if self.synced_config.as_ref() != Some(cfg) {
                     // Abort any operation that was driven against the old
                     // configuration: its quorum arithmetic no longer applies.
@@ -543,7 +547,7 @@ impl Layer for SharedMemNode {
         // 3. Drive the client side: start the next queued operation, and
         //    retransmit the current phase to members that have not answered
         //    (fair communication makes the retransmissions eventually land).
-        if let (Some(cfg), false) = (&config, reconfiguring) {
+        if let (Some(cfg), false) = (config, reconfiguring) {
             if self.pending.is_none() {
                 if let Some((op, key, kind)) = self.queue.pop_front() {
                     self.pending = Some(PendingOp::new(op, key, kind));
@@ -758,7 +762,7 @@ impl simnet::ScenarioTarget for SharedMemNode {
         let r = self.reconfig();
         r.is_participant()
             && r.no_reconfiguration()
-            && r.installed_config().is_some()
+            && r.installed_config_ref().is_some()
             && !self.has_pending_ops()
     }
 
@@ -846,11 +850,11 @@ impl simnet::ScenarioTarget for SharedMemNode {
             if !r.is_participant() || !r.no_reconfiguration() {
                 return false;
             }
-            match (r.installed_config(), &config) {
+            match (r.installed_config_ref(), config) {
                 (None, _) => return false,
                 (Some(c), None) => config = Some(c),
                 (Some(c), Some(expected)) => {
-                    if c != *expected {
+                    if c != expected {
                         return false;
                     }
                 }

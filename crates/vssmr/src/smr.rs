@@ -24,9 +24,10 @@
 //!   carries the preserved state into the new configuration.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use counters::{Counter, CounterMsg, CounterNode, IncrementOutcome};
-use reconfig::{ConfigSet, NodeConfig, ReconfigMsg, ReconfigNode};
+use reconfig::{ConfigSet, NodeConfig, ReconfigMsg, ReconfigNode, SharedSet};
 use simnet::stack::{Layer, Outbox, Router};
 use simnet::ProcessId;
 
@@ -57,10 +58,14 @@ pub enum Op {
 }
 
 /// The replicated state: the registers plus the count of applied commands.
+///
+/// A clone shares the register map: the snapshot a replica broadcasts every
+/// step, the `n − 1` copies delivered from it and the state a follower
+/// adopts are one allocation until somebody writes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReplicaState {
     /// The register contents.
-    pub registers: BTreeMap<u32, u64>,
+    pub registers: Arc<BTreeMap<u32, u64>>,
     /// Number of commands applied so far (the replication "round trip"
     /// witness used to pick the most advanced replica during state
     /// synchronisation).
@@ -71,7 +76,8 @@ impl ReplicaState {
     /// Applies one command.
     pub fn apply(&mut self, cmd: &Command) {
         if let Op::Write { key, value } = cmd.op {
-            self.registers.insert(key, value);
+            // Copied first when a snapshot still shares the map.
+            Arc::make_mut(&mut self.registers).insert(key, value);
         }
         self.applied += 1;
     }
@@ -83,8 +89,10 @@ pub struct View {
     /// The view identifier (a counter, so views are totally ordered and the
     /// identifier space survives transient faults).
     pub id: Counter,
-    /// The members of the view.
-    pub members: BTreeSet<ProcessId>,
+    /// The members of the view. The set is built once, by the coordinator
+    /// that proposes the view; every echo, snapshot and installed copy of
+    /// the view shares it.
+    pub members: SharedSet,
 }
 
 impl View {
@@ -358,23 +366,16 @@ impl SmrNode {
         }
     }
 
-    fn current_config(&self) -> Option<ConfigSet> {
-        self.reconfig.installed_config()
+    fn current_config(&self) -> Option<&ConfigSet> {
+        self.reconfig.installed_config_ref()
     }
 
-    /// The set of configuration members this replica trusts.
-    fn trusted_members(&self, config: &ConfigSet) -> BTreeSet<ProcessId> {
-        let trusted = self.reconfig.trusted();
-        config
-            .iter()
-            .copied()
-            .filter(|m| trusted.contains(m))
-            .collect()
-    }
-
-    /// Whether a majority of `config` is trusted.
-    fn sees_majority(&self, config: &ConfigSet) -> bool {
-        !config.is_empty() && self.trusted_members(config).len() > config.len() / 2
+    /// The configuration members this replica trusts, in ascending order.
+    fn trusted_members<'a>(
+        config: &'a ConfigSet,
+        trusted: &'a BTreeSet<ProcessId>,
+    ) -> impl Iterator<Item = ProcessId> + 'a {
+        config.iter().copied().filter(|m| trusted.contains(m))
     }
 
     /// A view identifier is *legit* for `config` when both its writer (the
@@ -393,7 +394,7 @@ impl SmrNode {
     /// legit under the installed configuration.
     fn own_view_void(&self) -> bool {
         match (&self.view, self.current_config()) {
-            (Some(v), Some(cfg)) => !Self::view_id_legit(&cfg, v),
+            (Some(v), Some(cfg)) => !Self::view_id_legit(cfg, v),
             _ => false,
         }
     }
@@ -406,34 +407,18 @@ impl SmrNode {
     /// adopted but never installed here), and a peer's *proposal* counts
     /// only when that peer is its coordinator — follower echoes must not
     /// resurrect a proposal its coordinator already abandoned.
-    fn best_visible_view(&self, config: &ConfigSet) -> Option<View> {
-        let me = self.me;
-        let mut best: Option<View> = None;
-        let mut consider = |candidate: Option<&View>| {
-            if let Some(v) = candidate {
-                if !Self::view_id_legit(config, v) || !v.members.contains(&me) {
-                    return;
-                }
-                best = Some(match best.take() {
-                    None => v.clone(),
-                    Some(b) => {
-                        if b.older_than(v) {
-                            v.clone()
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-        };
-        consider(self.view.as_ref());
-        consider(self.prop_view.as_ref());
-        for (pid, msg) in &self.peers {
-            consider(msg.view.as_ref());
-            if let Some(pv) = &msg.prop_view {
-                if pv.coordinator() == *pid {
-                    consider(Some(pv));
-                }
+    fn best_visible_view(&self, config: &ConfigSet) -> Option<&View> {
+        let received = self.peers.iter().flat_map(|(pid, msg)| {
+            let proposed = msg.prop_view.iter().filter(|pv| pv.coordinator() == *pid);
+            msg.view.iter().chain(proposed)
+        });
+        let mut best: Option<&View> = None;
+        for v in self.view.iter().chain(&self.prop_view).chain(received) {
+            if Self::view_id_legit(config, v)
+                && v.members.contains(&self.me)
+                && best.map_or(true, |b| b.older_than(v))
+            {
+                best = Some(v);
             }
         }
         best
@@ -469,7 +454,7 @@ impl SmrNode {
             None => true,
             Some(v) => {
                 let crd = v.coordinator();
-                !self.reconfig.trusted().contains(&crd) || !Self::view_id_legit(&cfg, v)
+                !self.reconfig.trusted_shared().contains(&crd) || !Self::view_id_legit(cfg, v)
             }
         }
     }
@@ -507,7 +492,7 @@ impl SmrNode {
                     }
                     None => false,
                 };
-                if abandoned || !self.reconfig.trusted().contains(&crd) {
+                if abandoned || !self.reconfig.trusted_shared().contains(&crd) {
                     self.prop_view = None;
                     if self.status == Status::Propose {
                         self.status = Status::Multicast;
@@ -535,11 +520,12 @@ impl SmrNode {
             if let IncrementOutcome::Committed(counter) = outcome {
                 if self.awaiting_view_id {
                     self.awaiting_view_id = false;
-                    let members = self.trusted_members(cfg);
+                    let trusted = self.reconfig.trusted_shared();
+                    let members: BTreeSet<_> = Self::trusted_members(cfg, &trusted).collect();
                     if !members.is_empty() {
                         self.prop_view = Some(View {
                             id: counter,
-                            members,
+                            members: Arc::new(members),
                         });
                         self.status = Status::Propose;
                     }
@@ -552,13 +538,13 @@ impl SmrNode {
         // Adopt the greatest visible proposal if it supersedes ours.
         if let Some(best) = self.best_visible_view(cfg) {
             let adopt = match (&self.view, &self.prop_view) {
-                (Some(v), _) if v.older_than(&best) && *v != best => true,
-                (None, Some(p)) if p.older_than(&best) && *p != best => true,
+                (Some(v), _) if v.older_than(best) && v != best => true,
+                (None, Some(p)) if p.older_than(best) && p != best => true,
                 (None, None) => true,
                 _ => false,
             };
             if adopt && best.coordinator() != self.me {
-                self.prop_view = Some(best);
+                self.prop_view = Some(best.clone());
                 if self.status == Status::Multicast && self.view.is_none() {
                     self.status = Status::Propose;
                 }
@@ -575,23 +561,20 @@ impl SmrNode {
         // Election: when nobody coordinates, a member that sees a majority
         // (and whose peers agree there is no coordinator) requests a view
         // identifier from the counter service.
-        if self.no_valid_coordinator()
-            && self.prop_view.is_none()
-            && !self.awaiting_view_id
-            && self.sees_majority(cfg)
-            && self.i_should_lead(cfg)
-        {
-            self.awaiting_view_id = true;
-            out.extend(self.counter.request_increment());
+        if self.no_valid_coordinator() && self.prop_view.is_none() && !self.awaiting_view_id {
+            let trusted = self.reconfig.trusted_shared();
+            if reconfig::has_majority(cfg, &trusted) && self.i_should_lead(cfg, &trusted) {
+                self.awaiting_view_id = true;
+                out.extend(self.counter.request_increment());
+            }
         }
     }
 
     /// Deterministic tie-break for elections: the smallest trusted member
     /// that itself trusts a majority proposes first (others fall back if it
     /// is suspected later).
-    fn i_should_lead(&self, cfg: &ConfigSet) -> bool {
-        let candidates = self.trusted_members(cfg);
-        candidates.iter().next() == Some(&self.me)
+    fn i_should_lead(&self, cfg: &ConfigSet, trusted: &BTreeSet<ProcessId>) -> bool {
+        Self::trusted_members(cfg, trusted).next() == Some(self.me)
     }
 
     fn acts_as_coordinator(&self, cfg: &ConfigSet) -> bool {
@@ -616,7 +599,7 @@ impl SmrNode {
                 // partitioned away) can never echo: abandon the proposal and
                 // let the election path form a fresh one from the current
                 // trusted set.
-                let trusted = self.reconfig.trusted();
+                let trusted = self.reconfig.trusted_shared();
                 if prop.members.iter().any(|m| !trusted.contains(m)) {
                     self.prop_view = None;
                     self.status = Status::Multicast;
@@ -654,7 +637,7 @@ impl SmrNode {
                     // synchState: adopt the most advanced replica among the
                     // view members (including ourselves).
                     let mut best_state = self.state.clone();
-                    for m in &prop.members {
+                    for m in prop.members.iter() {
                         if let Some(s) = self.peers.get(m) {
                             if s.state.applied > best_state.applied {
                                 best_state = s.state.clone();
@@ -708,8 +691,12 @@ impl SmrNode {
                 // A view that no longer matches the trusted membership (e.g.
                 // after a reconfiguration or a member crash) is replaced by a
                 // new proposal.
-                let desired: BTreeSet<ProcessId> = self.trusted_members(cfg);
-                if desired != view.members && !desired.is_empty() && !self.awaiting_view_id {
+                let trusted = self.reconfig.trusted_shared();
+                let mut desired = Self::trusted_members(cfg, &trusted).peekable();
+                if desired.peek().is_some()
+                    && !desired.eq(view.members.iter().copied())
+                    && !self.awaiting_view_id
+                {
                     self.awaiting_view_id = true;
                     out.extend(self.counter.request_increment());
                     return;
@@ -728,7 +715,7 @@ impl SmrNode {
                     self.unclaimed_completions += 1;
                     inputs.push(cmd);
                 }
-                for m in &view.members {
+                for m in view.members.iter() {
                     if *m == self.me {
                         continue;
                     }
@@ -793,7 +780,7 @@ impl SmrNode {
         // would wipe the election progress of the remaining members every
         // round.
         let legit_here = |v: &View| match self.current_config() {
-            Some(cfg) => Self::view_id_legit(&cfg, v),
+            Some(cfg) => Self::view_id_legit(cfg, v),
             None => true,
         };
         if from_is_coordinator {
@@ -876,8 +863,11 @@ impl Layer for SmrNode {
         // on the old member set waits for a majority that can never answer
         // again (the chaos campaigns caught exactly this as an endless
         // elect-and-abort loop after a partition shrank the configuration).
-        let config = self.current_config();
-        if let Some(cfg) = &config {
+        // The handle keeps the installed configuration readable while the
+        // counter and replication layers are stepped.
+        let installed = self.reconfig.recsa().own_config_shared().clone();
+        let config = installed.as_set();
+        if let Some(cfg) = config {
             if self.counter.config() != cfg {
                 self.counter.on_config_change(cfg.clone());
             }
@@ -889,7 +879,7 @@ impl Layer for SmrNode {
         // 3. Replication layer.
         if let Some(cfg) = config {
             if cfg.contains(&self.me) {
-                self.replication_step(&cfg, out);
+                self.replication_step(cfg, out);
             } else {
                 // Not a member: follow the installed view passively (state is
                 // adopted in `handle`); nothing to drive.
@@ -905,8 +895,9 @@ impl Layer for SmrNode {
             let snapshot = self.snapshot();
             let audience: Vec<ProcessId> = self
                 .reconfig
-                .trusted()
-                .into_iter()
+                .trusted_shared()
+                .iter()
+                .copied()
                 .filter(|p| *p != self.me)
                 .collect();
             out.push_to_all(&audience, snapshot);
@@ -958,8 +949,7 @@ impl simnet::ScenarioTarget for SmrNode {
         self.rnd = rng.range_inclusive(0, 1 << 20);
         for key in CHAOS_KEYS {
             if rng.chance(0.5) {
-                self.state
-                    .registers
+                Arc::make_mut(&mut self.state.registers)
                     .insert(key, rng.range_inclusive(10_000, 20_000));
             }
         }
@@ -1005,16 +995,15 @@ impl simnet::ScenarioTarget for SmrNode {
             simnet::ForgeKind::StaleState => {
                 let node = sim.process(target)?;
                 let view = node.view()?;
-                let mut members = view.members.clone();
-                let dropped = members.iter().next().copied()?;
-                members.remove(&dropped);
+                let mut members = (*view.members).clone();
+                members.pop_first()?;
                 if members.is_empty() {
                     return None;
                 }
                 Some(SmrMsg::State(StateMsg {
                     view: Some(View {
                         id: view.id.clone(),
-                        members,
+                        members: Arc::new(members),
                     }),
                     prop_view: None,
                     status: Status::Multicast,
@@ -1105,7 +1094,7 @@ impl simnet::ScenarioTarget for SmrNode {
         if !r.is_participant() || !r.no_reconfiguration() {
             return false;
         }
-        let Some(config) = r.installed_config() else {
+        let Some(config) = r.installed_config_ref() else {
             return false;
         };
         if !config.contains(&self.me) {
@@ -1157,11 +1146,11 @@ impl simnet::ScenarioTarget for SmrNode {
             if !r.is_participant() || !r.no_reconfiguration() {
                 return false;
             }
-            match (r.installed_config(), &config) {
+            match (r.installed_config_ref(), config) {
                 (None, _) => return false,
                 (Some(c), None) => config = Some(c),
                 (Some(c), Some(expected)) => {
-                    if c != *expected {
+                    if c != expected {
                         return false;
                     }
                 }
@@ -1198,17 +1187,17 @@ impl simnet::ScenarioTarget for SmrNode {
     /// member set — the virtual-synchrony property the identifier exists to
     /// provide.
     fn invariant_violations(sim: &simnet::Simulation<Self>) -> Vec<String> {
-        let mut by_id: BTreeMap<String, (ProcessId, BTreeSet<ProcessId>)> = BTreeMap::new();
+        let mut by_id: BTreeMap<String, (ProcessId, &SharedSet)> = BTreeMap::new();
         let mut violations = Vec::new();
         for (id, node) in sim.active_processes() {
             for view in node.view().into_iter().chain(node.prop_view.as_ref()) {
                 let key = format!("{:?}", view.id);
                 match by_id.get(&key) {
                     None => {
-                        by_id.insert(key, (id, view.members.clone()));
+                        by_id.insert(key, (id, &view.members));
                     }
                     Some((holder, members)) => {
-                        if *members != view.members {
+                        if **members != view.members {
                             violations.push(format!(
                                 "view id reused with different members by {holder} and {id}"
                             ));
@@ -1269,7 +1258,7 @@ mod tests {
         let rounds = sim.run_until(400, |s| common_view(s).is_some());
         assert!(rounds < 400, "no common view was installed");
         let view = common_view(&sim).unwrap();
-        assert_eq!(view.members, config_set(0..4));
+        assert_eq!(*view.members, config_set(0..4));
         let coordinators: Vec<ProcessId> = sim
             .active_ids()
             .into_iter()

@@ -33,9 +33,11 @@ fn arb_counter(rng: &mut SimRng) -> Counter {
 fn arb_view(rng: &mut SimRng) -> View {
     View {
         id: arb_counter(rng),
-        members: (0..rng.range_inclusive(1, 5))
-            .map(|_| arb_pid(rng))
-            .collect::<BTreeSet<_>>(),
+        members: Arc::new(
+            (0..rng.range_inclusive(1, 5))
+                .map(|_| arb_pid(rng))
+                .collect::<BTreeSet<_>>(),
+        ),
     }
 }
 
@@ -65,14 +67,16 @@ fn arb_state_msg(rng: &mut SimRng) -> StateMsg {
         },
         rnd: rng.range_inclusive(0, 1 << 30),
         state: ReplicaState {
-            registers: (0..rng.range_inclusive(0, 6))
-                .map(|_| {
-                    (
-                        rng.range_inclusive(0, 64) as u32,
-                        rng.range_inclusive(0, u64::MAX / 2),
-                    )
-                })
-                .collect::<BTreeMap<_, _>>(),
+            registers: Arc::new(
+                (0..rng.range_inclusive(0, 6))
+                    .map(|_| {
+                        (
+                            rng.range_inclusive(0, 64) as u32,
+                            rng.range_inclusive(0, u64::MAX / 2),
+                        )
+                    })
+                    .collect::<BTreeMap<_, _>>(),
+            ),
             applied: rng.range_inclusive(0, 1 << 30),
         },
         input: rng.chance(0.5).then(|| arb_command(rng)),
@@ -159,4 +163,60 @@ fn oversized_register_map_claim_is_rejected() {
         err,
         DecodeError::TooLarge { .. } | DecodeError::Truncated { .. }
     ));
+}
+
+/// What `livenet` puts on a socket for one fixed `State` broadcast, byte for
+/// byte (taken from the codec before `View::members` and
+/// `ReplicaState::registers` moved behind `Arc`): the shared handles must
+/// stay invisible on the wire.
+#[test]
+fn state_broadcast_wire_bytes_are_pinned() {
+    let pid = ProcessId::new;
+    let msg = SmrMsg::State(StateMsg {
+        view: Some(View {
+            id: Counter {
+                label: Label {
+                    creator: pid(2),
+                    sting: 7,
+                    antistings: [3, 5].into_iter().collect(),
+                },
+                seqn: 0x0102_0304,
+                wid: pid(1),
+            },
+            members: Arc::new([pid(0), pid(1), pid(2)].into_iter().collect()),
+        }),
+        prop_view: None,
+        status: Status::Multicast,
+        rnd: 9,
+        state: ReplicaState {
+            registers: Arc::new([(4, 40), (65, 1 << 40)].into_iter().collect()),
+            applied: 12,
+        },
+        input: Some(Command {
+            client: pid(2),
+            seq: 3,
+            op: Op::Write { key: 4, value: 41 },
+        }),
+        no_crd: false,
+        suspend: true,
+    });
+    #[rustfmt::skip]
+    let pinned: [u8; 124] = [
+        2,                                              // SmrMsg::State
+        1, 2, 0, 0, 0, 7, 0, 0, 0,                      // view: Some, label creator, sting
+        2, 0, 0, 0, 3, 0, 0, 0, 5, 0, 0, 0,             // antistings {3, 5}
+        4, 3, 2, 1, 0, 0, 0, 0, 1, 0, 0, 0,             // seqn, wid
+        3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, // members {0, 1, 2}
+        0, 0,                                           // prop_view: None, Multicast
+        9, 0, 0, 0, 0, 0, 0, 0,                         // rnd
+        2, 0, 0, 0,                                     // two registers
+        4, 0, 0, 0, 40, 0, 0, 0, 0, 0, 0, 0,
+        65, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0,
+        12, 0, 0, 0, 0, 0, 0, 0,                        // applied
+        1, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,          // input: Some, client, seq
+        0, 4, 0, 0, 0, 41, 0, 0, 0, 0, 0, 0, 0,         // Op::Write { 4, 41 }
+        0, 1,                                           // no_crd, suspend
+    ];
+    assert_eq!(msg.to_bytes(), pinned);
+    assert_eq!(SmrMsg::from_bytes(&pinned), Ok(msg));
 }
