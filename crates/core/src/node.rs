@@ -484,6 +484,9 @@ impl simnet::ScenarioTarget for ReconfigNode {
             .then_some(true)
     }
 
+    // `start_local` keeps its do-nothing default: a configuration probe
+    // sends nothing — it completes on a standing local condition.
+
     /// The node-local conjunct of [`ScenarioTarget::converged`]: a settled participant
     /// of a calm, installed configuration.
     ///

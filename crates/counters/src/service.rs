@@ -226,7 +226,8 @@ impl CounterNode {
     }
 
     /// Queues an increment to be started from the next periodic step at
-    /// which no other operation is in flight. Unlike
+    /// which no other operation is in flight (the live runtime starts it
+    /// sooner, through `ScenarioTarget::start_local`). Unlike
     /// [`CounterNode::request_increment`] this needs no access to the
     /// outgoing message list, so simulation harnesses (and the chaos
     /// workload driver) can request increments from outside a step.
@@ -323,6 +324,20 @@ impl CounterNode {
                 .map(|m| (m, QuorumMsg::ReadRequest { op })),
         );
         out.into_messages()
+    }
+
+    /// Starts one queued increment when the slot is free and no
+    /// reconfiguration is in progress, sending its read phase to every
+    /// member. The single definition of when a queued increment may start,
+    /// shared by the periodic step and the live runtime's
+    /// [`start_local`](simnet::ScenarioTarget::start_local) hook.
+    fn start_queued_increment(&mut self, out: &mut Outbox<CounterMsg>) {
+        if self.queued_increments > 0 && self.pending.is_none() && !self.reconfiguring {
+            self.queued_increments -= 1;
+            for (to, msg) in self.request_increment() {
+                out.push_wire(to, msg);
+            }
+        }
     }
 
     /// Returns `true` while an increment operation is in flight.
@@ -579,13 +594,7 @@ impl Layer for CounterNode {
                 self.completed.push_back(IncrementOutcome::Aborted);
             }
         }
-        // Start one queued increment when the slot is free.
-        if self.queued_increments > 0 && self.pending.is_none() && !self.reconfiguring {
-            self.queued_increments -= 1;
-            for (to, msg) in self.request_increment() {
-                out.push_wire(to, msg);
-            }
-        }
+        self.start_queued_increment(out);
         if self.is_member() && !self.reconfiguring {
             // Drive the labeling algorithm (Algorithm 4.1 runs alongside the
             // counter gossip) and make sure the maximal counter lives in the
@@ -773,6 +782,15 @@ impl simnet::ScenarioTarget for CounterNode {
     fn complete_local(&mut self) -> Option<bool> {
         let outcome = self.completed.pop_front()?;
         Some(matches!(outcome, IncrementOutcome::Committed(_)))
+    }
+
+    /// Starts a queued increment between periodic steps, under exactly the
+    /// guard the periodic step applies (`start_queued_increment`, which
+    /// both call); a pending increment is neither aged nor resent.
+    fn start_local(&mut self, ctx: &mut simnet::Context<'_, CounterMsg>) {
+        let mut out = Outbox::from_buffer(ctx.take_sends());
+        self.start_queued_increment(&mut out);
+        ctx.restore_sends(out.into_payloads());
     }
 
     /// The node-local conjunct of [`ScenarioTarget::converged`]: no in-flight or
@@ -1145,6 +1163,146 @@ mod tests {
         node.on_config_change(config_set([0, 1]));
         assert!(!node.increment_in_flight());
         assert_eq!(node.take_completed(), vec![IncrementOutcome::Aborted]);
+    }
+
+    // ----- the live runtime's early-start hook (`start_local`) -----
+
+    /// Calls the hook the way the live event loop does and returns what it
+    /// sent.
+    fn kick(node: &mut CounterNode) -> Vec<(ProcessId, CounterMsg)> {
+        let ids: Vec<ProcessId> = node.config.iter().copied().collect();
+        let mut ctx = simnet::Context::new(node.me, simnet::Round::new(99), &ids);
+        simnet::ScenarioTarget::start_local(node, &mut ctx);
+        ctx.into_outbox()
+            .into_iter()
+            .map(|(to, payload)| (to, payload.into_msg()))
+            .collect()
+    }
+
+    /// Members 0..3 after ten quiet rounds.
+    fn calm_harness() -> Harness {
+        let mut h = Harness::new(&config_set([0, 1, 2]), &[], DEFAULT_EXHAUSTION_BOUND);
+        for _ in 0..10 {
+            h.round();
+        }
+        h
+    }
+
+    #[test]
+    fn hook_starts_a_queued_increment_exactly_once() {
+        let mut node = calm_harness().nodes.remove(&pid(0)).unwrap();
+        node.queue_increment();
+        let op = node.next_op;
+        let sent = kick(&mut node);
+        // The read phase goes to every member, self included — what the
+        // periodic step sends for a fresh increment.
+        let expected: Vec<(ProcessId, CounterMsg)> = [0, 1, 2]
+            .map(|m| (pid(m), CounterMsg::Quorum(QuorumMsg::ReadRequest { op })))
+            .to_vec();
+        assert_eq!(sent, expected);
+        assert!(node.increment_in_flight());
+        assert_eq!(node.queued_increments(), 0);
+        // The slot is taken: a second call, and one with more work queued,
+        // send nothing.
+        assert!(kick(&mut node).is_empty());
+        node.queue_increment();
+        assert!(kick(&mut node).is_empty());
+        assert_eq!(node.queued_increments(), 1);
+    }
+
+    #[test]
+    fn hook_neither_ages_nor_resends_a_pending_increment() {
+        let mut node = calm_harness().nodes.remove(&pid(0)).unwrap();
+        node.queue_increment();
+        node.queue_increment();
+        node.step();
+        node.step();
+        assert_eq!(node.pending_age, 1);
+        let before = format!("{node:?}");
+        assert!(kick(&mut node).is_empty());
+        assert_eq!(format!("{node:?}"), before, "the hook touched the node");
+    }
+
+    /// While a reconfiguration suspends the service the hook holds the
+    /// increment back, and the next periodic step behaves byte-for-byte as
+    /// on a twin that was never kicked.
+    #[test]
+    fn hook_defers_while_reconfiguring() {
+        let mut node = calm_harness().nodes.remove(&pid(0)).unwrap();
+        node.set_reconfiguring(true);
+        node.queue_increment();
+        let mut twin = node.clone();
+        assert!(kick(&mut node).is_empty());
+        assert!(!node.increment_in_flight());
+        assert_eq!(node.queued_increments(), 1);
+        assert_eq!(node.step(), twin.step());
+        assert_eq!(format!("{node:?}"), format!("{twin:?}"));
+    }
+
+    /// From corrupted state the hook neither panics nor starts an
+    /// increment the periodic step would not: both apply the one guard.
+    #[test]
+    fn hook_agrees_with_the_periodic_step_from_corrupted_state() {
+        use simnet::ScenarioTarget;
+        let calm = calm_harness().nodes.remove(&pid(1)).unwrap();
+        for seed in 0..64u64 {
+            let mut rng = simnet::SimRng::seed_from(seed);
+            let mut corrupted = calm.clone();
+            corrupted.corrupt(&mut rng);
+            corrupted.reconfiguring = seed % 3 == 0;
+            if seed % 4 == 0 {
+                let _ = corrupted.request_increment();
+            }
+            corrupted.queue_increment();
+            let op = corrupted.next_op;
+            let read_phase = |msgs: Vec<(ProcessId, CounterMsg)>| -> Vec<_> {
+                let request = CounterMsg::Quorum(QuorumMsg::ReadRequest { op });
+                msgs.into_iter().filter(|(_, m)| *m == request).collect()
+            };
+            let (mut kicked, mut stepped) = (corrupted.clone(), corrupted);
+            let by_hook = read_phase(kick(&mut kicked));
+            let by_step = read_phase(stepped.step());
+            assert_eq!(by_hook, by_step, "seed {seed}");
+            assert_eq!(
+                kicked.queued_increments(),
+                stepped.queued_increments(),
+                "seed {seed}"
+            );
+            assert_eq!(
+                by_hook.is_empty(),
+                kicked.queued_increments() == 1,
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// An increment the hook started and a periodic step then met before
+    /// any reply is aged by that step but not sent again (the counter
+    /// service never retransmits), and completes once.
+    #[test]
+    fn hook_started_increment_completes_once_across_a_step() {
+        let mut h = calm_harness();
+        let me = pid(0);
+        let node = h.nodes.get_mut(&me).unwrap();
+        node.queue_increment();
+        let requests = kick(node);
+        assert_eq!(requests.len(), 3);
+        let stepped = node.step();
+        assert!(
+            !stepped
+                .iter()
+                .any(|(_, m)| matches!(m, CounterMsg::Quorum(_))),
+            "the step resent or restarted the increment: {stepped:?}"
+        );
+        assert_eq!(node.pending_age, 1);
+        h.deliver(requests.into_iter().map(|(to, m)| (me, to, m)).collect());
+        let node = h.nodes.get_mut(&me).unwrap();
+        let done = node.take_completed();
+        assert!(
+            matches!(done.as_slice(), [IncrementOutcome::Committed(_)]),
+            "{done:?}"
+        );
+        assert!(!node.increment_in_flight());
     }
 }
 

@@ -133,9 +133,11 @@ impl ControlClient {
 
     /// Sends one request line, returns the parsed JSON response.
     pub fn request(&mut self, line: &str) -> io::Result<Json> {
-        let stream = self.stream.get_mut();
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")?;
+        // Line and newline in one write: on a `TCP_NODELAY` socket two
+        // writes are two segments and two wake-ups of the node's reader.
+        self.stream
+            .get_mut()
+            .write_all(format!("{line}\n").as_bytes())?;
         let mut reply = String::new();
         if self.stream.read_line(&mut reply)? == 0 {
             return Err(io::Error::new(

@@ -12,12 +12,16 @@
 //! The event loop is the only thread touching the protocol state. It turns
 //! every timer tick into a [`Process::on_timer`] step and every decoded
 //! frame into [`Process::on_message`], building the same [`Context`] the
-//! simulator's scheduler builds (all known ids, current timer round), and
-//! routes the drained outbox: self-sends loop straight back onto the event
-//! queue, peer sends are encoded once and handed to that peer's writer
-//! thread. Writer queues are bounded and lossy — a slow or dead peer costs
-//! dropped frames, never a stalled event loop — matching the simulator's
-//! fair-lossy channel model.
+//! simulator's scheduler builds (all known ids, current timer round). A
+//! client operation does not wait for a tick: an accepted `submit` and
+//! every delivery are followed by [`ScenarioTarget::start_local`], which
+//! starts the next queued operation when its slot is free and does nothing
+//! else (it is not a loop iteration — see the hook's contract). The loop
+//! then routes the drained outbox: self-sends loop straight back onto the
+//! event queue, peer sends are encoded once and handed to that peer's
+//! writer thread. Writer queues are bounded and lossy — a slow or dead peer
+//! costs dropped frames, never a stalled event loop — matching the
+//! simulator's fair-lossy channel model.
 //!
 //! Peers are discovered from the cluster file and from inbound [`Hello`]s
 //! (which carry the dialer's data port), so a rejoiner with a fresh id that
@@ -270,15 +274,15 @@ where
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let reader = BufReader::new(stream);
+    let (reply_tx, reply_rx) = mpsc::channel();
     for line in reader.lines() {
         let line = line?;
-        let reply_line = match Request::parse(&line) {
+        let mut reply_line = match Request::parse(&line) {
             Ok(request) => {
-                let (reply_tx, reply_rx) = mpsc::channel();
                 if events
                     .send(Event::Control {
                         request,
-                        reply: reply_tx,
+                        reply: reply_tx.clone(),
                     })
                     .is_err()
                 {
@@ -291,9 +295,11 @@ where
             }
             Err(err) => render_line(&Json::obj().field("error", err.as_str())),
         };
+        // Line and newline in one write: on a `TCP_NODELAY` socket two
+        // writes are two segments, and the first wakes a reader that finds
+        // no newline yet.
+        reply_line.push('\n');
         writer.write_all(reply_line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
     }
     Ok(())
 }
@@ -345,23 +351,18 @@ where
             Event::Tick => {
                 round += 1;
                 stats.ticks += 1;
-                let mut ctx = Context::new(me, Round::new(round), &ids);
-                node.on_timer(&mut ctx);
-                outbox.extend(
-                    ctx.into_outbox()
-                        .into_iter()
-                        .map(|(to, p)| (to, p.into_msg())),
-                );
+                step(&mut node, me, round, &ids, &mut outbox, |node, ctx| {
+                    node.on_timer(ctx);
+                });
             }
             Event::Packet { from, msg } => {
                 stats.recv += 1;
-                let mut ctx = Context::new(me, Round::new(round), &ids);
-                node.on_message(from, msg, &mut ctx);
-                outbox.extend(
-                    ctx.into_outbox()
-                        .into_iter()
-                        .map(|(to, p)| (to, p.into_msg())),
-                );
+                step(&mut node, me, round, &ids, &mut outbox, |node, ctx| {
+                    node.on_message(from, msg, ctx);
+                    // A completion frees the op slot: the next queued op
+                    // starts now, not at the next tick.
+                    node.start_local(ctx);
+                });
             }
             Event::Peer { id, addr } => {
                 if id != me && !book.contains_key(&id) {
@@ -374,7 +375,9 @@ where
             Event::DecodeError => stats.decode_errors += 1,
             Event::Control { request, reply } => {
                 let (line, shutdown) =
-                    handle_control(&request, &mut node, &mut stats, me, timer_period);
+                    step(&mut node, me, round, &ids, &mut outbox, |node, ctx| {
+                        handle_control(&request, node, ctx, &mut stats, timer_period)
+                    });
                 let _ = reply.send(line);
                 if shutdown {
                     return Ok(());
@@ -412,11 +415,35 @@ where
     Ok(())
 }
 
+/// Runs one atomic step of `node` — a timer step, a delivery, a control
+/// request — under a [`Context`] at the current timer round (which only a
+/// tick advances), and moves what it sent onto the event loop's outbox.
+fn step<T, R>(
+    node: &mut T,
+    me: ProcessId,
+    round: u64,
+    ids: &[ProcessId],
+    outbox: &mut VecDeque<(ProcessId, T::Msg)>,
+    act: impl FnOnce(&mut T, &mut Context<'_, T::Msg>) -> R,
+) -> R
+where
+    T: ScenarioTarget,
+{
+    let mut ctx = Context::new(me, Round::new(round), ids);
+    let result = act(node, &mut ctx);
+    outbox.extend(
+        ctx.into_outbox()
+            .into_iter()
+            .map(|(to, p)| (to, p.into_msg())),
+    );
+    result
+}
+
 fn handle_control<T>(
     request: &Request,
     node: &mut T,
+    ctx: &mut Context<'_, T::Msg>,
     stats: &mut NodeStats,
-    me: ProcessId,
     timer_period: &AtomicU64,
 ) -> (String, bool)
 where
@@ -424,7 +451,7 @@ where
 {
     let json = match request {
         Request::Status => Json::obj()
-            .field("id", u64::from(me.as_u32()))
+            .field("id", u64::from(ctx.me().as_u32()))
             .field("settled", node.settled())
             .field("token", hex_encode(node.settle_token().as_bytes()))
             .field("ticks", stats.ticks)
@@ -440,6 +467,8 @@ where
             let accepted = node.submit_local(*key, *value);
             if accepted {
                 stats.submitted += 1;
+                // The op starts on submission; the timer only retransmits.
+                node.start_local(ctx);
             }
             Json::obj().field("accepted", accepted)
         }

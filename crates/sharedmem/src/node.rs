@@ -164,7 +164,7 @@ pub struct SharedMemNode {
     /// Completed outcomes paired with whether the installed configuration
     /// was *collapsed* (held no majority of the population) at completion
     /// time — the flag armed histories use to classify the op indeterminate.
-    completed: Vec<(OpOutcome, bool)>,
+    completed: VecDeque<(OpOutcome, bool)>,
     /// Size of the full process population, when known (campaign spawns set
     /// it); `None` leaves collapse detection off.
     population: Option<u32>,
@@ -188,7 +188,7 @@ impl SharedMemNode {
             store: RegisterStore::new(),
             pending: None,
             queue: VecDeque::new(),
-            completed: Vec::new(),
+            completed: VecDeque::new(),
             population: None,
             next_seq: 0,
             synced_config: None,
@@ -359,7 +359,7 @@ impl SharedMemNode {
             OpOutcome::Aborted { .. } => self.ops_aborted += 1,
         }
         let collapsed = self.config_collapsed();
-        self.completed.push((outcome, collapsed));
+        self.completed.push_back((outcome, collapsed));
     }
 
     /// The installed configuration, when it is a non-empty set. Borrows the
@@ -498,6 +498,53 @@ impl SharedMemNode {
         }
     }
 
+    /// Starts the next queued operation against `cfg` — the non-empty
+    /// installed configuration, read by the caller — and broadcasts its
+    /// query phase to every member. The single definition of *when* an
+    /// operation may start, shared by the timer step and the live runtime's
+    /// [`start_local`](simnet::ScenarioTarget::start_local) hook: the slot
+    /// is free, the store has been synchronised towards `cfg` (a
+    /// configuration the timer step has not seen yet is left to it, which
+    /// aborts and syncs first), and no reconfiguration is in progress.
+    /// Returns whether an operation was started.
+    fn start_next_op(&mut self, cfg: &ConfigSet, out: &mut Outbox<SharedMemMsg>) -> bool {
+        if self.pending.is_some()
+            || self.queue.is_empty()
+            || self.synced_config.as_ref() != Some(cfg)
+            || self.reconfiguring()
+        {
+            return false;
+        }
+        let (op, key, kind) = self.queue.pop_front().expect("queue just seen non-empty");
+        let pending = PendingOp::new(op, key, kind);
+        Self::send_phase(&pending, cfg, out);
+        self.pending = Some(pending);
+        true
+    }
+
+    /// Sends `pending`'s current phase to the members of `cfg` that have not
+    /// answered it: everyone for a fresh operation, the stragglers for a
+    /// retransmission. The message is identical for every target, so it is
+    /// built once and fanned out as a shared payload.
+    fn send_phase(pending: &PendingOp, cfg: &ConfigSet, out: &mut Outbox<SharedMemMsg>) {
+        let targets = pending.unanswered(cfg);
+        if targets.is_empty() {
+            return;
+        }
+        let msg = match pending.chosen() {
+            None => RegisterMsg::Query {
+                op: pending.op(),
+                key: pending.key(),
+            },
+            Some(value) => RegisterMsg::Update {
+                op: pending.op(),
+                key: pending.key(),
+                value: value.clone(),
+            },
+        };
+        out.push_to_all(&targets, msg);
+    }
+
     /// The set of processors this node currently trusts (failure-detector
     /// view), exposed for tests and benchmarks.
     pub fn trusted(&self) -> BTreeSet<ProcessId> {
@@ -544,33 +591,13 @@ impl Layer for SharedMemNode {
             }
         }
 
-        // 3. Drive the client side: start the next queued operation, and
+        // 3. Drive the client side: start the next queued operation, or
         //    retransmit the current phase to members that have not answered
         //    (fair communication makes the retransmissions eventually land).
         if let (Some(cfg), false) = (config, reconfiguring) {
-            if self.pending.is_none() {
-                if let Some((op, key, kind)) = self.queue.pop_front() {
-                    self.pending = Some(PendingOp::new(op, key, kind));
-                }
-            }
-            if let Some(pending) = &self.pending {
-                // Retransmissions of the current phase are identical for
-                // every unanswered member, so build the message once and
-                // fan a shared payload out.
-                let targets = pending.unanswered(cfg);
-                if !targets.is_empty() {
-                    let msg = match pending.chosen() {
-                        None => RegisterMsg::Query {
-                            op: pending.op(),
-                            key: pending.key(),
-                        },
-                        Some(value) => RegisterMsg::Update {
-                            op: pending.op(),
-                            key: pending.key(),
-                            value: value.clone(),
-                        },
-                    };
-                    out.push_to_all(&targets, msg);
+            if !self.start_next_op(cfg, out) {
+                if let Some(pending) = &self.pending {
+                    Self::send_phase(pending, cfg, out);
                 }
             }
         }
@@ -745,13 +772,24 @@ impl simnet::ScenarioTarget for SharedMemNode {
     }
 
     fn complete_local(&mut self) -> Option<bool> {
-        if self.completed.is_empty() {
-            return None;
+        let (outcome, _) = self.completed.pop_front()?;
+        Some(!matches!(outcome, OpOutcome::Aborted { .. }))
+    }
+
+    /// Starts the next queued operation between timer steps, under exactly
+    /// the guard the timer step applies (`start_next_op`, which both call);
+    /// returns after two comparisons when there is nothing to start.
+    fn start_local(&mut self, ctx: &mut simnet::Context<'_, SharedMemMsg>) {
+        if self.pending.is_some() || self.queue.is_empty() {
+            return;
         }
-        Some(!matches!(
-            self.completed.remove(0).0,
-            OpOutcome::Aborted { .. }
-        ))
+        let installed = self.reconfig.recsa().own_config_shared().clone();
+        let Some(cfg) = installed.as_set().filter(|cfg| !cfg.is_empty()) else {
+            return;
+        };
+        let mut out = Outbox::from_buffer(ctx.take_sends());
+        self.start_next_op(cfg, &mut out);
+        ctx.restore_sends(out.into_payloads());
     }
 
     /// The node-local conjunct of [`ScenarioTarget::converged`]: a calm, installed
@@ -809,11 +847,7 @@ impl simnet::ScenarioTarget for SharedMemNode {
         sim: &mut simnet::Simulation<Self>,
         via: simnet::ProcessId,
     ) -> Option<simnet::OpResponse> {
-        let node = sim.process_mut(via)?;
-        if node.completed.is_empty() {
-            return None;
-        }
-        let (outcome, collapsed) = node.completed.remove(0);
+        let (outcome, collapsed) = sim.process_mut(via)?.completed.pop_front()?;
         Some(match outcome {
             OpOutcome::ReadCommitted { value, .. } => simnet::OpResponse {
                 ok: true,
@@ -1228,5 +1262,276 @@ mod tests {
             outcomes.as_slice(),
             [OpOutcome::ReadCommitted { value: Some(5), .. }]
         ));
+    }
+
+    // ----- the live runtime's early-start hook (`start_local`) -----
+
+    fn pid(i: u32) -> ProcessId {
+        ProcessId::new(i)
+    }
+
+    const PEERS: [u32; 3] = [0, 1, 2];
+
+    fn peers() -> Vec<ProcessId> {
+        PEERS.map(pid).to_vec()
+    }
+
+    /// The three calm members of a bootstrapped cluster, cloned out of the
+    /// simulation so a test can step them by hand.
+    fn calm_members(seed: u64) -> Vec<SharedMemNode> {
+        let sim = cluster(3, seed);
+        PEERS
+            .iter()
+            .map(|i| sim.process(pid(*i)).unwrap().clone())
+            .collect()
+    }
+
+    /// Calls the hook the way the live event loop does and returns what it
+    /// sent.
+    fn kick(node: &mut SharedMemNode) -> Vec<(ProcessId, SharedMemMsg)> {
+        let ids = peers();
+        let mut ctx = simnet::Context::new(node.me, simnet::Round::new(99), &ids);
+        simnet::ScenarioTarget::start_local(node, &mut ctx);
+        ctx.into_outbox()
+            .into_iter()
+            .map(|(to, payload)| (to, payload.into_msg()))
+            .collect()
+    }
+
+    fn register_lane(msgs: Vec<(ProcessId, SharedMemMsg)>) -> Vec<(ProcessId, RegisterMsg)> {
+        msgs.into_iter()
+            .filter_map(|(to, m)| match m {
+                SharedMemMsg::Register(r) => Some((to, r)),
+                SharedMemMsg::Reconfig(_) => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hook_starts_a_queued_op_on_a_calm_node_exactly_once() {
+        let mut node = calm_members(21).remove(0);
+        let key = RegisterId::new(1);
+        let op = node.submit_write(key, 5);
+        let sent = kick(&mut node);
+        // The query phase goes to every member of the installed
+        // configuration, self included — what `poll` sends for a fresh op.
+        let expected: Vec<(ProcessId, SharedMemMsg)> = peers()
+            .into_iter()
+            .map(|m| (m, SharedMemMsg::Register(RegisterMsg::Query { op, key })))
+            .collect();
+        assert_eq!(sent, expected);
+        assert_eq!(node.pending.as_ref().map(PendingOp::op), Some(op));
+        assert!(node.queue.is_empty());
+        // The slot is taken: a second call, and one with more work queued,
+        // send nothing.
+        assert!(kick(&mut node).is_empty());
+        node.submit_read(key);
+        assert!(kick(&mut node).is_empty());
+        assert_eq!(node.queue.len(), 1);
+    }
+
+    #[test]
+    fn hook_leaves_a_pending_op_alone() {
+        let mut node = calm_members(22).remove(0);
+        node.submit_write(RegisterId::new(1), 5);
+        node.submit_write(RegisterId::new(2), 6);
+        node.poll(&peers());
+        let before = format!("{node:?}");
+        assert!(node.pending.is_some());
+        assert!(
+            kick(&mut node).is_empty(),
+            "no retransmission from the hook"
+        );
+        assert_eq!(format!("{node:?}"), before, "the hook touched the node");
+    }
+
+    /// Every state in which the guard must hold the op back: nothing is
+    /// sent, the queue is intact, and the next `poll` behaves byte-for-byte
+    /// as on a twin that was never kicked.
+    #[test]
+    fn hook_defers_to_poll_whenever_poll_has_work_to_do_first() {
+        use reconfig::types::{ConfigValue, Notification, Phase};
+        let calm = calm_members(23).remove(0);
+        let me = calm.me;
+
+        let mut unsynced = calm.clone();
+        unsynced.synced_config = None;
+        let mut synced_elsewhere = calm.clone();
+        synced_elsewhere.synced_config = Some(reconfig::config_set(0..2));
+        let mut replacing = calm.clone();
+        replacing.reconfig_mut().recsa_mut().corrupt_notification(
+            me,
+            Notification {
+                phase: Phase::Zero,
+                set: Some(reconfig::config_set(0..2)),
+            },
+        );
+        assert!(replacing.reconfiguring());
+        let mut resetting = calm.clone();
+        resetting
+            .reconfig_mut()
+            .recsa_mut()
+            .corrupt_config(me, ConfigValue::Bottom);
+        let mut empty_config = calm.clone();
+        empty_config
+            .reconfig_mut()
+            .recsa_mut()
+            .corrupt_config(me, ConfigValue::Set(ConfigSet::new()));
+        let fresh_client = SharedMemNode::new_joiner(pid(9), NodeConfig::for_n(16));
+
+        for (what, mut node) in [
+            ("store not yet synchronised", unsynced),
+            (
+                "store synchronised towards another configuration",
+                synced_elsewhere,
+            ),
+            ("delicate replacement in progress", replacing),
+            ("config = bottom", resetting),
+            ("empty configuration", empty_config),
+            ("non-member client without a configuration", fresh_client),
+        ] {
+            node.submit_write(RegisterId::new(1), 5);
+            let mut twin = node.clone();
+            assert!(kick(&mut node).is_empty(), "{what}: the hook sent");
+            assert!(node.pending.is_none(), "{what}: the hook started an op");
+            assert_eq!(node.queue.len(), 1, "{what}: the queue moved");
+            assert_eq!(
+                node.poll(&peers()),
+                twin.poll(&peers()),
+                "{what}: the next poll differs from the unkicked twin's"
+            );
+            assert_eq!(format!("{node:?}"), format!("{twin:?}"), "{what}");
+        }
+    }
+
+    /// From arbitrary (corrupted) state the hook neither panics nor loses
+    /// an op, and it starts one in exactly the states in which the node's
+    /// last timer step would itself have started it.
+    #[test]
+    fn hook_agrees_with_the_last_timer_step_from_corrupted_state() {
+        use simnet::ScenarioTarget;
+        let mut sim = cluster(3, 24);
+        let writer = pid(0);
+        sim.process_mut(writer)
+            .unwrap()
+            .submit_write(RegisterId::new(1), 7);
+        sim.run_until(200, |s| s.process(writer).unwrap().writes_committed() == 1);
+        let calm = sim.process(pid(1)).unwrap().clone();
+        let (mut started, mut held) = (0, 0);
+        for seed in 0..200u64 {
+            let mut rng = simnet::SimRng::seed_from(seed);
+            let mut corrupted = calm.clone();
+            // Every layer's own corruption, in every combination.
+            if seed % 2 == 0 {
+                corrupted.corrupt(&mut rng);
+            }
+            if seed % 4 < 3 {
+                corrupted.reconfig_mut().corrupt(&mut rng);
+            }
+            if seed % 5 == 0 {
+                corrupted.pending = Some(PendingOp::new(
+                    OpId::new(corrupted.me, 777),
+                    RegisterId::new(2),
+                    OpKind::Read,
+                ));
+            }
+
+            // Straight from the corrupted state: total, and the op is
+            // either still queued or in the slot — never lost, never both.
+            let mut direct = corrupted.clone();
+            let was_pending = direct.pending.is_some();
+            direct.submit_read(RegisterId::new(1));
+            kick(&mut direct);
+            let in_slot = usize::from(!was_pending && direct.pending.is_some());
+            assert_eq!(direct.queue.len() + in_slot, 1, "seed {seed}");
+
+            // After a timer step: the hook starts the op iff that step
+            // would have, had the op been queued in time for it.
+            let mut kicked = corrupted.clone();
+            kicked.poll(&peers());
+            let op = kicked.submit_read(RegisterId::new(1));
+            let by_hook = register_lane(kick(&mut kicked));
+            let mut polled = corrupted.clone();
+            polled.submit_read(RegisterId::new(1));
+            let by_poll = register_lane(polled.poll(&peers()));
+            let hook_started = kicked.pending.as_ref().map(PendingOp::op) == Some(op);
+            let poll_started = polled.pending.as_ref().map(PendingOp::op) == Some(op);
+            assert_eq!(hook_started, poll_started, "seed {seed}");
+            if hook_started {
+                started += 1;
+                let first_phase = |msgs: Vec<(ProcessId, RegisterMsg)>| -> Vec<_> {
+                    msgs.into_iter()
+                        .filter(|(_, m)| matches!(m, RegisterMsg::Query { op: o, .. } if *o == op))
+                        .collect()
+                };
+                assert_eq!(first_phase(by_hook), first_phase(by_poll), "seed {seed}");
+            } else {
+                held += 1;
+                assert!(by_hook.is_empty(), "seed {seed}");
+            }
+        }
+        assert!(started > 0 && held > 0, "both sides of the guard exercised");
+    }
+
+    /// An op the hook started and a timer step then met before any reply
+    /// is retransmitted, answered twice, and completes once.
+    #[test]
+    fn hook_started_op_survives_a_retransmitting_poll() {
+        let mut nodes = calm_members(25);
+        let key = RegisterId::new(3);
+        let op = nodes[0].submit_write(key, 41);
+        let first = register_lane(kick(&mut nodes[0]));
+        let again = register_lane(nodes[0].poll(&peers()));
+        assert_eq!(first, again, "poll retransmits the whole query phase");
+        assert_eq!(first.len(), 3);
+
+        let mut wire: VecDeque<(ProcessId, ProcessId, RegisterMsg)> = first
+            .into_iter()
+            .chain(again)
+            .map(|(to, m)| (pid(0), to, m))
+            .collect();
+        let mut query_replies = 0;
+        while let Some((from, to, msg)) = wire.pop_front() {
+            if matches!(msg, RegisterMsg::QueryResp { .. }) {
+                query_replies += 1;
+            }
+            let replies = nodes[to.as_u32() as usize].handle(from, SharedMemMsg::Register(msg));
+            wire.extend(
+                register_lane(replies)
+                    .into_iter()
+                    .map(|(next, m)| (to, next, m)),
+            );
+        }
+        assert_eq!(query_replies, 6, "every member answered both copies");
+        let n0 = &mut nodes[0];
+        assert_eq!(n0.reads_committed() + n0.writes_committed(), 1);
+        assert_eq!(n0.ops_aborted(), 0);
+        let outcomes = n0.take_completed();
+        assert!(
+            matches!(outcomes.as_slice(), [OpOutcome::WriteCommitted { op: done, .. }] if *done == op),
+            "{outcomes:?}"
+        );
+        assert!(!n0.has_pending_ops());
+        assert!(nodes.iter().all(|n| n.local_value(key) == Some(41)));
+    }
+
+    #[test]
+    fn claims_drain_a_backlog_in_completion_order() {
+        use simnet::ScenarioTarget;
+        let mut sim = cluster(3, 26);
+        let node = pid(0);
+        for v in 0..6u64 {
+            // value % 3 == 2 is a read: writes 0, 1, 3, 4 and reads 2, 5.
+            assert!(sim.process_mut(node).unwrap().submit_local(1, v));
+        }
+        sim.run_until(800, |s| !s.process(node).unwrap().has_pending_ops());
+        let n = sim.process_mut(node).unwrap();
+        assert_eq!(n.completed.len(), 6);
+        assert_eq!(n.complete_local(), Some(true));
+        assert_eq!(n.complete_local(), Some(true));
+        let rest = n.take_completed();
+        assert_eq!(rest.len(), 4);
+        assert!(matches!(rest[0], OpOutcome::ReadCommitted { .. }));
+        assert_eq!(n.complete_local(), None);
     }
 }

@@ -5,10 +5,12 @@
 //! `kill -9`, slow-not-dead under timer degradation, and client ops
 //! completing under open-loop load.
 
+use livenet::ControlClient;
 use simnet::report::Json;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::time::{Duration, Instant};
 
 const SIMCTL: &str = env!("CARGO_BIN_EXE_simctl");
 
@@ -28,10 +30,15 @@ struct Cluster {
 
 impl Cluster {
     fn deploy(kind: &str, n: usize) -> Cluster {
+        Cluster::deploy_with(kind, n, &[])
+    }
+
+    fn deploy_with(kind: &str, n: usize, extra: &[&str]) -> Cluster {
         let file = unique_path("cluster.json");
         let cluster = Cluster { file };
         let output = Command::new(SIMCTL)
             .args(["deploy", "--node", kind, "--n", &n.to_string()])
+            .args(extra)
             .arg("--cluster")
             .arg(&cluster.file)
             .output()
@@ -47,6 +54,126 @@ impl Cluster {
     fn path(&self) -> &Path {
         &self.file
     }
+
+    /// One control connection per node, in id order.
+    fn connect(&self) -> Vec<ControlClient> {
+        let spec = livenet::ClusterSpec::load(&self.file).expect("cluster file");
+        spec.nodes
+            .iter()
+            .map(|node| {
+                ControlClient::connect(&node.control_addr(), Duration::from_secs(2))
+                    .expect("control connection")
+            })
+            .collect()
+    }
+
+    /// Blocks until every node has taken a timer step and reports `settled`
+    /// under one agreed token. (An initial member is settled as spawned; it
+    /// is its first step that synchronises its store towards the
+    /// configuration and makes it ready to serve.)
+    fn wait_settled(&self, nodes: &mut [ControlClient]) {
+        let deadline = Instant::now() + Duration::from_secs(90);
+        loop {
+            let statuses: Vec<Json> = nodes
+                .iter_mut()
+                .map(|node| node.request("status").expect("status"))
+                .collect();
+            let settled = statuses.iter().all(|s| {
+                s.get("settled").and_then(Json::as_bool) == Some(true)
+                    && s.get("ticks").and_then(Json::as_u64) >= Some(1)
+            });
+            let token = |s: &Json| s.get("token").and_then(Json::as_str).map(String::from);
+            if settled && statuses.iter().all(|s| token(s) == token(&statuses[0])) {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "cluster never settled: {statuses:?}"
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+}
+
+/// The timer period of the slow-tick clusters below, and the bound an op
+/// must beat on them: half a period. The two-phase exchange itself takes
+/// well under a millisecond on loopback, so an op that needs ≥ 100 ms sat
+/// in the node's queue waiting for a timer tick.
+const SLOW_TICK_MS: u64 = 200;
+const HALF_TICK: Duration = Duration::from_millis(SLOW_TICK_MS / 2);
+
+fn submit(node: &mut ControlClient, key: u64, value: u64) {
+    let reply = node
+        .request(&format!("submit {key} {value}"))
+        .expect("submit");
+    assert_eq!(
+        reply.get("accepted").and_then(Json::as_bool),
+        Some(true),
+        "submit refused: {reply:?}"
+    );
+}
+
+/// Polls `claim` every millisecond until one completion is claimed `ok`;
+/// panics when `deadline` passes first.
+fn claim_ok_before(node: &mut ControlClient, deadline: Instant, what: &str) {
+    loop {
+        let reply = node.request("claim").expect("claim");
+        if reply.get("claimed").and_then(Json::as_bool) == Some(true) {
+            assert_eq!(
+                reply.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "{what}: the op failed: {reply:?}"
+            );
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{what}: not claimed within half a {SLOW_TICK_MS} ms tick — it waited for the timer"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// On a cluster whose timer ticks every 200 ms, ops at p0 cost message
+/// delays, not timer periods: five closed-loop ops each complete within
+/// half a tick (started by the submit itself), and so do three ops
+/// submitted back to back (the second and third are started by the packet
+/// that completes their predecessor).
+fn ops_do_not_wait_for_the_timer(kind: &str) {
+    let tick = SLOW_TICK_MS.to_string();
+    let cluster = Cluster::deploy_with(kind, 4, &["--tick-ms", &tick]);
+    let mut nodes = cluster.connect();
+    cluster.wait_settled(&mut nodes);
+    let p0 = &mut nodes[0];
+
+    for i in 0..5u64 {
+        let submitted = Instant::now();
+        submit(p0, i, 3 * i + 1);
+        claim_ok_before(
+            p0,
+            submitted + HALF_TICK,
+            &format!("{kind} closed-loop op {i}"),
+        );
+    }
+
+    let submitted = Instant::now();
+    for i in 0..3u64 {
+        // One write, one read, one write.
+        submit(p0, i, 100 + i);
+    }
+    for i in 0..3 {
+        claim_ok_before(p0, submitted + HALF_TICK, &format!("{kind} queued op {i}"));
+    }
+}
+
+#[test]
+fn sharedmem_ops_start_on_submission_not_on_the_next_tick() {
+    ops_do_not_wait_for_the_timer("sharedmem");
+}
+
+#[test]
+fn counter_ops_start_on_submission_not_on_the_next_tick() {
+    ops_do_not_wait_for_the_timer("counter");
 }
 
 impl Drop for Cluster {

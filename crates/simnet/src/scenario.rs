@@ -54,7 +54,7 @@ use crate::linearize::{self, Spec, Verdict};
 use crate::load::{LoadEngine, LoadProfile};
 use crate::partition::{AsymmetricCutPlan, PartitionPlan};
 use crate::plan::{ByzantinePlan, FaultAction, FaultPlan, ForgeKind, PlanCtx, RunObservations};
-use crate::process::{Process, ProcessId};
+use crate::process::{Context, Process, ProcessId};
 use crate::rng::SimRng;
 use crate::scheduler::Simulation;
 use crate::time::Round;
@@ -652,6 +652,29 @@ pub trait ScenarioTarget: Process + Sized + Send {
     /// `complete_op`, without the simulation handle.
     fn complete_local(&mut self) -> Option<bool> {
         None
+    }
+
+    /// Starts a queued client operation *now* instead of at the next timer
+    /// step, for backends where the two differ: the live runtime calls this
+    /// after an accepted [`ScenarioTarget::submit_local`] and after every
+    /// delivered packet (a completion frees the slot for the next queued
+    /// op), so an op costs its message delays, not a timer period. The
+    /// simulator never calls it — there a round is both the timer and the
+    /// message delay, and "the next `on_timer`" is "now".
+    ///
+    /// Contract: if the op slot is free, an op is queued, and the node is
+    /// in exactly the state in which its last timer step would itself have
+    /// started that op, start it and send its first phase through `ctx`;
+    /// touch nothing else. It is not an extra iteration of the do-forever
+    /// loop — no gossip, no failure-detector or reconfiguration step, no
+    /// retransmission or ageing of a pending op — so background traffic
+    /// and heartbeat counts do not grow with the op rate. Anything the
+    /// timer step would have had to do first (synchronise a changed
+    /// configuration, abort an op) is left to the timer step. The default
+    /// does nothing: correct for targets whose ops ride their periodic
+    /// traffic or send nothing.
+    fn start_local(&mut self, ctx: &mut Context<'_, Self::Msg>) {
+        let _ = ctx;
     }
 
     /// This node's *local* claim that it has converged (the node-local

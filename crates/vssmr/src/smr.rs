@@ -1084,6 +1084,11 @@ impl simnet::ScenarioTarget for SmrNode {
         Some(true)
     }
 
+    // `start_local` keeps its do-nothing default: a submitted input has no
+    // first phase of its own to send — it rides the periodic state
+    // broadcast of the multicast round (Alg. 4.7), which only the timer
+    // step emits.
+
     /// The node-local conjunct of [`ScenarioTarget::converged`]: the reconfiguration
     /// layer is calm and installed, and — for configuration members — a
     /// view is installed with no undelivered inputs.
