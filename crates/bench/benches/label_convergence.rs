@@ -7,6 +7,7 @@ use labels::{Label, LabelPair, Labeler};
 use reconfig::config_set;
 use simnet::ProcessId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn run_labelers(n: u32, corrupt: bool, seed: u64) -> (u64, u64) {
     let cfg = config_set(0..n);
@@ -21,7 +22,7 @@ fn run_labelers(n: u32, corrupt: bool, seed: u64) -> (u64, u64) {
             let wild = Label {
                 creator: ProcessId::new((i + 1) % n),
                 sting: 1000 + seed as u32 + i,
-                antistings: [i, i + 1, i + 2].into_iter().collect(),
+                antistings: Arc::new([i, i + 1, i + 2].into()),
             };
             nodes
                 .get_mut(&victim)

@@ -7,9 +7,10 @@
 //! counter can, deterministically. This test installs a counting
 //! `#[global_allocator]`, settles a 64-process cluster into steady state,
 //! then measures allocations across 32 further rounds and asserts the
-//! per-round average stays under a pinned budget. Three clusters are pinned:
+//! per-round average stays under a pinned budget. Four clusters are pinned:
 //! the reconfiguration stack alone, the counter service (whose gossip is the
-//! densest broadcast in the repo), and the shared-memory registers.
+//! densest broadcast in the repo), the shared-memory registers, and the
+//! VS-SMR stack that embeds both of the first two.
 //!
 //! The counter is process-global, so this lives in its own integration-test
 //! binary and the budget is armed only around the measured window — setup,
@@ -26,7 +27,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use bench::{steady_counter_sim, steady_reconfig_sim, steady_sharedmem_sim};
+use bench::{smr_cluster, steady_counter_sim, steady_reconfig_sim, steady_sharedmem_sim};
 use simnet::{Process, Simulation};
 
 /// Counts allocation *events* (alloc/realloc/alloc_zeroed) while armed.
@@ -133,15 +134,15 @@ fn quiescent_reconfig_allocations_stay_pinned() {
 /// its maximal counter and a labeling-exchange message to every other
 /// member, every round. Neither costs an allocation per message: the
 /// counter broadcast is one shared payload per sender, and a `LabelerMsg`
-/// is two label pairs whose antisting sets are empty in steady state. (The
+/// is two label pairs whose antisting sets are shared handles. (The
 /// 56 640/round this pin once recorded were the labeler's receipt action
 /// collecting every stored label into fresh `Vec`s for each of the 64 × 63
 /// messages; a labeler at rest now answers a repeated message with
-/// comparisons.) What is left is per process step: the `Vec` that
-/// `Labeler::step` returns, grown to 63 messages, and the gossip payload's
-/// `Arc`. Measured steady state: 384/round (6 per process step); the pin
-/// leaves ~12% headroom.
-const MAX_COUNTER_ALLOCS_PER_ROUND: u64 = 430;
+/// comparisons. The next 320 were the `Vec` that `Labeler::step` returned,
+/// grown to 63 messages per step; `step_with` now sends into the outbox.)
+/// What is left is the gossip payload's `Arc`, one per process step.
+/// Measured steady state: 64/round; the pin leaves ~12% headroom.
+const MAX_COUNTER_ALLOCS_PER_ROUND: u64 = 72;
 
 #[test]
 fn quiescent_counter_allocations_stay_pinned() {
@@ -154,13 +155,14 @@ fn quiescent_counter_allocations_stay_pinned() {
 /// The pinned budget for the shared-memory registers at n = 64.
 ///
 /// With no client operations in flight the register layer is quiet; the
-/// steady state is the underlying reconfiguration stack's gossip forwarded
-/// through the context-free `ReconfigNode::poll` facade (one collected
-/// message `Vec` per node per round, grown as it fills). The installed
+/// steady state is the underlying reconfiguration stack's gossip, which the
+/// embedded `ReconfigNode` sends straight into the node's outbox. (Through
+/// the old `Vec`-returning `ReconfigNode::poll` facade it cost 448/round, one
+/// collected `Vec` per node per round grown as it filled.) The installed
 /// configuration is read through recSA's shared handle, not cloned.
-/// Measured steady state: 448/round (7 per process step); the pin leaves
-/// ~12% headroom.
-const MAX_SHAREDMEM_ALLOCS_PER_ROUND: u64 = 500;
+/// Measured steady state: **0/round**, like the reconfiguration stack alone;
+/// the budget of 8 tolerates allocator noise.
+const MAX_SHAREDMEM_ALLOCS_PER_ROUND: u64 = 8;
 
 #[test]
 fn quiescent_sharedmem_allocations_stay_pinned() {
@@ -168,4 +170,24 @@ fn quiescent_sharedmem_allocations_stay_pinned() {
     let mut sim = steady_sharedmem_sim(N, 42);
     let per_round = settle_and_measure(&mut sim);
     assert_budget("sharedmem", per_round, MAX_SHAREDMEM_ALLOCS_PER_ROUND);
+}
+
+/// The pinned budget for the VS-SMR stack at n = 64: the reconfiguration
+/// stack, the counter service and the replication layer in one node.
+///
+/// Both embedded layers send straight into the node's outbox, and the
+/// snapshot goes to each trusted peer as a handle, walked off Θ's trusted
+/// set with no audience list. What is left per process step is the snapshot's
+/// `Arc` and the counter gossip's. Measured steady state: 128/round (2 per
+/// process step; 1,600 before the facades went, 25 per step: the collected
+/// `Vec`s of the reconfiguration, counter and labeler facades, the audience
+/// `Vec` and the broadcast); the pin leaves ~12% headroom.
+const MAX_SMR_ALLOCS_PER_ROUND: u64 = 144;
+
+#[test]
+fn quiescent_smr_allocations_stay_pinned() {
+    let _guard = serial_guard();
+    let mut sim = smr_cluster(N, 42);
+    let per_round = settle_and_measure(&mut sim);
+    assert_budget("smr", per_round, MAX_SMR_ALLOCS_PER_ROUND);
 }

@@ -6,17 +6,16 @@
 //! Reconfiguration Management layer (recMA) and the joining mechanism, plus
 //! the two application hooks (`evalConf()` and `passQuery()`).
 //!
-//! The node is written context-free — [`ReconfigNode::poll`] and
-//! [`ReconfigNode::handle`] produce explicit `(destination, message)` lists —
-//! so higher layers (the labeling, counter and virtual-synchrony crates) can
-//! embed it and forward its traffic inside their own message enums. It also
-//! implements [`simnet::Process`], so it can be dropped straight into a
-//! simulation.
+//! The node is written context-free, as a [`Layer`] generic over the sink it
+//! sends into, so higher layers (the virtual-synchrony and shared-memory
+//! nodes) embed it and have its traffic land in their own outbox, wrapped in
+//! their own message enums. It also implements [`simnet::Process`], so it
+//! can be dropped straight into a simulation.
 
 use std::collections::BTreeSet;
 
 use failure_detector::ThetaFailureDetector;
-use simnet::stack::{Layer, Outbox, Router};
+use simnet::stack::{Layer, Outbox, Router, Sink};
 use simnet::ProcessId;
 
 use crate::join::{JoinMsg, Joining};
@@ -266,7 +265,8 @@ impl ReconfigNode {
     /// identifiers this node may address (the fully connected topology).
     ///
     /// Context-free facade over the [`Layer`] implementation, kept for
-    /// embedders and tests that want explicit `(destination, message)` lists.
+    /// tests and examples that want explicit `(destination, message)` lists;
+    /// embedders call [`Layer::poll`] with their own sink.
     pub fn poll(&mut self, peers: &[ProcessId]) -> Vec<(ProcessId, ReconfigMsg)> {
         let mut out = Outbox::new();
         Layer::poll(self, peers, &mut out);
@@ -286,11 +286,11 @@ impl ReconfigNode {
 impl Layer for ReconfigNode {
     type Wire = ReconfigMsg;
 
-    fn poll(&mut self, peers: &[ProcessId], out: &mut Outbox<ReconfigMsg>) {
+    fn poll<O: Sink<ReconfigMsg>>(&mut self, peers: &[ProcessId], out: &mut O) {
         // The underlying token exchange: a heartbeat to every other
         // processor keeps the failure detectors of the whole system fed.
         for p in peers.iter().copied().filter(|p| *p != self.me) {
-            out.push_wire(p, ReconfigMsg::Heartbeat);
+            out.push(p, ReconfigMsg::Heartbeat);
         }
 
         // Bootstrap patience: a non-participant that can see neither a
@@ -326,10 +326,12 @@ impl Layer for ReconfigNode {
         );
 
         // Joining mechanism (only does something while not a participant).
-        out.extend(self.joining.step(&mut self.recsa));
+        for (to, m) in self.joining.step(&mut self.recsa) {
+            out.push(to, m);
+        }
     }
 
-    fn handle(&mut self, from: ProcessId, msg: ReconfigMsg, out: &mut Outbox<ReconfigMsg>) {
+    fn handle<O: Sink<ReconfigMsg>>(&mut self, from: ProcessId, msg: ReconfigMsg, out: &mut O) {
         // Every packet doubles as a heartbeat of its sender.
         self.fd.heartbeat(from);
         // The bare heartbeat — one message in three — has no lane: it is

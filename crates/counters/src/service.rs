@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use labels::{Labeler, LabelerMsg};
 use reconfig::ConfigSet;
-use simnet::stack::{Layer, Outbox, Router};
+use simnet::stack::{Layer, Outbox, Router, Sink};
 use simnet::ProcessId;
 
 use crate::counter::{Counter, DEFAULT_EXHAUSTION_BOUND};
@@ -303,9 +303,20 @@ impl CounterNode {
 
     /// Starts an increment. Returns the request messages to send (empty when
     /// another increment is already in flight).
+    ///
+    /// Collecting wrapper over [`CounterNode::request_increment_into`], for
+    /// tests and examples.
     pub fn request_increment(&mut self) -> Vec<(ProcessId, CounterMsg)> {
+        let mut out = Outbox::new();
+        self.request_increment_into(&mut out);
+        out.into_messages()
+    }
+
+    /// Starts an increment, sending its read phase to every member through
+    /// `out` (nothing when another increment is already in flight).
+    pub fn request_increment_into(&mut self, out: &mut impl Sink<CounterMsg>) {
         if self.pending.is_some() {
-            return Vec::new();
+            return;
         }
         let op = self.next_op;
         self.next_op += 1;
@@ -316,14 +327,9 @@ impl CounterNode {
                 replies: BTreeMap::new(),
             },
         });
-        let mut out = Outbox::new();
-        out.extend(
-            self.config
-                .iter()
-                .copied()
-                .map(|m| (m, QuorumMsg::ReadRequest { op })),
-        );
-        out.into_messages()
+        for m in self.config.iter().copied() {
+            out.push(m, QuorumMsg::ReadRequest { op });
+        }
     }
 
     /// Starts one queued increment when the slot is free and no
@@ -331,12 +337,10 @@ impl CounterNode {
     /// member. The single definition of when a queued increment may start,
     /// shared by the periodic step and the live runtime's
     /// [`start_local`](simnet::ScenarioTarget::start_local) hook.
-    fn start_queued_increment(&mut self, out: &mut Outbox<CounterMsg>) {
+    fn start_queued_increment(&mut self, out: &mut impl Sink<CounterMsg>) {
         if self.queued_increments > 0 && self.pending.is_none() && !self.reconfiguring {
             self.queued_increments -= 1;
-            for (to, msg) in self.request_increment() {
-                out.push_wire(to, msg);
-            }
+            self.request_increment_into(out);
         }
     }
 
@@ -404,7 +408,7 @@ impl CounterNode {
     }
 
     /// Handles one two-phase quorum message (Algorithms 4.4/4.5).
-    fn handle_quorum(&mut self, from: ProcessId, msg: QuorumMsg, out: &mut Outbox<CounterMsg>) {
+    fn handle_quorum(&mut self, from: ProcessId, msg: QuorumMsg, out: &mut impl Sink<CounterMsg>) {
         match msg {
             QuorumMsg::ReadRequest { op } => {
                 if !self.is_member() {
@@ -432,7 +436,7 @@ impl CounterNode {
                 );
             }
             QuorumMsg::ReadReply { op, counter, abort } => {
-                out.extend(self.handle_read_reply(from, op, counter, abort));
+                self.handle_read_reply(from, op, counter, abort, out);
             }
             QuorumMsg::WriteRequest { op, counter } => {
                 if !self.is_member() {
@@ -461,28 +465,29 @@ impl CounterNode {
         op: u64,
         counter: Option<Counter>,
         abort: bool,
-    ) -> Vec<(ProcessId, QuorumMsg)> {
+        out: &mut impl Sink<CounterMsg>,
+    ) {
         // Take the pending operation out to avoid overlapping borrows; it is
         // reinstated below unless the operation finishes or aborts.
         let Some(mut pending) = self.pending.take() else {
-            return Vec::new();
+            return;
         };
         if pending.op != op {
             self.pending = Some(pending);
-            return Vec::new();
+            return;
         }
         if abort {
             self.completed.push_back(IncrementOutcome::Aborted);
-            return Vec::new();
+            return;
         }
         let PendingPhase::Read { replies } = &mut pending.phase else {
             self.pending = Some(pending);
-            return Vec::new();
+            return;
         };
         replies.insert(from, counter);
         if replies.len() < self.majority() {
             self.pending = Some(pending);
-            return Vec::new();
+            return;
         }
         // Majority collected: pick the largest usable counter.
         let mut best: Option<Counter> = if self.is_member() {
@@ -515,7 +520,7 @@ impl CounterNode {
                     Some(label) => Counter::zero(label, self.me),
                     None => {
                         self.completed.push_back(IncrementOutcome::Aborted);
-                        return Vec::new();
+                        return;
                     }
                 }
             }
@@ -523,7 +528,7 @@ impl CounterNode {
                 // Non-members abort when no legit, non-exhausted counter is
                 // available (Algorithm 4.5 returns ⊥).
                 self.completed.push_back(IncrementOutcome::Aborted);
-                return Vec::new();
+                return;
             }
         };
         let new_counter = base.incremented(self.me);
@@ -532,19 +537,10 @@ impl CounterNode {
             acks: BTreeSet::new(),
         };
         self.pending = Some(pending);
-        self.config
-            .iter()
-            .copied()
-            .map(|m| {
-                (
-                    m,
-                    QuorumMsg::WriteRequest {
-                        op,
-                        counter: new_counter.clone(),
-                    },
-                )
-            })
-            .collect()
+        for m in self.config.iter().copied() {
+            let counter = new_counter.clone();
+            out.push(m, QuorumMsg::WriteRequest { op, counter });
+        }
     }
 
     fn handle_write_ack(&mut self, from: ProcessId, op: u64, abort: bool) {
@@ -582,7 +578,7 @@ impl Layer for CounterNode {
     /// Members gossip their maximal counter and drive the label exchange;
     /// `peers` is ignored because all counter traffic targets configuration
     /// members.
-    fn poll(&mut self, _peers: &[ProcessId], out: &mut Outbox<CounterMsg>) {
+    fn poll<O: Sink<CounterMsg>>(&mut self, _peers: &[ProcessId], out: &mut O) {
         // Age the pending quorum operation; abort it once it outlives the
         // timeout (its requests or replies were lost — e.g. to a partition —
         // and are never retransmitted).
@@ -599,14 +595,13 @@ impl Layer for CounterNode {
             // Drive the labeling algorithm (Algorithm 4.1 runs alongside the
             // counter gossip) and make sure the maximal counter lives in the
             // current maximal label.
-            out.extend(self.labeler.step());
+            self.labeler.step_with(|to, m| out.push(to, m));
             self.refresh_max_label();
             if let Some(c) = self.max_counter.clone() {
                 // Gossip is a true broadcast (the same counter to every other
-                // member), so fan one shared payload out instead of deep-
-                // cloning a `Counter` (and its label's antisting set) per
-                // peer. The scratch buffer keeps the steady state free of
-                // audience allocations.
+                // member), so fan one shared payload out instead of a packet
+                // per peer. The scratch buffer keeps the steady state free
+                // of audience allocations.
                 let mut audience = std::mem::take(&mut self.gossip_scratch);
                 audience.clear();
                 audience.extend(self.config.iter().copied().filter(|m| *m != self.me));
@@ -616,7 +611,7 @@ impl Layer for CounterNode {
         }
     }
 
-    fn handle(&mut self, from: ProcessId, msg: CounterMsg, out: &mut Outbox<CounterMsg>) {
+    fn handle<O: Sink<CounterMsg>>(&mut self, from: ProcessId, msg: CounterMsg, out: &mut O) {
         let rest = Router::new(from, msg)
             .lane(out, |_, c: Counter, _| {
                 if self.is_member() && !self.reconfiguring {
@@ -1343,7 +1338,7 @@ mod seeded_bug {
     impl Layer for StaleLabelNode {
         type Wire = CounterMsg;
 
-        fn poll(&mut self, peers: &[ProcessId], out: &mut Outbox<CounterMsg>) {
+        fn poll<O: Sink<CounterMsg>>(&mut self, peers: &[ProcessId], out: &mut O) {
             if self.bug_window > 0 {
                 self.bug_window -= 1;
                 if self.stale.is_some() {
@@ -1353,7 +1348,7 @@ mod seeded_bug {
             self.inner.poll(peers, out);
         }
 
-        fn handle(&mut self, from: ProcessId, msg: CounterMsg, out: &mut Outbox<CounterMsg>) {
+        fn handle<O: Sink<CounterMsg>>(&mut self, from: ProcessId, msg: CounterMsg, out: &mut O) {
             self.inner.handle(from, msg, out);
         }
     }

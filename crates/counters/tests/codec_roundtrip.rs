@@ -2,6 +2,7 @@
 //! envelope ([`CounterMsg`]).
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use counters::{Counter, CounterMsg, QuorumMsg};
 use labels::{Label, LabelPair, LabelerMsg};
@@ -18,9 +19,11 @@ fn arb_label(rng: &mut SimRng) -> Label {
     Label {
         creator: arb_pid(rng),
         sting: rng.range_inclusive(0, 1 << 20) as u32,
-        antistings: (0..n)
-            .map(|_| rng.range_inclusive(0, 1 << 20) as u32)
-            .collect::<BTreeSet<u32>>(),
+        antistings: Arc::new(
+            (0..n)
+                .map(|_| rng.range_inclusive(0, 1 << 20) as u32)
+                .collect::<BTreeSet<u32>>(),
+        ),
     }
 }
 

@@ -86,12 +86,12 @@ impl<M: Clone> Endpoint<M> {
     /// Packets to transmit now: buffered replies, the cleaning probe while
     /// cleaning, and token traffic once the link is clean.
     pub fn poll(&mut self) -> Vec<LinkMsg<M>> {
-        let mut out: Vec<LinkMsg<M>> = std::mem::take(&mut self.pending_replies);
-        out.extend(self.cleaner.poll().into_iter().map(LinkMsg::Snap));
+        let mut packets: Vec<LinkMsg<M>> = std::mem::take(&mut self.pending_replies);
+        packets.extend(self.cleaner.poll().into_iter().map(LinkMsg::Snap));
         if self.cleaner.is_clean() {
-            out.extend(self.fifo.poll().into_iter().map(LinkMsg::Token));
+            packets.extend(self.fifo.poll().into_iter().map(LinkMsg::Token));
         }
-        out
+        packets
     }
 
     /// Handles a packet from the peer, returning upper-layer events.

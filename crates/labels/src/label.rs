@@ -13,6 +13,7 @@
 //!    label greater than all of them ([`Label::next_label`]).
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use simnet::ProcessId;
 
@@ -26,6 +27,12 @@ pub const STING_DOMAIN: u32 = 4096;
 pub const ANTISTINGS: usize = 64;
 
 /// A bounded epoch label.
+///
+/// The antisting set is built once, by [`Label::next_label`], and shared by
+/// every copy of the label: a clone — into a queue, a counter, a message — is
+/// a refcount bump, and the label stays 16 bytes wherever it travels.
+/// Equality, order, hashing, `Debug` and the wire encoding all look through
+/// the `Arc` at the set, so sharing is never observable.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Label {
     /// The identifier of the processor that created the label.
@@ -33,7 +40,7 @@ pub struct Label {
     /// The label's sting.
     pub sting: u32,
     /// The label's antistings (bounded set).
-    pub antistings: BTreeSet<u32>,
+    pub antistings: Arc<BTreeSet<u32>>,
 }
 
 simnet::wire_struct_codec!(Label {
@@ -48,7 +55,7 @@ impl Label {
         Label {
             creator,
             sting: 0,
-            antistings: BTreeSet::new(),
+            antistings: Arc::default(),
         }
     }
 
@@ -93,7 +100,7 @@ impl Label {
         Label {
             creator,
             sting,
-            antistings,
+            antistings: Arc::new(antistings),
         }
     }
 }
@@ -257,12 +264,12 @@ mod tests {
         let l1 = Label {
             creator: pid(3),
             sting: 5,
-            antistings: [10, 11].into_iter().collect(),
+            antistings: Arc::new([10, 11].into()),
         };
         let l2 = Label {
             creator: pid(3),
             sting: 20,
-            antistings: [30, 31].into_iter().collect(),
+            antistings: Arc::new([30, 31].into()),
         };
         assert!(l1.incomparable(&l2));
         // next_label over both dominates both.
@@ -280,6 +287,53 @@ mod tests {
         assert!(!pair.is_legit());
     }
 
+    /// Sharing the antisting set is a storage detail: a label whose set is
+    /// shared and one rebuilt from the same stings are the same label to
+    /// every observer — equality, order, hash, `Debug` — and on the wire.
+    #[test]
+    fn shared_antistings_are_invisible() {
+        use std::cmp::Ordering;
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        use simnet::codec::WireCodec;
+
+        let original = Label {
+            creator: pid(2),
+            sting: 7,
+            antistings: Arc::new([3, 5].into()),
+        };
+        let shared = original.clone();
+        assert!(Arc::ptr_eq(&original.antistings, &shared.antistings));
+        let rebuilt = Label {
+            creator: pid(2),
+            sting: 7,
+            antistings: Arc::new([5, 3].into_iter().collect()),
+        };
+        assert!(!Arc::ptr_eq(&shared.antistings, &rebuilt.antistings));
+
+        let hash = |l: &Label| {
+            let mut h = DefaultHasher::new();
+            l.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(shared, rebuilt);
+        assert_eq!(shared.cmp(&rebuilt), Ordering::Equal);
+        assert_eq!(hash(&shared), hash(&rebuilt));
+        assert_eq!(format!("{shared:?}"), format!("{rebuilt:?}"));
+        assert!(format!("{shared:?}").contains("antistings: {3, 5}"));
+
+        // Creator, sting, then the set: its length and its elements.
+        #[rustfmt::skip]
+        let pinned = [
+            2, 0, 0, 0, 7, 0, 0, 0,
+            2, 0, 0, 0, 3, 0, 0, 0, 5, 0, 0, 0,
+        ];
+        assert_eq!(shared.to_bytes(), pinned);
+        assert_eq!(rebuilt.to_bytes(), pinned);
+        assert_eq!(Label::from_bytes(&pinned), Ok(original));
+    }
+
     #[test]
     fn queue_is_bounded_and_deduplicates() {
         let mut q = LabelQueue::new(3);
@@ -287,7 +341,7 @@ mod tests {
             let l = Label {
                 creator: pid(1),
                 sting: i,
-                antistings: BTreeSet::new(),
+                antistings: Arc::default(),
             };
             q.add(LabelPair::legit(l));
         }

@@ -127,31 +127,33 @@ impl Labeler {
     /// maximal pair (plus the echo of the destination's) to every other
     /// member.
     pub fn step(&mut self) -> Vec<(ProcessId, LabelerMsg)> {
+        let mut out = Vec::new();
+        self.step_with(|to, msg| out.push((to, msg)));
+        out
+    }
+
+    /// [`Labeler::step`] without the collection: each message is handed to
+    /// `sink` as it is built, so an embedder queues it straight into its own
+    /// outbox (see `reconfig::RecSa::step_with`).
+    pub fn step_with(&mut self, mut sink: impl FnMut(ProcessId, LabelerMsg)) {
         // Every iteration of the do-forever loop re-earns the shortcut: the
         // next message runs the receipt action in full, whatever a transient
         // fault left in `settled`.
         self.settled = false;
         if !self.is_member() {
-            return Vec::new();
+            return;
         }
         if !self.max.contains_key(&self.me) {
             self.use_own_label();
         }
-        let my_max = self.max[&self.me].clone();
-        self.config
-            .iter()
-            .copied()
-            .filter(|k| *k != self.me)
-            .map(|k| {
-                (
-                    k,
-                    LabelerMsg {
-                        sent_max: my_max.clone(),
-                        last_sent: self.max.get(&k).cloned(),
-                    },
-                )
-            })
-            .collect()
+        let my_max = &self.max[&self.me];
+        for k in self.config.iter().copied().filter(|k| *k != self.me) {
+            let msg = LabelerMsg {
+                sent_max: my_max.clone(),
+                last_sent: self.max.get(&k).cloned(),
+            };
+            sink(k, msg);
+        }
     }
 
     /// Handles a label exchange message from another member (the receive
@@ -334,6 +336,8 @@ impl Labeler {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use reconfig::config_set;
 
@@ -405,7 +409,7 @@ mod tests {
         let wild = Label {
             creator: pid(2),
             sting: 999,
-            antistings: [1, 2, 3].into_iter().collect(),
+            antistings: Arc::new([1, 2, 3].into()),
         };
         h.nodes
             .get_mut(&pid(1))
@@ -535,6 +539,8 @@ mod tests {
 /// return switched off.
 #[cfg(test)]
 mod oracle {
+    use std::sync::Arc;
+
     use super::*;
     use proptest::prelude::*;
     use reconfig::config_set;
@@ -561,7 +567,7 @@ mod oracle {
             Label {
                 creator,
                 sting,
-                antistings: (0..sting).filter(|t| (sting + t) % 3 != 0).collect(),
+                antistings: Arc::new((0..sting).filter(|t| (sting + t) % 3 != 0).collect()),
             }
         }
 

@@ -19,7 +19,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 use counters::DEFAULT_EXHAUSTION_BOUND;
 use reconfig::{ConfigSet, NodeConfig, QuorumSystem, ReconfigMsg, ReconfigNode};
-use simnet::stack::{Layer, Outbox, Router};
+use simnet::stack::{Layer, Outbox, Router, Sink};
 use simnet::ProcessId;
 
 use crate::op::{OpStep, PendingOp};
@@ -394,7 +394,7 @@ impl SharedMemNode {
         &mut self,
         from: ProcessId,
         msg: RegisterMsg,
-        out: &mut Outbox<SharedMemMsg>,
+        out: &mut impl Sink<SharedMemMsg>,
     ) {
         match msg {
             RegisterMsg::Query { op, key } => {
@@ -446,7 +446,7 @@ impl SharedMemNode {
         op: OpId,
         _key: RegisterId,
         current: Option<TaggedValue>,
-        out: &mut Outbox<SharedMemMsg>,
+        out: &mut impl Sink<SharedMemMsg>,
     ) {
         let Some(cfg) = Self::members_of(&self.reconfig) else {
             return;
@@ -507,7 +507,7 @@ impl SharedMemNode {
     /// configuration the timer step has not seen yet is left to it, which
     /// aborts and syncs first), and no reconfiguration is in progress.
     /// Returns whether an operation was started.
-    fn start_next_op(&mut self, cfg: &ConfigSet, out: &mut Outbox<SharedMemMsg>) -> bool {
+    fn start_next_op(&mut self, cfg: &ConfigSet, out: &mut impl Sink<SharedMemMsg>) -> bool {
         if self.pending.is_some()
             || self.queue.is_empty()
             || self.synced_config.as_ref() != Some(cfg)
@@ -526,7 +526,7 @@ impl SharedMemNode {
     /// answered it: everyone for a fresh operation, the stragglers for a
     /// retransmission. The message is identical for every target, so it is
     /// built once and fanned out as a shared payload.
-    fn send_phase(pending: &PendingOp, cfg: &ConfigSet, out: &mut Outbox<SharedMemMsg>) {
+    fn send_phase(pending: &PendingOp, cfg: &ConfigSet, out: &mut impl Sink<SharedMemMsg>) {
         let targets = pending.unanswered(cfg);
         if targets.is_empty() {
             return;
@@ -555,9 +555,9 @@ impl SharedMemNode {
 impl Layer for SharedMemNode {
     type Wire = SharedMemMsg;
 
-    fn poll(&mut self, peers: &[ProcessId], out: &mut Outbox<SharedMemMsg>) {
-        // 1. Reconfiguration stack, forwarded through our wire format.
-        out.extend(self.reconfig.poll(peers));
+    fn poll<O: Sink<SharedMemMsg>>(&mut self, peers: &[ProcessId], out: &mut O) {
+        // 1. Reconfiguration stack, sending through our wire format.
+        Layer::poll(&mut self.reconfig, peers, &mut out.nest());
 
         // The handle keeps the installed configuration readable while this
         // node's own fields are written.
@@ -603,10 +603,10 @@ impl Layer for SharedMemNode {
         }
     }
 
-    fn handle(&mut self, from: ProcessId, msg: SharedMemMsg, out: &mut Outbox<SharedMemMsg>) {
+    fn handle<O: Sink<SharedMemMsg>>(&mut self, from: ProcessId, msg: SharedMemMsg, out: &mut O) {
         let rest = Router::new(from, msg)
             .lane(out, |from, m: ReconfigMsg, out| {
-                out.extend(self.reconfig.handle(from, m))
+                Layer::handle(&mut self.reconfig, from, m, &mut out.nest())
             })
             .lane(out, |from, m: RegisterMsg, out| {
                 self.handle_register(from, m, out)

@@ -1,6 +1,8 @@
 //! Wire-codec round-trip and malformed-input tests for the shared-memory
 //! envelope ([`SharedMemMsg`]).
 
+use std::sync::Arc;
+
 use counters::Counter;
 use labels::Label;
 use proptest::prelude::*;
@@ -19,9 +21,11 @@ fn arb_tagged(rng: &mut SimRng) -> TaggedValue {
             label: Label {
                 creator: arb_pid(rng),
                 sting: rng.range_inclusive(0, 1 << 16) as u32,
-                antistings: (0..rng.range_inclusive(0, 3))
-                    .map(|_| rng.range_inclusive(0, 1 << 16) as u32)
-                    .collect(),
+                antistings: Arc::new(
+                    (0..rng.range_inclusive(0, 3))
+                        .map(|_| rng.range_inclusive(0, 1 << 16) as u32)
+                        .collect(),
+                ),
             },
             seqn: rng.range_inclusive(0, 1 << 40),
             wid: arb_pid(rng),

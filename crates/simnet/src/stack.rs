@@ -12,11 +12,13 @@
 //!
 //! * a composite declares its wire format with [`wire_enum!`](crate::wire_enum), which derives
 //!   a [`Lane`] (injection/projection pair) per tagged variant;
-//! * outgoing traffic of any sub-layer is pushed into an [`Outbox`], which
-//!   wraps native messages into the wire format on the way in — this is also
-//!   how *upper* layers send through *lower* ones (e.g. the SMR layer sends
-//!   counter-service requests by pushing `CounterMsg`s into its
-//!   `Outbox<SmrMsg>`);
+//! * outgoing traffic of any sub-layer is pushed into a [`Sink`] of the
+//!   layer's wire — in the end always the node's one [`Outbox`], which wraps
+//!   native messages into the wire format on the way in;
+//! * a layer embedded in another (the reconfiguration stack inside the SMR
+//!   node, say) pushes into its embedder's sink seen through the embedder's
+//!   lane, [`Sink::nest`]: its messages are wrapped twice and land in the
+//!   same outbox, broadcasts still shared, with no intermediate collection;
 //! * incoming wire messages are dispatched with a [`Router`], which peels the
 //!   lanes off one by one and hands each sub-layer its native message type;
 //! * the composite implements [`Layer`], and [`impl_process_for_layer!`](crate::impl_process_for_layer)
@@ -24,7 +26,7 @@
 //!   [`crate::Simulation`].
 //!
 //! ```
-//! use simnet::stack::{Layer, Outbox, Router};
+//! use simnet::stack::{Layer, Outbox, Router, Sink};
 //! use simnet::{wire_enum, ProcessId};
 //!
 //! // Two toy sub-layer protocols with distinct message types. Payload types
@@ -53,12 +55,12 @@
 //!
 //! impl Layer for Node {
 //!     type Wire = WireMsg;
-//!     fn poll(&mut self, peers: &[ProcessId], out: &mut Outbox<WireMsg>) {
+//!     fn poll<O: Sink<WireMsg>>(&mut self, peers: &[ProcessId], out: &mut O) {
 //!         for p in peers {
 //!             out.push(*p, Ping(self.pings)); // wrapped into WireMsg::Ping
 //!         }
 //!     }
-//!     fn handle(&mut self, from: ProcessId, wire: WireMsg, out: &mut Outbox<WireMsg>) {
+//!     fn handle<O: Sink<WireMsg>>(&mut self, from: ProcessId, wire: WireMsg, out: &mut O) {
 //!         Router::new(from, wire)
 //!             .lane(out, |_from, Ping(n), _out| self.pings = self.pings.max(n))
 //!             .lane(out, |_from, Gossip(r), _out| self.rumours.push(r))
@@ -72,6 +74,8 @@
 //! assert_eq!(node.rumours, vec!["hi".to_string()]);
 //! assert!(out.is_empty());
 //! ```
+
+use std::marker::PhantomData;
 
 use crate::payload::Payload;
 use crate::process::{Context, ProcessId};
@@ -87,6 +91,18 @@ pub trait Lane<W>: Sized {
     /// Projects a wire message back to this lane, or returns it unchanged
     /// when it belongs to another lane.
     fn try_unwrap(wire: W) -> Result<Self, W>;
+}
+
+/// Every wire format is a lane of itself, so a layer can push a message of
+/// its own wire — `ReconfigMsg::Heartbeat`, say — and an outbox of that
+/// wire takes it unchanged.
+impl<W> Lane<W> for W {
+    fn wrap(self) -> W {
+        self
+    }
+    fn try_unwrap(wire: W) -> Result<Self, W> {
+        Ok(wire)
+    }
 }
 
 /// Collects `(destination, wire message)` pairs during one atomic step,
@@ -122,15 +138,10 @@ impl<W> Outbox<W> {
         Outbox { msgs }
     }
 
-    /// Queues one native message of lane `M` for `to`.
+    /// Queues one native message of lane `M` for `to` (a wire message
+    /// itself is the identity lane).
     pub fn push<M: Lane<W>>(&mut self, to: ProcessId, msg: M) {
         self.msgs.push((to, Payload::owned(msg.wrap())));
-    }
-
-    /// Queues one already-wrapped wire message for `to` (used for unit
-    /// variants of the wire enum, which carry no lane payload).
-    pub fn push_wire(&mut self, to: ProcessId, wire: W) {
-        self.msgs.push((to, Payload::owned(wire)));
     }
 
     /// Queues one native message for *every* destination in `peers`, sharing
@@ -146,15 +157,6 @@ impl<W> Outbox<W> {
         let mut fan = Payload::fan_out(msg.wrap(), peers.len());
         for to in peers {
             self.msgs.push((*to, fan.next()));
-        }
-    }
-
-    /// Queues a batch of native messages, wrapping each one. This is the
-    /// send-through path: a sub-layer's `(destination, message)` output goes
-    /// out over the composite's wire format unchanged.
-    pub fn extend<M: Lane<W>>(&mut self, batch: impl IntoIterator<Item = (ProcessId, M)>) {
-        for (to, msg) in batch {
-            self.push(to, msg);
         }
     }
 
@@ -185,13 +187,73 @@ impl<W> Outbox<W> {
 impl<W: Clone> Outbox<W> {
     /// Consumes the outbox, returning the queued wire messages in send order.
     /// Owned messages move; shared broadcast payloads clone per destination
-    /// (this is the facade/tests path — the simulation hot path hands the
+    /// (this is the test-facade path — the simulation hot path hands the
     /// payloads through [`Outbox::into_payloads`] unchanged).
     pub fn into_messages(self) -> Vec<(ProcessId, W)> {
         self.msgs
             .into_iter()
             .map(|(to, payload)| (to, payload.into_msg()))
             .collect()
+    }
+}
+
+/// Where a layer with wire `M` sends: anything that takes `M`'s lanes.
+///
+/// A node has one [`Outbox`], of its top-level wire `W`; it is a sink for
+/// every `M` that is a lane of `W`, itself included. A layer embedded under
+/// the lane `M` of its embedder's wire sends into the embedder's sink seen
+/// through that lane ([`Sink::nest`]), so every message of a stack goes into
+/// the same outbox once, wrapped lane by lane on the way in.
+///
+/// `Outbox<W>` with `M: Lane<W>` is the sink a top-level layer sees;
+/// [`Nested`] is what makes the relation transitive, which [`Lane`] alone is
+/// not (`RecSaMsg` is a lane of `ReconfigMsg`, which is a lane of `SmrMsg`).
+pub trait Sink<M> {
+    /// Queues one message of a lane of `M` for `to`.
+    fn push<L: Lane<M>>(&mut self, to: ProcessId, msg: L);
+
+    /// Queues one message of a lane of `M` for every destination in `peers`,
+    /// sharing one payload across them (see [`Outbox::push_to_all`]).
+    fn push_to_all<L: Lane<M>>(&mut self, peers: &[ProcessId], msg: L);
+
+    /// This sink as seen by a layer embedded under one of `M`'s lanes.
+    fn nest(&mut self) -> Nested<'_, Self, M>
+    where
+        Self: Sized,
+    {
+        Nested {
+            out: self,
+            _lane: PhantomData,
+        }
+    }
+}
+
+impl<W, M: Lane<W>> Sink<M> for Outbox<W> {
+    fn push<L: Lane<M>>(&mut self, to: ProcessId, msg: L) {
+        Outbox::push(self, to, <L as Lane<M>>::wrap(msg));
+    }
+
+    fn push_to_all<L: Lane<M>>(&mut self, peers: &[ProcessId], msg: L) {
+        Outbox::push_to_all(self, peers, <L as Lane<M>>::wrap(msg));
+    }
+}
+
+/// An embedder's sink `O` of wire `M`, seen by a layer whose wire is one of
+/// `M`'s lanes: a message is wrapped into that lane, then into `M`, and goes
+/// on into `O`. Created by [`Sink::nest`].
+#[derive(Debug)]
+pub struct Nested<'a, O, M> {
+    out: &'a mut O,
+    _lane: PhantomData<fn(M)>,
+}
+
+impl<O: Sink<M>, M, E: Lane<M>> Sink<E> for Nested<'_, O, M> {
+    fn push<L: Lane<E>>(&mut self, to: ProcessId, msg: L) {
+        self.out.push(to, <L as Lane<E>>::wrap(msg));
+    }
+
+    fn push_to_all<L: Lane<E>>(&mut self, peers: &[ProcessId], msg: L) {
+        self.out.push_to_all(peers, <L as Lane<E>>::wrap(msg));
     }
 }
 
@@ -218,12 +280,13 @@ impl<W> Router<W> {
     }
 
     /// Offers the message to lane `M`: if it belongs there, `handler` runs
-    /// with the native message and the shared outbox; otherwise the message
-    /// stays available for the next lane.
-    pub fn lane<M: Lane<W>>(
+    /// with the native message and the shared outbox (whatever sink the
+    /// layer was handed); otherwise the message stays available for the
+    /// next lane.
+    pub fn lane<M: Lane<W>, O>(
         mut self,
-        out: &mut Outbox<W>,
-        handler: impl FnOnce(ProcessId, M, &mut Outbox<W>),
+        out: &mut O,
+        handler: impl FnOnce(ProcessId, M, &mut O),
     ) -> Self {
         if let Some(wire) = self.wire.take() {
             match M::try_unwrap(wire) {
@@ -242,23 +305,27 @@ impl<W> Router<W> {
 
 /// A protocol layer (or a whole stack of them) in poll/handle form: the
 /// context-free shape every composite node in this workspace exposes, so
-/// higher layers can embed it and forward its traffic through their own
-/// [`Outbox`].
+/// higher layers can embed it and have it send straight into their own
+/// outbox.
+///
+/// Both methods are generic over the sink: the node's own [`Outbox`] when
+/// the layer runs on top (`impl_process_for_layer!`), its embedder's sink
+/// through [`Sink::nest`] when it is embedded.
 pub trait Layer {
     /// The wire format this layer speaks.
     type Wire: Clone;
 
     /// One timer step (`do forever` iteration) of the layer. `peers` lists
     /// every processor the node may address.
-    fn poll(&mut self, peers: &[ProcessId], out: &mut Outbox<Self::Wire>);
+    fn poll<O: Sink<Self::Wire>>(&mut self, peers: &[ProcessId], out: &mut O);
 
     /// Handles one received wire message, pushing any replies into `out`.
-    fn handle(&mut self, from: ProcessId, wire: Self::Wire, out: &mut Outbox<Self::Wire>);
+    fn handle<O: Sink<Self::Wire>>(&mut self, from: ProcessId, wire: Self::Wire, out: &mut O);
 }
 
 /// Defines a composite wire enum and derives a [`Lane`] implementation per
 /// payload-carrying variant. Unit variants are allowed and stay lane-less
-/// (send them with [`Outbox::push_wire`], observe them via
+/// (send them as wire values through the identity lane, observe them via
 /// [`Router::finish`]).
 ///
 /// Also derives [`crate::codec::WireCodec`]: the wire encoding is one byte of
@@ -463,8 +530,8 @@ mod tests {
         assert!(out.is_empty());
         out.push(pid(1), Lower(7));
         out.push(pid(2), Upper("x".into()));
-        out.push_wire(pid(3), Wire::Beat);
-        out.extend(vec![(pid(4), Lower(8))]);
+        out.push(pid(3), Wire::Beat);
+        out.push(pid(4), Lower(8));
         assert_eq!(out.len(), 4);
         let msgs = out.into_messages();
         assert_eq!(
@@ -497,6 +564,59 @@ mod tests {
         let payloads = out.into_payloads();
         assert_eq!(payloads.len(), 1);
         assert!(!payloads[0].1.is_shared());
+    }
+
+    wire_enum! {
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        enum Outer {
+            Tick,
+            Inner(Wire),
+        }
+    }
+
+    /// What a layer speaking `Wire` sends in one step, into whatever sink it
+    /// is handed.
+    fn inner_step<O: Sink<Wire>>(out: &mut O) {
+        out.push(pid(1), Lower(1));
+        out.push(pid(2), Wire::Beat);
+        out.push_to_all(&[pid(3), pid(4)], Upper("x".into()));
+    }
+
+    #[test]
+    fn an_embedded_layer_sends_straight_into_the_embedders_outbox() {
+        // An embedder generic over its own sink nests it for the inner layer.
+        fn outer_step<O: Sink<Outer>>(out: &mut O) {
+            out.push(pid(0), Outer::Tick);
+            inner_step(&mut out.nest());
+        }
+        let mut out: Outbox<Outer> = Outbox::new();
+        outer_step(&mut out);
+        let payloads = out.into_payloads();
+        // The broadcast stays one shared payload all the way out.
+        assert!(payloads[3].1.is_shared() && payloads[4].1.is_shared());
+        let msgs: Vec<_> = payloads
+            .into_iter()
+            .map(|(to, p)| (to, p.into_msg()))
+            .collect();
+        let upper = Outer::Inner(Wire::Upper(Upper("x".into())));
+        assert_eq!(
+            msgs,
+            vec![
+                (pid(0), Outer::Tick),
+                (pid(1), Outer::Inner(Wire::Lower(Lower(1)))),
+                (pid(2), Outer::Inner(Wire::Beat)),
+                (pid(3), upper.clone()),
+                (pid(4), upper),
+            ]
+        );
+        // An outbox of the outer wire is also a sink of the inner one
+        // directly, and of its own wire through the identity lane.
+        let mut direct: Outbox<Outer> = Outbox::new();
+        direct.push(pid(0), Outer::Tick);
+        inner_step(&mut direct);
+        let mut nested: Outbox<Outer> = Outbox::new();
+        outer_step(&mut nested);
+        assert_eq!(direct.into_messages(), nested.into_messages());
     }
 
     #[test]
@@ -571,12 +691,15 @@ mod tests {
 
     #[test]
     fn roundtrip_wrap_unwrap() {
-        let wrapped = Lower(3).wrap();
+        let wrapped: Wire = Lower(3).wrap();
         assert_eq!(wrapped, Wire::Lower(Lower(3)));
         assert_eq!(Lower::try_unwrap(wrapped), Ok(Lower(3)));
         assert_eq!(
             Lower::try_unwrap(Wire::Upper(Upper("y".into()))),
             Err(Wire::Upper(Upper("y".into())))
         );
+        // The identity lane: every wire value is its own lane.
+        assert_eq!(<Wire as Lane<Wire>>::wrap(Wire::Beat), Wire::Beat);
+        assert_eq!(<Wire as Lane<Wire>>::try_unwrap(Wire::Beat), Ok(Wire::Beat));
     }
 }

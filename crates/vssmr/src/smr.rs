@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use counters::{Counter, CounterMsg, CounterNode, IncrementOutcome};
 use reconfig::{ConfigSet, NodeConfig, ReconfigMsg, ReconfigNode, SharedSet};
-use simnet::stack::{Layer, Outbox, Router};
+use simnet::stack::{Layer, Outbox, Router, Sink};
 use simnet::ProcessId;
 
 /// A command submitted to the replicated state machine.
@@ -208,8 +208,10 @@ simnet::wire_enum! {
         Reconfig(ReconfigMsg),
         /// Counter service traffic (view identifiers).
         Counter(CounterMsg),
-        /// Replication state broadcast.
-        State(StateMsg),
+        /// Replication state broadcast: one snapshot per step, shared by
+        /// every packet of the broadcast and by every receiver's `peers`
+        /// entry.
+        State(Arc<StateMsg>),
     }
 }
 
@@ -230,7 +232,7 @@ pub struct SmrNode {
     next_seq: u64,
     current_input: Option<Command>,
     /// Most recent state snapshot received from each peer.
-    peers: BTreeMap<ProcessId, StateMsg>,
+    peers: BTreeMap<ProcessId, Arc<StateMsg>>,
     /// Reconfiguration handshake flags (Algorithm 4.6/4.7).
     suspend: bool,
     reconf_requested: bool,
@@ -459,7 +461,7 @@ impl SmrNode {
         }
     }
 
-    fn replication_step(&mut self, cfg: &ConfigSet, out: &mut Outbox<SmrMsg>) {
+    fn replication_step(&mut self, cfg: &ConfigSet, out: &mut impl Sink<SmrMsg>) {
         // Drop a proposal whose identifier is no longer legit under the
         // installed configuration (e.g. adopted from the losing side of a
         // partition before a configuration replacement): it can neither be
@@ -565,7 +567,7 @@ impl SmrNode {
             let trusted = self.reconfig.trusted_shared();
             if reconfig::has_majority(cfg, &trusted) && self.i_should_lead(cfg, &trusted) {
                 self.awaiting_view_id = true;
-                out.extend(self.counter.request_increment());
+                self.counter.request_increment_into(&mut out.nest());
             }
         }
     }
@@ -589,7 +591,7 @@ impl SmrNode {
         }
     }
 
-    fn coordinator_step(&mut self, cfg: &ConfigSet, out: &mut Outbox<SmrMsg>) {
+    fn coordinator_step(&mut self, cfg: &ConfigSet, out: &mut impl Sink<SmrMsg>) {
         match self.status {
             Status::Propose => {
                 let Some(prop) = self.prop_view.clone() else {
@@ -698,7 +700,7 @@ impl SmrNode {
                     && !self.awaiting_view_id
                 {
                     self.awaiting_view_id = true;
-                    out.extend(self.counter.request_increment());
+                    self.counter.request_increment_into(&mut out.nest());
                     return;
                 }
 
@@ -757,7 +759,7 @@ impl SmrNode {
         out.into_messages()
     }
 
-    fn on_state(&mut self, from: ProcessId, s: StateMsg) {
+    fn on_state(&mut self, from: ProcessId, s: Arc<StateMsg>) {
         // View identifiers are counters: the counter service must observe
         // every identifier still in circulation so its maximum (and hence
         // the next granted identifier) dominates them all.
@@ -851,9 +853,9 @@ impl SmrNode {
 impl Layer for SmrNode {
     type Wire = SmrMsg;
 
-    fn poll(&mut self, peers: &[ProcessId], out: &mut Outbox<SmrMsg>) {
-        // 1. Reconfiguration stack, forwarded through our wire format.
-        out.extend(self.reconfig.poll(peers));
+    fn poll<O: Sink<SmrMsg>>(&mut self, peers: &[ProcessId], out: &mut O) {
+        // 1. Reconfiguration stack, sending through our wire format.
+        Layer::poll(&mut self.reconfig, peers, &mut out.nest());
 
         // 2. Counter service: keep it aligned with the current configuration
         //    and the reconfiguration status.
@@ -874,7 +876,7 @@ impl Layer for SmrNode {
         }
         self.counter
             .set_reconfiguring(!self.reconfig.no_reconfiguration());
-        out.extend(self.counter.step());
+        Layer::poll(&mut self.counter, &[], &mut out.nest());
 
         // 3. Replication layer.
         if let Some(cfg) = config {
@@ -889,30 +891,31 @@ impl Layer for SmrNode {
         // 4. Broadcast the replication snapshot to the configuration members
         //    and view members.
         if self.reconfig.is_participant() {
-            // Every trusted peer receives the same snapshot, so share one
-            // payload across the fan-out instead of deep-cloning the view,
-            // replica state, and input per peer.
-            let snapshot = self.snapshot();
-            let audience: Vec<ProcessId> = self
-                .reconfig
-                .trusted_shared()
-                .iter()
-                .copied()
-                .filter(|p| *p != self.me)
-                .collect();
-            out.push_to_all(&audience, snapshot);
+            // Every trusted peer receives the same snapshot: it is built
+            // once, and each packet carries a handle to it, so a delivery
+            // is a refcount bump. (`push_to_all` would put the handle
+            // behind a second `Arc`.) Pushing per peer needs no audience
+            // list: the trusted set is walked in place.
+            let trusted = self.reconfig.trusted_shared();
+            let mut audience = trusted.iter().copied().filter(|p| *p != self.me).peekable();
+            if audience.peek().is_some() {
+                let snapshot = Arc::new(self.snapshot());
+                for to in audience {
+                    out.push(to, Arc::clone(&snapshot));
+                }
+            }
         }
     }
 
-    fn handle(&mut self, from: ProcessId, msg: SmrMsg, out: &mut Outbox<SmrMsg>) {
+    fn handle<O: Sink<SmrMsg>>(&mut self, from: ProcessId, msg: SmrMsg, out: &mut O) {
         let rest = Router::new(from, msg)
             .lane(out, |from, m: ReconfigMsg, out| {
-                out.extend(self.reconfig.handle(from, m))
+                Layer::handle(&mut self.reconfig, from, m, &mut out.nest())
             })
             .lane(out, |from, m: CounterMsg, out| {
-                out.extend(self.counter.on_message(from, m))
+                Layer::handle(&mut self.counter, from, m, &mut out.nest())
             })
-            .lane(out, |from, s: StateMsg, _| self.on_state(from, s))
+            .lane(out, |from, s: Arc<StateMsg>, _| self.on_state(from, s))
             .finish();
         debug_assert!(rest.is_none(), "every SMR lane is routed");
     }
@@ -1000,7 +1003,7 @@ impl simnet::ScenarioTarget for SmrNode {
                 if members.is_empty() {
                     return None;
                 }
-                Some(SmrMsg::State(StateMsg {
+                Some(SmrMsg::State(Arc::new(StateMsg {
                     view: Some(View {
                         id: view.id.clone(),
                         members: Arc::new(members),
@@ -1012,7 +1015,7 @@ impl simnet::ScenarioTarget for SmrNode {
                     input: None,
                     no_crd: false,
                     suspend: false,
-                }))
+                })))
             }
             simnet::ForgeKind::Replay => None,
         }
@@ -1364,6 +1367,77 @@ mod tests {
         for id in sim.active_ids() {
             assert_eq!(sim.process(id).unwrap().read_register(5), Some(55));
         }
+    }
+
+    /// A replica's snapshot is one allocation, shared by every packet of
+    /// its broadcast and by every receiver's `peers` entry. No fault may
+    /// write through that sharing: a transient fault on one receiver, a
+    /// corrupted peer entry and a forged `StaleState` snapshot each leave
+    /// every other receiver's entry the very allocation it was.
+    #[test]
+    fn faults_never_alias_into_a_shared_snapshot() {
+        use simnet::{ForgeKind, ScenarioTarget, SimRng};
+
+        let mut sim = cluster(4, 26);
+        let rounds = sim.run_until(400, |s| common_view(s).is_some());
+        assert!(rounds < 400, "no common view was installed");
+        // Replica 3's next broadcast, delivered to the other three.
+        let sender = ProcessId::new(3);
+        let ids = sim.active_ids();
+        for (to, msg) in sim.process_mut(sender).unwrap().poll(&ids) {
+            if let SmrMsg::State(_) = msg {
+                sim.process_mut(to).unwrap().handle(sender, msg);
+            }
+        }
+        let entry = |sim: &Simulation<SmrNode>, at: u32| {
+            Arc::clone(&sim.process(ProcessId::new(at)).unwrap().peers[&sender])
+        };
+        let held: Vec<Arc<StateMsg>> = (0..3).map(|at| entry(&sim, at)).collect();
+        assert!(
+            held.iter().all(|s| Arc::ptr_eq(s, &held[0])),
+            "one broadcast is one allocation"
+        );
+        let sent = (*held[0]).clone();
+        let untouched = |sim: &Simulation<SmrNode>, at: u32| {
+            let now = entry(sim, at);
+            Arc::ptr_eq(&now, &held[at as usize]) && *now == sent
+        };
+
+        // A transient fault on replica 0 wipes its own table only.
+        let mut rng = SimRng::seed_from(7);
+        sim.process_mut(ProcessId::new(0))
+            .unwrap()
+            .corrupt(&mut rng);
+        assert!(sim.process(ProcessId::new(0)).unwrap().peers.is_empty());
+        assert!(untouched(&sim, 1) && untouched(&sim, 2));
+
+        // A fault written into replica 1's entry copies it first.
+        let node = sim.process_mut(ProcessId::new(1)).unwrap();
+        let corrupted = node.peers.get_mut(&sender).unwrap();
+        Arc::make_mut(corrupted).rnd = 1 << 40;
+        assert!(!Arc::ptr_eq(corrupted, &held[1]));
+        assert!(untouched(&sim, 2));
+        assert_eq!(*held[1], sent);
+
+        // A forged stale snapshot is an allocation of its own, and adopting
+        // it at replica 2 leaves what the others hold alone.
+        let target = ProcessId::new(2);
+        let forged = SmrNode::forge_payload(ForgeKind::StaleState, sender, target, &sim, &mut rng)
+            .expect("the target holds a view to equivocate about");
+        let SmrMsg::State(forged_state) = &forged else {
+            panic!("a stale-state forgery is a state broadcast: {forged:?}");
+        };
+        let forged_state = Arc::clone(forged_state);
+        assert!(held.iter().all(|s| !Arc::ptr_eq(s, &forged_state)));
+        sim.process_mut(target).unwrap().handle(sender, forged);
+        assert!(Arc::ptr_eq(&entry(&sim, 2), &forged_state));
+        assert_ne!(*entry(&sim, 2), sent);
+        assert_eq!(*entry(&sim, 1), {
+            let mut expected = sent.clone();
+            expected.rnd = 1 << 40;
+            expected
+        });
+        assert_eq!(*held[2], sent);
     }
 
     #[test]

@@ -21,9 +21,11 @@ fn arb_counter(rng: &mut SimRng) -> Counter {
         label: Label {
             creator: arb_pid(rng),
             sting: rng.range_inclusive(0, 1 << 16) as u32,
-            antistings: (0..rng.range_inclusive(0, 3))
-                .map(|_| rng.range_inclusive(0, 1 << 16) as u32)
-                .collect(),
+            antistings: Arc::new(
+                (0..rng.range_inclusive(0, 3))
+                    .map(|_| rng.range_inclusive(0, 1 << 16) as u32)
+                    .collect(),
+            ),
         },
         seqn: rng.range_inclusive(0, 1 << 40),
         wid: arb_pid(rng),
@@ -96,7 +98,7 @@ fn arb_msg(rng: &mut SimRng) -> SmrMsg {
             })
         }),
         1 => SmrMsg::Counter(CounterMsg::Sync(arb_counter(rng))),
-        _ => SmrMsg::State(arb_state_msg(rng)),
+        _ => SmrMsg::State(Arc::new(arb_state_msg(rng))),
     }
 }
 
@@ -172,13 +174,13 @@ fn oversized_register_map_claim_is_rejected() {
 #[test]
 fn state_broadcast_wire_bytes_are_pinned() {
     let pid = ProcessId::new;
-    let msg = SmrMsg::State(StateMsg {
+    let msg = SmrMsg::State(Arc::new(StateMsg {
         view: Some(View {
             id: Counter {
                 label: Label {
                     creator: pid(2),
                     sting: 7,
-                    antistings: [3, 5].into_iter().collect(),
+                    antistings: Arc::new([3, 5].into()),
                 },
                 seqn: 0x0102_0304,
                 wid: pid(1),
@@ -199,7 +201,7 @@ fn state_broadcast_wire_bytes_are_pinned() {
         }),
         no_crd: false,
         suspend: true,
-    });
+    }));
     #[rustfmt::skip]
     let pinned: [u8; 124] = [
         2,                                              // SmrMsg::State
