@@ -58,7 +58,7 @@ pub use node::{NodeConfig, ReconfigMsg, ReconfigNode};
 pub use policy::{AdmissionPolicy, EvalPolicy};
 pub use quorum::QuorumSystem;
 pub use recma::{RecMa, RecMaMsg};
-pub use recsa::{RecSa, RecSaMsg};
+pub use recsa::{RecSa, RecSaMsg, RecSaOwn};
 pub use types::{
     config_set, has_majority, same_config, same_ntf, same_set, shared_config, shared_ntf,
     shared_set, ConfigSet, ConfigValue, EchoTriple, Notification, Phase, SharedConfig, SharedNtf,

@@ -109,27 +109,36 @@ impl RecMa {
     /// the participant sets they report.
     fn core(&self, recsa: &RecSa) -> SharedSet {
         let part = recsa.my_part_shared();
-        let mut iter = part.iter();
+        // `FD[k].part` of each participant, borrowed: the own entry is
+        // `part` itself, a peer's is what it last reported.
+        let reported = |k: ProcessId| {
+            if k == recsa.me() {
+                &part
+            } else {
+                recsa.part_rx_of(k)
+            }
+        };
+        let mut iter = part.iter().copied();
         let Some(first) = iter.next() else {
             return shared_set(BTreeSet::new());
         };
-        let first_set = recsa.part_reported_by(*first);
+        let first_set = reported(first);
         // The reported sets are shared (interned) values: in the converged
         // steady state they are all the same allocation, so the intersection
         // is only materialized once a genuinely different set shows up —
         // the steady path hands the first reporter's allocation back as-is.
         let mut acc: Option<BTreeSet<ProcessId>> = None;
         for k in iter {
-            let other = recsa.part_reported_by(*k);
-            if acc.is_none() && same_set(&first_set, &other) {
+            let other = reported(k);
+            if acc.is_none() && same_set(first_set, other) {
                 continue;
             }
-            let a = acc.get_or_insert_with(|| (*first_set).clone());
+            let a = acc.get_or_insert_with(|| (**first_set).clone());
             a.retain(|p| other.contains(p));
         }
         match acc {
             Some(materialized) => shared_set(materialized),
-            None => first_set,
+            None => first_set.clone(),
         }
     }
 

@@ -32,6 +32,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use simnet::{Ascending, PeerTable, ProcessId};
 
@@ -40,16 +41,11 @@ use crate::types::{
     EchoTriple, Notification, Phase, SharedConfig, SharedNtf, SharedSet,
 };
 
-/// The protocol message broadcast by every participant at the end of each
-/// `do forever` iteration (line 29 of Algorithm 3.1).
-///
-/// All set-valued fields are shared (see [`SharedSet`]): a participant sends
-/// the *same* reading, participant set, configuration and notification to
-/// every trusted processor, so per-peer message construction is `O(1)` and a
-/// 1,024-process broadcast does not copy 1,024-entry sets a million times a
-/// round.
+/// The sender's half of a [`RecSaMsg`]: the values line 29 sends to every
+/// trusted processor alike. The set-valued fields are shared (see
+/// [`SharedSet`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecSaMsg {
+pub struct RecSaOwn {
     /// The sender's failure-detector reading (`FD[i]`).
     pub fd: SharedSet,
     /// The sender's participant set (`FD[i].part`).
@@ -60,19 +56,36 @@ pub struct RecSaMsg {
     pub prp: SharedNtf,
     /// The sender's `all[i]` flag.
     pub all: bool,
+}
+
+simnet::wire_struct_codec!(RecSaOwn {
+    fd,
+    part,
+    config,
+    prp,
+    all
+});
+
+/// The protocol message broadcast by every participant at the end of each
+/// `do forever` iteration (line 29 of Algorithm 3.1): the sender's own
+/// values, the same for every receiver, plus a per-receiver echo.
+///
+/// The own half is one shared allocation. A broadcast builds it at most
+/// once, and not at all while the sender's values are the ones its previous
+/// broadcast carried, so a copy for one peer is three reference-count bumps
+/// (`own` and the echo's two handles) and a 1,024-process broadcast copies
+/// no set. On the wire an `Arc<T>` encodes as `T`: a frame is `fd`, `part`,
+/// `config`, `prp`, `all` and then the echo.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecSaMsg {
+    /// The sender's own values, shared by every copy of one broadcast.
+    pub own: Arc<RecSaOwn>,
     /// The per-receiver echo: the sender's most recent record of the
     /// *receiver's* participant set, notification and `all` flag.
     pub echo: EchoTriple,
 }
 
-simnet::wire_struct_codec!(RecSaMsg {
-    fd,
-    part,
-    config,
-    prp,
-    all,
-    echo
-});
+simnet::wire_struct_codec!(RecSaMsg { own, echo });
 
 /// Index `k` of the paper's per-processor arrays: what this processor holds
 /// about `pₖ` (its own entry included). One record per peer, so handling a
@@ -81,7 +94,7 @@ simnet::wire_struct_codec!(RecSaMsg {
 /// A `None` field is an array entry that was never written. It reads as the
 /// line-31 default, but it is not the same thing as a stored default:
 /// `configSet()` overwrites the entries that exist, not the ones that don't.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Peer {
     /// `config[k]` — own entry or most recently received value.
     config: Option<SharedConfig>,
@@ -96,6 +109,13 @@ struct Peer {
     all: bool,
     /// `echo[k]` — what `pₖ` last echoed back of our own values.
     echo: Option<EchoTriple>,
+}
+
+/// Stores `new` in `slot` unless `slot` already holds that allocation.
+fn store<T>(slot: &mut Option<Arc<T>>, new: &Arc<T>) {
+    if !slot.as_ref().is_some_and(|old| Arc::ptr_eq(old, new)) {
+        *slot = Some(new.clone());
+    }
 }
 
 /// The line-31 defaults, interned once per processor so that reading an
@@ -158,6 +178,9 @@ pub struct RecSa {
     /// several times per step (`getConfig()`, recMA's gate, the joining
     /// mechanism), so one evaluation per mutation batch suffices.
     no_reco_cache: RefCell<Option<(u64, bool)>>,
+    /// The own half of the last broadcast, reused by the next one while it
+    /// still holds the current values (see [`RecSa::own_to_send`]).
+    sent_own: Option<Arc<RecSaOwn>>,
 }
 
 impl RecSa {
@@ -195,6 +218,7 @@ impl RecSa {
             part_cache: RefCell::new(None),
             state_version: 0,
             no_reco_cache: RefCell::new(None),
+            sent_own: None,
         }
     }
 
@@ -255,8 +279,9 @@ impl RecSa {
         stored.unwrap_or(&self.dflt.set)
     }
 
-    /// `FD[k].part` as last received from a peer `pₖ` (`k ≠ i`).
-    fn part_rx_of(&self, k: ProcessId) -> &SharedSet {
+    /// `FD[k].part` as last received from a peer `pₖ` (`k ≠ i`); recMA's
+    /// `core()` reads it too.
+    pub(crate) fn part_rx_of(&self, k: ProcessId) -> &SharedSet {
         debug_assert_ne!(k, self.me, "own participant set is computed, not received");
         let stored = self.peers.get(k).and_then(|p| p.part_rx.as_ref());
         stored.unwrap_or(&self.dflt.set)
@@ -334,16 +359,6 @@ impl RecSa {
     /// a concrete one.
     pub fn installed_config(&self) -> Option<ConfigSet> {
         self.own_config_shared().as_set().cloned()
-    }
-
-    /// The participant set most recently reported by `k` (`FD[k].part`),
-    /// used by the Reconfiguration Management layer to compute its `core()`.
-    pub fn part_reported_by(&self, k: ProcessId) -> SharedSet {
-        if k == self.me {
-            self.my_part_shared()
-        } else {
-            self.part_rx_of(k).clone()
-        }
     }
 
     /// Turns this processor into a brute-force resetter (`config[·] ← ⊥`).
@@ -623,24 +638,34 @@ impl RecSa {
 
     /// Handles a protocol message from `from` (line 30): the received shared
     /// values are stored as-is, keeping the sender's allocations canonical
-    /// across the whole system.
+    /// across the whole system. A slot that already holds the allocation it
+    /// is sent is left alone, so a receipt that repeats the stored values —
+    /// every receipt of a converged system — writes no handle.
     pub fn on_message(&mut self, from: ProcessId, msg: RecSaMsg) {
         if from == self.me {
             return;
         }
         self.touch();
+        let RecSaMsg { own, echo } = msg;
         let peer = self.peer_mut(from);
-        peer.fd = Some(msg.fd);
-        peer.part_rx = Some(msg.part);
+        store(&mut peer.fd, &own.fd);
+        store(&mut peer.part_rx, &own.part);
         // The sender's configuration entry feeds `FD[i].part`.
         let stale = !peer
             .config
             .as_ref()
-            .is_some_and(|old| same_config(old, &msg.config));
-        peer.config = Some(msg.config);
-        peer.prp = Some(msg.prp);
-        peer.all = msg.all;
-        peer.echo = Some(msg.echo);
+            .is_some_and(|old| same_config(old, &own.config));
+        store(&mut peer.config, &own.config);
+        store(&mut peer.prp, &own.prp);
+        peer.all = own.all;
+        let echo_stored = peer.echo.as_ref().is_some_and(|old| {
+            Arc::ptr_eq(&old.part, &echo.part)
+                && Arc::ptr_eq(&old.prp, &echo.prp)
+                && old.all == echo.all
+        });
+        if !echo_stored {
+            peer.echo = Some(echo);
+        }
         if stale {
             self.invalidate_part();
         }
@@ -944,26 +969,18 @@ impl RecSa {
 
     /// Line 29: participants broadcast their state to every trusted
     /// processor; non-participants stay silent.
-    fn broadcast_with(&self, trusted: &SharedSet, mut sink: impl FnMut(ProcessId, RecSaMsg)) {
+    fn broadcast_with(&mut self, trusted: &SharedSet, mut sink: impl FnMut(ProcessId, RecSaMsg)) {
         if !self.is_participant() {
             return;
         }
-        // Own values are computed once and shared by every copy; only the
-        // per-receiver echo differs (and consists of shared values itself).
-        let fd = self.fd_of(self.me);
-        let part = self.my_part_shared();
-        let config = self.config_of(self.me);
-        let prp = self.prp_of(self.me);
-        let all = self.all_of(self.me);
+        // Own values are shared by every copy; only the per-receiver echo
+        // differs (and consists of shared values itself).
+        let own = self.own_to_send();
         for pj in trusted.iter().copied().filter(|p| *p != self.me) {
             sink(
                 pj,
                 RecSaMsg {
-                    fd: fd.clone(),
-                    part: part.clone(),
-                    config: config.clone(),
-                    prp: prp.clone(),
-                    all,
+                    own: own.clone(),
                     echo: EchoTriple {
                         part: self.part_rx_of(pj).clone(),
                         prp: self.prp_of(pj).clone(),
@@ -972,6 +989,41 @@ impl RecSa {
                 },
             );
         }
+    }
+
+    /// The own half of this broadcast: the previous broadcast's allocation
+    /// when it holds exactly the current values — the same four allocations
+    /// and the same `all` flag — and a new one otherwise.
+    ///
+    /// The kept allocation is soft state checked at every use, so no
+    /// mutation path has to drop it, and whatever a transient fault leaves
+    /// in it is replaced by the first broadcast after the fault.
+    fn own_to_send(&mut self) -> Arc<RecSaOwn> {
+        let me = self.me;
+        let part = self.my_part_shared();
+        let fd = self.fd_of(me);
+        let config = self.config_of(me);
+        let prp = self.prp_of(me);
+        let all = self.all_of(me);
+        if let Some(sent) = &self.sent_own {
+            if Arc::ptr_eq(&sent.fd, fd)
+                && Arc::ptr_eq(&sent.part, &part)
+                && Arc::ptr_eq(&sent.config, config)
+                && Arc::ptr_eq(&sent.prp, prp)
+                && sent.all == all
+            {
+                return sent.clone();
+            }
+        }
+        let own = Arc::new(RecSaOwn {
+            fd: fd.clone(),
+            part,
+            config: config.clone(),
+            prp: prp.clone(),
+            all,
+        });
+        self.sent_own = Some(own.clone());
+        own
     }
 
     // ----- fault injection (white-box helpers for tests and benchmarks) -----
@@ -999,6 +1051,51 @@ impl RecSa {
     pub fn corrupt_echo(&mut self, k: ProcessId, e: EchoTriple) {
         self.peer_mut(k).echo = Some(e);
         self.touch();
+    }
+
+    /// Puts an arbitrary own half in the broadcast cache, modelling a
+    /// transient fault in the soft state.
+    #[cfg(test)]
+    fn corrupt_sent_own(&mut self, own: RecSaOwn) {
+        self.sent_own = Some(Arc::new(own));
+    }
+
+    /// The own half built from the current values, without the cache.
+    #[cfg(test)]
+    fn fresh_own(&self) -> RecSaOwn {
+        RecSaOwn {
+            fd: self.fd_of(self.me).clone(),
+            part: self.my_part_shared(),
+            config: self.config_of(self.me).clone(),
+            prp: self.prp_of(self.me).clone(),
+            all: self.all_of(self.me),
+        }
+    }
+
+    /// [`RecSa::on_message`] storing every handle it is sent, whether or not
+    /// the slot already holds it: the reference its compare-before-store is
+    /// checked against.
+    #[cfg(test)]
+    fn on_message_storing_all(&mut self, from: ProcessId, msg: RecSaMsg) {
+        if from == self.me {
+            return;
+        }
+        self.touch();
+        let RecSaMsg { own, echo } = msg;
+        let peer = self.peer_mut(from);
+        let stale = !peer
+            .config
+            .as_ref()
+            .is_some_and(|old| same_config(old, &own.config));
+        peer.fd = Some(own.fd.clone());
+        peer.part_rx = Some(own.part.clone());
+        peer.config = Some(own.config.clone());
+        peer.prp = Some(own.prp.clone());
+        peer.all = own.all;
+        peer.echo = Some(echo);
+        if stale {
+            self.invalidate_part();
+        }
     }
 }
 
@@ -1428,6 +1525,54 @@ mod tests {
         assert!(node.no_reco());
     }
 
+    /// In a converged cluster a broadcast shares one own half across all its
+    /// copies, the next step's broadcast reuses it, and an `estab` (a new
+    /// `prp[i]`) makes the next broadcast build another.
+    #[test]
+    fn converged_cluster_reuses_one_own_allocation() {
+        let (mut node, trusted) = steady_node();
+        let first = node.step(&trusted);
+        let second = node.step(&trusted);
+        assert_eq!(first.len(), 3);
+        let own = &first[0].1.own;
+        for (_, msg) in first.iter().chain(&second) {
+            assert!(Arc::ptr_eq(&msg.own, own), "a copy built its own half");
+        }
+        assert!(node.estab(config_set([0, 1, 2])));
+        let third = node.step(&trusted);
+        let rebuilt = &third[0].1.own;
+        assert!(
+            !Arc::ptr_eq(rebuilt, own),
+            "the proposal reused a stale half"
+        );
+        assert_eq!(**rebuilt, node.fresh_own());
+        assert!(third.iter().all(|(_, m)| Arc::ptr_eq(&m.own, rebuilt)));
+    }
+
+    /// Whatever a fault leaves in the broadcast cache — the current values
+    /// with any one of them changed — the next broadcast carries the true
+    /// values.
+    #[test]
+    fn a_planted_own_is_replaced_by_the_true_values() {
+        let other = config_set([7]);
+        for field in ["fd", "part", "config", "prp", "all"] {
+            let (mut node, trusted) = steady_node();
+            node.step(&trusted);
+            let mut own = node.fresh_own();
+            match field {
+                "fd" => own.fd = shared_set(other.clone()),
+                "part" => own.part = shared_set(other.clone()),
+                "config" => own.config = shared_config(ConfigValue::Set(other.clone())),
+                "prp" => own.prp = shared_ntf(Notification::proposal(other.clone())),
+                _ => own.all = !own.all,
+            }
+            node.corrupt_sent_own(own);
+            for (_, msg) in node.step(&trusted) {
+                assert_eq!(*msg.own, node.fresh_own(), "a planted {field} was sent");
+            }
+        }
+    }
+
     #[test]
     fn get_config_reports_bottom_during_reset() {
         let mut h = Harness::participants(2);
@@ -1581,6 +1726,288 @@ mod proptests {
                 );
                 prop_assert!(node.own_notification().is_default());
                 prop_assert_eq!(node.resets_started(), 0);
+            }
+        }
+    }
+}
+
+/// The two caches of the message path against what they stand for: the
+/// sender's reused own half against the values it would build afresh, and
+/// the receiver's compare-before-store against storing every handle.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::types::config_set;
+    use proptest::prelude::*;
+    use simnet::SimRng;
+
+    /// Processors `0..4` run; `4` is a ghost only a fault or an injected
+    /// packet names.
+    const IDS: u64 = 5;
+
+    fn pid(rng: &mut SimRng) -> ProcessId {
+        ProcessId::new(rng.range_inclusive(0, IDS - 1) as u32)
+    }
+
+    /// A set over a universe small enough that interning often hands back
+    /// an allocation some slot already holds.
+    fn set(rng: &mut SimRng) -> BTreeSet<ProcessId> {
+        (0..IDS as u32)
+            .filter(|_| rng.chance(0.6))
+            .map(ProcessId::new)
+            .collect()
+    }
+
+    fn config(rng: &mut SimRng) -> ConfigValue {
+        match rng.range_inclusive(0, 3) {
+            0 => ConfigValue::NonParticipant,
+            1 => ConfigValue::Bottom,
+            _ => ConfigValue::Set(set(rng)),
+        }
+    }
+
+    fn ntf(rng: &mut SimRng) -> Notification {
+        let phase = [Phase::Zero, Phase::One, Phase::Two][rng.range_inclusive(0, 2) as usize];
+        Notification {
+            phase,
+            set: rng.chance(0.5).then(|| set(rng)),
+        }
+    }
+
+    fn echo(rng: &mut SimRng) -> EchoTriple {
+        EchoTriple {
+            part: shared_set(set(rng)),
+            prp: shared_ntf(ntf(rng)),
+            all: rng.chance(0.5),
+        }
+    }
+
+    fn own(rng: &mut SimRng) -> RecSaOwn {
+        RecSaOwn {
+            fd: shared_set(set(rng)),
+            part: shared_set(set(rng)),
+            config: shared_config(config(rng)),
+            prp: shared_ntf(ntf(rng)),
+            all: rng.chance(0.5),
+        }
+    }
+
+    /// Changes one of the eight values of a message, or none.
+    fn vary(own: &mut RecSaOwn, echo: &mut EchoTriple, rng: &mut SimRng) {
+        match rng.range_inclusive(0, 8) {
+            0 => own.fd = shared_set(set(rng)),
+            1 => own.part = shared_set(set(rng)),
+            2 => own.config = shared_config(config(rng)),
+            3 => own.prp = shared_ntf(ntf(rng)),
+            4 => own.all = !own.all,
+            5 => echo.part = shared_set(set(rng)),
+            6 => echo.prp = shared_ntf(ntf(rng)),
+            7 => echo.all = !echo.all,
+            _ => {}
+        }
+    }
+
+    /// A message from `from` that repeats what `node` stores about `from`
+    /// with at most one value changed — the near-repeats that decide
+    /// whether a slot is rewritten — or (one time in four) an arbitrary one.
+    fn received(node: &RecSa, from: ProcessId, rng: &mut SimRng) -> RecSaMsg {
+        if rng.chance(0.25) {
+            return RecSaMsg {
+                own: Arc::new(own(rng)),
+                echo: echo(rng),
+            };
+        }
+        let mut own = RecSaOwn {
+            fd: node.fd_of(from).clone(),
+            part: node.part_rx_of(from).clone(),
+            config: node.config_of(from).clone(),
+            prp: node.prp_of(from).clone(),
+            all: node.all_of(from),
+        };
+        let mut echo = node.echo_of(from).clone();
+        vary(&mut own, &mut echo, rng);
+        RecSaMsg {
+            own: Arc::new(own),
+            echo,
+        }
+    }
+
+    /// `node`'s current own half with at most one value changed, or (one
+    /// time in four) an arbitrary one.
+    fn planted(node: &RecSa, rng: &mut SimRng) -> RecSaOwn {
+        if rng.chance(0.25) {
+            return own(rng);
+        }
+        let mut own = node.fresh_own();
+        vary(&mut own, &mut EchoTriple::default(), rng);
+        own
+    }
+
+    /// Four processors — converged or starting from `⊥` — and a copy of
+    /// processor 0 that receives through the store-everything reference.
+    /// Every operation goes to processor 0 and its reference alike.
+    struct Cluster {
+        nodes: Vec<RecSa>,
+        reference: RecSa,
+        /// Recently delivered messages to processor 0, for replays.
+        delivered: Vec<(ProcessId, RecSaMsg)>,
+    }
+
+    impl Cluster {
+        fn new(converged: bool) -> Self {
+            let nodes: Vec<RecSa> = (0..4)
+                .map(ProcessId::new)
+                .map(|id| match converged {
+                    true => RecSa::new_with_config(id, config_set(0..4)),
+                    false => RecSa::new_participant(id),
+                })
+                .collect();
+            let reference = nodes[0].clone();
+            Cluster {
+                nodes,
+                reference,
+                delivered: Vec::new(),
+            }
+        }
+
+        fn deliver(&mut self, from: ProcessId, to: ProcessId, msg: RecSaMsg) {
+            match to.as_u32() {
+                0 => {
+                    self.reference.on_message_storing_all(from, msg.clone());
+                    self.nodes[0].on_message(from, msg.clone());
+                    self.delivered.push((from, msg));
+                }
+                k if (k as usize) < self.nodes.len() => {
+                    self.nodes[k as usize].on_message(from, msg)
+                }
+                _ => {}
+            }
+        }
+
+        /// Applies one random operation. Returns the broadcast it made, if
+        /// any, with the own half its sender would build afresh afterwards.
+        fn apply(
+            &mut self,
+            kind: u8,
+            k: usize,
+            rng: &mut SimRng,
+        ) -> Option<(RecSaOwn, Vec<RecSaMsg>)> {
+            let me = ProcessId::new(0);
+            match kind {
+                // Steps, the usual operation: mostly with everybody
+                // trusted, sometimes a subset or the ghost too, and each
+                // message lost one time in eight.
+                0..=6 => {
+                    let trusted: BTreeSet<ProcessId> = match rng.chance(0.7) {
+                        true => (0..4).map(ProcessId::new).collect(),
+                        false => set(rng),
+                    };
+                    let from = ProcessId::new(k as u32);
+                    let sent = self.nodes[k].step(&trusted);
+                    if k == 0 {
+                        let reference = self.reference.step(&trusted);
+                        assert_eq!(sent, reference, "the reference broadcast differently");
+                    }
+                    let own = self.nodes[k].fresh_own();
+                    for (to, msg) in sent.clone() {
+                        if !rng.chance(0.125) {
+                            self.deliver(from, to, msg);
+                        }
+                    }
+                    return Some((own, sent.into_iter().map(|(_, m)| m).collect()));
+                }
+                7 => {
+                    let from = ProcessId::new(rng.range_inclusive(1, IDS - 1) as u32);
+                    let msg = received(&self.nodes[0], from, rng);
+                    self.deliver(from, me, msg);
+                }
+                8 => {
+                    let back = rng.range_inclusive(0, 3) as usize;
+                    if let Some((from, msg)) = self.delivered.iter().rev().nth(back).cloned() {
+                        self.deliver(from, me, msg);
+                    }
+                }
+                9 => {
+                    let (at, v) = (pid(rng), config(rng));
+                    self.nodes[0].corrupt_config(at, v.clone());
+                    self.reference.corrupt_config(at, v);
+                }
+                10 => {
+                    let (at, n) = (pid(rng), ntf(rng));
+                    self.nodes[0].corrupt_notification(at, n.clone());
+                    self.reference.corrupt_notification(at, n);
+                }
+                11 => {
+                    let (at, e) = (pid(rng), echo(rng));
+                    self.nodes[0].corrupt_echo(at, e.clone());
+                    self.reference.corrupt_echo(at, e);
+                }
+                12 => {
+                    let seen = set(rng);
+                    self.nodes[0].corrupt_all_seen(seen.clone());
+                    self.reference.corrupt_all_seen(seen);
+                }
+                13 => {
+                    let proposal = set(rng);
+                    let accepted = self.nodes[k].estab(proposal.clone());
+                    if k == 0 {
+                        assert_eq!(accepted, self.reference.estab(proposal));
+                    }
+                }
+                _ => {
+                    let own = planted(&self.nodes[0], rng);
+                    self.nodes[0].corrupt_sent_own(own.clone());
+                    self.reference.corrupt_sent_own(own);
+                }
+            }
+            None
+        }
+    }
+
+    fn peers(node: &RecSa) -> Vec<(ProcessId, &Peer)> {
+        node.peers.iter().collect()
+    }
+
+    proptest! {
+        /// Every broadcast of every processor, through random steps,
+        /// receipts, replays, faults of every `corrupt_*` kind, proposals and
+        /// planted cache contents, carries one own half that equals the
+        /// values its sender would build afresh.
+        #[test]
+        fn every_broadcast_carries_the_current_own_values(
+            converged in any::<bool>(),
+            raw_ops in proptest::collection::vec((0u8..15, 0u8..4, 0u64..u64::MAX), 0..160),
+        ) {
+            let mut cluster = Cluster::new(converged);
+            for (kind, k, word) in raw_ops {
+                let mut rng = SimRng::seed_from(word);
+                if let Some((fresh, sent)) = cluster.apply(kind, usize::from(k), &mut rng) {
+                    for msg in &sent {
+                        prop_assert_eq!(&*msg.own, &fresh);
+                        prop_assert!(Arc::ptr_eq(&msg.own, &sent[0].own));
+                    }
+                }
+            }
+        }
+
+        /// Processor 0 and a copy that stores every handle it receives go
+        /// through the same history and hold value-equal peer records, the
+        /// same `allSeen` and the same `noReco()` verdict after every
+        /// operation; their broadcasts are compared inside `apply`.
+        #[test]
+        fn compare_before_store_matches_storing_every_handle(
+            converged in any::<bool>(),
+            raw_ops in proptest::collection::vec((0u8..15, 0u8..4, 0u64..u64::MAX), 0..160),
+        ) {
+            let mut cluster = Cluster::new(converged);
+            for (kind, k, word) in raw_ops {
+                let mut rng = SimRng::seed_from(word);
+                cluster.apply(kind, usize::from(k), &mut rng);
+                let (node, reference) = (&cluster.nodes[0], &cluster.reference);
+                prop_assert_eq!(peers(node), peers(reference));
+                prop_assert_eq!(&node.all_seen, &reference.all_seen);
+                prop_assert_eq!(node.no_reco(), reference.no_reco());
+                prop_assert_eq!(node.my_part_shared(), reference.my_part_shared());
             }
         }
     }

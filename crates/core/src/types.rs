@@ -30,7 +30,10 @@ pub type ConfigSet = BTreeSet<ProcessId>;
 /// simulations at a few hundred processors. Shared sets make the per-peer
 /// cost `O(1)`: construction via [`shared_set`] *interns* the value, so equal
 /// sets are represented by the same allocation and equality short-circuits on
-/// pointer identity (see [`same_set`]).
+/// pointer identity (see [`same_set`]). The sender's sets travel inside one
+/// shared [`RecSaOwn`](crate::RecSaOwn) per broadcast, and a receiver keeps
+/// the handle it already holds when it is sent the same allocation again, so
+/// a converged system neither copies nor re-stores a set per message.
 pub type SharedSet = Arc<BTreeSet<ProcessId>>;
 
 /// A reference-counted [`ConfigValue`] (interned via [`shared_config`]).

@@ -1064,6 +1064,23 @@ mod tests {
         assert_eq!(senders, vec![1, limit - 1, limit]);
     }
 
+    /// An arrival-log entry is its message plus 16 B — the sender and the
+    /// delivery round — for a message shaped like the wire values: 8-byte
+    /// aligned, with spare bit patterns the payload and entry tags can use.
+    /// Every simulated send writes one entry, so neither `Logged` nor
+    /// `InFlight` may grow unnoticed.
+    #[test]
+    fn a_log_entry_is_its_message_plus_sixteen_bytes() {
+        #[allow(dead_code)]
+        struct Msg {
+            words: [u64; 3],
+            flag: bool,
+        }
+        let msg = std::mem::size_of::<Msg>();
+        assert_eq!(msg, 32);
+        assert_eq!(std::mem::size_of::<Option<Logged<Msg>>>(), msg + 16);
+    }
+
     /// Sends and one-packet deliveries interleaved on one link that fills up
     /// and then evicts on every send: every delivery is what a `Channel` fed
     /// the same operations and random stream delivers.

@@ -127,11 +127,13 @@ fn nested_envelopes_roundtrip_through_the_outer_codec() {
     // A full RecSa payload rides the Reconfig lane of SmrMsg unchanged.
     let mut rng = SimRng::seed_from(11);
     let inner = reconfig::RecSaMsg {
-        fd: Arc::new([arb_pid(&mut rng)].into_iter().collect()),
-        part: Arc::new(BTreeSet::new()),
-        config: Arc::new(reconfig::types::ConfigValue::Bottom),
-        prp: Arc::new(reconfig::types::Notification::default()),
-        all: true,
+        own: Arc::new(reconfig::RecSaOwn {
+            fd: Arc::new([arb_pid(&mut rng)].into_iter().collect()),
+            part: Arc::new(BTreeSet::new()),
+            config: Arc::new(reconfig::types::ConfigValue::Bottom),
+            prp: Arc::new(reconfig::types::Notification::default()),
+            all: true,
+        }),
         echo: reconfig::types::EchoTriple {
             part: Arc::new(BTreeSet::new()),
             prp: Arc::new(reconfig::types::Notification::default()),

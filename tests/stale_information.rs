@@ -9,10 +9,11 @@
 //! channels — and check convergence and closure.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use reconfig::{
     config_set, shared_config, shared_ntf, shared_set, ConfigSet, ConfigValue, EchoTriple,
-    NodeConfig, Notification, Phase, RecSaMsg, ReconfigMsg, ReconfigNode,
+    NodeConfig, Notification, Phase, RecSaMsg, RecSaOwn, ReconfigMsg, ReconfigNode,
 };
 use simnet::{ProcessId, SimConfig, Simulation};
 
@@ -129,11 +130,13 @@ fn type2_three_way_configuration_conflict_heals() {
 fn stale_packet_in_channel_with_conflicting_configuration_heals() {
     let mut sim = steady_cluster(4, 204);
     let stale = RecSaMsg {
-        fd: shared_set(config_set(0..4)),
-        part: shared_set(config_set(0..4)),
-        config: shared_config(ConfigValue::Set(config_set([0, 3]))),
-        prp: shared_ntf(Notification::dflt()),
-        all: false,
+        own: Arc::new(RecSaOwn {
+            fd: shared_set(config_set(0..4)),
+            part: shared_set(config_set(0..4)),
+            config: shared_config(ConfigValue::Set(config_set([0, 3]))),
+            prp: shared_ntf(Notification::dflt()),
+            all: false,
+        }),
         echo: EchoTriple::default(),
     };
     // The stale packet claims to come from p1 and is delivered to p2.
