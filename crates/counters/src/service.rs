@@ -1327,6 +1327,7 @@ mod seeded_bug {
     /// the sticky re-installation is what makes it a *bug* rather than a
     /// transient fault, and it makes members re-mint seqn 1, 2, … inside
     /// an epoch that already committed those tokens.
+    #[derive(Clone)]
     struct StaleLabelNode {
         inner: CounterNode,
         /// The stale epoch state corruption jumped back to.

@@ -722,31 +722,17 @@ fn resolve_nodes(flag: Option<&str>) -> Result<Vec<&'static str>, String> {
     }
 }
 
-/// Runs the node × scenario × seed matrix. With `jobs > 1` the *whole*
-/// matrix — node axis included — is dispatched to one `simnet::exec` pool
-/// in node-major enumeration order, so even a one-seed `--node all` tier
-/// (four cells) parallelizes; reassembly keeps the record order identical
-/// to the serial per-node loop, hence byte-identical reports at any jobs
-/// count.
+/// Runs the node × scenario × seed matrix. The *whole* matrix — node axis
+/// included — is dispatched to one `simnet::exec` pool in node-major
+/// enumeration order, so even a one-seed `--node all` tier (four cells)
+/// parallelizes; reassembly keeps the record order identical to a per-node
+/// loop, hence byte-identical reports at any jobs count.
 fn run_matrix(
     campaign: &Campaign,
     nodes: &[&str],
     scenarios: &[Scenario],
 ) -> Result<CampaignReport, String> {
     let mut report = CampaignReport::new(campaign.name(), campaign.seeds().to_vec());
-    let jobs = campaign.jobs();
-    if jobs <= 1 {
-        for node in nodes {
-            match *node {
-                "reconfig" => campaign.run_into::<ReconfigNode>(scenarios, &mut report),
-                "counter" => campaign.run_into::<CounterNode>(scenarios, &mut report),
-                "smr" => campaign.run_into::<SmrNode>(scenarios, &mut report),
-                "sharedmem" => campaign.run_into::<SharedMemNode>(scenarios, &mut report),
-                other => return Err(format!("unknown node type `{other}`")),
-            }
-        }
-        return Ok(report);
-    }
     let started = std::time::Instant::now();
     let mut cells = Vec::new();
     for node in nodes {
@@ -758,7 +744,7 @@ fn run_matrix(
             other => return Err(format!("unknown node type `{other}`")),
         });
     }
-    report.runs = simnet::exec::run_ordered(cells, jobs);
+    report.runs = simnet::exec::run_ordered(cells, campaign.jobs());
     if campaign.timings() {
         report.wall_ms_total = Some(started.elapsed().as_secs_f64() * 1e3);
     }

@@ -13,15 +13,33 @@
 //! explicitly non-deterministic opt-in ([`Campaign::with_timings`]), for
 //! benchmarking use only.
 //!
+//! # Shared prefixes
+//!
+//! Every random draw inside a cell derives from its own (scenario, seed)
+//! pair, and the faults of a scenario hit a *running* system: until its
+//! [`Scenario::fork_round`] — its first fault, capped below the end of its
+//! workload window — a cell executes exactly the fault-free run that every
+//! scenario with the same population, links, load and history
+//! configuration executes under that seed and scheduler mode
+//! ([`Scenario::shares_prefix_with`]). So [`Campaign::cell_jobs`] groups the
+//! cells by that key, seed and mode. The first cell of a group to run
+//! bootstraps the prefix once, from ⊥, and snapshots it at every distinct
+//! fork round of the group in ascending order; every cell then forks the
+//! snapshot at its own fork round ([`crate::ScenarioRunner`] is `Clone`) and
+//! runs only its own faults and recovery. A snapshot is dropped when the
+//! last cell that forks from it has done so.
+//!
 //! # Parallel execution
 //!
-//! Cells are independent — every random draw inside a cell derives from its
-//! own (scenario, seed) pair — so the driver runs them on the
-//! [`crate::exec`] work-stealing pool ([`Campaign::with_jobs`]; the default
-//! is the machine's available parallelism, `jobs = 1` keeps the serial
-//! loop). Results are reassembled in enumeration order (scenario-major,
-//! seed-minor), so the report is **byte-identical at any jobs count**; CI
-//! and the property tests assert exactly that.
+//! The cells run on the [`crate::exec`] work-stealing pool
+//! ([`Campaign::with_jobs`]; the default is the machine's available
+//! parallelism, and one worker runs the cells in order on the calling
+//! thread). A group's snapshots sit behind a mutex and are only cloned, so
+//! a cell may fork on another worker than the one that ran its prefix.
+//! Results are reassembled in enumeration order (scenario-major,
+//! seed-minor), so the report is **byte-identical at any jobs count** and
+//! to a cold run of every cell from ⊥; CI and the property tests assert
+//! exactly that.
 //!
 //! # Wall-time semantics under parallelism
 //!
@@ -31,12 +49,13 @@
 //! of the cells' `wall_ms`; the driver measures its own elapsed time into
 //! the opt-in [`CampaignReport::wall_ms_total`] instead. Speedup of the
 //! parallel driver is `Σ wall_ms / wall_ms_total`-shaped, never a
-//! comparison of `wall_ms` fields across jobs counts.
+//! comparison of `wall_ms` fields across jobs counts. A group's shared
+//! prefix counts towards the cell that ran it.
 //!
 //! ```
 //! # use simnet::scenario::ScenarioTarget;
 //! # use simnet::{Context, Process, ProcessId, SimRng, Simulation};
-//! # #[derive(Debug)]
+//! # #[derive(Debug, Clone)]
 //! # struct Flood { value: u64 }
 //! # impl Process for Flood {
 //! #     type Msg = u64;
@@ -77,11 +96,14 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::config::SchedulerMode;
+use crate::exec::Job;
 use crate::report::{obj_from_map, Json};
-use crate::scenario::{run_scenario, Scenario, ScenarioTarget};
+use crate::scenario::{Scenario, ScenarioRunner, ScenarioTarget};
+use crate::time::Round;
 
 /// Sweep configuration: which seeds and scheduler modes every scenario runs
 /// under.
@@ -131,10 +153,11 @@ impl Campaign {
     }
 
     /// Sets the worker-thread budget for the cell matrix (builder style).
-    /// `1` preserves the serial code path exactly; `0` restores the default
-    /// (the machine's available parallelism). Any jobs count produces a
-    /// byte-identical report — cells are reassembled in enumeration order
-    /// and every cell derives its randomness from its own seed.
+    /// `1` runs the cells in order on the calling thread; `0` restores the
+    /// default (the machine's available parallelism). Any jobs count
+    /// produces a byte-identical report — cells are reassembled in
+    /// enumeration order and every cell derives its randomness from its own
+    /// seed.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = (jobs > 0).then_some(jobs);
         self
@@ -180,32 +203,52 @@ impl Campaign {
         self.timings
     }
 
-    /// The campaign's cells over `scenarios` as enumerated, self-contained
-    /// closures — scenario-major, seed-minor, each capturing a [`Scenario`]
-    /// clone and building its whole simulation inside whichever worker
-    /// runs it. This is the unit [`Campaign::run_into`] feeds to
-    /// [`crate::exec::run_ordered`]; drivers that interleave several
+    /// The campaign's cells over `scenarios` as enumerated jobs —
+    /// scenario-major, seed-minor — that share their fault-free prefixes:
+    /// the cells of one seed whose scenarios [share a
+    /// prefix](Scenario::shares_prefix_with) fork it, per scheduler mode,
+    /// from one bootstrap run by whichever of them runs first (see the
+    /// module documentation). This is the unit [`Campaign::run_into`] feeds
+    /// to [`crate::exec::run_ordered`]; callers that interleave several
     /// target types into one pool dispatch (`simctl run --node all`)
     /// concatenate the per-type job lists and run them in one call, which
     /// parallelizes across the node axis too.
     pub fn cell_jobs<T: ScenarioTarget>(
         &self,
         scenarios: &[Scenario],
-    ) -> Vec<crate::exec::Job<'static, RunRecord>> {
-        // `Scenario` is `Send` (its plans carry the `FaultPlan: Send`
-        // bound) and nothing is shared across cells, so each closure is a
-        // free-standing unit of work.
-        let me = std::sync::Arc::new(self.clone());
-        scenarios
-            .iter()
-            .flat_map(|scenario| self.seeds.iter().map(move |&seed| (scenario, seed)))
-            .map(|(scenario, seed)| {
-                let me = std::sync::Arc::clone(&me);
+    ) -> Vec<Job<'static, RunRecord>> {
+        let me = Arc::new(self.clone());
+        // Per seed and prefix class, one shared prefix per mode.
+        let mut groups: Vec<(u64, &Scenario, ModePrefixes<T>)> = Vec::new();
+        let mut cells = Vec::new();
+        for scenario in scenarios {
+            let fork_round = scenario.fork_round();
+            for &seed in &self.seeds {
+                let found = groups
+                    .iter()
+                    .position(|(s, first, _)| *s == seed && first.shares_prefix_with(scenario));
+                let index = found.unwrap_or_else(|| {
+                    let prefixes = self
+                        .modes
+                        .iter()
+                        .map(|&mode| Arc::new(Prefix::new(scenario.prefix(), seed, mode)))
+                        .collect();
+                    groups.push((seed, scenario, prefixes));
+                    groups.len() - 1
+                });
+                let prefixes = groups[index].2.clone();
+                for prefix in &prefixes {
+                    prefix.expect_fork(fork_round);
+                }
+                let me = Arc::clone(&me);
                 let scenario = scenario.clone();
-                Box::new(move || me.run_cell::<T>(&scenario, seed))
-                    as crate::exec::Job<'static, RunRecord>
-            })
-            .collect()
+                cells.push(
+                    Box::new(move || me.run_cell(&scenario, seed, fork_round, &prefixes))
+                        as Job<'static, RunRecord>,
+                );
+            }
+        }
+        cells
     }
 
     /// Runs every scenario × seed cell against target `T` and appends the
@@ -213,22 +256,13 @@ impl Campaign {
     /// (scenario-major, seed-minor) regardless of the jobs count.
     pub fn run_into<T: ScenarioTarget>(&self, scenarios: &[Scenario], report: &mut CampaignReport) {
         let started = Instant::now();
-        let jobs = self.jobs();
-        if jobs <= 1 {
-            // The serial driver: unchanged, and the reference the parallel
-            // path must match byte for byte.
-            for scenario in scenarios {
-                for &seed in &self.seeds {
-                    report.runs.push(self.run_cell::<T>(scenario, seed));
-                }
-            }
-        } else {
-            // `run_ordered` reassembles the records in enumeration order —
-            // shard partitioning and completion order never leak into
-            // `report.runs`.
-            let cells = self.cell_jobs::<T>(scenarios);
-            report.runs.extend(crate::exec::run_ordered(cells, jobs));
-        }
+        // `run_ordered` reassembles the records in enumeration order —
+        // shard partitioning and completion order never leak into
+        // `report.runs`.
+        let cells = self.cell_jobs::<T>(scenarios);
+        report
+            .runs
+            .extend(crate::exec::run_ordered(cells, self.jobs()));
         if self.timings {
             *report.wall_ms_total.get_or_insert(0.0) += started.elapsed().as_secs_f64() * 1e3;
         }
@@ -243,25 +277,33 @@ impl Campaign {
     }
 
     /// One (scenario, seed) cell: the run is repeated in every requested
-    /// mode and the executions must agree.
-    fn run_cell<T: ScenarioTarget>(&self, scenario: &Scenario, seed: u64) -> RunRecord {
-        assert!(!self.modes.is_empty(), "campaign has no scheduler modes");
+    /// mode, each forked from that mode's shared prefix at `fork_round`,
+    /// and the executions must agree.
+    fn run_cell<T: ScenarioTarget>(
+        &self,
+        scenario: &Scenario,
+        seed: u64,
+        fork_round: Round,
+        prefixes: &[Arc<Prefix<T>>],
+    ) -> RunRecord {
+        assert!(!prefixes.is_empty(), "campaign has no scheduler modes");
         let mut reference: Option<ModeOutcome> = None;
         let mut modes_agree = true;
         let mut wall_ms = 0.0f64;
 
-        for &mode in &self.modes {
+        for prefix in prefixes {
             let started = Instant::now();
-            let mut sim = scenario.build_sim::<T>(seed, mode);
-            let run = run_scenario(scenario, &mut sim);
+            let mut runner = prefix.fork(fork_round).rebind(scenario.clone());
+            let run = runner.finish();
             wall_ms += started.elapsed().as_secs_f64() * 1e3;
+            let metrics = runner.sim().metrics();
             let outcome = ModeOutcome {
                 run,
-                messages_sent: sim.metrics().messages_sent(),
-                messages_delivered: sim.metrics().messages_delivered(),
-                messages_lost: sim.metrics().messages_lost(),
-                messages_duplicated: sim.metrics().messages_duplicated(),
-                timer_steps: sim.metrics().timer_steps(),
+                messages_sent: metrics.messages_sent(),
+                messages_delivered: metrics.messages_delivered(),
+                messages_lost: metrics.messages_lost(),
+                messages_duplicated: metrics.messages_duplicated(),
+                timer_steps: metrics.timer_steps(),
             };
             match &reference {
                 None => reference = Some(outcome),
@@ -298,6 +340,78 @@ impl Campaign {
             wall_ms: self.timings.then_some(wall_ms),
             budget_overrun: self.cell_budget_ms.map(|budget| wall_ms > budget),
         }
+    }
+}
+
+/// One group's shared prefixes, one per scheduler mode in the campaign's
+/// mode order.
+type ModePrefixes<T> = Vec<Arc<Prefix<T>>>;
+
+/// The fault-free prefix that one group of cells shares under one seed and
+/// scheduler mode, run once and snapshotted at every fork round the group
+/// needs. Behind a mutex: nodes hold `RefCell` caches, so a snapshot is not
+/// `Sync`, and a cell on any worker may be the one to fork it.
+struct Prefix<T: ScenarioTarget> {
+    state: Mutex<PrefixState<T>>,
+}
+
+struct PrefixState<T: ScenarioTarget> {
+    /// The prefix to bootstrap — its scenario ([`Scenario::prefix`]), seed
+    /// and mode — until the first fork has run it.
+    pending: Option<(Scenario, u64, SchedulerMode)>,
+    /// Per fork round: the snapshot there, once bootstrapped, and the number
+    /// of cells still to fork from it.
+    forks: BTreeMap<Round, (Option<ScenarioRunner<T>>, usize)>,
+}
+
+impl<T: ScenarioTarget> Prefix<T> {
+    fn new(scenario: Scenario, seed: u64, mode: SchedulerMode) -> Self {
+        Prefix {
+            state: Mutex::new(PrefixState {
+                pending: Some((scenario, seed, mode)),
+                forks: BTreeMap::new(),
+            }),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, PrefixState<T>> {
+        // A panic inside the bootstrap leaves `pending` in place, so the
+        // next cell re-runs it and reports the same panic.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers one more cell that will fork at `round`.
+    fn expect_fork(&self, round: Round) {
+        self.lock().forks.entry(round).or_insert((None, 0)).1 += 1;
+    }
+
+    /// A runner standing at `round`, forked from the shared snapshot. The
+    /// first call bootstraps the prefix and snapshots it at every registered
+    /// fork round, in ascending order; the last cell to fork at a round
+    /// takes that snapshot instead of copying it, which frees it.
+    fn fork(&self, round: Round) -> ScenarioRunner<T> {
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        if let Some((scenario, seed, mode)) = &state.pending {
+            let mut runner = ScenarioRunner::new(scenario, scenario.build_sim(*seed, *mode));
+            let mut forks = state.forks.iter_mut().peekable();
+            while let Some((&at, (snapshot, _))) = forks.next() {
+                runner.advance_to(at);
+                if forks.peek().is_none() {
+                    *snapshot = Some(runner);
+                    break;
+                }
+                *snapshot = Some(runner.clone());
+            }
+            state.pending = None;
+        }
+        let (snapshot, waiting) = state.forks.get_mut(&round).expect("fork round registered");
+        *waiting -= 1;
+        if *waiting > 0 {
+            return snapshot.clone().expect("prefix bootstrapped");
+        }
+        let (snapshot, _) = state.forks.remove(&round).expect("fork round registered");
+        snapshot.expect("prefix bootstrapped")
     }
 }
 
@@ -356,7 +470,10 @@ pub struct RunRecord {
     /// worker that ran this cell** — strictly per-cell. Under a parallel
     /// driver cells overlap, so campaign wall time is *not* the sum of
     /// these; see [`CampaignReport::wall_ms_total`]. Non-deterministic;
-    /// `None` unless timings were requested.
+    /// `None` unless timings were requested. The first cell of a prefix
+    /// group to run also pays for bootstrapping the group's shared prefix
+    /// (see the module documentation); every other cell pays only for its
+    /// fork and what follows it.
     pub wall_ms: Option<f64>,
     /// Whether the cell blew its wall budget ([`Campaign::with_cell_budget_ms`]):
     /// `None` when no budget was armed, otherwise the verdict. Wall-clock
@@ -671,6 +788,59 @@ mod tests {
                 serial_rendered,
                 "report diverged at jobs={jobs}"
             );
+        }
+    }
+
+    /// The cold per-cell loop the shared prefixes replaced, kept as their
+    /// oracle: every cell built from ⊥ and run start to finish.
+    fn cold_cell(scenario: &Scenario, seed: u64, mode: SchedulerMode) -> RunRecord {
+        let mut sim = scenario.build_sim::<MaxNode>(seed, mode);
+        let run = crate::scenario::run_scenario(scenario, &mut sim);
+        let metrics = sim.metrics();
+        RunRecord {
+            node: MaxNode::NAME.to_string(),
+            scenario: scenario.name().to_string(),
+            seed,
+            n: scenario.initial_size(),
+            rounds_run: run.rounds_run,
+            converged: run.converged,
+            rounds_to_convergence: run.rounds_to_convergence,
+            counters: run.counters,
+            messages_sent: metrics.messages_sent(),
+            messages_delivered: metrics.messages_delivered(),
+            messages_lost: metrics.messages_lost(),
+            messages_duplicated: metrics.messages_duplicated(),
+            timer_steps: metrics.timer_steps(),
+            state_digest: run.state_digest,
+            modes_agree: true,
+            invariant_violations: run.invariant_violations,
+            wall_ms: None,
+            budget_overrun: None,
+        }
+    }
+
+    /// Cells forked from their group's shared prefix — every catalog fork
+    /// round, a second prefix class (a loaded variant of each scenario) and
+    /// both scheduler modes — record exactly what the cold loop records.
+    #[test]
+    fn forked_cells_match_cold_cells() {
+        let load = crate::load::LoadProfile::new(4, crate::load::Arrival::Poisson { rate: 0.5 });
+        let mut scenarios = catalog(5);
+        scenarios.extend(catalog(5).into_iter().map(|s| s.with_load(load.clone())));
+        let seeds = [1u64, 2];
+        for mode in [SchedulerMode::EventDriven, SchedulerMode::RoundScan] {
+            let cold: Vec<RunRecord> = scenarios
+                .iter()
+                .flat_map(|s| seeds.iter().map(move |&seed| cold_cell(s, seed, mode)))
+                .collect();
+            for jobs in [1, 2] {
+                let forked = Campaign::new("fork")
+                    .with_seeds(seeds)
+                    .with_modes([mode])
+                    .with_jobs(jobs)
+                    .run::<MaxNode>(&scenarios);
+                assert_eq!(forked.runs, cold, "{mode:?} at jobs={jobs}");
+            }
         }
     }
 

@@ -146,7 +146,7 @@ impl History {
 /// Accumulates [`OpRecord`]s during an armed run: the load engine invokes
 /// ops as it submits them and resolves them as it claims responses;
 /// unresolved ops surface as [`OpOutcome::Uncertain`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct HistoryRecorder {
     ops: Vec<OpRecord>,
 }

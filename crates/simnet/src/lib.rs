@@ -80,7 +80,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adversary;
 pub mod ascending;
 pub mod campaign;
 pub mod channel;
@@ -109,7 +108,6 @@ pub(crate) mod testutil;
 pub mod time;
 pub mod trace;
 
-pub use adversary::ScriptedFaults;
 pub use ascending::Ascending;
 pub use campaign::{Campaign, CampaignReport, RunRecord};
 pub use channel::{Channel, ChannelPolicy, InFlight};
@@ -132,7 +130,7 @@ pub use plan::{ByzantinePlan, FaultAction, FaultPlan, ForgeKind, PlanCtx, RunObs
 pub use process::{Context, Process, ProcessId, ProcessStatus};
 pub use report::Json;
 pub use rng::SimRng;
-pub use scenario::{LinkProfile, Scenario, ScenarioRun, ScenarioTarget};
+pub use scenario::{LinkProfile, Scenario, ScenarioRun, ScenarioRunner, ScenarioTarget};
 pub use scheduler::Simulation;
 pub use stack::{Lane, Layer, Outbox, Router};
 pub use time::Round;

@@ -193,7 +193,7 @@ impl LoadProfile {
 }
 
 /// One submitted-but-unclaimed operation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PendingOp {
     invoked: u64,
     timed_out: bool,
@@ -204,7 +204,7 @@ struct PendingOp {
 
 /// The per-run engine: draws arrivals, routes submissions, claims
 /// completions FIFO per processor, and folds latencies into counters.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct LoadEngine {
     profile: LoadProfile,
     rng: SimRng,

@@ -804,7 +804,7 @@ pub mod doctest {
     use crate::scheduler::Simulation;
 
     /// Max-flood gossip target used by the fault-plan doctest.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     pub struct Gossip {
         value: u64,
     }

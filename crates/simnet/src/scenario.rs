@@ -6,7 +6,8 @@
 //! of [`crate::fault`], [`crate::partition`] and [`crate::plan`] plus any
 //! user-defined plan added through [`Scenario::with_plan`] — into one named,
 //! seed-reproducible fault schedule over rounds. Each plan turns rounds into
-//! typed [`FaultAction`]s; the runner ([`run_scenario`]) applies them in a
+//! typed [`FaultAction`]s; the runner ([`ScenarioRunner`], or
+//! [`run_scenario`] for a run in one call) applies them in a
 //! fixed per-class phase order, counts them into the run's extensible
 //! counter map, and enforces the safety invariants (generic ones itself,
 //! class-specific ones through [`FaultPlan::invariant`]). The
@@ -59,7 +60,6 @@ use crate::rng::SimRng;
 use crate::scheduler::Simulation;
 use crate::time::Round;
 use crate::ChurnPlan;
-use crate::ScriptedFaults;
 
 /// Base behaviour of every link in a scenario, applied outside spike
 /// windows. A plain-data mirror of [`ChannelPolicy`] with scenario-friendly
@@ -483,6 +483,57 @@ impl Scenario {
         }
         sim
     }
+
+    /// The end of this scenario's *fault-free prefix*: the first round with
+    /// a fault action, capped below the end of the workload window and at
+    /// the round budget. Before it no fault acts, the workload is driven in
+    /// every round, and no convergence check can pass, so a run of this
+    /// scenario up to here is one fault-free execution, the same for every
+    /// scenario that [shares the prefix](Scenario::shares_prefix_with).
+    pub fn fork_round(&self) -> Round {
+        let cap = self.workload_rounds.saturating_sub(1).min(self.rounds);
+        (0..cap)
+            .map(Round::new)
+            .find(|&round| !self.actions_at(round).is_empty())
+            .unwrap_or(Round::new(cap))
+    }
+
+    /// Whether runs of `self` and `other` under one seed and scheduler mode
+    /// share their fault-free prefix: the same population, link behaviour,
+    /// client load and history configuration.
+    pub fn shares_prefix_with(&self, other: &Scenario) -> bool {
+        self.n == other.n
+            && self.link == other.link
+            && self.load == other.load
+            && self.history == other.history
+    }
+
+    /// The fault-free scenario every scenario sharing this one's prefix
+    /// follows up to its [`Scenario::fork_round`]: no plans, and neither the
+    /// round budget nor the workload window ever ends.
+    pub(crate) fn prefix(&self) -> Scenario {
+        Scenario {
+            name: format!("{}/prefix", self.name),
+            description: String::new(),
+            n: self.n,
+            rounds: u64::MAX,
+            workload_rounds: u64::MAX,
+            link: self.link.clone(),
+            plans: Vec::new(),
+            load: self.load.clone(),
+            history: self.history.clone(),
+        }
+    }
+
+    /// The fault counter map a run starts from: every key the plans
+    /// register, at zero.
+    fn zeroed_counters(&self) -> BTreeMap<String, u64> {
+        self.plans
+            .iter()
+            .flat_map(|p| p.counter_keys())
+            .map(|k| (k.to_string(), 0))
+            .collect()
+    }
 }
 
 /// The per-protocol adapter of the chaos engine: everything the scenario
@@ -493,18 +544,21 @@ impl Scenario {
 /// Implemented by `ReconfigNode` (`core`), `CounterNode` (`counters`),
 /// `SmrNode` (`vssmr`) and `SharedMemNode` (`sharedmem`).
 ///
-/// Targets must be `Send`: the parallel campaign driver
-/// ([`crate::Campaign::with_jobs`]) executes each (scenario, seed) cell on
-/// a worker thread of the [`crate::exec`] pool, building the
-/// `Simulation<Self>` inside the worker and shipping the finished
-/// [`crate::RunRecord`] back. A cell never *shares* protocol state across
-/// threads — each worker owns its simulation outright — so the bound only
-/// rules out thread-bound handles (`Rc`, `RefCell` captured by the node).
+/// Targets must be `Clone`, `Send` and `'static`, and their messages
+/// `Send + Sync`. A campaign ([`crate::Campaign::cell_jobs`]) runs
+/// the fault-free prefix that a group of cells shares once, keeps a
+/// snapshot of it behind a mutex, and forks that snapshot ([`Simulation::fork`], hence `Clone`) into
+/// every cell of the group, on whichever worker of the [`crate::exec`] pool
+/// runs the cell. A snapshot is only ever read, to be cloned; from the fork
+/// on, a worker owns its cell's simulation outright. So the bounds rule out
+/// thread-bound handles (`Rc`) but not `RefCell` caches inside a node, and
+/// a fork shares nothing mutable with its snapshot except in-flight payload
+/// allocations, which are copy-on-write (hence `Msg: Send + Sync`).
 /// Shared-value interning (see `reconfig::shared_set`) is per-thread and
-/// `Arc`-based, so interned state satisfies the bound and cells on
-/// different workers intern independently without changing observable
+/// `Arc`-based: a cell forked on another worker than the one that ran its
+/// prefix interns into a different table, which changes no observable
 /// behaviour (equality falls back to value comparison).
-pub trait ScenarioTarget: Process + Sized + Send {
+pub trait ScenarioTarget: Process<Msg: Send + Sync> + Clone + Send + 'static {
     /// Short machine-readable name used in reports and `simctl --node`.
     const NAME: &'static str;
 
@@ -761,87 +815,368 @@ impl ScenarioRun {
     }
 }
 
-/// Runs `scenario` on `sim` to completion (convergence or round budget).
+/// Runs `scenario` on `sim` to completion (convergence or round budget):
+/// [`ScenarioRunner::new`] then [`ScenarioRunner::finish`], with the
+/// simulation handed back through `sim` for inspection.
 ///
 /// All fault actions are applied at round boundaries in class-phase order —
 /// connectivity, one-way cuts, spikes, timer faults, crashes, churn, state
-/// corruption, payload corruption, injection — followed by scripted extras
-/// and workload, so executions are byte-identical across scheduler modes
-/// for the same seed.
+/// corruption, payload corruption, injection — followed by workload, so
+/// executions are byte-identical across scheduler modes for the same seed.
 pub fn run_scenario<T: ScenarioTarget>(
     scenario: &Scenario,
     sim: &mut Simulation<T>,
 ) -> ScenarioRun {
-    let mut extras = ScriptedFaults::new();
-    run_scenario_with_extras(scenario, sim, &mut extras)
+    let placeholder = Simulation::new(sim.config().clone());
+    let mut runner = ScenarioRunner::new(scenario, std::mem::replace(sim, placeholder));
+    let run = runner.finish();
+    *sim = runner.into_sim();
+    run
 }
 
-/// Like [`run_scenario`], additionally applying a [`ScriptedFaults`] script
-/// each round: the protocol-typed escape hatch for white-box adversarial
-/// actions (arbitrary closures over the whole simulation) that no
-/// protocol-agnostic [`FaultPlan`] can express. Declarative crafted-message
-/// injection belongs in a [`ByzantinePlan`] instead.
-pub fn run_scenario_with_extras<T: ScenarioTarget>(
-    scenario: &Scenario,
-    sim: &mut Simulation<T>,
-    extras: &mut ScriptedFaults<T>,
-) -> ScenarioRun {
-    // The adversary's random stream is derived from the simulation seed but
-    // independent of the scheduler's draws, so fault actions cannot perturb
-    // (or be perturbed by) delivery randomness.
-    let mut adversary_rng = SimRng::seed_from(sim.config().seed() ^ 0xc4a0_5eed_c4a0_5eed);
-    // The client-population engine draws from its own independent stream
-    // (see `crate::load`), so attaching a load perturbs neither delivery
-    // nor fault randomness.
-    let mut load = scenario
-        .load
-        .as_ref()
-        .map(|profile| LoadEngine::new(profile.clone(), sim.config().seed()));
-    // Armed runs record every client op; unarmed runs never construct a
-    // recorder and follow today's exact code paths.
-    let mut recorder = scenario.history.as_ref().map(|_| HistoryRecorder::new());
-    let base_policy = scenario.link.to_policy();
-    let quiet_after = scenario
-        .last_fault_round()
-        .max(extras.last_round().unwrap_or(Round::ZERO));
-    let n = scenario.n;
+/// Salt of the adversary's random stream: derived from the simulation seed
+/// but independent of the scheduler's draws, so fault actions cannot perturb
+/// (or be perturbed by) delivery randomness.
+const ADVERSARY_SALT: u64 = 0xc4a0_5eed_c4a0_5eed;
 
-    // The extensible counter map: every key the scenario's plans register is
-    // present from the start, zero included.
-    let mut counters: BTreeMap<String, u64> = scenario
-        .plans
-        .iter()
-        .flat_map(|p| p.counter_keys())
-        .map(|k| (k.to_string(), 0))
-        .collect();
-    let mut rounds_to_convergence = None;
-    // Stays-converged probe state (armed runs only): the round the probe
-    // window ends, whether the last probe saw convergence, and the
-    // converged → unconverged transitions observed inside the window.
-    let mut probe_done_at: Option<u64> = None;
-    let mut was_converged = false;
-    let mut stability_violations: u64 = 0;
-    let mut first_unstable: Option<u64> = None;
-    // Mirror of every currently active split (empty = fully connected), so
-    // that churned-in processors can be confined with respect to *each*
-    // cut instead of silently bridging one of them with open links.
-    let mut active_splits: Vec<Vec<Vec<ProcessId>>> = Vec::new();
-    // Likewise for one-way cuts: the currently active directed cuts,
-    // including the sides joiners were confined to.
-    let mut active_oneway: Vec<crate::partition::OnewayCut> = Vec::new();
-    // Permanent timer-period floors registered by `SetTimerFloor` actions:
-    // a windowed `SetTimer` restore never drops a victim below its floor.
-    let mut timer_floors: BTreeMap<ProcessId, u64> = BTreeMap::new();
-    // Generic safety invariants checked by the runner while it applies
-    // actions (the target's protocol invariants and the plans' class
-    // invariants are collected at the end); see docs/FAULTS.md.
-    let mut runner_violations: Vec<String> = Vec::new();
-    // What the plans' end-of-run invariants get to look at.
-    let mut obs = RunObservations::default();
+/// One run of a [`Scenario`] as a resumable value: the simulation plus
+/// everything the runner tracks about it — the adversary's random stream,
+/// the load engine, the history recorder, the fault counters, the active
+/// partitions and one-way cuts, the timer floors and the stays-converged
+/// probe.
+///
+/// [`ScenarioRunner::advance_to`] executes rounds up to a round boundary,
+/// where the simulation can be inspected or mutated white-box
+/// ([`ScenarioRunner::sim_mut`]); [`ScenarioRunner::finish`] runs to the end
+/// and returns the verdict. A runner is `Clone`: the clone is an independent
+/// copy of the execution ([`Simulation::fork`]), so finishing either yields
+/// exactly what finishing the original would have. A [`crate::Campaign`]
+/// bootstraps each shared fault-free prefix once and forks it into every
+/// cell that shares it ([`crate::Campaign::cell_jobs`]).
+///
+/// ```
+/// # use simnet::scenario::ScenarioTarget;
+/// # use simnet::{Context, Process, ProcessId, SimRng, Simulation};
+/// # #[derive(Debug, Clone)]
+/// # struct Flood { value: u64 }
+/// # impl Process for Flood {
+/// #     type Msg = u64;
+/// #     fn on_timer(&mut self, ctx: &mut Context<'_, u64>) {
+/// #         for p in ctx.peers() { ctx.send(p, self.value); }
+/// #     }
+/// #     fn on_message(&mut self, _f: ProcessId, m: u64, _c: &mut Context<'_, u64>) {
+/// #         self.value = self.value.max(m);
+/// #     }
+/// # }
+/// # impl ScenarioTarget for Flood {
+/// #     const NAME: &'static str = "flood";
+/// #     fn spawn_initial(id: ProcessId, _n: usize) -> Self {
+/// #         Flood { value: id.as_u32() as u64 }
+/// #     }
+/// #     fn spawn_joiner(_id: ProcessId, _n: usize) -> Self { Flood { value: 0 } }
+/// #     fn corrupt(&mut self, rng: &mut SimRng) { self.value = rng.range_inclusive(50, 99); }
+/// #     fn converged(sim: &Simulation<Self>) -> bool {
+/// #         let mut v = sim.active_processes().map(|(_, p)| p.value);
+/// #         let first = v.next();
+/// #         v.all(|x| Some(x) == first)
+/// #     }
+/// #     fn invariant_violations(_sim: &Simulation<Self>) -> Vec<String> { Vec::new() }
+/// #     fn state_line(i: ProcessId, p: &Self) -> String { format!("{i} {}", p.value) }
+/// # }
+/// use simnet::scenario::{Scenario, ScenarioRunner};
+/// use simnet::{Round, SchedulerMode};
+///
+/// let scenario = Scenario::new("split", 4)
+///     .split_halves_at(Round::new(2))
+///     .heal_at(Round::new(10))
+///     .with_rounds(60);
+/// let sim = scenario.build_sim::<Flood>(1, SchedulerMode::EventDriven);
+/// let mut runner = ScenarioRunner::new(&scenario, sim);
+/// runner.advance_to(Round::new(5));
+/// // Mid-way, inside the partition.
+/// assert!(runner.sim().network().is_blocked(ProcessId::new(0), ProcessId::new(3)));
+/// let mut fork = runner.clone();
+/// assert_eq!(fork.finish(), runner.finish());
+/// assert_eq!(runner.sim().network().blocked_link_count(), 0);
+/// ```
+pub struct ScenarioRunner<T: ScenarioTarget> {
+    scenario: Scenario,
+    sim: Simulation<T>,
+    adversary_rng: SimRng,
+    /// The client-population engine draws from its own independent stream
+    /// (see `crate::load`), so attaching a load perturbs neither delivery
+    /// nor fault randomness.
+    load: Option<LoadEngine>,
+    /// Armed runs record every client op; unarmed runs never construct a
+    /// recorder and follow today's exact code paths.
+    recorder: Option<HistoryRecorder>,
+    /// The extensible counter map: every key the scenario's plans register
+    /// is present from the start, zero included.
+    counters: BTreeMap<String, u64>,
+    /// Convergence is only counted after this round.
+    quiet_after: Round,
+    /// Rounds executed, against the scenario's budget.
+    steps: u64,
+    /// The run has ended: budget spent, or converged (and, armed, the probe
+    /// window has closed).
+    stopped: bool,
+    /// [`ScenarioRunner::finish`] has taken the verdict.
+    finished: bool,
+    rounds_to_convergence: Option<u64>,
+    probe: Probe,
+    /// Mirror of every currently active split (empty = fully connected), so
+    /// that churned-in processors can be confined with respect to *each*
+    /// cut instead of silently bridging one of them with open links.
+    active_splits: Vec<Vec<Vec<ProcessId>>>,
+    /// Likewise for one-way cuts: the currently active directed cuts,
+    /// including the sides joiners were confined to.
+    active_oneway: Vec<crate::partition::OnewayCut>,
+    /// Permanent timer-period floors registered by `SetTimerFloor` actions:
+    /// a windowed `SetTimer` restore never drops a victim below its floor.
+    timer_floors: BTreeMap<ProcessId, u64>,
+    /// Generic safety invariants checked by the runner while it applies
+    /// actions (the target's protocol invariants and the plans' class
+    /// invariants are collected at the end); see docs/FAULTS.md.
+    runner_violations: Vec<String>,
+    /// What the plans' end-of-run invariants get to look at.
+    obs: RunObservations,
+}
 
-    for _ in 0..scenario.rounds {
-        let now = sim.now();
-        let actions = scenario.actions_at(now);
+/// Stays-converged probe state (armed runs only).
+#[derive(Debug, Clone, Default)]
+struct Probe {
+    /// The round the probe window ends.
+    done_at: Option<u64>,
+    /// Whether the last probe saw convergence.
+    was_converged: bool,
+    /// Converged → unconverged transitions observed inside the window.
+    violations: u64,
+    first_unstable: Option<u64>,
+}
+
+impl<T: ScenarioTarget> Clone for ScenarioRunner<T> {
+    fn clone(&self) -> Self {
+        ScenarioRunner {
+            scenario: self.scenario.clone(),
+            sim: self.sim.fork(),
+            adversary_rng: self.adversary_rng.clone(),
+            load: self.load.clone(),
+            recorder: self.recorder.clone(),
+            counters: self.counters.clone(),
+            quiet_after: self.quiet_after,
+            steps: self.steps,
+            stopped: self.stopped,
+            finished: self.finished,
+            rounds_to_convergence: self.rounds_to_convergence,
+            probe: self.probe.clone(),
+            active_splits: self.active_splits.clone(),
+            active_oneway: self.active_oneway.clone(),
+            timer_floors: self.timer_floors.clone(),
+            runner_violations: self.runner_violations.clone(),
+            obs: self.obs.clone(),
+        }
+    }
+}
+
+impl<T: ScenarioTarget> ScenarioRunner<T> {
+    /// Starts a run of `scenario` on `sim`, usually
+    /// [`Scenario::build_sim`]'s. The round budget counts from `sim`'s
+    /// current round.
+    pub fn new(scenario: &Scenario, sim: Simulation<T>) -> Self {
+        let seed = sim.config().seed();
+        ScenarioRunner {
+            adversary_rng: SimRng::seed_from(seed ^ ADVERSARY_SALT),
+            load: scenario
+                .load
+                .as_ref()
+                .map(|profile| LoadEngine::new(profile.clone(), seed)),
+            recorder: scenario.history.as_ref().map(|_| HistoryRecorder::new()),
+            counters: scenario.zeroed_counters(),
+            quiet_after: scenario.last_fault_round(),
+            steps: 0,
+            stopped: false,
+            finished: false,
+            rounds_to_convergence: None,
+            probe: Probe::default(),
+            active_splits: Vec::new(),
+            active_oneway: Vec::new(),
+            timer_floors: BTreeMap::new(),
+            runner_violations: Vec::new(),
+            obs: RunObservations::default(),
+            scenario: scenario.clone(),
+            sim,
+        }
+    }
+
+    /// Hands a runner that has executed only the fault-free prefix of
+    /// [`Scenario::prefix`] over to `scenario`, which must share that prefix
+    /// and must not have passed its [`Scenario::fork_round`]: up to there
+    /// the two runs are the same execution, so only what depends on the
+    /// scenario's plans — the counter keys and the quiet round — changes.
+    pub(crate) fn rebind(mut self, scenario: Scenario) -> Self {
+        debug_assert!(self.scenario.shares_prefix_with(&scenario));
+        debug_assert!(self.sim.now() <= scenario.fork_round());
+        debug_assert!(self.counters.values().all(|&count| count == 0));
+        debug_assert!(self.runner_violations.is_empty() && !self.stopped);
+        self.counters = scenario.zeroed_counters();
+        self.quiet_after = scenario.last_fault_round();
+        self.scenario = scenario;
+        self
+    }
+
+    /// The simulation, at the round boundary the run has reached.
+    pub fn sim(&self) -> &Simulation<T> {
+        &self.sim
+    }
+
+    /// Mutable access to the simulation between rounds: white-box steps no
+    /// [`FaultPlan`] expresses (rewriting one process's field, asserting or
+    /// altering link state mid-run).
+    pub fn sim_mut(&mut self) -> &mut Simulation<T> {
+        &mut self.sim
+    }
+
+    /// Gives up the runner, keeping the simulation.
+    pub fn into_sim(self) -> Simulation<T> {
+        self.sim
+    }
+
+    /// Executes rounds until the simulation stands at the start of `round`
+    /// — that round's fault actions not yet applied — or the run ends,
+    /// whichever comes first.
+    pub fn advance_to(&mut self, round: Round) {
+        while !self.stopped && self.sim.now() < round {
+            self.step();
+        }
+    }
+
+    /// Runs to the end — convergence (plus the probe window when armed) or
+    /// the round budget — and returns the verdict. The verdict consumes the
+    /// load engine's and the recorder's accounts, so call it once; the
+    /// simulation stays readable through [`ScenarioRunner::sim`].
+    pub fn finish(&mut self) -> ScenarioRun {
+        assert!(!self.finished, "ScenarioRunner::finish called twice");
+        self.finished = true;
+        while !self.stopped {
+            self.step();
+        }
+        let sim = &self.sim;
+        let counters = &mut self.counters;
+        let violations = &mut self.runner_violations;
+
+        // Fold the load engine's op-latency/goodput columns into the counter
+        // map before the plans' end-of-run invariants snapshot it.
+        if let Some(engine) = self.load.take() {
+            engine.finish(sim.now().as_u64(), counters);
+        }
+
+        // Armed-run verdicts: the stays-converged probe and the
+        // linearizability check flow into the counter map (and the violation
+        // list) before the plans' end-of-run invariants snapshot the
+        // counters. `lin_result` encodes 0 = ok, 1 = violation, 2 = budget
+        // exhausted (inconclusive, not a failure); `converged_round` is 0
+        // when the run never converged.
+        if let Some(cfg) = self.scenario.history.as_ref() {
+            let history = self
+                .recorder
+                .take()
+                .expect("armed run always has a recorder")
+                .into_history();
+            let converged_round = self.rounds_to_convergence.unwrap_or(0);
+            counters.insert("converged_round".to_string(), converged_round);
+            counters.insert("stability_violations".to_string(), self.probe.violations);
+            if self.probe.violations > 0 {
+                violations.push(format!(
+                    "stability: converged at round {converged_round} but lost convergence {} \
+                     time(s) within the {}-round probe window (first at round {})",
+                    self.probe.violations,
+                    cfg.probe_rounds,
+                    self.probe.first_unstable.unwrap_or(0),
+                ));
+            }
+            let (lin_ops_checked, lin_result) = match T::lin_spec() {
+                None => (0, 0),
+                Some(spec) => match linearize::check(&history, spec, cfg.lin_budget) {
+                    Verdict::Ok { ops_checked } => (ops_checked, 0),
+                    Verdict::Violation {
+                        ops_checked,
+                        witness,
+                    } => {
+                        violations.push(format!("linearizability: {witness}"));
+                        (ops_checked, 1)
+                    }
+                    Verdict::BudgetExceeded { ops_checked, .. } => (ops_checked, 2),
+                },
+            };
+            counters.insert("lin_ops_checked".to_string(), lin_ops_checked);
+            counters.insert("lin_result".to_string(), lin_result);
+        }
+
+        // End-of-run class invariants: the plans inspect what the runner
+        // observed (timer baselines, final liveness, final counters).
+        let obs = &mut self.obs;
+        obs.end_round = sim.now();
+        for id in sim.ids() {
+            if let Some(steps) = sim.timer_steps_of(id) {
+                obs.final_timer_steps.insert(id, steps);
+            }
+            if let Some(period) = sim.timer_period_override(id) {
+                obs.final_timer_overrides.insert(id, period);
+            }
+            if sim.is_active(id) {
+                obs.final_active.insert(id);
+            }
+        }
+        obs.counters = counters.clone();
+        for plan in &self.scenario.plans {
+            violations.extend(plan.invariant(obs));
+        }
+
+        let converged = self.rounds_to_convergence.is_some() || T::converged(sim);
+        let mut invariant_violations = T::invariant_violations(sim);
+        invariant_violations.append(violations);
+        ScenarioRun {
+            rounds_run: sim.now().as_u64(),
+            converged,
+            rounds_to_convergence: self.rounds_to_convergence,
+            counters: counters.clone(),
+            invariant_violations,
+            state_digest: T::state_digest(sim),
+        }
+    }
+
+    /// One round: the round's fault actions, the workload, the scheduler
+    /// round, the load engine's claims and the convergence probe.
+    fn step(&mut self) {
+        if self.steps >= self.scenario.rounds {
+            self.stopped = true;
+            return;
+        }
+        let now = self.sim.now();
+        self.apply_faults(now);
+        // Application workload: the open-loop client population when one is
+        // attached, else the target's legacy convergence workload.
+        if now.as_u64() < self.scenario.workload_rounds {
+            match self.load.as_mut() {
+                Some(engine) => engine.drive(&mut self.sim, self.recorder.as_mut()),
+                None => T::drive_workload(&mut self.sim, now, &mut self.adversary_rng),
+            }
+        }
+        self.sim.step_round();
+        self.steps += 1;
+        if let Some(engine) = self.load.as_mut() {
+            engine.poll(&mut self.sim, self.recorder.as_mut());
+        }
+        self.stopped = self.probe_convergence();
+    }
+
+    /// Applies the fault actions due at `now`, in class-phase order, and
+    /// checks the runner's generic invariants over them.
+    fn apply_faults(&mut self, now: Round) {
+        let actions = self.scenario.actions_at(now);
+        let sim = &mut self.sim;
+        let counters = &mut self.counters;
+        let n = self.scenario.n;
         // Packet conservation, generalized: fault actions may only create
         // the packets they declare as injections — the in-flight delta over
         // one round's action block must equal the injected count.
@@ -859,19 +1194,16 @@ pub fn run_scenario_with_extras<T: ScenarioTarget>(
             | FaultAction::SetTimerFloor { victim, .. } = action
             {
                 if let Some(steps) = sim.timer_steps_of(*victim) {
-                    obs.timer_steps_at.insert((now, *victim), steps);
+                    self.obs.timer_steps_at.insert((now, *victim), steps);
                 }
             }
         }
-        let bump = |counters: &mut BTreeMap<String, u64>, key: &str, by: u64| {
-            *counters.entry(key.to_string()).or_insert(0) += by;
-        };
 
         // Timer actions compose across plans within the round: floors
         // register first, then windowed overrides apply against them.
         for action in &actions {
             if let FaultAction::SetTimerFloor { victim, period } = action {
-                let floor = timer_floors.entry(*victim).or_insert(*period);
+                let floor = self.timer_floors.entry(*victim).or_insert(*period);
                 *floor = (*floor).max(*period);
             }
         }
@@ -881,32 +1213,32 @@ pub fn run_scenario_with_extras<T: ScenarioTarget>(
             // The confinement sweep runs once per round between the churn
             // and corruption phases (below); flush it when crossing.
             if !past_churn && action.phase() > 6 {
-                confine_joiners(sim, n, &mut active_splits, &mut active_oneway);
+                confine_joiners(sim, n, &mut self.active_splits, &mut self.active_oneway);
                 past_churn = true;
             }
             match action {
                 FaultAction::HealSplits => {
-                    active_splits.clear();
+                    self.active_splits.clear();
                     sim.network_mut().heal_all_links();
                     // The full heal lifted every one-way cut still in
                     // force; re-assert them.
-                    for (from, to) in &active_oneway {
+                    for (from, to) in &self.active_oneway {
                         sim.network_mut().cut_oneway(from, to);
                     }
                 }
                 FaultAction::Split(groups) => {
-                    active_splits.push(groups.clone());
+                    self.active_splits.push(groups.clone());
                     sim.network_mut().split_into(groups);
-                    bump(&mut counters, "splits", 1);
+                    bump(counters, "splits", 1);
                 }
                 FaultAction::HealOneway => {
                     // Heal the *tracked* cuts (they include confined joiners
                     // the declared plan never mentions), then re-assert the
                     // symmetric blocks the one-way heal may have lifted.
-                    for (from, to) in active_oneway.drain(..) {
+                    for (from, to) in self.active_oneway.drain(..) {
                         sim.network_mut().open_oneway(&from, &to);
                     }
-                    for groups in &active_splits {
+                    for groups in &self.active_splits {
                         sim.network_mut().split_into(groups);
                     }
                 }
@@ -924,18 +1256,18 @@ pub fn run_scenario_with_extras<T: ScenarioTarget>(
                                 .collect::<Vec<bool>>()
                         })
                         .collect();
-                    active_oneway.push((from.clone(), to.clone()));
+                    self.active_oneway.push((from.clone(), to.clone()));
                     sim.network_mut().cut_oneway(from, to);
-                    bump(&mut counters, "oneway_cuts", 1);
+                    bump(counters, "oneway_cuts", 1);
                     let mut pair = 0;
                     for b in to {
                         for a in from {
                             if a != b && !sim.network().is_blocked(*a, *b) {
-                                runner_violations
+                                self.runner_violations
                                     .push(format!("asymmetric cut left the link {a} → {b} open"));
                             }
                             if sim.network().is_blocked(*b, *a) != reverse_before[pair] {
-                                runner_violations.push(format!(
+                                self.runner_violations.push(format!(
                                     "asymmetric cut changed the reverse link {b} → {a}"
                                 ));
                             }
@@ -947,12 +1279,12 @@ pub fn run_scenario_with_extras<T: ScenarioTarget>(
                     sim.network_mut().set_policy(policy.clone());
                     // A switch back to the base policy is a restore, not
                     // another spike: one window counts once.
-                    if *policy != base_policy {
-                        bump(&mut counters, "spikes", 1);
+                    if *policy != self.scenario.link.to_policy() {
+                        bump(counters, "spikes", 1);
                     }
                 }
                 FaultAction::SetTimer { victim, period } => {
-                    let floor = timer_floors.get(victim).copied();
+                    let floor = self.timer_floors.get(victim).copied();
                     let effective = match (*period, floor) {
                         (Some(g), Some(s)) => Some(g.max(s)),
                         (g, s) => g.or(s),
@@ -961,21 +1293,21 @@ pub fn run_scenario_with_extras<T: ScenarioTarget>(
                         && sim.timer_period_override(*victim).is_none()
                         && sim.is_active(*victim)
                     {
-                        bump(&mut counters, "slowdowns", 1);
+                        bump(counters, "slowdowns", 1);
                     }
                     sim.set_timer_period_override(*victim, effective);
                 }
                 FaultAction::SetTimerFloor { victim, period } => {
                     let prior = sim.timer_period_override(*victim);
                     if prior.is_none() && sim.is_active(*victim) {
-                        bump(&mut counters, "slowdowns", 1);
+                        bump(counters, "slowdowns", 1);
                     }
                     let floored = prior.map_or(*period, |p| p.max(*period));
                     sim.set_timer_period_override(*victim, Some(floored));
                 }
                 FaultAction::Crash(victim) => {
                     sim.crash(*victim);
-                    bump(&mut counters, "crashes", 1);
+                    bump(counters, "crashes", 1);
                 }
                 FaultAction::Join { count } => {
                     for _ in 0..*count {
@@ -984,7 +1316,7 @@ pub fn run_scenario_with_extras<T: ScenarioTarget>(
                         // joining path.
                         let id = sim.fresh_id();
                         sim.add_process_with_id(id, T::spawn_joiner(id, n));
-                        bump(&mut counters, "joins", 1);
+                        bump(counters, "joins", 1);
                     }
                 }
                 FaultAction::Rejoin { count } => {
@@ -994,7 +1326,7 @@ pub fn run_scenario_with_extras<T: ScenarioTarget>(
                     for _ in 0..*count {
                         let id = sim.fresh_id();
                         sim.add_process_with_id(id, T::spawn_joiner(id, n));
-                        bump(&mut counters, "recoveries", 1);
+                        bump(counters, "recoveries", 1);
                     }
                 }
                 FaultAction::CorruptState(victim) => {
@@ -1003,25 +1335,25 @@ pub fn run_scenario_with_extras<T: ScenarioTarget>(
                     // adversary randomness.
                     if sim.is_active(*victim) {
                         if let Some(process) = sim.process_mut(*victim) {
-                            match recorder.as_mut() {
+                            match self.recorder.as_mut() {
                                 Some(rec) => {
                                     // Armed: the same corruption, with its
                                     // client-visible effects recorded as
                                     // adversary writes.
                                     for (object, value) in
-                                        process.corrupt_observed(&mut adversary_rng)
+                                        process.corrupt_observed(&mut self.adversary_rng)
                                     {
                                         rec.adversary_write(object, value, now.as_u64());
                                     }
                                 }
-                                None => process.corrupt(&mut adversary_rng),
+                                None => process.corrupt(&mut self.adversary_rng),
                             }
-                            bump(&mut counters, "corruptions", 1);
+                            bump(counters, "corruptions", 1);
                         }
                     }
                 }
                 FaultAction::CorruptPayloads(victim) => {
-                    let rng = &mut adversary_rng;
+                    let rng = &mut self.adversary_rng;
                     let touched = sim
                         .network_mut()
                         .corrupt_inbound_payloads(*victim, |payloads| {
@@ -1039,7 +1371,7 @@ pub fn run_scenario_with_extras<T: ScenarioTarget>(
                                 T::corrupt_payload(payload, rng);
                             }
                         });
-                    bump(&mut counters, "payload_corruptions", touched as u64);
+                    bump(counters, "payload_corruptions", touched as u64);
                 }
                 FaultAction::Inject {
                     claimed_sender,
@@ -1071,19 +1403,19 @@ pub fn run_scenario_with_extras<T: ScenarioTarget>(
                             *claimed_sender,
                             *target,
                             sim,
-                            &mut adversary_rng,
+                            &mut self.adversary_rng,
                         ),
                     };
                     if let Some(msg) = payload {
                         sim.network_mut().inject(*claimed_sender, *target, msg);
                         injected_this_round += 1;
-                        bump(&mut counters, "injections", 1);
+                        bump(counters, "injections", 1);
                     }
                 }
             }
         }
         if !past_churn {
-            confine_joiners(sim, n, &mut active_splits, &mut active_oneway);
+            confine_joiners(sim, n, &mut self.active_splits, &mut self.active_oneway);
         }
         // The generalized conservation check: whatever the round's actions
         // did to the network, the packet count moved by exactly the number
@@ -1091,140 +1423,51 @@ pub fn run_scenario_with_extras<T: ScenarioTarget>(
         if !actions.is_empty() {
             let in_flight_after = sim.network().in_flight_total();
             if in_flight_after != in_flight_before + injected_this_round as usize {
-                runner_violations.push(format!(
+                self.runner_violations.push(format!(
                     "fault actions created or destroyed packets: in-flight went \
                      {in_flight_before} → {in_flight_after} with {injected_this_round} injections"
                 ));
             }
         }
-        // Protocol-specific scripted extras, then application workload: the
-        // open-loop client population when one is attached, else the
-        // target's legacy convergence workload.
-        extras.apply(sim, now);
-        if now.as_u64() < scenario.workload_rounds {
-            match load.as_mut() {
-                Some(engine) => engine.drive(sim, recorder.as_mut()),
-                None => T::drive_workload(sim, now, &mut adversary_rng),
-            }
-        }
+    }
 
-        sim.step_round();
-
-        if let Some(engine) = load.as_mut() {
-            engine.poll(sim, recorder.as_mut());
-        }
-
-        if rounds_to_convergence.is_none()
-            && sim.now() > quiet_after
-            && sim.now().as_u64() >= scenario.workload_rounds
-            && T::converged(sim)
+    /// The convergence check after a round, and the stays-converged probe
+    /// after first convergence on armed runs. Returns whether the run ends
+    /// here.
+    fn probe_convergence(&mut self) -> bool {
+        let now = self.sim.now();
+        if self.rounds_to_convergence.is_none()
+            && now > self.quiet_after
+            && now.as_u64() >= self.scenario.workload_rounds
+            && T::converged(&self.sim)
         {
-            rounds_to_convergence = Some(sim.now().as_u64());
-            match scenario.history.as_ref() {
-                // Unarmed: stop at first convergence, exactly as before.
-                None => break,
+            self.rounds_to_convergence = Some(now.as_u64());
+            match self.scenario.history.as_ref() {
+                // Unarmed: stop at first convergence.
+                None => return true,
                 // Armed: keep executing through the probe window, enforcing
                 // *eventually-stays-converged* (not just *eventually-
                 // converges*).
                 Some(cfg) => {
-                    probe_done_at = Some(sim.now().as_u64() + cfg.probe_rounds);
-                    was_converged = true;
+                    self.probe.done_at = Some(now.as_u64() + cfg.probe_rounds);
+                    self.probe.was_converged = true;
                 }
             }
-        } else if let Some(done_at) = probe_done_at {
-            let now_converged = T::converged(sim);
-            if was_converged && !now_converged {
-                stability_violations += 1;
-                if first_unstable.is_none() {
-                    first_unstable = Some(sim.now().as_u64());
-                }
+        } else if let Some(done_at) = self.probe.done_at {
+            let now_converged = T::converged(&self.sim);
+            if self.probe.was_converged && !now_converged {
+                self.probe.violations += 1;
+                self.probe.first_unstable.get_or_insert(now.as_u64());
             }
-            was_converged = now_converged;
-            if sim.now().as_u64() >= done_at {
-                break;
-            }
+            self.probe.was_converged = now_converged;
+            return now.as_u64() >= done_at;
         }
+        false
     }
+}
 
-    // Fold the load engine's op-latency/goodput columns into the counter
-    // map before the plans' end-of-run invariants snapshot it.
-    if let Some(engine) = load.take() {
-        engine.finish(sim.now().as_u64(), &mut counters);
-    }
-
-    // Armed-run verdicts: the stays-converged probe and the linearizability
-    // check flow into the counter map (and the violation list) before the
-    // plans' end-of-run invariants snapshot the counters. `lin_result`
-    // encodes 0 = ok, 1 = violation, 2 = budget exhausted (inconclusive,
-    // not a failure); `converged_round` is 0 when the run never converged.
-    if let Some(cfg) = scenario.history.as_ref() {
-        let history = recorder
-            .take()
-            .expect("armed run always has a recorder")
-            .into_history();
-        counters.insert(
-            "converged_round".to_string(),
-            rounds_to_convergence.unwrap_or(0),
-        );
-        counters.insert("stability_violations".to_string(), stability_violations);
-        if stability_violations > 0 {
-            runner_violations.push(format!(
-                "stability: converged at round {} but lost convergence {} time(s) within the \
-                 {}-round probe window (first at round {})",
-                rounds_to_convergence.unwrap_or(0),
-                stability_violations,
-                cfg.probe_rounds,
-                first_unstable.unwrap_or(0),
-            ));
-        }
-        let (lin_ops_checked, lin_result) = match T::lin_spec() {
-            None => (0, 0),
-            Some(spec) => match linearize::check(&history, spec, cfg.lin_budget) {
-                Verdict::Ok { ops_checked } => (ops_checked, 0),
-                Verdict::Violation {
-                    ops_checked,
-                    witness,
-                } => {
-                    runner_violations.push(format!("linearizability: {witness}"));
-                    (ops_checked, 1)
-                }
-                Verdict::BudgetExceeded { ops_checked, .. } => (ops_checked, 2),
-            },
-        };
-        counters.insert("lin_ops_checked".to_string(), lin_ops_checked);
-        counters.insert("lin_result".to_string(), lin_result);
-    }
-
-    // End-of-run class invariants: the plans inspect what the runner
-    // observed (timer baselines, final liveness, final counters).
-    obs.end_round = sim.now();
-    for id in sim.ids() {
-        if let Some(steps) = sim.timer_steps_of(id) {
-            obs.final_timer_steps.insert(id, steps);
-        }
-        if let Some(period) = sim.timer_period_override(id) {
-            obs.final_timer_overrides.insert(id, period);
-        }
-        if sim.is_active(id) {
-            obs.final_active.insert(id);
-        }
-    }
-    obs.counters = counters.clone();
-    for plan in &scenario.plans {
-        runner_violations.extend(plan.invariant(&obs));
-    }
-
-    let converged = rounds_to_convergence.is_some() || T::converged(sim);
-    let mut invariant_violations = T::invariant_violations(sim);
-    invariant_violations.extend(runner_violations);
-    ScenarioRun {
-        rounds_run: sim.now().as_u64(),
-        converged,
-        rounds_to_convergence,
-        counters,
-        invariant_violations,
-        state_digest: T::state_digest(sim),
-    }
+fn bump(counters: &mut BTreeMap<String, u64>, key: &str, by: u64) {
+    *counters.entry(key.to_string()).or_insert(0) += by;
 }
 
 /// While partitions are active, every churned-in processor (id ≥ n — the
@@ -1464,6 +1707,13 @@ mod tests {
     fn run(scenario: &Scenario, seed: u64, mode: SchedulerMode) -> ScenarioRun {
         let mut sim = scenario.build_sim::<MaxNode>(seed, mode);
         run_scenario(scenario, &mut sim)
+    }
+
+    fn start(scenario: &Scenario, seed: u64) -> ScenarioRunner<MaxNode> {
+        ScenarioRunner::new(
+            scenario,
+            scenario.build_sim(seed, SchedulerMode::EventDriven),
+        )
     }
 
     #[test]
@@ -1815,18 +2065,16 @@ mod tests {
             .heal_oneway_at(Round::new(6))
             .heal_at(Round::new(20))
             .with_rounds(60);
-        let mut sim = scenario.build_sim::<MaxNode>(1, SchedulerMode::EventDriven);
-        let mut extras: ScriptedFaults<MaxNode> = ScriptedFaults::new();
+        let mut runner = start(&scenario, 1);
         // Between the one-way heal (6) and the full heal (20), the
         // symmetric split must still block both directions.
-        extras.at(Round::new(10), |s: &mut Simulation<MaxNode>| {
-            assert!(s.network().is_blocked(ProcessId::new(2), ProcessId::new(0)));
-            assert!(s.network().is_blocked(ProcessId::new(0), ProcessId::new(2)));
-        });
-        let run = run_scenario_with_extras(&scenario, &mut sim, &mut extras);
+        runner.advance_to(Round::new(10));
+        assert!(runner.sim().network().is_blocked(p(2), p(0)));
+        assert!(runner.sim().network().is_blocked(p(0), p(2)));
+        let run = runner.finish();
         assert!(run.converged, "{run:?}");
         assert!(run.invariant_violations.is_empty(), "{run:?}");
-        assert_eq!(sim.network().blocked_link_count(), 0);
+        assert_eq!(runner.sim().network().blocked_link_count(), 0);
 
         // The other direction: a symmetric full heal must not lift a
         // one-way cut still in force.
@@ -1836,16 +2084,14 @@ mod tests {
             .heal_at(Round::new(6))
             .heal_oneway_at(Round::new(20))
             .with_rounds(60);
-        let mut sim = scenario.build_sim::<MaxNode>(1, SchedulerMode::EventDriven);
-        let mut extras: ScriptedFaults<MaxNode> = ScriptedFaults::new();
-        extras.at(Round::new(10), |s: &mut Simulation<MaxNode>| {
-            assert!(s.network().is_blocked(ProcessId::new(2), ProcessId::new(0)));
-            assert!(!s.network().is_blocked(ProcessId::new(0), ProcessId::new(2)));
-        });
-        let run = run_scenario_with_extras(&scenario, &mut sim, &mut extras);
+        let mut runner = start(&scenario, 1);
+        runner.advance_to(Round::new(10));
+        assert!(runner.sim().network().is_blocked(p(2), p(0)));
+        assert!(!runner.sim().network().is_blocked(p(0), p(2)));
+        let run = runner.finish();
         assert!(run.converged, "{run:?}");
         assert!(run.invariant_violations.is_empty(), "{run:?}");
-        assert_eq!(sim.network().blocked_link_count(), 0);
+        assert_eq!(runner.sim().network().blocked_link_count(), 0);
     }
 
     /// Processors joining during an active one-way cut are confined to one
@@ -1905,22 +2151,20 @@ mod tests {
             .skew_at(Round::new(2), 3, [victim])
             .slow_at(Round::new(4), 8, 7, [victim])
             .with_rounds(80);
-        let mut sim = scenario.build_sim::<MaxNode>(8, SchedulerMode::EventDriven);
-        let mut extras: ScriptedFaults<MaxNode> = ScriptedFaults::new();
-        // Probe the composed override mid-window by gossiping it: plans
-        // apply before extras within a round, and with no workload the
-        // probe (7 = max(skew 3, gray 7)) dominates every initial value,
-        // so the converged value *is* the observed override.
-        extras.at(Round::new(6), |s: &mut Simulation<MaxNode>| {
-            s.process_mut(ProcessId::new(0)).unwrap().value =
-                s.timer_period_override(ProcessId::new(1)).unwrap_or(0);
-        });
-        let run = run_scenario_with_extras(&scenario, &mut sim, &mut extras);
+        let mut runner = start(&scenario, 8);
+        // Probe the composed override mid-window by gossiping it: with no
+        // workload the probe (7 = max(skew 3, gray 7)) dominates every
+        // initial value, so the converged value *is* the observed override.
+        runner.advance_to(Round::new(6));
+        let sim = runner.sim_mut();
+        sim.process_mut(ProcessId::new(0)).unwrap().value =
+            sim.timer_period_override(victim).unwrap_or(0);
+        let run = runner.finish();
         assert!(run.converged, "{run:?}");
         assert!(run.invariant_violations.is_empty(), "{run:?}");
-        assert_eq!(sim.process(ProcessId::new(0)).unwrap().value, 7);
+        assert_eq!(runner.sim().process(ProcessId::new(0)).unwrap().value, 7);
         // After the gray window the skew is still in force, forever.
-        assert_eq!(sim.timer_period_override(victim), Some(3));
+        assert_eq!(runner.sim().timer_period_override(victim), Some(3));
     }
 
     /// Clock skew never heals: the run converges *with* the slow process
@@ -1951,18 +2195,25 @@ mod tests {
         assert_ne!(a.state_digest, c.state_digest);
     }
 
+    /// A white-box step between rounds (here a corruption no plan
+    /// schedules) joins the run: the rest of the run starts from it. The
+    /// workload window keeps the run from ending, converged, before it.
     #[test]
     fn extras_run_alongside_the_declarative_schedule() {
-        let scenario = Scenario::new("extras", 3).with_rounds(20);
-        let mut sim = scenario.build_sim::<MaxNode>(1, SchedulerMode::EventDriven);
-        let mut extras: ScriptedFaults<MaxNode> = ScriptedFaults::new();
-        extras.at(Round::new(2), |s: &mut Simulation<MaxNode>| {
-            s.process_mut(ProcessId::new(0)).unwrap().value = 999;
-        });
-        let run = run_scenario_with_extras(&scenario, &mut sim, &mut extras);
-        assert_eq!(extras.applied(), 1);
+        let scenario = Scenario::new("extras", 3)
+            .with_rounds(20)
+            .with_workload_until(4);
+        let mut runner = start(&scenario, 1);
+        runner.advance_to(Round::new(2));
+        assert_eq!(runner.sim().now(), Round::new(2));
+        runner
+            .sim_mut()
+            .process_mut(ProcessId::new(0))
+            .unwrap()
+            .value = 999;
+        let run = runner.finish();
         assert!(run.converged);
-        assert_eq!(sim.process(ProcessId::new(2)).unwrap().value, 999);
+        assert_eq!(runner.sim().process(ProcessId::new(2)).unwrap().value, 999);
     }
 
     /// Processors joining during an active partition are confined to one
@@ -2143,6 +2394,153 @@ mod composition_proptests {
                 };
                 prop_assert_eq!(canon(&mut a), canon(&mut b), "round {}", round);
             }
+        }
+    }
+}
+
+/// The fork oracle: a [`ScenarioRunner`] cloned at any round boundary is the
+/// same execution as the run it was cloned from. Random scenarios over the
+/// toy target — faults, lossy and delaying links, client load and armed
+/// histories included — are advanced to a random round `k` and forked; the
+/// fork and the original must each finish exactly as a cold run does (the
+/// verdict, the metrics the campaign reports, and the next draw of both the
+/// scheduler's and the adversary's random stream), and a fork mutated
+/// white-box must leave the original untouched. A campaign forks
+/// every cell from a shared prefix, so this is what makes its reports equal
+/// to the cold per-cell loop's.
+#[cfg(test)]
+mod fork_oracle {
+    use super::*;
+    use crate::load::Arrival;
+    use crate::testutil::MaxNode;
+    use proptest::prelude::*;
+    use rand::RngCore;
+
+    /// One raw fault draw `(kind, round, a, b)`, reduced to a valid fault of
+    /// the selected class whatever the values.
+    type RawFault = (u32, u64, u32, u64);
+
+    fn compose(scenario: Scenario, (kind, round, a, b): RawFault, n: usize) -> Scenario {
+        let victim = ProcessId::new(a % n as u32);
+        let at = Round::new(round);
+        let later = Round::new(round + 2 + b % 8);
+        match kind % 11 {
+            0 => scenario.crash_at(at, [victim]),
+            1 => scenario.join_at(at, 1 + a % 2),
+            2 => scenario.split_halves_at(at).heal_at(later),
+            3 => scenario.cut_oneway_halves_at(at).heal_oneway_at(later),
+            4 => scenario.slow_at(at, 2 + b % 10, 2 + u64::from(a) % 4, [victim]),
+            5 => scenario.skew_at(at, 2 + b % 3, [victim]),
+            6 => scenario.crash_recover_at(at, [victim], 2 + b % 6),
+            7 => scenario.corrupt_payloads_at(at, [victim]),
+            8 => {
+                let spec = SpikeSpec {
+                    loss: 0.3,
+                    duplication: 0.3,
+                    extra_delay: b % 3,
+                };
+                scenario.spike_at(at, 2 + b % 6, spec)
+            }
+            9 => {
+                let forge = [
+                    ForgeKind::Replay,
+                    ForgeKind::ForgedSender,
+                    ForgeKind::StaleState,
+                ];
+                let claimed = ProcessId::new((a + 1) % n as u32);
+                scenario.inject_at(at, forge[b as usize % 3], claimed, [victim])
+            }
+            _ => scenario.corrupt_at(at, [victim]),
+        }
+    }
+
+    /// What a finished run must reproduce.
+    type Outcome = (ScenarioRun, [u64; 5], u64, u64);
+
+    fn finish(runner: &mut ScenarioRunner<MaxNode>) -> Outcome {
+        let run = runner.finish();
+        let metrics = runner.sim().metrics();
+        let counts = [
+            metrics.messages_sent(),
+            metrics.messages_delivered(),
+            metrics.messages_lost(),
+            metrics.messages_duplicated(),
+            metrics.timer_steps(),
+        ];
+        let scheduler_draw = runner.sim_mut().fork_rng().next_u64();
+        (run, counts, scheduler_draw, runner.adversary_rng.next_u64())
+    }
+
+    /// White-box vandalism of every part of a run: process state, channel
+    /// contents (through copy-on-write payloads), liveness, timers, and the
+    /// adversary's stream.
+    fn vandalize(runner: &mut ScenarioRunner<MaxNode>) {
+        runner.adversary_rng.next_u64();
+        let sim = runner.sim_mut();
+        let ids = sim.ids();
+        for &id in &ids {
+            sim.process_mut(id).unwrap().value = 7_777;
+            sim.network_mut().corrupt_inbound_payloads(id, |payloads| {
+                for payload in payloads.iter_mut() {
+                    **payload = 9_999;
+                }
+            });
+        }
+        sim.network_mut().inject(ids[0], ids[1], 8_888);
+        sim.set_timer_period_override(ids[1], Some(5));
+        sim.crash(ids[0]);
+    }
+
+    proptest! {
+        #[test]
+        fn a_fork_finishes_like_a_cold_run(
+            run in (1u64..1_000, 3usize..=6, 0u64..90),
+            faults in proptest::collection::vec((0u32..11, 0u64..50, 0u32..64, 0u64..64), 0..6),
+            links in (0u64..3, 0u64..3, 0u64..3, any::<bool>()),
+            window in (0u64..80, any::<bool>(), any::<bool>(), any::<bool>()),
+        ) {
+            let (seed, n, k) = run;
+            let (loss, duplication, max_delay, reorder) = links;
+            let (workload, load, armed, event) = window;
+            let link = LinkProfile {
+                loss: loss as f64 * 0.1,
+                duplication: duplication as f64 * 0.1,
+                max_delay,
+                reorder,
+                capacity: 8,
+            };
+            let mut scenario = Scenario::new("fork-oracle", n)
+                .with_link(link)
+                .with_rounds(120)
+                .with_workload_until(workload);
+            if load {
+                scenario = scenario
+                    .with_load(LoadProfile::new(8, Arrival::Poisson { rate: 0.5 }).with_op_timeout(6));
+            }
+            if armed {
+                scenario = scenario.with_history_cfg(HistoryCfg {
+                    probe_rounds: 8,
+                    ..HistoryCfg::default()
+                });
+            }
+            for fault in faults {
+                scenario = compose(scenario, fault, n);
+            }
+            let mode = if event {
+                SchedulerMode::EventDriven
+            } else {
+                SchedulerMode::RoundScan
+            };
+            let start = || ScenarioRunner::new(&scenario, scenario.build_sim::<MaxNode>(seed, mode));
+
+            let cold = finish(&mut start());
+            let mut original = start();
+            original.advance_to(Round::new(k));
+            let mut vandal = original.clone();
+            vandalize(&mut vandal);
+            vandal.finish();
+            prop_assert_eq!(finish(&mut original.clone()), cold.clone(), "fork at round {}", k);
+            prop_assert_eq!(finish(&mut original), cold, "original forked at round {}", k);
         }
     }
 }

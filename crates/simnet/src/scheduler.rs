@@ -46,6 +46,7 @@ use crate::rng::SimRng;
 use crate::time::Round;
 use crate::trace::{Trace, TraceEvent};
 
+#[derive(Clone)]
 struct Slot<P> {
     process: P,
     status: ProcessStatus,
@@ -756,6 +757,39 @@ impl<P: Process> Simulation<P> {
     /// must not perturb the scheduler's stream.
     pub fn fork_rng(&mut self) -> SimRng {
         self.rng.split()
+    }
+}
+
+impl<P: Process + Clone> Simulation<P> {
+    /// An independent copy of this execution at the current round boundary:
+    /// the processes, the channel rows (arrival logs and link records), both
+    /// wake sets, the scheduler's random stream, the metrics, the trace, the
+    /// membership snapshot and the digest cache. Stepping the fork and the
+    /// original the same way yields byte-identical executions; mutating one
+    /// never shows in the other (shared in-flight payloads are
+    /// copy-on-write). The per-round scratch buffers start empty. A
+    /// campaign forks one bootstrapped prefix into every cell that shares
+    /// it ([`crate::Campaign::cell_jobs`]).
+    pub fn fork(&self) -> Self {
+        Simulation {
+            config: self.config.clone(),
+            rng: self.rng.clone(),
+            now: self.now,
+            next_id: self.next_id,
+            slots: self.slots.clone(),
+            network: self.network.clone(),
+            metrics: self.metrics.clone(),
+            trace: self.trace.clone(),
+            timer_wakes: self.timer_wakes.clone(),
+            packet_wakes: self.packet_wakes.clone(),
+            scratch_woken: Vec::new(),
+            scratch_order: Vec::new(),
+            scratch_deliveries: Vec::new(),
+            scratch_outbox: Vec::new(),
+            ids_snapshot: self.ids_snapshot.clone(),
+            ids_dirty: self.ids_dirty,
+            digest_cache: self.digest_cache.clone(),
+        }
     }
 }
 

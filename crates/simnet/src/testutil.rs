@@ -11,7 +11,7 @@ use crate::time::Round;
 /// the maximum; "converged" means everyone agrees; corruption randomizes the
 /// value; the workload trickles fresh values in through process 0. Recovery
 /// is guaranteed because the maximum always wins.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct MaxNode {
     pub(crate) id: ProcessId,
     pub(crate) value: u64,

@@ -206,8 +206,9 @@ fn crash_recovery_rejoins_the_real_stack_under_fresh_identifiers() {
 /// `simnet::plan::registry()` is documented in docs/FAULTS.md *and*
 /// exercised by at least one catalog scenario — an undocumented or
 /// unexercised fault class fails CI, per the acceptance criterion. The
-/// `ScriptedFaults` escape hatch (not a `FaultPlan`) must stay documented
-/// too, and every catalog scenario must appear in the atlas.
+/// white-box escape hatch (the resumable `ScenarioRunner`, not a
+/// `FaultPlan`) must stay documented too, and every catalog scenario must
+/// appear in the atlas.
 #[test]
 fn fault_registry_is_documented_and_exercised_by_the_catalog() {
     let atlas = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/FAULTS.md"))
@@ -230,8 +231,8 @@ fn fault_registry_is_documented_and_exercised_by_the_catalog() {
         );
     }
     assert!(
-        atlas.contains("ScriptedFaults"),
-        "docs/FAULTS.md lost the ScriptedFaults escape-hatch entry"
+        atlas.contains("ScenarioRunner") && atlas.contains("advance_to"),
+        "docs/FAULTS.md lost the ScenarioRunner escape-hatch entry"
     );
     assert!(
         atlas.contains("FaultPlan") && atlas.contains("with_plan"),

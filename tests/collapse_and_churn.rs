@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 
 use reconfig::{config_set, ConfigSet, NodeConfig, ReconfigNode};
-use simnet::{CrashPlan, PartitionPlan, ProcessId, Round, ScriptedFaults, SimConfig, Simulation};
+use simnet::{CrashPlan, PartitionPlan, ProcessId, Round, SimConfig, Simulation};
 
 fn converged_config(sim: &Simulation<ReconfigNode>) -> Option<ConfigSet> {
     let mut configs = BTreeSet::new();
@@ -170,45 +170,44 @@ fn partition_and_heal_reconverges_to_one_configuration() {
 #[test]
 fn scripted_adversary_with_churn_still_converges() {
     let mut sim = steady_cluster(4, 705);
-    let mut faults: ScriptedFaults<ReconfigNode> = ScriptedFaults::new();
-    // Round 70: corrupt two configurations in opposite ways.
-    faults.at(Round::new(70), |s: &mut Simulation<ReconfigNode>| {
-        s.process_mut(ProcessId::new(0))
-            .unwrap()
-            .recsa_mut()
-            .corrupt_config(
-                ProcessId::new(0),
-                reconfig::ConfigValue::Set(config_set([0])),
+    // Drive through the whole adversarial episode first (the scripted rounds
+    // lie between 70 and 140), then wait for convergence.
+    sim.run_rounds_with(150, |s| match s.now().as_u64() {
+        // Corrupt two configurations in opposite ways.
+        70 => {
+            s.process_mut(ProcessId::new(0))
+                .unwrap()
+                .recsa_mut()
+                .corrupt_config(
+                    ProcessId::new(0),
+                    reconfig::ConfigValue::Set(config_set([0])),
+                );
+            s.process_mut(ProcessId::new(2))
+                .unwrap()
+                .recsa_mut()
+                .corrupt_config(
+                    ProcessId::new(2),
+                    reconfig::ConfigValue::Set(config_set([2, 3])),
+                );
+        }
+        // One member crashes and a joiner arrives.
+        90 => {
+            s.crash(ProcessId::new(3));
+            let id = ProcessId::new(20);
+            s.add_process_with_id(
+                id,
+                ReconfigNode::new_joiner(id, NodeConfig::for_n(32).with_bootstrap_patience(None)),
             );
-        s.process_mut(ProcessId::new(2))
-            .unwrap()
-            .recsa_mut()
-            .corrupt_config(
-                ProcessId::new(2),
-                reconfig::ConfigValue::Set(config_set([2, 3])),
-            );
-    });
-    // Round 90: one member crashes and a joiner arrives.
-    faults.at(Round::new(90), |s: &mut Simulation<ReconfigNode>| {
-        s.crash(ProcessId::new(3));
-        let id = ProcessId::new(20);
-        s.add_process_with_id(
-            id,
-            ReconfigNode::new_joiner(id, NodeConfig::for_n(32).with_bootstrap_patience(None)),
-        );
-    });
-    // Round 140: corrupt the channels with a duplicate of an old packet.
-    faults.at(Round::new(140), |s: &mut Simulation<ReconfigNode>| {
-        s.network_mut().inject(
+        }
+        // Corrupt the channels with a duplicate of an old packet.
+        140 => s.network_mut().inject(
             ProcessId::new(1),
             ProcessId::new(0),
             reconfig::ReconfigMsg::Heartbeat,
-        );
+        ),
+        _ => {}
     });
-    // Drive through the whole adversarial episode first (the scripted rounds
-    // lie between 70 and 140), then wait for convergence.
-    faults.drive(&mut sim, 150);
-    assert_eq!(faults.applied(), faults.scheduled() as u64);
+    assert!(!sim.is_active(ProcessId::new(3)) && sim.is_active(ProcessId::new(20)));
     let rounds = sim.run_until(2500, |s| {
         converged_config(s).is_some()
             && s.active_ids()

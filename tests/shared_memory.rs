@@ -367,6 +367,7 @@ fn concurrent_writers_converge_on_one_final_value() {
 /// exists between timer steps, and gossip arrives every round, so a queued
 /// operation starts on the first delivery after its submit (or after the
 /// completion that freed the slot) instead of at the node's next timer step.
+#[derive(Clone)]
 struct Eager<P> {
     node: P,
     /// Completions drained from the node, waiting to be claimed.
