@@ -1,9 +1,9 @@
 //! Pins the in-memory size of every value that travels between processes.
 //!
-//! A message is copied about eight times per hop before its lane handler
-//! sees it: into the outbox, into the payload, into the arrival log, out of
-//! it at delivery, through the scheduler's hand-off, into the wire enum's
-//! router and on into the lane. Each copy is a `memcpy` of the value's full
+//! A message is copied about six times per hop before its lane handler
+//! sees it: into the payload, into the step's send buffer, into the arrival
+//! log, out of it at delivery, through the scheduler's hand-off, and out of
+//! the wire enum into its lane. Each copy is a `memcpy` of the value's full
 //! size, whatever the variant — a heartbeat inside `SmrMsg` pays for the
 //! largest variant. Up to about 128 bytes LLVM copies inline; beyond that
 //! every copy is a call to `memmove`, which was a third of the `ops-n24`

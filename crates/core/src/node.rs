@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 
 use failure_detector::ThetaFailureDetector;
-use simnet::stack::{Layer, Outbox, Router, Sink};
+use simnet::stack::{Layer, Outbox, Sink};
 use simnet::ProcessId;
 
 use crate::join::{JoinMsg, Joining};
@@ -95,9 +95,9 @@ impl NodeConfig {
 simnet::wire_enum! {
     /// The protocol messages exchanged by [`ReconfigNode`]s: the wire format
     /// of the reconfiguration stack. Each payload-carrying variant is a
-    /// [`simnet::stack::Lane`], so sub-layer traffic (and the traffic of
-    /// higher layers embedding this node) multiplexes through the shared
-    /// [`simnet::stack`] mechanism.
+    /// lane (its payload converts into the wire enum), so sub-layer traffic
+    /// (and the traffic of higher layers embedding this node) multiplexes
+    /// through the shared [`simnet::stack`] mechanism.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum ReconfigMsg {
         /// A liveness pulse (the token of the underlying data link); every
@@ -334,31 +334,25 @@ impl Layer for ReconfigNode {
     fn handle<O: Sink<ReconfigMsg>>(&mut self, from: ProcessId, msg: ReconfigMsg, out: &mut O) {
         // Every packet doubles as a heartbeat of its sender.
         self.fd.heartbeat(from);
-        // The bare heartbeat — one message in three — has no lane: it is
-        // done, without being offered to each of them in turn.
-        if matches!(msg, ReconfigMsg::Heartbeat) {
-            return;
-        }
-        let rest = Router::new(from, msg)
-            .lane(out, |from, m: RecSaMsg, _| self.recsa.on_message(from, m))
-            .lane(out, |from, m: RecMaMsg, _| {
+        match msg {
+            // The bare heartbeat — one message in three — is done.
+            ReconfigMsg::Heartbeat => {}
+            ReconfigMsg::RecSa(m) => self.recsa.on_message(from, m),
+            ReconfigMsg::RecMa(m) => {
                 let is_participant = self.recsa.is_participant();
                 self.recma.on_message(from, m, is_participant);
-            })
-            .lane(out, |from, m: JoinMsg, out| match m {
-                JoinMsg::Request => {
-                    let admit = self.config.admission.admit(from);
-                    if let Some(resp) = self.joining.on_request(from, &self.recsa, admit) {
-                        out.push(from, resp);
-                    }
+            }
+            ReconfigMsg::Join(JoinMsg::Request) => {
+                let admit = self.config.admission.admit(from);
+                if let Some(resp) = self.joining.on_request(from, &self.recsa, admit) {
+                    out.push(from, resp);
                 }
-                JoinMsg::Response { pass } => {
-                    let is_participant = self.recsa.is_participant();
-                    self.joining.on_response(from, pass, is_participant);
-                }
-            })
-            .finish();
-        debug_assert!(rest.is_none(), "every other variant has a lane");
+            }
+            ReconfigMsg::Join(JoinMsg::Response { pass }) => {
+                let is_participant = self.recsa.is_participant();
+                self.joining.on_response(from, pass, is_participant);
+            }
+        }
     }
 }
 
@@ -716,5 +710,97 @@ mod tests {
         assert!(node.configuration().as_set().is_some());
         assert_eq!(node.node_config().n_bound, 16);
         assert!(node.failure_detector().trusts(ProcessId::new(1)));
+    }
+
+    /// Lane routing: one message of every `ReconfigMsg` variant, delivered
+    /// through `Process::on_message`, reaches the sub-layer that owns its
+    /// lane and leaves the others as they were — and Θ counts every one of
+    /// them as a heartbeat of its sender.
+    #[test]
+    fn every_wire_variant_reaches_its_sub_layer() {
+        use simnet::{Context, Process, Round};
+        use std::sync::Arc;
+        let (me, peer) = (ProcessId::new(0), ProcessId::new(1));
+        let ids = [me, peer];
+        let member = ReconfigNode::new_with_config(me, config_set([0, 1]), NodeConfig::for_n(4));
+        let joiner = ReconfigNode::new_joiner(me, NodeConfig::for_n(4));
+        // A sender that has heard from `me` trusts it and broadcasts to it.
+        let mut sender =
+            ReconfigNode::new_with_config(peer, config_set([0, 1]), NodeConfig::for_n(4));
+        sender.handle(me, ReconfigMsg::Heartbeat);
+        let recsa = sender
+            .poll(&ids)
+            .into_iter()
+            .find_map(|(to, m)| match m {
+                ReconfigMsg::RecSa(m) if to == me => Some(m),
+                _ => None,
+            })
+            .expect("a participant broadcasts recSA");
+        // Θ's count of `peer`: none before it is heard from, 0 right after.
+        let heard = |n: &ReconfigNode| n.failure_detector().count(peer);
+        // What each sub-layer but Θ keeps of `peer`, in the order recSA
+        // (the handle of its peer record; the rest of `RecSa` holds caches
+        // that reads fill), recMA, joining.
+        let layers = |n: &ReconfigNode| {
+            [
+                format!("{:?}", Arc::as_ptr(n.recsa.part_rx_of(peer))),
+                format!("{:?}", n.recma),
+                format!("{:?}", n.joining),
+            ]
+        };
+        // Delivers `msg` from `peer` to a copy of `node`, returning the copy
+        // and what it sent; checks that Θ heard `peer` and that no sub-layer but
+        // `owner` (an index into `layers`) changed.
+        let deliver = |node: &ReconfigNode, msg: ReconfigMsg, owner: Option<usize>| {
+            let mut after = node.clone();
+            let mut ctx = Context::new(me, Round::ZERO, &ids);
+            after.on_message(peer, msg, &mut ctx);
+            assert_eq!((heard(node), heard(&after)), (None, Some(0)));
+            let (was, is) = (layers(node), layers(&after));
+            for i in (0..3).filter(|i| Some(*i) != owner) {
+                assert_eq!(was[i], is[i], "sub-layer {i} saw another lane's message");
+            }
+            let sent: Vec<_> = ctx
+                .into_outbox()
+                .into_iter()
+                .map(|(to, p)| (to, p.into_msg()))
+                .collect();
+            (after, sent)
+        };
+
+        let (_, sent) = deliver(&member, ReconfigMsg::Heartbeat, None);
+        assert!(sent.is_empty());
+
+        let part = Arc::clone(&recsa.own.part);
+        assert!(!Arc::ptr_eq(member.recsa.part_rx_of(peer), &part));
+        let (after, _) = deliver(&member, ReconfigMsg::RecSa(recsa), Some(0));
+        assert!(Arc::ptr_eq(after.recsa.part_rx_of(peer), &part));
+
+        let flags = RecMaMsg {
+            no_maj: true,
+            need_reconf: true,
+        };
+        let (after, _) = deliver(&member, ReconfigMsg::RecMa(flags), Some(1));
+        assert_ne!(
+            layers(&after)[1],
+            layers(&member)[1],
+            "recMA missed its flags"
+        );
+
+        let (_, sent) = deliver(&member, ReconfigMsg::Join(JoinMsg::Request), Some(2));
+        assert!(
+            matches!(sent.as_slice(), [(to, ReconfigMsg::Join(JoinMsg::Response { .. }))] if *to == peer),
+            "the member did not answer the join request: {sent:?}"
+        );
+
+        let pass = ReconfigMsg::Join(JoinMsg::Response { pass: true });
+        let (after, _) = deliver(&joiner, pass, Some(2));
+        assert_eq!(
+            (
+                joiner.joining.passes_collected(),
+                after.joining.passes_collected()
+            ),
+            (0, 1)
+        );
     }
 }

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use labels::{Labeler, LabelerMsg};
 use reconfig::ConfigSet;
-use simnet::stack::{Layer, Outbox, Router, Sink};
+use simnet::stack::{Layer, Outbox, Sink};
 use simnet::ProcessId;
 
 use crate::counter::{Counter, DEFAULT_EXHAUSTION_BOUND};
@@ -612,22 +612,19 @@ impl Layer for CounterNode {
     }
 
     fn handle<O: Sink<CounterMsg>>(&mut self, from: ProcessId, msg: CounterMsg, out: &mut O) {
-        let rest = Router::new(from, msg)
-            .lane(out, |_, c: Counter, _| {
+        match msg {
+            CounterMsg::Sync(c) => {
                 if self.is_member() && !self.reconfiguring {
                     self.adopt(c);
                 }
-            })
-            .lane(out, |from, m: LabelerMsg, _| {
+            }
+            CounterMsg::Label(m) => {
                 if !self.reconfiguring {
                     self.labeler.on_message(from, m);
                 }
-            })
-            .lane(out, |from, q: QuorumMsg, out| {
-                self.handle_quorum(from, q, out)
-            })
-            .finish();
-        debug_assert!(rest.is_none(), "every counter lane is routed");
+            }
+            CounterMsg::Quorum(q) => self.handle_quorum(from, q, out),
+        }
     }
 }
 
@@ -783,9 +780,7 @@ impl simnet::ScenarioTarget for CounterNode {
     /// guard the periodic step applies (`start_queued_increment`, which
     /// both call); a pending increment is neither aged nor resent.
     fn start_local(&mut self, ctx: &mut simnet::Context<'_, CounterMsg>) {
-        let mut out = Outbox::from_buffer(ctx.take_sends());
-        self.start_queued_increment(&mut out);
-        ctx.restore_sends(out.into_payloads());
+        self.start_queued_increment(ctx);
     }
 
     /// The node-local conjunct of [`ScenarioTarget::converged`]: no in-flight or
@@ -1269,6 +1264,91 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    /// The live runtime's delivery step: `on_message` and then the hook,
+    /// both on one context. The reply the delivery queued goes out first,
+    /// then the read phase the hook started.
+    #[test]
+    fn a_delivery_and_the_hook_send_in_order_through_one_context() {
+        use simnet::{Process, ScenarioTarget};
+        let mut node = calm_harness().nodes.remove(&pid(0)).unwrap();
+        node.queue_increment();
+        let op = node.next_op;
+        let ids = [pid(0), pid(1), pid(2)];
+        let mut ctx = simnet::Context::new(pid(0), simnet::Round::new(99), &ids);
+        let request = CounterMsg::Quorum(QuorumMsg::ReadRequest { op: 41 });
+        Process::on_message(&mut node, pid(1), request, &mut ctx);
+        node.start_local(&mut ctx);
+        let sent: Vec<(ProcessId, CounterMsg)> = ctx
+            .into_outbox()
+            .into_iter()
+            .map(|(to, payload)| (to, payload.into_msg()))
+            .collect();
+        assert!(
+            matches!(&sent[0], (to, CounterMsg::Quorum(QuorumMsg::ReadReply { op: 41, .. })) if *to == pid(1)),
+            "{sent:?}"
+        );
+        let read_phase: Vec<(ProcessId, CounterMsg)> = [0, 1, 2]
+            .map(|m| (pid(m), CounterMsg::Quorum(QuorumMsg::ReadRequest { op })))
+            .to_vec();
+        assert_eq!(sent[1..], read_phase[..]);
+    }
+
+    /// Lane routing: one message of every `CounterMsg` variant, delivered
+    /// through `Process::on_message`, reaches the part of the service that
+    /// owns its lane.
+    #[test]
+    fn every_wire_variant_reaches_its_sub_layer() {
+        use simnet::Process;
+        let ids = [pid(0), pid(1), pid(2)];
+        // Delivers `msg` from member 1 to a copy of `node`, returning the
+        // copy and what it sent.
+        let deliver = |node: &CounterNode, msg: CounterMsg| {
+            let mut after = node.clone();
+            let mut ctx = simnet::Context::new(pid(0), simnet::Round::ZERO, &ids);
+            Process::on_message(&mut after, pid(1), msg, &mut ctx);
+            let sent: Vec<(ProcessId, CounterMsg)> = ctx
+                .into_outbox()
+                .into_iter()
+                .map(|(to, payload)| (to, payload.into_msg()))
+                .collect();
+            (after, sent)
+        };
+        let calm = calm_harness();
+        let member = &calm.nodes[&pid(0)];
+
+        // Gossip: a member adopts a larger counter.
+        let larger = calm.nodes[&pid(1)]
+            .max_counter()
+            .expect("calm members hold a counter")
+            .incremented(pid(1));
+        assert_ne!(member.max_counter(), Some(&larger));
+        let (after, _) = deliver(member, CounterMsg::Sync(larger.clone()));
+        assert_eq!(after.max_counter(), Some(&larger));
+
+        // Labels: the labeler records a fresh member's label pair.
+        let cfg = config_set([0, 1, 2]);
+        let fresh = CounterNode::new(pid(0), cfg.clone());
+        let (_, label) = CounterNode::new(pid(1), cfg)
+            .labeler
+            .step()
+            .into_iter()
+            .find(|(to, _)| *to == pid(0))
+            .expect("a member sends its label to every other member");
+        let (after, _) = deliver(&fresh, CounterMsg::Label(label));
+        assert_ne!(
+            format!("{:?}", after.labeler),
+            format!("{:?}", fresh.labeler)
+        );
+
+        // Quorum: a member answers a read request.
+        let request = CounterMsg::Quorum(QuorumMsg::ReadRequest { op: 41 });
+        let (_, sent) = deliver(member, request);
+        assert!(
+            matches!(sent.as_slice(), [(to, CounterMsg::Quorum(QuorumMsg::ReadReply { op: 41, .. }))] if *to == pid(1)),
+            "{sent:?}"
+        );
     }
 
     /// An increment the hook started and a periodic step then met before

@@ -19,7 +19,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 use counters::DEFAULT_EXHAUSTION_BOUND;
 use reconfig::{ConfigSet, NodeConfig, QuorumSystem, ReconfigMsg, ReconfigNode};
-use simnet::stack::{Layer, Outbox, Router, Sink};
+use simnet::stack::{Layer, Outbox, Sink};
 use simnet::ProcessId;
 
 use crate::op::{OpStep, PendingOp};
@@ -604,15 +604,12 @@ impl Layer for SharedMemNode {
     }
 
     fn handle<O: Sink<SharedMemMsg>>(&mut self, from: ProcessId, msg: SharedMemMsg, out: &mut O) {
-        let rest = Router::new(from, msg)
-            .lane(out, |from, m: ReconfigMsg, out| {
+        match msg {
+            SharedMemMsg::Reconfig(m) => {
                 Layer::handle(&mut self.reconfig, from, m, &mut out.nest())
-            })
-            .lane(out, |from, m: RegisterMsg, out| {
-                self.handle_register(from, m, out)
-            })
-            .finish();
-        debug_assert!(rest.is_none(), "every shared-memory lane is routed");
+            }
+            SharedMemMsg::Register(m) => self.handle_register(from, m, out),
+        }
     }
 }
 
@@ -787,9 +784,7 @@ impl simnet::ScenarioTarget for SharedMemNode {
         let Some(cfg) = installed.as_set().filter(|cfg| !cfg.is_empty()) else {
             return;
         };
-        let mut out = Outbox::from_buffer(ctx.take_sends());
-        self.start_next_op(cfg, &mut out);
-        ctx.restore_sends(out.into_payloads());
+        self.start_next_op(cfg, ctx);
     }
 
     /// The node-local conjunct of [`ScenarioTarget::converged`]: a calm, installed
@@ -973,6 +968,49 @@ mod tests {
 
     fn drain_committed(sim: &mut Simulation<SharedMemNode>, id: ProcessId) -> Vec<OpOutcome> {
         sim.process_mut(id).unwrap().take_completed()
+    }
+
+    /// Lane routing: one message of every `SharedMemMsg` variant, delivered
+    /// through `Process::on_message`, reaches the sub-layer that owns its
+    /// lane — the embedded reconfiguration node or the register protocol.
+    #[test]
+    fn every_wire_variant_reaches_its_sub_layer() {
+        use simnet::{Context, Process, Round};
+        let (me, peer) = (ProcessId::new(0), ProcessId::new(1));
+        let ids = [me, peer];
+        let member = SharedMemNode::new_member(me, config_set([0, 1]), NodeConfig::for_n(4));
+        // Delivers `msg` from `peer` to a copy of `member`, returning the
+        // copy and what it sent.
+        let deliver = |msg: SharedMemMsg| {
+            let mut after = member.clone();
+            let mut ctx = Context::new(me, Round::ZERO, &ids);
+            Process::on_message(&mut after, peer, msg, &mut ctx);
+            let sent: Vec<(ProcessId, SharedMemMsg)> = ctx
+                .into_outbox()
+                .into_iter()
+                .map(|(to, payload)| (to, payload.into_msg()))
+                .collect();
+            (after, sent)
+        };
+
+        let heard = |n: &SharedMemNode| n.reconfig.failure_detector().count(peer);
+        let (after, _) = deliver(SharedMemMsg::Reconfig(ReconfigMsg::Heartbeat));
+        assert_eq!((heard(&member), heard(&after)), (None, Some(0)));
+
+        let op = OpId::new(peer, 41);
+        let key = RegisterId::new(1);
+        let (_, sent) = deliver(SharedMemMsg::Register(RegisterMsg::Query { op, key }));
+        assert_eq!(
+            sent,
+            vec![(
+                peer,
+                SharedMemMsg::Register(RegisterMsg::QueryResp {
+                    op,
+                    key,
+                    current: None
+                })
+            )]
+        );
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //! byte-identical executions for the same seed.
 //!
 //! The [`stack`] module provides the protocol-stack composition layer
-//! ([`stack::Layer`], [`stack::Outbox`], [`stack::Router`], [`wire_enum!`])
+//! ([`stack::Layer`], [`stack::Sink`], [`stack::Outbox`], [`wire_enum!`])
 //! that every composite node in the workspace uses to multiplex its
-//! sub-layer traffic over one wire format.
+//! sub-layer traffic over one wire format; a step's [`Context`] is the sink
+//! its layers send into.
 //!
 //! The fault layer is driven by the **chaos-campaign engine** built on the
 //! open fault-plan API ([`plan::FaultPlan`]): a declarative
@@ -132,6 +133,6 @@ pub use report::Json;
 pub use rng::SimRng;
 pub use scenario::{LinkProfile, Scenario, ScenarioRun, ScenarioRunner, ScenarioTarget};
 pub use scheduler::Simulation;
-pub use stack::{Lane, Layer, Outbox, Router};
+pub use stack::{Layer, Outbox, Sink};
 pub use time::Round;
 pub use trace::{Trace, TraceEvent};

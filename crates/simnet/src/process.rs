@@ -11,6 +11,7 @@
 use std::fmt;
 
 use crate::payload::Payload;
+use crate::stack::Outbox;
 use crate::time::Round;
 
 /// Unique identifier of a processor, drawn from the totally ordered set `P`.
@@ -104,14 +105,16 @@ pub trait Process {
 ///
 /// All sends performed through the context are buffered and handed to the
 /// network when the step completes, preserving the atomic-step abstraction.
-/// The buffer holds [`Payload`]s, not bare messages, so a broadcast queued
-/// through [`crate::stack::Outbox::push_to_all`] travels to the network as
+/// The context is a [`Sink`](crate::stack::Sink) of its wire `M`: a layer
+/// pushes any of `M`'s lanes into it, and
+/// [`push_to_all`](crate::stack::Sink::push_to_all) queues a broadcast as
 /// `n` handles over one shared allocation instead of `n` deep clones.
 pub struct Context<'a, M> {
     me: ProcessId,
     now: Round,
     peers: &'a [ProcessId],
-    outbox: Vec<(ProcessId, Payload<M>)>,
+    /// The step's sends; the context's `Sink` impl pushes into it.
+    pub(crate) sends: Outbox<M>,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -125,7 +128,7 @@ impl<'a, M> Context<'a, M> {
     /// Like [`Context::new`], but reusing an (empty) outbox buffer so a
     /// steady-state scheduler step performs no allocation: the scheduler
     /// recycles one send buffer across steps and recovers it through
-    /// [`Context::into_outbox`] after flushing.
+    /// [`Context::into_outbox`] after the last flush.
     pub fn with_outbox(
         me: ProcessId,
         now: Round,
@@ -137,7 +140,7 @@ impl<'a, M> Context<'a, M> {
             me,
             now,
             peers,
-            outbox,
+            sends: Outbox { msgs: outbox },
         }
     }
 
@@ -178,47 +181,28 @@ impl<'a, M> Context<'a, M> {
         self.peers
     }
 
-    /// Takes the send buffer out of the context so a caller can fill it
-    /// through another collector (see `impl_process_for_layer!`), to be
-    /// handed back via [`Context::restore_sends`]. Packets already queued
-    /// stay in the returned buffer.
-    #[doc(hidden)]
-    pub fn take_sends(&mut self) -> Vec<(ProcessId, Payload<M>)> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Restores a send buffer taken with [`Context::take_sends`]. Packets
-    /// queued in the meantime are kept, in order, before the restored ones.
-    #[doc(hidden)]
-    pub fn restore_sends(&mut self, mut sends: Vec<(ProcessId, Payload<M>)>) {
-        if self.outbox.is_empty() {
-            self.outbox = sends;
-        } else {
-            self.outbox.append(&mut sends);
-        }
-    }
-
     /// Queues a packet for `to`. Sending to oneself is permitted and is
     /// delivered through the network like any other packet.
     pub fn send(&mut self, to: ProcessId, msg: M) {
-        self.outbox.push((to, Payload::owned(msg)));
-    }
-
-    /// Queues an already-wrapped payload for `to` (the shared-broadcast
-    /// path; see [`crate::stack::Outbox::push_to_all`]).
-    pub fn send_payload(&mut self, to: ProcessId, payload: Payload<M>) {
-        self.outbox.push((to, payload));
+        self.sends.push(to, msg);
     }
 
     /// Number of packets queued so far in this step.
     pub fn pending_sends(&self) -> usize {
-        self.outbox.len()
+        self.sends.len()
+    }
+
+    /// Takes the packets queued so far out of the buffer, in send order,
+    /// keeping its capacity: the scheduler flushes after every delivery and
+    /// timer step of one visit, through one context.
+    pub(crate) fn drain_sends(&mut self) -> std::vec::Drain<'_, (ProcessId, Payload<M>)> {
+        self.sends.msgs.drain(..)
     }
 
     /// Consumes the context and returns the queued packets as payloads (what
     /// the scheduler's flush path feeds to [`crate::Network::send_payload`]).
     pub fn into_outbox(self) -> Vec<(ProcessId, Payload<M>)> {
-        self.outbox
+        self.sends.msgs
     }
 }
 
@@ -227,7 +211,7 @@ impl<M> fmt::Debug for Context<'_, M> {
         f.debug_struct("Context")
             .field("me", &self.me)
             .field("now", &self.now)
-            .field("pending_sends", &self.outbox.len())
+            .field("pending_sends", &self.sends.len())
             .finish()
     }
 }

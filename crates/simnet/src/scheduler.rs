@@ -142,23 +142,23 @@ impl WakeSet {
     }
 }
 
-/// Hands the sends `from` queued in one step to the network, draining
-/// `outbox` in place so the buffer (and its capacity) can be recycled by the
-/// caller. Under event-driven scheduling (`packet_wakes` given) every enqueued
-/// packet also wakes its destination at the round it becomes deliverable.
+/// Hands the sends queued in `ctx` so far to the network, draining its
+/// buffer in place so the same context (and its capacity) serves the rest
+/// of the visit. Under event-driven scheduling (`packet_wakes` given) every
+/// enqueued packet also wakes its destination at the round it becomes
+/// deliverable.
 ///
 /// A free function over the simulation's send-side fields rather than a
 /// method: the round loops call it while holding the stepping process's slot.
-fn flush_outbox<M: Clone>(
+fn flush_sends<M: Clone>(
     network: &mut Network<M>,
     rng: &mut SimRng,
     metrics: &mut Metrics,
     mut packet_wakes: Option<&mut WakeSet>,
-    now: Round,
-    from: ProcessId,
-    outbox: &mut Vec<(ProcessId, Payload<M>)>,
+    ctx: &mut Context<'_, M>,
 ) {
-    for (to, payload) in outbox.drain(..) {
+    let (from, now) = (ctx.me(), ctx.now());
+    for (to, payload) in ctx.drain_sends() {
         let ready = network.send_payload(from, to, payload, now, rng, metrics);
         if let (Some(wakes), Some(ready)) = (packet_wakes.as_deref_mut(), ready) {
             wakes.schedule(ready.max(now), to);
@@ -430,48 +430,43 @@ impl<P: Process> Simulation<P> {
             if !slot.status.is_active() {
                 continue;
             }
+            // One context per visit: each delivery and the timer step push
+            // into it, and its buffer is flushed after each of them.
+            let mut ctx = Context::with_outbox(id, self.now, &all_ids, outbox);
             for (from, msg) in deliveries.drain(..) {
                 self.trace.record(TraceEvent::Delivered { from, to: id });
-                let mut ctx = Context::with_outbox(id, self.now, &all_ids, outbox);
                 slot.process.on_message(from, msg, &mut ctx);
                 slot.activity += 1;
-                outbox = ctx.into_outbox();
-                flush_outbox(
+                flush_sends(
                     &mut self.network,
                     &mut self.rng,
                     &mut self.metrics,
                     Some(&mut self.packet_wakes),
-                    self.now,
-                    id,
-                    &mut outbox,
+                    &mut ctx,
                 );
             }
             // ...then take the timer step if it is due.
-            if slot.next_timer > self.now {
-                continue;
+            if slot.next_timer <= self.now {
+                self.trace.record(TraceEvent::TimerStep(id));
+                self.metrics.record_timer_step();
+                slot.process.on_timer(&mut ctx);
+                slot.activity += 1;
+                let period = slot
+                    .timer_period_override
+                    .unwrap_or(self.config.timer_period());
+                let next = self.now + period;
+                slot.next_timer = next;
+                slot.timer_steps += 1;
+                self.timer_wakes.schedule(next, id);
+                flush_sends(
+                    &mut self.network,
+                    &mut self.rng,
+                    &mut self.metrics,
+                    Some(&mut self.packet_wakes),
+                    &mut ctx,
+                );
             }
-            self.trace.record(TraceEvent::TimerStep(id));
-            self.metrics.record_timer_step();
-            let mut ctx = Context::with_outbox(id, self.now, &all_ids, outbox);
-            slot.process.on_timer(&mut ctx);
-            slot.activity += 1;
             outbox = ctx.into_outbox();
-            let period = slot
-                .timer_period_override
-                .unwrap_or(self.config.timer_period());
-            let next = self.now + period;
-            slot.next_timer = next;
-            slot.timer_steps += 1;
-            self.timer_wakes.schedule(next, id);
-            flush_outbox(
-                &mut self.network,
-                &mut self.rng,
-                &mut self.metrics,
-                Some(&mut self.packet_wakes),
-                self.now,
-                id,
-                &mut outbox,
-            );
         }
 
         self.ids_snapshot = all_ids;
@@ -541,46 +536,39 @@ impl<P: Process> Simulation<P> {
             if !slot.status.is_active() {
                 continue;
             }
+            let mut ctx = Context::with_outbox(id, self.now, &all_ids, outbox);
             for (from, msg) in deliveries {
                 self.trace.record(TraceEvent::Delivered { from, to: id });
-                let mut ctx = Context::with_outbox(id, self.now, &all_ids, outbox);
                 slot.process.on_message(from, msg, &mut ctx);
                 slot.activity += 1;
-                outbox = ctx.into_outbox();
-                flush_outbox(
+                flush_sends(
                     &mut self.network,
                     &mut self.rng,
                     &mut self.metrics,
                     None,
-                    self.now,
-                    id,
-                    &mut outbox,
+                    &mut ctx,
                 );
             }
             // ...then take one timer step (the `do forever` loop body).
-            if slot.next_timer > self.now {
-                continue;
+            if slot.next_timer <= self.now {
+                self.trace.record(TraceEvent::TimerStep(id));
+                self.metrics.record_timer_step();
+                slot.process.on_timer(&mut ctx);
+                slot.activity += 1;
+                let period = slot
+                    .timer_period_override
+                    .unwrap_or(self.config.timer_period());
+                slot.next_timer = self.now + period;
+                slot.timer_steps += 1;
+                flush_sends(
+                    &mut self.network,
+                    &mut self.rng,
+                    &mut self.metrics,
+                    None,
+                    &mut ctx,
+                );
             }
-            self.trace.record(TraceEvent::TimerStep(id));
-            self.metrics.record_timer_step();
-            let mut ctx = Context::with_outbox(id, self.now, &all_ids, outbox);
-            slot.process.on_timer(&mut ctx);
-            slot.activity += 1;
             outbox = ctx.into_outbox();
-            let period = slot
-                .timer_period_override
-                .unwrap_or(self.config.timer_period());
-            slot.next_timer = self.now + period;
-            slot.timer_steps += 1;
-            flush_outbox(
-                &mut self.network,
-                &mut self.rng,
-                &mut self.metrics,
-                None,
-                self.now,
-                id,
-                &mut outbox,
-            );
         }
 
         self.scratch_outbox = outbox;

@@ -6,27 +6,30 @@
 //! virtually synchronous SMR / shared memory. A composite node that runs
 //! several of those layers on one processor has to (a) wrap every sub-layer's
 //! outgoing messages into one tagged wire enum and (b) demultiplex incoming
-//! wire messages back to the right sub-layer. Before this module existed,
-//! each composite node hand-rolled that plumbing; now it is expressed once,
-//! here, and every node in the workspace composes the same way:
+//! wire messages back to the right sub-layer. Both are expressed once, here,
+//! and every node in the workspace composes the same way:
 //!
-//! * a composite declares its wire format with [`wire_enum!`](crate::wire_enum), which derives
-//!   a [`Lane`] (injection/projection pair) per tagged variant;
+//! * a composite declares its wire format with [`wire_enum!`](crate::wire_enum),
+//!   which derives `From<Payload>` for the wire enum per tagged variant (a
+//!   *lane*);
 //! * outgoing traffic of any sub-layer is pushed into a [`Sink`] of the
-//!   layer's wire — in the end always the node's one [`Outbox`], which wraps
-//!   native messages into the wire format on the way in;
+//!   layer's wire, which wraps native messages into the wire format on the
+//!   way in — in the end always the step's one send buffer: the
+//!   [`Context`] of the step when the node runs as a [`crate::Process`], an
+//!   [`Outbox`] for the `Vec`-returning facades;
 //! * a layer embedded in another (the reconfiguration stack inside the SMR
 //!   node, say) pushes into its embedder's sink seen through the embedder's
 //!   lane, [`Sink::nest`]: its messages are wrapped twice and land in the
-//!   same outbox, broadcasts still shared, with no intermediate collection;
-//! * incoming wire messages are dispatched with a [`Router`], which peels the
-//!   lanes off one by one and hands each sub-layer its native message type;
+//!   same buffer, broadcasts still shared, with no intermediate collection;
+//! * an incoming wire message is dispatched by one exhaustive `match` on the
+//!   wire enum, each arm handing its payload to the sub-layer that owns it —
+//!   the compiler checks that every variant has its arm;
 //! * the composite implements [`Layer`], and [`impl_process_for_layer!`](crate::impl_process_for_layer)
 //!   turns any `Layer` into a [`crate::Process`] that can run in a
 //!   [`crate::Simulation`].
 //!
 //! ```
-//! use simnet::stack::{Layer, Outbox, Router, Sink};
+//! use simnet::stack::{Layer, Outbox, Sink};
 //! use simnet::{wire_enum, ProcessId};
 //!
 //! // Two toy sub-layer protocols with distinct message types. Payload types
@@ -61,10 +64,13 @@
 //!         }
 //!     }
 //!     fn handle<O: Sink<WireMsg>>(&mut self, from: ProcessId, wire: WireMsg, out: &mut O) {
-//!         Router::new(from, wire)
-//!             .lane(out, |_from, Ping(n), _out| self.pings = self.pings.max(n))
-//!             .lane(out, |_from, Gossip(r), _out| self.rumours.push(r))
-//!             .finish();
+//!         match wire {
+//!             WireMsg::Ping(Ping(n)) => self.pings = self.pings.max(n),
+//!             WireMsg::Gossip(Gossip(r)) => {
+//!                 out.push(from, Ping(self.pings)); // an acknowledgement
+//!                 self.rumours.push(r);
+//!             }
+//!         }
 //!     }
 //! }
 //!
@@ -72,7 +78,7 @@
 //! let mut out = Outbox::new();
 //! node.handle(ProcessId::new(1), WireMsg::Gossip(Gossip("hi".into())), &mut out);
 //! assert_eq!(node.rumours, vec!["hi".to_string()]);
-//! assert!(out.is_empty());
+//! assert_eq!(out.into_messages(), vec![(ProcessId::new(1), WireMsg::Ping(Ping(0)))]);
 //! ```
 
 use std::marker::PhantomData;
@@ -80,33 +86,10 @@ use std::marker::PhantomData;
 use crate::payload::Payload;
 use crate::process::{Context, ProcessId};
 
-/// Injection/projection between a sub-layer's native message type and a
-/// composite wire format `W`.
-///
-/// Implementations are normally derived by [`wire_enum!`](crate::wire_enum); one lane per
-/// tagged variant of the wire enum.
-pub trait Lane<W>: Sized {
-    /// Wraps a native message into the wire format.
-    fn wrap(self) -> W;
-    /// Projects a wire message back to this lane, or returns it unchanged
-    /// when it belongs to another lane.
-    fn try_unwrap(wire: W) -> Result<Self, W>;
-}
-
-/// Every wire format is a lane of itself, so a layer can push a message of
-/// its own wire — `ReconfigMsg::Heartbeat`, say — and an outbox of that
-/// wire takes it unchanged.
-impl<W> Lane<W> for W {
-    fn wrap(self) -> W {
-        self
-    }
-    fn try_unwrap(wire: W) -> Result<Self, W> {
-        Ok(wire)
-    }
-}
-
-/// Collects `(destination, wire message)` pairs during one atomic step,
-/// wrapping every sub-layer's native messages on the way in.
+/// Collects `(destination, wire message)` pairs, wrapping every sub-layer's
+/// native messages on the way in: the send buffer a step's [`Context`]
+/// keeps, and on its own the sink of the `Vec`-returning facades
+/// (`ReconfigNode::poll`, `CounterNode::step`, …).
 ///
 /// Internally messages are stored as [`Payload`]s: point-to-point pushes own
 /// their message inline (allocation-free), while [`Outbox::push_to_all`]
@@ -115,7 +98,7 @@ impl<W> Lane<W> for W {
 /// into the channels.
 #[derive(Debug)]
 pub struct Outbox<W> {
-    msgs: Vec<(ProcessId, Payload<W>)>,
+    pub(crate) msgs: Vec<(ProcessId, Payload<W>)>,
 }
 
 impl<W> Default for Outbox<W> {
@@ -130,18 +113,10 @@ impl<W> Outbox<W> {
         Self::default()
     }
 
-    /// Creates an outbox on top of an existing buffer, so a per-step outbox
-    /// can reuse a recycled allocation (see `impl_process_for_layer!`, which
-    /// borrows the simulation's per-step send buffer instead of allocating).
-    /// Messages already in the buffer are kept.
-    pub fn from_buffer(msgs: Vec<(ProcessId, Payload<W>)>) -> Self {
-        Outbox { msgs }
-    }
-
-    /// Queues one native message of lane `M` for `to` (a wire message
-    /// itself is the identity lane).
-    pub fn push<M: Lane<W>>(&mut self, to: ProcessId, msg: M) {
-        self.msgs.push((to, Payload::owned(msg.wrap())));
+    /// Queues one native message of a lane of `W` for `to` (a wire message
+    /// itself converts to itself).
+    pub fn push<M: Into<W>>(&mut self, to: ProcessId, msg: M) {
+        self.msgs.push((to, Payload::owned(msg.into())));
     }
 
     /// Queues one native message for *every* destination in `peers`, sharing
@@ -150,11 +125,11 @@ impl<W> Outbox<W> {
     /// overlap other live handles pay a clone. Use this where the same value
     /// genuinely fans out (state snapshots, gossip); per-peer messages keep
     /// going through [`Outbox::push`].
-    pub fn push_to_all<M: Lane<W>>(&mut self, peers: &[ProcessId], msg: M) {
+    pub fn push_to_all<M: Into<W>>(&mut self, peers: &[ProcessId], msg: M) {
         if peers.is_empty() {
             return;
         }
-        let mut fan = Payload::fan_out(msg.wrap(), peers.len());
+        let mut fan = Payload::fan_out(msg.into(), peers.len());
         for to in peers {
             self.msgs.push((*to, fan.next()));
         }
@@ -169,26 +144,11 @@ impl<W> Outbox<W> {
     pub fn is_empty(&self) -> bool {
         self.msgs.is_empty()
     }
-
-    /// Consumes the outbox, returning the queued payloads in send order (the
-    /// allocation-free hand-back used by `impl_process_for_layer!`).
-    pub fn into_payloads(self) -> Vec<(ProcessId, Payload<W>)> {
-        self.msgs
-    }
-
-    /// Hands every queued message to a simulation [`Context`].
-    pub fn send_via(self, ctx: &mut Context<'_, W>) {
-        for (to, payload) in self.msgs {
-            ctx.send_payload(to, payload);
-        }
-    }
 }
 
 impl<W: Clone> Outbox<W> {
     /// Consumes the outbox, returning the queued wire messages in send order.
-    /// Owned messages move; shared broadcast payloads clone per destination
-    /// (this is the test-facade path — the simulation hot path hands the
-    /// payloads through [`Outbox::into_payloads`] unchanged).
+    /// Owned messages move; shared broadcast payloads clone per destination.
     pub fn into_messages(self) -> Vec<(ProcessId, W)> {
         self.msgs
             .into_iter()
@@ -199,22 +159,23 @@ impl<W: Clone> Outbox<W> {
 
 /// Where a layer with wire `M` sends: anything that takes `M`'s lanes.
 ///
-/// A node has one [`Outbox`], of its top-level wire `W`; it is a sink for
-/// every `M` that is a lane of `W`, itself included. A layer embedded under
-/// the lane `M` of its embedder's wire sends into the embedder's sink seen
-/// through that lane ([`Sink::nest`]), so every message of a stack goes into
-/// the same outbox once, wrapped lane by lane on the way in.
+/// A step has one send buffer, of the node's top-level wire `W`: the step's
+/// [`Context`], or an [`Outbox`]. Either is a sink for every `M` that
+/// converts into `W` — `W` itself and each of its lanes. A layer embedded
+/// under the lane `M` of its embedder's wire sends into the embedder's sink
+/// seen through that lane ([`Sink::nest`]), so every message of a stack goes
+/// into the same buffer once, wrapped lane by lane on the way in.
 ///
-/// `Outbox<W>` with `M: Lane<W>` is the sink a top-level layer sees;
-/// [`Nested`] is what makes the relation transitive, which [`Lane`] alone is
-/// not (`RecSaMsg` is a lane of `ReconfigMsg`, which is a lane of `SmrMsg`).
+/// [`Nested`] is what makes the relation transitive, which `From` alone is
+/// not (`RecSaMsg` converts into `ReconfigMsg`, which converts into
+/// `SmrMsg`).
 pub trait Sink<M> {
     /// Queues one message of a lane of `M` for `to`.
-    fn push<L: Lane<M>>(&mut self, to: ProcessId, msg: L);
+    fn push<L: Into<M>>(&mut self, to: ProcessId, msg: L);
 
     /// Queues one message of a lane of `M` for every destination in `peers`,
     /// sharing one payload across them (see [`Outbox::push_to_all`]).
-    fn push_to_all<L: Lane<M>>(&mut self, peers: &[ProcessId], msg: L);
+    fn push_to_all<L: Into<M>>(&mut self, peers: &[ProcessId], msg: L);
 
     /// This sink as seen by a layer embedded under one of `M`'s lanes.
     fn nest(&mut self) -> Nested<'_, Self, M>
@@ -228,13 +189,25 @@ pub trait Sink<M> {
     }
 }
 
-impl<W, M: Lane<W>> Sink<M> for Outbox<W> {
-    fn push<L: Lane<M>>(&mut self, to: ProcessId, msg: L) {
-        Outbox::push(self, to, <L as Lane<M>>::wrap(msg));
+impl<W, M: Into<W>> Sink<M> for Outbox<W> {
+    fn push<L: Into<M>>(&mut self, to: ProcessId, msg: L) {
+        Outbox::push(self, to, Into::<M>::into(msg));
     }
 
-    fn push_to_all<L: Lane<M>>(&mut self, peers: &[ProcessId], msg: L) {
-        Outbox::push_to_all(self, peers, <L as Lane<M>>::wrap(msg));
+    fn push_to_all<L: Into<M>>(&mut self, peers: &[ProcessId], msg: L) {
+        Outbox::push_to_all(self, peers, Into::<M>::into(msg));
+    }
+}
+
+/// A step's sends go straight into its context's buffer, which the
+/// scheduler hands to the network after the step.
+impl<W, M: Into<W>> Sink<M> for Context<'_, W> {
+    fn push<L: Into<M>>(&mut self, to: ProcessId, msg: L) {
+        Sink::<M>::push(&mut self.sends, to, msg);
+    }
+
+    fn push_to_all<L: Into<M>>(&mut self, peers: &[ProcessId], msg: L) {
+        Sink::<M>::push_to_all(&mut self.sends, peers, msg);
     }
 }
 
@@ -247,70 +220,25 @@ pub struct Nested<'a, O, M> {
     _lane: PhantomData<fn(M)>,
 }
 
-impl<O: Sink<M>, M, E: Lane<M>> Sink<E> for Nested<'_, O, M> {
-    fn push<L: Lane<E>>(&mut self, to: ProcessId, msg: L) {
-        self.out.push(to, <L as Lane<E>>::wrap(msg));
+impl<O: Sink<M>, M, E: Into<M>> Sink<E> for Nested<'_, O, M> {
+    fn push<L: Into<E>>(&mut self, to: ProcessId, msg: L) {
+        self.out.push(to, Into::<E>::into(msg));
     }
 
-    fn push_to_all<L: Lane<E>>(&mut self, peers: &[ProcessId], msg: L) {
-        self.out.push_to_all(peers, <L as Lane<E>>::wrap(msg));
-    }
-}
-
-/// Dispatches one incoming wire message through the lanes of a stack.
-///
-/// Lanes are tried in the order they are chained; the first lane whose
-/// payload type matches consumes the message. [`Router::finish`] returns any
-/// message no lane claimed (e.g. a unit variant of the wire enum), which the
-/// caller pattern-matches directly.
-#[must_use = "call .finish() to observe messages no lane claimed"]
-#[derive(Debug)]
-pub struct Router<W> {
-    from: ProcessId,
-    wire: Option<W>,
-}
-
-impl<W> Router<W> {
-    /// Starts routing `wire`, received from `from`.
-    pub fn new(from: ProcessId, wire: W) -> Self {
-        Router {
-            from,
-            wire: Some(wire),
-        }
-    }
-
-    /// Offers the message to lane `M`: if it belongs there, `handler` runs
-    /// with the native message and the shared outbox (whatever sink the
-    /// layer was handed); otherwise the message stays available for the
-    /// next lane.
-    pub fn lane<M: Lane<W>, O>(
-        mut self,
-        out: &mut O,
-        handler: impl FnOnce(ProcessId, M, &mut O),
-    ) -> Self {
-        if let Some(wire) = self.wire.take() {
-            match M::try_unwrap(wire) {
-                Ok(msg) => handler(self.from, msg, out),
-                Err(wire) => self.wire = Some(wire),
-            }
-        }
-        self
-    }
-
-    /// Ends the dispatch, returning the message if no lane claimed it.
-    pub fn finish(self) -> Option<W> {
-        self.wire
+    fn push_to_all<L: Into<E>>(&mut self, peers: &[ProcessId], msg: L) {
+        self.out.push_to_all(peers, Into::<E>::into(msg));
     }
 }
 
 /// A protocol layer (or a whole stack of them) in poll/handle form: the
 /// context-free shape every composite node in this workspace exposes, so
 /// higher layers can embed it and have it send straight into their own
-/// outbox.
+/// send buffer.
 ///
-/// Both methods are generic over the sink: the node's own [`Outbox`] when
-/// the layer runs on top (`impl_process_for_layer!`), its embedder's sink
-/// through [`Sink::nest`] when it is embedded.
+/// Both methods are generic over the sink: the step's [`Context`] when the
+/// layer runs on top (`impl_process_for_layer!`), its embedder's sink
+/// through [`Sink::nest`] when it is embedded, an [`Outbox`] in the
+/// `Vec`-returning facades.
 pub trait Layer {
     /// The wire format this layer speaks.
     type Wire: Clone;
@@ -323,10 +251,10 @@ pub trait Layer {
     fn handle<O: Sink<Self::Wire>>(&mut self, from: ProcessId, wire: Self::Wire, out: &mut O);
 }
 
-/// Defines a composite wire enum and derives a [`Lane`] implementation per
-/// payload-carrying variant. Unit variants are allowed and stay lane-less
-/// (send them as wire values through the identity lane, observe them via
-/// [`Router::finish`]).
+/// Defines a composite wire enum and derives `From<Payload>` for it per
+/// payload-carrying variant (a *lane*), so a [`Sink`] of the wire takes the
+/// payload type directly. Unit variants are allowed and stay lane-less (send
+/// them as wire values; every type converts into itself).
 ///
 /// Also derives [`crate::codec::WireCodec`]: the wire encoding is one byte of
 /// lane tag — the variant's declaration index — followed by the payload's
@@ -454,23 +382,18 @@ macro_rules! __wire_enum_decode_step {
 macro_rules! __wire_enum_lane {
     ($name:ident, $variant:ident) => {};
     ($name:ident, $variant:ident ( $payload:ty )) => {
-        impl $crate::stack::Lane<$name> for $payload {
-            fn wrap(self) -> $name {
-                $name::$variant(self)
-            }
-            fn try_unwrap(wire: $name) -> ::std::result::Result<Self, $name> {
-                match wire {
-                    $name::$variant(msg) => Ok(msg),
-                    other => ::std::result::Result::Err(other),
-                }
+        impl ::std::convert::From<$payload> for $name {
+            fn from(msg: $payload) -> Self {
+                $name::$variant(msg)
             }
         }
     };
 }
 
-/// Implements [`crate::Process`] for a type that implements [`Layer`],
-/// delegating the two step entry points through an [`Outbox`]. Keeps the
-/// `Process` impl of every composite node a two-line facade.
+/// Implements [`crate::Process`] for a type that implements [`Layer`]: both
+/// step entry points hand the step's [`Context`] itself to the layer as its
+/// sink, so every message goes straight into the step's send buffer. Keeps
+/// the `Process` impl of every composite node a one-line facade.
 #[macro_export]
 macro_rules! impl_process_for_layer {
     ($ty:ty) => {
@@ -478,12 +401,7 @@ macro_rules! impl_process_for_layer {
             type Msg = <$ty as $crate::stack::Layer>::Wire;
 
             fn on_timer(&mut self, ctx: &mut $crate::Context<'_, Self::Msg>) {
-                // The outbox borrows the context's (recycled) send buffer —
-                // a steady-state poll wraps and queues every message without
-                // allocating a second collection.
-                let mut out = $crate::stack::Outbox::from_buffer(ctx.take_sends());
-                $crate::stack::Layer::poll(self, ctx.ids(), &mut out);
-                ctx.restore_sends(out.into_payloads());
+                $crate::stack::Layer::poll(self, ctx.ids(), ctx);
             }
 
             fn on_message(
@@ -492,9 +410,7 @@ macro_rules! impl_process_for_layer {
                 msg: Self::Msg,
                 ctx: &mut $crate::Context<'_, Self::Msg>,
             ) {
-                let mut out = $crate::stack::Outbox::from_buffer(ctx.take_sends());
-                $crate::stack::Layer::handle(self, from, msg, &mut out);
-                ctx.restore_sends(out.into_payloads());
+                $crate::stack::Layer::handle(self, from, msg, ctx);
             }
         }
     };
@@ -503,6 +419,7 @@ macro_rules! impl_process_for_layer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Round;
 
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Lower(u32);
@@ -524,18 +441,44 @@ mod tests {
         ProcessId::new(i)
     }
 
-    #[test]
-    fn outbox_wraps_native_messages_per_lane() {
-        let mut out: Outbox<Wire> = Outbox::new();
-        assert!(out.is_empty());
+    /// The two send buffers a layer is handed, read back in send order.
+    trait Drained<W>: Sink<W> {
+        fn drained(self) -> Vec<(ProcessId, Payload<W>)>;
+    }
+
+    impl<W> Drained<W> for Outbox<W> {
+        fn drained(self) -> Vec<(ProcessId, Payload<W>)> {
+            self.msgs
+        }
+    }
+
+    impl<W> Drained<W> for Context<'_, W> {
+        fn drained(self) -> Vec<(ProcessId, Payload<W>)> {
+            self.into_outbox()
+        }
+    }
+
+    const IDS: [ProcessId; 0] = [];
+
+    /// A step's context, as the scheduler builds it.
+    fn ctx<W>() -> Context<'static, W> {
+        Context::new(pid(0), Round::ZERO, &IDS)
+    }
+
+    fn messages<W: Clone>(sends: Vec<(ProcessId, Payload<W>)>) -> Vec<(ProcessId, W)> {
+        sends
+            .into_iter()
+            .map(|(to, p)| (to, p.into_msg()))
+            .collect()
+    }
+
+    fn wraps_native_messages_per_lane(mut out: impl Drained<Wire>) {
         out.push(pid(1), Lower(7));
         out.push(pid(2), Upper("x".into()));
         out.push(pid(3), Wire::Beat);
         out.push(pid(4), Lower(8));
-        assert_eq!(out.len(), 4);
-        let msgs = out.into_messages();
         assert_eq!(
-            msgs,
+            messages(out.drained()),
             vec![
                 (pid(1), Wire::Lower(Lower(7))),
                 (pid(2), Wire::Upper(Upper("x".into()))),
@@ -546,11 +489,18 @@ mod tests {
     }
 
     #[test]
-    fn push_to_all_shares_one_payload_across_destinations() {
-        let mut out: Outbox<Wire> = Outbox::new();
+    fn outbox_wraps_native_messages_per_lane() {
+        let out: Outbox<Wire> = Outbox::new();
+        assert!(out.is_empty());
+        wraps_native_messages_per_lane(out);
+        wraps_native_messages_per_lane(ctx());
+    }
+
+    fn shares_one_payload_across_destinations<O: Drained<Wire>>(new: impl Fn() -> O) {
+        let mut out = new();
         out.push_to_all(&[pid(1), pid(2), pid(3)], Lower(9));
-        assert_eq!(out.len(), 3);
-        let payloads = out.into_payloads();
+        let payloads = out.drained();
+        assert_eq!(payloads.len(), 3);
         assert!(payloads.iter().all(|(_, p)| p.is_shared()));
         assert!(payloads
             .iter()
@@ -558,12 +508,18 @@ mod tests {
 
         // A single destination stays owned (no allocation), an empty peer
         // list queues nothing.
-        let mut out: Outbox<Wire> = Outbox::new();
+        let mut out = new();
         out.push_to_all(&[pid(7)], Lower(1));
         out.push_to_all(&[], Lower(2));
-        let payloads = out.into_payloads();
+        let payloads = out.drained();
         assert_eq!(payloads.len(), 1);
         assert!(!payloads[0].1.is_shared());
+    }
+
+    #[test]
+    fn push_to_all_shares_one_payload_across_destinations() {
+        shares_one_payload_across_destinations(Outbox::<Wire>::new);
+        shares_one_payload_across_destinations(ctx::<Wire>);
     }
 
     wire_enum! {
@@ -582,25 +538,20 @@ mod tests {
         out.push_to_all(&[pid(3), pid(4)], Upper("x".into()));
     }
 
-    #[test]
-    fn an_embedded_layer_sends_straight_into_the_embedders_outbox() {
-        // An embedder generic over its own sink nests it for the inner layer.
-        fn outer_step<O: Sink<Outer>>(out: &mut O) {
-            out.push(pid(0), Outer::Tick);
-            inner_step(&mut out.nest());
-        }
-        let mut out: Outbox<Outer> = Outbox::new();
+    /// An embedder generic over its own sink nests it for the inner layer.
+    fn outer_step<O: Sink<Outer>>(out: &mut O) {
+        out.push(pid(0), Outer::Tick);
+        inner_step(&mut out.nest());
+    }
+
+    fn embedded_layer_sends_straight_into(mut out: impl Drained<Outer>) {
         outer_step(&mut out);
-        let payloads = out.into_payloads();
+        let payloads = out.drained();
         // The broadcast stays one shared payload all the way out.
         assert!(payloads[3].1.is_shared() && payloads[4].1.is_shared());
-        let msgs: Vec<_> = payloads
-            .into_iter()
-            .map(|(to, p)| (to, p.into_msg()))
-            .collect();
         let upper = Outer::Inner(Wire::Upper(Upper("x".into())));
         assert_eq!(
-            msgs,
+            messages(payloads),
             vec![
                 (pid(0), Outer::Tick),
                 (pid(1), Outer::Inner(Wire::Lower(Lower(1)))),
@@ -609,8 +560,15 @@ mod tests {
                 (pid(4), upper),
             ]
         );
-        // An outbox of the outer wire is also a sink of the inner one
-        // directly, and of its own wire through the identity lane.
+    }
+
+    #[test]
+    fn an_embedded_layer_sends_straight_into_the_embedders_outbox() {
+        embedded_layer_sends_straight_into(Outbox::new());
+        // The step's context takes the same path: `ctx.nest()`.
+        embedded_layer_sends_straight_into(ctx());
+        // A buffer of the outer wire is also a sink of the inner one
+        // directly, and of its own wire.
         let mut direct: Outbox<Outer> = Outbox::new();
         direct.push(pid(0), Outer::Tick);
         inner_step(&mut direct);
@@ -619,44 +577,54 @@ mod tests {
         assert_eq!(direct.into_messages(), nested.into_messages());
     }
 
-    #[test]
-    fn router_dispatches_to_the_matching_lane_only() {
-        let mut out: Outbox<Wire> = Outbox::new();
-        let mut lower_seen = None;
-        let mut upper_seen = None;
-        let rest = Router::new(pid(9), Wire::Lower(Lower(5)))
-            .lane(&mut out, |from, m: Lower, _| lower_seen = Some((from, m)))
-            .lane(&mut out, |from, m: Upper, _| upper_seen = Some((from, m)))
-            .finish();
-        assert_eq!(lower_seen, Some((pid(9), Lower(5))));
-        assert_eq!(upper_seen, None);
-        assert_eq!(rest, None);
+    /// A two-lane layer dispatching by `match`, replying on its lower lane.
+    #[derive(Default)]
+    struct Echo {
+        beats: u32,
+        upper: Vec<String>,
     }
 
-    #[test]
-    fn router_hands_back_unit_variants() {
-        let mut out: Outbox<Wire> = Outbox::new();
-        let rest = Router::new(pid(1), Wire::Beat)
-            .lane(&mut out, |_, _m: Lower, _| panic!("wrong lane"))
-            .lane(&mut out, |_, _m: Upper, _| panic!("wrong lane"))
-            .finish();
-        assert_eq!(rest, Some(Wire::Beat));
+    impl Layer for Echo {
+        type Wire = Wire;
+        fn poll<O: Sink<Wire>>(&mut self, peers: &[ProcessId], out: &mut O) {
+            out.push_to_all(peers, Wire::Beat);
+        }
+        fn handle<O: Sink<Wire>>(&mut self, from: ProcessId, wire: Wire, out: &mut O) {
+            match wire {
+                Wire::Beat => self.beats += 1,
+                Wire::Lower(Lower(n)) => {
+                    out.push(from, Lower(n + 1));
+                    out.push(from, Upper("ack".into()));
+                }
+                Wire::Upper(Upper(s)) => self.upper.push(s),
+            }
+        }
     }
+
+    crate::impl_process_for_layer!(Echo);
 
     #[test]
     fn lanes_can_reply_through_the_shared_outbox() {
-        let mut out: Outbox<Wire> = Outbox::new();
-        Router::new(pid(2), Wire::Lower(Lower(1)))
-            .lane(&mut out, |from, Lower(n), out: &mut Outbox<Wire>| {
-                out.push(from, Lower(n + 1));
-                out.push(from, Upper("ack".into()));
-            })
-            .finish();
+        use crate::Process;
+        let ids = [pid(0), pid(2)];
+        let mut echo = Echo::default();
+        let mut ctx = Context::new(pid(0), Round::ZERO, &ids);
+        // Sends already in the buffer stay in front of the step's own.
+        ctx.send(pid(2), Wire::Beat);
+        echo.on_message(pid(2), Wire::Lower(Lower(1)), &mut ctx);
+        echo.on_message(pid(2), Wire::Upper(Upper("u".into())), &mut ctx);
+        echo.on_timer(&mut ctx);
+        assert_eq!(echo.upper, vec!["u".to_string()]);
+        let sends = ctx.into_outbox();
+        assert!(sends[3].1.is_shared(), "the poll's broadcast is shared");
         assert_eq!(
-            out.into_messages(),
+            messages(sends),
             vec![
+                (pid(2), Wire::Beat),
                 (pid(2), Wire::Lower(Lower(2))),
                 (pid(2), Wire::Upper(Upper("ack".into()))),
+                (pid(0), Wire::Beat),
+                (pid(2), Wire::Beat),
             ]
         );
     }
@@ -691,15 +659,15 @@ mod tests {
 
     #[test]
     fn roundtrip_wrap_unwrap() {
-        let wrapped: Wire = Lower(3).wrap();
+        let wrapped: Wire = Lower(3).into();
         assert_eq!(wrapped, Wire::Lower(Lower(3)));
-        assert_eq!(Lower::try_unwrap(wrapped), Ok(Lower(3)));
+        assert!(matches!(wrapped, Wire::Lower(Lower(3))));
         assert_eq!(
-            Lower::try_unwrap(Wire::Upper(Upper("y".into()))),
-            Err(Wire::Upper(Upper("y".into())))
+            Wire::from(Upper("y".into())),
+            Wire::Upper(Upper("y".into()))
         );
-        // The identity lane: every wire value is its own lane.
-        assert_eq!(<Wire as Lane<Wire>>::wrap(Wire::Beat), Wire::Beat);
-        assert_eq!(<Wire as Lane<Wire>>::try_unwrap(Wire::Beat), Ok(Wire::Beat));
+        // Nested lanes wrap one level per conversion.
+        let outer: Outer = Wire::from(Lower(4)).into();
+        assert_eq!(outer, Outer::Inner(Wire::Lower(Lower(4))));
     }
 }

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use counters::{Counter, CounterMsg, CounterNode, IncrementOutcome};
 use reconfig::{ConfigSet, NodeConfig, ReconfigMsg, ReconfigNode, SharedSet};
-use simnet::stack::{Layer, Outbox, Router, Sink};
+use simnet::stack::{Layer, Outbox, Sink};
 use simnet::ProcessId;
 
 /// A command submitted to the replicated state machine.
@@ -908,16 +908,11 @@ impl Layer for SmrNode {
     }
 
     fn handle<O: Sink<SmrMsg>>(&mut self, from: ProcessId, msg: SmrMsg, out: &mut O) {
-        let rest = Router::new(from, msg)
-            .lane(out, |from, m: ReconfigMsg, out| {
-                Layer::handle(&mut self.reconfig, from, m, &mut out.nest())
-            })
-            .lane(out, |from, m: CounterMsg, out| {
-                Layer::handle(&mut self.counter, from, m, &mut out.nest())
-            })
-            .lane(out, |from, s: Arc<StateMsg>, _| self.on_state(from, s))
-            .finish();
-        debug_assert!(rest.is_none(), "every SMR lane is routed");
+        match msg {
+            SmrMsg::Reconfig(m) => Layer::handle(&mut self.reconfig, from, m, &mut out.nest()),
+            SmrMsg::Counter(m) => Layer::handle(&mut self.counter, from, m, &mut out.nest()),
+            SmrMsg::State(s) => self.on_state(from, s),
+        }
     }
 }
 
@@ -1258,6 +1253,54 @@ mod tests {
             }
         }
         sim.process(sim.active_ids()[0]).unwrap().view().cloned()
+    }
+
+    /// Lane routing: one message of every `SmrMsg` variant, delivered
+    /// through `Process::on_message`, reaches the sub-layer that owns its
+    /// lane — the embedded reconfiguration node, the embedded counter
+    /// service, or the replication layer's peer snapshots.
+    #[test]
+    fn every_wire_variant_reaches_its_sub_layer() {
+        use counters::QuorumMsg;
+        use simnet::{Context, Process, Round};
+        let (me, peer) = (ProcessId::new(0), ProcessId::new(1));
+        let ids = [me, peer];
+        let member = SmrNode::new_member(me, config_set([0, 1]), NodeConfig::for_n(4));
+        // Delivers `msg` from `peer` to a copy of `member`, returning the
+        // copy and what it sent.
+        let deliver = |msg: SmrMsg| {
+            let mut after = member.clone();
+            let mut ctx = Context::new(me, Round::ZERO, &ids);
+            Process::on_message(&mut after, peer, msg, &mut ctx);
+            let sent: Vec<(ProcessId, SmrMsg)> = ctx
+                .into_outbox()
+                .into_iter()
+                .map(|(to, payload)| (to, payload.into_msg()))
+                .collect();
+            (after, sent)
+        };
+
+        let heard = |n: &SmrNode| n.reconfig.failure_detector().count(peer);
+        let (after, _) = deliver(SmrMsg::Reconfig(ReconfigMsg::Heartbeat));
+        assert_eq!((heard(&member), heard(&after)), (None, Some(0)));
+
+        let request = CounterMsg::Quorum(QuorumMsg::ReadRequest { op: 41 });
+        let (_, sent) = deliver(SmrMsg::Counter(request));
+        assert!(
+            matches!(
+                sent.as_slice(),
+                [(to, SmrMsg::Counter(CounterMsg::Quorum(QuorumMsg::ReadReply { op: 41, .. })))]
+                    if *to == peer
+            ),
+            "{sent:?}"
+        );
+
+        let snapshot = Arc::new(
+            SmrNode::new_member(peer, config_set([0, 1]), NodeConfig::for_n(4)).snapshot(),
+        );
+        let (after, _) = deliver(SmrMsg::State(Arc::clone(&snapshot)));
+        assert!(member.peers.is_empty());
+        assert!(Arc::ptr_eq(&after.peers[&peer], &snapshot));
     }
 
     #[test]

@@ -44,6 +44,11 @@ pub use vssmr as replication;
 /// `sharedmem` crate).
 pub use sharedmem as shared_memory;
 
+/// Compiles and runs the Rust examples of `README.md` as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 #[cfg(test)]
 mod tests {
     #[test]
