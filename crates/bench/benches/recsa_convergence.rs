@@ -1,8 +1,8 @@
 //! E1 (Theorem 3.15): convergence of recSA from an arbitrary state.
 //!
 //! Measures the wall-clock cost of simulating the brute-force convergence for
-//! several system sizes and reports the number of rounds and messages needed
-//! (the series recorded in EXPERIMENTS.md).
+//! several system sizes and prints the number of rounds and messages needed
+//! to stderr.
 
 use bench::{fresh_reconfig_sim, rounds_to_converge};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,8 +1,11 @@
 //! Shared harness helpers for the benchmark suite.
 //!
-//! Every benchmark in `benches/` regenerates one experiment of
-//! `EXPERIMENTS.md`. The helpers here build the simulations the benches
-//! measure, so the scenario definitions live in one place.
+//! Every benchmark in `benches/` runs one experiment of the paper (E1–E13,
+//! named in its module doc) and prints the quantity it measures — rounds,
+//! messages, estimates — to stderr next to criterion's timings; ROADMAP
+//! item 5 turns those lines into a checked table. The helpers here build
+//! the simulations the benches measure, so the scenario definitions live in
+//! one place.
 
 #![forbid(unsafe_code)]
 

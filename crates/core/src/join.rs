@@ -1,8 +1,7 @@
 //! The joining mechanism — Algorithm 3.3.
 //!
-//! A processor that wants to participate first lets the snap-stabilizing data
-//! link clean its channels (crate `datalink`), then repeatedly asks the
-//! members of the current configuration for a *pass*. Only when
+//! A processor that wants to participate repeatedly asks the members of the
+//! current configuration for a *pass*. Only when
 //!
 //! * no reconfiguration is taking place, and
 //! * a majority of the configuration members granted a pass (the application
@@ -11,6 +10,13 @@
 //! does it call `participate()` and become a participant. Until then it only
 //! listens, so a joiner can never contaminate the system with stale
 //! information (Theorem 3.26).
+//!
+//! The paper first has the snap-stabilizing data link clean the joiner's
+//! channels. No clean runs here: a joiner gets a fresh identifier, and the
+//! stale packets its links may hold — pass grants nobody issued to it,
+//! recSA broadcasts of corrupted members — are tolerated, as
+//! `stale_packets_on_a_joiners_links_are_tolerated`
+//! (`tests/joining_admission.rs`) checks.
 
 use std::collections::BTreeMap;
 

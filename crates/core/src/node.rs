@@ -58,7 +58,7 @@ impl NodeConfig {
     ///
     /// `Θ` must dominate the number of heartbeats a correct processor can
     /// legitimately lag behind: the stack emits ~3 messages per peer per
-    /// round (data-link token, recSA broadcast, recMA flags), every received
+    /// round (heartbeat, recSA broadcast, recMA flags), every received
     /// packet counts as a heartbeat, and delivery order within a round is
     /// arbitrary, so a peer may trail by several rounds of full traffic
     /// (`≈ 6·n_bound` counts) before it is genuinely late. `8·n_bound`
@@ -100,8 +100,8 @@ simnet::wire_enum! {
     /// through the shared [`simnet::stack`] mechanism.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum ReconfigMsg {
-        /// A liveness pulse (the token of the underlying data link); every
-        /// received message also counts as one.
+        /// A liveness pulse, standing in for the paper's data-link token;
+        /// every received message also counts as one.
         Heartbeat,
         /// recSA traffic (Algorithm 3.1, line 29).
         RecSa(RecSaMsg),
@@ -287,7 +287,7 @@ impl Layer for ReconfigNode {
     type Wire = ReconfigMsg;
 
     fn poll<O: Sink<ReconfigMsg>>(&mut self, peers: &[ProcessId], out: &mut O) {
-        // The underlying token exchange: a heartbeat to every other
+        // In place of the paper's token exchange: a heartbeat to every other
         // processor keeps the failure detectors of the whole system fed.
         for p in peers.iter().copied().filter(|p| *p != self.me) {
             out.push(p, ReconfigMsg::Heartbeat);

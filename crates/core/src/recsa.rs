@@ -26,9 +26,11 @@
 //! The implementation follows the pseudocode of Algorithm 3.1; where the
 //! technical report's notation is ambiguous we follow Definition 3.1 and the
 //! correctness argument (Claims 3.9–3.13), and note the choice in comments.
-//! recSA assumes the reliable FIFO end-to-end delivery of Section 2 (provided
-//! by the `datalink` crate or by configuring `simnet` channels without
-//! reordering).
+//! recSA runs directly on `simnet`'s links, which lose, duplicate and reorder
+//! packets within their bounded capacity: no reliable FIFO layer sits
+//! underneath. Convergence under such links is checked by
+//! `pairwise_distinct_configurations_converge_under_lossy_links`
+//! (`tests/stale_information.rs`).
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;

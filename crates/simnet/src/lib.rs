@@ -111,7 +111,7 @@ pub mod trace;
 
 pub use ascending::Ascending;
 pub use campaign::{Campaign, CampaignReport, RunRecord};
-pub use channel::{Channel, ChannelPolicy, InFlight};
+pub use channel::{ChannelPolicy, InFlight};
 pub use codec::{DecodeError, Reader, WireCodec};
 pub use config::{SchedulerMode, SimConfig};
 pub use fault::{

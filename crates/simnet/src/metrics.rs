@@ -6,7 +6,7 @@ use crate::histogram::Histogram;
 /// Counters describing one simulation execution.
 ///
 /// The benchmark harness reads these to report convergence cost (rounds,
-/// messages) for every experiment in `EXPERIMENTS.md`. The scheduler-cost
+/// messages) for every experiment the benches run. The scheduler-cost
 /// counters (`wakeups`, `channel_scans`, `channel_visits`, the delivery
 /// batch histogram) hook the delivery path, so the round-scan baseline and
 /// the event-driven run queue can be compared packet for packet.

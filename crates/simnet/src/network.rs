@@ -1,12 +1,12 @@
 //! The fully connected network: one bounded FIFO link per ordered pair of
 //! processors, stored destination-major.
 //!
-//! A link obeys the law [`crate::Channel`] states — loss, duplication,
-//! bounded capacity with oldest-first eviction, random delay, FIFO or
-//! reordered delivery among ready packets — but no `Channel` value exists
-//! here: the packets in flight towards one destination live in that
-//! destination's `Row`. `Channel` remains the one-link reference model and
-//! the building block of this module's test oracle.
+//! Every link obeys the law [`crate::channel`] states through its
+//! [`ChannelPolicy`] — loss, duplication, bounded capacity with oldest-first
+//! eviction, random delay, FIFO or reordered delivery among ready packets.
+//! No per-link value holds the packets: those in flight towards one
+//! destination live in that destination's `Row`. The tests compare a row's
+//! links with `reference::RefChannel`, the law written out for one link.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -290,8 +290,8 @@ impl<M: Clone> Row<M> {
             begin = link.cursor as usize;
             let before = budget;
             if reorder {
-                // `Channel` draws one `choose` per delivered packet among
-                // the positions of the ready ones, and only how many there
+                // One `choose` per delivered packet among the positions of
+                // the ready ones, as `RefChannel` draws: only how many there
                 // are decides the draw.
                 let log = &self.log;
                 let due = |at: &usize| log[*at].as_ref().expect(LOGGED).packet.ready_at <= now;
@@ -359,8 +359,8 @@ impl<'a, M> ChannelView<'a, M> {
     }
 }
 
-/// The rest of [`Channel`](crate::channel::Channel)'s read surface, for
-/// comparing a link with the one-link model; no production caller needs it.
+/// The rest of a link's read surface, for comparing it with
+/// `reference::RefChannel`; no production caller needs it.
 #[cfg(test)]
 impl<M> ChannelView<'_, M> {
     fn len(&self) -> usize {
@@ -554,7 +554,7 @@ impl<M: Clone> Network<M> {
         } = *self.policy;
         let row = self.link_entry(from, to);
         // Outcomes and RNG draw order — loss, duplication, one delay per
-        // enqueue — are `Channel::send_payload_timed`'s.
+        // enqueue — are the link law's, as `RefChannel::send` spells them.
         if rng.chance(loss_probability) {
             metrics.record_send(SendOutcome::Lost);
             return None;
@@ -802,6 +802,7 @@ impl<M: Clone> Network<M> {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::RefChannel;
     use super::*;
 
     fn ids(n: u32) -> Vec<ProcessId> {
@@ -813,6 +814,13 @@ mod tests {
             max_delay_rounds: 0,
             ..ChannelPolicy::default()
         }
+    }
+
+    /// The packets in flight on the link `from → to`, oldest first, as
+    /// `(message, ready round)` — the form `RefChannel::packets` lists.
+    fn packets(net: &Network<u32>, from: ProcessId, to: ProcessId) -> Vec<(u32, Round)> {
+        let view = net.channel(from, to).unwrap();
+        view.in_flight().map(|x| (*x.msg(), x.ready_at)).collect()
     }
 
     #[test]
@@ -1082,11 +1090,10 @@ mod tests {
     }
 
     /// Sends and one-packet deliveries interleaved on one link that fills up
-    /// and then evicts on every send: every delivery is what a `Channel` fed
-    /// the same operations and random stream delivers.
+    /// and then evicts on every send: every delivery is what a `RefChannel`
+    /// fed the same operations and random stream delivers.
     #[test]
     fn interleaved_sends_and_deliveries_follow_channel_order() {
-        use crate::channel::Channel;
         let p = ids(2);
         let policy = ChannelPolicy {
             max_delay_rounds: 2,
@@ -1094,7 +1101,7 @@ mod tests {
             ..ChannelPolicy::default()
         };
         let mut net: Network<u32> = Network::new(policy.clone());
-        let mut oracle: Channel<u32> = Channel::new(policy);
+        let mut oracle: RefChannel<u32> = RefChannel::new(policy);
         let (mut rng, mut oracle_rng) = (SimRng::seed_from(12), SimRng::seed_from(12));
         let mut metrics = Metrics::default();
         let mut value = 0;
@@ -1114,9 +1121,9 @@ mod tests {
                 oracle.drain_ready(now, 1, &mut oracle_rng),
                 "step {step}"
             );
-            let view = net.channel(p[0], p[1]).unwrap();
-            assert!(view.in_flight().eq(oracle.in_flight()), "step {step}");
+            assert_eq!(packets(&net, p[0], p[1]), oracle.packets(), "step {step}");
             // A delivery leaves the log holding exactly what is in flight.
+            let view = net.channel(p[0], p[1]).unwrap();
             assert_eq!(net.rows.get(p[1]).unwrap().log.len(), view.len());
         }
         assert!(metrics.messages_evicted() > 0 && metrics.messages_delivered() > 40);
@@ -1126,15 +1133,14 @@ mod tests {
     /// left after a partial delivery and more sends.
     #[test]
     fn channel_view_lists_oldest_first_after_partial_delivery() {
-        use crate::channel::Channel;
         let p = ids(2);
         let mut net: Network<u32> = Network::new(reliable());
-        let mut oracle: Channel<u32> = Channel::new(reliable());
+        let mut oracle: RefChannel<u32> = RefChannel::new(reliable());
         // A reliable policy draws nothing, so the streams need not be paired.
         let mut rng = SimRng::seed_from(13);
         let mut metrics = Metrics::default();
         // Packet `m` is sent at, and so ready from, round `m`.
-        let send = |net: &mut Network<u32>, oracle: &mut Channel<u32>, values| {
+        let send = |net: &mut Network<u32>, oracle: &mut RefChannel<u32>, values| {
             for m in values {
                 let now = Round::new(u64::from(m));
                 let quiet = &mut SimRng::seed_from(0);
@@ -1152,17 +1158,16 @@ mod tests {
         assert!(!view.is_empty());
         let listed: Vec<u32> = view.in_flight().map(|x| *x.msg()).collect();
         assert_eq!(listed, vec![3, 4, 5, 6, 7, 8, 9]);
-        assert!(view.in_flight().eq(oracle.in_flight()));
+        assert_eq!(packets(&net, p[0], p[1]), oracle.packets());
         assert_eq!(view.earliest_ready(), Some(Round::new(3)));
         assert_eq!(view.earliest_ready(), oracle.earliest_ready());
     }
 
     /// Capacity evictions stay pending in the log until something walks it.
     /// After evicting sends and **before any delivery**, every reader and
-    /// every white-box entry sees what `Channel`s fed the same sends hold.
+    /// every white-box entry sees what `RefChannel`s fed the same sends hold.
     #[test]
     fn eviction_is_invisible_until_settled() {
-        use crate::channel::Channel;
         let p = ids(4);
         let to = p[3];
         let policy = ChannelPolicy {
@@ -1171,7 +1176,7 @@ mod tests {
             ..ChannelPolicy::default()
         };
         let mut filled: Network<u32> = Network::new(policy.clone());
-        let mut oracle: Vec<Channel<u32>> = vec![Channel::new(policy); 3];
+        let mut oracle: Vec<RefChannel<u32>> = vec![RefChannel::new(policy); 3];
         let (mut rng, mut oracle_rng) = (SimRng::seed_from(14), SimRng::seed_from(14));
         let mut metrics = Metrics::default();
         // Fill the links with 3, 2 and 3 packets, then evict 5 on the first
@@ -1188,24 +1193,22 @@ mod tests {
         let row = filled.rows.get(to).unwrap();
         assert_eq!((row.log.len(), row.live), (14, 8), "nothing settled yet");
 
-        let held = |ch: &Channel<u32>| ch.in_flight().cloned().collect::<Vec<_>>();
-        let in_flight: Vec<Vec<InFlight<u32>>> = oracle.iter().map(held).collect();
-        let view = |net: &Network<u32>, from: usize| -> Vec<InFlight<u32>> {
-            let view = net.channel(p[from], to).unwrap();
-            view.in_flight().cloned().collect()
-        };
+        let in_flight: Vec<Vec<(u32, Round)>> = oracle.iter().map(RefChannel::packets).collect();
+        let view = |net: &Network<u32>, from: usize| packets(net, p[from], to);
         for (from, want) in in_flight.iter().enumerate() {
             assert_eq!(&view(&filled, from), want, "link {from}");
         }
-        let earliest = oracle.iter().filter_map(Channel::earliest_ready).min();
+        let earliest = oracle.iter().filter_map(RefChannel::earliest_ready).min();
         assert_eq!(filled.earliest_inbound_ready(to), earliest);
         assert!(earliest >= Some(Round::new(10)), "packet 0 was evicted");
         assert_eq!(filled.in_flight_total(), 8);
 
         for (from, want) in in_flight.iter().enumerate() {
             let mut net = filled.clone();
-            let got: Vec<InFlight<u32>> =
-                net.in_flight_mut(p[from], to).map(|x| x.clone()).collect();
+            let got: Vec<(u32, Round)> = net
+                .in_flight_mut(p[from], to)
+                .map(|x| (*x.msg(), x.ready_at))
+                .collect();
             assert_eq!(&got, want, "link {from}");
         }
 
@@ -1214,7 +1217,7 @@ mod tests {
         let touched = net.corrupt_inbound_payloads(to, |payloads| {
             seen.extend(payloads.iter().map(|m| **m));
         });
-        let ascending: Vec<u32> = in_flight.iter().flatten().map(|x| *x.msg()).collect();
+        let ascending: Vec<u32> = in_flight.iter().flatten().map(|(m, _)| *m).collect();
         assert_eq!(touched, 8);
         assert_eq!(seen, ascending);
 
@@ -1223,7 +1226,7 @@ mod tests {
             net.clear_channel(p[cleared], to);
             assert_eq!(net.in_flight_total(), 8 - in_flight[cleared].len());
             for (from, kept) in in_flight.iter().enumerate() {
-                let want: &[InFlight<u32>] = if from == cleared { &[] } else { kept };
+                let want: &[(u32, Round)] = if from == cleared { &[] } else { kept };
                 assert_eq!(view(&net, from), want, "link {from}, {cleared} cleared");
             }
         }
@@ -1253,19 +1256,142 @@ mod proptests {
     }
 }
 
-/// The network as it was before the destination-major rows, transcribed
-/// verbatim: channels in one `BTreeMap` keyed by `(from, to)`, a separate
+/// The network as it was before the destination-major rows: one
+/// [`RefChannel`] per link in a `BTreeMap` keyed by `(from, to)`, a separate
 /// per-destination index of senders that had to agree with it, and a
 /// whole-map scan behind `deliver_to`/`earliest_inbound_ready_scan`. It
 /// exists only as the oracle for `row_network_matches_ordered_map_reference`.
 #[cfg(test)]
 mod reference {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, VecDeque};
 
     use super::*;
-    use crate::channel::Channel;
     use proptest::prelude::*;
     use rand::RngCore;
+
+    /// One link under the law, kept the plain way: an owned queue of
+    /// `(message, ready round)`, a clone per duplicate, and a scan of the
+    /// queue per delivered packet. The oracle for a row's links, alone and
+    /// inside [`RefNetwork`].
+    #[derive(Clone)]
+    pub struct RefChannel<M> {
+        policy: ChannelPolicy,
+        queue: VecDeque<(M, Round)>,
+    }
+
+    impl<M: Clone> RefChannel<M> {
+        pub fn new(policy: ChannelPolicy) -> Self {
+            RefChannel {
+                policy,
+                queue: VecDeque::new(),
+            }
+        }
+
+        /// Packets already in flight keep their rounds.
+        pub fn set_policy(&mut self, policy: ChannelPolicy) {
+            self.policy = policy;
+        }
+
+        /// Returns the outcome and the earliest round at which what was
+        /// enqueued becomes deliverable (`None` when the packet was lost).
+        pub fn send(
+            &mut self,
+            msg: M,
+            now: Round,
+            rng: &mut SimRng,
+        ) -> (SendOutcome, Option<Round>) {
+            if rng.chance(self.policy.loss_probability) {
+                return (SendOutcome::Lost, None);
+            }
+            let duplicated = rng.chance(self.policy.duplication_probability);
+            let (outcome, first_ready) = self.enqueue(msg.clone(), now, rng, SendOutcome::Enqueued);
+            if duplicated {
+                let (dup_outcome, dup_ready) = self.enqueue(msg, now, rng, SendOutcome::Duplicated);
+                return (dup_outcome, Some(first_ready.min(dup_ready)));
+            }
+            (outcome, Some(first_ready))
+        }
+
+        fn enqueue(
+            &mut self,
+            msg: M,
+            now: Round,
+            rng: &mut SimRng,
+            ok: SendOutcome,
+        ) -> (SendOutcome, Round) {
+            let delay = if self.policy.max_delay_rounds == 0 {
+                0
+            } else {
+                rng.range_inclusive(0, self.policy.max_delay_rounds)
+            };
+            let ready_at = now + delay;
+            if self.queue.len() >= self.policy.capacity {
+                self.queue.pop_front();
+                self.queue.push_back((msg, ready_at));
+                (SendOutcome::EvictedOld, ready_at)
+            } else {
+                self.queue.push_back((msg, ready_at));
+                (ok, ready_at)
+            }
+        }
+
+        /// A stale packet: no loss, no delay, the capacity still enforced.
+        pub fn inject(&mut self, msg: M) {
+            if self.queue.len() >= self.policy.capacity {
+                self.queue.pop_front();
+            }
+            self.queue.push_back((msg, Round::ZERO));
+        }
+
+        /// Up to `limit` packets whose round has come: the oldest ready one
+        /// each time, or a uniform draw among the ready ones under
+        /// reordering.
+        pub fn drain_ready(&mut self, now: Round, limit: usize, rng: &mut SimRng) -> Vec<M> {
+            let mut delivered = Vec::new();
+            let mut ready: Vec<usize> = Vec::new();
+            while delivered.len() < limit {
+                ready.clear();
+                let due = self
+                    .queue
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (_, r))| *r <= now);
+                ready.extend(due.map(|(i, _)| i));
+                let pick = match (self.policy.reorder, ready.first()) {
+                    (_, None) => break,
+                    (false, Some(oldest)) => *oldest,
+                    (true, Some(_)) => *rng.choose(&ready).expect("ready is non-empty"),
+                };
+                delivered.push(self.queue.remove(pick).expect("index is valid").0);
+            }
+            delivered
+        }
+
+        pub fn clear(&mut self) {
+            self.queue.clear();
+        }
+
+        pub fn len(&self) -> usize {
+            self.queue.len()
+        }
+
+        pub fn is_empty(&self) -> bool {
+            self.queue.is_empty()
+        }
+
+        pub fn earliest_ready(&self) -> Option<Round> {
+            self.queue.iter().map(|(_, r)| *r).min()
+        }
+
+        /// The packets in flight, oldest first.
+        pub fn packets(&self) -> Vec<(M, Round)> {
+            self.queue.iter().cloned().collect()
+        }
+
+        pub fn in_flight_mut(&mut self) -> impl Iterator<Item = &mut M> {
+            self.queue.iter_mut().map(|(m, _)| m)
+        }
+    }
 
     #[derive(Default)]
     struct SenderSet(Vec<ProcessId>);
@@ -1290,7 +1416,7 @@ mod reference {
 
     pub struct RefNetwork<M> {
         policy: ChannelPolicy,
-        channels: BTreeMap<(ProcessId, ProcessId), Channel<M>>,
+        channels: BTreeMap<(ProcessId, ProcessId), RefChannel<M>>,
         blocked: BTreeSet<(ProcessId, ProcessId)>,
         inbound: BTreeMap<ProcessId, SenderSet>,
         dirty: BTreeSet<ProcessId>,
@@ -1341,11 +1467,11 @@ mod reference {
             self.blocked.clear();
         }
 
-        fn channel_entry(&mut self, from: ProcessId, to: ProcessId) -> &mut Channel<M> {
+        fn channel_entry(&mut self, from: ProcessId, to: ProcessId) -> &mut RefChannel<M> {
             let policy = self.policy.clone();
             self.channels
                 .entry((from, to))
-                .or_insert_with(|| Channel::new(policy))
+                .or_insert_with(|| RefChannel::new(policy))
         }
 
         pub fn send_payload(
@@ -1363,7 +1489,7 @@ mod reference {
             }
             let (outcome, ready) = self
                 .channel_entry(from, to)
-                .send_payload_timed(payload, now, rng);
+                .send(payload.into_msg(), now, rng);
             metrics.record_send(outcome);
             if ready.is_some() {
                 self.inbound.entry(to).or_default().insert(from);
@@ -1404,10 +1530,10 @@ mod reference {
                 }
                 let remaining = limit - delivered;
                 if let Some(ch) = self.channels.get_mut(&(from, to)) {
-                    ch.drain_ready_with(now, remaining, rng, |msg| {
+                    for msg in ch.drain_ready(now, remaining, rng) {
                         metrics.record_delivery();
                         into.push((from, msg));
-                    });
+                    }
                 }
             }
             metrics.record_delivery_batch(into.len() - start);
@@ -1489,14 +1615,14 @@ mod reference {
         }
 
         pub fn in_flight_total(&self) -> usize {
-            self.channels.values().map(Channel::len).sum()
+            self.channels.values().map(RefChannel::len).sum()
         }
 
-        pub fn channel(&self, from: ProcessId, to: ProcessId) -> Option<&Channel<M>> {
+        pub fn channel(&self, from: ProcessId, to: ProcessId) -> Option<&RefChannel<M>> {
             self.channels.get(&(from, to))
         }
 
-        pub fn channel_mut(&mut self, from: ProcessId, to: ProcessId) -> &mut Channel<M> {
+        pub fn channel_mut(&mut self, from: ProcessId, to: ProcessId) -> &mut RefChannel<M> {
             self.inbound.entry(to).or_default().insert(from);
             self.dirty.insert(to);
             self.channel_entry(from, to)
@@ -1514,7 +1640,7 @@ mod reference {
             let srcs = self.inbound.get(&to)?;
             srcs.iter()
                 .filter_map(|src| self.channels.get(&(src, to)))
-                .filter_map(Channel::earliest_ready)
+                .filter_map(RefChannel::earliest_ready)
                 .min()
         }
 
@@ -1536,7 +1662,6 @@ mod reference {
                 .iter_mut()
                 .filter(|((_, dst), _)| *dst == to)
                 .flat_map(|(_, ch)| ch.in_flight_mut())
-                .map(|packet| packet.msg_mut())
                 .collect();
             let touched = payloads.len();
             if touched > 0 {
@@ -1701,8 +1826,8 @@ mod reference {
                     for packet in rows.in_flight_mut(*from, *to) {
                         *packet.msg_mut() += delta;
                     }
-                    for packet in oracle.channel_mut(*from, *to).in_flight_mut() {
-                        *packet.msg_mut() += delta;
+                    for m in oracle.channel_mut(*from, *to).in_flight_mut() {
+                        *m += delta;
                     }
                 }
                 Op::Block(from, to) => {
@@ -1790,9 +1915,7 @@ mod reference {
                     .collect();
                 let want: Vec<(u32, Round)> = oracle
                     .channel(from, to)
-                    .into_iter()
-                    .flat_map(|ch| ch.in_flight().map(|p| (*p.msg(), p.ready_at)))
-                    .collect();
+                    .map_or_else(Vec::new, RefChannel::packets);
                 prop_assert_eq!(got, want);
             }
             for to in (0..8).map(id) {

@@ -1,6 +1,6 @@
 //! Shared in-flight payloads.
 //!
-//! Every packet travelling through a [`crate::Channel`] carries a
+//! Every packet travelling through a [`crate::Network`] link carries a
 //! [`Payload`]: either a plain owned message or a handle into a shared
 //! allocation (`Arc`). The two-variant shape is deliberate — most traffic is
 //! point-to-point (heartbeats, per-peer echoes) and must stay allocation-free,
@@ -9,13 +9,13 @@
 //!
 //! * a broadcast pushed through [`crate::stack::Outbox::push_to_all`] wraps
 //!   the message once and enqueues one handle per destination;
-//! * channel duplication ([`crate::Channel::send_timed`]) promotes the packet
+//! * link duplication ([`crate::Network::send_payload`]) promotes the packet
 //!   to shared and enqueues a second handle instead of a deep clone.
 //!
 //! Ownership rules on the delivery path:
 //!
-//! * the channel owns the payload while the packet is in flight;
-//! * delivery ([`crate::Channel::drain_ready_with`]) passes the message to
+//! * the link owns the payload while the packet is in flight;
+//! * delivery ([`crate::Network::deliver_due_into`]) passes the message to
 //!   the sink by value — an owned payload moves, the *last* handle to a
 //!   shared payload moves out of the allocation, and an earlier handle
 //!   clones (so a broadcast to `n` peers costs one allocation plus `n − 1`

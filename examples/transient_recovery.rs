@@ -1,6 +1,6 @@
 //! Transient-fault recovery: corrupt configurations and notifications, then
-//! watch the brute-force stabilization repair the system (Experiment E1 of
-//! EXPERIMENTS.md, run interactively).
+//! watch the brute-force stabilization repair the system (experiment E1,
+//! run interactively).
 //!
 //! Run with: `cargo run --example transient_recovery`
 

@@ -4,7 +4,6 @@
 //! Reconfiguration* (Dolev, Georgiou, Marcoullis, Schiller; MIDDLEWARE 2016):
 //!
 //! * [`sim`] — the deterministic simulation of the paper's system model;
-//! * [`link`] — token-exchange and snap-stabilizing data links;
 //! * [`fd`] — the `(N,Θ)`-failure detector;
 //! * [`reconfiguration`] — the core contribution: recSA, recMA and the
 //!   joining mechanism;
@@ -20,9 +19,6 @@
 
 /// The simulation substrate (re-export of the `simnet` crate).
 pub use simnet as sim;
-
-/// Link-layer protocols (re-export of the `datalink` crate).
-pub use datalink as link;
 
 /// The `(N,Θ)`-failure detector (re-export of the `failure-detector` crate).
 pub use failure_detector as fd;

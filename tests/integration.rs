@@ -1,7 +1,8 @@
 //! Cross-crate integration tests: the whole stack (failure detector + recSA +
 //! recMA + joining + labels + counters + VS-SMR) running inside the
 //! simulated asynchronous network, including transient-fault and churn
-//! scenarios. Each test corresponds to one experiment of `EXPERIMENTS.md`.
+//! scenarios. Each test is named after the experiment (E1–E13, as the benches
+//! in `crates/bench` number them) it checks.
 
 use selfstab_reconfig::reconfiguration::{
     config_set, ConfigSet, ConfigValue, EvalPolicy, NodeConfig, ReconfigNode,

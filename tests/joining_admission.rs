@@ -7,8 +7,10 @@
 
 use std::collections::BTreeSet;
 
-use reconfig::{config_set, AdmissionPolicy, ConfigSet, NodeConfig, ReconfigNode};
-use simnet::{ChurnPlan, ProcessId, Round, SimConfig, Simulation};
+use reconfig::{
+    config_set, AdmissionPolicy, ConfigSet, JoinMsg, NodeConfig, ReconfigMsg, ReconfigNode,
+};
+use simnet::{ChurnPlan, ProcessId, Round, ScenarioTarget, SimConfig, SimRng, Simulation};
 
 fn converged_config(sim: &Simulation<ReconfigNode>) -> Option<ConfigSet> {
     let mut configs = BTreeSet::new();
@@ -205,6 +207,52 @@ fn collapse_recovery_includes_admitted_participants() {
         rounds < 2500,
         "survivor participants never formed a configuration"
     );
+}
+
+/// Stale packets on a joiner's links: before it arrives, every link into a
+/// fresh identifier is filled to capacity with what a transient fault may
+/// leave in transit — pass grants nobody issued to it, and recSA broadcasts
+/// of corrupted members, addressed to others and partly sent under another
+/// member's name. No clean handshake flushes them; the
+/// joiner is admitted all the same, and the configuration neither changes
+/// nor loses its calm.
+#[test]
+fn stale_packets_on_a_joiners_links_are_tolerated() {
+    let mut sim = members_cluster(4, 409, AdmissionPolicy::AdmitAll);
+    let members = sim.ids();
+    let joiner = ProcessId::new(4);
+    let mut rng = SimRng::seed_from(409);
+    let mut recsa = Vec::new();
+    for member in &members {
+        let mut corrupted = sim.process(*member).unwrap().clone();
+        corrupted.corrupt(&mut rng);
+        let polled = corrupted.poll(&members).into_iter().map(|(_, m)| m);
+        recsa.extend(polled.filter(|m| matches!(m, ReconfigMsg::RecSa(_))));
+    }
+    assert!(!recsa.is_empty(), "corrupted members broadcast no recSA");
+    let pass = ReconfigMsg::Join(JoinMsg::Response { pass: true });
+    let capacity = sim.config().channel_policy().capacity;
+    for from in &members {
+        for nth in 0..capacity {
+            let msg = match nth % 2 {
+                0 => pass.clone(),
+                _ => recsa[nth % recsa.len()].clone(),
+            };
+            sim.network_mut().inject(*from, joiner, msg);
+        }
+        let link = sim.network().channel(*from, joiner).unwrap();
+        assert_eq!(link.in_flight().count(), capacity);
+    }
+    sim.add_process_with_id(joiner, ReconfigNode::spawn_joiner(joiner, 4));
+    let rounds = sim.run_until(600, |s| {
+        s.process(joiner).unwrap().is_participant() && ReconfigNode::converged(s)
+    });
+    assert!(rounds < 600, "the joiner was never admitted");
+    // And it stays that way once the stale packets are long gone.
+    sim.run_rounds(100);
+    assert!(ReconfigNode::converged(&sim));
+    assert_eq!(converged_config(&sim), Some(config_set(0..4)));
+    assert!(ReconfigNode::invariant_violations(&sim).is_empty());
 }
 
 /// Observability: the joining layer reports completed joins.
