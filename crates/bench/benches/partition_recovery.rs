@@ -14,7 +14,7 @@
 use bench::{catalog_scenario, run_scenario_bench};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reconfig::ReconfigNode;
-use simnet::{Round, Scenario, SchedulerMode};
+use simnet::{Round, Scenario};
 
 /// The catalog scenario for the default window, or a stretched variant
 /// built through the same declarative plan builders.
@@ -35,7 +35,7 @@ fn partition_recovery(c: &mut Criterion) {
     group.sample_size(10);
     for (n, duration) in [(4usize, 40u64), (6, 40), (6, 100), (6, 300)] {
         let scenario = partition_scenario(n, duration);
-        let run = run_scenario_bench::<ReconfigNode>(&scenario, 81, SchedulerMode::EventDriven);
+        let run = run_scenario_bench::<ReconfigNode>(&scenario, 81);
         assert!(
             run.converged && run.invariant_violations.is_empty(),
             "partition-heal bench cell failed: {run:?}"
@@ -49,9 +49,7 @@ fn partition_recovery(c: &mut Criterion) {
             BenchmarkId::new(format!("n{n}"), duration),
             &scenario,
             |b, scenario| {
-                b.iter(|| {
-                    run_scenario_bench::<ReconfigNode>(scenario, 81, SchedulerMode::EventDriven)
-                });
+                b.iter(|| run_scenario_bench::<ReconfigNode>(scenario, 81));
             },
         );
     }

@@ -16,8 +16,8 @@ use reconfig::{config_set, ConfigSet, NodeConfig, ReconfigNode};
 use sharedmem::SharedMemNode;
 use simnet::scenario::{catalog, run_scenario, ScenarioTarget};
 use simnet::{
-    Arrival, Campaign, CampaignReport, LoadProfile, ProcessId, Scenario, ScenarioRun,
-    SchedulerMode, SimConfig, Simulation,
+    Campaign, CampaignReport, ProcessId, Scenario, ScenarioRun, SchedulerMode, SimConfig,
+    Simulation,
 };
 use vssmr::SmrNode;
 
@@ -108,12 +108,8 @@ pub fn smr_cluster(n: u32, seed: u64) -> Simulation<SmrNode> {
 /// declarative fault schedules the chaos campaigns verify, so perf numbers
 /// and chaos coverage share one fault vocabulary. Returns the run outcome
 /// (rounds to convergence, fault counters, invariants).
-pub fn run_scenario_bench<T: ScenarioTarget>(
-    scenario: &Scenario,
-    seed: u64,
-    mode: SchedulerMode,
-) -> ScenarioRun {
-    let mut sim: Simulation<T> = scenario.build_sim(seed, mode);
+pub fn run_scenario_bench<T: ScenarioTarget>(scenario: &Scenario, seed: u64) -> ScenarioRun {
+    let mut sim: Simulation<T> = scenario.build_sim(seed, SchedulerMode::EventDriven);
     run_scenario(scenario, &mut sim)
 }
 
@@ -124,52 +120,15 @@ pub fn catalog_scenario(name: &str, n: usize) -> Scenario {
         .unwrap_or_else(|| panic!("catalog scenario `{name}` missing (see `simctl list`)"))
 }
 
-/// Looks up a catalog scenario and arms it with an open-loop client
-/// population: `clients` independent clients submitting keyed operations on
-/// the given [`Arrival`] process, with ops declared timed out after
-/// `op_timeout` rounds (0 disables the timeout sweep). The returned scenario
-/// drives the load engine *instead of* the target's built-in workload, and
-/// its [`ScenarioRun`] carries the `op_*` latency/goodput counters.
-pub fn loaded_scenario(
-    name: &str,
-    n: usize,
-    clients: u64,
-    arrival: Arrival,
-    op_timeout: u64,
-) -> Scenario {
-    catalog_scenario(name, n)
-        .with_load(LoadProfile::new(clients, arrival).with_op_timeout(op_timeout))
-}
-
-/// [`loaded_scenario`] with history recording armed: the run additionally
-/// checks linearizability of the recorded client ops against the target's
-/// sequential spec and probes *stays-converged* after first convergence,
-/// publishing the `converged_round` / `stability_violations` /
-/// `lin_ops_checked` / `lin_result` counters. This is the bench-side entry
-/// point of the checked-correctness layer (see `docs/HISTORIES.md`):
-/// experiments that gate on latency can gate on `lin_result == 0` in the
-/// same run.
-pub fn checked_scenario(
-    name: &str,
-    n: usize,
-    clients: u64,
-    arrival: Arrival,
-    op_timeout: u64,
-) -> Scenario {
-    loaded_scenario(name, n, clients, arrival, op_timeout).with_history()
-}
-
 /// Runs the catalog × four-composite-nodes × `ns` × `seeds` campaign matrix
-/// (event mode) at one jobs count, dispatching *every* cell — the node axis
-/// included — to one `simnet::exec` pool. `jobs = 1` degenerates to the
-/// serial loop. This is the ROADMAP's "full catalog campaign" matrix; the
-/// scheduler bench times it serial-vs-parallel for `BENCH_scheduler.json`'s
-/// `parallel_campaign` section, and the report renders byte-identically at
-/// any jobs count (asserted there).
+/// at one jobs count, dispatching *every* cell — the node axis included —
+/// to one `simnet::exec` pool. `jobs = 1` degenerates to the serial loop.
+/// This is the ROADMAP's "full catalog campaign" matrix: the golden-digest
+/// test pins its report, and the shared-prefix test asserts that it renders
+/// byte-identically at any jobs count.
 pub fn catalog_matrix_report(ns: &[usize], seeds: &[u64], jobs: usize) -> CampaignReport {
     let campaign = Campaign::new("catalog-matrix")
         .with_seeds(seeds.iter().copied())
-        .with_modes([SchedulerMode::EventDriven])
         .with_jobs(jobs);
     let mut cells = Vec::new();
     for &n in ns {
@@ -217,6 +176,7 @@ pub fn rounds_to_converge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::{Arrival, LoadProfile};
 
     #[test]
     fn helpers_build_working_scenarios() {
@@ -229,8 +189,9 @@ mod tests {
 
     #[test]
     fn loaded_scenario_reports_latency_counters() {
-        let scenario = loaded_scenario("quiescent", 5, 100, Arrival::Poisson { rate: 4.0 }, 50);
-        let run = run_scenario_bench::<CounterNode>(&scenario, 7, SchedulerMode::EventDriven);
+        let load = LoadProfile::new(100, Arrival::Poisson { rate: 4.0 }).with_op_timeout(50);
+        let scenario = catalog_scenario("quiescent", 5).with_load(load);
+        let run = run_scenario_bench::<CounterNode>(&scenario, 7);
         assert!(run.converged && run.invariant_violations.is_empty());
         for key in simnet::load::COUNTER_KEYS {
             assert!(run.counters.contains_key(key), "missing counter `{key}`");
@@ -240,8 +201,11 @@ mod tests {
 
     #[test]
     fn checked_scenario_reports_a_clean_lin_verdict() {
-        let scenario = checked_scenario("quiescent", 5, 100, Arrival::Poisson { rate: 1.0 }, 300);
-        let run = run_scenario_bench::<CounterNode>(&scenario, 7, SchedulerMode::EventDriven);
+        let load = LoadProfile::new(100, Arrival::Poisson { rate: 1.0 }).with_op_timeout(300);
+        let scenario = catalog_scenario("quiescent", 5)
+            .with_load(load)
+            .with_history();
+        let run = run_scenario_bench::<CounterNode>(&scenario, 7);
         assert!(run.converged && run.invariant_violations.is_empty());
         for key in [
             "converged_round",

@@ -3,14 +3,14 @@
 //!
 //! `Simulation::state_digest_with` caches one formatted line per processor
 //! and re-formats only the lines of processors that stepped since the last
-//! digest. The cross-mode byte-identity contract rests on that cache never
-//! serving a stale line — an invalidation path missed by *any* mutation
+//! digest. Every report's state digest rests on that cache never serving
+//! a stale line — an invalidation path missed by *any* mutation
 //! route (timer step, delivery, crash, churn, white-box corruption through
 //! `process_mut`, timer overrides, …) would silently freeze part of the
 //! digest. This test drives randomly composed fault plans through the real
 //! scenario runner against all four protocol stacks and asserts the cached
-//! digest equals `digest_lines` over freshly formatted lines, in both
-//! scheduler modes.
+//! digest equals `digest_lines` over freshly formatted lines. Each run also
+//! drives the scheduler's debug-build due-set check under those faults.
 
 use counters::CounterNode;
 use proptest::prelude::*;
@@ -50,23 +50,20 @@ fn apply(scenario: Scenario, fault: RawFault, n: usize) -> Scenario {
     }
 }
 
-/// Runs the scenario on one protocol stack in both scheduler modes and
-/// checks the cached digest against a from-scratch recompute each time.
+/// Runs the scenario on one protocol stack and checks the cached digest
+/// against a from-scratch recompute.
 fn check_target<T: ScenarioTarget>(scenario: &Scenario, seed: u64) {
-    for mode in [SchedulerMode::EventDriven, SchedulerMode::RoundScan] {
-        let mut sim = scenario.build_sim::<T>(seed, mode);
-        let run = run_scenario(scenario, &mut sim);
-        let full = digest_lines(sim.processes().map(|(id, p)| T::state_line(id, p)));
-        prop_assert_eq!(
-            run.state_digest,
-            full,
-            "incremental digest diverged from the full recompute ({:?})",
-            mode
-        );
-        // A second digest with no intervening activity exercises the pure
-        // cache-hit path: every line must come back verbatim.
-        prop_assert_eq!(T::state_digest(&sim), full, "warm-cache digest drifted");
-    }
+    let mut sim = scenario.build_sim::<T>(seed, SchedulerMode::EventDriven);
+    let run = run_scenario(scenario, &mut sim);
+    let full = digest_lines(sim.processes().map(|(id, p)| T::state_line(id, p)));
+    prop_assert_eq!(
+        run.state_digest,
+        full,
+        "incremental digest diverged from the full recompute"
+    );
+    // A second digest with no intervening activity exercises the pure
+    // cache-hit path: every line must come back verbatim.
+    prop_assert_eq!(T::state_digest(&sim), full, "warm-cache digest drifted");
 }
 
 proptest! {

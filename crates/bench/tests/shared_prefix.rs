@@ -40,7 +40,6 @@ fn cold_cells<T: ScenarioTarget>(n: usize) -> Vec<RunRecord> {
                 messages_duplicated: metrics.messages_duplicated(),
                 timer_steps: metrics.timer_steps(),
                 state_digest: run.state_digest,
-                modes_agree: true,
                 invariant_violations: run.invariant_violations,
                 wall_ms: None,
                 budget_overrun: None,

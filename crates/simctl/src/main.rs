@@ -7,7 +7,7 @@
 //! ```text
 //! simctl list [--n N] [--json]             # the scenario catalog
 //! simctl run <scenario|all|NAME> --node <reconfig|counter|smr|sharedmem|all>
-//!            [--n N] [--seeds 1,2] [--modes event|roundscan|both] [--jobs N]
+//!            [--n N] [--seeds 1,2] [--jobs N]
 //!            [--sample-scenarios K] [--cell-budget-ms MS]
 //!            [--plan kind=spec]... [--rounds R] [--workload W]
 //!            [--clients N --arrival poisson:RATE|burst:SIZE:PERIOD [--op-timeout R]]
@@ -19,12 +19,9 @@
 //!            [--seed S] [--timeout-secs T] [--out FILE]  # live faults + convergence
 //! simctl kill <id> [--cluster F]               # kill -9 one live node
 //! simctl down [--cluster F]                    # tear the live cluster down
-//! simctl bench-guard --baseline F --current F [--max-regression 0.30]
-//! simctl bench-guard --scenario NAME --node NODE [--n N] [--seeds 1,2]
-//!            [--jobs N] [--out F] [--baseline F] [--max-regression 0.30]
-//! simctl bench-guard --slo p99=ROUNDS[,p50=R,p999=R] --scenario A,B,C --node NODE
+//! simctl slo --slo p99=ROUNDS[,p50=R,p999=R] --scenario A,B,C --node NODE
 //!            --clients N --arrival SPEC [--op-timeout R] [--n N] [--seeds 1,2]
-//!            [--modes event|roundscan|both] [--jobs N] [--out F]
+//!            [--jobs N] [--cell-budget-ms MS] [--out F]
 //! ```
 //!
 //! `--jobs N` sets the parallel campaign driver's worker-thread budget
@@ -34,9 +31,7 @@
 //! enumeration order — so `--jobs` trades wall time only, never output.
 //! `simctl diff` accepts the flag too (matrix scripts pass one flag set to
 //! every subcommand) but ignores it: diffing compares reports, it never
-//! runs cells. `bench-guard --scenario --jobs N` additionally measures the
-//! serial-vs-parallel campaign wall time and guards the speedup; it
-//! parallelizes over the seed axis, so give it at least `N` seeds.
+//! runs cells.
 //!
 //! `--sample-scenarios K` keeps a deterministic K-subset of the requested
 //! scenario list: indices are drawn by a Fisher–Yates shuffle seeded from
@@ -59,10 +54,11 @@
 //! gains the op-latency/goodput counter columns (p50/p99/p99.9 in rounds —
 //! byte-deterministic and diffable, unlike wall-clock); `--op-timeout R`
 //! additionally counts ops unanswered for R rounds as timeouts.
-//! `bench-guard --slo p99=R` runs the same loaded matrix, prints a
+//! `simctl slo --slo p99=R` runs the same loaded matrix, prints a
 //! per-cell markdown latency table on stdout (ready for CI step
 //! summaries), and fails when any cell's latency percentile exceeds its
-//! SLO bound in rounds.
+//! SLO bound in rounds. Round counts are deterministic, so the gate needs
+//! no baseline.
 //!
 //! `--plan` composes ad-hoc fault plans onto the named scenario (or onto a
 //! fresh, empty scenario when the name is not in the catalog) without
@@ -94,12 +90,11 @@
 //! diff clean, genuinely different executions do not.
 //!
 //! Determinism contract: without `--timings`, `simctl run <scenario> --seeds S`
-//! produces byte-identical reports across repeated runs and across
-//! `--modes event`, `--modes roundscan` and `--modes both` (the engine runs
-//! every requested mode and verifies the executions agree; the report
-//! carries no mode-dependent field). Exit status is 0 only when every run
-//! converged, the scheduler modes agreed and no safety invariant was
-//! violated.
+//! produces byte-identical reports across repeated runs and at any
+//! `--jobs` count. Debug builds additionally check, every round of every
+//! cell, that the scheduler's run queue visits exactly the processes a scan
+//! over all of them finds due. Exit status is 0 only when every run
+//! converged and no safety invariant was violated.
 
 use std::process::ExitCode;
 
@@ -110,9 +105,7 @@ use reconfig::ReconfigNode;
 use sharedmem::SharedMemNode;
 use simnet::fault::SpikeSpec;
 use simnet::scenario::{catalog, ScenarioTarget};
-use simnet::{
-    Campaign, CampaignReport, ForgeKind, Json, ProcessId, Round, Scenario, SchedulerMode,
-};
+use simnet::{Campaign, CampaignReport, ForgeKind, Json, ProcessId, Round, Scenario};
 use vssmr::SmrNode;
 
 /// All node types `simctl --node` accepts.
@@ -149,19 +142,16 @@ fn usage() -> &'static str {
     "usage:\n  \
      simctl list [--n N] [--json]\n  \
      simctl run <scenario|all|NAME> --node <reconfig|counter|smr|sharedmem|all> \
-     [--n N] [--seeds 1,2] [--modes event|roundscan|both] [--jobs N] \
+     [--n N] [--seeds 1,2] [--jobs N] \
      [--sample-scenarios K] [--cell-budget-ms MS] \
      [--plan kind=spec]... [--rounds R] [--workload W] \
      [--clients N --arrival SPEC [--op-timeout R]] [--check-histories] \
      [--out FILE] [--timings] [--name NAME]\n  \
      simctl smoke [--n N] [--jobs N] [--sample-scenarios K] [--cell-budget-ms MS] [--out FILE]\n  \
      simctl diff <baseline.json> <current.json> [--jobs N]\n  \
-     simctl bench-guard --baseline FILE --current FILE [--max-regression 0.30]\n  \
-     simctl bench-guard --scenario NAME --node NODE [--n N] [--seeds 1,2] [--jobs N] \
-     [--cell-budget-ms MS] [--out FILE] [--baseline FILE] [--max-regression 0.30]\n  \
-     simctl bench-guard --slo p99=ROUNDS[,p50=R,p999=R] --scenario A,B,C --node NODE \
+     simctl slo --slo p99=ROUNDS[,p50=R,p999=R] --scenario A,B,C --node NODE \
      --clients N --arrival SPEC [--op-timeout R] [--n N] [--seeds 1,2] \
-     [--modes event|roundscan|both] [--jobs N] [--out FILE]\n  \
+     [--jobs N] [--cell-budget-ms MS] [--out FILE]\n  \
      simctl deploy --node <reconfig|counter|smr|sharedmem> [--n N] [--tick-ms MS] \
      [--cluster FILE]\n  \
      simctl drive <scenario> [--cluster FILE] [--clients N --arrival SPEC] [--seed S] \
@@ -198,7 +188,7 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
         Some("run") => cmd_run(&args[1..]),
         Some("smoke") => cmd_smoke(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
-        Some("bench-guard") => cmd_bench_guard(&args[1..]),
+        Some("slo") => cmd_slo(&args[1..]),
         Some("deploy") => live::cmd_deploy(&args[1..]),
         Some("drive") => live::cmd_drive(&args[1..]),
         Some("kill") => live::cmd_kill(&args[1..]),
@@ -410,17 +400,6 @@ fn parse_slo(spec: &str) -> Result<Vec<(&'static str, u64)>, String> {
             Ok((key, bound))
         })
         .collect()
-}
-
-fn parse_modes(flags: &Flags) -> Result<Vec<SchedulerMode>, String> {
-    match flags.value("modes").unwrap_or("both") {
-        "event" => Ok(vec![SchedulerMode::EventDriven]),
-        "roundscan" => Ok(vec![SchedulerMode::RoundScan]),
-        "both" => Ok(vec![SchedulerMode::EventDriven, SchedulerMode::RoundScan]),
-        other => Err(format!(
-            "bad --modes value `{other}` (event|roundscan|both)"
-        )),
-    }
 }
 
 /// The machine-readable catalog document (`simctl list --json`). Each
@@ -763,8 +742,6 @@ fn emit(report: &CampaignReport, out: Option<&str>) -> Result<(), String> {
     for run in &report.runs {
         let status = if run.passed() {
             "ok"
-        } else if !run.modes_agree {
-            "MODE-DIVERGENCE"
         } else if !run.converged {
             "NO-CONVERGENCE"
         } else if run.budget_overrun == Some(true) {
@@ -814,7 +791,6 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
             "n",
             "seed",
             "seeds",
-            "modes",
             "jobs",
             "out",
             "name",
@@ -901,7 +877,6 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
     let campaign = with_jobs(
         Campaign::new(name)
             .with_seeds(seeds)
-            .with_modes(parse_modes(&flags)?)
             .with_timings(flags.switch("timings"))
             .with_cell_budget_ms(parse_cell_budget(&flags)?),
         parse_jobs(&flags)?,
@@ -1065,465 +1040,8 @@ fn cmd_diff(args: &[String]) -> Result<bool, String> {
     }
 }
 
-/// The minimum acceptable parallel-campaign speedup for a measurement taken
-/// with `jobs` workers on a machine offering `cores` hardware threads. The
-/// driver can only use `min(jobs, cores)` cores; demand 60% scaling of that
-/// (CI-noise headroom — a 4-core runner must still clear 2.4×), and on a
-/// single core merely that parallel dispatch is not catastrophically slower
-/// than the serial loop. Core-aware so a baseline measured on a laptop
-/// guards a run on a wider CI runner and vice versa.
-fn parallel_floor(jobs: u64, cores: u64) -> f64 {
-    let usable = jobs.min(cores.max(1));
-    if usable <= 1 {
-        0.5
-    } else {
-        0.6 * usable as f64
-    }
-}
-
-/// Compares a freshly measured scheduler benchmark summary against the
-/// committed baseline: the event-scheduler speedup may not regress by more
-/// than `max_regression` (a fraction) at any measured size, the large-scale
-/// reconfiguration run must still converge, and — once the baseline carries
-/// a `parallel_campaign` section — the parallel campaign driver must stay
-/// byte-identical to the serial one and clear the core-aware speedup floor
-/// ([`parallel_floor`]). A baseline `tier_1024` section likewise arms the
-/// large-scale tier: every listed cell must converge within its armed
-/// per-cell wall budget in the current summary.
-fn bench_guard(
-    baseline: &Json,
-    current: &Json,
-    max_regression: f64,
-) -> Result<Vec<String>, String> {
-    fn rows(doc: &Json) -> Result<Vec<(u64, f64)>, String> {
-        doc.get("sparse_traffic")
-            .and_then(Json::as_arr)
-            .ok_or("missing sparse_traffic")?
-            .iter()
-            .map(|row| {
-                let processes = row
-                    .get("processes")
-                    .and_then(Json::as_u64)
-                    .ok_or("row missing processes")?;
-                let speedup = row
-                    .get("speedup")
-                    .and_then(Json::as_f64)
-                    .ok_or("row missing speedup")?;
-                Ok((processes, speedup))
-            })
-            .collect()
-    }
-
-    let mut findings = Vec::new();
-    let base_rows = rows(baseline)?;
-    let cur_rows = rows(current)?;
-    for (processes, base_speedup) in &base_rows {
-        match cur_rows.iter().find(|(p, _)| p == processes) {
-            None => findings.push(format!("size {processes} missing from current summary")),
-            Some((_, cur_speedup)) => {
-                let floor = base_speedup * (1.0 - max_regression);
-                if *cur_speedup < floor {
-                    findings.push(format!(
-                        "event-scheduler speedup at {processes} processes regressed: \
-                         {cur_speedup:.2}x < {floor:.2}x (baseline {base_speedup:.2}x − {:.0}%)",
-                        max_regression * 100.0
-                    ));
-                }
-            }
-        }
-    }
-    let converged = current
-        .get("reconfig_1024")
-        .and_then(|r| r.get("converged"))
-        .and_then(Json::as_bool);
-    if converged != Some(true) {
-        findings.push("reconfig_1024 did not converge in the current summary".to_string());
-    }
-    // The parallel-campaign guard only arms once the committed baseline
-    // carries the section, so old summaries keep validating.
-    if baseline.get("parallel_campaign").is_some() {
-        match current.get("parallel_campaign") {
-            None => findings
-                .push("parallel_campaign section missing from the current summary".to_string()),
-            Some(pc) => {
-                let field = |name: &str| pc.get(name).and_then(Json::as_u64);
-                let speedup = pc.get("speedup").and_then(Json::as_f64);
-                match (field("jobs"), field("cores"), speedup) {
-                    (Some(jobs), Some(cores), Some(speedup)) => {
-                        let floor = parallel_floor(jobs, cores);
-                        if speedup < floor {
-                            findings.push(format!(
-                                "parallel campaign speedup regressed: {speedup:.2}x < \
-                                 {floor:.2}x floor (jobs={jobs}, cores={cores})"
-                            ));
-                        }
-                        // The absolute floor is deliberately lax on narrow
-                        // machines (usable cores ≤ 1 demands only 0.5×), so
-                        // when the baseline was measured on the same usable
-                        // core count, additionally demand the usual relative
-                        // bound against it — a dispatch-overhead regression
-                        // from 0.98× to 0.6× on a 1-core runner clears the
-                        // absolute floor but not this one. Cross-machine
-                        // comparisons keep the absolute floor only.
-                        let base_pc = baseline.get("parallel_campaign");
-                        let base_field =
-                            |name: &str| base_pc.and_then(|b| b.get(name)).and_then(Json::as_u64);
-                        if let (Some(bj), Some(bc), Some(base_speedup)) = (
-                            base_field("jobs"),
-                            base_field("cores"),
-                            base_pc
-                                .and_then(|b| b.get("speedup"))
-                                .and_then(Json::as_f64),
-                        ) {
-                            let same_width = bj.min(bc.max(1)) == jobs.min(cores.max(1));
-                            let rel_floor = base_speedup * (1.0 - max_regression);
-                            if same_width && speedup < rel_floor {
-                                findings.push(format!(
-                                    "parallel campaign speedup regressed: {speedup:.2}x < \
-                                     {rel_floor:.2}x (baseline {base_speedup:.2}x − {:.0}% on \
-                                     the same {} usable cores)",
-                                    max_regression * 100.0,
-                                    jobs.min(cores.max(1)),
-                                ));
-                            }
-                        }
-                    }
-                    _ => findings
-                        .push("parallel_campaign is missing jobs/cores/speedup fields".to_string()),
-                }
-                if pc.get("byte_identical").and_then(Json::as_bool) != Some(true) {
-                    findings.push(
-                        "parallel campaign report was not byte-identical to the serial one"
-                            .to_string(),
-                    );
-                }
-            }
-        }
-    }
-    // The n = 1024 tier guard arms the same way: every cell the baseline
-    // tier ran must still converge inside its armed wall budget. The budget
-    // verdict comes from the current summary's own run (the budgets carry
-    // ~2.5× headroom), so the check is machine-tolerant — unlike the
-    // `hot_path` before/after ledger, which is informational because its
-    // "before" row is frozen to the reference machine.
-    if baseline.get("tier_1024").is_some() {
-        match current.get("tier_1024").and_then(Json::as_arr) {
-            None => findings.push("tier_1024 section missing from the current summary".to_string()),
-            Some(cells) => {
-                for cell in cells {
-                    let name = cell
-                        .get("scenario")
-                        .and_then(Json::as_str)
-                        .unwrap_or("<unnamed>");
-                    if cell.get("converged").and_then(Json::as_bool) != Some(true) {
-                        findings.push(format!("tier_1024 cell `{name}` did not converge"));
-                    }
-                    if cell.get("within_budget").and_then(Json::as_bool) != Some(true) {
-                        findings.push(format!("tier_1024 cell `{name}` blew its wall budget"));
-                    }
-                }
-            }
-        }
-    }
-    Ok(findings)
-}
-
-/// Measures one catalog scenario as a benchmark: every (scenario, node)
-/// cell runs once per scheduler mode with wall-clock timings, and the
-/// summary rows carry the event-vs-roundscan speedup — the scenario-driven
-/// face of the bench guard, sharing the chaos engine's fault vocabulary.
-///
-/// With `jobs > 1` each row additionally measures the **parallel campaign
-/// driver**: the same (scenario, node) matrix — event mode, one cell per
-/// seed — timed at `--jobs 1` and at `--jobs N` (driver-measured
-/// `wall_ms_total`, best of three like the scheduler bench, so one noisy
-/// timeslice on a shared runner cannot flip the guard), reported as the
-/// `parallel_speedup` column next to a separate `parallel_passed` bit
-/// (`converged` keeps its historical meaning: both *serial mode* runs
-/// passed). The parallel axis is the seed list, so pass at least `jobs`
-/// seeds for the column to mean anything.
-fn measure_scenario_bench(
-    scenario: &Scenario,
-    nodes: &[&str],
-    seeds: &[u64],
-    jobs: usize,
-    cell_budget_ms: f64,
-) -> Result<Json, String> {
-    let mut rows = Vec::new();
-    for node in nodes {
-        let wall = |mode: SchedulerMode| -> Result<(Vec<f64>, bool, u64), String> {
-            let campaign = Campaign::new("scenario-bench")
-                .with_seeds(seeds.iter().copied())
-                .with_modes([mode])
-                .with_jobs(1)
-                .with_timings(true)
-                .with_cell_budget_ms(cell_budget_ms);
-            let report = run_matrix(&campaign, &[node], std::slice::from_ref(scenario))?;
-            let walls: Vec<f64> = report.runs.iter().filter_map(|r| r.wall_ms).collect();
-            let rounds: u64 = report
-                .runs
-                .iter()
-                .filter_map(|r| r.rounds_to_convergence)
-                .sum();
-            Ok((walls, report.passed(), rounds))
-        };
-        let (event_walls, event_ok, rounds) = wall(SchedulerMode::EventDriven)?;
-        let (scan_walls, scan_ok, _) = wall(SchedulerMode::RoundScan)?;
-        let event_ms: f64 = event_walls.iter().sum();
-        let roundscan_ms: f64 = scan_walls.iter().sum();
-        // Per-cell distribution of the event-mode walls: the columns a
-        // `--cell-budget-ms` tier should be sized against.
-        let mut sorted = event_walls;
-        sorted.sort_by(f64::total_cmp);
-        let mut row = Json::obj()
-            .field("scenario", scenario.name())
-            .field("node", *node)
-            .field("processes", scenario.initial_size())
-            .field("event_ms", event_ms)
-            .field("wall_p50_ms", percentile(&sorted, 50.0).unwrap_or(0.0))
-            .field("wall_p99_ms", percentile(&sorted, 99.0).unwrap_or(0.0))
-            .field("roundscan_ms", roundscan_ms)
-            .field(
-                "speedup",
-                if event_ms > 0.0 {
-                    roundscan_ms / event_ms
-                } else {
-                    0.0
-                },
-            )
-            .field("rounds_to_convergence", rounds);
-        if jobs > 1 {
-            // Best of three per jobs count: wall-clock on shared runners is
-            // noisy and the floor below is a hard gate.
-            let drive = |j: usize| -> Result<(f64, bool), String> {
-                let mut best = f64::INFINITY;
-                let mut passed = true;
-                for _ in 0..3 {
-                    let campaign = Campaign::new("scenario-bench-parallel")
-                        .with_seeds(seeds.iter().copied())
-                        .with_modes([SchedulerMode::EventDriven])
-                        .with_jobs(j)
-                        .with_timings(true);
-                    let report = run_matrix(&campaign, &[node], std::slice::from_ref(scenario))?;
-                    best = best.min(report.wall_ms_total.unwrap_or(0.0));
-                    passed = passed && report.passed();
-                }
-                Ok((best, passed))
-            };
-            let (serial_ms, serial_passed) = drive(1)?;
-            let (parallel_ms, parallel_passed) = drive(jobs)?;
-            row = row
-                .field("parallel_jobs", jobs)
-                .field("cores", simnet::exec::available_jobs())
-                .field("wall_serial_ms", serial_ms)
-                .field("wall_parallel_ms", parallel_ms)
-                .field(
-                    "parallel_speedup",
-                    if parallel_ms > 0.0 {
-                        serial_ms / parallel_ms
-                    } else {
-                        0.0
-                    },
-                )
-                .field("parallel_passed", serial_passed && parallel_passed);
-        }
-        rows.push(row.field("converged", event_ok && scan_ok));
-    }
-    Ok(Json::obj()
-        .field("bench", "scenario-guard")
-        .field("rows", Json::Arr(rows)))
-}
-
-/// Guards a scenario-bench summary against a baseline of the same shape:
-/// per (scenario, node, processes) row, the event-scheduler speedup may not
-/// regress beyond `max_regression`, the current run must converge, and any
-/// row carrying the parallel-driver columns must clear the core-aware
-/// [`parallel_floor`] (the regression threshold of the `--jobs` column:
-/// core-aware rather than baseline-relative, because the baseline and the
-/// guard usually run on machines with different core counts).
-fn scenario_guard(
-    baseline: &Json,
-    current: &Json,
-    max_regression: f64,
-) -> Result<Vec<String>, String> {
-    fn rows(doc: &Json) -> Result<Vec<(String, f64, bool)>, String> {
-        doc.get("rows")
-            .and_then(Json::as_arr)
-            .ok_or("missing rows")?
-            .iter()
-            .map(|row| {
-                let key = format!(
-                    "{}/{} n={}",
-                    row.get("scenario")
-                        .and_then(Json::as_str)
-                        .ok_or("row missing scenario")?,
-                    row.get("node")
-                        .and_then(Json::as_str)
-                        .ok_or("row missing node")?,
-                    row.get("processes")
-                        .and_then(Json::as_u64)
-                        .ok_or("row missing processes")?,
-                );
-                let speedup = row
-                    .get("speedup")
-                    .and_then(Json::as_f64)
-                    .ok_or("row missing speedup")?;
-                let converged = row
-                    .get("converged")
-                    .and_then(Json::as_bool)
-                    .ok_or("row missing converged")?;
-                Ok((key, speedup, converged))
-            })
-            .collect()
-    }
-    let mut findings = Vec::new();
-    let cur_rows = rows(current)?;
-    for (key, _, converged) in &cur_rows {
-        if !converged {
-            findings.push(format!("{key} did not converge in the current summary"));
-        }
-    }
-    // Parallel-driver columns, when measured: core-aware speedup floor,
-    // and the parallel drive's own pass bit (kept separate from
-    // `converged` so a pool bug is not misread as a protocol regression).
-    for row in current.get("rows").and_then(Json::as_arr).unwrap_or(&[]) {
-        let (Some(jobs), Some(cores), Some(speedup)) = (
-            row.get("parallel_jobs").and_then(Json::as_u64),
-            row.get("cores").and_then(Json::as_u64),
-            row.get("parallel_speedup").and_then(Json::as_f64),
-        ) else {
-            continue;
-        };
-        let cell = format!(
-            "{}/{}",
-            row.get("scenario").and_then(Json::as_str).unwrap_or("?"),
-            row.get("node").and_then(Json::as_str).unwrap_or("?"),
-        );
-        if row.get("parallel_passed").and_then(Json::as_bool) != Some(true) {
-            findings.push(format!(
-                "the parallel-driver measurement for {cell} had a failing campaign run"
-            ));
-        }
-        let floor = parallel_floor(jobs, cores);
-        if speedup < floor {
-            findings.push(format!(
-                "parallel campaign speedup for {cell} regressed: {speedup:.2}x < {floor:.2}x \
-                 floor (jobs={jobs}, cores={cores})"
-            ));
-        }
-    }
-    for (key, base_speedup, _) in rows(baseline)? {
-        match cur_rows.iter().find(|(k, _, _)| *k == key) {
-            None => findings.push(format!("{key} missing from current summary")),
-            Some((_, cur_speedup, _)) => {
-                let floor = base_speedup * (1.0 - max_regression);
-                if *cur_speedup < floor {
-                    findings.push(format!(
-                        "event-scheduler speedup for {key} regressed: \
-                         {cur_speedup:.2}x < {floor:.2}x (baseline {base_speedup:.2}x − {:.0}%)",
-                        max_regression * 100.0
-                    ));
-                }
-            }
-        }
-    }
-    Ok(findings)
-}
-
-fn cmd_bench_guard(args: &[String]) -> Result<bool, String> {
-    let flags = Flags::parse(
-        args,
-        &[
-            "baseline",
-            "current",
-            "max-regression",
-            "scenario",
-            "node",
-            "n",
-            "seed",
-            "seeds",
-            "jobs",
-            "out",
-            "cell-budget-ms",
-            "slo",
-            "clients",
-            "arrival",
-            "op-timeout",
-            "modes",
-        ],
-        &[],
-    )?;
-    if let Some(slo) = flags.value("slo") {
-        return cmd_slo_guard(&flags, slo);
-    }
-    let max_regression: f64 = flags
-        .value("max-regression")
-        .unwrap_or("0.30")
-        .parse()
-        .map_err(|_| "bad --max-regression value".to_string())?;
-    let read = |path: &str| -> Result<Json, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        Json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))
-    };
-    if let Some(name) = flags.value("scenario") {
-        // Scenario-driven mode: measure any catalog scenario, optionally
-        // guard it against a committed baseline of the same shape.
-        let n = parse_n(&flags)?;
-        let scenario = simnet::scenario::find(name, n)
-            .ok_or_else(|| format!("unknown scenario `{name}` (try `simctl list`)"))?;
-        let nodes = resolve_nodes(flags.value("node"))?;
-        let seeds = parse_seeds(&flags)?;
-        // A present `--jobs` flag arms the parallel-speedup column — with
-        // `0` meaning the usual default, available parallelism. Without
-        // the flag the scenario bench stays serial-only (measuring a
-        // `--jobs 1` column against itself would say nothing).
-        let jobs = match flags.value("jobs") {
-            None => 1,
-            Some(_) => parse_jobs(&flags)?.unwrap_or_else(simnet::exec::available_jobs),
-        };
-        let summary =
-            measure_scenario_bench(&scenario, &nodes, &seeds, jobs, parse_cell_budget(&flags)?)?;
-        let rendered = summary.render();
-        match flags.value("out") {
-            None => print!("{rendered}"),
-            Some(path) => {
-                std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
-                eprintln!("wrote {path}");
-            }
-        }
-        let findings = match flags.value("baseline") {
-            Some(baseline_path) => scenario_guard(&read(baseline_path)?, &summary, max_regression)?,
-            // Without a baseline the guard still demands convergence.
-            None => scenario_guard(&summary, &summary, max_regression)?,
-        };
-        if findings.is_empty() {
-            eprintln!("bench-guard: scenario `{name}` within bounds");
-            return Ok(true);
-        }
-        for f in &findings {
-            eprintln!("bench-guard: {f}");
-        }
-        return Ok(false);
-    }
-    let baseline_path = flags.value("baseline").ok_or("missing --baseline")?;
-    let current_path = flags.value("current").ok_or("missing --current")?;
-    let findings = bench_guard(&read(baseline_path)?, &read(current_path)?, max_regression)?;
-    if findings.is_empty() {
-        eprintln!(
-            "bench-guard: no regression beyond {:.0}% against {baseline_path}",
-            max_regression * 100.0
-        );
-        Ok(true)
-    } else {
-        for f in &findings {
-            eprintln!("bench-guard: {f}");
-        }
-        Ok(false)
-    }
-}
-
-/// The latency-SLO face of the bench guard: runs the named catalog
-/// scenarios with the requested client population attached, prints one
+/// The latency-SLO gate: runs the named catalog scenarios with the
+/// requested client population attached, prints one
 /// markdown latency table on stdout (piped into `$GITHUB_STEP_SUMMARY` by
 /// the CI `slo-guard` job), and fails when any cell breaches an `--slo`
 /// bound, fails its campaign run, or completes no operation at all (an SLO
@@ -1532,8 +1050,26 @@ fn cmd_bench_guard(args: &[String]) -> Result<bool, String> {
 /// Latency is measured in rounds, so the verdict is byte-deterministic:
 /// the same scenarios + seeds breach or meet the SLO identically on every
 /// machine and at any `--jobs` count.
-fn cmd_slo_guard(flags: &Flags, slo: &str) -> Result<bool, String> {
-    let slos = parse_slo(slo)?;
+fn cmd_slo(args: &[String]) -> Result<bool, String> {
+    let flags = &Flags::parse(
+        args,
+        &[
+            "slo",
+            "scenario",
+            "node",
+            "clients",
+            "arrival",
+            "op-timeout",
+            "n",
+            "seed",
+            "seeds",
+            "jobs",
+            "cell-budget-ms",
+            "out",
+        ],
+        &[],
+    )?;
+    let slos = parse_slo(flags.value("slo").ok_or("missing --slo")?)?;
     let load = parse_load(flags)?
         .ok_or("--slo gates op latency; attach a population with --clients/--arrival")?;
     let n = parse_n(flags)?;
@@ -1550,7 +1086,6 @@ fn cmd_slo_guard(flags: &Flags, slo: &str) -> Result<bool, String> {
     let campaign = with_jobs(
         Campaign::new("slo-guard")
             .with_seeds(parse_seeds(flags)?)
-            .with_modes(parse_modes(flags)?)
             .with_cell_budget_ms(parse_cell_budget(flags)?),
         parse_jobs(flags)?,
     );
@@ -1595,11 +1130,11 @@ fn cmd_slo_guard(flags: &Flags, slo: &str) -> Result<bool, String> {
         }
     }
     if findings.is_empty() {
-        eprintln!("bench-guard: every cell within its latency SLO");
+        eprintln!("slo: every cell within its latency SLO");
         Ok(true)
     } else {
         for f in &findings {
-            eprintln!("bench-guard: {f}");
+            eprintln!("slo: {f}");
         }
         Ok(false)
     }
@@ -1650,14 +1185,10 @@ mod tests {
     }
 
     #[test]
-    fn seeds_and_modes_parse() {
-        let args: Vec<String> = ["--seeds", "3,5", "--modes", "roundscan"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let flags = Flags::parse(&args, &["seeds", "modes"], &[]).unwrap();
+    fn seeds_parse() {
+        let args: Vec<String> = ["--seeds", "3,5"].iter().map(|s| s.to_string()).collect();
+        let flags = Flags::parse(&args, &["seeds"], &[]).unwrap();
         assert_eq!(parse_seeds(&flags).unwrap(), vec![3, 5]);
-        assert_eq!(parse_modes(&flags).unwrap(), vec![SchedulerMode::RoundScan]);
     }
 
     /// Builds a minimal report with one run cell.
@@ -1768,65 +1299,6 @@ mod tests {
         assert!(findings[1].contains("seed=2") && findings[1].contains("baseline"));
         // Malformed documents are errors, not empty diffs.
         assert!(diff_reports(&Json::obj(), &a).is_err());
-    }
-
-    fn summary(speedups: &[(u64, f64)], converged: bool) -> Json {
-        Json::obj()
-            .field(
-                "sparse_traffic",
-                Json::Arr(
-                    speedups
-                        .iter()
-                        .map(|(p, s)| Json::obj().field("processes", *p).field("speedup", *s))
-                        .collect(),
-                ),
-            )
-            .field("reconfig_1024", Json::obj().field("converged", converged))
-    }
-
-    #[test]
-    fn bench_guard_accepts_small_regressions_and_rejects_large_ones() {
-        let base = summary(&[(64, 6.0), (256, 12.0)], true);
-        let ok = summary(&[(64, 5.0), (256, 9.0)], true);
-        assert!(bench_guard(&base, &ok, 0.30).unwrap().is_empty());
-        let slow = summary(&[(64, 6.1), (256, 8.0)], true);
-        let findings = bench_guard(&base, &slow, 0.30).unwrap();
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].contains("256"));
-        let missing = summary(&[(64, 6.0)], true);
-        assert!(!bench_guard(&base, &missing, 0.30).unwrap().is_empty());
-        let unconverged = summary(&[(64, 6.0), (256, 12.0)], false);
-        assert!(!bench_guard(&base, &unconverged, 0.30).unwrap().is_empty());
-    }
-
-    #[test]
-    fn bench_guard_arms_tier_1024_only_when_the_baseline_carries_it() {
-        let tier_cell = |converged: bool, within: bool| {
-            Json::obj()
-                .field("scenario", "quiescent")
-                .field("converged", converged)
-                .field("within_budget", within)
-        };
-        let with_tier = |doc: Json, cells: Vec<Json>| doc.field("tier_1024", Json::Arr(cells));
-
-        let base = with_tier(summary(&[(64, 6.0)], true), vec![tier_cell(true, true)]);
-        // Old current summaries without the section are findings once the
-        // baseline has it…
-        let old = summary(&[(64, 6.0)], true);
-        let findings = bench_guard(&base, &old, 0.30).unwrap();
-        assert!(findings.iter().any(|f| f.contains("tier_1024")));
-        // …but an old *baseline* never arms the check.
-        assert!(bench_guard(&old, &old, 0.30).unwrap().is_empty());
-
-        let good = with_tier(summary(&[(64, 6.0)], true), vec![tier_cell(true, true)]);
-        assert!(bench_guard(&base, &good, 0.30).unwrap().is_empty());
-        let overrun = with_tier(summary(&[(64, 6.0)], true), vec![tier_cell(true, false)]);
-        let findings = bench_guard(&base, &overrun, 0.30).unwrap();
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].contains("blew its wall budget"));
-        let diverged = with_tier(summary(&[(64, 6.0)], true), vec![tier_cell(false, true)]);
-        let findings = bench_guard(&base, &diverged, 0.30).unwrap();
-        assert!(findings[0].contains("did not converge"));
     }
 
     #[test]
@@ -1991,156 +1463,6 @@ mod tests {
         assert_eq!(parse_jobs(&empty).unwrap(), None);
     }
 
-    #[test]
-    fn parallel_floor_is_core_aware() {
-        // A single core (or a serial measurement) only guards against
-        // catastrophic slowdown; real parallelism demands 60% scaling.
-        assert_eq!(parallel_floor(4, 1), 0.5);
-        assert_eq!(parallel_floor(1, 8), 0.5);
-        assert_eq!(parallel_floor(4, 4), 2.4);
-        assert_eq!(parallel_floor(8, 4), 2.4);
-        assert_eq!(parallel_floor(4, 8), 2.4);
-        assert_eq!(parallel_floor(8, 0), 0.5);
-    }
-
-    fn parallel_row(speedup: f64, jobs: u64, cores: u64) -> Json {
-        Json::obj()
-            .field("scenario", "partition-heal")
-            .field("node", "reconfig")
-            .field("processes", 5u64)
-            .field("speedup", 4.0)
-            .field("converged", true)
-            .field("parallel_jobs", jobs)
-            .field("cores", cores)
-            .field("wall_serial_ms", 100.0)
-            .field("wall_parallel_ms", 100.0 / speedup.max(1e-9))
-            .field("parallel_speedup", speedup)
-            .field("parallel_passed", true)
-    }
-
-    #[test]
-    fn scenario_guard_enforces_the_parallel_floor() {
-        let wrap = |row: Json| {
-            Json::obj()
-                .field("bench", "scenario-guard")
-                .field("rows", Json::Arr(vec![row]))
-        };
-        // 3.1x on 4 usable cores clears the 2.4x floor.
-        let good = wrap(parallel_row(3.1, 4, 4));
-        assert!(scenario_guard(&good, &good, 0.30).unwrap().is_empty());
-        // 1.4x on 4 usable cores does not.
-        let bad = wrap(parallel_row(1.4, 4, 4));
-        let findings = scenario_guard(&good, &bad, 0.30).unwrap();
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(
-            findings[0].contains("parallel campaign speedup"),
-            "{findings:?}"
-        );
-        // The same 1.4x measured on a single core is fine — the floor is
-        // core-aware, not baseline-relative.
-        let single_core = wrap(parallel_row(1.4, 4, 1));
-        assert!(scenario_guard(&good, &single_core, 0.30)
-            .unwrap()
-            .is_empty());
-        // A failing run inside the parallel drive is its own finding, not a
-        // `converged` flip (the serial modes did converge here).
-        let broken_parallel = wrap(parallel_row(3.1, 4, 4).field("parallel_passed", false));
-        let findings = scenario_guard(&good, &broken_parallel, 0.30).unwrap();
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(
-            findings[0].contains("parallel-driver measurement"),
-            "{findings:?}"
-        );
-        // Rows without the parallel columns are untouched by the floor.
-        let serial_only = scenario_summary(&[("partition-heal", 4.0, true)]);
-        assert!(scenario_guard(&serial_only, &serial_only, 0.30)
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn bench_guard_checks_the_parallel_campaign_section() {
-        let with_pc = |speedup: f64, jobs: u64, cores: u64, identical: bool| {
-            summary(&[(64, 6.0)], true).field(
-                "parallel_campaign",
-                Json::obj()
-                    .field("jobs", jobs)
-                    .field("cores", cores)
-                    .field("speedup", speedup)
-                    .field("byte_identical", identical),
-            )
-        };
-        let base = with_pc(3.4, 4, 4, true);
-        assert!(bench_guard(&base, &with_pc(3.0, 4, 4, true), 0.30)
-            .unwrap()
-            .is_empty());
-        // Slow on 4 cores: floored. Same number on 1 core: accepted.
-        assert!(!bench_guard(&base, &with_pc(1.2, 4, 4, true), 0.30)
-            .unwrap()
-            .is_empty());
-        assert!(bench_guard(&base, &with_pc(0.9, 4, 1, true), 0.30)
-            .unwrap()
-            .is_empty());
-        // Byte-divergence between serial and parallel reports is fatal.
-        let findings = bench_guard(&base, &with_pc(3.0, 4, 4, false), 0.30).unwrap();
-        assert!(findings.iter().any(|f| f.contains("byte-identical")));
-        // A current summary that lost the section is flagged; a baseline
-        // without one never arms the check.
-        assert!(!bench_guard(&base, &summary(&[(64, 6.0)], true), 0.30)
-            .unwrap()
-            .is_empty());
-        let old = summary(&[(64, 6.0)], true);
-        assert!(bench_guard(&old, &old, 0.30).unwrap().is_empty());
-        // On matching usable-core counts the relative bound arms even where
-        // the absolute floor is lax: a 1-core dispatch regression from
-        // 0.98x to 0.60x clears the 0.5x floor but not baseline − 30%.
-        let narrow_base = with_pc(0.98, 4, 1, true);
-        assert!(bench_guard(&narrow_base, &with_pc(0.95, 4, 1, true), 0.30)
-            .unwrap()
-            .is_empty());
-        let findings = bench_guard(&narrow_base, &with_pc(0.60, 4, 1, true), 0.30).unwrap();
-        assert!(
-            findings.iter().any(|f| f.contains("same 1 usable cores")),
-            "{findings:?}"
-        );
-    }
-
-    fn scenario_summary(rows: &[(&str, f64, bool)]) -> Json {
-        Json::obj().field("bench", "scenario-guard").field(
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|(scenario, speedup, converged)| {
-                        Json::obj()
-                            .field("scenario", *scenario)
-                            .field("node", "reconfig")
-                            .field("processes", 5u64)
-                            .field("speedup", *speedup)
-                            .field("converged", *converged)
-                    })
-                    .collect(),
-            ),
-        )
-    }
-
-    #[test]
-    fn scenario_guard_flags_regressions_and_non_convergence() {
-        let base = scenario_summary(&[("partition-heal", 4.0, true)]);
-        let ok = scenario_summary(&[("partition-heal", 3.2, true)]);
-        assert!(scenario_guard(&base, &ok, 0.30).unwrap().is_empty());
-        let slow = scenario_summary(&[("partition-heal", 2.0, true)]);
-        let findings = scenario_guard(&base, &slow, 0.30).unwrap();
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].contains("regressed"));
-        let broken = scenario_summary(&[("partition-heal", 4.0, false)]);
-        assert!(scenario_guard(&base, &broken, 0.30)
-            .unwrap()
-            .iter()
-            .any(|f| f.contains("did not converge")));
-        let missing = scenario_summary(&[]);
-        assert!(!scenario_guard(&base, &missing, 0.30).unwrap().is_empty());
-    }
-
     /// The cross-node pool dispatch of `run_matrix` must be observably
     /// identical to the serial per-node loop: same records, same node-major
     /// order, byte-identical rendering.
@@ -2149,10 +1471,7 @@ mod tests {
         let scenarios = vec![simnet::scenario::find("partition-heal", 4).unwrap()];
         let nodes = ["reconfig", "sharedmem"];
         let render = |jobs: usize| {
-            let campaign = Campaign::new("matrix")
-                .with_seeds([1, 2])
-                .with_modes([SchedulerMode::EventDriven])
-                .with_jobs(jobs);
+            let campaign = Campaign::new("matrix").with_seeds([1, 2]).with_jobs(jobs);
             run_matrix(&campaign, &nodes, &scenarios).unwrap().render()
         };
         let serial = render(1);
@@ -2167,17 +1486,5 @@ mod tests {
             .map(|r| r.get("node").and_then(Json::as_str).unwrap().to_string())
             .collect();
         assert_eq!(order, ["reconfig", "reconfig", "sharedmem", "sharedmem"]);
-    }
-
-    #[test]
-    fn bench_guard_reads_the_committed_baseline_shape() {
-        let text = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_scheduler.json"
-        ))
-        .expect("committed baseline exists");
-        let doc = Json::parse(&text).expect("baseline parses");
-        // The baseline compared against itself never regresses.
-        assert!(bench_guard(&doc, &doc, 0.30).unwrap().is_empty());
     }
 }

@@ -1,17 +1,14 @@
-//! The chaos-campaign driver: scenarios × seeds × scheduler modes.
+//! The chaos-campaign driver: scenarios × seeds.
 //!
 //! A [`Campaign`] sweeps a list of [`Scenario`]s over a list of seeds, runs
-//! every cell in every requested [`SchedulerMode`], verifies that the modes
-//! produced the **same execution** (rounds, message counts, state digest —
-//! the PR-1 determinism guarantee extended to the fault layer), and records
-//! one [`RunRecord`] per (scenario, seed) cell into a [`CampaignReport`].
+//! every cell once, and records one [`RunRecord`] per (scenario, seed) cell
+//! into a [`CampaignReport`].
 //!
 //! The report renders to deterministic JSON ([`CampaignReport::to_json`]):
-//! by design it contains **no mode-dependent and no wall-clock fields**, so
-//! the same campaign + seeds produce byte-identical reports across repeated
-//! runs and across scheduler modes. Wall-clock timings are available as an
-//! explicitly non-deterministic opt-in ([`Campaign::with_timings`]), for
-//! benchmarking use only.
+//! by design it contains **no wall-clock fields**, so the same campaign +
+//! seeds produce byte-identical reports across repeated runs. Wall-clock
+//! timings are available as an explicitly non-deterministic opt-in
+//! ([`Campaign::with_timings`]), for benchmarking use only.
 //!
 //! # Shared prefixes
 //!
@@ -20,9 +17,9 @@
 //! [`Scenario::fork_round`] — its first fault, capped below the end of its
 //! workload window — a cell executes exactly the fault-free run that every
 //! scenario with the same population, links, load and history
-//! configuration executes under that seed and scheduler mode
+//! configuration executes under that seed
 //! ([`Scenario::shares_prefix_with`]). So [`Campaign::cell_jobs`] groups the
-//! cells by that key, seed and mode. The first cell of a group to run
+//! cells by that key and seed. The first cell of a group to run
 //! bootstraps the prefix once, from ⊥, and snapshots it at every distinct
 //! fork round of the group in ascending order; every cell then forks the
 //! snapshot at its own fork round ([`crate::ScenarioRunner`] is `Clone`) and
@@ -44,7 +41,7 @@
 //! # Wall-time semantics under parallelism
 //!
 //! [`RunRecord::wall_ms`] is strictly *per-cell*: it is measured inside the
-//! worker that ran the cell, around that cell's mode runs only. With
+//! worker that ran the cell, around that cell's run only. With
 //! `jobs > 1` cells overlap, so campaign-level wall time is **not** the sum
 //! of the cells' `wall_ms`; the driver measures its own elapsed time into
 //! the opt-in [`CampaignReport::wall_ms_total`] instead. Speedup of the
@@ -84,8 +81,7 @@
 //! use simnet::scenario::catalog;
 //! use simnet::Campaign;
 //!
-//! // Sweep the whole catalog over two seeds; every cell runs in both
-//! // scheduler modes and the executions must agree.
+//! // Sweep the whole catalog over two seeds.
 //! let report = Campaign::new("docs")
 //!     .with_seeds([1, 2])
 //!     .run::<Flood>(&catalog(4));
@@ -105,26 +101,23 @@ use crate::report::{obj_from_map, Json};
 use crate::scenario::{Scenario, ScenarioRunner, ScenarioTarget};
 use crate::time::Round;
 
-/// Sweep configuration: which seeds and scheduler modes every scenario runs
-/// under.
+/// Sweep configuration: which seeds every scenario runs under.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     name: String,
     seeds: Vec<u64>,
-    modes: Vec<SchedulerMode>,
     timings: bool,
     jobs: Option<usize>,
     cell_budget_ms: Option<f64>,
 }
 
 impl Campaign {
-    /// Creates a campaign named `name` with seed 1, both scheduler modes
-    /// and the default worker count ([`crate::exec::available_jobs`]).
+    /// Creates a campaign named `name` with seed 1 and the default worker
+    /// count ([`crate::exec::available_jobs`]).
     pub fn new(name: impl Into<String>) -> Self {
         Campaign {
             name: name.into(),
             seeds: vec![1],
-            modes: vec![SchedulerMode::EventDriven, SchedulerMode::RoundScan],
             timings: false,
             jobs: None,
             cell_budget_ms: None,
@@ -137,9 +130,8 @@ impl Campaign {
         self
     }
 
-    /// Sets the scheduler modes to run each cell under (builder style).
-    pub fn with_modes(mut self, modes: impl IntoIterator<Item = SchedulerMode>) -> Self {
-        self.modes = modes.into_iter().collect();
+    /// Ignores its argument; kept only because `benchmark/` names it, and ROADMAP item 13(f) removes it.
+    pub fn with_modes(self, _modes: impl IntoIterator<Item = SchedulerMode>) -> Self {
         self
     }
 
@@ -164,7 +156,7 @@ impl Campaign {
     }
 
     /// Arms a per-cell wall budget in milliseconds (builder style; `0.0`
-    /// disarms). A cell whose summed mode wall time exceeds the budget is
+    /// disarms). A cell whose wall time exceeds the budget is
     /// reported as a distinct outcome — [`RunRecord::budget_overrun`] —
     /// and fails [`RunRecord::passed`], so a campaign tier can gate on
     /// "every cell converged *within its time box*" without turning a
@@ -206,8 +198,8 @@ impl Campaign {
     /// The campaign's cells over `scenarios` as enumerated jobs —
     /// scenario-major, seed-minor — that share their fault-free prefixes:
     /// the cells of one seed whose scenarios [share a
-    /// prefix](Scenario::shares_prefix_with) fork it, per scheduler mode,
-    /// from one bootstrap run by whichever of them runs first (see the
+    /// prefix](Scenario::shares_prefix_with) fork it from one bootstrap run
+    /// by whichever of them runs first (see the
     /// module documentation). This is the unit [`Campaign::run_into`] feeds
     /// to [`crate::exec::run_ordered`]; callers that interleave several
     /// target types into one pool dispatch (`simctl run --node all`)
@@ -218,8 +210,8 @@ impl Campaign {
         scenarios: &[Scenario],
     ) -> Vec<Job<'static, RunRecord>> {
         let me = Arc::new(self.clone());
-        // Per seed and prefix class, one shared prefix per mode.
-        let mut groups: Vec<(u64, &Scenario, ModePrefixes<T>)> = Vec::new();
+        // Per seed and prefix class, one shared prefix.
+        let mut groups: Vec<(u64, &Scenario, Arc<Prefix<T>>)> = Vec::new();
         let mut cells = Vec::new();
         for scenario in scenarios {
             let fork_round = scenario.fork_round();
@@ -228,22 +220,16 @@ impl Campaign {
                     .iter()
                     .position(|(s, first, _)| *s == seed && first.shares_prefix_with(scenario));
                 let index = found.unwrap_or_else(|| {
-                    let prefixes = self
-                        .modes
-                        .iter()
-                        .map(|&mode| Arc::new(Prefix::new(scenario.prefix(), seed, mode)))
-                        .collect();
-                    groups.push((seed, scenario, prefixes));
+                    let prefix = Arc::new(Prefix::new(scenario.prefix(), seed));
+                    groups.push((seed, scenario, prefix));
                     groups.len() - 1
                 });
-                let prefixes = groups[index].2.clone();
-                for prefix in &prefixes {
-                    prefix.expect_fork(fork_round);
-                }
+                let prefix = Arc::clone(&groups[index].2);
+                prefix.expect_fork(fork_round);
                 let me = Arc::clone(&me);
                 let scenario = scenario.clone();
                 cells.push(
-                    Box::new(move || me.run_cell(&scenario, seed, fork_round, &prefixes))
+                    Box::new(move || me.run_cell(&scenario, seed, fork_round, &prefix))
                         as Job<'static, RunRecord>,
                 );
             }
@@ -276,79 +262,44 @@ impl Campaign {
         report
     }
 
-    /// One (scenario, seed) cell: the run is repeated in every requested
-    /// mode, each forked from that mode's shared prefix at `fork_round`,
-    /// and the executions must agree.
+    /// One (scenario, seed) cell, forked from its group's shared prefix at
+    /// `fork_round`.
     fn run_cell<T: ScenarioTarget>(
         &self,
         scenario: &Scenario,
         seed: u64,
         fork_round: Round,
-        prefixes: &[Arc<Prefix<T>>],
+        prefix: &Prefix<T>,
     ) -> RunRecord {
-        assert!(!prefixes.is_empty(), "campaign has no scheduler modes");
-        let mut reference: Option<ModeOutcome> = None;
-        let mut modes_agree = true;
-        let mut wall_ms = 0.0f64;
-
-        for prefix in prefixes {
-            let started = Instant::now();
-            let mut runner = prefix.fork(fork_round).rebind(scenario.clone());
-            let run = runner.finish();
-            wall_ms += started.elapsed().as_secs_f64() * 1e3;
-            let metrics = runner.sim().metrics();
-            let outcome = ModeOutcome {
-                run,
-                messages_sent: metrics.messages_sent(),
-                messages_delivered: metrics.messages_delivered(),
-                messages_lost: metrics.messages_lost(),
-                messages_duplicated: metrics.messages_duplicated(),
-                timer_steps: metrics.timer_steps(),
-            };
-            match &reference {
-                None => reference = Some(outcome),
-                Some(first) => {
-                    if *first != outcome {
-                        modes_agree = false;
-                    }
-                }
-            }
-        }
-
-        let outcome = reference.expect("at least one mode ran");
-        let mut violations = outcome.run.invariant_violations.clone();
-        if !modes_agree {
-            violations.push("scheduler-mode divergence: executions differ".to_string());
-        }
+        let started = Instant::now();
+        let mut runner = prefix.fork(fork_round).rebind(scenario.clone());
+        let run = runner.finish();
+        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        let metrics = runner.sim().metrics();
         RunRecord {
             node: T::NAME.to_string(),
             scenario: scenario.name().to_string(),
             seed,
             n: scenario.initial_size(),
-            rounds_run: outcome.run.rounds_run,
-            converged: outcome.run.converged,
-            rounds_to_convergence: outcome.run.rounds_to_convergence,
-            counters: outcome.run.counters,
-            messages_sent: outcome.messages_sent,
-            messages_delivered: outcome.messages_delivered,
-            messages_lost: outcome.messages_lost,
-            messages_duplicated: outcome.messages_duplicated,
-            timer_steps: outcome.timer_steps,
-            state_digest: outcome.run.state_digest,
-            modes_agree,
-            invariant_violations: violations,
+            rounds_run: run.rounds_run,
+            converged: run.converged,
+            rounds_to_convergence: run.rounds_to_convergence,
+            counters: run.counters,
+            messages_sent: metrics.messages_sent(),
+            messages_delivered: metrics.messages_delivered(),
+            messages_lost: metrics.messages_lost(),
+            messages_duplicated: metrics.messages_duplicated(),
+            timer_steps: metrics.timer_steps(),
+            state_digest: run.state_digest,
+            invariant_violations: run.invariant_violations,
             wall_ms: self.timings.then_some(wall_ms),
             budget_overrun: self.cell_budget_ms.map(|budget| wall_ms > budget),
         }
     }
 }
 
-/// One group's shared prefixes, one per scheduler mode in the campaign's
-/// mode order.
-type ModePrefixes<T> = Vec<Arc<Prefix<T>>>;
-
-/// The fault-free prefix that one group of cells shares under one seed and
-/// scheduler mode, run once and snapshotted at every fork round the group
+/// The fault-free prefix that one group of cells shares under one seed, run
+/// once and snapshotted at every fork round the group
 /// needs. Behind a mutex: nodes hold `RefCell` caches, so a snapshot is not
 /// `Sync`, and a cell on any worker may be the one to fork it.
 struct Prefix<T: ScenarioTarget> {
@@ -356,19 +307,19 @@ struct Prefix<T: ScenarioTarget> {
 }
 
 struct PrefixState<T: ScenarioTarget> {
-    /// The prefix to bootstrap — its scenario ([`Scenario::prefix`]), seed
-    /// and mode — until the first fork has run it.
-    pending: Option<(Scenario, u64, SchedulerMode)>,
+    /// The prefix to bootstrap — its scenario ([`Scenario::prefix`]) and
+    /// seed — until the first fork has run it.
+    pending: Option<(Scenario, u64)>,
     /// Per fork round: the snapshot there, once bootstrapped, and the number
     /// of cells still to fork from it.
     forks: BTreeMap<Round, (Option<ScenarioRunner<T>>, usize)>,
 }
 
 impl<T: ScenarioTarget> Prefix<T> {
-    fn new(scenario: Scenario, seed: u64, mode: SchedulerMode) -> Self {
+    fn new(scenario: Scenario, seed: u64) -> Self {
         Prefix {
             state: Mutex::new(PrefixState {
-                pending: Some((scenario, seed, mode)),
+                pending: Some((scenario, seed)),
                 forks: BTreeMap::new(),
             }),
         }
@@ -392,8 +343,9 @@ impl<T: ScenarioTarget> Prefix<T> {
     fn fork(&self, round: Round) -> ScenarioRunner<T> {
         let mut guard = self.lock();
         let state = &mut *guard;
-        if let Some((scenario, seed, mode)) = &state.pending {
-            let mut runner = ScenarioRunner::new(scenario, scenario.build_sim(*seed, *mode));
+        if let Some((scenario, seed)) = &state.pending {
+            let sim = scenario.build_sim(*seed, SchedulerMode::EventDriven);
+            let mut runner = ScenarioRunner::new(scenario, sim);
             let mut forks = state.forks.iter_mut().peekable();
             while let Some((&at, (snapshot, _))) = forks.next() {
                 runner.advance_to(at);
@@ -413,17 +365,6 @@ impl<T: ScenarioTarget> Prefix<T> {
         let (snapshot, _) = state.forks.remove(&round).expect("fork round registered");
         snapshot.expect("prefix bootstrapped")
     }
-}
-
-/// Everything one mode's execution produced that must match across modes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ModeOutcome {
-    run: crate::scenario::ScenarioRun,
-    messages_sent: u64,
-    messages_delivered: u64,
-    messages_lost: u64,
-    messages_duplicated: u64,
-    timer_steps: u64,
 }
 
 /// The outcome of one (scenario, seed) cell. Every field is deterministic
@@ -462,11 +403,9 @@ pub struct RunRecord {
     pub timer_steps: u64,
     /// Canonical digest of the final protocol state.
     pub state_digest: u64,
-    /// Whether every scheduler mode produced the same execution.
-    pub modes_agree: bool,
-    /// Safety-invariant violations (including mode divergence, if any).
+    /// Safety-invariant violations.
     pub invariant_violations: Vec<String>,
-    /// Wall-clock time summed over the modes run, measured **inside the
+    /// Wall-clock time of the cell's run, measured **inside the
     /// worker that ran this cell** — strictly per-cell. Under a parallel
     /// driver cells overlap, so campaign wall time is *not* the sum of
     /// these; see [`CampaignReport::wall_ms_total`]. Non-deterministic;
@@ -483,13 +422,10 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// Whether this run passed: converged, schedulers agreed, no
-    /// violations, and — when a wall budget was armed — within budget.
+    /// Whether this run passed: converged, no violations, and — when a wall
+    /// budget was armed — within budget.
     pub fn passed(&self) -> bool {
-        self.converged
-            && self.modes_agree
-            && self.invariant_violations.is_empty()
-            && self.budget_overrun != Some(true)
+        self.converged && self.invariant_violations.is_empty() && self.budget_overrun != Some(true)
     }
 
     /// The value of one fault counter (0 when the key is absent).
@@ -520,7 +456,10 @@ impl RunRecord {
             .field("messages_duplicated", self.messages_duplicated)
             .field("timer_steps", self.timer_steps)
             .field("state_digest", format!("{:016x}", self.state_digest))
-            .field("modes_agree", self.modes_agree)
+            // The key outlived the second scheduler it compared against: it
+            // stays, always `true`, so golden digests and cross-PR report
+            // diffs hold. Dropping it needs a deliberate re-pin.
+            .field("modes_agree", true)
             .field(
                 "invariant_violations",
                 Json::Arr(
@@ -575,10 +514,9 @@ impl CampaignReport {
     }
 
     /// The report as a JSON document. Deterministic: no timestamps, no
-    /// mode- or machine-dependent fields (unless timings were requested).
+    /// machine-dependent fields (unless timings were requested).
     pub fn to_json(&self) -> Json {
         let converged = self.runs.iter().filter(|r| r.converged).count();
-        let agreed = self.runs.iter().filter(|r| r.modes_agree).count();
         let violations: usize = self.runs.iter().map(|r| r.invariant_violations.len()).sum();
         let mut doc = Json::obj()
             .field("campaign", self.name.as_str())
@@ -599,7 +537,7 @@ impl CampaignReport {
             Json::obj()
                 .field("runs", self.runs.len())
                 .field("converged", converged)
-                .field("modes_agree", agreed)
+                .field("modes_agree", self.runs.len())
                 .field("invariant_violations", violations)
                 .field("passed", self.passed()),
         )
@@ -636,7 +574,7 @@ mod tests {
             .run::<MaxNode>(&scenarios);
         assert!(!over.passed());
         let run = &over.runs[0];
-        assert!(run.converged && run.modes_agree && run.invariant_violations.is_empty());
+        assert!(run.converged && run.invariant_violations.is_empty());
         assert_eq!(run.budget_overrun, Some(true));
         // No budget armed: the field stays out of the report entirely, so
         // untimed reports remain byte-deterministic.
@@ -654,36 +592,15 @@ mod tests {
     }
 
     #[test]
-    fn campaign_report_is_byte_identical_across_runs_and_modes() {
+    fn campaign_report_is_byte_identical_across_runs() {
         let scenarios = catalog(5);
-        let both = Campaign::new("determinism")
-            .with_seeds([1, 2])
-            .run::<MaxNode>(&scenarios)
-            .render();
-        let again = Campaign::new("determinism")
-            .with_seeds([1, 2])
-            .run::<MaxNode>(&scenarios)
-            .render();
-        assert_eq!(both, again, "repeated campaign runs diverged");
-
-        let event_only = Campaign::new("determinism")
-            .with_seeds([1, 2])
-            .with_modes([SchedulerMode::EventDriven])
-            .run::<MaxNode>(&scenarios)
-            .render();
-        let scan_only = Campaign::new("determinism")
-            .with_seeds([1, 2])
-            .with_modes([SchedulerMode::RoundScan])
-            .run::<MaxNode>(&scenarios)
-            .render();
-        assert_eq!(
-            event_only, scan_only,
-            "reports diverged across scheduler modes"
-        );
-        assert_eq!(
-            both, event_only,
-            "both-mode report differs from single-mode"
-        );
+        let run = || {
+            Campaign::new("determinism")
+                .with_seeds([1, 2])
+                .run::<MaxNode>(&scenarios)
+                .render()
+        };
+        assert_eq!(run(), run(), "repeated campaign runs diverged");
     }
 
     #[test]
@@ -696,7 +613,6 @@ mod tests {
         assert!(report.passed(), "{}", report.render());
         for run in &report.runs {
             assert_eq!(run.node, "max");
-            assert!(run.modes_agree);
             assert!(run.messages_sent > 0);
         }
     }
@@ -793,8 +709,8 @@ mod tests {
 
     /// The cold per-cell loop the shared prefixes replaced, kept as their
     /// oracle: every cell built from ⊥ and run start to finish.
-    fn cold_cell(scenario: &Scenario, seed: u64, mode: SchedulerMode) -> RunRecord {
-        let mut sim = scenario.build_sim::<MaxNode>(seed, mode);
+    fn cold_cell(scenario: &Scenario, seed: u64) -> RunRecord {
+        let mut sim = scenario.build_sim::<MaxNode>(seed, SchedulerMode::EventDriven);
         let run = crate::scenario::run_scenario(scenario, &mut sim);
         let metrics = sim.metrics();
         RunRecord {
@@ -812,7 +728,6 @@ mod tests {
             messages_duplicated: metrics.messages_duplicated(),
             timer_steps: metrics.timer_steps(),
             state_digest: run.state_digest,
-            modes_agree: true,
             invariant_violations: run.invariant_violations,
             wall_ms: None,
             budget_overrun: None,
@@ -820,27 +735,24 @@ mod tests {
     }
 
     /// Cells forked from their group's shared prefix — every catalog fork
-    /// round, a second prefix class (a loaded variant of each scenario) and
-    /// both scheduler modes — record exactly what the cold loop records.
+    /// round and a second prefix class (a loaded variant of each scenario)
+    /// — record exactly what the cold loop records.
     #[test]
     fn forked_cells_match_cold_cells() {
         let load = crate::load::LoadProfile::new(4, crate::load::Arrival::Poisson { rate: 0.5 });
         let mut scenarios = catalog(5);
         scenarios.extend(catalog(5).into_iter().map(|s| s.with_load(load.clone())));
         let seeds = [1u64, 2];
-        for mode in [SchedulerMode::EventDriven, SchedulerMode::RoundScan] {
-            let cold: Vec<RunRecord> = scenarios
-                .iter()
-                .flat_map(|s| seeds.iter().map(move |&seed| cold_cell(s, seed, mode)))
-                .collect();
-            for jobs in [1, 2] {
-                let forked = Campaign::new("fork")
-                    .with_seeds(seeds)
-                    .with_modes([mode])
-                    .with_jobs(jobs)
-                    .run::<MaxNode>(&scenarios);
-                assert_eq!(forked.runs, cold, "{mode:?} at jobs={jobs}");
-            }
+        let cold: Vec<RunRecord> = scenarios
+            .iter()
+            .flat_map(|s| seeds.iter().map(move |&seed| cold_cell(s, seed)))
+            .collect();
+        for jobs in [1, 2] {
+            let forked = Campaign::new("fork")
+                .with_seeds(seeds)
+                .with_jobs(jobs)
+                .run::<MaxNode>(&scenarios);
+            assert_eq!(forked.runs, cold, "at jobs={jobs}");
         }
     }
 

@@ -23,8 +23,10 @@ use crate::time::Round;
 /// let mut net: Network<&'static str> = Network::new(ChannelPolicy::default());
 /// let (mut rng, mut metrics) = (SimRng::seed_from(1), Metrics::default());
 /// net.send(from, to, "hello", Round::ZERO, &mut rng, &mut metrics);
-/// let delivered = net.deliver_to(to, Round::new(10), usize::MAX, &mut rng, &mut metrics);
+/// let (delivered, next_ready) =
+///     net.deliver_due(to, Round::new(10), usize::MAX, &mut rng, &mut metrics);
 /// assert_eq!(delivered, vec![(from, "hello")]);
+/// assert_eq!(next_ready, None);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelPolicy {

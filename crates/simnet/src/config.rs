@@ -2,19 +2,12 @@
 
 use crate::channel::ChannelPolicy;
 
-/// How the scheduler finds the work of each round.
+/// Kept only because `benchmark/` names it; ROADMAP item 13(f) removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
-    /// Event-driven run queue (the default): a process is woken only when it
-    /// has deliverable packets or a due timer, and packet delivery reads
-    /// the destination's own row of channels.
+    /// The event-driven run queue, the simulator's only scheduler.
     #[default]
     EventDriven,
-    /// The legacy whole-system scan: every round examines every process and
-    /// is charged a scan of every channel in the network per examination.
-    /// Kept as a baseline for the scheduler benchmarks; behaviourally
-    /// identical to [`SchedulerMode::EventDriven`] for the same seed.
-    RoundScan,
 }
 
 /// Configuration of a [`crate::Simulation`].
@@ -42,7 +35,6 @@ pub struct SimConfig {
     /// round. Bounding this models asynchrony (a process may lag behind its
     /// incoming traffic); `usize::MAX` effectively removes the bound.
     max_deliveries_per_round: usize,
-    scheduler: SchedulerMode,
     /// Rounds between two timer steps of the same process. The paper's
     /// asynchronous timers have an unknown rate; `1` (the default) fires the
     /// `do forever` loop every round, larger values model slow processes and
@@ -56,7 +48,6 @@ impl Default for SimConfig {
             seed: 0,
             channel_policy: ChannelPolicy::default(),
             max_deliveries_per_round: usize::MAX,
-            scheduler: SchedulerMode::default(),
             timer_period: 1,
         }
     }
@@ -116,12 +107,6 @@ impl SimConfig {
         self
     }
 
-    /// Selects how the scheduler finds each round's work.
-    pub fn with_scheduler(mut self, mode: SchedulerMode) -> Self {
-        self.scheduler = mode;
-        self
-    }
-
     /// Sets the number of rounds between two timer steps of one process.
     ///
     /// # Panics
@@ -146,11 +131,6 @@ impl SimConfig {
     /// Maximum number of deliveries per process per round.
     pub fn max_deliveries_per_round(&self) -> usize {
         self.max_deliveries_per_round
-    }
-
-    /// The scheduler mode.
-    pub fn scheduler(&self) -> SchedulerMode {
-        self.scheduler
     }
 
     /// Rounds between two timer steps of one process.

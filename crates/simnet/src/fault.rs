@@ -245,7 +245,7 @@ impl SpikeSpec {
 /// A schedule of channel-behaviour spikes: windows of rounds during which
 /// every link loses, duplicates and delays packets more aggressively than
 /// its base policy. Spikes start and end at round boundaries, so scenario
-/// executions remain byte-identical across scheduler modes.
+/// executions remain byte-identical for the same seed.
 ///
 /// Overlapping windows compose: at any round, the network runs the base
 /// policy spiked by *every* window covering that round (element-wise worst
@@ -594,7 +594,7 @@ impl SkewPlan {
 /// ([`crate::scenario::ScenarioTarget::corrupt_payload`]).
 ///
 /// All mutation draws from the adversary's random stream at a round
-/// boundary, so executions stay byte-identical across scheduler modes.
+/// boundary, so executions stay byte-identical for the same seed.
 ///
 /// ```
 /// use simnet::{fault::PayloadCorruptionPlan, ProcessId, Round};

@@ -19,13 +19,12 @@
 //! The simulator is deterministic given a seed, which makes every experiment
 //! in the benchmark harness reproducible.
 //!
-//! Scheduling is **event-driven** by default: a run queue wakes a process
-//! only when its timer is due or a packet addressed to it has become
-//! deliverable, and delivery reads a per-destination channel index instead
-//! of scanning the whole network (see [`scheduler`] and [`SchedulerMode`]).
-//! The legacy whole-system round scan is retained as
-//! [`SchedulerMode::RoundScan`] for baseline comparisons; both modes produce
-//! byte-identical executions for the same seed.
+//! Scheduling is **event-driven**: a run queue wakes a process only when its
+//! timer is due or a packet addressed to it has become deliverable, and
+//! delivery reads a per-destination channel index instead of scanning the
+//! whole network (see [`scheduler`]). Debug builds check every round that
+//! the run queue visits exactly the processes a scan over all of them finds
+//! due.
 //!
 //! The [`stack`] module provides the protocol-stack composition layer
 //! ([`stack::Layer`], [`stack::Sink`], [`stack::Outbox`], [`wire_enum!`])
@@ -41,7 +40,7 @@
 //! crash-recovery and Byzantine-injection classes ([`fault`], [`partition`],
 //! [`plan`]) or user-defined ones — each scheduling typed
 //! [`plan::FaultAction`]s the runner applies, counts and checks. The
-//! [`campaign`] driver sweeps scenarios × seeds × scheduler modes, and
+//! [`campaign`] driver sweeps scenarios × seeds, and
 //! [`report`] renders deterministic JSON reports. Protocol crates plug in
 //! through [`scenario::ScenarioTarget`]; the `simctl` binary runs the named
 //! scenarios of [`scenario::catalog`] from the command line and diffs two

@@ -7,9 +7,8 @@ use crate::histogram::Histogram;
 ///
 /// The benchmark harness reads these to report convergence cost (rounds,
 /// messages) for every experiment the benches run. The scheduler-cost
-/// counters (`wakeups`, `channel_scans`, `channel_visits`, the delivery
-/// batch histogram) hook the delivery path, so the round-scan baseline and
-/// the event-driven run queue can be compared packet for packet.
+/// counters (`wakeups`, `channel_visits`, the delivery batch histogram)
+/// hook the delivery path.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     rounds: u64,
@@ -21,7 +20,6 @@ pub struct Metrics {
     messages_evicted: u64,
     wakeups: u64,
     delivery_batches: u64,
-    channel_scans: u64,
     channel_visits: u64,
     batch_sizes: Histogram,
 }
@@ -58,7 +56,7 @@ impl Metrics {
         self.messages_delivered += 1;
     }
 
-    /// Records one process wake-up of the event-driven scheduler.
+    /// Records one process wake-up of the scheduler.
     pub fn record_wakeup(&mut self) {
         self.wakeups += 1;
     }
@@ -72,14 +70,7 @@ impl Metrics {
         }
     }
 
-    /// Records a whole-network channel scan of `channels` channels (the
-    /// round-scan delivery path).
-    pub fn record_channel_scan(&mut self, channels: usize) {
-        self.channel_scans += channels as u64;
-    }
-
-    /// Records `channels` targeted channel visits (the indexed delivery
-    /// path).
+    /// Records `channels` channel visits in a destination's row.
     pub fn record_channel_visits(&mut self, channels: usize) {
         self.channel_visits += channels as u64;
     }
@@ -119,7 +110,7 @@ impl Metrics {
         self.messages_evicted
     }
 
-    /// Number of process wake-ups performed by the event-driven scheduler.
+    /// Number of process wake-ups performed by the scheduler.
     pub fn wakeups(&self) -> u64 {
         self.wakeups
     }
@@ -129,13 +120,7 @@ impl Metrics {
         self.delivery_batches
     }
 
-    /// Total channels examined by whole-network scans (round-scan delivery).
-    pub fn channel_scans(&self) -> u64 {
-        self.channel_scans
-    }
-
-    /// Total non-empty channels visited in the destinations' rows
-    /// (event-driven delivery).
+    /// Total non-empty channels visited in the destinations' rows.
     pub fn channel_visits(&self) -> u64 {
         self.channel_visits
     }

@@ -95,15 +95,9 @@ impl<M> Row<M> {
         }
     }
 
-    /// Creates the link from `from` when it does not exist yet; returns
-    /// whether it did not.
-    fn open(&mut self, from: ProcessId) -> bool {
-        let mut created = false;
-        self.links.get_or_insert_with(from, || {
-            created = true;
-            Link::default()
-        });
-        created
+    /// Creates the link from `from` when it does not exist yet.
+    fn open(&mut self, from: ProcessId) {
+        self.links.get_or_insert_with(from, Link::default);
     }
 
     /// The senders with packets in flight into this row, ascending.
@@ -394,8 +388,6 @@ pub struct Network<M> {
     /// The packets in flight, destination-major: one [`Row`] per
     /// destination, indexed by the destination's identifier.
     rows: PeerTable<Row<M>>,
-    /// Number of links across all rows.
-    link_count: usize,
     blocked: BTreeSet<(ProcessId, ProcessId)>,
     /// Destinations whose incoming links were mutated outside the normal
     /// send path (injection, white-box packet access). The scheduler drains
@@ -411,7 +403,6 @@ impl<M: Clone> Network<M> {
         Network {
             policy: Arc::new(policy),
             rows: PeerTable::new(),
-            link_count: 0,
             blocked: BTreeSet::new(),
             dirty: BTreeSet::new(),
             scratch: Scratch::default(),
@@ -427,7 +418,7 @@ impl<M: Clone> Network<M> {
     /// already in flight keep their assigned delivery rounds. The scenario
     /// engine uses this to model message-drop/duplication/delay *spikes*
     /// (see [`crate::fault::SpikePlan`]); the change is applied at a round
-    /// boundary, so executions stay byte-identical across scheduler modes.
+    /// boundary.
     pub fn set_policy(&mut self, policy: ChannelPolicy) {
         self.policy = Arc::new(policy);
     }
@@ -506,9 +497,7 @@ impl<M: Clone> Network<M> {
     /// they do not exist yet.
     fn link_entry(&mut self, from: ProcessId, to: ProcessId) -> &mut Row<M> {
         let row = self.rows.get_or_insert_with(to, Row::new);
-        if row.open(from) {
-            self.link_count += 1;
-        }
+        row.open(from);
         row
     }
 
@@ -611,32 +600,10 @@ impl<M: Clone> Network<M> {
     }
 
     /// Drains up to `limit` deliverable packets addressed to `to`, across all
-    /// of its incoming channels, in a random interleaving of senders.
-    ///
-    /// Returns `(from, msg)` pairs.
-    ///
-    /// This is the round-scan baseline's entry point. It delivers exactly
-    /// what [`Network::deliver_due`] delivers; what it keeps of the
-    /// historical whole-network scan is the cost accounting — every call is
-    /// charged one pass over all channels in `metrics`.
-    pub fn deliver_to(
-        &mut self,
-        to: ProcessId,
-        now: Round,
-        limit: usize,
-        rng: &mut SimRng,
-        metrics: &mut Metrics,
-    ) -> Vec<(ProcessId, M)> {
-        metrics.record_channel_scan(self.link_count);
-        let mut delivered = Vec::new();
-        self.deliver_row_into(to, now, limit, rng, metrics, &mut delivered);
-        delivered
-    }
-
-    /// Event-driven variant of [`Network::deliver_to`]: charged only for the
-    /// channels it visits, and additionally returns the earliest round at
-    /// which `to` has another deliverable packet (so the scheduler can
-    /// re-wake it then).
+    /// of its incoming channels, in a random interleaving of senders, and
+    /// charges `metrics` for the channels it visits. Returns the `(from, msg)`
+    /// pairs and the earliest round at which `to` has another deliverable
+    /// packet (so the scheduler can re-wake it then).
     pub fn deliver_due(
         &mut self,
         to: ProcessId,
@@ -741,24 +708,10 @@ impl<M: Clone> Network<M> {
         links.into_iter()
     }
 
-    /// Number of channels that currently exist.
-    pub fn link_count(&self) -> usize {
-        self.link_count
-    }
-
     /// The earliest round at which any packet in flight towards `to` becomes
-    /// deliverable (the schedulers' due check).
+    /// deliverable (the scheduler's due check).
     pub fn earliest_inbound_ready(&self, to: ProcessId) -> Option<Round> {
         self.rows.get(to)?.earliest_ready()
-    }
-
-    /// [`Network::earliest_inbound_ready`] under the name the round-scan
-    /// scheduler calls it by. The whole-network scan it used to perform
-    /// survives as cost accounting only: the scheduler charges
-    /// [`Network::link_count`] channels to `Metrics::record_channel_scan`
-    /// for every call.
-    pub fn earliest_inbound_ready_scan(&self, to: ProcessId) -> Option<Round> {
-        self.earliest_inbound_ready(to)
     }
 
     /// Applies `mutate` once to the payloads of every packet currently in
@@ -831,13 +784,16 @@ mod tests {
         let mut metrics = Metrics::default();
         net.send(p[0], p[1], 10, Round::ZERO, &mut rng, &mut metrics);
         net.send(p[2], p[1], 20, Round::ZERO, &mut rng, &mut metrics);
-        let mut got = net.deliver_to(p[1], Round::ZERO, usize::MAX, &mut rng, &mut metrics);
+        let mut got = net
+            .deliver_due(p[1], Round::ZERO, usize::MAX, &mut rng, &mut metrics)
+            .0;
         got.sort();
         assert_eq!(got, vec![(p[0], 10), (p[2], 20)]);
         assert_eq!(metrics.messages_delivered(), 2);
         // Nothing was addressed to p0.
         assert!(net
-            .deliver_to(p[0], Round::ZERO, usize::MAX, &mut rng, &mut metrics)
+            .deliver_due(p[0], Round::ZERO, usize::MAX, &mut rng, &mut metrics)
+            .0
             .is_empty());
     }
 
@@ -849,10 +805,12 @@ mod tests {
         let mut metrics = Metrics::default();
         net.send(p[0], p[1], 5, Round::ZERO, &mut rng, &mut metrics);
         assert!(net
-            .deliver_to(p[0], Round::ZERO, usize::MAX, &mut rng, &mut metrics)
+            .deliver_due(p[0], Round::ZERO, usize::MAX, &mut rng, &mut metrics)
+            .0
             .is_empty());
         assert_eq!(
-            net.deliver_to(p[1], Round::ZERO, usize::MAX, &mut rng, &mut metrics),
+            net.deliver_due(p[1], Round::ZERO, usize::MAX, &mut rng, &mut metrics)
+                .0,
             vec![(p[0], 5)]
         );
     }
@@ -872,7 +830,8 @@ mod tests {
         net.clear_all();
         assert_eq!(net.in_flight_total(), 0);
         assert!(net
-            .deliver_to(p[1], Round::new(5), usize::MAX, &mut rng, &mut metrics)
+            .deliver_due(p[1], Round::new(5), usize::MAX, &mut rng, &mut metrics)
+            .0
             .is_empty());
     }
 
@@ -885,7 +844,9 @@ mod tests {
         for (i, src) in [p[0], p[1], p[2]].iter().enumerate() {
             net.send(*src, p[3], i as u32, Round::ZERO, &mut rng, &mut metrics);
         }
-        let got = net.deliver_to(p[3], Round::ZERO, 2, &mut rng, &mut metrics);
+        let got = net
+            .deliver_due(p[3], Round::ZERO, 2, &mut rng, &mut metrics)
+            .0;
         assert_eq!(got.len(), 2);
         assert_eq!(net.in_flight_total(), 1);
     }
@@ -908,7 +869,9 @@ mod tests {
         assert_eq!(net.in_flight_total(), 2);
         net.unblock_link(p[0], p[1]);
         net.send(p[0], p[1], 4, Round::ZERO, &mut rng, &mut metrics);
-        let mut got = net.deliver_to(p[1], Round::ZERO, usize::MAX, &mut rng, &mut metrics);
+        let mut got = net
+            .deliver_due(p[1], Round::ZERO, usize::MAX, &mut rng, &mut metrics)
+            .0;
         got.sort();
         assert_eq!(got, vec![(p[0], 1), (p[0], 4)]);
     }
@@ -959,12 +922,19 @@ mod tests {
         });
         let mut rng = SimRng::seed_from(9);
         let mut metrics = Metrics::default();
+        // The earliest ready round towards `to`, found by scanning every link.
+        let scan = |net: &Network<u32>, to: ProcessId| {
+            net.links()
+                .filter(|&(_, dst)| dst == to)
+                .filter_map(|(from, dst)| net.channel(from, dst)?.earliest_ready())
+                .min()
+        };
         assert_eq!(net.earliest_inbound_ready(p[1]), None);
-        assert_eq!(net.earliest_inbound_ready_scan(p[1]), None);
+        assert_eq!(scan(&net, p[1]), None);
         net.send(p[0], p[1], 1, Round::ZERO, &mut rng, &mut metrics);
         net.send(p[2], p[1], 2, Round::ZERO, &mut rng, &mut metrics);
         let indexed = net.earliest_inbound_ready(p[1]);
-        assert_eq!(indexed, net.earliest_inbound_ready_scan(p[1]));
+        assert_eq!(indexed, scan(&net, p[1]));
         assert!(indexed.is_some());
         // Unrelated destination stays quiet.
         assert_eq!(net.earliest_inbound_ready(p[0]), None);
@@ -987,7 +957,9 @@ mod tests {
         assert_eq!(touched, 2);
         assert_eq!(net.in_flight_total(), before);
         assert!(net.take_dirty().contains(&p[2]));
-        let mut got = net.deliver_to(p[2], Round::ZERO, usize::MAX, &mut rng, &mut metrics);
+        let mut got = net
+            .deliver_due(p[2], Round::ZERO, usize::MAX, &mut rng, &mut metrics)
+            .0;
         got.sort();
         assert_eq!(got, vec![(p[0], 11), (p[1], 21)]);
         // No packets towards p1: the mutation closure is never called.
@@ -1149,7 +1121,9 @@ mod tests {
             }
         };
         send(&mut net, &mut oracle, 1..=5);
-        let delivered = net.deliver_to(p[1], Round::new(2), 2, &mut rng, &mut metrics);
+        let delivered = net
+            .deliver_due(p[1], Round::new(2), 2, &mut rng, &mut metrics)
+            .0;
         assert_eq!(delivered, vec![(p[0], 1), (p[0], 2)]);
         assert_eq!(oracle.drain_ready(Round::new(2), 2, &mut rng), vec![1, 2]);
         send(&mut net, &mut oracle, 6..=9);
@@ -1259,8 +1233,8 @@ mod proptests {
 /// The network as it was before the destination-major rows: one
 /// [`RefChannel`] per link in a `BTreeMap` keyed by `(from, to)`, a separate
 /// per-destination index of senders that had to agree with it, and a
-/// whole-map scan behind `deliver_to`/`earliest_inbound_ready_scan`. It
-/// exists only as the oracle for `row_network_matches_ordered_map_reference`.
+/// whole-map scan behind `deliver_due`/`earliest_inbound_ready`. It exists
+/// only as the oracle for `row_network_matches_ordered_map_reference`.
 #[cfg(test)]
 mod reference {
     use std::collections::{BTreeMap, VecDeque};
@@ -1511,17 +1485,26 @@ mod reference {
                 .collect()
         }
 
+        /// One delivery visit over `senders`, the non-empty links into `to`
+        /// in ascending order: shuffled, drained in that order up to `limit`
+        /// packets, and the earliest round a packet left behind is ready.
         #[allow(clippy::too_many_arguments)]
-        fn drain_senders_into(
+        fn deliver_from_into(
             &mut self,
             to: ProcessId,
-            senders: &[ProcessId],
+            mut senders: Vec<ProcessId>,
             now: Round,
             limit: usize,
             rng: &mut SimRng,
             metrics: &mut Metrics,
             into: &mut Vec<(ProcessId, M)>,
-        ) {
+        ) -> Option<Round> {
+            if senders.is_empty() {
+                metrics.record_delivery_batch(0);
+                return None;
+            }
+            metrics.record_channel_visits(senders.len());
+            rng.shuffle(&mut senders);
             let start = into.len();
             for from in senders.iter().copied() {
                 let delivered = into.len() - start;
@@ -1537,29 +1520,35 @@ mod reference {
                 }
             }
             metrics.record_delivery_batch(into.len() - start);
+            senders
+                .iter()
+                .filter_map(|src| self.channels.get(&(*src, to)))
+                .filter_map(RefChannel::earliest_ready)
+                .min()
         }
 
-        pub fn deliver_to(
+        /// Finds the senders by a scan of the whole map.
+        pub fn deliver_due(
             &mut self,
             to: ProcessId,
             now: Round,
             limit: usize,
             rng: &mut SimRng,
             metrics: &mut Metrics,
-        ) -> Vec<(ProcessId, M)> {
-            metrics.record_channel_scan(self.channels.len());
-            let mut senders: Vec<ProcessId> = self
+        ) -> (Vec<(ProcessId, M)>, Option<Round>) {
+            let senders: Vec<ProcessId> = self
                 .channels
                 .iter()
                 .filter(|((_, dst), ch)| *dst == to && !ch.is_empty())
                 .map(|((src, _), _)| *src)
                 .collect();
-            rng.shuffle(&mut senders);
             let mut delivered = Vec::new();
-            self.drain_senders_into(to, &senders, now, limit, rng, metrics, &mut delivered);
-            delivered
+            let next_ready =
+                self.deliver_from_into(to, senders, now, limit, rng, metrics, &mut delivered);
+            (delivered, next_ready)
         }
 
+        /// Finds the senders through the inbound index.
         pub fn deliver_due_into(
             &mut self,
             to: ProcessId,
@@ -1569,23 +1558,8 @@ mod reference {
             metrics: &mut Metrics,
             into: &mut Vec<(ProcessId, M)>,
         ) -> Option<Round> {
-            let mut senders = self.nonempty_senders(to);
-            if senders.is_empty() {
-                metrics.record_delivery_batch(0);
-                return None;
-            }
-            metrics.record_channel_visits(senders.len());
-            rng.shuffle(&mut senders);
-            self.drain_senders_into(to, &senders, now, limit, rng, metrics, into);
-            let mut next_ready: Option<Round> = None;
-            for src in senders.iter().copied() {
-                if let Some(ch) = self.channels.get(&(src, to)) {
-                    if let Some(r) = ch.earliest_ready() {
-                        next_ready = Some(next_ready.map_or(r, |cur: Round| cur.min(r)));
-                    }
-                }
-            }
-            next_ready
+            let senders = self.nonempty_senders(to);
+            self.deliver_from_into(to, senders, now, limit, rng, metrics, into)
         }
 
         pub fn take_dirty(&mut self) -> BTreeSet<ProcessId> {
@@ -1632,19 +1606,7 @@ mod reference {
             self.channels.keys().copied()
         }
 
-        pub fn link_count(&self) -> usize {
-            self.channels.len()
-        }
-
         pub fn earliest_inbound_ready(&self, to: ProcessId) -> Option<Round> {
-            let srcs = self.inbound.get(&to)?;
-            srcs.iter()
-                .filter_map(|src| self.channels.get(&(src, to)))
-                .filter_map(RefChannel::earliest_ready)
-                .min()
-        }
-
-        pub fn earliest_inbound_ready_scan(&self, to: ProcessId) -> Option<Round> {
             self.channels
                 .iter()
                 .filter(|((_, dst), _)| *dst == to)
@@ -1722,7 +1684,8 @@ mod reference {
         ClearAll,
         SetPolicy(ChannelPolicy),
         DeliverDue(ProcessId, usize),
-        DeliverTo(ProcessId, usize),
+        /// The allocating delivery, [`Network::deliver_due`].
+        Deliver(ProcessId, usize),
         Corrupt(ProcessId, u32),
         TakeDirty,
         Advance(u64),
@@ -1739,7 +1702,7 @@ mod reference {
                 8..=11 => Op::SendShared(from, to, value),
                 12 => Op::DeliverDue(id(BUSY.1), due_limit),
                 13..=15 => Op::DeliverDue(to, due_limit),
-                16..=18 => Op::DeliverTo(to, (value % 7) as usize),
+                16..=18 => Op::Deliver(to, (value % 7) as usize),
                 19 => Op::Inject(from, to, value),
                 20 => Op::ChannelMut(from, to, value % 49 + 1),
                 21 => Op::Block(from, to),
@@ -1883,10 +1846,10 @@ mod reference {
                     prop_assert_eq!(got, want);
                     prop_assert_eq!(got_next, want_next);
                 }
-                Op::DeliverTo(to, limit) => {
-                    let got = rows.deliver_to(*to, now, *limit, &mut rows_rng, &mut rows_metrics);
+                Op::Deliver(to, limit) => {
+                    let got = rows.deliver_due(*to, now, *limit, &mut rows_rng, &mut rows_metrics);
                     let want =
-                        oracle.deliver_to(*to, now, *limit, &mut oracle_rng, &mut oracle_metrics);
+                        oracle.deliver_due(*to, now, *limit, &mut oracle_rng, &mut oracle_metrics);
                     prop_assert_eq!(got, want);
                 }
                 Op::Corrupt(to, delta) => {
@@ -1905,7 +1868,6 @@ mod reference {
             }
             prop_assert_eq!(&rows_metrics, &oracle_metrics);
             prop_assert_eq!(rows.in_flight_total(), oracle.in_flight_total());
-            prop_assert_eq!(rows.link_count(), oracle.link_count());
             prop_assert!(rows.links().eq(oracle.links()));
             for (from, to) in oracle.links() {
                 let got: Vec<(u32, Round)> = rows
@@ -1919,10 +1881,10 @@ mod reference {
                 prop_assert_eq!(got, want);
             }
             for to in (0..8).map(id) {
-                let want = oracle.earliest_inbound_ready(to);
-                prop_assert_eq!(want, oracle.earliest_inbound_ready_scan(to));
-                prop_assert_eq!(rows.earliest_inbound_ready(to), want);
-                prop_assert_eq!(rows.earliest_inbound_ready_scan(to), want);
+                prop_assert_eq!(
+                    rows.earliest_inbound_ready(to),
+                    oracle.earliest_inbound_ready(to)
+                );
             }
             // Copy-on-write: corruption never leaks into broadcast siblings.
             prop_assert!(siblings.iter().all(|(v, p)| p.get() == v));

@@ -3,15 +3,14 @@
 //! The chaos-campaign engine ([`crate::campaign`]) records every run into a
 //! JSON document that CI archives as a build artifact. Determinism is a hard
 //! requirement — the same scenario and seed must produce **byte-identical**
-//! reports across repeated runs and across both [`crate::SchedulerMode`]s —
-//! so the serializer is fully deterministic: object keys keep insertion
+//! reports across repeated runs — so the serializer is fully deterministic: object keys keep insertion
 //! order, floats are rendered with a fixed precision, and nothing in the
 //! value model depends on hashing or wall-clock time.
 //!
 //! The environment has no serde, so this module carries its own small value
 //! model ([`Json`]), serializer ([`Json::render`]) and recursive-descent
-//! parser ([`Json::parse`]); the parser is what `simctl bench-guard` and
-//! `simctl diff` use to read reports back.
+//! parser ([`Json::parse`]); the parser is what `simctl diff` uses to read
+//! reports back.
 //!
 //! ```
 //! use simnet::Json;
@@ -503,7 +502,7 @@ pub(crate) fn fold_digest_line(hash: &mut u64, line: &str) {
 
 /// Digests an iterator of labelled strings into one order-sensitive hash.
 /// Callers feed per-process canonical state lines (sorted by process
-/// identifier) to obtain a cross-mode comparable fingerprint.
+/// identifier) to obtain a fingerprint comparable across runs.
 pub fn digest_lines<I: IntoIterator<Item = String>>(lines: I) -> u64 {
     let mut hash: u64 = FNV_OFFSET_BASIS;
     for line in lines {
@@ -555,9 +554,9 @@ mod tests {
     #[test]
     fn parses_the_bench_summary_shape() {
         let text = r#"{
-            "bench": "sched_event_vs_roundscan",
+            "bench": "sparse_traffic",
             "sparse_traffic": [
-                {"processes": 64, "rounds": 64, "event_ms": 0.182, "roundscan_ms": 1.2, "speedup": 6.6}
+                {"processes": 64, "rounds": 64, "event_ms": 0.182, "baseline_ms": 1.2, "speedup": 6.6}
             ],
             "reconfig_1024": {"processes": 1024, "converged": true, "wall_ms": 28502.102}
         }"#;

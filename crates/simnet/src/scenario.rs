@@ -11,7 +11,7 @@
 //! fixed per-class phase order, counts them into the run's extensible
 //! counter map, and enforces the safety invariants (generic ones itself,
 //! class-specific ones through [`FaultPlan::invariant`]). The
-//! [`crate::campaign`] module sweeps scenarios × seeds × scheduler modes and
+//! [`crate::campaign`] module sweeps scenarios × seeds and
 //! records the results; the `simctl` binary runs named scenarios from the
 //! [`catalog`] against every composite node of the workspace.
 //!
@@ -23,8 +23,7 @@
 //! Determinism is a hard requirement: every fault action happens at a round
 //! boundary and draws randomness from a dedicated adversary stream derived
 //! from the run's seed, so the same scenario + seed produces byte-identical
-//! executions in both [`crate::SchedulerMode`]s — the PR-1
-//! scheduler-equivalence guarantee extended to the whole fault layer.
+//! executions.
 //!
 //! ```
 //! use simnet::scenario::{LinkProfile, Scenario};
@@ -462,11 +461,12 @@ impl Scenario {
     }
 
     /// The simulation configuration for one run of this scenario.
-    pub fn sim_config(&self, seed: u64, mode: SchedulerMode) -> SimConfig {
+    ///
+    /// `mode` is unused, kept only because `benchmark/` passes it; ROADMAP item 13(f) removes it.
+    pub fn sim_config(&self, seed: u64, _mode: SchedulerMode) -> SimConfig {
         let link = &self.link;
         SimConfig::default()
             .with_seed(seed)
-            .with_scheduler(mode)
             .with_loss_probability(link.loss)
             .with_duplication_probability(link.duplication)
             .with_max_delay(link.max_delay)
@@ -475,6 +475,8 @@ impl Scenario {
     }
 
     /// Builds a fresh simulation of this scenario's initial population.
+    ///
+    /// `mode` is unused, kept only because `benchmark/` passes it; ROADMAP item 13(f) removes it.
     pub fn build_sim<T: ScenarioTarget>(&self, seed: u64, mode: SchedulerMode) -> Simulation<T> {
         let mut sim = Simulation::new(self.sim_config(seed, mode));
         for i in 0..self.n as u32 {
@@ -498,8 +500,7 @@ impl Scenario {
             .unwrap_or(Round::new(cap))
     }
 
-    /// Whether runs of `self` and `other` under one seed and scheduler mode
-    /// share their fault-free prefix: the same population, link behaviour,
+    /// Whether runs of `self` and `other` under one seed share their fault-free prefix: the same population, link behaviour,
     /// client load and history configuration.
     pub fn shares_prefix_with(&self, other: &Scenario) -> bool {
         self.n == other.n
@@ -770,8 +771,8 @@ pub trait ScenarioTarget: Process<Msg: Send + Sync> + Clone + Send + 'static {
     /// and must change whenever digest-relevant state changes.
     fn state_line(id: ProcessId, process: &Self) -> String;
 
-    /// A canonical digest of the global protocol state, used to assert that
-    /// both scheduler modes produced the same execution: the FNV-1a fold of
+    /// A canonical digest of the global protocol state, used to compare
+    /// executions across runs and reports: the FNV-1a fold of
     /// [`ScenarioTarget::state_line`] over every processor in ascending
     /// identifier order (crashed ones included), exactly as
     /// [`crate::report::digest_lines`] computes it. The provided
@@ -822,7 +823,7 @@ impl ScenarioRun {
 /// All fault actions are applied at round boundaries in class-phase order —
 /// connectivity, one-way cuts, spikes, timer faults, crashes, churn, state
 /// corruption, payload corruption, injection — followed by workload, so
-/// executions are byte-identical across scheduler modes for the same seed.
+/// executions are byte-identical for the same seed.
 pub fn run_scenario<T: ScenarioTarget>(
     scenario: &Scenario,
     sim: &mut Simulation<T>,
@@ -1704,8 +1705,8 @@ mod tests {
     use super::*;
     use crate::testutil::MaxNode;
 
-    fn run(scenario: &Scenario, seed: u64, mode: SchedulerMode) -> ScenarioRun {
-        let mut sim = scenario.build_sim::<MaxNode>(seed, mode);
+    fn run(scenario: &Scenario, seed: u64) -> ScenarioRun {
+        let mut sim = scenario.build_sim::<MaxNode>(seed, SchedulerMode::EventDriven);
         run_scenario(scenario, &mut sim)
     }
 
@@ -1800,7 +1801,7 @@ mod tests {
     #[test]
     fn every_catalog_scenario_converges_for_the_toy_target() {
         for scenario in catalog(6) {
-            let run = run(&scenario, 1, SchedulerMode::EventDriven);
+            let run = run(&scenario, 1);
             assert!(
                 run.converged,
                 "scenario {} did not converge: {run:?}",
@@ -1812,29 +1813,13 @@ mod tests {
     }
 
     #[test]
-    fn scenario_runs_are_byte_identical_across_scheduler_modes() {
-        for scenario in catalog(6) {
-            for seed in [3u64, 17] {
-                let event = run(&scenario, seed, SchedulerMode::EventDriven);
-                let scan = run(&scenario, seed, SchedulerMode::RoundScan);
-                assert_eq!(
-                    event,
-                    scan,
-                    "scenario {} seed {seed} diverged across modes",
-                    scenario.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fault_counters_match_the_schedule() {
         let scenario = Scenario::new("counts", 5)
             .crash_at(Round::new(2), [ProcessId::new(4)])
             .join_at(Round::new(3), 2)
             .corrupt_at(Round::new(4), [ProcessId::new(0), ProcessId::new(1)])
             .with_rounds(40);
-        let run = run(&scenario, 9, SchedulerMode::EventDriven);
+        let run = run(&scenario, 9);
         assert_eq!(run.counter("crashes"), 1);
         assert_eq!(run.counter("joins"), 2);
         assert_eq!(run.counter("corruptions"), 2);
@@ -1858,7 +1843,7 @@ mod tests {
             .corrupt_payloads_at(Round::new(4), [ProcessId::new(0)])
             .crash_recover_at(Round::new(5), [ProcessId::new(5)], 6)
             .with_rounds(80);
-        let run = run(&scenario, 4, SchedulerMode::EventDriven);
+        let run = run(&scenario, 4);
         assert_eq!(run.counter("slowdowns"), 2, "{run:?}");
         assert!(run.counter("payload_corruptions") > 0, "{run:?}");
         assert_eq!(run.counter("crashes"), 1);
@@ -1893,17 +1878,12 @@ mod tests {
                 [ProcessId::new(2)],
             )
             .with_rounds(60);
-        let run = run(&scenario, 5, SchedulerMode::EventDriven);
+        let run = run(&scenario, 5);
         assert!(run.converged, "{run:?}");
         assert!(run.invariant_violations.is_empty(), "{run:?}");
         assert!(run.counter("injections") >= 3, "{run:?}");
-        // Byte-identical across modes with injections in force.
-        let scan = run2(&scenario, 5, SchedulerMode::RoundScan);
-        assert_eq!(run, scan);
-    }
-
-    fn run2(scenario: &Scenario, seed: u64, mode: SchedulerMode) -> ScenarioRun {
-        run(scenario, seed, mode)
+        // Byte-identical on a rerun with injections in force.
+        assert_eq!(run, self::run(&scenario, 5));
     }
 
     /// Two Byzantine plans compose like any other plans: both inject, the
@@ -1925,7 +1905,7 @@ mod tests {
                 [ProcessId::new(1)],
             ))
             .with_rounds(60);
-        let run = run(&scenario, 7, SchedulerMode::EventDriven);
+        let run = run(&scenario, 7);
         assert!(run.converged, "{run:?}");
         assert!(run.invariant_violations.is_empty(), "{run:?}");
         assert_eq!(run.counter("injections"), 2, "{run:?}");
@@ -1946,7 +1926,7 @@ mod tests {
                 },
             )
             .with_rounds(80);
-        let run = run(&scenario, 11, SchedulerMode::EventDriven);
+        let run = run(&scenario, 11);
         assert!(run.converged, "{run:?}");
         assert_eq!(run.counter("spikes"), 1, "{run:?}");
         assert_eq!(scenario.plan::<SpikePlan>().unwrap().total(), 1);
@@ -2187,10 +2167,10 @@ mod tests {
         let scenario = Scenario::new("det", 4)
             .corrupt_at(Round::new(1), [ProcessId::new(0)])
             .with_rounds(30);
-        let a = run(&scenario, 5, SchedulerMode::EventDriven);
-        let b = run(&scenario, 5, SchedulerMode::EventDriven);
+        let a = run(&scenario, 5);
+        let b = run(&scenario, 5);
         assert_eq!(a, b);
-        let c = run(&scenario, 6, SchedulerMode::EventDriven);
+        let c = run(&scenario, 6);
         // A different seed corrupts with different values (almost surely).
         assert_ne!(a.state_digest, c.state_digest);
     }
@@ -2307,7 +2287,7 @@ mod tests {
             .split_halves_at(Round::new(0))
             .heal_at(Round::new(15))
             .with_rounds(60);
-        let run = run(&scenario, 2, SchedulerMode::EventDriven);
+        let run = run(&scenario, 2);
         assert!(run.converged);
         assert!(run.rounds_to_convergence.unwrap() > 15);
     }
@@ -2497,11 +2477,11 @@ mod fork_oracle {
             run in (1u64..1_000, 3usize..=6, 0u64..90),
             faults in proptest::collection::vec((0u32..11, 0u64..50, 0u32..64, 0u64..64), 0..6),
             links in (0u64..3, 0u64..3, 0u64..3, any::<bool>()),
-            window in (0u64..80, any::<bool>(), any::<bool>(), any::<bool>()),
+            window in (0u64..80, any::<bool>(), any::<bool>()),
         ) {
             let (seed, n, k) = run;
             let (loss, duplication, max_delay, reorder) = links;
-            let (workload, load, armed, event) = window;
+            let (workload, load, armed) = window;
             let link = LinkProfile {
                 loss: loss as f64 * 0.1,
                 duplication: duplication as f64 * 0.1,
@@ -2526,12 +2506,8 @@ mod fork_oracle {
             for fault in faults {
                 scenario = compose(scenario, fault, n);
             }
-            let mode = if event {
-                SchedulerMode::EventDriven
-            } else {
-                SchedulerMode::RoundScan
-            };
-            let start = || ScenarioRunner::new(&scenario, scenario.build_sim::<MaxNode>(seed, mode));
+            let sim = || scenario.build_sim::<MaxNode>(seed, SchedulerMode::EventDriven);
+            let start = || ScenarioRunner::new(&scenario, sim());
 
             let cold = finish(&mut start());
             let mut original = start();

@@ -1,12 +1,12 @@
 //! Chaos-campaign engine over the real protocol stacks.
 //!
-//! The PR-1 determinism guarantee — event-driven and round-scan scheduling
-//! produce byte-identical executions per seed — must extend to the whole
-//! fault layer: crashes, churn, partitions, message spikes and transient
-//! state corruption driven by a declarative `Scenario`. These tests run the
-//! *composite nodes* (not toy processes) under active scenarios and compare
-//! executions across scheduler modes event for event, plus the campaign
-//! reports byte for byte.
+//! The determinism guarantee — one seed, one execution — must extend to the
+//! whole fault layer: crashes, churn, partitions, message spikes and
+//! transient state corruption driven by a declarative `Scenario`. These
+//! tests run the *composite nodes* (not toy processes) under active
+//! scenarios and compare two runs of each seed event for event, plus the
+//! campaign reports byte for byte. Every round of every run also passes the
+//! scheduler's debug-build check that it visits exactly the due processes.
 
 use selfstab_reconfig::counting::CounterNode;
 use selfstab_reconfig::reconfiguration::ReconfigNode;
@@ -15,14 +15,10 @@ use selfstab_reconfig::shared_memory::SharedMemNode;
 use selfstab_reconfig::sim::scenario::{catalog, find, run_scenario, ScenarioTarget};
 use selfstab_reconfig::sim::{Campaign, Scenario, SchedulerMode, Simulation};
 
-/// Runs `scenario` under `mode`, returning the full trace rendering, the
-/// scenario outcome and the delivered-message count.
-fn traced_run<T: ScenarioTarget>(
-    scenario: &Scenario,
-    seed: u64,
-    mode: SchedulerMode,
-) -> (String, String, u64) {
-    let mut sim: Simulation<T> = scenario.build_sim(seed, mode);
+/// Runs `scenario`, returning the full trace rendering, the scenario
+/// outcome and the delivered-message count.
+fn traced_run<T: ScenarioTarget>(scenario: &Scenario, seed: u64) -> (String, String, u64) {
+    let mut sim: Simulation<T> = scenario.build_sim(seed, SchedulerMode::EventDriven);
     sim.trace_mut().set_enabled(true);
     let run = run_scenario(scenario, &mut sim);
     let trace: String = sim.trace().iter().map(|e| format!("{e:?}\n")).collect();
@@ -33,71 +29,65 @@ fn traced_run<T: ScenarioTarget>(
     )
 }
 
-/// The satellite requirement: partition-heal interleaved with churn, with
-/// byte-identical executions across `SchedulerMode::EventDriven` and
-/// `SchedulerMode::RoundScan` while the scenario is actively crashing,
-/// splitting, healing and joining.
+/// Partition-heal interleaved with churn replays byte for byte from its
+/// seed while the scenario is actively crashing, splitting, healing and
+/// joining.
 #[test]
-fn partition_churn_executions_are_identical_across_scheduler_modes() {
+fn partition_churn_executions_are_reproducible() {
     let scenario = find("partition-churn", 5).expect("catalog scenario");
     for seed in [1u64, 2, 42] {
-        let event = traced_run::<ReconfigNode>(&scenario, seed, SchedulerMode::EventDriven);
-        let scan = traced_run::<ReconfigNode>(&scenario, seed, SchedulerMode::RoundScan);
-        assert_eq!(event.0, scan.0, "trace diverged for seed {seed}");
-        assert_eq!(event.1, scan.1, "outcome diverged for seed {seed}");
-        assert_eq!(event.2, scan.2, "deliveries diverged for seed {seed}");
+        let first = traced_run::<ReconfigNode>(&scenario, seed);
+        let again = traced_run::<ReconfigNode>(&scenario, seed);
+        assert_eq!(first.0, again.0, "trace diverged for seed {seed}");
+        assert_eq!(first.1, again.1, "outcome diverged for seed {seed}");
+        assert_eq!(first.2, again.2, "deliveries diverged for seed {seed}");
     }
 }
 
-/// The same equivalence over the deepest stack (SMR embeds the counter and
+/// The same over the deepest stack (SMR embeds the counter and
 /// reconfiguration layers), under the all-fault scenario.
 #[test]
-fn chaos_mix_smr_executions_are_identical_across_scheduler_modes() {
+fn chaos_mix_smr_executions_are_reproducible() {
     let scenario = find("chaos-mix", 4).expect("catalog scenario");
-    let event = traced_run::<SmrNode>(&scenario, 7, SchedulerMode::EventDriven);
-    let scan = traced_run::<SmrNode>(&scenario, 7, SchedulerMode::RoundScan);
-    assert_eq!(event, scan);
+    let first = traced_run::<SmrNode>(&scenario, 7);
+    assert_eq!(first, traced_run::<SmrNode>(&scenario, 7));
 }
 
-/// Gray failures are the fault class most likely to split the scheduler
-/// modes apart: a slowed timer changes *which* processes are due each
-/// round, which the event-driven queue learns from wake-ups and the
-/// round-scan baseline must rediscover by scanning. The executions must
-/// still match byte for byte while a minority runs 6× slow and while it
-/// recovers.
+/// Gray failures change *which* processes are due each round: a slowed
+/// timer wakes its process less often, and the run queue learns that from
+/// its wake-ups alone. The execution must replay byte for byte while a
+/// minority runs 6× slow and while it recovers.
 #[test]
-fn gray_failure_executions_are_identical_across_scheduler_modes() {
+fn gray_failure_executions_are_reproducible() {
     let scenario = find("gray-lag", 5).expect("catalog scenario");
     for seed in [1u64, 2] {
-        let event = traced_run::<ReconfigNode>(&scenario, seed, SchedulerMode::EventDriven);
-        let scan = traced_run::<ReconfigNode>(&scenario, seed, SchedulerMode::RoundScan);
-        assert_eq!(event.0, scan.0, "trace diverged for seed {seed}");
-        assert_eq!(event.1, scan.1, "outcome diverged for seed {seed}");
-        assert_eq!(event.2, scan.2, "deliveries diverged for seed {seed}");
+        let first = traced_run::<ReconfigNode>(&scenario, seed);
+        let again = traced_run::<ReconfigNode>(&scenario, seed);
+        assert_eq!(first.0, again.0, "trace diverged for seed {seed}");
+        assert_eq!(first.1, again.1, "outcome diverged for seed {seed}");
+        assert_eq!(first.2, again.2, "deliveries diverged for seed {seed}");
     }
 }
 
-/// One-directional cuts are the other likely divergence source: blocked
-/// sends produce no wake-ups in one direction while traffic keeps flowing
-/// in the other, skewing the two modes' work discovery differently.
+/// One-directional cuts: blocked sends produce no wake-ups in one direction
+/// while traffic keeps flowing in the other.
 #[test]
-fn one_way_cut_executions_are_identical_across_scheduler_modes() {
+fn one_way_cut_executions_are_reproducible() {
     let scenario = find("one-way-cut", 5).expect("catalog scenario");
     for seed in [1u64, 2] {
-        let event = traced_run::<CounterNode>(&scenario, seed, SchedulerMode::EventDriven);
-        let scan = traced_run::<CounterNode>(&scenario, seed, SchedulerMode::RoundScan);
-        assert_eq!(event, scan, "execution diverged for seed {seed}");
+        let first = traced_run::<CounterNode>(&scenario, seed);
+        let again = traced_run::<CounterNode>(&scenario, seed);
+        assert_eq!(first, again, "execution diverged for seed {seed}");
     }
 }
 
 /// Permanent clock skew on the deepest stack: the system must converge —
-/// in both modes, identically — with the skewed replica still slow.
+/// reproducibly — with the skewed replica still slow.
 #[test]
-fn clock_skew_executions_are_identical_across_scheduler_modes() {
+fn clock_skew_executions_are_reproducible() {
     let scenario = find("clock-skew", 4).expect("catalog scenario");
-    let event = traced_run::<SmrNode>(&scenario, 3, SchedulerMode::EventDriven);
-    let scan = traced_run::<SmrNode>(&scenario, 3, SchedulerMode::RoundScan);
-    assert_eq!(event, scan);
+    let first = traced_run::<SmrNode>(&scenario, 3);
+    assert_eq!(first, traced_run::<SmrNode>(&scenario, 3));
 }
 
 /// Every catalog scenario converges for every composite node at a small
@@ -130,31 +120,21 @@ fn full_catalog_converges_for_every_composite_node() {
 }
 
 /// The acceptance criterion on reports: the same scenario + seed produces
-/// byte-identical JSON in both scheduler modes and across repeated runs —
-/// campaign reports carry no mode- or wall-clock-dependent fields.
+/// byte-identical JSON across repeated runs — campaign reports carry no
+/// wall-clock-dependent fields.
 #[test]
-fn campaign_reports_are_byte_identical_across_modes_and_reruns() {
+fn campaign_reports_are_byte_identical_across_reruns() {
     let scenarios = vec![
         find("partition-churn", 4).unwrap(),
         find("state-blast", 4).unwrap(),
     ];
-    let render = |modes: Vec<SchedulerMode>| {
+    let render = || {
         Campaign::new("report-determinism")
             .with_seeds([1, 2])
-            .with_modes(modes)
             .run::<SharedMemNode>(&scenarios)
             .render()
     };
-    let event = render(vec![SchedulerMode::EventDriven]);
-    let scan = render(vec![SchedulerMode::RoundScan]);
-    let both = render(vec![SchedulerMode::EventDriven, SchedulerMode::RoundScan]);
-    let again = render(vec![SchedulerMode::EventDriven, SchedulerMode::RoundScan]);
-    assert_eq!(event, scan, "reports diverged across scheduler modes");
-    assert_eq!(both, again, "repeated campaign runs diverged");
-    assert_eq!(
-        both, event,
-        "both-mode report differs from single-mode report"
-    );
+    assert_eq!(render(), render(), "repeated campaign runs diverged");
 }
 
 /// Faults actually land: the scenario runner reports the scheduled crash,
@@ -277,16 +257,15 @@ fn byzantine_storm_injections_land_and_are_refused() {
     sweep::<SharedMemNode>();
 }
 
-/// Crafted-message injection must not split the scheduler modes apart:
-/// injections go through the network's dirty-set wake-up path, which the
-/// round-scan baseline rediscovers by scanning.
+/// Crafted-message injection replays byte for byte: injections go through
+/// the network's dirty-set wake-up path.
 #[test]
-fn byzantine_storm_executions_are_identical_across_scheduler_modes() {
+fn byzantine_storm_executions_are_reproducible() {
     let scenario = find("byzantine-storm", 4).expect("catalog scenario");
     for seed in [1u64, 5] {
-        let event = traced_run::<SmrNode>(&scenario, seed, SchedulerMode::EventDriven);
-        let scan = traced_run::<SmrNode>(&scenario, seed, SchedulerMode::RoundScan);
-        assert_eq!(event, scan, "execution diverged for seed {seed}");
+        let first = traced_run::<SmrNode>(&scenario, seed);
+        let again = traced_run::<SmrNode>(&scenario, seed);
+        assert_eq!(first, again, "execution diverged for seed {seed}");
     }
 }
 

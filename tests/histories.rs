@@ -100,23 +100,23 @@ fn late_corruption_scenario(n: usize) -> Scenario {
         })
 }
 
-fn run<T: ScenarioTarget>(scenario: &Scenario, seed: u64, mode: SchedulerMode) -> ScenarioRun {
-    let mut sim: Simulation<T> = scenario.build_sim(seed, mode);
+fn run<T: ScenarioTarget>(scenario: &Scenario, seed: u64) -> ScenarioRun {
+    let mut sim: Simulation<T> = scenario.build_sim(seed, SchedulerMode::EventDriven);
     run_scenario(scenario, &mut sim)
 }
 
 /// The stability satellite: corrupting state *after* convergence must trip
 /// `stability_violations` (with the `stability:` witness naming the first
-/// unstable round), byte-identically across both scheduler modes.
+/// unstable round), byte-identically on a rerun.
 #[test]
-fn late_corruption_trips_stability_violations_in_both_modes() {
+fn late_corruption_trips_stability_violations_reproducibly() {
     let scenario = late_corruption_scenario(4);
     for seed in [1u64, 2] {
-        let event = run::<ReconfigNode>(&scenario, seed, SchedulerMode::EventDriven);
-        let scan = run::<ReconfigNode>(&scenario, seed, SchedulerMode::RoundScan);
+        let event = run::<ReconfigNode>(&scenario, seed);
         assert_eq!(
-            event, scan,
-            "runs diverged across scheduler modes (seed {seed})"
+            event,
+            run::<ReconfigNode>(&scenario, seed),
+            "runs diverged on a rerun (seed {seed})"
         );
         assert_eq!(
             event.counter("corruptions"),
@@ -163,8 +163,8 @@ fn armed_quiescent_run_matches_unarmed_convergence_and_stays_stable() {
     let base = Scenario::new("quiescent", 4)
         .with_workload_until(40)
         .with_rounds(900);
-    let unarmed = run::<CounterNode>(&base, 1, SchedulerMode::EventDriven);
-    let armed = run::<CounterNode>(&base.clone().with_history(), 1, SchedulerMode::EventDriven);
+    let unarmed = run::<CounterNode>(&base, 1);
+    let armed = run::<CounterNode>(&base.clone().with_history(), 1);
     let converged_at = unarmed
         .rounds_to_convergence
         .expect("quiescent run converges");
@@ -191,7 +191,7 @@ fn unarmed_runs_carry_no_history_counters() {
     let base = Scenario::new("quiescent", 4)
         .with_workload_until(40)
         .with_rounds(900);
-    let unarmed = run::<CounterNode>(&base, 1, SchedulerMode::EventDriven);
+    let unarmed = run::<CounterNode>(&base, 1);
     for key in [
         "converged_round",
         "stability_violations",
@@ -221,7 +221,7 @@ fn armed_loaded_runs_linearize_on_both_services() {
             )
             .with_history()
     };
-    let counter = run::<CounterNode>(&loaded("counter-load"), 1, SchedulerMode::EventDriven);
+    let counter = run::<CounterNode>(&loaded("counter-load"), 1);
     assert!(
         counter.counter("lin_ops_checked") > 0,
         "{:?}",
@@ -233,7 +233,7 @@ fn armed_loaded_runs_linearize_on_both_services() {
         "{:?}",
         counter.invariant_violations
     );
-    let register = run::<SharedMemNode>(&loaded("sharedmem-load"), 1, SchedulerMode::EventDriven);
+    let register = run::<SharedMemNode>(&loaded("sharedmem-load"), 1);
     assert!(
         register.counter("lin_ops_checked") > 0,
         "{:?}",

@@ -16,18 +16,12 @@ use selfstab_reconfig::replication::SmrNode;
 use selfstab_reconfig::shared_memory::SharedMemNode;
 use selfstab_reconfig::sim::plan::FaultPlan;
 use selfstab_reconfig::sim::scenario::{catalog, find, ScenarioTarget};
-use selfstab_reconfig::sim::{
-    Arrival, Campaign, LoadProfile, RunRecord, Scenario, SchedulerMode, Simulation,
-};
+use selfstab_reconfig::sim::{Arrival, Campaign, LoadProfile, RunRecord, Scenario, Simulation};
 
 /// Renders the full catalog campaign for one node type at one jobs count.
-/// Event mode only: the modes dimension is orthogonal to the jobs
-/// dimension (each cell runs its modes *inside* one worker) and one mode
-/// keeps the sweep cheap.
 fn catalog_render<T: ScenarioTarget>(jobs: usize) -> String {
     Campaign::new("parallel-identity")
         .with_seeds([1, 2])
-        .with_modes([SchedulerMode::EventDriven])
         .with_jobs(jobs)
         .run::<T>(&catalog(4))
         .render()
@@ -77,7 +71,6 @@ fn parallel_runs_keep_enumeration_order() {
     let seeds = [1u64, 2, 3];
     let report = Campaign::new("order")
         .with_seeds(seeds)
-        .with_modes([SchedulerMode::EventDriven])
         .with_jobs(8)
         .run::<SharedMemNode>(&scenarios);
     let expected: Vec<(String, u64)> = scenarios
@@ -90,26 +83,6 @@ fn parallel_runs_keep_enumeration_order() {
         .map(|r| (r.scenario.clone(), r.seed))
         .collect();
     assert_eq!(actual, expected);
-}
-
-/// The modes dimension composes with the jobs dimension: a both-modes
-/// campaign (each cell re-runs in round-scan and the engine verifies the
-/// executions agree) is still byte-identical across jobs counts.
-#[test]
-fn both_modes_campaign_is_byte_identical_across_jobs_counts() {
-    let scenarios = vec![
-        find("partition-churn", 4).unwrap(),
-        find("byzantine-storm", 4).unwrap(),
-    ];
-    let render = |jobs: usize| {
-        Campaign::new("modes-x-jobs")
-            .with_seeds([1, 2])
-            .with_jobs(jobs)
-            .run::<ReconfigNode>(&scenarios)
-            .render()
-    };
-    let serial = render(1);
-    assert_eq!(render(4), serial);
 }
 
 /// Builds fault scenarios armed with an open-loop client population: the
@@ -125,14 +98,12 @@ fn loaded_scenarios(arrival: Arrival) -> Vec<Scenario> {
 }
 
 /// The load engine rides the campaign determinism contract: a loaded
-/// campaign under the **default both-modes** configuration (each cell
-/// re-runs in event-driven and round-scan and the driver verifies they
-/// agree) renders byte-identically across jobs counts — the Poisson
+/// campaign renders byte-identically across jobs counts — the Poisson
 /// arrival stream, op completions, and every latency column included.
 /// A re-render from scratch is also identical, so the latency columns
 /// are reproducible run over run, not just order-stable.
 #[test]
-fn loaded_campaign_is_byte_identical_across_modes_and_jobs() {
+fn loaded_campaign_is_byte_identical_across_jobs_and_reruns() {
     let scenarios = loaded_scenarios(Arrival::Poisson { rate: 4.0 });
     let render = |jobs: usize| {
         Campaign::new("loaded-identity")
@@ -156,7 +127,7 @@ fn loaded_campaign_is_byte_identical_across_modes_and_jobs() {
 
 /// Burst arrivals run the same contract through the other arrival model.
 #[test]
-fn burst_campaign_is_byte_identical_across_modes_and_jobs() {
+fn burst_campaign_is_byte_identical_across_jobs() {
     let scenarios = loaded_scenarios(Arrival::Burst {
         size: 20,
         period: 5,
@@ -210,7 +181,6 @@ proptest! {
         let render = |j: usize| {
             Campaign::new("proptest-jobs")
                 .with_seeds(seeds.iter().copied())
-                .with_modes([SchedulerMode::EventDriven])
                 .with_jobs(j)
                 .run::<ReconfigNode>(&scenarios)
                 .render()
@@ -220,11 +190,9 @@ proptest! {
 
     /// Randomised loaded identity: for arbitrary seeds and Poisson rates
     /// the client-population arrival stream — and therefore every latency
-    /// column it produces — is byte-identical across scheduler modes
-    /// (both-modes cells verify event-driven against round-scan) and
-    /// across jobs ∈ {1, 4}.
+    /// column it produces — is byte-identical across jobs ∈ {1, 4}.
     #[test]
-    fn poisson_stream_is_identical_across_modes_and_jobs(
+    fn poisson_stream_is_identical_across_jobs(
         seeds in proptest::collection::vec(1u64..1_000_000, 1..4),
         rate in 1u32..12,
     ) {
