@@ -4,6 +4,7 @@
 use counters::{CounterNode, IncrementOutcome};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reconfig::config_set;
+use simnet::stack::{Layer, Outbox};
 use simnet::ProcessId;
 use std::collections::BTreeMap;
 
@@ -23,7 +24,9 @@ fn run_increments(members: u32, increments: u32, bound: u64) -> u64 {
         let mut queue = batch;
         while let Some((from, to, msg)) = queue.pop() {
             if let Some(node) = nodes.get_mut(&to) {
-                for (next, reply) in node.on_message(from, msg) {
+                let mut replies = Outbox::new();
+                node.handle(from, msg, &mut replies);
+                for (next, reply) in replies.into_messages() {
                     queue.push((to, next, reply));
                 }
             }
@@ -33,7 +36,9 @@ fn run_increments(members: u32, increments: u32, bound: u64) -> u64 {
     for _ in 0..5 {
         let mut batch = Vec::new();
         for (id, node) in nodes.iter_mut() {
-            for (to, m) in node.step() {
+            let mut out = Outbox::new();
+            node.poll(&[], &mut out);
+            for (to, m) in out.into_messages() {
                 batch.push((*id, to, m));
             }
         }
@@ -43,8 +48,13 @@ fn run_increments(members: u32, increments: u32, bound: u64) -> u64 {
     let mut last: Option<counters::Counter> = None;
     for i in 0..increments {
         let who = ProcessId::new(i % members);
-        let reqs = nodes.get_mut(&who).unwrap().request_increment();
-        let batch = reqs.into_iter().map(|(to, m)| (who, to, m)).collect();
+        let mut reqs = Outbox::new();
+        nodes.get_mut(&who).unwrap().request_increment(&mut reqs);
+        let batch = reqs
+            .into_messages()
+            .into_iter()
+            .map(|(to, m)| (who, to, m))
+            .collect();
         deliver(&mut nodes, batch);
         for outcome in nodes.get_mut(&who).unwrap().take_completed() {
             if let IncrementOutcome::Committed(c) = outcome {
@@ -57,7 +67,9 @@ fn run_increments(members: u32, increments: u32, bound: u64) -> u64 {
         }
         let mut batch = Vec::new();
         for (id, node) in nodes.iter_mut() {
-            for (to, m) in node.step() {
+            let mut out = Outbox::new();
+            node.poll(&[], &mut out);
+            for (to, m) in out.into_messages() {
                 batch.push((*id, to, m));
             }
         }

@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use labels::{Label, LabelPair, Labeler};
 use reconfig::config_set;
+use simnet::stack::Outbox;
 use simnet::ProcessId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -35,7 +36,9 @@ fn run_labelers(n: u32, corrupt: bool, seed: u64) -> (u64, u64) {
         rounds += 1;
         let mut outbox = Vec::new();
         for (id, node) in nodes.iter_mut() {
-            for (to, m) in node.step() {
+            let mut out = Outbox::new();
+            node.step(&mut out);
+            for (to, m) in out.into_messages() {
                 outbox.push((*id, to, m));
             }
         }

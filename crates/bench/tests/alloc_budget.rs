@@ -138,8 +138,8 @@ fn quiescent_reconfig_allocations_stay_pinned() {
 /// 56 640/round this pin once recorded were the labeler's receipt action
 /// collecting every stored label into fresh `Vec`s for each of the 64 × 63
 /// messages; a labeler at rest now answers a repeated message with
-/// comparisons. The next 320 were the `Vec` that `Labeler::step` returned,
-/// grown to 63 messages per step; `step_with` now sends into the outbox.)
+/// comparisons. The next 320 were the `Vec` that `Labeler::step` once
+/// returned, grown to 63 messages per step; it now sends into the outbox.)
 /// What is left is the gossip payload's `Arc`, one per process step.
 /// Measured steady state: 64/round; the pin leaves ~12% headroom.
 const MAX_COUNTER_ALLOCS_PER_ROUND: u64 = 72;

@@ -20,6 +20,7 @@
 
 use std::collections::BTreeMap;
 
+use simnet::stack::Sink;
 use simnet::ProcessId;
 
 use crate::recsa::RecSa;
@@ -99,11 +100,11 @@ impl Joining {
     }
 
     /// One iteration of the joiner's side of the `do forever` loop
-    /// (lines 6–14). Participants do nothing here. Returns the `Join`
-    /// requests to send.
-    pub fn step(&mut self, recsa: &mut RecSa) -> Vec<(ProcessId, JoinMsg)> {
+    /// (lines 6–14), sending the `Join` requests into `out`. Participants do
+    /// nothing here.
+    pub fn step(&mut self, recsa: &mut RecSa, out: &mut impl Sink<JoinMsg>) {
         if recsa.is_participant() {
-            return Vec::new();
+            return;
         }
         // Line 10: become a participant once a majority of the configuration
         // members granted a pass and no reconfiguration is taking place.
@@ -115,18 +116,16 @@ impl Joining {
                     .count();
                 if granted > com_conf.len() / 2 && recsa.participate() {
                     self.joins_completed += 1;
-                    return Vec::new();
+                    return;
                 }
             }
         }
         // Line 13: keep asking every trusted processor to let us in.
-        recsa
-            .my_trusted_shared()
-            .iter()
-            .copied()
-            .filter(|p| *p != self.me)
-            .map(|p| (p, JoinMsg::Request))
-            .collect()
+        for p in recsa.my_trusted_shared().iter().copied() {
+            if p != self.me {
+                out.push(p, JoinMsg::Request);
+            }
+        }
     }
 
     /// The participant's side (lines 15–16): answer a join request from
@@ -170,6 +169,7 @@ impl Joining {
 mod tests {
     use super::*;
     use crate::types::{config_set, ConfigSet};
+    use simnet::stack::Outbox;
     use std::collections::BTreeSet;
 
     /// Synchronous harness combining recSA and the joining mechanism with a
@@ -216,11 +216,15 @@ mod tests {
             let mut join_out = Vec::new();
             for id in &alive {
                 let recsa = self.recsa.get_mut(id).unwrap();
-                for (to, m) in recsa.step(&alive) {
+                let mut out = Outbox::new();
+                recsa.step(&alive, &mut out);
+                for (to, m) in out.into_messages() {
                     sa_out.push((*id, to, m));
                 }
                 let joining = self.joining.get_mut(id).unwrap();
-                for (to, m) in joining.step(recsa) {
+                let mut out = Outbox::new();
+                joining.step(recsa, &mut out);
+                for (to, m) in out.into_messages() {
                     join_out.push((*id, to, m));
                 }
             }
@@ -342,7 +346,7 @@ mod tests {
         // legitimately admitted anyway once real passes arrive.
         let recsa = h.recsa.get_mut(&ProcessId::new(5)).unwrap();
         let joining = h.joining.get_mut(&ProcessId::new(5)).unwrap();
-        joining.step(recsa);
+        joining.step(recsa, &mut Outbox::<JoinMsg>::new());
         assert!(!h.is_participant(5));
     }
 
@@ -353,7 +357,9 @@ mod tests {
         h.rounds(10);
         let recsa = h.recsa.get_mut(&ProcessId::new(0)).unwrap();
         let joining = h.joining.get_mut(&ProcessId::new(0)).unwrap();
-        assert!(joining.step(recsa).is_empty());
+        let mut out = Outbox::<JoinMsg>::new();
+        joining.step(recsa, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

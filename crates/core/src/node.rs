@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 
 use failure_detector::ThetaFailureDetector;
-use simnet::stack::{Layer, Outbox, Sink};
+use simnet::stack::{Layer, Sink};
 use simnet::ProcessId;
 
 use crate::join::{JoinMsg, Joining};
@@ -260,27 +260,6 @@ impl ReconfigNode {
     pub fn resets_started(&self) -> u64 {
         self.recsa.resets_started()
     }
-
-    /// One timer step of the whole stack. `peers` is the set of processor
-    /// identifiers this node may address (the fully connected topology).
-    ///
-    /// Context-free facade over the [`Layer`] implementation, kept for
-    /// tests and examples that want explicit `(destination, message)` lists;
-    /// embedders call [`Layer::poll`] with their own sink.
-    pub fn poll(&mut self, peers: &[ProcessId]) -> Vec<(ProcessId, ReconfigMsg)> {
-        let mut out = Outbox::new();
-        Layer::poll(self, peers, &mut out);
-        out.into_messages()
-    }
-
-    /// Handles one received message, returning any immediate replies.
-    ///
-    /// Context-free facade over the [`Layer`] implementation.
-    pub fn handle(&mut self, from: ProcessId, msg: ReconfigMsg) -> Vec<(ProcessId, ReconfigMsg)> {
-        let mut out = Outbox::new();
-        Layer::handle(self, from, msg, &mut out);
-        out.into_messages()
-    }
 }
 
 impl Layer for ReconfigNode {
@@ -315,20 +294,18 @@ impl Layer for ReconfigNode {
         // recSA (the detector's ranking is computed once and reused below;
         // the shared handle avoids cloning the set every step).
         let fd_trusted = self.fd.trusted_shared();
-        self.recsa.step_with(&fd_trusted, |to, m| out.push(to, m));
+        self.recsa.step(&fd_trusted, &mut out.nest());
 
         // recMA, with the application's prediction function.
         let policy = self.config.eval_policy.clone();
-        self.recma.step_with(
+        self.recma.step(
             &mut self.recsa,
             |cfg| policy.requires_reconfiguration(cfg, &fd_trusted),
-            |to, m| out.push(to, m),
+            &mut out.nest(),
         );
 
         // Joining mechanism (only does something while not a participant).
-        for (to, m) in self.joining.step(&mut self.recsa) {
-            out.push(to, m);
-        }
+        self.joining.step(&mut self.recsa, &mut out.nest());
     }
 
     fn handle<O: Sink<ReconfigMsg>>(&mut self, from: ProcessId, msg: ReconfigMsg, out: &mut O) {
@@ -446,38 +423,22 @@ impl simnet::ScenarioTarget for ReconfigNode {
 
     /// Open-loop client load: a configuration probe — the op a front-end
     /// performs before routing real work ("which configuration serves me?").
-    /// It completes once `via` is a settled participant of a stable installed
-    /// configuration, so op latency measures how long reconfiguration churn
-    /// keeps clients waiting. The completion signal is a standing condition;
-    /// the load engine's claim loop is bounded by its own outstanding count.
-    fn submit_op(
-        sim: &mut simnet::Simulation<Self>,
-        via: simnet::ProcessId,
-        key: u64,
-        value: u64,
-    ) -> bool {
-        sim.is_active(via)
-            && sim
-                .process_mut(via)
-                .map(|node| node.submit_local(key, value))
-                .unwrap_or(false)
-    }
-
-    fn complete_op(sim: &mut simnet::Simulation<Self>, via: simnet::ProcessId) -> Option<bool> {
-        sim.process_mut(via)?.complete_local()
-    }
-
-    /// A live processor accepts every configuration probe (the simulator
-    /// path additionally gates on scheduler liveness via `is_active`).
+    /// A live processor accepts every probe.
     fn submit_local(&mut self, _key: u64, _value: u64) -> bool {
         true
     }
 
-    /// The completion signal is a standing condition — see
-    /// [`ScenarioTarget::complete_op`](simnet::ScenarioTarget::complete_op).
-    fn complete_local(&mut self) -> Option<bool> {
-        (self.is_participant() && self.no_reconfiguration() && self.installed_config().is_some())
-            .then_some(true)
+    /// The probe completes once this node is [`settled`](simnet::ScenarioTarget::settled): a
+    /// participant of a stable installed configuration, so op latency
+    /// measures how long reconfiguration churn keeps clients waiting. The
+    /// completion signal is a standing condition; the load engine's claim
+    /// loop is bounded by its own outstanding count.
+    fn claim_local(&mut self) -> Option<simnet::OpResponse> {
+        self.settled().then_some(simnet::OpResponse {
+            ok: true,
+            observed: None,
+            indeterminate: false,
+        })
     }
 
     // `start_local` keeps its do-nothing default: a configuration probe
@@ -488,7 +449,7 @@ impl simnet::ScenarioTarget for ReconfigNode {
     ///
     /// [`ScenarioTarget::converged`]: simnet::ScenarioTarget::converged
     fn settled(&self) -> bool {
-        self.is_participant() && self.no_reconfiguration() && self.installed_config().is_some()
+        self.is_participant() && self.no_reconfiguration() && self.installed_config_ref().is_some()
     }
 
     /// The agreement token is the installed configuration.
@@ -499,22 +460,14 @@ impl simnet::ScenarioTarget for ReconfigNode {
         }
     }
 
-    /// Converged: every active processor is a participant, reports the same
-    /// installed configuration and sees no reconfiguration in progress.
+    /// Converged: every active processor is [`settled`](simnet::ScenarioTarget::settled) and
+    /// all report the same installed configuration.
     fn converged(sim: &simnet::Simulation<Self>) -> bool {
-        let mut configs = BTreeSet::new();
-        for (_, node) in sim.active_processes() {
-            if !node.is_participant() || !node.no_reconfiguration() {
-                return false;
-            }
-            match node.installed_config() {
-                Some(c) => {
-                    configs.insert(c);
-                }
-                None => return false,
-            }
-        }
-        configs.len() <= 1
+        let mut first = None;
+        sim.active_processes().all(|(_, node)| {
+            let config = node.installed_config_ref();
+            node.settled() && *first.get_or_insert(config) == config
+        })
     }
 
     /// Safety: two participants that both report a calm system (`noReco()`)
@@ -554,6 +507,7 @@ impl simnet::ScenarioTarget for ReconfigNode {
 mod tests {
     use super::*;
     use crate::types::config_set;
+    use simnet::stack::Outbox;
     use simnet::{SimConfig, Simulation};
 
     fn fresh_sim(n: u32, seed: u64) -> Simulation<ReconfigNode> {
@@ -727,9 +681,15 @@ mod tests {
         // A sender that has heard from `me` trusts it and broadcasts to it.
         let mut sender =
             ReconfigNode::new_with_config(peer, config_set([0, 1]), NodeConfig::for_n(4));
-        sender.handle(me, ReconfigMsg::Heartbeat);
-        let recsa = sender
-            .poll(&ids)
+        sender.handle(
+            me,
+            ReconfigMsg::Heartbeat,
+            &mut Outbox::<ReconfigMsg>::new(),
+        );
+        let mut out = Outbox::new();
+        sender.poll(&ids, &mut out);
+        let recsa = out
+            .into_messages()
             .into_iter()
             .find_map(|(to, m)| match m {
                 ReconfigMsg::RecSa(m) if to == me => Some(m),

@@ -19,6 +19,7 @@
 
 use std::collections::BTreeSet;
 
+use simnet::stack::Sink;
 use simnet::{PeerTable, ProcessId};
 
 use crate::recsa::RecSa;
@@ -146,25 +147,13 @@ impl RecMa {
     /// the application's prediction function, consulted only when the
     /// majority-loss path did not fire.
     ///
-    /// Returns the `⟨noMaj, needReconf⟩` messages to send to the trusted
-    /// participants.
+    /// Sends the `⟨noMaj, needReconf⟩` messages to the trusted participants
+    /// into `out`.
     pub fn step(
         &mut self,
         recsa: &mut RecSa,
-        eval_conf: impl FnMut(&ConfigSet) -> bool,
-    ) -> Vec<(ProcessId, RecMaMsg)> {
-        let mut out = Vec::new();
-        self.step_with(recsa, eval_conf, |to, msg| out.push((to, msg)));
-        out
-    }
-
-    /// [`RecMa::step`] without the collection: flag messages are handed to
-    /// `sink` directly (see [`crate::recsa::RecSa::step_with`]).
-    pub fn step_with(
-        &mut self,
-        recsa: &mut RecSa,
         mut eval_conf: impl FnMut(&ConfigSet) -> bool,
-        mut sink: impl FnMut(ProcessId, RecMaMsg),
+        out: &mut impl Sink<RecMaMsg>,
     ) {
         // Line 6: only participants run the layer.
         if !recsa.is_participant() {
@@ -230,7 +219,7 @@ impl RecMa {
             need_reconf,
         } = self.flags_of(me);
         for p in recsa.my_part_shared().iter().copied().filter(|p| *p != me) {
-            sink(
+            out.push(
                 p,
                 RecMaMsg {
                     no_maj,
@@ -262,6 +251,7 @@ mod tests {
 
     use super::*;
     use crate::types::config_set;
+    use simnet::stack::Outbox;
 
     /// Synchronous harness combining recSA and recMA with a perfect failure
     /// detector (the full stack with a real detector is exercised by the
@@ -305,12 +295,16 @@ mod tests {
             let mut ma_out = Vec::new();
             for id in &alive {
                 let recsa = self.recsa.get_mut(id).unwrap();
-                for (to, m) in recsa.step(&alive) {
+                let mut out = Outbox::new();
+                recsa.step(&alive, &mut out);
+                for (to, m) in out.into_messages() {
                     sa_out.push((*id, to, m));
                 }
                 let recma = self.recma.get_mut(id).unwrap();
                 let wants = self.eval_true.contains(id);
-                for (to, m) in recma.step(recsa, |_| wants) {
+                let mut out = Outbox::new();
+                recma.step(recsa, |_| wants, &mut out);
+                for (to, m) in out.into_messages() {
                     ma_out.push((*id, to, m));
                 }
             }
@@ -465,8 +459,10 @@ mod tests {
             recma.corrupt_flags(ProcessId::new(1), false, true);
             recma.corrupt_flags(px, true, true);
             assert!(recma.flags_of(px).need_reconf);
-            let sent: Vec<(bool, RecMaMsg)> = recma
-                .step(h.recsa.get_mut(&p0).unwrap(), |_| true)
+            let mut out = Outbox::new();
+            recma.step(h.recsa.get_mut(&p0).unwrap(), |_| true, &mut out);
+            let sent: Vec<(bool, RecMaMsg)> = out
+                .into_messages()
                 .into_iter()
                 .map(|(to, msg)| (to == px, msg))
                 .collect();
@@ -513,7 +509,9 @@ mod tests {
             let outcomes: Vec<_> = [absent, stored]
                 .into_iter()
                 .map(|mut recma| {
-                    let sent = recma.step(&mut h.recsa[&p0].clone(), |_| true);
+                    let mut out = Outbox::new();
+                    recma.step(&mut h.recsa[&p0].clone(), |_| true, &mut out);
+                    let sent = out.into_messages();
                     (sent, recma.no_majority_flag(), recma.triggerings())
                 })
                 .collect();
@@ -542,8 +540,9 @@ mod tests {
         let cfg = config_set([0, 1]);
         let mut recsa = RecSa::new_joiner(ProcessId::new(5));
         let mut recma = RecMa::new(ProcessId::new(5));
-        let msgs = recma.step(&mut recsa, |_| true);
-        assert!(msgs.is_empty());
+        let mut out = Outbox::<RecMaMsg>::new();
+        recma.step(&mut recsa, |_| true, &mut out);
+        assert!(out.is_empty());
         assert_eq!(recma.triggerings(), 0);
         // Flag messages received while not a participant are ignored.
         recma.on_message(

@@ -36,6 +36,7 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use simnet::stack::Sink;
 use simnet::{Ascending, PeerTable, ProcessId};
 
 use crate::types::{
@@ -561,21 +562,9 @@ impl RecSa {
     // ----- the do-forever loop (lines 24–29) ---------------------------------
 
     /// Executes one iteration of the `do forever` loop with the given fresh
-    /// failure-detector reading and returns the messages to broadcast.
-    pub fn step(&mut self, trusted_now: &BTreeSet<ProcessId>) -> Vec<(ProcessId, RecSaMsg)> {
-        let mut out = Vec::new();
-        self.step_with(trusted_now, |to, msg| out.push((to, msg)));
-        out
-    }
-
-    /// [`RecSa::step`] without the collection: broadcast messages are handed
-    /// to `sink` one by one, so a caller with a recycled outbox (the
-    /// composite node's hot path) queues them without an intermediate `Vec`.
-    pub fn step_with(
-        &mut self,
-        trusted_now: &BTreeSet<ProcessId>,
-        sink: impl FnMut(ProcessId, RecSaMsg),
-    ) {
+    /// failure-detector reading, sending the broadcast into `out` (an
+    /// embedder passes its own sink through [`Sink::nest`]).
+    pub fn step(&mut self, trusted_now: &BTreeSet<ProcessId>, out: &mut impl Sink<RecSaMsg>) {
         // One generation per iteration covers every mutation the loop body
         // performs; `no_reco()` is never consulted mid-step.
         self.touch();
@@ -635,7 +624,7 @@ impl RecSa {
             Some(max) => self.delicate_branch(&part, max),
         }
 
-        self.broadcast_with(&trusted, sink);
+        self.broadcast(&trusted, out);
     }
 
     /// Handles a protocol message from `from` (line 30): the received shared
@@ -971,7 +960,7 @@ impl RecSa {
 
     /// Line 29: participants broadcast their state to every trusted
     /// processor; non-participants stay silent.
-    fn broadcast_with(&mut self, trusted: &SharedSet, mut sink: impl FnMut(ProcessId, RecSaMsg)) {
+    fn broadcast(&mut self, trusted: &SharedSet, out: &mut impl Sink<RecSaMsg>) {
         if !self.is_participant() {
             return;
         }
@@ -979,7 +968,7 @@ impl RecSa {
         // differs (and consists of shared values itself).
         let own = self.own_to_send();
         for pj in trusted.iter().copied().filter(|p| *p != self.me) {
-            sink(
+            out.push(
                 pj,
                 RecSaMsg {
                     own: own.clone(),
@@ -1107,6 +1096,7 @@ mod tests {
 
     use super::*;
     use crate::types::config_set;
+    use simnet::stack::Outbox;
 
     /// A tiny synchronous harness: every node takes a step with a perfect
     /// failure detector (everyone alive trusts everyone alive), and messages
@@ -1166,7 +1156,9 @@ mod tests {
                 if !alive.contains(id) {
                     continue;
                 }
-                for (to, msg) in node.step(&alive) {
+                let mut out = Outbox::new();
+                node.step(&alive, &mut out);
+                for (to, msg) in out.into_messages() {
                     outbox.push((*id, to, msg));
                 }
             }
@@ -1336,10 +1328,10 @@ mod tests {
         let mut h = Harness::with_config(2, &cfg);
         h.rounds(10);
         h.add_joiner(ProcessId::new(2));
-        let msgs = h
-            .node_mut(2)
-            .step(&config_set([0, 1, 2]).into_iter().collect());
-        assert!(msgs.is_empty());
+        let mut out = Outbox::<RecSaMsg>::new();
+        h.node_mut(2)
+            .step(&config_set([0, 1, 2]).into_iter().collect(), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -1452,9 +1444,10 @@ mod tests {
         trusted: &BTreeSet<ProcessId>,
         ghost: ProcessId,
     ) -> impl std::fmt::Debug {
-        let sent = node.step(trusted);
+        let mut out = Outbox::<RecSaMsg>::new();
+        node.step(trusted, &mut out);
         (
-            sent,
+            out.into_messages(),
             node.own_config(),
             node.own_notification(),
             node.resets_started(),
@@ -1468,7 +1461,7 @@ mod tests {
     /// Identifiers above the per-peer table's dense limit (which only a
     /// transient fault or a forged packet can produce) take the spill path.
     /// It must be the same array: a corrupted spilled entry goes through
-    /// `step_with` exactly as a corrupted array-indexed one does — cleaned by
+    /// `step` exactly as a corrupted array-indexed one does — cleaned by
     /// line 25a when the identifier is not trusted, counted as a participant
     /// whose notification is adopted when it is.
     #[test]
@@ -1518,8 +1511,9 @@ mod tests {
         let (mut node, trusted) = steady_node();
         node.corrupt_config(ghost, ConfigValue::Set(config_set([5, 6])));
         node.corrupt_notification(ghost, Notification::proposal(config_set([9])));
-        let sent = node.step(&trusted);
-        assert_eq!(sent.len(), 3, "ghost entry must not attract broadcasts");
+        let mut out = Outbox::<RecSaMsg>::new();
+        node.step(&trusted, &mut out);
+        assert_eq!(out.len(), 3, "ghost entry must not attract broadcasts");
         assert!(node.config_of(ghost).is_non_participant());
         assert!(node.prp_of(ghost).is_default());
         assert_eq!(node.resets_started(), 0);
@@ -1533,15 +1527,21 @@ mod tests {
     #[test]
     fn converged_cluster_reuses_one_own_allocation() {
         let (mut node, trusted) = steady_node();
-        let first = node.step(&trusted);
-        let second = node.step(&trusted);
+        let mut out = Outbox::<RecSaMsg>::new();
+        node.step(&trusted, &mut out);
+        let first = out.into_messages();
+        let mut out = Outbox::new();
+        node.step(&trusted, &mut out);
+        let second = out.into_messages();
         assert_eq!(first.len(), 3);
         let own = &first[0].1.own;
         for (_, msg) in first.iter().chain(&second) {
             assert!(Arc::ptr_eq(&msg.own, own), "a copy built its own half");
         }
         assert!(node.estab(config_set([0, 1, 2])));
-        let third = node.step(&trusted);
+        let mut out = Outbox::<RecSaMsg>::new();
+        node.step(&trusted, &mut out);
+        let third = out.into_messages();
         let rebuilt = &third[0].1.own;
         assert!(
             !Arc::ptr_eq(rebuilt, own),
@@ -1559,7 +1559,7 @@ mod tests {
         let other = config_set([7]);
         for field in ["fd", "part", "config", "prp", "all"] {
             let (mut node, trusted) = steady_node();
-            node.step(&trusted);
+            node.step(&trusted, &mut Outbox::<RecSaMsg>::new());
             let mut own = node.fresh_own();
             match field {
                 "fd" => own.fd = shared_set(other.clone()),
@@ -1569,7 +1569,9 @@ mod tests {
                 _ => own.all = !own.all,
             }
             node.corrupt_sent_own(own);
-            for (_, msg) in node.step(&trusted) {
+            let mut out = Outbox::<RecSaMsg>::new();
+            node.step(&trusted, &mut out);
+            for (_, msg) in out.into_messages() {
                 assert_eq!(*msg.own, node.fresh_own(), "a planted {field} was sent");
             }
         }
@@ -1607,6 +1609,7 @@ mod proptests {
     use super::*;
     use crate::types::config_set;
     use proptest::prelude::*;
+    use simnet::stack::Outbox;
 
     /// Synchronous harness (duplicated minimally from the unit tests to keep
     /// the property tests self-contained).
@@ -1618,7 +1621,9 @@ mod proptests {
         for _ in 0..max_rounds {
             let mut outbox = Vec::new();
             for (id, node) in nodes.iter_mut() {
-                for (to, msg) in node.step(&alive) {
+                let mut out = Outbox::new();
+                node.step(&alive, &mut out);
+                for (to, msg) in out.into_messages() {
                     outbox.push((*id, to, msg));
                 }
             }
@@ -1689,7 +1694,9 @@ mod proptests {
             for _ in 0..10 {
                 let mut outbox = Vec::new();
                 for (id, node) in nodes.iter_mut() {
-                    for (to, msg) in node.step(&alive) {
+                    let mut out = Outbox::new();
+                    node.step(&alive, &mut out);
+                    for (to, msg) in out.into_messages() {
                         outbox.push((*id, to, msg));
                     }
                 }
@@ -1709,7 +1716,9 @@ mod proptests {
             for _ in 0..120 {
                 let mut outbox = Vec::new();
                 for (id, node) in nodes.iter_mut() {
-                    for (to, msg) in node.step(&alive) {
+                    let mut out = Outbox::new();
+                    node.step(&alive, &mut out);
+                    for (to, msg) in out.into_messages() {
                         outbox.push((*id, to, msg));
                     }
                 }
@@ -1741,6 +1750,7 @@ mod oracle {
     use super::*;
     use crate::types::config_set;
     use proptest::prelude::*;
+    use simnet::stack::Outbox;
     use simnet::SimRng;
 
     /// Processors `0..4` run; `4` is a ghost only a fault or an injected
@@ -1905,10 +1915,17 @@ mod oracle {
                         false => set(rng),
                     };
                     let from = ProcessId::new(k as u32);
-                    let sent = self.nodes[k].step(&trusted);
+                    let mut out = Outbox::new();
+                    self.nodes[k].step(&trusted, &mut out);
+                    let sent = out.into_messages();
                     if k == 0 {
-                        let reference = self.reference.step(&trusted);
-                        assert_eq!(sent, reference, "the reference broadcast differently");
+                        let mut reference = Outbox::new();
+                        self.reference.step(&trusted, &mut reference);
+                        assert_eq!(
+                            sent,
+                            reference.into_messages(),
+                            "the reference broadcast differently"
+                        );
                     }
                     let own = self.nodes[k].fresh_own();
                     for (to, msg) in sent.clone() {

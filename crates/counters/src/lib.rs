@@ -9,21 +9,28 @@
 //! totally ordered and monotone (Theorem 4.6) even across label rollovers
 //! caused by exhaustion or transient faults.
 //!
+//! Every step sends into a [`simnet::stack::Sink`]; an
+//! [`Outbox`](simnet::stack::Outbox) collects what a step sent.
+//!
 //! ```
 //! use counters::{CounterNode, IncrementOutcome};
 //! use reconfig::config_set;
+//! use simnet::stack::{Layer, Outbox};
 //! use simnet::ProcessId;
 //!
 //! // A single-member configuration makes the quorum trivial.
-//! let cfg = config_set([0]);
-//! let mut node = CounterNode::new(ProcessId::new(0), cfg);
-//! let _ = node.step();
-//! let requests = node.request_increment();
-//! // Loop the request back to ourselves (we are the only member).
-//! let mut queue: Vec<_> = requests.into_iter().collect();
+//! let me = ProcessId::new(0);
+//! let mut node = CounterNode::new(me, config_set([0]));
+//! let mut out = Outbox::new();
+//! node.poll(&[me], &mut out);
+//! node.request_increment(&mut out);
+//! // Loop every message back to ourselves (we are the only member).
+//! let mut queue = out.into_messages();
 //! while let Some((to, msg)) = queue.pop() {
-//!     assert_eq!(to, ProcessId::new(0));
-//!     queue.extend(node.on_message(ProcessId::new(0), msg));
+//!     assert_eq!(to, me);
+//!     let mut replies = Outbox::new();
+//!     node.handle(me, msg, &mut replies);
+//!     queue.extend(replies.into_messages());
 //! }
 //! assert!(matches!(node.take_completed().pop(), Some(IncrementOutcome::Committed(_))));
 //! ```

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use labels::{Labeler, LabelerMsg};
 use reconfig::ConfigSet;
-use simnet::stack::{Layer, Outbox, Sink};
+use simnet::stack::{Layer, Sink};
 use simnet::ProcessId;
 
 use crate::counter::{Counter, DEFAULT_EXHAUSTION_BOUND};
@@ -228,9 +228,9 @@ impl CounterNode {
     /// Queues an increment to be started from the next periodic step at
     /// which no other operation is in flight (the live runtime starts it
     /// sooner, through `ScenarioTarget::start_local`). Unlike
-    /// [`CounterNode::request_increment`] this needs no access to the
-    /// outgoing message list, so simulation harnesses (and the chaos
-    /// workload driver) can request increments from outside a step.
+    /// [`CounterNode::request_increment`] this needs no sink, so simulation
+    /// harnesses (and the chaos workload driver) can request increments
+    /// from outside a step.
     pub fn queue_increment(&mut self) {
         self.queued_increments += 1;
     }
@@ -301,20 +301,9 @@ impl CounterNode {
         }
     }
 
-    /// Starts an increment. Returns the request messages to send (empty when
-    /// another increment is already in flight).
-    ///
-    /// Collecting wrapper over [`CounterNode::request_increment_into`], for
-    /// tests and examples.
-    pub fn request_increment(&mut self) -> Vec<(ProcessId, CounterMsg)> {
-        let mut out = Outbox::new();
-        self.request_increment_into(&mut out);
-        out.into_messages()
-    }
-
     /// Starts an increment, sending its read phase to every member through
     /// `out` (nothing when another increment is already in flight).
-    pub fn request_increment_into(&mut self, out: &mut impl Sink<CounterMsg>) {
+    pub fn request_increment(&mut self, out: &mut impl Sink<CounterMsg>) {
         if self.pending.is_some() {
             return;
         }
@@ -340,23 +329,13 @@ impl CounterNode {
     fn start_queued_increment(&mut self, out: &mut impl Sink<CounterMsg>) {
         if self.queued_increments > 0 && self.pending.is_none() && !self.reconfiguring {
             self.queued_increments -= 1;
-            self.request_increment_into(out);
+            self.request_increment(out);
         }
     }
 
     /// Returns `true` while an increment operation is in flight.
     pub fn increment_in_flight(&self) -> bool {
         self.pending.is_some()
-    }
-
-    /// One periodic step: members gossip their maximal counter and keep the
-    /// label exchange of Algorithm 4.1 running.
-    ///
-    /// Context-free facade over the [`Layer`] implementation.
-    pub fn step(&mut self) -> Vec<(ProcessId, CounterMsg)> {
-        let mut out = Outbox::new();
-        Layer::poll(self, &[], &mut out);
-        out.into_messages()
     }
 
     /// Makes sure a maximal counter exists and its label is legit; creates or
@@ -396,15 +375,6 @@ impl CounterNode {
             None => counter,
             Some(existing) => existing.max(counter),
         });
-    }
-
-    /// Handles a counter-service message, returning the replies to send.
-    ///
-    /// Context-free facade over the [`Layer`] implementation.
-    pub fn on_message(&mut self, from: ProcessId, msg: CounterMsg) -> Vec<(ProcessId, CounterMsg)> {
-        let mut out = Outbox::new();
-        Layer::handle(self, from, msg, &mut out);
-        out.into_messages()
     }
 
     /// Handles one two-phase quorum message (Algorithms 4.4/4.5).
@@ -595,7 +565,7 @@ impl Layer for CounterNode {
             // Drive the labeling algorithm (Algorithm 4.1 runs alongside the
             // counter gossip) and make sure the maximal counter lives in the
             // current maximal label.
-            self.labeler.step_with(|to, m| out.push(to, m));
+            self.labeler.step(&mut out.nest());
             self.refresh_max_label();
             if let Some(c) = self.max_counter.clone() {
                 // Gossip is a true broadcast (the same counter to every other
@@ -745,35 +715,36 @@ impl simnet::ScenarioTarget for CounterNode {
         }
     }
 
-    /// Open-loop client load: each op is one increment queued at `via`
+    /// Open-loop client load: each op is one increment queued at this node
     /// (clients may submit through members *and* non-members — the paper's
     /// client path), completing with the queued increment's outcome.
-    fn submit_op(
-        sim: &mut simnet::Simulation<Self>,
-        via: simnet::ProcessId,
-        key: u64,
-        value: u64,
-    ) -> bool {
-        match sim.process_mut(via) {
-            Some(node) => node.submit_local(key, value),
-            None => false,
-        }
-    }
-
-    fn complete_op(sim: &mut simnet::Simulation<Self>, via: simnet::ProcessId) -> Option<bool> {
-        sim.process_mut(via)?.complete_local()
-    }
-
-    /// One increment queued at this node (the node-local half of
-    /// `submit_op`, shared with the live runtime).
     fn submit_local(&mut self, _key: u64, _value: u64) -> bool {
         self.queue_increment();
         true
     }
 
-    fn complete_local(&mut self) -> Option<bool> {
-        let outcome = self.completed.pop_front()?;
-        Some(matches!(outcome, IncrementOutcome::Committed(_)))
+    /// Claims the oldest increment outcome, surfacing the committed counter
+    /// as a lexicographic `[creator, seqn, wid]` token: creators totally
+    /// order distinct labels under `≺lb`, and a creator mints at most one
+    /// label per 2⁶³ increments, so counter order (Algorithm 4.3's `≺ct`)
+    /// embeds into token order for every pair a run can actually produce.
+    fn claim_local(&mut self) -> Option<simnet::OpResponse> {
+        Some(match self.completed.pop_front()? {
+            IncrementOutcome::Committed(c) => simnet::OpResponse {
+                ok: true,
+                observed: Some(simnet::Observed::Token([
+                    c.label.creator.as_u32() as u64,
+                    c.seqn,
+                    c.wid.as_u32() as u64,
+                ])),
+                indeterminate: false,
+            },
+            IncrementOutcome::Aborted => simnet::OpResponse {
+                ok: false,
+                observed: None,
+                indeterminate: false,
+            },
+        })
     }
 
     /// Starts a queued increment between periodic steps, under exactly the
@@ -814,57 +785,21 @@ impl simnet::ScenarioTarget for CounterNode {
         Some((0, simnet::OpKind::Inc))
     }
 
-    /// Claims exactly the completion `Self::complete_op` would, surfacing
-    /// the committed counter as a lexicographic `[creator, seqn, wid]`
-    /// token: creators totally order distinct labels under `≺lb`, and a
-    /// creator mints at most one label per 2⁶³ increments, so counter order
-    /// (Algorithm 4.3's `≺ct`) embeds into token order for every pair a
-    /// run can actually produce.
-    fn claim_op(
-        sim: &mut simnet::Simulation<Self>,
-        via: simnet::ProcessId,
-    ) -> Option<simnet::OpResponse> {
-        let node = sim.process_mut(via)?;
-        Some(match node.completed.pop_front()? {
-            IncrementOutcome::Committed(c) => simnet::OpResponse {
-                ok: true,
-                observed: Some(simnet::Observed::Token([
-                    c.label.creator.as_u32() as u64,
-                    c.seqn,
-                    c.wid.as_u32() as u64,
-                ])),
-                indeterminate: false,
-            },
-            IncrementOutcome::Aborted => simnet::OpResponse {
-                ok: false,
-                observed: None,
-                indeterminate: false,
-            },
-        })
-    }
-
     /// Committed increments must mint strictly increasing tokens — the
     /// paper's Theorem 4.6 monotonicity, checked as a sequential spec.
     fn lin_spec() -> Option<simnet::Spec> {
         Some(simnet::Spec::MonotoneToken)
     }
 
-    /// Converged: every active member holds the same (existing) maximal
-    /// counter and no processor has an increment queued or in flight.
+    /// Converged: every active processor is [`settled`](simnet::ScenarioTarget::settled) —
+    /// nothing queued or in flight, and a maximal counter at every member —
+    /// and all members hold the same one.
     fn converged(sim: &simnet::Simulation<Self>) -> bool {
-        let mut members = sim
-            .active_processes()
-            .filter(|(_, p)| p.is_member())
-            .map(|(_, p)| p.max_counter.clone());
-        let agreed = match members.next() {
-            None => true,
-            Some(None) => false,
-            Some(first) => members.all(|c| c == first),
-        };
-        agreed
-            && sim
-                .active_processes()
-                .all(|(_, p)| p.pending.is_none() && p.queued_increments == 0)
+        let mut first = None;
+        sim.active_processes().all(|(_, p)| {
+            p.settled()
+                && (!p.is_member() || *first.get_or_insert(&p.max_counter) == &p.max_counter)
+        })
     }
 
     /// Safety: a member's maximal counter must carry a *legit* label — one
@@ -900,6 +835,7 @@ impl simnet::ScenarioTarget for CounterNode {
 mod tests {
     use super::*;
     use reconfig::config_set;
+    use simnet::stack::Outbox;
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -933,7 +869,9 @@ mod tests {
             let mut queue = batch;
             while let Some((from, to, msg)) = queue.pop() {
                 if let Some(node) = self.nodes.get_mut(&to) {
-                    for (next_to, reply) in node.on_message(from, msg) {
+                    let mut replies = Outbox::new();
+                    node.handle(from, msg, &mut replies);
+                    for (next_to, reply) in replies.into_messages() {
                         queue.push((to, next_to, reply));
                     }
                 }
@@ -943,7 +881,9 @@ mod tests {
         fn round(&mut self) {
             let mut batch = Vec::new();
             for (id, node) in self.nodes.iter_mut() {
-                for (to, m) in node.step() {
+                let mut out = Outbox::new();
+                node.poll(&[], &mut out);
+                for (to, m) in out.into_messages() {
                     batch.push((*id, to, m));
                 }
             }
@@ -952,8 +892,16 @@ mod tests {
 
         fn increment(&mut self, id: u32) -> IncrementOutcome {
             let id = pid(id);
-            let reqs = self.nodes.get_mut(&id).unwrap().request_increment();
-            let batch = reqs.into_iter().map(|(to, m)| (id, to, m)).collect();
+            let mut reqs = Outbox::new();
+            self.nodes
+                .get_mut(&id)
+                .unwrap()
+                .request_increment(&mut reqs);
+            let batch = reqs
+                .into_messages()
+                .into_iter()
+                .map(|(to, m)| (id, to, m))
+                .collect();
             self.deliver(batch);
             let done = self.nodes.get_mut(&id).unwrap().take_completed();
             done.into_iter().next().unwrap_or(IncrementOutcome::Aborted)
@@ -1084,10 +1032,13 @@ mod tests {
             h.round();
         }
         let node = h.nodes.get_mut(&pid(0)).unwrap();
-        let first = node.request_increment();
+        let mut first = Outbox::<CounterMsg>::new();
+        node.request_increment(&mut first);
         assert!(!first.is_empty());
         assert!(node.increment_in_flight());
-        assert!(node.request_increment().is_empty());
+        let mut second = Outbox::<CounterMsg>::new();
+        node.request_increment(&mut second);
+        assert!(second.is_empty());
     }
 
     /// An operation whose quorum requests are lost (nobody ever answers)
@@ -1098,18 +1049,21 @@ mod tests {
     fn pending_operation_times_out_and_aborts() {
         let cfg = config_set([0, 1, 2]);
         let mut node = CounterNode::new(pid(0), cfg).with_op_timeout(5);
-        let requests = node.request_increment();
-        assert!(!requests.is_empty());
         // Drop every request on the floor and just let time pass.
+        let mut lost = Outbox::<CounterMsg>::new();
+        node.request_increment(&mut lost);
+        assert!(!lost.is_empty());
         for _ in 0..5 {
-            let _ = node.step();
+            node.poll(&[], &mut lost);
             assert!(node.increment_in_flight());
         }
-        let _ = node.step();
+        node.poll(&[], &mut lost);
         assert!(!node.increment_in_flight());
         assert_eq!(node.take_completed(), vec![IncrementOutcome::Aborted]);
         // The node is usable again.
-        assert!(!node.request_increment().is_empty());
+        let mut requests = Outbox::<CounterMsg>::new();
+        node.request_increment(&mut requests);
+        assert!(!requests.is_empty());
     }
 
     /// Queued increments start from the periodic step, one at a time, and
@@ -1148,7 +1102,7 @@ mod tests {
     fn config_change_aborts_the_pending_operation_with_an_outcome() {
         let cfg = config_set([0, 1, 2]);
         let mut node = CounterNode::new(pid(0), cfg);
-        let _ = node.request_increment();
+        node.request_increment(&mut Outbox::<CounterMsg>::new());
         assert!(node.increment_in_flight());
         node.on_config_change(config_set([0, 1]));
         assert!(!node.increment_in_flight());
@@ -1205,8 +1159,9 @@ mod tests {
         let mut node = calm_harness().nodes.remove(&pid(0)).unwrap();
         node.queue_increment();
         node.queue_increment();
-        node.step();
-        node.step();
+        let mut lost = Outbox::<CounterMsg>::new();
+        node.poll(&[], &mut lost);
+        node.poll(&[], &mut lost);
         assert_eq!(node.pending_age, 1);
         let before = format!("{node:?}");
         assert!(kick(&mut node).is_empty());
@@ -1225,7 +1180,10 @@ mod tests {
         assert!(kick(&mut node).is_empty());
         assert!(!node.increment_in_flight());
         assert_eq!(node.queued_increments(), 1);
-        assert_eq!(node.step(), twin.step());
+        let (mut sent, mut twin_sent) = (Outbox::<CounterMsg>::new(), Outbox::new());
+        node.poll(&[], &mut sent);
+        twin.poll(&[], &mut twin_sent);
+        assert_eq!(sent.into_messages(), twin_sent.into_messages());
         assert_eq!(format!("{node:?}"), format!("{twin:?}"));
     }
 
@@ -1241,7 +1199,7 @@ mod tests {
             corrupted.corrupt(&mut rng);
             corrupted.reconfiguring = seed % 3 == 0;
             if seed % 4 == 0 {
-                let _ = corrupted.request_increment();
+                corrupted.request_increment(&mut Outbox::<CounterMsg>::new());
             }
             corrupted.queue_increment();
             let op = corrupted.next_op;
@@ -1251,7 +1209,9 @@ mod tests {
             };
             let (mut kicked, mut stepped) = (corrupted.clone(), corrupted);
             let by_hook = read_phase(kick(&mut kicked));
-            let by_step = read_phase(stepped.step());
+            let mut out = Outbox::new();
+            stepped.poll(&[], &mut out);
+            let by_step = read_phase(out.into_messages());
             assert_eq!(by_hook, by_step, "seed {seed}");
             assert_eq!(
                 kicked.queued_increments(),
@@ -1330,9 +1290,10 @@ mod tests {
         // Labels: the labeler records a fresh member's label pair.
         let cfg = config_set([0, 1, 2]);
         let fresh = CounterNode::new(pid(0), cfg.clone());
-        let (_, label) = CounterNode::new(pid(1), cfg)
-            .labeler
-            .step()
+        let mut out = Outbox::new();
+        CounterNode::new(pid(1), cfg).labeler.step(&mut out);
+        let (_, label) = out
+            .into_messages()
             .into_iter()
             .find(|(to, _)| *to == pid(0))
             .expect("a member sends its label to every other member");
@@ -1362,7 +1323,9 @@ mod tests {
         node.queue_increment();
         let requests = kick(node);
         assert_eq!(requests.len(), 3);
-        let stepped = node.step();
+        let mut out = Outbox::new();
+        node.poll(&[], &mut out);
+        let stepped = out.into_messages();
         assert!(
             !stepped
                 .iter()
@@ -1470,52 +1433,16 @@ mod seeded_bug {
             self.inner.pending_age = 0;
         }
 
-        fn submit_op(
-            sim: &mut simnet::Simulation<Self>,
-            via: ProcessId,
-            _key: u64,
-            _value: u64,
-        ) -> bool {
-            match sim.process_mut(via) {
-                Some(node) => {
-                    node.inner.queue_increment();
-                    true
-                }
-                None => false,
-            }
-        }
-
-        fn complete_op(sim: &mut simnet::Simulation<Self>, via: ProcessId) -> Option<bool> {
-            let node = sim.process_mut(via)?;
-            let outcome = node.inner.completed.pop_front()?;
-            Some(matches!(outcome, IncrementOutcome::Committed(_)))
+        fn submit_local(&mut self, key: u64, value: u64) -> bool {
+            self.inner.submit_local(key, value)
         }
 
         fn op_spec(key: u64, value: u64) -> Option<(u64, simnet::OpKind)> {
             CounterNode::op_spec(key, value)
         }
 
-        fn claim_op(
-            sim: &mut simnet::Simulation<Self>,
-            via: ProcessId,
-        ) -> Option<simnet::OpResponse> {
-            let node = sim.process_mut(via)?;
-            Some(match node.inner.completed.pop_front()? {
-                IncrementOutcome::Committed(c) => simnet::OpResponse {
-                    ok: true,
-                    observed: Some(simnet::Observed::Token([
-                        c.label.creator.as_u32() as u64,
-                        c.seqn,
-                        c.wid.as_u32() as u64,
-                    ])),
-                    indeterminate: false,
-                },
-                IncrementOutcome::Aborted => simnet::OpResponse {
-                    ok: false,
-                    observed: None,
-                    indeterminate: false,
-                },
-            })
+        fn claim_local(&mut self) -> Option<simnet::OpResponse> {
+            self.inner.claim_local()
         }
 
         fn lin_spec() -> Option<simnet::Spec> {

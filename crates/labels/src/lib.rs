@@ -12,17 +12,26 @@
 //! label exchange; on every reconfiguration the label structures are rebuilt
 //! for the new member set and labels of non-members are voided.
 //!
+//! A [`Labeler`] sends into a [`simnet::stack::Sink`]; an
+//! [`Outbox`](simnet::stack::Outbox) collects what a step sent.
+//!
 //! ```
 //! use labels::{Label, Labeler};
 //! use reconfig::config_set;
+//! use simnet::stack::Outbox;
 //! use simnet::ProcessId;
 //!
+//! let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
 //! let cfg = config_set([0, 1]);
-//! let mut a = Labeler::new(ProcessId::new(0), cfg.clone());
-//! let mut b = Labeler::new(ProcessId::new(1), cfg);
+//! let mut a = Labeler::new(p0, cfg.clone());
+//! let mut b = Labeler::new(p1, cfg);
 //! for _ in 0..10 {
-//!     for (to, m) in a.step() { assert_eq!(to, ProcessId::new(1)); b.on_message(ProcessId::new(0), m); }
-//!     for (to, m) in b.step() { assert_eq!(to, ProcessId::new(0)); a.on_message(ProcessId::new(1), m); }
+//!     let mut out = Outbox::new();
+//!     a.step(&mut out);
+//!     for (to, m) in out.into_messages() { assert_eq!(to, p1); b.on_message(p0, m); }
+//!     let mut out = Outbox::new();
+//!     b.step(&mut out);
+//!     for (to, m) in out.into_messages() { assert_eq!(to, p0); a.on_message(p1, m); }
 //! }
 //! let max: Label = a.local_max().unwrap();
 //! assert_eq!(b.local_max(), Some(max));

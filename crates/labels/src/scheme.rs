@@ -14,6 +14,7 @@
 use std::collections::BTreeMap;
 
 use reconfig::ConfigSet;
+use simnet::stack::Sink;
 use simnet::ProcessId;
 
 use crate::label::{Label, LabelPair, LabelQueue};
@@ -125,17 +126,9 @@ impl Labeler {
 
     /// Periodic exchange (the `transmitReady` handler): a member sends its
     /// maximal pair (plus the echo of the destination's) to every other
-    /// member.
-    pub fn step(&mut self) -> Vec<(ProcessId, LabelerMsg)> {
-        let mut out = Vec::new();
-        self.step_with(|to, msg| out.push((to, msg)));
-        out
-    }
-
-    /// [`Labeler::step`] without the collection: each message is handed to
-    /// `sink` as it is built, so an embedder queues it straight into its own
-    /// outbox (see `reconfig::RecSa::step_with`).
-    pub fn step_with(&mut self, mut sink: impl FnMut(ProcessId, LabelerMsg)) {
+    /// member, into `out` (an embedder passes its own sink through
+    /// [`Sink::nest`]).
+    pub fn step(&mut self, out: &mut impl Sink<LabelerMsg>) {
         // Every iteration of the do-forever loop re-earns the shortcut: the
         // next message runs the receipt action in full, whatever a transient
         // fault left in `settled`.
@@ -152,7 +145,7 @@ impl Labeler {
                 sent_max: my_max.clone(),
                 last_sent: self.max.get(&k).cloned(),
             };
-            sink(k, msg);
+            out.push(k, msg);
         }
     }
 
@@ -340,6 +333,7 @@ mod tests {
 
     use super::*;
     use reconfig::config_set;
+    use simnet::stack::Outbox;
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -362,7 +356,9 @@ mod tests {
         fn round(&mut self) {
             let mut outbox = Vec::new();
             for (id, node) in self.nodes.iter_mut() {
-                for (to, m) in node.step() {
+                let mut out = Outbox::new();
+                node.step(&mut out);
+                for (to, m) in out.into_messages() {
                     outbox.push((*id, to, m));
                 }
             }
@@ -447,7 +443,9 @@ mod tests {
         let cfg = config_set([0, 1]);
         let mut outsider = Labeler::new(pid(9), cfg);
         assert!(!outsider.is_member());
-        assert!(outsider.step().is_empty());
+        let mut out = Outbox::<LabelerMsg>::new();
+        outsider.step(&mut out);
+        assert!(out.is_empty());
         assert!(outsider.local_max().is_none() || outsider.label_creations() == 0);
     }
 
@@ -482,11 +480,13 @@ mod tests {
         assert!(h.common_max().is_some());
         assert!(h.nodes.values().all(|n| n.settled));
         let before = h.nodes[&pid(0)].clone();
-        let from_1 = h.nodes.get_mut(&pid(1)).unwrap().step().remove(0);
+        let mut out = Outbox::new();
+        h.nodes.get_mut(&pid(1)).unwrap().step(&mut out);
+        let from_1 = out.into_messages().remove(0);
         assert_eq!(from_1.0, pid(0));
         let node = h.nodes.get_mut(&pid(0)).unwrap();
         assert!(node.repeats_stored(pid(1), &from_1.1));
-        node.step();
+        node.step(&mut Outbox::<LabelerMsg>::new());
         assert!(!node.settled, "step() withdraws the shortcut");
         node.on_message(pid(1), from_1.1);
         assert!(node.settled, "a full run that changed nothing re-earns it");
@@ -509,7 +509,9 @@ mod tests {
                 node.store_pair(pair.clone());
             }
         }
-        let (to, msg) = h.nodes.get_mut(&pid(1)).unwrap().step().remove(0);
+        let mut out = Outbox::new();
+        h.nodes.get_mut(&pid(1)).unwrap().step(&mut out);
+        let (to, msg) = out.into_messages().remove(0);
         assert!(
             h.nodes[&to].repeats_stored(pid(1), &msg),
             "an invisible fault"
@@ -544,6 +546,7 @@ mod oracle {
     use super::*;
     use proptest::prelude::*;
     use reconfig::config_set;
+    use simnet::stack::Outbox;
 
     const CREATORS: u64 = 6;
     const STINGS: u64 = 12;
@@ -672,13 +675,21 @@ mod oracle {
                         fast.on_config_change(cfg.clone());
                         full.on_config_change(cfg);
                     }
-                    15..=17 => prop_assert_eq!(fast.step(), full.step()),
+                    15..=17 => {
+                        let (mut by_fast, mut by_full) = (Outbox::<LabelerMsg>::new(), Outbox::new());
+                        fast.step(&mut by_fast);
+                        full.step(&mut by_full);
+                        prop_assert_eq!(by_fast.into_messages(), by_full.into_messages());
+                    }
                     _ => {}
                 }
                 prop_assert_eq!(&fast.max, &full.max);
                 prop_assert_eq!(&fast.stored, &full.stored);
                 prop_assert_eq!(fast.label_creations, full.label_creations);
-                prop_assert_eq!(fast.clone().step(), full.clone().step());
+                let (mut by_fast, mut by_full) = (Outbox::<LabelerMsg>::new(), Outbox::new());
+                fast.clone().step(&mut by_fast);
+                full.clone().step(&mut by_full);
+                prop_assert_eq!(by_fast.into_messages(), by_full.into_messages());
             }
         }
     }

@@ -19,7 +19,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 use counters::DEFAULT_EXHAUSTION_BOUND;
 use reconfig::{ConfigSet, NodeConfig, QuorumSystem, ReconfigMsg, ReconfigNode};
-use simnet::stack::{Layer, Outbox, Sink};
+use simnet::stack::{Layer, Sink};
 use simnet::ProcessId;
 
 use crate::op::{OpStep, PendingOp};
@@ -368,24 +368,6 @@ impl SharedMemNode {
         reconfig
             .installed_config_ref()
             .filter(|cfg| !cfg.is_empty())
-    }
-
-    /// One timer step of the whole stack.
-    ///
-    /// Context-free facade over the [`Layer`] implementation.
-    pub fn poll(&mut self, peers: &[ProcessId]) -> Vec<(ProcessId, SharedMemMsg)> {
-        let mut out = Outbox::new();
-        Layer::poll(self, peers, &mut out);
-        out.into_messages()
-    }
-
-    /// Handles one received message, returning any immediate replies.
-    ///
-    /// Context-free facade over the [`Layer`] implementation.
-    pub fn handle(&mut self, from: ProcessId, msg: SharedMemMsg) -> Vec<(ProcessId, SharedMemMsg)> {
-        let mut out = Outbox::new();
-        Layer::handle(self, from, msg, &mut out);
-        out.into_messages()
     }
 
     /// Handles one register-protocol message (the two-phase quorum driver and
@@ -740,24 +722,6 @@ impl simnet::ScenarioTarget for SharedMemNode {
     /// Open-loop client load: client keys fold onto the workload register
     /// set (so convergence checks cover the loaded registers), with two
     /// writes for every read; the op completes with its quorum outcome.
-    fn submit_op(
-        sim: &mut simnet::Simulation<Self>,
-        via: simnet::ProcessId,
-        key: u64,
-        value: u64,
-    ) -> bool {
-        match sim.process_mut(via) {
-            Some(node) => node.submit_local(key, value),
-            None => false,
-        }
-    }
-
-    fn complete_op(sim: &mut simnet::Simulation<Self>, via: simnet::ProcessId) -> Option<bool> {
-        sim.process_mut(via)?.complete_local()
-    }
-
-    /// Client keys fold onto the workload register set, two writes per read
-    /// (the node-local half of `submit_op`, shared with the live runtime).
     fn submit_local(&mut self, key: u64, value: u64) -> bool {
         let register = RegisterId::new(CHAOS_KEYS[(key % CHAOS_KEYS.len() as u64) as usize]);
         if value % 3 == 2 {
@@ -768,9 +732,30 @@ impl simnet::ScenarioTarget for SharedMemNode {
         true
     }
 
-    fn complete_local(&mut self) -> Option<bool> {
-        let (outcome, _) = self.completed.pop_front()?;
-        Some(!matches!(outcome, OpOutcome::Aborted { .. }))
+    /// Claims the oldest completion with its quorum outcome, surfacing the
+    /// read's observed value for the history. A completion produced
+    /// under a collapsed configuration — the majority-loss recovery's
+    /// liveness-over-safety state — is reported indeterminate: the client
+    /// got an answer, but the service made no atomicity promise about it.
+    fn claim_local(&mut self) -> Option<simnet::OpResponse> {
+        let (outcome, collapsed) = self.completed.pop_front()?;
+        Some(match outcome {
+            OpOutcome::ReadCommitted { value, .. } => simnet::OpResponse {
+                ok: true,
+                observed: Some(simnet::history::Observed::Value(value)),
+                indeterminate: collapsed,
+            },
+            OpOutcome::WriteCommitted { .. } => simnet::OpResponse {
+                ok: true,
+                observed: None,
+                indeterminate: collapsed,
+            },
+            OpOutcome::Aborted { .. } => simnet::OpResponse {
+                ok: false,
+                observed: None,
+                indeterminate: collapsed,
+            },
+        })
     }
 
     /// Starts the next queued operation between timer steps, under exactly
@@ -820,9 +805,9 @@ impl simnet::ScenarioTarget for SharedMemNode {
         token
     }
 
-    /// The recordable shape of `Self::submit_op`'s operation: client keys
+    /// The recordable shape of `Self::submit_local`'s operation: client keys
     /// fold onto the workload register set, and the value's residue picks
-    /// read vs write — exactly the mapping `submit_op` applies.
+    /// read vs write — exactly the mapping `submit_local` applies.
     fn op_spec(key: u64, value: u64) -> Option<(u64, simnet::OpKind)> {
         let register = CHAOS_KEYS[(key % CHAOS_KEYS.len() as u64) as usize];
         let kind = if value % 3 == 2 {
@@ -833,35 +818,6 @@ impl simnet::ScenarioTarget for SharedMemNode {
         Some((register, kind))
     }
 
-    /// Claims exactly the completion `Self::complete_op` would, surfacing
-    /// the read's observed value for the history. A completion produced
-    /// under a collapsed configuration — the majority-loss recovery's
-    /// liveness-over-safety state — is reported indeterminate: the client
-    /// got an answer, but the service made no atomicity promise about it.
-    fn claim_op(
-        sim: &mut simnet::Simulation<Self>,
-        via: simnet::ProcessId,
-    ) -> Option<simnet::OpResponse> {
-        let (outcome, collapsed) = sim.process_mut(via)?.completed.pop_front()?;
-        Some(match outcome {
-            OpOutcome::ReadCommitted { value, .. } => simnet::OpResponse {
-                ok: true,
-                observed: Some(simnet::history::Observed::Value(value)),
-                indeterminate: collapsed,
-            },
-            OpOutcome::WriteCommitted { .. } => simnet::OpResponse {
-                ok: true,
-                observed: None,
-                indeterminate: collapsed,
-            },
-            OpOutcome::Aborted { .. } => simnet::OpResponse {
-                ok: false,
-                observed: None,
-                indeterminate: collapsed,
-            },
-        })
-    }
-
     /// The emulated object is a multi-writer multi-reader atomic register
     /// (the paper's Theorem 5.3 claim) — armed histories are checked
     /// against the register spec.
@@ -869,30 +825,19 @@ impl simnet::ScenarioTarget for SharedMemNode {
         Some(simnet::Spec::Register)
     }
 
-    /// Converged: the reconfiguration layer is calm and agreed, no
-    /// processor has an operation queued or in flight, and every active
-    /// member reports the same value for every workload register.
+    /// Converged: every active processor is [`settled`](simnet::ScenarioTarget::settled) —
+    /// a calm installed configuration, no operation queued or in flight —
+    /// under the same configuration, and every active member reports the
+    /// same value for every workload register.
     fn converged(sim: &simnet::Simulation<Self>) -> bool {
         let mut config = None;
         for (_, node) in sim.active_processes() {
-            let r = node.reconfig();
-            if !r.is_participant() || !r.no_reconfiguration() {
-                return false;
-            }
-            match (r.installed_config_ref(), config) {
-                (None, _) => return false,
-                (Some(c), None) => config = Some(c),
-                (Some(c), Some(expected)) => {
-                    if c != expected {
-                        return false;
-                    }
-                }
-            }
-            if node.has_pending_ops() {
+            let installed = node.reconfig().installed_config_ref();
+            if !node.settled() || *config.get_or_insert(installed) != installed {
                 return false;
             }
         }
-        let Some(config) = config else {
+        let Some(Some(config)) = config else {
             return true;
         };
         for key in CHAOS_KEYS {
@@ -950,6 +895,7 @@ impl simnet::ScenarioTarget for SharedMemNode {
 mod tests {
     use super::*;
     use reconfig::config_set;
+    use simnet::stack::Outbox;
     use simnet::{SimConfig, Simulation};
 
     fn cluster(n: u32, seed: u64) -> Simulation<SharedMemNode> {
@@ -1373,7 +1319,7 @@ mod tests {
         let mut node = calm_members(22).remove(0);
         node.submit_write(RegisterId::new(1), 5);
         node.submit_write(RegisterId::new(2), 6);
-        node.poll(&peers());
+        node.poll(&peers(), &mut Outbox::<SharedMemMsg>::new());
         let before = format!("{node:?}");
         assert!(node.pending.is_some());
         assert!(
@@ -1433,9 +1379,12 @@ mod tests {
             assert!(kick(&mut node).is_empty(), "{what}: the hook sent");
             assert!(node.pending.is_none(), "{what}: the hook started an op");
             assert_eq!(node.queue.len(), 1, "{what}: the queue moved");
+            let (mut sent, mut twin_sent) = (Outbox::<SharedMemMsg>::new(), Outbox::new());
+            node.poll(&peers(), &mut sent);
+            twin.poll(&peers(), &mut twin_sent);
             assert_eq!(
-                node.poll(&peers()),
-                twin.poll(&peers()),
+                sent.into_messages(),
+                twin_sent.into_messages(),
                 "{what}: the next poll differs from the unkicked twin's"
             );
             assert_eq!(format!("{node:?}"), format!("{twin:?}"), "{what}");
@@ -1486,12 +1435,14 @@ mod tests {
             // After a timer step: the hook starts the op iff that step
             // would have, had the op been queued in time for it.
             let mut kicked = corrupted.clone();
-            kicked.poll(&peers());
+            kicked.poll(&peers(), &mut Outbox::<SharedMemMsg>::new());
             let op = kicked.submit_read(RegisterId::new(1));
             let by_hook = register_lane(kick(&mut kicked));
             let mut polled = corrupted.clone();
             polled.submit_read(RegisterId::new(1));
-            let by_poll = register_lane(polled.poll(&peers()));
+            let mut out = Outbox::new();
+            polled.poll(&peers(), &mut out);
+            let by_poll = register_lane(out.into_messages());
             let hook_started = kicked.pending.as_ref().map(PendingOp::op) == Some(op);
             let poll_started = polled.pending.as_ref().map(PendingOp::op) == Some(op);
             assert_eq!(hook_started, poll_started, "seed {seed}");
@@ -1519,7 +1470,9 @@ mod tests {
         let key = RegisterId::new(3);
         let op = nodes[0].submit_write(key, 41);
         let first = register_lane(kick(&mut nodes[0]));
-        let again = register_lane(nodes[0].poll(&peers()));
+        let mut out = Outbox::new();
+        nodes[0].poll(&peers(), &mut out);
+        let again = register_lane(out.into_messages());
         assert_eq!(first, again, "poll retransmits the whole query phase");
         assert_eq!(first.len(), 3);
 
@@ -1533,9 +1486,10 @@ mod tests {
             if matches!(msg, RegisterMsg::QueryResp { .. }) {
                 query_replies += 1;
             }
-            let replies = nodes[to.as_u32() as usize].handle(from, SharedMemMsg::Register(msg));
+            let mut replies = Outbox::new();
+            nodes[to.as_u32() as usize].handle(from, SharedMemMsg::Register(msg), &mut replies);
             wire.extend(
-                register_lane(replies)
+                register_lane(replies.into_messages())
                     .into_iter()
                     .map(|(next, m)| (to, next, m)),
             );

@@ -1,8 +1,8 @@
 //! Operation-history recording for armed scenario runs.
 //!
 //! A scenario armed with [`crate::Scenario::with_history`] records every
-//! client operation the open-loop load engine ([`crate::load`]) drives
-//! through [`crate::ScenarioTarget::submit_op`] as an [`OpRecord`]: who
+//! client operation the open-loop load engine ([`crate::load`]) submits
+//! through [`crate::ScenarioTarget::submit_local`] as an [`OpRecord`]: who
 //! invoked what on which object, at which round, and what (if anything)
 //! came back. The finished [`History`] is what the linearizability checker
 //! ([`crate::linearize`]) consumes.
@@ -51,7 +51,7 @@ pub enum OpKind {
 }
 
 /// A value observed at an operation's response, surfaced by
-/// [`crate::ScenarioTarget::claim_op`].
+/// [`crate::ScenarioTarget::claim_local`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Observed {
     /// A register read's result; `None` means the register was observed
@@ -65,9 +65,9 @@ pub enum Observed {
     Token([u64; 3]),
 }
 
-/// An operation's response as the target reports it when a history is
-/// armed: the success bit [`crate::ScenarioTarget::complete_op`] already
-/// returns, plus the observed value (for reads and increments).
+/// An operation's response as the target reports it through
+/// [`crate::ScenarioTarget::claim_local`]: the success bit, plus the
+/// observed value (for reads and increments) that armed runs record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpResponse {
     /// `true` when the protocol committed the operation.

@@ -4,9 +4,9 @@
 //! [`crate::Scenario`]: every round inside the scenario's workload window the
 //! engine draws an arrival count from a deterministic [`Arrival`] process,
 //! maps each arriving client onto one of the currently active processors,
-//! and submits a keyed operation through
-//! [`crate::ScenarioTarget::submit_op`]. Completions are claimed back
-//! through [`crate::ScenarioTarget::complete_op`] after every round, and the
+//! and submits a keyed operation to that processor through
+//! [`crate::ScenarioTarget::submit_local`]. Completions are claimed back
+//! through [`crate::ScenarioTarget::claim_local`] after every round, and the
 //! invoke→response distance **in rounds** is folded into a [`Histogram`] —
 //! latency measured in rounds is byte-deterministic and diffable across
 //! machines, unlike wall-clock.
@@ -30,7 +30,7 @@ use std::fmt;
 use rand::RngCore;
 
 use crate::histogram::Histogram;
-use crate::history::{HistoryRecorder, OpResponse};
+use crate::history::HistoryRecorder;
 use crate::process::ProcessId;
 use crate::rng::SimRng;
 use crate::scenario::ScenarioTarget;
@@ -260,7 +260,10 @@ impl LoadEngine {
             let via = actives[(client % actives.len() as u64) as usize];
             let value = self.next_value;
             self.next_value += 1;
-            if T::submit_op(sim, via, client, value) {
+            let accepted = sim
+                .process_mut(via)
+                .is_some_and(|node| node.submit_local(client, value));
+            if accepted {
                 self.submitted += 1;
                 let op = history.as_deref_mut().and_then(|rec| {
                     T::op_spec(client, value)
@@ -280,7 +283,7 @@ impl LoadEngine {
     /// Claims completed ops FIFO per processor and sweeps timeouts, called
     /// once per round after the round steps. The claim loop is bounded by
     /// the number of ops this engine has outstanding at each processor, so
-    /// targets whose `complete_op` reports a standing condition (e.g. the
+    /// targets whose `claim_local` reports a standing condition (e.g. the
     /// reconfiguration probe) cannot over-complete.
     pub(crate) fn poll<T: ScenarioTarget>(
         &mut self,
@@ -295,19 +298,7 @@ impl LoadEngine {
                 if outstanding == 0 {
                     break;
                 }
-                // Unarmed runs claim through today's exact hook; armed runs
-                // claim through the observing variant so the history records
-                // what reads and increments returned.
-                let response = if history.is_some() {
-                    T::claim_op(sim, via)
-                } else {
-                    T::complete_op(sim, via).map(|ok| OpResponse {
-                        ok,
-                        observed: None,
-                        indeterminate: false,
-                    })
-                };
-                let Some(response) = response else {
+                let Some(response) = sim.process_mut(via).and_then(T::claim_local) else {
                     break;
                 };
                 let ok = response.ok;

@@ -620,31 +620,7 @@ pub trait ScenarioTarget: Process<Msg: Send + Sync> + Clone + Send + 'static {
         let _ = (sim, round, rng);
     }
 
-    /// Accepts one open-loop client operation at processor `via`: `key` is
-    /// the logical client (targets map it onto their own keyspace), `value`
-    /// is a run-unique payload. Returns `true` when the operation was
-    /// accepted — the load engine ([`crate::load`]) then expects it to be
-    /// claimable through [`ScenarioTarget::complete_op`] eventually, and
-    /// counts it as rejected otherwise. The default rejects everything:
-    /// targets opt into client load explicitly.
-    fn submit_op(sim: &mut Simulation<Self>, via: ProcessId, key: u64, value: u64) -> bool {
-        let _ = (sim, via, key, value);
-        false
-    }
-
-    /// Claims the oldest unclaimed completed operation at `via`:
-    /// `Some(true)` for a success, `Some(false)` for a protocol-level
-    /// failure (abort), `None` when nothing has completed since the last
-    /// claim. Called repeatedly after each round, at most once per
-    /// operation the engine still has outstanding at `via` — a target whose
-    /// completion signal is a standing condition (rather than a drained
-    /// queue) can simply report the condition. The default claims nothing.
-    fn complete_op(sim: &mut Simulation<Self>, via: ProcessId) -> Option<bool> {
-        let _ = (sim, via);
-        None
-    }
-
-    /// Declares what the operation [`ScenarioTarget::submit_op`] would run
+    /// Declares what the operation [`ScenarioTarget::submit_local`] would run
     /// for `(key, value)` does, for history recording: the logical object it
     /// targets and its [`OpKind`]. `None` (the default) means the op is not
     /// recordable — armed runs then record nothing for it. Only consulted
@@ -652,21 +628,6 @@ pub trait ScenarioTarget: Process<Msg: Send + Sync> + Clone + Send + 'static {
     fn op_spec(key: u64, value: u64) -> Option<(u64, OpKind)> {
         let _ = (key, value);
         None
-    }
-
-    /// Armed-run variant of [`ScenarioTarget::complete_op`]: claims the
-    /// oldest unclaimed completion at `via` *with* its observed value, so
-    /// the history records what reads and increments returned. The default
-    /// delegates to `complete_op` and observes nothing — correct for targets
-    /// without a sequential spec. Targets implementing
-    /// [`ScenarioTarget::lin_spec`] must override this to surface observed
-    /// values, and must claim exactly the completions `complete_op` would.
-    fn claim_op(sim: &mut Simulation<Self>, via: ProcessId) -> Option<OpResponse> {
-        Self::complete_op(sim, via).map(|ok| OpResponse {
-            ok,
-            observed: None,
-            indeterminate: false,
-        })
     }
 
     /// The sequential specification armed histories are checked against,
@@ -692,21 +653,38 @@ pub trait ScenarioTarget: Process<Msg: Send + Sync> + Clone + Send + 'static {
         Vec::new()
     }
 
-    /// Node-local variant of [`ScenarioTarget::submit_op`] for execution
-    /// backends that have no [`Simulation`] — the live runtime submits
-    /// client operations over a process's control socket and lands here.
-    /// Semantics must match `submit_op` called at a live processor.
-    /// The default rejects everything, mirroring `submit_op`'s default.
+    /// Accepts one open-loop client operation at this processor: `key` is
+    /// the logical client (targets map it onto their own keyspace), `value`
+    /// is a run-unique payload. Returns `true` when the operation was
+    /// accepted — the caller then expects it to be claimable through
+    /// [`ScenarioTarget::claim_local`] eventually, and counts it as
+    /// rejected otherwise. Both backends call it: the simulator's load
+    /// engine ([`crate::load`]) at an active processor, the live runtime
+    /// over a process's control socket. The default rejects everything:
+    /// targets opt into client load explicitly.
     fn submit_local(&mut self, key: u64, value: u64) -> bool {
         let _ = (key, value);
         false
     }
 
-    /// Node-local variant of [`ScenarioTarget::complete_op`]: claims the
-    /// oldest unclaimed completion at this node. Same contract as
-    /// `complete_op`, without the simulation handle.
-    fn complete_local(&mut self) -> Option<bool> {
+    /// Claims the oldest unclaimed completed operation at this processor:
+    /// its success bit (`false` for a protocol-level failure such as an
+    /// abort) plus what it observed — a read's value, an increment's token
+    /// — for the history of armed runs. `None` when nothing has completed
+    /// since the last claim. Called repeatedly after each round, at most
+    /// once per operation the caller still has outstanding here, so a
+    /// target whose completion signal is a standing condition (rather than
+    /// a drained queue) can simply report the condition. Targets
+    /// implementing [`ScenarioTarget::lin_spec`] must surface observed
+    /// values. The default claims nothing.
+    fn claim_local(&mut self) -> Option<OpResponse> {
         None
+    }
+
+    /// [`ScenarioTarget::claim_local`]'s success bit alone, for callers that
+    /// keep no history (the live runtime's `claim` verb).
+    fn complete_local(&mut self) -> Option<bool> {
+        self.claim_local().map(|response| response.ok)
     }
 
     /// Starts a queued client operation *now* instead of at the next timer

@@ -16,7 +16,10 @@
 //!   layer's wire, which wraps native messages into the wire format on the
 //!   way in — in the end always the step's one send buffer: the
 //!   [`Context`] of the step when the node runs as a [`crate::Process`], an
-//!   [`Outbox`] for the `Vec`-returning facades;
+//!   [`Outbox`] when a test or harness steps a layer by hand and reads back
+//!   what it sent ([`Outbox::into_messages`]). `Sink` is the only way any
+//!   layer sends: composites, the sub-layers (recSA, recMA, joining, the
+//!   labeler) and single operations (a counter increment) alike;
 //! * a layer embedded in another (the reconfiguration stack inside the SMR
 //!   node, say) pushes into its embedder's sink seen through the embedder's
 //!   lane, [`Sink::nest`]: its messages are wrapped twice and land in the
@@ -88,8 +91,8 @@ use crate::process::{Context, ProcessId};
 
 /// Collects `(destination, wire message)` pairs, wrapping every sub-layer's
 /// native messages on the way in: the send buffer a step's [`Context`]
-/// keeps, and on its own the sink of the `Vec`-returning facades
-/// (`ReconfigNode::poll`, `CounterNode::step`, …).
+/// keeps, and on its own the sink a test or harness hands a layer to read
+/// back what one step sent ([`Outbox::into_messages`]).
 ///
 /// Internally messages are stored as [`Payload`]s: point-to-point pushes own
 /// their message inline (allocation-free), while [`Outbox::push_to_all`]
@@ -237,8 +240,8 @@ impl<O: Sink<M>, M, E: Into<M>> Sink<E> for Nested<'_, O, M> {
 ///
 /// Both methods are generic over the sink: the step's [`Context`] when the
 /// layer runs on top (`impl_process_for_layer!`), its embedder's sink
-/// through [`Sink::nest`] when it is embedded, an [`Outbox`] in the
-/// `Vec`-returning facades.
+/// through [`Sink::nest`] when it is embedded, an [`Outbox`] when a test
+/// steps it by hand.
 pub trait Layer {
     /// The wire format this layer speaks.
     type Wire: Clone;

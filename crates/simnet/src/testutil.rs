@@ -1,6 +1,7 @@
 //! Test-only support: a toy [`ScenarioTarget`] shared by the scenario and
 //! campaign test modules.
 
+use crate::history::OpResponse;
 use crate::process::{Context, Process, ProcessId};
 use crate::rng::SimRng;
 use crate::scenario::ScenarioTarget;
@@ -15,7 +16,7 @@ use crate::time::Round;
 pub(crate) struct MaxNode {
     pub(crate) id: ProcessId,
     pub(crate) value: u64,
-    /// Accepted-but-unclaimed load ops (see [`ScenarioTarget::complete_op`]);
+    /// Accepted-but-unclaimed load ops (see [`ScenarioTarget::claim_local`]);
     /// deliberately absent from `state_line` so attaching a load never
     /// changes the digest semantics under test.
     pub(crate) unclaimed_ops: u64,
@@ -95,24 +96,22 @@ impl ScenarioTarget for MaxNode {
 
     /// Open-loop load hooks for the toy target: an accepted op folds a
     /// bounded value into the max-flood and completes on the next poll.
-    fn submit_op(sim: &mut Simulation<Self>, via: ProcessId, _key: u64, value: u64) -> bool {
-        match sim.process_mut(via) {
-            Some(p) => {
-                p.value = p.value.max(value % 50);
-                p.unclaimed_ops += 1;
-                true
-            }
-            None => false,
-        }
+    fn submit_local(&mut self, _key: u64, value: u64) -> bool {
+        self.value = self.value.max(value % 50);
+        self.unclaimed_ops += 1;
+        true
     }
 
-    fn complete_op(sim: &mut Simulation<Self>, via: ProcessId) -> Option<bool> {
-        let p = sim.process_mut(via)?;
-        if p.unclaimed_ops == 0 {
+    fn claim_local(&mut self) -> Option<OpResponse> {
+        if self.unclaimed_ops == 0 {
             return None;
         }
-        p.unclaimed_ops -= 1;
-        Some(true)
+        self.unclaimed_ops -= 1;
+        Some(OpResponse {
+            ok: true,
+            observed: None,
+            indeterminate: false,
+        })
     }
 
     fn converged(sim: &Simulation<Self>) -> bool {

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use counters::{Counter, CounterMsg, CounterNode, IncrementOutcome};
 use reconfig::{ConfigSet, NodeConfig, ReconfigMsg, ReconfigNode, SharedSet};
-use simnet::stack::{Layer, Outbox, Sink};
+use simnet::stack::{Layer, Sink};
 use simnet::ProcessId;
 
 /// A command submitted to the replicated state machine.
@@ -242,7 +242,7 @@ pub struct SmrNode {
     views_installed: u64,
     commands_applied_total: u64,
     /// Locally submitted commands delivered to the replicated state but not
-    /// yet claimed through [`simnet::ScenarioTarget::complete_op`]. Not part
+    /// yet claimed through [`simnet::ScenarioTarget::claim_local`]. Not part
     /// of the digestible protocol state (`state_line` ignores it).
     unclaimed_completions: u64,
 }
@@ -426,15 +426,6 @@ impl SmrNode {
         best
     }
 
-    /// One timer step of the whole stack.
-    ///
-    /// Context-free facade over the [`Layer`] implementation.
-    pub fn poll(&mut self, peers: &[ProcessId]) -> Vec<(ProcessId, SmrMsg)> {
-        let mut out = Outbox::new();
-        Layer::poll(self, peers, &mut out);
-        out.into_messages()
-    }
-
     fn snapshot(&self) -> StateMsg {
         StateMsg {
             view: self.view.clone(),
@@ -567,7 +558,7 @@ impl SmrNode {
             let trusted = self.reconfig.trusted_shared();
             if reconfig::has_majority(cfg, &trusted) && self.i_should_lead(cfg, &trusted) {
                 self.awaiting_view_id = true;
-                self.counter.request_increment_into(&mut out.nest());
+                self.counter.request_increment(&mut out.nest());
             }
         }
     }
@@ -700,7 +691,7 @@ impl SmrNode {
                     && !self.awaiting_view_id
                 {
                     self.awaiting_view_id = true;
-                    self.counter.request_increment_into(&mut out.nest());
+                    self.counter.request_increment(&mut out.nest());
                     return;
                 }
 
@@ -748,15 +739,6 @@ impl SmrNode {
         if self.current_input.is_none() && !self.suspend {
             self.current_input = self.pending.pop_front();
         }
-    }
-
-    /// Handles a message from `from`, returning any immediate replies.
-    ///
-    /// Context-free facade over the [`Layer`] implementation.
-    pub fn handle(&mut self, from: ProcessId, msg: SmrMsg) -> Vec<(ProcessId, SmrMsg)> {
-        let mut out = Outbox::new();
-        Layer::handle(self, from, msg, &mut out);
-        out.into_messages()
     }
 
     fn on_state(&mut self, from: ProcessId, s: Arc<StateMsg>) {
@@ -1046,19 +1028,6 @@ impl simnet::ScenarioTarget for SmrNode {
     /// disjoint from `CHAOS_KEYS`, and the run-unique `value` keeps the
     /// follower's delivered-input match (Algorithm 4.7) unambiguous. The
     /// op completes when the command is delivered to the replicated state.
-    fn submit_op(sim: &mut simnet::Simulation<Self>, via: ProcessId, key: u64, value: u64) -> bool {
-        match sim.process_mut(via) {
-            Some(node) => node.submit_local(key, value),
-            None => false,
-        }
-    }
-
-    fn complete_op(sim: &mut simnet::Simulation<Self>, via: ProcessId) -> Option<bool> {
-        sim.process_mut(via)?.complete_local()
-    }
-
-    /// An SMR write submitted at a current view member (the node-local half
-    /// of `submit_op`, shared with the live runtime).
     fn submit_local(&mut self, key: u64, value: u64) -> bool {
         let member = self
             .view
@@ -1074,12 +1043,16 @@ impl simnet::ScenarioTarget for SmrNode {
         true
     }
 
-    fn complete_local(&mut self) -> Option<bool> {
+    fn claim_local(&mut self) -> Option<simnet::OpResponse> {
         if self.unclaimed_completions == 0 {
             return None;
         }
         self.unclaimed_completions -= 1;
-        Some(true)
+        Some(simnet::OpResponse {
+            ok: true,
+            observed: None,
+            indeterminate: false,
+        })
     }
 
     // `start_local` keeps its do-nothing default: a submitted input has no
@@ -1138,28 +1111,18 @@ impl simnet::ScenarioTarget for SmrNode {
         )
     }
 
-    /// Converged: the reconfiguration layer is calm and agreed, every active
-    /// member of the installed configuration sits in the same view with the
-    /// same replica state, and no view member still holds undelivered
-    /// inputs.
+    /// Converged: every active processor is [`settled`](simnet::ScenarioTarget::settled) under
+    /// the same installed configuration, and every active member of it sits
+    /// in the same view with the same replica state.
     fn converged(sim: &simnet::Simulation<Self>) -> bool {
         let mut config = None;
         for (_, node) in sim.active_processes() {
-            let r = node.reconfig();
-            if !r.is_participant() || !r.no_reconfiguration() {
+            let installed = node.reconfig().installed_config_ref();
+            if !node.settled() || *config.get_or_insert(installed) != installed {
                 return false;
             }
-            match (r.installed_config_ref(), config) {
-                (None, _) => return false,
-                (Some(c), None) => config = Some(c),
-                (Some(c), Some(expected)) => {
-                    if c != expected {
-                        return false;
-                    }
-                }
-            }
         }
-        let Some(config) = config else {
+        let Some(Some(config)) = config else {
             return true;
         };
         let mut reference: Option<(&View, &ReplicaState)> = None;
@@ -1170,9 +1133,6 @@ impl simnet::ScenarioTarget for SmrNode {
             let Some(view) = node.view() else {
                 return false;
             };
-            if node.current_input.is_some() || !node.pending.is_empty() {
-                return false;
-            }
             match &reference {
                 None => reference = Some((view, node.state())),
                 Some((v, s)) => {
@@ -1224,6 +1184,7 @@ impl simnet::ScenarioTarget for SmrNode {
 mod tests {
     use super::*;
     use reconfig::config_set;
+    use simnet::stack::Outbox;
     use simnet::{SimConfig, Simulation};
 
     fn cluster(n: u32, seed: u64) -> Simulation<SmrNode> {
@@ -1427,9 +1388,12 @@ mod tests {
         // Replica 3's next broadcast, delivered to the other three.
         let sender = ProcessId::new(3);
         let ids = sim.active_ids();
-        for (to, msg) in sim.process_mut(sender).unwrap().poll(&ids) {
+        let mut out = Outbox::new();
+        sim.process_mut(sender).unwrap().poll(&ids, &mut out);
+        for (to, msg) in out.into_messages() {
             if let SmrMsg::State(_) = msg {
-                sim.process_mut(to).unwrap().handle(sender, msg);
+                let receiver = sim.process_mut(to).unwrap();
+                receiver.handle(sender, msg, &mut Outbox::<SmrMsg>::new());
             }
         }
         let entry = |sim: &Simulation<SmrNode>, at: u32| {
@@ -1472,7 +1436,9 @@ mod tests {
         };
         let forged_state = Arc::clone(forged_state);
         assert!(held.iter().all(|s| !Arc::ptr_eq(s, &forged_state)));
-        sim.process_mut(target).unwrap().handle(sender, forged);
+        sim.process_mut(target)
+            .unwrap()
+            .handle(sender, forged, &mut Outbox::<SmrMsg>::new());
         assert!(Arc::ptr_eq(&entry(&sim, 2), &forged_state));
         assert_ne!(*entry(&sim, 2), sent);
         assert_eq!(*entry(&sim, 1), {

@@ -10,6 +10,7 @@ use std::collections::BTreeSet;
 use reconfig::{
     config_set, AdmissionPolicy, ConfigSet, JoinMsg, NodeConfig, ReconfigMsg, ReconfigNode,
 };
+use simnet::stack::{Layer, Outbox};
 use simnet::{ChurnPlan, ProcessId, Round, ScenarioTarget, SimConfig, SimRng, Simulation};
 
 fn converged_config(sim: &Simulation<ReconfigNode>) -> Option<ConfigSet> {
@@ -226,7 +227,9 @@ fn stale_packets_on_a_joiners_links_are_tolerated() {
     for member in &members {
         let mut corrupted = sim.process(*member).unwrap().clone();
         corrupted.corrupt(&mut rng);
-        let polled = corrupted.poll(&members).into_iter().map(|(_, m)| m);
+        let mut out = Outbox::new();
+        corrupted.poll(&members, &mut out);
+        let polled = out.into_messages().into_iter().map(|(_, m)| m);
         recsa.extend(polled.filter(|m| matches!(m, ReconfigMsg::RecSa(_))));
     }
     assert!(!recsa.is_empty(), "corrupted members broadcast no recSA");

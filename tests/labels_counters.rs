@@ -11,6 +11,7 @@ use std::collections::{BTreeMap, VecDeque};
 use counters::{Counter, CounterMsg, CounterNode, IncrementOutcome};
 use labels::{Label, LabelPair, Labeler, LabelerMsg};
 use reconfig::{config_set, ConfigSet};
+use simnet::stack::{Layer, Outbox};
 use simnet::ProcessId;
 
 // ---------------------------------------------------------------------------
@@ -24,7 +25,9 @@ fn pump_labelers(labelers: &mut BTreeMap<ProcessId, Labeler>, rounds: usize) {
         let ids: Vec<ProcessId> = labelers.keys().copied().collect();
         let mut in_flight: Vec<(ProcessId, ProcessId, LabelerMsg)> = Vec::new();
         for id in &ids {
-            for (to, msg) in labelers.get_mut(id).unwrap().step() {
+            let mut out = Outbox::new();
+            labelers.get_mut(id).unwrap().step(&mut out);
+            for (to, msg) in out.into_messages() {
                 in_flight.push((*id, to, msg));
             }
         }
@@ -41,18 +44,42 @@ fn pump_counters(nodes: &mut BTreeMap<ProcessId, CounterNode>, rounds: usize) {
         let ids: Vec<ProcessId> = nodes.keys().copied().collect();
         let mut queue: VecDeque<(ProcessId, ProcessId, CounterMsg)> = VecDeque::new();
         for id in &ids {
-            for (to, msg) in nodes.get_mut(id).unwrap().step() {
+            let mut out = Outbox::new();
+            nodes.get_mut(id).unwrap().poll(&[], &mut out);
+            for (to, msg) in out.into_messages() {
                 queue.push_back((*id, to, msg));
             }
         }
-        while let Some((from, to, msg)) = queue.pop_front() {
-            if let Some(n) = nodes.get_mut(&to) {
-                for (next_to, reply) in n.on_message(from, msg) {
-                    queue.push_back((to, next_to, reply));
-                }
+        deliver_until_quiet(nodes, queue);
+    }
+}
+
+/// Delivers `queue` and every reply it provokes, until nothing is in flight.
+fn deliver_until_quiet(
+    nodes: &mut BTreeMap<ProcessId, CounterNode>,
+    mut queue: VecDeque<(ProcessId, ProcessId, CounterMsg)>,
+) {
+    while let Some((from, to, msg)) = queue.pop_front() {
+        if let Some(n) = nodes.get_mut(&to) {
+            let mut replies = Outbox::new();
+            n.handle(from, msg, &mut replies);
+            for (next_to, reply) in replies.into_messages() {
+                queue.push_back((to, next_to, reply));
             }
         }
     }
+}
+
+/// Starts an increment at `origin` and delivers until nothing is in flight.
+fn increment(nodes: &mut BTreeMap<ProcessId, CounterNode>, origin: ProcessId) {
+    let mut out = Outbox::new();
+    nodes.get_mut(&origin).unwrap().request_increment(&mut out);
+    let queue = out
+        .into_messages()
+        .into_iter()
+        .map(|(to, msg)| (origin, to, msg))
+        .collect();
+    deliver_until_quiet(nodes, queue);
 }
 
 fn label_members(cfg: &ConfigSet) -> BTreeMap<ProcessId, Labeler> {
@@ -205,18 +232,7 @@ fn sequential_increments_are_strictly_monotone() {
     let incrementer = ProcessId::new(0);
     let mut history: Vec<Counter> = Vec::new();
     for _ in 0..8 {
-        let requests = nodes.get_mut(&incrementer).unwrap().request_increment();
-        let mut queue: VecDeque<(ProcessId, ProcessId, CounterMsg)> = requests
-            .into_iter()
-            .map(|(to, msg)| (incrementer, to, msg))
-            .collect();
-        while let Some((from, to, msg)) = queue.pop_front() {
-            if let Some(n) = nodes.get_mut(&to) {
-                for (next_to, reply) in n.on_message(from, msg) {
-                    queue.push_back((to, next_to, reply));
-                }
-            }
-        }
+        increment(&mut nodes, incrementer);
         pump_counters(&mut nodes, 2);
         history.extend(committed(
             nodes.get_mut(&incrementer).unwrap().take_completed(),
@@ -243,17 +259,13 @@ fn concurrent_increments_are_totally_ordered() {
     // Both p0 and p1 start an increment before any message is exchanged.
     let mut queue: VecDeque<(ProcessId, ProcessId, CounterMsg)> = VecDeque::new();
     for origin in [ProcessId::new(0), ProcessId::new(1)] {
-        for (to, msg) in nodes.get_mut(&origin).unwrap().request_increment() {
+        let mut out = Outbox::new();
+        nodes.get_mut(&origin).unwrap().request_increment(&mut out);
+        for (to, msg) in out.into_messages() {
             queue.push_back((origin, to, msg));
         }
     }
-    while let Some((from, to, msg)) = queue.pop_front() {
-        if let Some(n) = nodes.get_mut(&to) {
-            for (next_to, reply) in n.on_message(from, msg) {
-                queue.push_back((to, next_to, reply));
-            }
-        }
-    }
+    deliver_until_quiet(&mut nodes, queue);
     pump_counters(&mut nodes, 5);
 
     let mut all: Vec<Counter> = Vec::new();
@@ -298,18 +310,7 @@ fn exhaustion_rolls_over_to_a_new_epoch_label() {
     let incrementer = ProcessId::new(2);
     let mut history: Vec<Counter> = Vec::new();
     for _ in 0..10 {
-        let requests = nodes.get_mut(&incrementer).unwrap().request_increment();
-        let mut queue: VecDeque<(ProcessId, ProcessId, CounterMsg)> = requests
-            .into_iter()
-            .map(|(to, msg)| (incrementer, to, msg))
-            .collect();
-        while let Some((from, to, msg)) = queue.pop_front() {
-            if let Some(n) = nodes.get_mut(&to) {
-                for (next_to, reply) in n.on_message(from, msg) {
-                    queue.push_back((to, next_to, reply));
-                }
-            }
-        }
+        increment(&mut nodes, incrementer);
         pump_counters(&mut nodes, 2);
         history.extend(committed(
             nodes.get_mut(&incrementer).unwrap().take_completed(),
@@ -341,18 +342,7 @@ fn increments_abort_during_reconfiguration() {
         node.set_reconfiguring(true);
     }
     let incrementer = ProcessId::new(0);
-    let requests = nodes.get_mut(&incrementer).unwrap().request_increment();
-    let mut queue: VecDeque<(ProcessId, ProcessId, CounterMsg)> = requests
-        .into_iter()
-        .map(|(to, msg)| (incrementer, to, msg))
-        .collect();
-    while let Some((from, to, msg)) = queue.pop_front() {
-        if let Some(n) = nodes.get_mut(&to) {
-            for (next_to, reply) in n.on_message(from, msg) {
-                queue.push_back((to, next_to, reply));
-            }
-        }
-    }
+    increment(&mut nodes, incrementer);
     let outcomes = nodes.get_mut(&incrementer).unwrap().take_completed();
     assert!(
         outcomes
@@ -364,18 +354,7 @@ fn increments_abort_during_reconfiguration() {
     for node in nodes.values_mut() {
         node.set_reconfiguring(false);
     }
-    let requests = nodes.get_mut(&incrementer).unwrap().request_increment();
-    let mut queue: VecDeque<(ProcessId, ProcessId, CounterMsg)> = requests
-        .into_iter()
-        .map(|(to, msg)| (incrementer, to, msg))
-        .collect();
-    while let Some((from, to, msg)) = queue.pop_front() {
-        if let Some(n) = nodes.get_mut(&to) {
-            for (next_to, reply) in n.on_message(from, msg) {
-                queue.push_back((to, next_to, reply));
-            }
-        }
-    }
+    increment(&mut nodes, incrementer);
     let outcomes = nodes.get_mut(&incrementer).unwrap().take_completed();
     assert!(outcomes
         .iter()
@@ -392,18 +371,7 @@ fn counter_service_survives_a_configuration_change() {
 
     // Commit one increment under the old configuration.
     let incrementer = ProcessId::new(0);
-    let requests = nodes.get_mut(&incrementer).unwrap().request_increment();
-    let mut queue: VecDeque<(ProcessId, ProcessId, CounterMsg)> = requests
-        .into_iter()
-        .map(|(to, msg)| (incrementer, to, msg))
-        .collect();
-    while let Some((from, to, msg)) = queue.pop_front() {
-        if let Some(n) = nodes.get_mut(&to) {
-            for (next_to, reply) in n.on_message(from, msg) {
-                queue.push_back((to, next_to, reply));
-            }
-        }
-    }
+    increment(&mut nodes, incrementer);
     let first = committed(nodes.get_mut(&incrementer).unwrap().take_completed());
     assert_eq!(first.len(), 1);
 
@@ -416,18 +384,7 @@ fn counter_service_survives_a_configuration_change() {
     pump_counters(&mut nodes, 10);
 
     // Increments keep committing under the new configuration.
-    let requests = nodes.get_mut(&incrementer).unwrap().request_increment();
-    let mut queue: VecDeque<(ProcessId, ProcessId, CounterMsg)> = requests
-        .into_iter()
-        .map(|(to, msg)| (incrementer, to, msg))
-        .collect();
-    while let Some((from, to, msg)) = queue.pop_front() {
-        if let Some(n) = nodes.get_mut(&to) {
-            for (next_to, reply) in n.on_message(from, msg) {
-                queue.push_back((to, next_to, reply));
-            }
-        }
-    }
+    increment(&mut nodes, incrementer);
     let second = committed(nodes.get_mut(&incrementer).unwrap().take_completed());
     assert_eq!(
         second.len(),

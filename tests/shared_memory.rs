@@ -370,17 +370,6 @@ fn concurrent_writers_converge_on_one_final_value() {
 #[derive(Clone)]
 struct Eager<P> {
     node: P,
-    /// Completions drained from the node, waiting to be claimed.
-    claimable: std::collections::VecDeque<simnet::OpResponse>,
-}
-
-impl<P> Eager<P> {
-    fn new(node: P) -> Self {
-        Eager {
-            node,
-            claimable: Default::default(),
-        }
-    }
 }
 
 impl<P: ScenarioTarget> simnet::Process for Eager<P> {
@@ -402,49 +391,37 @@ impl<P: ScenarioTarget> simnet::Process for Eager<P> {
 }
 
 /// The shared-memory adapter re-expressed over the wrapper from the node's
-/// public surface: convergence is the live driver's rule (everyone settled,
-/// tokens agree), claims surface what reads observed.
+/// per-process hooks: convergence is the live driver's rule (everyone
+/// settled, tokens agree), claims are the node's own.
 impl ScenarioTarget for Eager<SharedMemNode> {
     const NAME: &'static str = "eager-sharedmem";
 
     fn spawn_initial(id: ProcessId, n: usize) -> Self {
-        Eager::new(SharedMemNode::spawn_initial(id, n))
+        Eager {
+            node: SharedMemNode::spawn_initial(id, n),
+        }
     }
 
     fn spawn_joiner(id: ProcessId, n: usize) -> Self {
-        Eager::new(SharedMemNode::spawn_joiner(id, n))
+        Eager {
+            node: SharedMemNode::spawn_joiner(id, n),
+        }
     }
 
     fn corrupt(&mut self, rng: &mut simnet::SimRng) {
         self.node.corrupt(rng);
     }
 
-    fn submit_op(sim: &mut Simulation<Self>, via: ProcessId, key: u64, value: u64) -> bool {
-        sim.process_mut(via)
-            .is_some_and(|p| p.node.submit_local(key, value))
-    }
-
-    fn complete_op(sim: &mut Simulation<Self>, via: ProcessId) -> Option<bool> {
-        Self::claim_op(sim, via).map(|response| response.ok)
+    fn submit_local(&mut self, key: u64, value: u64) -> bool {
+        self.node.submit_local(key, value)
     }
 
     fn op_spec(key: u64, value: u64) -> Option<(u64, simnet::OpKind)> {
         SharedMemNode::op_spec(key, value)
     }
 
-    fn claim_op(sim: &mut Simulation<Self>, via: ProcessId) -> Option<simnet::OpResponse> {
-        let p = sim.process_mut(via)?;
-        let drained = p.node.take_completed();
-        p.claimable
-            .extend(drained.into_iter().map(|outcome| simnet::OpResponse {
-                ok: outcome.is_committed(),
-                observed: match outcome {
-                    OpOutcome::ReadCommitted { value, .. } => Some(simnet::Observed::Value(value)),
-                    _ => None,
-                },
-                indeterminate: false,
-            }));
-        p.claimable.pop_front()
+    fn claim_local(&mut self) -> Option<simnet::OpResponse> {
+        self.node.claim_local()
     }
 
     fn lin_spec() -> Option<simnet::Spec> {
