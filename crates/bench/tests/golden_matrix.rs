@@ -24,14 +24,15 @@ fn matrix_digest(ns: &[usize], seeds: &[u64]) -> u64 {
     fnv1a(catalog_matrix_report(ns, seeds, 1).render().as_bytes())
 }
 
-/// Pinned at the parent of the index-addressed hot-path change (PR 12), on
-/// the commit whose full matrix was verified byte-identical to the last
-/// `.baselines/matrix-serial.json`.
-const SLICE_DIGEST: u64 = 11_958_297_651_034_560_050;
+/// Re-pinned when the SMR coordinator stopped re-applying a follower's
+/// input from a snapshot of an earlier multicast round: only `smr/*` cells
+/// moved, every `reconfig`, `counter` and `sharedmem` cell kept its bytes.
+const SLICE_DIGEST: u64 = 16_379_963_866_106_254_502;
 
-/// FNV-1a of the full serial matrix — the bytes `.baselines/matrix-serial.json`
-/// held when it was deleted.
-const FULL_DIGEST: u64 = 4_074_899_481_721_550_853;
+/// FNV-1a of the full serial matrix (`0x255ed3251a945e66`), re-pinned with
+/// [`SLICE_DIGEST`]; before the SMR fix it was `0x388cf37d276fb805`, the
+/// bytes `.baselines/matrix-serial.json` held when it was deleted.
+const FULL_DIGEST: u64 = 2_692_821_783_527_317_094;
 
 #[test]
 fn matrix_slice_digest_is_pinned() {

@@ -695,9 +695,18 @@ impl SmrNode {
                     return;
                 }
 
-                // One multicast round: gather one input per member (their
-                // latest `input` field plus our own pending command), apply
-                // them in a deterministic order, and advance the round.
+                // One multicast round: gather one input per member (our own
+                // pending command, and the `input` of each member's latest
+                // snapshot taken in this round), apply them in a
+                // deterministic order, and advance the round.
+                //
+                // Round `rnd` applies only inputs reported for round `rnd`
+                // (Algorithm 4.7): a follower reports the coordinator's round
+                // once it adopted the coordinator's state (lines 18–22), and
+                // every applied input advances `rnd`, so the input of a
+                // snapshot from another round is already applied or not yet
+                // offered. A slow follower's old snapshot would otherwise
+                // re-apply its command at every coordinator step.
                 let mut inputs: Vec<Command> = Vec::new();
                 if self.current_input.is_none() {
                     self.current_input = self.pending.pop_front();
@@ -712,7 +721,7 @@ impl SmrNode {
                     if *m == self.me {
                         continue;
                     }
-                    if let Some(s) = self.peers.get(m) {
+                    if let Some(s) = self.peers.get(m).filter(|s| s.rnd == self.rnd) {
                         if let Some(cmd) = &s.input {
                             inputs.push(cmd.clone());
                         }
@@ -1371,6 +1380,46 @@ mod tests {
         for id in sim.active_ids() {
             assert_eq!(sim.process(id).unwrap().read_register(5), Some(55));
         }
+    }
+
+    /// A follower's input enters the multicast round its snapshot was
+    /// taken in, once. A coordinator whose timer runs faster than a
+    /// follower's keeps that follower's last snapshot for several steps;
+    /// the input it carries is applied in the first and not again.
+    #[test]
+    fn a_stale_follower_snapshot_is_applied_once() {
+        let mut sim = cluster(3, 27);
+        let rounds = sim.run_until(400, |s| common_view(s).is_some());
+        assert!(rounds < 400, "no common view was installed");
+        let crd = common_view(&sim).unwrap().coordinator();
+        let follower = sim.active_ids().into_iter().find(|p| *p != crd).unwrap();
+        let ids = sim.active_ids();
+
+        let node = sim.process_mut(follower).unwrap();
+        node.submit_write(1, 99);
+        let mut out = Outbox::new();
+        node.poll(&ids, &mut out);
+        let snapshot = out
+            .into_messages()
+            .into_iter()
+            .find_map(|(to, m)| matches!(m, SmrMsg::State(_) if to == crd).then_some(m))
+            .expect("a follower broadcasts its snapshot to the coordinator");
+        let SmrMsg::State(state) = &snapshot else {
+            unreachable!()
+        };
+        assert_eq!(
+            state.input.as_ref().map(|c| &c.op),
+            Some(&Op::Write { key: 1, value: 99 })
+        );
+
+        let coordinator = sim.process_mut(crd).unwrap();
+        let applied = coordinator.state().applied;
+        for _ in 0..2 {
+            coordinator.handle(follower, snapshot.clone(), &mut Outbox::<SmrMsg>::new());
+            coordinator.poll(&ids, &mut Outbox::<SmrMsg>::new());
+        }
+        assert_eq!(coordinator.state().applied, applied + 1);
+        assert_eq!(coordinator.state().registers.get(&1), Some(&99));
     }
 
     /// A replica's snapshot is one allocation, shared by every packet of

@@ -15,6 +15,7 @@ use std::any::Any;
 
 use selfstab_reconfig::counting::CounterNode;
 use selfstab_reconfig::reconfiguration::ReconfigNode;
+use selfstab_reconfig::replication::SmrNode;
 use selfstab_reconfig::shared_memory::SharedMemNode;
 use selfstab_reconfig::sim::scenario::{run_scenario, ScenarioTarget};
 use selfstab_reconfig::sim::{
@@ -244,5 +245,32 @@ fn armed_loaded_runs_linearize_on_both_services() {
         0,
         "{:?}",
         register.invariant_violations
+    );
+}
+
+/// `smr/clock-skew`, n = 4, seed 1, armed exactly as `simctl run
+/// --check-histories` arms it. The skewed replicas broadcast their snapshot
+/// only every few rounds, and the coordinator used to apply the input of
+/// such a snapshot once per coordinator step until the next one arrived:
+/// the replicas' `applied` counts drifted apart one round after the cell
+/// first converged, and the stays-converged probe failed the cell.
+#[test]
+fn smr_clock_skew_stays_converged_with_checked_histories() {
+    let scenario = selfstab_reconfig::sim::scenario::find("clock-skew", 4)
+        .expect("the catalog has `clock-skew`")
+        .with_load(LoadProfile::new(200, Arrival::Poisson { rate: 1.0 }).with_op_timeout(300))
+        .with_history();
+    let run = run::<SmrNode>(&scenario, 1);
+    assert!(run.converged, "{:?}", run.counters);
+    assert_eq!(
+        run.counter("stability_violations"),
+        0,
+        "{:?}",
+        run.invariant_violations
+    );
+    assert!(
+        run.invariant_violations.is_empty(),
+        "{:?}",
+        run.invariant_violations
     );
 }
