@@ -304,27 +304,6 @@ fn poll_status(node: &NodeSpec) -> Option<NodeStatus> {
     })
 }
 
-/// Whether a set of settle tokens agree: every `key=value` component is
-/// compared per key across the nodes that report it (nodes legitimately
-/// report different key sets — an SMR non-member has no `view` — and an
-/// empty token abstains entirely).
-fn tokens_agree(tokens: &[String]) -> bool {
-    let mut seen: BTreeMap<&str, &str> = BTreeMap::new();
-    for token in tokens {
-        for line in token.lines() {
-            let Some((key, value)) = line.split_once('=') else {
-                continue;
-            };
-            if let Some(prior) = seen.insert(key, value) {
-                if prior != value {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
 /// Live drive state: which ids are up, which were killed, which ids were
 /// ever used (fresh-id allocation + the no-resurrection invariant).
 struct Driver {
@@ -595,7 +574,7 @@ pub fn cmd_drive(args: &[String]) -> Result<bool, String> {
                 None => all_settled = false,
             }
         }
-        if all_settled && tokens_agree(&tokens) {
+        if all_settled && simnet::scenario::tokens_agree(&tokens) {
             break (Some(started.elapsed()), statuses);
         }
         if Instant::now() >= deadline {

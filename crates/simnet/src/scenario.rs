@@ -762,6 +762,40 @@ pub trait ScenarioTarget: Process<Msg: Send + Sync> + Clone + Send + 'static {
     }
 }
 
+/// The agreement half of the per-process convergence rule: whether a set
+/// of [`ScenarioTarget::settle_token`]s agree. Every `key=value` component
+/// is compared per key across the tokens that report it — nodes
+/// legitimately report different key sets (an SMR non-member has no
+/// `view`), and an empty token abstains entirely. The live driver declares
+/// a cluster converged when every live node is
+/// [`settled`](ScenarioTarget::settled) and this holds; in the simulator
+/// that rule and [`ScenarioTarget::converged`] agree in every round.
+///
+/// ```
+/// use simnet::scenario::tokens_agree;
+///
+/// let member = "config={0,1}\nview=7".to_string();
+/// let client = "config={0,1}".to_string();
+/// assert!(tokens_agree(&[member.clone(), client, String::new()]));
+/// assert!(!tokens_agree(&[member, "view=8".to_string()]));
+/// ```
+pub fn tokens_agree(tokens: &[String]) -> bool {
+    let mut seen: BTreeMap<&str, &str> = BTreeMap::new();
+    for token in tokens {
+        for line in token.lines() {
+            let Some((key, value)) = line.split_once('=') else {
+                continue;
+            };
+            if let Some(prior) = seen.insert(key, value) {
+                if prior != value {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
 /// What happened during one scenario run.
 ///
 /// Fault counts live in an extensible per-plan counter map ([`Self::counters`],

@@ -429,10 +429,12 @@ impl ScenarioTarget for Eager<SharedMemNode> {
     }
 
     fn converged(sim: &Simulation<Self>) -> bool {
-        let mut tokens = sim.active_processes().map(|(_, p)| p.node.settle_token());
-        let first = tokens.next();
+        let tokens: Vec<String> = sim
+            .active_processes()
+            .map(|(_, p)| p.node.settle_token())
+            .collect();
         sim.active_processes().all(|(_, p)| p.node.settled())
-            && tokens.all(|token| Some(&token) == first.as_ref())
+            && simnet::scenario::tokens_agree(&tokens)
     }
 
     fn invariant_violations(_sim: &Simulation<Self>) -> Vec<String> {
