@@ -62,25 +62,10 @@
 //!
 //! `--plan` composes ad-hoc fault plans onto the named scenario (or onto a
 //! fresh, empty scenario when the name is not in the catalog) without
-//! recompiling the catalog — the CLI face of the open `FaultPlan` API.
-//! Process identifiers are joined with `+`; one `--plan` flag per schedule
-//! entry, repeatable:
-//!
-//! ```text
-//! --plan crash=30:2+4          crash p2 and p4 at round 30
-//! --plan join=40:2             two joiners at round 40
-//! --plan split=30              split the initial halves at round 30
-//! --plan heal=70               heal every split at round 70
-//! --plan oneway=30             one-way cut of the halves at round 30
-//! --plan healoneway=70         heal every one-way cut at round 70
-//! --plan corrupt=35:0+1        corrupt the state of p0 and p1 at round 35
-//! --plan payload=35:0          corrupt payloads in flight towards p0
-//! --plan spike=30+20:0.25/0.1/2    loss/duplication/extra-delay window
-//! --plan gray=30+40:6:1+2      p1 and p2 run 6x slow for 40 rounds
-//! --plan skew=20:3:1           p1 runs 3x slow forever
-//! --plan recover=30+25:4       p4 crashes and rejoins 25 rounds later
-//! --plan byzantine=30:forged-sender:9:0+1   crafted packets from "p9"
-//! ```
+//! recompiling the catalog — the CLI face of the open `FaultPlan` API. The
+//! grammar is `simnet::plan::PLAN_KINDS`; one value may hold a whole
+//! schedule separated by whitespace, and repeated flags compose.
+//! `simctl list` prints every catalog scenario's schedule in that grammar.
 //!
 //! `simctl diff` compares two campaign reports cell by cell — cells are
 //! keyed by (node, scenario, seed, n) — and prints every divergence, most
@@ -103,9 +88,9 @@ mod live;
 use counters::CounterNode;
 use reconfig::ReconfigNode;
 use sharedmem::SharedMemNode;
-use simnet::fault::SpikeSpec;
+use simnet::plan::{apply_spec, PLAN_KINDS};
 use simnet::scenario::{catalog, ScenarioTarget};
-use simnet::{Campaign, CampaignReport, ForgeKind, Json, ProcessId, Round, Scenario};
+use simnet::{Campaign, CampaignReport, Json, Scenario};
 use vssmr::SmrNode;
 
 /// All node types `simctl --node` accepts.
@@ -138,7 +123,8 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage() -> &'static str {
+fn usage() -> String {
+    let grammars: Vec<&str> = PLAN_KINDS.iter().map(|row| row.grammar).collect();
     "usage:\n  \
      simctl list [--n N] [--json]\n  \
      simctl run <scenario|all|NAME> --node <reconfig|counter|smr|sharedmem|all> \
@@ -176,10 +162,9 @@ fn usage() -> &'static str {
      (Fisher-Yates seeded by the first campaign seed, catalog order kept)\n\
      --cell-budget-ms MS: per-cell wall budget; an overrun is its own failed \
      outcome (BUDGET-OVERRUN), 0 disarms\n\n\
-     --plan specs (ids joined with '+'): crash=R:IDS  join=R:COUNT  split=R  heal=R  \
-     oneway=R  healoneway=R  corrupt=R:IDS  payload=R:IDS  spike=R+DUR:LOSS/DUP/DELAY  \
-     gray=R+DUR:PERIOD:IDS  skew=R:PERIOD:IDS  recover=R+DOWNTIME:IDS  \
-     byzantine=R:replay|forged-sender|stale-state:CLAIMED:IDS"
+     --plan specs (ids joined with '+', tokens separated by whitespace):\n    "
+        .to_string()
+        + &grammars.join("\n    ")
 }
 
 fn dispatch(args: &[String]) -> Result<bool, String> {
@@ -462,15 +447,9 @@ fn cmd_list(args: &[String]) -> Result<bool, String> {
     }
     println!("scenario catalog (n = {n}):");
     for s in catalog(n) {
-        let plans: Vec<String> = s
-            .plans()
-            .iter()
-            .map(|p| format!("{} ×{}", p.kind(), p.events()))
-            .collect();
-        let plans = if plans.is_empty() {
-            "none".to_string()
-        } else {
-            plans.join(", ")
+        let plans = match s.render_schedule() {
+            schedule if schedule.is_empty() => "none".to_string(),
+            schedule => schedule,
         };
         println!(
             "  {:<16} rounds≤{:<5} workload<{:<4} faults: {plans} — {}",
@@ -481,196 +460,6 @@ fn cmd_list(args: &[String]) -> Result<bool, String> {
         );
     }
     Ok(true)
-}
-
-/// The grammar of one `--plan` kind, for error hints.
-fn plan_grammar(kind: &str) -> Option<&'static str> {
-    Some(match kind {
-        "crash" => "crash=ROUND:IDS",
-        "join" => "join=ROUND:COUNT",
-        "split" => "split=ROUND",
-        "heal" => "heal=ROUND",
-        "oneway" => "oneway=ROUND",
-        "healoneway" => "healoneway=ROUND",
-        "corrupt" => "corrupt=ROUND:IDS",
-        "payload" => "payload=ROUND:IDS",
-        "spike" => "spike=ROUND+DURATION:LOSS/DUP/DELAY",
-        "gray" => "gray=ROUND+DURATION:PERIOD:IDS",
-        "skew" => "skew=ROUND:PERIOD:IDS",
-        "recover" => "recover=ROUND+DOWNTIME:IDS",
-        "byzantine" => "byzantine=ROUND:replay|forged-sender|stale-state:CLAIMED:IDS",
-        _ => return None,
-    })
-}
-
-/// Every plan grammar on one line, for unknown-kind errors.
-fn plan_grammars() -> String {
-    [
-        "crash",
-        "join",
-        "split",
-        "heal",
-        "oneway",
-        "healoneway",
-        "corrupt",
-        "payload",
-        "spike",
-        "gray",
-        "skew",
-        "recover",
-        "byzantine",
-    ]
-    .iter()
-    .filter_map(|kind| plan_grammar(kind))
-    .collect::<Vec<_>>()
-    .join("  ")
-}
-
-/// Parses one `--plan kind=spec` flag and composes it onto `scenario`.
-/// Grammar (see `usage()`): rounds are plain integers, process identifiers
-/// are joined with `+`, window syntax is `start+duration`. Every parse
-/// error names the offending token and the grammar of the plan kind at
-/// hand — never a panic, whatever the input.
-fn apply_plan_spec(scenario: Scenario, flag: &str) -> Result<Scenario, String> {
-    apply_plan_spec_inner(scenario, flag).map_err(|err| {
-        let hint = flag
-            .split_once('=')
-            .and_then(|(kind, _)| plan_grammar(kind))
-            .map(|grammar| format!(" (grammar: {grammar})"))
-            .unwrap_or_else(|| format!("\n  plan grammars: {}", plan_grammars()));
-        format!("{err}{hint}")
-    })
-}
-
-fn apply_plan_spec_inner(scenario: Scenario, flag: &str) -> Result<Scenario, String> {
-    let (kind, spec) = flag
-        .split_once('=')
-        .ok_or_else(|| format!("bad --plan `{flag}` (expected kind=spec)"))?;
-    let parse_round = |s: &str| -> Result<Round, String> {
-        s.parse::<u64>()
-            .map(Round::new)
-            .map_err(|_| format!("bad round `{s}` in --plan `{flag}`"))
-    };
-    let parse_u64 = |s: &str| -> Result<u64, String> {
-        s.parse::<u64>()
-            .map_err(|_| format!("bad number `{s}` in --plan `{flag}`"))
-    };
-    let parse_ids = |s: &str| -> Result<Vec<ProcessId>, String> {
-        s.split('+')
-            .map(|id| {
-                id.parse::<u32>()
-                    .map(ProcessId::new)
-                    .map_err(|_| format!("bad process id `{id}` in --plan `{flag}`"))
-            })
-            .collect()
-    };
-    let parse_window = |s: &str| -> Result<(Round, u64), String> {
-        let (start, duration) = s.split_once('+').ok_or_else(|| {
-            format!("bad window `{s}` in --plan `{flag}` (expected start+duration)")
-        })?;
-        Ok((parse_round(start)?, parse_u64(duration)?))
-    };
-    let two = |s: &str| -> Result<(String, String), String> {
-        s.split_once(':')
-            .map(|(a, b)| (a.to_string(), b.to_string()))
-            .ok_or_else(|| format!("bad --plan `{flag}` (missing `:`)"))
-    };
-    match kind {
-        "crash" => {
-            let (round, ids) = two(spec)?;
-            Ok(scenario.crash_at(parse_round(&round)?, parse_ids(&ids)?))
-        }
-        "join" => {
-            let (round, count) = two(spec)?;
-            Ok(scenario.join_at(parse_round(&round)?, parse_u64(&count)? as u32))
-        }
-        "split" => Ok(scenario.split_halves_at(parse_round(spec)?)),
-        "heal" => Ok(scenario.heal_at(parse_round(spec)?)),
-        "oneway" => Ok(scenario.cut_oneway_halves_at(parse_round(spec)?)),
-        "healoneway" => Ok(scenario.heal_oneway_at(parse_round(spec)?)),
-        "corrupt" => {
-            let (round, ids) = two(spec)?;
-            Ok(scenario.corrupt_at(parse_round(&round)?, parse_ids(&ids)?))
-        }
-        "payload" => {
-            let (round, ids) = two(spec)?;
-            Ok(scenario.corrupt_payloads_at(parse_round(&round)?, parse_ids(&ids)?))
-        }
-        "spike" => {
-            let (window, rates) = two(spec)?;
-            let (round, duration) = parse_window(&window)?;
-            let parts: Vec<&str> = rates.split('/').collect();
-            let [loss, dup, delay] = parts.as_slice() else {
-                return Err(format!(
-                    "bad spike rates `{rates}` (expected loss/dup/delay)"
-                ));
-            };
-            let parse_rate = |s: &str| -> Result<f64, String> {
-                s.parse::<f64>()
-                    .map_err(|_| format!("bad rate `{s}` in --plan `{flag}`"))
-            };
-            Ok(scenario.spike_at(
-                round,
-                duration,
-                SpikeSpec {
-                    loss: parse_rate(loss)?,
-                    duplication: parse_rate(dup)?,
-                    extra_delay: parse_u64(delay)?,
-                },
-            ))
-        }
-        "gray" => {
-            let parts: Vec<&str> = spec.splitn(3, ':').collect();
-            let [window, period, ids] = parts.as_slice() else {
-                return Err(format!(
-                    "bad gray spec `{spec}` (expected start+dur:period:ids)"
-                ));
-            };
-            let (round, duration) = parse_window(window)?;
-            let period = parse_u64(period)?;
-            // `slow_at` asserts on a zero period; turn that into a CLI
-            // error instead of a panic.
-            if period == 0 {
-                return Err(format!("bad period `0` in --plan `{flag}` (must be ≥ 1)"));
-            }
-            Ok(scenario.slow_at(round, duration, period, parse_ids(ids)?))
-        }
-        "skew" => {
-            let parts: Vec<&str> = spec.splitn(3, ':').collect();
-            let [round, period, ids] = parts.as_slice() else {
-                return Err(format!(
-                    "bad skew spec `{spec}` (expected round:period:ids)"
-                ));
-            };
-            let period = parse_u64(period)?;
-            if period == 0 {
-                return Err(format!("bad period `0` in --plan `{flag}` (must be ≥ 1)"));
-            }
-            Ok(scenario.skew_at(parse_round(round)?, period, parse_ids(ids)?))
-        }
-        "recover" => {
-            let (window, ids) = two(spec)?;
-            let (round, downtime) = parse_window(&window)?;
-            Ok(scenario.crash_recover_at(round, parse_ids(&ids)?, downtime))
-        }
-        "byzantine" => {
-            let parts: Vec<&str> = spec.splitn(4, ':').collect();
-            let [round, forge, claimed, ids] = parts.as_slice() else {
-                return Err(format!(
-                    "bad byzantine spec `{spec}` (expected round:kind:claimed:ids)"
-                ));
-            };
-            let forge = ForgeKind::parse(forge)
-                .ok_or_else(|| format!("bad forge kind `{forge}` in --plan `{flag}`"))?;
-            let claimed = ProcessId::new(
-                claimed
-                    .parse::<u32>()
-                    .map_err(|_| format!("bad claimed sender `{claimed}` in --plan `{flag}`"))?,
-            );
-            Ok(scenario.inject_at(parse_round(round)?, forge, claimed, parse_ids(ids)?))
-        }
-        other => Err(format!("unknown plan kind `{other}` in --plan `{flag}`")),
-    }
 }
 
 fn resolve_scenarios(names: &[String], n: usize) -> Result<Vec<Scenario>, String> {
@@ -827,7 +616,7 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
     };
     for spec in plan_specs {
         let scenario = scenarios.pop().expect("ad-hoc mode has one scenario");
-        scenarios.push(apply_plan_spec(scenario, spec)?);
+        scenarios.push(apply_spec(scenario, spec)?);
     }
     if let Some(rounds) = flags.value("rounds") {
         let rounds: u64 = rounds
@@ -1299,83 +1088,6 @@ mod tests {
         assert!(findings[1].contains("seed=2") && findings[1].contains("baseline"));
         // Malformed documents are errors, not empty diffs.
         assert!(diff_reports(&Json::obj(), &a).is_err());
-    }
-
-    #[test]
-    fn every_plan_grammar_rejects_malformed_specs_with_token_and_hint() {
-        // One malformed spec per grammar: (spec, the offending token the
-        // error must name). None may panic.
-        let cases = [
-            ("crash=abc:1", "abc"),
-            ("join=40:x", "x"),
-            ("split=late", "late"),
-            ("heal=9.5", "9.5"),
-            ("oneway=half", "half"),
-            ("healoneway=-3", "-3"),
-            ("corrupt=35:p0", "p0"),
-            ("payload=35:0+q", "q"),
-            ("spike=30+20:0.25/zz/2", "zz"),
-            ("gray=30+40:0:1", "0"),
-            ("skew=20:0:1", "0"),
-            ("recover=30:4", "30"),
-            ("byzantine=30:alien:9:0", "alien"),
-        ];
-        for (spec, token) in cases {
-            let err = apply_plan_spec(Scenario::new("bad", 4), spec)
-                .expect_err(&format!("accepted `{spec}`"));
-            assert!(
-                err.contains(&format!("`{token}`")) || err.contains(&format!(" {token} ")),
-                "error for `{spec}` does not name `{token}`: {err}"
-            );
-            let kind = spec.split_once('=').unwrap().0;
-            assert!(
-                err.contains(plan_grammar(kind).unwrap()),
-                "error for `{spec}` lacks the {kind} grammar hint: {err}"
-            );
-        }
-        // An unknown kind lists every grammar.
-        let err = apply_plan_spec(Scenario::new("bad", 4), "meteor=30").unwrap_err();
-        assert!(err.contains("unknown plan kind"), "{err}");
-        assert!(err.contains("plan grammars:"), "{err}");
-        assert!(err.contains("crash=ROUND:IDS"), "{err}");
-        // A spec with no `=` at all gets the full listing too.
-        let err = apply_plan_spec(Scenario::new("bad", 4), "crash").unwrap_err();
-        assert!(err.contains("expected kind=spec"), "{err}");
-        assert!(err.contains("plan grammars:"), "{err}");
-    }
-
-    #[test]
-    fn plan_specs_compose_ad_hoc_scenarios() {
-        let scenario = Scenario::new("adhoc", 6);
-        let scenario = apply_plan_spec(scenario, "crash=30:3+4").unwrap();
-        let scenario = apply_plan_spec(scenario, "crash=45:0").unwrap();
-        let scenario = apply_plan_spec(scenario, "join=40:2").unwrap();
-        let scenario = apply_plan_spec(scenario, "split=20").unwrap();
-        let scenario = apply_plan_spec(scenario, "heal=50").unwrap();
-        let scenario = apply_plan_spec(scenario, "spike=30+20:0.25/0.1/2").unwrap();
-        let scenario = apply_plan_spec(scenario, "gray=30+40:6:1+2").unwrap();
-        let scenario = apply_plan_spec(scenario, "skew=20:3:1").unwrap();
-        let scenario = apply_plan_spec(scenario, "recover=30+25:5").unwrap();
-        let scenario = apply_plan_spec(scenario, "byzantine=30:forged-sender:9:0+1").unwrap();
-        // Repeated specs of one kind merged into one plan per class.
-        assert_eq!(scenario.plan::<simnet::CrashPlan>().unwrap().total(), 3);
-        assert_eq!(scenario.plan::<simnet::ChurnPlan>().unwrap().total(), 2);
-        assert_eq!(scenario.plan::<simnet::SpikePlan>().unwrap().total(), 1);
-        assert_eq!(scenario.plan::<simnet::ByzantinePlan>().unwrap().total(), 2);
-        assert!(scenario.last_fault_round() >= simnet::Round::new(55));
-        // Bad specs are rejected with a useful error.
-        for bad in [
-            "nonsense=1",
-            "crash=30",
-            "crash=x:1",
-            "spike=30:0.1/0.1/1",
-            "byzantine=30:alien:9:0",
-        ] {
-            assert!(
-                apply_plan_spec(Scenario::new("bad", 4), bad).is_err(),
-                "accepted bad spec `{bad}`"
-            );
-        }
     }
 
     #[test]

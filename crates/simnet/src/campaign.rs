@@ -130,7 +130,7 @@ impl Campaign {
         self
     }
 
-    /// Ignores its argument; kept only because `benchmark/` names it, and ROADMAP item 13(f) removes it.
+    /// Ignores its argument; kept only because `benchmark/` names it, and ROADMAP item 15(f) removes it.
     pub fn with_modes(self, _modes: impl IntoIterator<Item = SchedulerMode>) -> Self {
         self
     }

@@ -2,7 +2,7 @@
 
 use crate::channel::ChannelPolicy;
 
-/// Kept only because `benchmark/` names it; ROADMAP item 13(f) removes it.
+/// Kept only because `benchmark/` names it; ROADMAP item 15(f) removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
     /// The event-driven run queue, the simulator's only scheduler.

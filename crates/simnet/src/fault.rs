@@ -8,21 +8,16 @@
 //!
 //! The plans are the building blocks of the chaos-campaign engine: a
 //! [`crate::scenario::Scenario`] composes them into one declarative fault
-//! schedule, and the scenario runner applies them at round boundaries.
-//! They can also be driven by hand from the scheduler hook
-//! ([`crate::Simulation::run_rounds_with`]), which is how the plans were
-//! used before the scenario subsystem existed. *How* to corrupt a
-//! processor's state is protocol-specific; a [`CorruptionPlan`] only decides
-//! *who* and *when*, and delegates the mutation to a caller-supplied closure
-//! (the scenario engine uses
-//! [`crate::scenario::ScenarioTarget::corrupt`]).
+//! schedule, and the scenario runner ([`crate::scenario::ScenarioRunner`])
+//! is the one place that applies them, at round boundaries. A plan only
+//! decides *who* and *when*; *how* to corrupt a processor's state is
+//! protocol-specific and lives in
+//! [`crate::scenario::ScenarioTarget::corrupt`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::channel::ChannelPolicy;
-use crate::process::{Process, ProcessId};
-use crate::rng::SimRng;
-use crate::scheduler::Simulation;
+use crate::process::ProcessId;
 use crate::time::Round;
 
 /// A schedule of crash failures: which processors crash at which round.
@@ -37,7 +32,7 @@ use crate::time::Round;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CrashPlan {
-    schedule: BTreeMap<Round, Vec<ProcessId>>,
+    pub(crate) schedule: BTreeMap<Round, Vec<ProcessId>>,
 }
 
 impl CrashPlan {
@@ -76,22 +71,15 @@ impl CrashPlan {
     pub fn last_round(&self) -> Option<Round> {
         self.schedule.keys().next_back().copied()
     }
-
-    /// Applies the crashes due at `round` to the simulation.
-    pub fn apply<P: Process>(&self, sim: &mut Simulation<P>, round: Round) {
-        for victim in self.due(round) {
-            sim.crash(*victim);
-        }
-    }
 }
 
-/// A schedule of joins: how many new processors join at which round.
-///
-/// The caller supplies a factory closure when applying the plan, because only
-/// the protocol harness knows how to construct a freshly joining node.
+/// A schedule of joins: how many new processors join at which round. The
+/// runner builds each joiner through
+/// [`crate::scenario::ScenarioTarget::spawn_joiner`], because only the
+/// protocol knows how to construct a freshly joining node.
 #[derive(Debug, Clone, Default)]
 pub struct ChurnPlan {
-    joins: BTreeMap<Round, u32>,
+    pub(crate) joins: BTreeMap<Round, u32>,
 }
 
 impl ChurnPlan {
@@ -120,33 +108,12 @@ impl ChurnPlan {
     pub fn last_round(&self) -> Option<Round> {
         self.joins.keys().next_back().copied()
     }
-
-    /// Applies the joins due at `round`, constructing each new process with
-    /// `factory` (which receives the identifier the simulation assigned).
-    /// Returns the identifiers of the processors that joined.
-    pub fn apply<P: Process>(
-        &self,
-        sim: &mut Simulation<P>,
-        round: Round,
-        mut factory: impl FnMut(ProcessId) -> P,
-    ) -> Vec<ProcessId> {
-        let mut joined = Vec::new();
-        for _ in 0..self.due(round) {
-            // Reserve the identifier first so the factory can embed it.
-            let id = sim.fresh_id();
-            let process = factory(id);
-            sim.add_process_with_id(id, process);
-            joined.push(id);
-        }
-        joined
-    }
 }
 
 /// A schedule of transient state corruptions: which processors have their
 /// local state corrupted at which round. The plan only records *who* and
-/// *when*; the protocol-specific *how* is a closure supplied on application
-/// (the scenario engine passes
-/// [`crate::scenario::ScenarioTarget::corrupt`]).
+/// *when*; the protocol-specific *how* is
+/// [`crate::scenario::ScenarioTarget::corrupt`], which the runner calls.
 ///
 /// ```
 /// use simnet::{fault::CorruptionPlan, ProcessId, Round};
@@ -157,7 +124,7 @@ impl ChurnPlan {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CorruptionPlan {
-    schedule: BTreeMap<Round, Vec<ProcessId>>,
+    pub(crate) schedule: BTreeMap<Round, Vec<ProcessId>>,
 }
 
 impl CorruptionPlan {
@@ -190,30 +157,6 @@ impl CorruptionPlan {
     /// The last round with a scheduled corruption.
     pub fn last_round(&self) -> Option<Round> {
         self.schedule.keys().next_back().copied()
-    }
-
-    /// Applies the corruptions due at `round`, mutating each victim through
-    /// `corrupt` with the adversary's random stream. Crashed or unknown
-    /// victims are skipped (a corrupted crashed node takes no steps anyway).
-    /// Returns the number of corruptions performed.
-    pub fn apply<P: Process>(
-        &self,
-        sim: &mut Simulation<P>,
-        round: Round,
-        rng: &mut SimRng,
-        mut corrupt: impl FnMut(&mut P, &mut SimRng),
-    ) -> u64 {
-        let mut applied = 0;
-        for victim in self.due(round) {
-            if !sim.is_active(*victim) {
-                continue;
-            }
-            if let Some(process) = sim.process_mut(*victim) {
-                corrupt(process, rng);
-                applied += 1;
-            }
-        }
-        applied
     }
 }
 
@@ -254,7 +197,7 @@ impl SpikeSpec {
 #[derive(Debug, Clone, Default)]
 pub struct SpikePlan {
     /// Half-open windows `[start, end)` with their specs.
-    windows: Vec<(Round, Round, SpikeSpec)>,
+    pub(crate) windows: Vec<(Round, Round, SpikeSpec)>,
     /// Every window start and end: the rounds at which the composed policy
     /// may change.
     boundaries: BTreeSet<Round>,
@@ -313,14 +256,6 @@ impl SpikePlan {
             None => base.clone(),
             Some(spec) => spec.apply_to(base),
         })
-    }
-
-    /// Applies the change due at `round` (if any) to the simulation's
-    /// network, where `base` is the scenario's un-spiked channel policy.
-    pub fn apply<P: Process>(&self, sim: &mut Simulation<P>, round: Round, base: &ChannelPolicy) {
-        if let Some(policy) = self.due(round, base) {
-            sim.network_mut().set_policy(policy);
-        }
     }
 }
 
@@ -423,79 +358,6 @@ impl GrayFailurePlan {
         }
         Some(desired)
     }
-
-    /// Applies the changes due at `round` for this plan *in isolation*,
-    /// returning the number of processors that transitioned from full
-    /// speed to slowed (boundary re-assertions of an already-slowed victim
-    /// are not re-counted). When the same scenario also skews a victim
-    /// permanently, use [`apply_timer_faults`] — it composes the two plans
-    /// so a gray restore cannot wipe a [`SkewPlan`] override.
-    pub fn apply<P: Process>(&self, sim: &mut Simulation<P>, round: Round) -> u64 {
-        let Some(desired) = self.due(round) else {
-            return 0;
-        };
-        let mut slowed = 0;
-        for (victim, period) in desired {
-            if period.is_some()
-                && sim.timer_period_override(victim).is_none()
-                && sim.is_active(victim)
-            {
-                slowed += 1;
-            }
-            sim.set_timer_period_override(victim, period);
-        }
-        slowed
-    }
-}
-
-/// Applies a [`GrayFailurePlan`] and a [`SkewPlan`] for `round` under their
-/// composition rule — the single implementation the scenario runner uses:
-///
-/// * a permanent skew is a *floor* under any gray window on the same
-///   processor: a gray restore never wipes the skew (and never even pulses
-///   the victim's timer by clearing and re-setting the override), while a
-///   gray window slower than the skew wins for as long as it covers;
-/// * slowdowns count *transitions* from full speed to slowed, so adjacent
-///   or overlapping windows describing one continuous slow period are
-///   counted once.
-///
-/// Returns the number of processors newly slowed at this round.
-pub fn apply_timer_faults<P: Process>(
-    gray: &GrayFailurePlan,
-    skews: &SkewPlan,
-    sim: &mut Simulation<P>,
-    round: Round,
-) -> u64 {
-    let mut slowdowns = 0;
-    if let Some(desired) = gray.due(round) {
-        for (victim, gray_period) in desired {
-            let skew_floor = skews
-                .all_skews()
-                .filter(|(r, v, _)| *v == victim && *r <= round)
-                .map(|(_, _, p)| p)
-                .max();
-            let effective = match (gray_period, skew_floor) {
-                (Some(g), Some(s)) => Some(g.max(s)),
-                (g, s) => g.or(s),
-            };
-            if effective.is_some()
-                && sim.timer_period_override(victim).is_none()
-                && sim.is_active(victim)
-            {
-                slowdowns += 1;
-            }
-            sim.set_timer_period_override(victim, effective);
-        }
-    }
-    for (victim, period) in skews.due(round) {
-        let prior = sim.timer_period_override(*victim);
-        if prior.is_none() && sim.is_active(*victim) {
-            slowdowns += 1;
-        }
-        let floored = prior.map_or(*period, |p| p.max(*period));
-        sim.set_timer_period_override(*victim, Some(floored));
-    }
-    slowdowns
 }
 
 /// A schedule of permanent *clock skew*: from a given round on, a set of
@@ -507,10 +369,10 @@ pub fn apply_timer_faults<P: Process>(
 ///
 /// Unlike [`GrayFailurePlan`] there is no restore: the system must reach
 /// (and hold) its convergence predicate *with* the skew in force. When the
-/// same processor is targeted by both plans, apply them through
-/// [`apply_timer_faults`] (as the scenario runner does): the skew is a
-/// floor — a gray window slower than the skew wins while it covers, and a
-/// gray restore never wipes the skew.
+/// same processor is targeted by both plans, the runner treats the skew as
+/// a floor ([`crate::plan::FaultAction::SetTimerFloor`]): a gray window
+/// slower than the skew wins while it covers, and a gray restore never
+/// wipes the skew.
 ///
 /// ```
 /// use simnet::{fault::SkewPlan, ProcessId, Round};
@@ -570,18 +432,6 @@ impl SkewPlan {
     pub fn last_round(&self) -> Option<Round> {
         self.schedule.keys().next_back().copied()
     }
-
-    /// Applies the skews due at `round`, returning how many took effect.
-    pub fn apply<P: Process>(&self, sim: &mut Simulation<P>, round: Round) -> u64 {
-        let mut applied = 0;
-        for (victim, period) in self.due(round) {
-            if sim.is_active(*victim) {
-                applied += 1;
-            }
-            sim.set_timer_period_override(*victim, Some(*period));
-        }
-        applied
-    }
 }
 
 /// A schedule of in-flight payload corruption: at given rounds, the
@@ -605,7 +455,7 @@ impl SkewPlan {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PayloadCorruptionPlan {
-    schedule: BTreeMap<Round, Vec<ProcessId>>,
+    pub(crate) schedule: BTreeMap<Round, Vec<ProcessId>>,
 }
 
 impl PayloadCorruptionPlan {
@@ -639,40 +489,6 @@ impl PayloadCorruptionPlan {
     pub fn last_round(&self) -> Option<Round> {
         self.schedule.keys().next_back().copied()
     }
-
-    /// Applies the corruptions due at `round`: for each victim, the
-    /// payloads of all packets in flight towards it are permuted across its
-    /// inbound channels and then individually passed to `mutate` (the
-    /// protocol-specific bit-flipper; it returns `true` when it changed the
-    /// payload). Returns the number of packets exposed to corruption.
-    pub fn apply<P: Process>(
-        &self,
-        sim: &mut Simulation<P>,
-        round: Round,
-        rng: &mut SimRng,
-        mut mutate: impl FnMut(&mut P::Msg, &mut SimRng) -> bool,
-    ) -> u64 {
-        let mut corrupted = 0;
-        for victim in self.due(round) {
-            corrupted += sim
-                .network_mut()
-                .corrupt_inbound_payloads(*victim, |payloads| {
-                    // Misattribute: permute the payload *values* over the
-                    // packet slots (shuffling the mutable references would
-                    // only reorder the temporary list and leave the channel
-                    // contents untouched).
-                    let mut values: Vec<P::Msg> = payloads.iter().map(|p| (**p).clone()).collect();
-                    rng.shuffle(&mut values);
-                    for (slot, value) in payloads.iter_mut().zip(values) {
-                        **slot = value;
-                    }
-                    for payload in payloads.iter_mut() {
-                        mutate(payload, rng);
-                    }
-                }) as u64;
-        }
-        corrupted
-    }
 }
 
 /// A schedule of crash–recovery events: processors crash and later rejoin
@@ -692,8 +508,8 @@ impl PayloadCorruptionPlan {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryPlan {
-    crashes: BTreeMap<Round, Vec<ProcessId>>,
-    rejoins: BTreeMap<Round, u32>,
+    pub(crate) crashes: BTreeMap<Round, Vec<ProcessId>>,
+    pub(crate) rejoins: BTreeMap<Round, u32>,
 }
 
 impl RecoveryPlan {
@@ -742,180 +558,62 @@ impl RecoveryPlan {
         let last_rejoin = self.rejoins.keys().next_back().copied();
         last_crash.max(last_rejoin)
     }
-
-    /// Applies the crashes due at `round`.
-    pub fn apply_crashes<P: Process>(&self, sim: &mut Simulation<P>, round: Round) -> u64 {
-        let victims = self.crashes_due(round);
-        for victim in victims {
-            sim.crash(*victim);
-        }
-        victims.len() as u64
-    }
-
-    /// Applies the rejoins due at `round`, constructing each recovering
-    /// processor with `factory` under the fresh identifier the simulation
-    /// assigned. Returns the identifiers of the recovered processors.
-    pub fn apply_rejoins<P: Process>(
-        &self,
-        sim: &mut Simulation<P>,
-        round: Round,
-        mut factory: impl FnMut(ProcessId) -> P,
-    ) -> Vec<ProcessId> {
-        let mut recovered = Vec::new();
-        for _ in 0..self.rejoins_due(round) {
-            let id = sim.fresh_id();
-            let process = factory(id);
-            sim.add_process_with_id(id, process);
-            recovered.push(id);
-        }
-        recovered
-    }
-}
-
-/// Bundles a crash plan and a churn plan and applies both at the start of
-/// each round.
-#[derive(Debug, Clone, Default)]
-pub struct FaultInjector {
-    crashes: CrashPlan,
-    churn: ChurnPlan,
-}
-
-impl FaultInjector {
-    /// Creates an injector from the two plans.
-    pub fn new(crashes: CrashPlan, churn: ChurnPlan) -> Self {
-        FaultInjector { crashes, churn }
-    }
-
-    /// Creates an injector with only a crash plan.
-    pub fn crashes_only(crashes: CrashPlan) -> Self {
-        FaultInjector {
-            crashes,
-            churn: ChurnPlan::default(),
-        }
-    }
-
-    /// The crash plan.
-    pub fn crash_plan(&self) -> &CrashPlan {
-        &self.crashes
-    }
-
-    /// The churn plan.
-    pub fn churn_plan(&self) -> &ChurnPlan {
-        &self.churn
-    }
-
-    /// Applies both plans for `round`; new processes are built by `factory`.
-    pub fn apply<P: Process>(
-        &self,
-        sim: &mut Simulation<P>,
-        round: Round,
-        factory: impl FnMut(ProcessId) -> P,
-    ) -> Vec<ProcessId> {
-        self.crashes.apply(sim, round);
-        self.churn.apply(sim, round, factory)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimConfig;
-    use crate::process::Context;
+    use crate::config::SchedulerMode;
+    use crate::scenario::{run_scenario, Scenario, ScenarioRun, ScenarioRunner};
+    use crate::scheduler::Simulation;
+    use crate::testutil::MaxNode;
 
-    #[derive(Debug, Default)]
-    struct Idle;
-    impl Process for Idle {
-        type Msg = ();
-        fn on_timer(&mut self, _ctx: &mut Context<'_, ()>) {}
-        fn on_message(&mut self, _from: ProcessId, _msg: (), _ctx: &mut Context<'_, ()>) {}
+    /// Runs `scenario` over the toy target, returning the run and the
+    /// simulation it left behind.
+    fn run(scenario: &Scenario) -> (ScenarioRun, Simulation<MaxNode>) {
+        let mut sim = scenario.build_sim::<MaxNode>(1, SchedulerMode::EventDriven);
+        let run = run_scenario(scenario, &mut sim);
+        (run, sim)
     }
 
     #[test]
     fn crash_plan_applies_at_scheduled_round() {
-        let mut sim: Simulation<Idle> = Simulation::new(SimConfig::default());
-        for _ in 0..4 {
-            sim.add_process(Idle);
-        }
         let plan = CrashPlan::new()
             .crash_at(Round::new(2), ProcessId::new(0))
             .crash_all_at(Round::new(3), [ProcessId::new(1), ProcessId::new(2)]);
         assert_eq!(plan.total(), 3);
-        sim.run_rounds_with(5, |s| {
-            let now = s.now();
-            plan.apply(s, now);
-        });
+        let (run, sim) = run(&Scenario::new("crash", 4).with_plan(plan).with_rounds(5));
+        assert_eq!(run.counter("crashes"), 3);
         assert_eq!(sim.active_ids(), vec![ProcessId::new(3)]);
     }
 
     #[test]
     fn churn_plan_adds_processes() {
-        let mut sim: Simulation<Idle> = Simulation::new(SimConfig::default());
-        sim.add_process(Idle);
         let plan = ChurnPlan::new()
             .join_at(Round::new(1), 2)
             .join_at(Round::new(3), 1);
         assert_eq!(plan.total(), 3);
-        let mut joined = Vec::new();
-        sim.run_rounds_with(5, |s| {
-            let now = s.now();
-            joined.extend(plan.apply(s, now, |_| Idle));
-        });
-        assert_eq!(joined.len(), 3);
+        let (run, sim) = run(&Scenario::new("churn", 1).with_plan(plan).with_rounds(5));
+        assert_eq!(run.counter("joins"), 3);
         assert_eq!(sim.ids().len(), 4);
     }
 
     #[test]
-    fn fault_injector_combines_plans() {
-        let mut sim: Simulation<Idle> = Simulation::new(SimConfig::default());
-        for _ in 0..2 {
-            sim.add_process(Idle);
-        }
-        let injector = FaultInjector::new(
-            CrashPlan::new().crash_at(Round::new(1), ProcessId::new(0)),
-            ChurnPlan::new().join_at(Round::new(2), 1),
-        );
-        sim.run_rounds_with(4, |s| {
-            let now = s.now();
-            injector.apply(s, now, |_| Idle);
-        });
-        assert!(!sim.is_active(ProcessId::new(0)));
-        assert_eq!(sim.ids().len(), 3);
-        assert_eq!(injector.crash_plan().total(), 1);
-        assert_eq!(injector.churn_plan().total(), 1);
-    }
-
-    #[derive(Debug, Default)]
-    struct Cell {
-        value: u64,
-    }
-    impl Process for Cell {
-        type Msg = ();
-        fn on_timer(&mut self, _ctx: &mut Context<'_, ()>) {}
-        fn on_message(&mut self, _from: ProcessId, _msg: (), _ctx: &mut Context<'_, ()>) {}
-    }
-
-    #[test]
     fn corruption_plan_mutates_scheduled_victims_only() {
-        let mut sim: Simulation<Cell> = Simulation::new(SimConfig::default());
-        for _ in 0..3 {
-            sim.add_process(Cell::default());
-        }
-        sim.crash(ProcessId::new(2));
         let plan = CorruptionPlan::new().corrupt_at(
             Round::new(1),
             [ProcessId::new(0), ProcessId::new(2), ProcessId::new(9)],
         );
         assert_eq!(plan.total(), 3);
         assert_eq!(plan.last_round(), Some(Round::new(1)));
-        let mut rng = SimRng::seed_from(1);
-        let at_zero = plan.apply(&mut sim, Round::ZERO, &mut rng, |p, _| p.value = 7);
-        assert_eq!(at_zero, 0);
-        let at_one = plan.apply(&mut sim, Round::new(1), &mut rng, |p, _| p.value = 7);
+        // p2 crashes in the same round, before corruption lands.
+        let scenario = Scenario::new("corrupt", 3)
+            .crash_at(Round::new(1), [ProcessId::new(2)])
+            .with_plan(plan)
+            .with_rounds(5);
+        let (run, _) = run(&scenario);
         // The crashed and the unknown victim are skipped.
-        assert_eq!(at_one, 1);
-        assert_eq!(sim.process(ProcessId::new(0)).unwrap().value, 7);
-        assert_eq!(sim.process(ProcessId::new(1)).unwrap().value, 0);
-        assert_eq!(sim.process(ProcessId::new(2)).unwrap().value, 0);
+        assert_eq!(run.counter("corruptions"), 1);
     }
 
     #[test]
@@ -939,13 +637,6 @@ mod tests {
         assert_eq!(spiked.max_delay_rounds, base.max_delay_rounds + 3);
         let restored = plan.due(Round::new(15), &base).unwrap();
         assert_eq!(restored, base);
-
-        let mut sim: Simulation<Cell> = Simulation::new(SimConfig::default());
-        sim.add_process(Cell::default());
-        plan.apply(&mut sim, Round::new(5), &base);
-        assert_eq!(sim.network().policy().loss_probability, 0.4);
-        plan.apply(&mut sim, Round::new(15), &base);
-        assert_eq!(sim.network().policy(), &base);
     }
 
     #[test]
@@ -974,20 +665,17 @@ mod tests {
 
     #[test]
     fn gray_failure_plan_slows_and_restores() {
-        let mut sim: Simulation<Idle> = Simulation::new(SimConfig::default());
-        for _ in 0..3 {
-            sim.add_process(Idle);
-        }
         let victim = ProcessId::new(1);
         let plan = GrayFailurePlan::new().slow_at(Round::new(2), 6, 4, [victim]);
         assert_eq!(plan.total(), 1);
         assert_eq!(plan.last_round(), Some(Round::new(8)));
-        let mut slowed = 0;
-        sim.run_rounds_with(12, |s| {
-            let now = s.now();
-            slowed += plan.apply(s, now);
-        });
-        assert_eq!(slowed, 1);
+        // The workload window keeps the run going for all 12 rounds.
+        let scenario = Scenario::new("gray", 3)
+            .with_plan(plan)
+            .with_rounds(12)
+            .with_workload_until(12);
+        let (run, sim) = run(&scenario);
+        assert_eq!(run.counter("slowdowns"), 1);
         // Override cleared at the window's end.
         assert_eq!(sim.timer_period_override(victim), None);
         // Steps: rounds 0,1 at period 1, round 2 fires then period 4 → 6,
@@ -1011,14 +699,6 @@ mod tests {
         // A zero-length window is a boundary but covers nothing.
         let degenerate = GrayFailurePlan::new().slow_at(Round::new(4), 0, 9, [v]);
         assert_eq!(degenerate.due(Round::new(4)).unwrap()[&v], None);
-        let mut sim: Simulation<Idle> = Simulation::new(SimConfig::default());
-        sim.add_process(Idle);
-        sim.run_rounds_with(6, |s| {
-            let now = s.now();
-            degenerate.apply(s, now);
-        });
-        assert_eq!(sim.timer_period_override(v), None);
-        assert_eq!(sim.timer_steps_of(v), Some(6));
     }
 
     #[test]
@@ -1034,77 +714,64 @@ mod tests {
 
     #[test]
     fn skew_plan_is_permanent() {
-        let mut sim: Simulation<Idle> = Simulation::new(SimConfig::default());
-        for _ in 0..2 {
-            sim.add_process(Idle);
-        }
         let victim = ProcessId::new(1);
         let plan = SkewPlan::new().skew_at(Round::new(3), 5, [victim]);
         assert_eq!(plan.total(), 1);
         assert_eq!(plan.all_skews().count(), 1);
-        let mut applied = 0;
-        sim.run_rounds_with(20, |s| {
-            let now = s.now();
-            applied += plan.apply(s, now);
-        });
-        assert_eq!(applied, 1);
+        let scenario = Scenario::new("skew", 2)
+            .with_plan(plan)
+            .with_rounds(20)
+            .with_workload_until(20);
+        let (run, sim) = run(&scenario);
+        assert_eq!(run.counter("slowdowns"), 1);
         assert_eq!(sim.timer_period_override(victim), Some(5));
         // Steps 0,1,2,3 at period 1, then rounds 8, 13, 18.
         assert_eq!(sim.timer_steps_of(victim), Some(4 + 3));
         assert_eq!(sim.timer_steps_of(ProcessId::new(0)), Some(20));
     }
 
+    /// Payload corruption touches exactly the packets in flight towards
+    /// the victim, and never creates or destroys one: the runner's packet
+    /// conservation check stays silent. The victim crashes first, so
+    /// nothing drains its inbound channels.
     #[test]
     fn payload_corruption_mutates_in_flight_packets_only() {
-        let mut sim: Simulation<Cell> = Simulation::new(SimConfig::default());
-        for _ in 0..3 {
-            sim.add_process(Cell::default());
-        }
         let victim = ProcessId::new(2);
-        sim.network_mut().inject(ProcessId::new(0), victim, ());
-        sim.network_mut().inject(ProcessId::new(1), victim, ());
-        let plan = PayloadCorruptionPlan::new().corrupt_inbound_at(Round::new(1), [victim]);
+        let plan = PayloadCorruptionPlan::new().corrupt_inbound_at(Round::ZERO, [victim]);
         assert_eq!(plan.total(), 1);
-        let mut rng = SimRng::seed_from(1);
-        let mut mutated = 0;
-        let before = sim.network().in_flight_total();
-        assert_eq!(plan.apply(&mut sim, Round::ZERO, &mut rng, |_, _| false), 0);
-        let touched = plan.apply(&mut sim, Round::new(1), &mut rng, |_, _| {
-            mutated += 1;
-            true
-        });
-        assert_eq!(touched, 2);
-        assert_eq!(mutated, 2);
-        // Corruption mutates; it never creates or destroys packets.
-        assert_eq!(sim.network().in_flight_total(), before);
+        let scenario = Scenario::new("wire", 3)
+            .crash_at(Round::ZERO, [victim])
+            .with_plan(plan)
+            .with_rounds(5);
+        let mut sim = scenario.build_sim::<MaxNode>(1, SchedulerMode::EventDriven);
+        sim.network_mut().inject(ProcessId::new(0), victim, 10);
+        sim.network_mut().inject(ProcessId::new(1), victim, 20);
+        let run = run_scenario(&scenario, &mut sim);
+        assert_eq!(run.counter("payload_corruptions"), 2);
+        assert!(run.invariant_violations.is_empty(), "{run:?}");
     }
 
-    #[derive(Debug, Default)]
-    struct Wire;
-    impl Process for Wire {
-        type Msg = u64;
-        fn on_timer(&mut self, _ctx: &mut Context<'_, u64>) {}
-        fn on_message(&mut self, _from: ProcessId, _msg: u64, _ctx: &mut Context<'_, u64>) {}
-    }
-
-    /// The misattribution permutation moves payload *values* between the
-    /// victim's inbound channels — not just references in a temporary list.
+    /// The runner's misattribution permutation moves payload *values*
+    /// between the victim's inbound channels — not just references in a
+    /// temporary list. The victim crashes first, so nothing drains its
+    /// inbound channels and the packets injected before the run are the
+    /// oldest on each link.
     #[test]
     fn payload_corruption_permutes_values_across_channels() {
         let victim = ProcessId::new(2);
-        let plan = PayloadCorruptionPlan::new().corrupt_inbound_at(Round::ZERO, [victim]);
-        let mut swapped = 0;
-        let mut kept = 0;
+        let scenario = Scenario::new("wire", 3)
+            .crash_at(Round::ZERO, [victim])
+            .corrupt_payloads_at(Round::ZERO, [victim])
+            .with_rounds(5);
+        let (mut swapped, mut kept) = (0, 0);
         for seed in 0..16 {
-            let mut sim: Simulation<Wire> = Simulation::new(SimConfig::default());
-            for _ in 0..3 {
-                sim.add_process(Wire);
-            }
+            let mut sim = scenario.build_sim::<MaxNode>(seed, SchedulerMode::EventDriven);
             sim.network_mut().inject(ProcessId::new(0), victim, 10);
             sim.network_mut().inject(ProcessId::new(1), victim, 20);
-            let mut rng = SimRng::seed_from(seed);
-            assert_eq!(plan.apply(&mut sim, Round::ZERO, &mut rng, |_, _| false), 2);
-            let via_p0 = *sim
+            let mut runner = ScenarioRunner::new(&scenario, sim);
+            runner.advance_to(Round::new(1));
+            let via_p0 = *runner
+                .sim()
                 .network()
                 .channel(ProcessId::new(0), victim)
                 .unwrap()
@@ -1115,6 +782,8 @@ mod tests {
             match via_p0 {
                 20 => swapped += 1,
                 10 => kept += 1,
+                // `MaxNode::corrupt_payload` rewrote the value.
+                300..=400 => {}
                 other => panic!("payload corrupted out of thin air: {other}"),
             }
         }
@@ -1126,10 +795,6 @@ mod tests {
 
     #[test]
     fn recovery_plan_crashes_then_rejoins_under_fresh_identifiers() {
-        let mut sim: Simulation<Idle> = Simulation::new(SimConfig::default());
-        for _ in 0..4 {
-            sim.add_process(Idle);
-        }
         let plan = RecoveryPlan::new().crash_recover_at(
             Round::new(1),
             [ProcessId::new(2), ProcessId::new(3)],
@@ -1138,16 +803,10 @@ mod tests {
         assert_eq!(plan.total(), 2);
         assert_eq!(plan.all_victims().count(), 2);
         assert_eq!(plan.last_round(), Some(Round::new(4)));
-        let mut crashed = 0;
-        let mut recovered = Vec::new();
-        sim.run_rounds_with(6, |s| {
-            let now = s.now();
-            crashed += plan.apply_crashes(s, now);
-            recovered.extend(plan.apply_rejoins(s, now, |_| Idle));
-        });
-        assert_eq!(crashed, 2);
+        let (run, sim) = run(&Scenario::new("recover", 4).with_plan(plan).with_rounds(6));
+        assert_eq!(run.counter("crashes"), 2);
+        assert_eq!(run.counter("recoveries"), 2);
         // The fresh identifiers continue the sequence; the victims stay dead.
-        assert_eq!(recovered, vec![ProcessId::new(4), ProcessId::new(5)]);
         assert!(!sim.is_active(ProcessId::new(2)));
         assert!(!sim.is_active(ProcessId::new(3)));
         assert!(sim.is_active(ProcessId::new(4)));
@@ -1156,37 +815,25 @@ mod tests {
 
     #[test]
     fn empty_plans_are_noops() {
-        let mut sim: Simulation<Idle> = Simulation::new(SimConfig::default());
-        sim.add_process(Idle);
-        let injector = FaultInjector::default();
-        sim.run_rounds_with(3, |s| {
-            let now = s.now();
-            injector.apply(s, now, |_| Idle);
-        });
+        let scenario = Scenario::new("empty", 1)
+            .with_plan(CrashPlan::new())
+            .with_plan(ChurnPlan::new())
+            .with_rounds(3);
+        let (_, sim) = run(&scenario);
         assert_eq!(sim.ids().len(), 1);
         assert!(sim.is_active(ProcessId::new(0)));
     }
 }
 
 /// Window-composition properties shared by [`SpikePlan`] and
-/// [`GrayFailurePlan`]: replaying the boundary-triggered `due`/`apply`
-/// changes round by round must reproduce, at *every* round, the value
-/// computed directly from the covering windows — across overlapping,
-/// adjacent and zero-length windows.
+/// [`GrayFailurePlan`]: replaying the boundary-triggered `due` changes
+/// round by round must reproduce, at *every* round, the value computed
+/// directly from the covering windows — across overlapping, adjacent and
+/// zero-length windows.
 #[cfg(test)]
 mod window_proptests {
     use super::*;
-    use crate::config::SimConfig;
-    use crate::process::Context;
     use proptest::prelude::*;
-
-    #[derive(Debug, Default)]
-    struct Idle;
-    impl Process for Idle {
-        type Msg = ();
-        fn on_timer(&mut self, _ctx: &mut Context<'_, ()>) {}
-        fn on_message(&mut self, _from: ProcessId, _msg: (), _ctx: &mut Context<'_, ()>) {}
-    }
 
     /// The ground truth: `base` spiked by the element-wise worst case of
     /// every window covering `round`.
@@ -1281,12 +928,12 @@ mod window_proptests {
                     [ProcessId::new(*victim)],
                 );
             }
-            let mut sim: Simulation<Idle> = Simulation::new(SimConfig::default());
-            for _ in 0..3 {
-                sim.add_process(Idle);
-            }
+            // Replay: overrides change only at boundaries.
+            let mut in_force: BTreeMap<ProcessId, Option<u64>> = BTreeMap::new();
             for round in 0..=45u64 {
-                plan.apply(&mut sim, Round::new(round));
+                if let Some(desired) = plan.due(Round::new(round)) {
+                    in_force.extend(desired);
+                }
                 for victim in 0u32..3 {
                     let expected = windows
                         .iter()
@@ -1296,14 +943,13 @@ mod window_proptests {
                         .map(|(_, _, p, _)| *p)
                         .max();
                     prop_assert_eq!(
-                        sim.timer_period_override(ProcessId::new(victim)),
+                        in_force.get(&ProcessId::new(victim)).copied().flatten(),
                         expected,
                         "round {}, victim {}: override diverges from covering windows",
                         round,
                         victim
                     );
                 }
-                sim.step_round();
             }
         }
     }

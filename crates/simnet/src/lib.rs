@@ -114,8 +114,8 @@ pub use channel::{ChannelPolicy, InFlight};
 pub use codec::{DecodeError, Reader, WireCodec};
 pub use config::{SchedulerMode, SimConfig};
 pub use fault::{
-    ChurnPlan, CorruptionPlan, CrashPlan, FaultInjector, GrayFailurePlan, PayloadCorruptionPlan,
-    RecoveryPlan, SkewPlan, SpikePlan, SpikeSpec,
+    ChurnPlan, CorruptionPlan, CrashPlan, GrayFailurePlan, PayloadCorruptionPlan, RecoveryPlan,
+    SkewPlan, SpikePlan, SpikeSpec,
 };
 pub use histogram::Histogram;
 pub use history::{History, HistoryCfg, HistoryRecorder, Observed, OpKind, OpResponse};

@@ -3,10 +3,9 @@
 //! The paper's channels never disappear, but transient faults and violated
 //! churn assumptions can leave parts of the system unable to talk to each
 //! other for a while. [`PartitionPlan`] schedules *splits* (groups of
-//! processors that lose mutual connectivity) and *heals* at specific rounds
-//! and applies them from the scheduler hook
-//! ([`crate::Simulation::run_rounds_with`]), in the same declarative style as
-//! [`crate::CrashPlan`] and [`crate::ChurnPlan`].
+//! processors that lose mutual connectivity) and *heals* at specific rounds,
+//! in the same declarative style as [`crate::CrashPlan`] and
+//! [`crate::ChurnPlan`]; the scenario runner applies them.
 //!
 //! ```
 //! use simnet::{PartitionPlan, ProcessId, Round};
@@ -20,15 +19,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::process::{Process, ProcessId};
-use crate::scheduler::Simulation;
+use crate::process::ProcessId;
 use crate::time::Round;
 
 /// A schedule of network splits and heals.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionPlan {
-    splits: BTreeMap<Round, Vec<Vec<Vec<ProcessId>>>>,
-    heals: BTreeSet<Round>,
+    pub(crate) splits: BTreeMap<Round, Vec<Vec<Vec<ProcessId>>>>,
+    pub(crate) heals: BTreeSet<Round>,
 }
 
 impl PartitionPlan {
@@ -72,18 +70,6 @@ impl PartitionPlan {
         let last_heal = self.heals.iter().next_back().copied();
         last_split.max(last_heal)
     }
-
-    /// Applies the events due at `round` to the simulation. Heals are applied
-    /// before splits so that a heal and a split scheduled for the same round
-    /// leave exactly the new split in place.
-    pub fn apply<P: Process>(&self, sim: &mut Simulation<P>, round: Round) {
-        if self.heals_at(round) {
-            sim.network_mut().heal_all_links();
-        }
-        for groups in self.splits_due(round) {
-            sim.network_mut().split_into(groups);
-        }
-    }
 }
 
 /// A schedule of *asymmetric* (one-directional) cuts: links from one group
@@ -93,15 +79,11 @@ impl PartitionPlan {
 /// detectors disagree most violently: the cut-off side suspects processors
 /// that can still hear *it* perfectly well.
 ///
-/// Heals lift exactly the directed links this plan's cuts blocked. The
-/// network's blocked-link set is shared (not reference-counted), so when
-/// driving this plan by hand alongside a [`PartitionPlan`] over
-/// overlapping links, schedule the two on disjoint windows: a one-way heal
-/// would lift a direction a symmetric split also blocked, and a symmetric
-/// full heal lifts every one-way cut. Inside a
-/// [`crate::scenario::Scenario`] the runner composes the two safely by
-/// re-asserting whichever plan's blocks are still active after the other
-/// plan heals.
+/// Heals lift exactly the directed links the cuts in force blocked. The
+/// network's blocked-link set is shared (not reference-counted), so the
+/// runner composes this plan with a [`PartitionPlan`] over overlapping
+/// links by re-asserting whichever plan's blocks are still active after
+/// the other plan heals.
 ///
 /// ```
 /// use simnet::{AsymmetricCutPlan, ProcessId, Round};
@@ -114,8 +96,8 @@ impl PartitionPlan {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AsymmetricCutPlan {
-    cuts: BTreeMap<Round, Vec<OnewayCut>>,
-    heals: BTreeSet<Round>,
+    pub(crate) cuts: BTreeMap<Round, Vec<OnewayCut>>,
+    pub(crate) heals: BTreeSet<Round>,
 }
 
 /// One scheduled one-directional cut: the links from every member of the
@@ -136,8 +118,7 @@ impl AsymmetricCutPlan {
         self
     }
 
-    /// Schedules a heal at `round`: every directed link blocked by this
-    /// plan's cuts (scheduled at any round) is unblocked.
+    /// Schedules a heal at `round`: every one-way cut in force is lifted.
     pub fn heal_at(mut self, round: Round) -> Self {
         self.heals.insert(round);
         self
@@ -164,69 +145,37 @@ impl AsymmetricCutPlan {
         let last_heal = self.heals.iter().next_back().copied();
         last_cut.max(last_heal)
     }
-
-    /// Applies the events due at `round`. Heals are applied before cuts
-    /// (see [`AsymmetricCutPlan::apply_heals`]), so a heal and a cut
-    /// scheduled for the same round leave exactly the new cut in place.
-    pub fn apply<P: Process>(&self, sim: &mut Simulation<P>, round: Round) {
-        self.apply_heals(sim, round);
-        self.apply_cuts(sim, round);
-    }
-
-    /// Applies only the heal due at `round`, if any. Split out so callers
-    /// that observe link state between the heal and the new cuts (the
-    /// scenario runner's asymmetry invariant) can do so.
-    pub fn apply_heals<P: Process>(&self, sim: &mut Simulation<P>, round: Round) {
-        if self.heals_at(round) {
-            for (from, to) in self.cuts.values().flatten() {
-                sim.network_mut().open_oneway(from, to);
-            }
-        }
-    }
-
-    /// Applies only the cuts due at `round`.
-    pub fn apply_cuts<P: Process>(&self, sim: &mut Simulation<P>, round: Round) {
-        for (from, to) in self.cuts_due(round) {
-            sim.network_mut().cut_oneway(from, to);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimConfig;
-    use crate::process::Context;
+    use crate::config::SchedulerMode;
+    use crate::scenario::{Scenario, ScenarioRunner};
+    use crate::testutil::MaxNode;
 
-    /// Gossip process used to observe whether information crosses a cut.
-    #[derive(Debug)]
-    struct Gossip {
-        value: u64,
+    fn p(i: u32) -> ProcessId {
+        ProcessId::new(i)
     }
 
-    impl Process for Gossip {
-        type Msg = u64;
-        fn on_timer(&mut self, ctx: &mut Context<'_, u64>) {
-            for peer in ctx.peers() {
-                ctx.send(peer, self.value);
-            }
-        }
-        fn on_message(&mut self, _from: ProcessId, msg: u64, _ctx: &mut Context<'_, u64>) {
-            self.value = self.value.max(msg);
-        }
+    /// Starts `scenario` over the toy target, whose initial values are the
+    /// process identifiers: the maximum shows how far information spread.
+    fn start(scenario: &Scenario, seed: u64) -> ScenarioRunner<MaxNode> {
+        ScenarioRunner::new(
+            scenario,
+            scenario.build_sim(seed, SchedulerMode::EventDriven),
+        )
+    }
+
+    fn value(runner: &ScenarioRunner<MaxNode>, i: u32) -> u64 {
+        runner.sim().process(p(i)).unwrap().value
     }
 
     #[test]
     fn builder_records_events() {
         let plan = PartitionPlan::new()
-            .split_at(
-                Round::new(1),
-                vec![vec![ProcessId::new(0)], vec![ProcessId::new(1)]],
-            )
-            .split_at(
-                Round::new(1),
-                vec![vec![ProcessId::new(2)], vec![ProcessId::new(3)]],
-            )
+            .split_at(Round::new(1), vec![vec![p(0)], vec![p(1)]])
+            .split_at(Round::new(1), vec![vec![p(2)], vec![p(3)]])
             .heal_at(Round::new(9));
         assert_eq!(plan.total_splits(), 2);
         assert_eq!(plan.splits_due(Round::new(1)).count(), 2);
@@ -237,30 +186,20 @@ mod tests {
 
     #[test]
     fn partition_prevents_cross_group_gossip_until_healed() {
-        let mut sim: Simulation<Gossip> =
-            Simulation::new(SimConfig::default().with_seed(1).with_max_delay(0));
-        for v in [1u64, 2, 3, 100] {
-            sim.add_process(Gossip { value: v });
-        }
-        let group_a = vec![ProcessId::new(0), ProcessId::new(1)];
-        let group_b = vec![ProcessId::new(2), ProcessId::new(3)];
-        let plan = PartitionPlan::new()
-            .split_at(Round::ZERO, vec![group_a, group_b])
-            .heal_at(Round::new(10));
-        sim.run_rounds_with(8, |s| {
-            let now = s.now();
-            plan.apply(s, now);
-        });
+        let scenario = Scenario::new("split", 4)
+            .split_at(Round::ZERO, vec![vec![p(0), p(1)], vec![p(2), p(3)]])
+            .heal_at(Round::new(10))
+            .with_rounds(30);
+        let mut runner = start(&scenario, 1);
+        runner.advance_to(Round::new(8));
         // While partitioned, the large value stays on its side of the cut.
-        assert_eq!(sim.process(ProcessId::new(0)).unwrap().value, 2);
-        assert_eq!(sim.process(ProcessId::new(3)).unwrap().value, 100);
-        sim.run_rounds_with(10, |s| {
-            let now = s.now();
-            plan.apply(s, now);
-        });
+        assert_eq!(value(&runner, 0), 1);
+        assert_eq!(value(&runner, 3), 3);
+        let run = runner.finish();
         // After the heal, everyone learns the maximum.
-        for (_, p) in sim.processes() {
-            assert_eq!(p.value, 100);
+        assert!(run.converged, "{run:?}");
+        for i in 0..4 {
+            assert_eq!(value(&runner, i), 3);
         }
     }
 
@@ -269,90 +208,65 @@ mod tests {
     /// it.
     #[test]
     fn asymmetric_cut_blocks_one_direction_and_heals() {
-        let mut sim: Simulation<Gossip> =
-            Simulation::new(SimConfig::default().with_seed(3).with_max_delay(0));
-        for v in [1u64, 2, 3, 100] {
-            sim.add_process(Gossip { value: v });
-        }
-        let lower = vec![ProcessId::new(0), ProcessId::new(1)];
-        let upper = vec![ProcessId::new(2), ProcessId::new(3)];
-        let plan = AsymmetricCutPlan::new()
-            .cut_at(Round::ZERO, upper.clone(), lower.clone())
-            .heal_at(Round::new(10));
-        sim.run_rounds_with(8, |s| {
-            let now = s.now();
-            plan.apply(s, now);
-        });
-        // upper → lower is cut: the maximum (100) stays on the upper side…
-        assert_eq!(sim.process(ProcessId::new(0)).unwrap().value, 2);
-        assert_eq!(sim.process(ProcessId::new(1)).unwrap().value, 2);
-        // …while lower → upper still delivers (upper heard lower's 2).
-        assert_eq!(sim.process(ProcessId::new(3)).unwrap().value, 100);
-        assert!(sim
-            .network()
-            .is_blocked(ProcessId::new(2), ProcessId::new(0)));
-        assert!(!sim
-            .network()
-            .is_blocked(ProcessId::new(0), ProcessId::new(2)));
-        sim.run_rounds_with(10, |s| {
-            let now = s.now();
-            plan.apply(s, now);
-        });
+        let lower = vec![p(0), p(1)];
+        let upper = vec![p(2), p(3)];
+        let scenario = Scenario::new("oneway", 4)
+            .with_plan(
+                AsymmetricCutPlan::new()
+                    .cut_at(Round::ZERO, upper, lower)
+                    .heal_at(Round::new(10)),
+            )
+            .with_rounds(30);
+        let mut runner = start(&scenario, 3);
+        runner.advance_to(Round::new(8));
+        // upper → lower is cut: the maximum (3) stays on the upper side…
+        assert_eq!(value(&runner, 0), 1);
+        assert_eq!(value(&runner, 1), 1);
+        // …while lower → upper still delivers.
+        assert_eq!(value(&runner, 2), 3);
+        let net = runner.sim().network();
+        assert!(net.is_blocked(p(2), p(0)));
+        assert!(!net.is_blocked(p(0), p(2)));
+        let run = runner.finish();
         // After the heal, the maximum reaches everyone.
-        for (_, p) in sim.processes() {
-            assert_eq!(p.value, 100);
+        assert!(run.converged, "{run:?}");
+        for i in 0..4 {
+            assert_eq!(value(&runner, i), 3);
         }
-        assert_eq!(sim.network().blocked_link_count(), 0);
+        assert_eq!(runner.sim().network().blocked_link_count(), 0);
     }
 
-    /// An asymmetric heal lifts only the plan's own directed links, not a
-    /// symmetric partition's.
+    /// An asymmetric heal lifts only the one-way cuts, not a symmetric
+    /// partition's blocks on the same links.
     #[test]
     fn asymmetric_heal_does_not_lift_symmetric_splits() {
-        let mut sim: Simulation<Gossip> =
-            Simulation::new(SimConfig::default().with_seed(4).with_max_delay(0));
-        for v in [1u64, 2, 3] {
-            sim.add_process(Gossip { value: v });
-        }
-        let a = ProcessId::new(0);
-        let b = ProcessId::new(1);
-        let c = ProcessId::new(2);
-        sim.network_mut().split_into(&[vec![a], vec![b]]);
-        let plan = AsymmetricCutPlan::new()
-            .cut_at(Round::ZERO, vec![c], vec![a])
-            .heal_at(Round::new(1));
-        plan.apply(&mut sim, Round::ZERO);
-        assert!(sim.network().is_blocked(c, a));
-        plan.apply(&mut sim, Round::new(1));
-        assert!(!sim.network().is_blocked(c, a));
+        let scenario = Scenario::new("oneway-over-split", 3)
+            .split_at(Round::ZERO, vec![vec![p(0)], vec![p(1)]])
+            .cut_oneway_at(Round::ZERO, vec![p(2)], vec![p(0)])
+            .heal_oneway_at(Round::new(1))
+            .with_rounds(30);
+        let mut runner = start(&scenario, 4);
+        runner.advance_to(Round::new(1));
+        assert!(runner.sim().network().is_blocked(p(2), p(0)));
+        runner.advance_to(Round::new(2));
+        let net = runner.sim().network();
+        assert!(!net.is_blocked(p(2), p(0)));
         // The symmetric split survives the asymmetric heal.
-        assert!(sim.network().is_blocked(a, b));
-        assert!(sim.network().is_blocked(b, a));
+        assert!(net.is_blocked(p(0), p(1)));
+        assert!(net.is_blocked(p(1), p(0)));
     }
 
     #[test]
     fn heal_and_split_at_same_round_leave_new_split() {
-        let mut sim: Simulation<Gossip> =
-            Simulation::new(SimConfig::default().with_seed(2).with_max_delay(0));
-        for v in [1u64, 2, 3] {
-            sim.add_process(Gossip { value: v });
-        }
-        let plan = PartitionPlan::new()
-            .split_at(
-                Round::ZERO,
-                vec![vec![ProcessId::new(0)], vec![ProcessId::new(1)]],
-            )
+        let scenario = Scenario::new("resplit", 3)
+            .split_at(Round::ZERO, vec![vec![p(0)], vec![p(1)]])
             .heal_at(Round::new(3))
-            .split_at(
-                Round::new(3),
-                vec![vec![ProcessId::new(1)], vec![ProcessId::new(2)]],
-            );
-        sim.run_rounds_with(4, |s| {
-            let now = s.now();
-            plan.apply(s, now);
-        });
-        let net = sim.network();
-        assert!(!net.is_blocked(ProcessId::new(0), ProcessId::new(1)));
-        assert!(net.is_blocked(ProcessId::new(1), ProcessId::new(2)));
+            .split_at(Round::new(3), vec![vec![p(1)], vec![p(2)]])
+            .with_rounds(30);
+        let mut runner = start(&scenario, 2);
+        runner.advance_to(Round::new(4));
+        let net = runner.sim().network();
+        assert!(!net.is_blocked(p(0), p(1)));
+        assert!(net.is_blocked(p(1), p(2)));
     }
 }

@@ -20,6 +20,9 @@
 //! [`crate::Network::inject`] — is the first fault class born on the open
 //! API. [`registry`] lists them all; a test asserts every registered plan is
 //! documented in `docs/FAULTS.md` and exercised by the catalog.
+//! [`PLAN_KINDS`] is their one `--plan` grammar: [`apply_spec`] parses it
+//! and each plan's [`FaultPlan::render`] writes it, so a scenario's whole
+//! schedule is one string ([`Scenario::render_schedule`]) that parses back.
 //!
 //! # Writing your own fault plan
 //!
@@ -71,15 +74,6 @@
 //!             Vec::new()
 //!         }
 //!     }
-//!     fn clone_plan(&self) -> Box<dyn FaultPlan> {
-//!         Box::new(self.clone())
-//!     }
-//!     fn as_any(&self) -> &dyn std::any::Any {
-//!         self
-//!     }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-//!         self
-//!     }
 //! }
 //!
 //! // The uniform builder accepts any FaultPlan — no engine edits needed.
@@ -99,10 +93,11 @@ use std::fmt;
 use crate::channel::ChannelPolicy;
 use crate::fault::{
     CorruptionPlan, CrashPlan, GrayFailurePlan, PayloadCorruptionPlan, RecoveryPlan, SkewPlan,
-    SpikePlan,
+    SpikePlan, SpikeSpec,
 };
 use crate::partition::{AsymmetricCutPlan, PartitionPlan};
 use crate::process::ProcessId;
+use crate::scenario::Scenario;
 use crate::time::Round;
 use crate::ChurnPlan;
 
@@ -272,7 +267,7 @@ pub struct RunObservations {
 /// the [`crate::exec`] pool. Plans are declarative schedules (plain data),
 /// so the bound costs implementations nothing; a plan that wants shared
 /// mutable state must use `Arc<Mutex<…>>` rather than `Rc`/`RefCell`.
-pub trait FaultPlan: fmt::Debug + Send {
+pub trait FaultPlan: fmt::Debug + Send + PlanObject {
     /// Short machine-readable class name (`simctl list`, registry test).
     fn kind(&self) -> &'static str;
 
@@ -299,6 +294,19 @@ pub trait FaultPlan: fmt::Debug + Send {
         Vec::new()
     }
 
+    /// This plan's events as `--plan` tokens, which [`apply_spec`] parses
+    /// back into the same schedule. The default is the bare [`kind`]: a
+    /// custom plan renders but does not parse back.
+    ///
+    /// [`kind`]: FaultPlan::kind
+    fn render(&self) -> Vec<String> {
+        vec![self.kind().to_string()]
+    }
+}
+
+/// Cloning and downcasting of boxed plans. A blanket impl covers every
+/// `FaultPlan + Clone` type, so a plan never implements this by hand.
+pub trait PlanObject {
     /// Clones the plan behind the trait object.
     fn clone_plan(&self) -> Box<dyn FaultPlan>;
 
@@ -309,43 +317,366 @@ pub trait FaultPlan: fmt::Debug + Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
+impl<T: FaultPlan + Clone + 'static> PlanObject for T {
+    fn clone_plan(&self) -> Box<dyn FaultPlan> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
 impl Clone for Box<dyn FaultPlan> {
     fn clone(&self) -> Self {
         self.clone_plan()
     }
 }
 
-/// Registry of the built-in fault classes: `(Rust type name, plan kind)`.
-/// The atlas-completeness test asserts every entry is documented in
-/// `docs/FAULTS.md` and appears in at least one catalog scenario.
-pub fn registry() -> Vec<(&'static str, &'static str)> {
-    vec![
-        ("CrashPlan", "crash"),
-        ("ChurnPlan", "churn"),
-        ("PartitionPlan", "partition"),
-        ("AsymmetricCutPlan", "oneway-cut"),
-        ("CorruptionPlan", "state-corruption"),
-        ("SpikePlan", "spike"),
-        ("GrayFailurePlan", "gray-failure"),
-        ("SkewPlan", "clock-skew"),
-        ("PayloadCorruptionPlan", "payload-corruption"),
-        ("RecoveryPlan", "crash-recovery"),
-        ("ByzantinePlan", "byzantine"),
-    ]
+/// One token kind of the built-in `--plan` grammar.
+pub struct PlanKind {
+    /// The token's name, before the `=`.
+    pub token: &'static str,
+    /// The token's grammar, for usage text and error hints.
+    pub grammar: &'static str,
+    /// The Rust type name of the plan class the token edits.
+    pub type_name: &'static str,
+    /// That class's [`FaultPlan::kind`].
+    pub kind: &'static str,
+    /// Composes one parsed token onto a scenario through its builder.
+    parse: fn(Scenario, &Token<'_>) -> Result<Scenario, String>,
 }
 
-macro_rules! plan_boilerplate {
-    () => {
-        fn clone_plan(&self) -> Box<dyn FaultPlan> {
-            Box::new(self.clone())
+/// The built-in `--plan` grammar, one row per token: 13 tokens over the 11
+/// built-in fault classes. Process identifiers are joined with `+`, a
+/// window is `start+duration`, and rounds are plain integers. Each plan's
+/// [`FaultPlan::render`] writes these tokens, and [`apply_spec`] reads them.
+pub const PLAN_KINDS: &[PlanKind] = &[
+    PlanKind {
+        token: "crash",
+        grammar: "crash=ROUND:IDS",
+        type_name: "CrashPlan",
+        kind: "crash",
+        parse: |s, t| {
+            let (round, ids) = t.pair()?;
+            Ok(s.crash_at(t.round(round)?, t.ids(ids)?))
+        },
+    },
+    PlanKind {
+        token: "join",
+        grammar: "join=ROUND:COUNT",
+        type_name: "ChurnPlan",
+        kind: "churn",
+        parse: |s, t| {
+            let (round, count) = t.pair()?;
+            let count = count.parse::<u32>().map_err(|_| t.bad("number", count))?;
+            Ok(s.join_at(t.round(round)?, count))
+        },
+    },
+    PlanKind {
+        token: "split",
+        grammar: "split=ROUND[:IDS/IDS...]",
+        type_name: "PartitionPlan",
+        kind: "partition",
+        parse: |s, t| match t.spec.split_once(':') {
+            None => Ok(s.split_halves_at(t.round(t.spec)?)),
+            Some((round, groups)) => {
+                let groups = groups
+                    .split('/')
+                    .map(|g| t.group(g))
+                    .collect::<Result<_, _>>()?;
+                Ok(s.split_at(t.round(round)?, groups))
+            }
+        },
+    },
+    PlanKind {
+        token: "heal",
+        grammar: "heal=ROUND",
+        type_name: "PartitionPlan",
+        kind: "partition",
+        parse: |s, t| Ok(s.heal_at(t.round(t.spec)?)),
+    },
+    PlanKind {
+        token: "oneway",
+        grammar: "oneway=ROUND[:IDS>IDS]",
+        type_name: "AsymmetricCutPlan",
+        kind: "oneway-cut",
+        parse: |s, t| match t.spec.split_once(':') {
+            None => Ok(s.cut_oneway_halves_at(t.round(t.spec)?)),
+            Some((round, cut)) => {
+                let (from, to) = cut.split_once('>').ok_or_else(|| {
+                    format!("bad cut `{cut}` in --plan `{}` (expected FROM>TO)", t.text)
+                })?;
+                Ok(s.cut_oneway_at(t.round(round)?, t.group(from)?, t.group(to)?))
+            }
+        },
+    },
+    PlanKind {
+        token: "healoneway",
+        grammar: "healoneway=ROUND",
+        type_name: "AsymmetricCutPlan",
+        kind: "oneway-cut",
+        parse: |s, t| Ok(s.heal_oneway_at(t.round(t.spec)?)),
+    },
+    PlanKind {
+        token: "corrupt",
+        grammar: "corrupt=ROUND:IDS",
+        type_name: "CorruptionPlan",
+        kind: "state-corruption",
+        parse: |s, t| {
+            let (round, ids) = t.pair()?;
+            Ok(s.corrupt_at(t.round(round)?, t.ids(ids)?))
+        },
+    },
+    PlanKind {
+        token: "spike",
+        grammar: "spike=ROUND+DURATION:LOSS/DUP/DELAY",
+        type_name: "SpikePlan",
+        kind: "spike",
+        parse: |s, t| {
+            let (window, rates) = t.pair()?;
+            let (round, duration) = t.window(window)?;
+            let [loss, dup, delay] = rates.split('/').collect::<Vec<_>>()[..] else {
+                return Err(format!(
+                    "bad spike rates `{rates}` (expected loss/dup/delay)"
+                ));
+            };
+            let rate = |r: &str| r.parse::<f64>().map_err(|_| t.bad("rate", r));
+            let spec = SpikeSpec {
+                loss: rate(loss)?,
+                duplication: rate(dup)?,
+                extra_delay: t.u64(delay)?,
+            };
+            Ok(s.spike_at(round, duration, spec))
+        },
+    },
+    PlanKind {
+        token: "gray",
+        grammar: "gray=ROUND+DURATION:PERIOD:IDS",
+        type_name: "GrayFailurePlan",
+        kind: "gray-failure",
+        parse: |s, t| {
+            let [window, period, ids] = t.fields("start+dur:period:ids")?;
+            let (round, duration) = t.window(window)?;
+            Ok(s.slow_at(round, duration, t.period(period)?, t.ids(ids)?))
+        },
+    },
+    PlanKind {
+        token: "skew",
+        grammar: "skew=ROUND:PERIOD:IDS",
+        type_name: "SkewPlan",
+        kind: "clock-skew",
+        parse: |s, t| {
+            let [round, period, ids] = t.fields("round:period:ids")?;
+            Ok(s.skew_at(t.round(round)?, t.period(period)?, t.ids(ids)?))
+        },
+    },
+    PlanKind {
+        token: "payload",
+        grammar: "payload=ROUND:IDS",
+        type_name: "PayloadCorruptionPlan",
+        kind: "payload-corruption",
+        parse: |s, t| {
+            let (round, ids) = t.pair()?;
+            Ok(s.corrupt_payloads_at(t.round(round)?, t.ids(ids)?))
+        },
+    },
+    PlanKind {
+        token: "recover",
+        grammar: "recover=ROUND+DOWNTIME:IDS",
+        type_name: "RecoveryPlan",
+        kind: "crash-recovery",
+        parse: |s, t| {
+            let (window, ids) = t.pair()?;
+            let (round, downtime) = t.window(window)?;
+            Ok(s.crash_recover_at(round, t.ids(ids)?, downtime))
+        },
+    },
+    PlanKind {
+        token: "byzantine",
+        grammar: "byzantine=ROUND:replay|forged-sender|stale-state:CLAIMED:IDS",
+        type_name: "ByzantinePlan",
+        kind: "byzantine",
+        parse: |s, t| {
+            let [round, forge, claimed, ids] = t.fields("round:kind:claimed:ids")?;
+            let forge = ForgeKind::parse(forge).ok_or_else(|| t.bad("forge kind", forge))?;
+            let claimed = claimed
+                .parse::<u32>()
+                .map_err(|_| t.bad("claimed sender", claimed))?;
+            Ok(s.inject_at(t.round(round)?, forge, ProcessId::new(claimed), t.ids(ids)?))
+        },
+    },
+];
+
+/// Registry of the built-in fault classes, `(Rust type name, plan kind)`,
+/// in [`PLAN_KINDS`] order. The atlas-completeness test asserts every entry
+/// is documented in `docs/FAULTS.md` and appears in at least one catalog
+/// scenario.
+pub fn registry() -> Vec<(&'static str, &'static str)> {
+    let mut classes = Vec::new();
+    for row in PLAN_KINDS {
+        if !classes.contains(&(row.type_name, row.kind)) {
+            classes.push((row.type_name, row.kind));
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
+    }
+    classes
+}
+
+/// Parses a `--plan` value — one or more `kind=spec` tokens separated by
+/// whitespace, see [`PLAN_KINDS`] — and composes each token onto
+/// `scenario`, in order. Every error names the offending token and gives
+/// the grammar of its kind, or of every kind when the kind is unknown:
+/// never a panic, whatever the input.
+///
+/// ```
+/// use simnet::plan::apply_spec;
+/// use simnet::scenario::Scenario;
+/// let s = apply_spec(Scenario::new("adhoc", 5), "crash=30:3+4 heal=70 split=30").unwrap();
+/// assert_eq!(s.render_schedule(), "crash=30:3+4 split=30:0+1/2+3+4 heal=70");
+/// assert!(apply_spec(Scenario::new("bad", 5), "crash=30").is_err());
+/// ```
+pub fn apply_spec(scenario: Scenario, spec: &str) -> Result<Scenario, String> {
+    spec.split_whitespace().try_fold(scenario, apply_token)
+}
+
+fn apply_token(scenario: Scenario, text: &str) -> Result<Scenario, String> {
+    let every_grammar = || {
+        let all: Vec<&str> = PLAN_KINDS.iter().map(|row| row.grammar).collect();
+        format!("\n  plan grammars: {}", all.join("  "))
     };
+    let Some((kind, spec)) = text.split_once('=') else {
+        return Err(format!(
+            "bad --plan `{text}` (expected kind=spec){}",
+            every_grammar()
+        ));
+    };
+    let Some(row) = PLAN_KINDS.iter().find(|row| row.token == kind) else {
+        return Err(format!(
+            "unknown plan kind `{kind}` in --plan `{text}`{}",
+            every_grammar()
+        ));
+    };
+    (row.parse)(scenario, &Token { text, kind, spec })
+        .map_err(|err| format!("{err} (grammar: {})", row.grammar))
+}
+
+/// One `kind=spec` token being parsed; every error names it.
+struct Token<'a> {
+    text: &'a str,
+    kind: &'a str,
+    spec: &'a str,
+}
+
+impl<'a> Token<'a> {
+    fn bad(&self, what: &str, value: &str) -> String {
+        format!("bad {what} `{value}` in --plan `{}`", self.text)
+    }
+
+    fn round(&self, s: &str) -> Result<Round, String> {
+        s.parse::<u64>()
+            .map(Round::new)
+            .map_err(|_| self.bad("round", s))
+    }
+
+    fn u64(&self, s: &str) -> Result<u64, String> {
+        s.parse::<u64>().map_err(|_| self.bad("number", s))
+    }
+
+    /// A timer period: a number of at least 1 (the builders assert it).
+    fn period(&self, s: &str) -> Result<u64, String> {
+        match self.u64(s)? {
+            0 => Err(format!(
+                "bad period `0` in --plan `{}` (must be ≥ 1)",
+                self.text
+            )),
+            period => Ok(period),
+        }
+    }
+
+    fn ids(&self, s: &str) -> Result<Vec<ProcessId>, String> {
+        s.split('+')
+            .map(|id| {
+                id.parse::<u32>()
+                    .map(ProcessId::new)
+                    .map_err(|_| self.bad("process id", id))
+            })
+            .collect()
+    }
+
+    /// A group of a split or cut, which may be empty.
+    fn group(&self, s: &str) -> Result<Vec<ProcessId>, String> {
+        if s.is_empty() {
+            Ok(Vec::new())
+        } else {
+            self.ids(s)
+        }
+    }
+
+    fn window(&self, s: &str) -> Result<(Round, u64), String> {
+        let (start, duration) = s.split_once('+').ok_or_else(|| {
+            format!(
+                "bad window `{s}` in --plan `{}` (expected start+duration)",
+                self.text
+            )
+        })?;
+        Ok((self.round(start)?, self.u64(duration)?))
+    }
+
+    fn pair(&self) -> Result<(&'a str, &'a str), String> {
+        self.spec
+            .split_once(':')
+            .ok_or_else(|| format!("bad --plan `{}` (missing `:`)", self.text))
+    }
+
+    fn fields<const N: usize>(&self, expected: &str) -> Result<[&'a str; N], String> {
+        let parts: Vec<&'a str> = self.spec.splitn(N, ':').collect();
+        parts.try_into().map_err(|_| {
+            format!(
+                "bad {} spec `{}` (expected {expected})",
+                self.kind, self.spec
+            )
+        })
+    }
+}
+
+/// `ids` as a `--plan` id list.
+fn render_ids(ids: &[ProcessId]) -> String {
+    let ids: Vec<String> = ids.iter().map(|id| id.as_u32().to_string()).collect();
+    ids.join("+")
+}
+
+/// One token per run of consecutive `(key, id)` pairs with equal keys.
+fn render_runs<K: PartialEq>(
+    pairs: impl IntoIterator<Item = (K, ProcessId)>,
+    token: impl Fn(&K, String) -> String,
+) -> Vec<String> {
+    let mut runs: Vec<(K, Vec<ProcessId>)> = Vec::new();
+    for (key, id) in pairs {
+        match runs.last_mut() {
+            Some((last, ids)) if *last == key => ids.push(id),
+            _ => runs.push((key, vec![id])),
+        }
+    }
+    runs.iter()
+        .map(|(key, ids)| token(key, render_ids(ids)))
+        .collect()
+}
+
+/// Flattens a per-round victim schedule into `(round, victim)` pairs.
+fn per_round(
+    schedule: &BTreeMap<Round, Vec<ProcessId>>,
+) -> impl Iterator<Item = (Round, ProcessId)> + '_ {
+    schedule
+        .iter()
+        .flat_map(|(round, ids)| ids.iter().map(move |id| (*round, *id)))
+}
+
+/// Orders tokens by round, stably.
+fn by_round(mut tokens: Vec<(Round, String)>) -> Vec<String> {
+    tokens.sort_by_key(|(round, _)| *round);
+    tokens.into_iter().map(|(_, token)| token).collect()
 }
 
 impl FaultPlan for CrashPlan {
@@ -368,7 +699,11 @@ impl FaultPlan for CrashPlan {
     fn counter_keys(&self) -> Vec<&'static str> {
         vec!["crashes"]
     }
-    plan_boilerplate!();
+    fn render(&self) -> Vec<String> {
+        render_runs(per_round(&self.schedule), |round, ids| {
+            format!("crash={round}:{ids}")
+        })
+    }
 }
 
 impl FaultPlan for ChurnPlan {
@@ -390,7 +725,12 @@ impl FaultPlan for ChurnPlan {
     fn counter_keys(&self) -> Vec<&'static str> {
         vec!["joins"]
     }
-    plan_boilerplate!();
+    fn render(&self) -> Vec<String> {
+        self.joins
+            .iter()
+            .map(|(round, count)| format!("join={round}:{count}"))
+            .collect()
+    }
 }
 
 impl FaultPlan for PartitionPlan {
@@ -416,7 +756,19 @@ impl FaultPlan for PartitionPlan {
     fn counter_keys(&self) -> Vec<&'static str> {
         vec!["splits"]
     }
-    plan_boilerplate!();
+    fn render(&self) -> Vec<String> {
+        let heals = self
+            .heals
+            .iter()
+            .map(|round| (*round, format!("heal={round}")));
+        let splits = self.splits.iter().flat_map(|(round, splits)| {
+            splits.iter().map(move |groups| {
+                let groups: Vec<String> = groups.iter().map(|g| render_ids(g)).collect();
+                (*round, format!("split={round}:{}", groups.join("/")))
+            })
+        });
+        by_round(heals.chain(splits).collect())
+    }
 }
 
 impl FaultPlan for AsymmetricCutPlan {
@@ -445,7 +797,19 @@ impl FaultPlan for AsymmetricCutPlan {
     fn counter_keys(&self) -> Vec<&'static str> {
         vec!["oneway_cuts"]
     }
-    plan_boilerplate!();
+    fn render(&self) -> Vec<String> {
+        let heals = self
+            .heals
+            .iter()
+            .map(|round| (*round, format!("healoneway={round}")));
+        let cuts = self.cuts.iter().flat_map(|(round, cuts)| {
+            cuts.iter().map(move |(from, to)| {
+                let (from, to) = (render_ids(from), render_ids(to));
+                (*round, format!("oneway={round}:{from}>{to}"))
+            })
+        });
+        by_round(heals.chain(cuts).collect())
+    }
 }
 
 impl FaultPlan for CorruptionPlan {
@@ -468,7 +832,11 @@ impl FaultPlan for CorruptionPlan {
     fn counter_keys(&self) -> Vec<&'static str> {
         vec!["corruptions"]
     }
-    plan_boilerplate!();
+    fn render(&self) -> Vec<String> {
+        render_runs(per_round(&self.schedule), |round, ids| {
+            format!("corrupt={round}:{ids}")
+        })
+    }
 }
 
 impl FaultPlan for SpikePlan {
@@ -490,7 +858,15 @@ impl FaultPlan for SpikePlan {
     fn counter_keys(&self) -> Vec<&'static str> {
         vec!["spikes"]
     }
-    plan_boilerplate!();
+    fn render(&self) -> Vec<String> {
+        self.windows
+            .iter()
+            .map(|(start, end, spec)| {
+                let (loss, dup, delay) = (spec.loss, spec.duplication, spec.extra_delay);
+                format!("spike={start}+{}:{loss}/{dup}/{delay}", *end - *start)
+            })
+            .collect()
+    }
 }
 
 impl FaultPlan for GrayFailurePlan {
@@ -542,7 +918,16 @@ impl FaultPlan for GrayFailurePlan {
         }
         violations
     }
-    plan_boilerplate!();
+    fn render(&self) -> Vec<String> {
+        self.windows()
+            .iter()
+            .filter(|(_, _, victims, _)| !victims.is_empty())
+            .map(|(start, end, victims, period)| {
+                let ids = render_ids(victims);
+                format!("gray={start}+{}:{period}:{ids}", *end - *start)
+            })
+            .collect()
+    }
 }
 
 impl FaultPlan for SkewPlan {
@@ -580,7 +965,7 @@ impl FaultPlan for SkewPlan {
             }
             let elapsed = obs.end_round.saturating_since(since);
             let period = obs.final_timer_overrides.get(&v).copied().unwrap_or(1);
-            if elapsed >= 2 * period {
+            if elapsed >= period.saturating_mul(2) {
                 let steps = obs.final_timer_steps.get(&v).unwrap_or(baseline) - baseline;
                 if steps == 0 {
                     violations.push(format!(
@@ -591,7 +976,14 @@ impl FaultPlan for SkewPlan {
         }
         violations
     }
-    plan_boilerplate!();
+    fn render(&self) -> Vec<String> {
+        let pairs = self
+            .all_skews()
+            .map(|(round, id, period)| ((round, period), id));
+        render_runs(pairs, |(round, period), ids| {
+            format!("skew={round}:{period}:{ids}")
+        })
+    }
 }
 
 impl FaultPlan for PayloadCorruptionPlan {
@@ -614,7 +1006,11 @@ impl FaultPlan for PayloadCorruptionPlan {
     fn counter_keys(&self) -> Vec<&'static str> {
         vec!["payload_corruptions"]
     }
-    plan_boilerplate!();
+    fn render(&self) -> Vec<String> {
+        render_runs(per_round(&self.schedule), |round, ids| {
+            format!("payload={round}:{ids}")
+        })
+    }
 }
 
 impl FaultPlan for RecoveryPlan {
@@ -655,7 +1051,22 @@ impl FaultPlan for RecoveryPlan {
             })
             .collect()
     }
-    plan_boilerplate!();
+    /// The plan keeps crash rounds and rejoin rounds apart, so this pairs
+    /// them in sorted order: the i-th crash with the i-th rejoin. Every
+    /// schedule the builder makes has a rejoin no earlier than each crash
+    /// in that pairing, and re-parsing it gives the same two maps.
+    fn render(&self) -> Vec<String> {
+        let rejoins = self
+            .rejoins
+            .iter()
+            .flat_map(|(round, count)| std::iter::repeat(*round).take(*count as usize));
+        let pairs = per_round(&self.crashes)
+            .zip(rejoins)
+            .map(|((crash, id), rejoin)| ((crash, rejoin.saturating_since(crash)), id));
+        render_runs(pairs, |(round, downtime), ids| {
+            format!("recover={round}+{downtime}:{ids}")
+        })
+    }
 }
 
 /// What shape of crafted payload a [`ByzantinePlan`] injection carries.
@@ -791,7 +1202,19 @@ impl FaultPlan for ByzantinePlan {
     // which attributes packets to the action that created them — a
     // per-plan comparison against the shared `injections` counter would
     // misfire as soon as two Byzantine plans compose.
-    plan_boilerplate!();
+    fn render(&self) -> Vec<String> {
+        let pairs = self.schedule.iter().flat_map(|(round, v)| {
+            v.iter()
+                .map(move |(forge, claimed, target)| ((*round, *forge, *claimed), *target))
+        });
+        render_runs(pairs, |(round, forge, claimed), ids| {
+            format!(
+                "byzantine={round}:{}:{}:{ids}",
+                forge.name(),
+                claimed.as_u32()
+            )
+        })
+    }
 }
 
 /// Support for the module-level doctest (a minimal public scenario target).
@@ -851,6 +1274,9 @@ pub mod doctest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SchedulerMode;
+    use crate::scenario::{catalog, run_scenario, ScenarioRunner};
+    use crate::testutil::MaxNode;
 
     fn ctx() -> PlanCtx {
         PlanCtx {
@@ -966,5 +1392,256 @@ mod tests {
             assert_eq!(ForgeKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(ForgeKind::parse("nonsense"), None);
+    }
+
+    fn grammar(token: &str) -> &'static str {
+        PLAN_KINDS
+            .iter()
+            .find(|row| row.token == token)
+            .unwrap()
+            .grammar
+    }
+
+    #[test]
+    fn every_plan_grammar_rejects_malformed_specs_with_token_and_hint() {
+        // One malformed spec per grammar: (spec, the offending token the
+        // error must name). None may panic.
+        let cases = [
+            ("crash=abc:1", "abc"),
+            ("join=40:x", "x"),
+            ("join=40:4294967296", "4294967296"),
+            ("split=late", "late"),
+            ("split=30:0+1/2+z", "z"),
+            ("heal=9.5", "9.5"),
+            ("oneway=half", "half"),
+            ("oneway=30:0+1", "0+1"),
+            ("healoneway=-3", "-3"),
+            ("corrupt=35:p0", "p0"),
+            ("payload=35:0+q", "q"),
+            ("spike=30+20:0.25/zz/2", "zz"),
+            ("gray=30+40:0:1", "0"),
+            ("skew=20:0:1", "0"),
+            ("recover=30:4", "30"),
+            ("byzantine=30:alien:9:0", "alien"),
+        ];
+        for (spec, token) in cases {
+            let err =
+                apply_spec(Scenario::new("bad", 4), spec).expect_err(&format!("accepted `{spec}`"));
+            assert!(
+                err.contains(&format!("`{token}`")) || err.contains(&format!(" {token} ")),
+                "error for `{spec}` does not name `{token}`: {err}"
+            );
+            let kind = spec.split_once('=').unwrap().0;
+            assert!(
+                err.contains(grammar(kind)),
+                "error for `{spec}` lacks the {kind} grammar hint: {err}"
+            );
+        }
+        // An unknown kind lists every grammar.
+        let err = apply_spec(Scenario::new("bad", 4), "meteor=30").unwrap_err();
+        assert!(err.contains("unknown plan kind"), "{err}");
+        assert!(err.contains("plan grammars:"), "{err}");
+        assert!(err.contains("crash=ROUND:IDS"), "{err}");
+        // A spec with no `=` at all gets the full listing too.
+        let err = apply_spec(Scenario::new("bad", 4), "crash").unwrap_err();
+        assert!(err.contains("expected kind=spec"), "{err}");
+        assert!(err.contains("plan grammars:"), "{err}");
+    }
+
+    #[test]
+    fn plan_specs_compose_ad_hoc_scenarios() {
+        let scenario = Scenario::new("adhoc", 6);
+        let scenario = apply_spec(scenario, "crash=30:3+4").unwrap();
+        let scenario = apply_spec(scenario, "crash=45:0").unwrap();
+        let scenario = apply_spec(scenario, "join=40:2").unwrap();
+        let scenario = apply_spec(scenario, "split=20").unwrap();
+        let scenario = apply_spec(scenario, "heal=50").unwrap();
+        let scenario = apply_spec(scenario, "spike=30+20:0.25/0.1/2").unwrap();
+        let scenario = apply_spec(scenario, "gray=30+40:6:1+2").unwrap();
+        let scenario = apply_spec(scenario, "skew=20:3:1").unwrap();
+        let scenario = apply_spec(scenario, "recover=30+25:5").unwrap();
+        let scenario = apply_spec(scenario, "byzantine=30:forged-sender:9:0+1").unwrap();
+        // Repeated specs of one kind merged into one plan per class.
+        assert_eq!(scenario.plan::<CrashPlan>().unwrap().total(), 3);
+        assert_eq!(scenario.plan::<ChurnPlan>().unwrap().total(), 2);
+        assert_eq!(scenario.plan::<SpikePlan>().unwrap().total(), 1);
+        assert_eq!(scenario.plan::<ByzantinePlan>().unwrap().total(), 2);
+        assert!(scenario.last_fault_round() >= Round::new(55));
+        // Bad specs are rejected with a useful error.
+        for bad in [
+            "nonsense=1",
+            "crash=30",
+            "crash=x:1",
+            "spike=30:0.1/0.1/1",
+            "byzantine=30:alien:9:0",
+        ] {
+            assert!(
+                apply_spec(Scenario::new("bad", 4), bad).is_err(),
+                "accepted bad spec `{bad}`"
+            );
+        }
+    }
+
+    /// One whitespace-separated value is the same schedule as the same
+    /// tokens given one at a time, and it renders back to itself.
+    #[test]
+    fn one_value_holds_a_whole_schedule() {
+        let tokens = [
+            "crash=30:3+4",
+            "spike=40+20:0.3/0.1/2",
+            "byzantine=50:forged-sender:9:0+1",
+        ];
+        let one = apply_spec(Scenario::new("one", 5), &tokens.join(" \t ")).unwrap();
+        let many = tokens
+            .iter()
+            .try_fold(Scenario::new("many", 5), |s, t| apply_spec(s, t))
+            .unwrap();
+        for round in 0..70 {
+            let round = Round::new(round);
+            assert_eq!(one.actions_at(round), many.actions_at(round), "{round}");
+        }
+        assert_eq!(one.render_schedule(), tokens.join(" "));
+        assert_eq!(
+            apply_spec(Scenario::new("none", 5), " ")
+                .unwrap()
+                .plans()
+                .len(),
+            0
+        );
+    }
+
+    /// Every catalog scenario's rendered schedule, applied to a bare
+    /// scenario, schedules the same actions in every round and renders to
+    /// the same string.
+    #[test]
+    fn every_catalog_schedule_round_trips_through_its_rendering() {
+        for n in 4..=8 {
+            for scenario in catalog(n) {
+                let rendered = scenario.render_schedule();
+                let parsed = apply_spec(Scenario::new(scenario.name(), n), &rendered)
+                    .unwrap_or_else(|err| panic!("{}: {err}", scenario.name()));
+                for round in 0..=scenario.rounds() {
+                    let round = Round::new(round);
+                    assert_eq!(
+                        parsed.actions_at(round),
+                        scenario.actions_at(round),
+                        "{} at n = {n}, round {round}: `{rendered}`",
+                        scenario.name()
+                    );
+                }
+                assert_eq!(parsed.render_schedule(), rendered, "{}", scenario.name());
+            }
+        }
+    }
+
+    /// Schedules the builders can make but the catalog does not use:
+    /// explicit split and cut groups, mixed skew periods, recoveries with
+    /// different downtimes, and Byzantine runs with several senders.
+    #[test]
+    fn explicit_groups_and_mixed_runs_round_trip() {
+        let p = |i: u32| ProcessId::new(i);
+        let scenario = Scenario::new("mixed", 5)
+            .split_at(
+                Round::new(3),
+                vec![vec![p(0), p(2)], vec![p(1)], vec![p(3), p(4)]],
+            )
+            .heal_at(Round::new(3))
+            .cut_oneway_at(Round::new(5), vec![p(4)], vec![p(0), p(1)])
+            .heal_oneway_at(Round::new(9))
+            .skew_at(Round::new(2), 3, [p(1), p(2)])
+            .skew_at(Round::new(2), 5, [p(3)])
+            .crash_recover_at(Round::new(4), [p(1)], 10)
+            .crash_recover_at(Round::new(4), [p(2)], 3)
+            .crash_recover_at(Round::new(6), [p(3)], 1)
+            .inject_at(Round::new(7), ForgeKind::Replay, p(0), [p(1), p(2)])
+            .inject_at(Round::new(7), ForgeKind::StaleState, p(3), [p(1)])
+            .spike_at(
+                Round::new(1),
+                4,
+                SpikeSpec {
+                    loss: 0.125,
+                    duplication: 1.0 / 3.0,
+                    extra_delay: 2,
+                },
+            );
+        let rendered = scenario.render_schedule();
+        let parsed = apply_spec(Scenario::new("mixed", 5), &rendered).unwrap();
+        for round in 0..=20 {
+            let round = Round::new(round);
+            assert_eq!(
+                parsed.actions_at(round),
+                scenario.actions_at(round),
+                "{rendered}"
+            );
+        }
+        assert_eq!(parsed.render_schedule(), rendered);
+        assert!(rendered.contains("split=3:0+2/1/3+4"), "{rendered}");
+        assert!(rendered.contains("oneway=5:4>0+1"), "{rendered}");
+    }
+
+    /// A custom plan renders as its kind, which does not parse back.
+    #[test]
+    fn a_custom_plan_renders_its_kind() {
+        #[derive(Debug, Clone)]
+        struct Custom;
+        impl FaultPlan for Custom {
+            fn kind(&self) -> &'static str {
+                "custom"
+            }
+            fn schedule(&self, _round: Round, _ctx: &PlanCtx) -> Vec<FaultAction> {
+                Vec::new()
+            }
+            fn last_round(&self) -> Option<Round> {
+                None
+            }
+            fn events(&self) -> usize {
+                0
+            }
+            fn counter_keys(&self) -> Vec<&'static str> {
+                Vec::new()
+            }
+        }
+        let scenario = Scenario::new("custom", 4)
+            .crash_at(Round::new(2), [ProcessId::new(1)])
+            .with_plan(Custom);
+        assert_eq!(scenario.render_schedule(), "crash=2:1 custom");
+        assert!(apply_spec(Scenario::new("custom", 4), "custom").is_err());
+    }
+
+    /// Windows and periods that overflow a round parse, and their cells
+    /// finish: the overflowing round saturates to "never".
+    #[test]
+    fn overflowing_windows_and_periods_parse_and_finish() {
+        let max = u64::MAX;
+        for spec in [
+            format!("spike={max}+5:0.1/0.1/1"),
+            format!("gray=30+{max}:6:1"),
+            format!("recover=30+{max}:4"),
+            format!("skew=30:{max}:1"),
+        ] {
+            let scenario = apply_spec(Scenario::new("overflow", 5), &spec)
+                .unwrap()
+                .with_rounds(120);
+            let mut sim = scenario.build_sim::<MaxNode>(1, SchedulerMode::EventDriven);
+            let run = run_scenario(&scenario, &mut sim);
+            assert!(run.rounds_run > 0, "{spec}: {run:?}");
+        }
+        // The skewed victim takes at most one timer step after the skew
+        // round: its next step is due at the end of time.
+        let victim = ProcessId::new(1);
+        let scenario = apply_spec(Scenario::new("skew", 4), &format!("skew=30:{max}:1"))
+            .unwrap()
+            .with_rounds(120)
+            .with_workload_until(120);
+        let mut runner = ScenarioRunner::new(
+            &scenario,
+            scenario.build_sim::<MaxNode>(1, SchedulerMode::EventDriven),
+        );
+        runner.advance_to(Round::new(30));
+        let before = runner.sim().timer_steps_of(victim).unwrap();
+        runner.finish();
+        let after = runner.sim().timer_steps_of(victim).unwrap();
+        assert!(after - before <= 1, "{before} → {after}");
+        assert_eq!(runner.sim().now(), Round::new(120));
     }
 }

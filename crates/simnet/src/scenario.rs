@@ -403,6 +403,15 @@ impl Scenario {
             .find_map(|plan| plan.as_any().downcast_ref::<P>())
     }
 
+    /// The scenario's whole fault schedule as one `--plan` value: every
+    /// plan's [`FaultPlan::render`] tokens, in composition order, joined by
+    /// spaces. [`crate::plan::apply_spec`] on a bare scenario of the same
+    /// size parses a built-in schedule back to the same actions.
+    pub fn render_schedule(&self) -> String {
+        let tokens: Vec<String> = self.plans.iter().flat_map(|p| p.render()).collect();
+        tokens.join(" ")
+    }
+
     /// The context plans schedule against.
     pub fn plan_ctx(&self) -> PlanCtx {
         PlanCtx {
@@ -462,7 +471,7 @@ impl Scenario {
 
     /// The simulation configuration for one run of this scenario.
     ///
-    /// `mode` is unused, kept only because `benchmark/` passes it; ROADMAP item 13(f) removes it.
+    /// `mode` is unused, kept only because `benchmark/` passes it; ROADMAP item 15(f) removes it.
     pub fn sim_config(&self, seed: u64, _mode: SchedulerMode) -> SimConfig {
         let link = &self.link;
         SimConfig::default()
@@ -476,7 +485,7 @@ impl Scenario {
 
     /// Builds a fresh simulation of this scenario's initial population.
     ///
-    /// `mode` is unused, kept only because `benchmark/` passes it; ROADMAP item 13(f) removes it.
+    /// `mode` is unused, kept only because `benchmark/` passes it; ROADMAP item 15(f) removes it.
     pub fn build_sim<T: ScenarioTarget>(&self, seed: u64, mode: SchedulerMode) -> Simulation<T> {
         let mut sim = Simulation::new(self.sim_config(seed, mode));
         for i in 0..self.n as u32 {

@@ -61,16 +61,19 @@ impl fmt::Display for Round {
     }
 }
 
+/// Saturating: a round past the end of time is `Round(u64::MAX)`, which
+/// no execution reaches, so a window or period that overflows reads as
+/// "never".
 impl Add<u64> for Round {
     type Output = Round;
     fn add(self, rhs: u64) -> Round {
-        Round(self.0 + rhs)
+        Round(self.0.saturating_add(rhs))
     }
 }
 
 impl AddAssign<u64> for Round {
     fn add_assign(&mut self, rhs: u64) {
-        self.0 += rhs;
+        *self = *self + rhs;
     }
 }
 
@@ -101,6 +104,16 @@ mod tests {
         let late = Round::new(10);
         assert_eq!(late.saturating_since(early), 7);
         assert_eq!(early.saturating_since(late), 0);
+    }
+
+    #[test]
+    fn adding_past_the_end_of_time_saturates() {
+        let last = Round::new(u64::MAX);
+        assert_eq!(Round::new(30) + u64::MAX, last);
+        assert_eq!(last + 1, last);
+        let mut r = Round::new(5);
+        r += u64::MAX;
+        assert_eq!(r, last);
     }
 
     #[test]

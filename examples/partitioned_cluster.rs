@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 
 use selfstab_reconfig::reconfiguration::{config_set, ConfigSet, NodeConfig, ReconfigNode};
-use selfstab_reconfig::sim::{PartitionPlan, ProcessId, Round, SimConfig, Simulation};
+use selfstab_reconfig::sim::{ProcessId, SimConfig, Simulation};
 
 fn configurations(sim: &Simulation<ReconfigNode>) -> BTreeSet<ConfigSet> {
     sim.active_ids()
@@ -34,24 +34,20 @@ fn main() {
     // The partition starts at round 70 and heals at round 420.
     let left: Vec<ProcessId> = (0..3).map(ProcessId::new).collect();
     let right: Vec<ProcessId> = (3..6).map(ProcessId::new).collect();
-    let plan = PartitionPlan::new()
-        .split_at(Round::new(70), vec![left, right])
-        .heal_at(Round::new(420));
+    let partition = |s: &mut Simulation<ReconfigNode>| match s.now().as_u64() {
+        70 => s.network_mut().split_into(&[left.clone(), right.clone()]),
+        420 => s.network_mut().heal_all_links(),
+        _ => {}
+    };
 
-    sim.run_rounds_with(340, |s| {
-        let now = s.now();
-        plan.apply(s, now);
-    });
+    sim.run_rounds_with(340, partition);
     let during = configurations(&sim);
     println!(
         "during the partition the halves hold {} distinct configuration value(s)",
         during.len()
     );
 
-    sim.run_rounds_with(100, |s| {
-        let now = s.now();
-        plan.apply(s, now);
-    });
+    sim.run_rounds_with(100, partition);
     println!("partition healed; waiting for the scheme to re-merge the halves…");
 
     let rounds = sim.run_until(3000, |s| {

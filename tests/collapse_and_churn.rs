@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 
 use reconfig::{config_set, ConfigSet, NodeConfig, ReconfigNode};
-use simnet::{CrashPlan, PartitionPlan, ProcessId, Round, SimConfig, Simulation};
+use simnet::{ProcessId, SimConfig, Simulation};
 
 fn converged_config(sim: &Simulation<ReconfigNode>) -> Option<ConfigSet> {
     let mut configs = BTreeSet::new();
@@ -89,12 +89,10 @@ fn rolling_crashes_keep_shrinking_the_configuration() {
         );
     }
     sim.run_rounds(60);
-    let crashes = CrashPlan::new()
-        .crash_at(Round::new(80), ProcessId::new(5))
-        .crash_at(Round::new(400), ProcessId::new(4));
-    sim.run_rounds_with(800, |s| {
-        let now = s.now();
-        crashes.apply(s, now);
+    sim.run_rounds_with(800, |s| match s.now().as_u64() {
+        80 => s.crash(ProcessId::new(5)),
+        400 => s.crash(ProcessId::new(4)),
+        _ => {}
     });
     let rounds = sim.run_until(1500, |s| converged_config(s) == Some(config_set(0..4)));
     assert!(
@@ -138,12 +136,10 @@ fn partition_and_heal_reconverges_to_one_configuration() {
     let mut sim = steady_cluster(6, 704);
     let left: Vec<ProcessId> = (0..3).map(ProcessId::new).collect();
     let right: Vec<ProcessId> = (3..6).map(ProcessId::new).collect();
-    let plan = PartitionPlan::new()
-        .split_at(Round::new(70), vec![left, right])
-        .heal_at(Round::new(450));
-    sim.run_rounds_with(500, |s| {
-        let now = s.now();
-        plan.apply(s, now);
+    sim.run_rounds_with(500, |s| match s.now().as_u64() {
+        70 => s.network_mut().split_into(&[left.clone(), right.clone()]),
+        450 => s.network_mut().heal_all_links(),
+        _ => {}
     });
     // After the heal every processor is reachable again; the system must end
     // with a single common configuration that includes a majority of the

@@ -11,8 +11,6 @@
 //! pin the armed/unarmed report contract: unarmed runs carry none of the
 //! history counters and stop at first convergence exactly as before.
 
-use std::any::Any;
-
 use selfstab_reconfig::counting::CounterNode;
 use selfstab_reconfig::reconfiguration::ReconfigNode;
 use selfstab_reconfig::replication::SmrNode;
@@ -63,18 +61,6 @@ impl FaultPlan for LateCorruption {
 
     fn counter_keys(&self) -> Vec<&'static str> {
         vec!["corruptions"]
-    }
-
-    fn clone_plan(&self) -> Box<dyn FaultPlan> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

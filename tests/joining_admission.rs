@@ -11,7 +11,7 @@ use reconfig::{
     config_set, AdmissionPolicy, ConfigSet, JoinMsg, NodeConfig, ReconfigMsg, ReconfigNode,
 };
 use simnet::stack::{Layer, Outbox};
-use simnet::{ChurnPlan, ProcessId, Round, ScenarioTarget, SimConfig, SimRng, Simulation};
+use simnet::{ProcessId, ScenarioTarget, SimConfig, SimRng, Simulation};
 
 fn converged_config(sim: &Simulation<ReconfigNode>) -> Option<ConfigSet> {
     let mut configs = BTreeSet::new();
@@ -116,21 +116,25 @@ fn many_joiners_are_admitted_in_sequence() {
     }
 }
 
-/// The churn plan drives a staggered arrival of joiners; the configuration
-/// survives the whole churn episode untouched.
+/// A staggered arrival of joiners (one at round 70, two at 120, one at
+/// 180); the configuration survives the whole churn episode untouched.
 #[test]
 fn staggered_churn_does_not_perturb_the_configuration() {
     let mut sim = members_cluster(4, 404, AdmissionPolicy::AdmitAll);
-    let plan = ChurnPlan::new()
-        .join_at(Round::new(70), 1)
-        .join_at(Round::new(120), 2)
-        .join_at(Round::new(180), 1);
     let mut joined: Vec<ProcessId> = Vec::new();
     sim.run_rounds_with(260, |s| {
-        let now = s.now();
-        joined.extend(plan.apply(s, now, |id| {
-            ReconfigNode::new_joiner(id, NodeConfig::for_n(32).with_bootstrap_patience(None))
-        }));
+        let count = match s.now().as_u64() {
+            70 | 180 => 1,
+            120 => 2,
+            _ => 0,
+        };
+        for _ in 0..count {
+            let id = s.fresh_id();
+            let joiner =
+                ReconfigNode::new_joiner(id, NodeConfig::for_n(32).with_bootstrap_patience(None));
+            s.add_process_with_id(id, joiner);
+            joined.push(id);
+        }
     });
     assert_eq!(joined.len(), 4);
     let rounds = sim.run_until(1200, |s| {
