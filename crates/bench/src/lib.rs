@@ -1,18 +1,17 @@
-//! Shared harness helpers for the benchmark suite.
+//! Simulation builders for the paper's experiments and the workspace's
+//! campaign-matrix tests.
 //!
-//! Every benchmark in `benches/` runs one experiment of the paper (E1–E13,
-//! named in its module doc) and prints the quantity it measures — rounds,
-//! messages, estimates — to stderr next to criterion's timings; ROADMAP
-//! item 5 turns those lines into a checked table. The helpers here build
-//! the simulations the benches measure, so the scenario definitions live in
-//! one place.
+//! [`experiments`] runs E1–E13 and renders them as one table of exact counts
+//! (`simctl experiments`, `docs/EXPERIMENTS.md`). The helpers here build the
+//! simulations it and the tests under `tests/` measure, so the scenario
+//! definitions live in one place.
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeSet;
+pub mod experiments;
 
 use counters::CounterNode;
-use reconfig::{config_set, ConfigSet, NodeConfig, ReconfigNode};
+use reconfig::{config_set, NodeConfig, QuorumSystem, ReconfigNode};
 use sharedmem::SharedMemNode;
 use simnet::scenario::{catalog, run_scenario, ScenarioTarget};
 use simnet::{
@@ -36,15 +35,21 @@ pub fn fresh_reconfig_sim(n: u32, seed: u64) -> Simulation<ReconfigNode> {
 }
 
 /// Builds a simulation of `n` reconfiguration nodes that already share the
-/// configuration `{0..n}` (steady state).
-pub fn steady_reconfig_sim(n: u32, seed: u64) -> Simulation<ReconfigNode> {
+/// configuration `{0..n}` (steady state). `population` bounds how many
+/// processes the run will ever hold, joiners included; every node's `N` is
+/// twice it, as in [`fresh_reconfig_sim`].
+pub fn steady_reconfig_sim(n: u32, population: u32, seed: u64) -> Simulation<ReconfigNode> {
     let cfg = config_set(0..n);
     let mut sim = Simulation::new(SimConfig::default().with_seed(seed).with_max_delay(0));
     for i in 0..n {
         let id = ProcessId::new(i);
         sim.add_process_with_id(
             id,
-            ReconfigNode::new_with_config(id, cfg.clone(), NodeConfig::for_n(2 * n as usize)),
+            ReconfigNode::new_with_config(
+                id,
+                cfg.clone(),
+                NodeConfig::for_n(2 * population as usize),
+            ),
         );
     }
     sim.run_rounds(40);
@@ -66,17 +71,18 @@ pub fn steady_counter_sim(n: u32, seed: u64) -> Simulation<CounterNode> {
 }
 
 /// Builds a simulation of `n` shared-memory register members already sharing
-/// the configuration `{0..n}`, settled past the post-install store sync (the
-/// steady state is the reconfiguration stack's gossip with no client ops in
-/// flight).
-pub fn steady_sharedmem_sim(n: u32, seed: u64) -> Simulation<SharedMemNode> {
+/// the configuration `{0..n}` and operating on `quorum`, settled past the
+/// post-install store sync (the steady state is the reconfiguration stack's
+/// gossip with no client ops in flight).
+pub fn steady_sharedmem_sim(n: u32, quorum: QuorumSystem, seed: u64) -> Simulation<SharedMemNode> {
     let cfg = config_set(0..n);
     let mut sim = Simulation::new(SimConfig::default().with_seed(seed).with_max_delay(0));
     for i in 0..n {
         let id = ProcessId::new(i);
         sim.add_process_with_id(
             id,
-            SharedMemNode::new_member(id, cfg.clone(), NodeConfig::for_n(2 * n as usize)),
+            SharedMemNode::new_member(id, cfg.clone(), NodeConfig::for_n(2 * n as usize))
+                .with_quorum_system(quorum.clone()),
         );
     }
     sim.run_rounds(40);
@@ -103,18 +109,18 @@ pub fn smr_cluster(n: u32, seed: u64) -> Simulation<SmrNode> {
     sim
 }
 
-/// Runs one chaos scenario end to end against target `T` — the
-/// scenario-driven benchmark harness: experiments measure the same
-/// declarative fault schedules the chaos campaigns verify, so perf numbers
-/// and chaos coverage share one fault vocabulary. Returns the run outcome
-/// (rounds to convergence, fault counters, invariants).
+/// Runs one chaos scenario end to end against target `T`: experiments
+/// measure the same declarative fault schedules the chaos campaigns verify,
+/// so their counts and chaos coverage share one fault vocabulary. Returns
+/// the run outcome (rounds to convergence, fault counters, invariants).
 pub fn run_scenario_bench<T: ScenarioTarget>(scenario: &Scenario, seed: u64) -> ScenarioRun {
     let mut sim: Simulation<T> = scenario.build_sim(seed, SchedulerMode::EventDriven);
     run_scenario(scenario, &mut sim)
 }
 
 /// Looks up a catalog scenario by name, panicking with a useful message
-/// when a bench references a scenario the catalog no longer ships.
+/// when an experiment or test references a scenario the catalog no longer
+/// ships.
 pub fn catalog_scenario(name: &str, n: usize) -> Scenario {
     simnet::scenario::find(name, n)
         .unwrap_or_else(|| panic!("catalog scenario `{name}` missing (see `simctl list`)"))
@@ -143,47 +149,18 @@ pub fn catalog_matrix_report(ns: &[usize], seeds: &[u64], jobs: usize) -> Campai
     report
 }
 
-/// Returns the single configuration shared by all active nodes, if they agree.
-pub fn converged_config(sim: &Simulation<ReconfigNode>) -> Option<ConfigSet> {
-    let mut configs: BTreeSet<ConfigSet> = BTreeSet::new();
-    for id in sim.active_ids() {
-        match sim.process(id).and_then(|p| p.installed_config()) {
-            Some(c) => {
-                configs.insert(c);
-            }
-            None => return None,
-        }
-    }
-    if configs.len() == 1 {
-        configs.into_iter().next()
-    } else {
-        None
-    }
-}
-
-/// Runs the simulation until every active node holds exactly `expected` and
-/// reports calm (`noReco()`), returning the number of rounds it took.
-pub fn rounds_to_converge(
-    sim: &mut Simulation<ReconfigNode>,
-    expected: &ConfigSet,
-    max_rounds: u64,
-) -> u64 {
-    sim.run_until(max_rounds, |s| {
-        converged_config(s).as_ref() == Some(expected)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reconfig::converged_config;
     use simnet::{Arrival, LoadProfile};
 
     #[test]
     fn helpers_build_working_scenarios() {
         let mut sim = fresh_reconfig_sim(3, 1);
-        let rounds = rounds_to_converge(&mut sim, &config_set(0..3), 300);
-        assert!(rounds < 300);
-        let steady = steady_reconfig_sim(3, 2);
+        sim.run_until(300, |s| converged_config(s) == Some(config_set(0..3)));
+        assert_eq!(converged_config(&sim), Some(config_set(0..3)));
+        let steady = steady_reconfig_sim(3, 3, 2);
         assert_eq!(converged_config(&steady), Some(config_set(0..3)));
     }
 

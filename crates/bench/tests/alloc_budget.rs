@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bench::{smr_cluster, steady_counter_sim, steady_reconfig_sim, steady_sharedmem_sim};
+use reconfig::QuorumSystem;
 use simnet::{Process, Simulation};
 
 /// Counts allocation *events* (alloc/realloc/alloc_zeroed) while armed.
@@ -123,7 +124,7 @@ const MAX_RECONFIG_ALLOCS_PER_ROUND: u64 = 8;
 #[test]
 fn quiescent_reconfig_allocations_stay_pinned() {
     let _guard = serial_guard();
-    let mut sim = steady_reconfig_sim(N, 42);
+    let mut sim = steady_reconfig_sim(N, N, 42);
     let per_round = settle_and_measure(&mut sim);
     assert_budget("reconfig", per_round, MAX_RECONFIG_ALLOCS_PER_ROUND);
 }
@@ -167,7 +168,7 @@ const MAX_SHAREDMEM_ALLOCS_PER_ROUND: u64 = 8;
 #[test]
 fn quiescent_sharedmem_allocations_stay_pinned() {
     let _guard = serial_guard();
-    let mut sim = steady_sharedmem_sim(N, 42);
+    let mut sim = steady_sharedmem_sim(N, QuorumSystem::Majority, 42);
     let per_round = settle_and_measure(&mut sim);
     assert_budget("sharedmem", per_round, MAX_SHAREDMEM_ALLOCS_PER_ROUND);
 }

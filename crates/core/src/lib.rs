@@ -54,7 +54,7 @@ pub mod types;
 
 pub use audit::{audit, Finding, NodeReport, SystemReport};
 pub use join::{JoinMsg, Joining};
-pub use node::{NodeConfig, ReconfigMsg, ReconfigNode};
+pub use node::{converged_config, NodeConfig, ReconfigMsg, ReconfigNode};
 pub use policy::{AdmissionPolicy, EvalPolicy};
 pub use quorum::QuorumSystem;
 pub use recma::{RecMa, RecMaMsg};

@@ -63,7 +63,7 @@ impl NodeConfig {
     /// arbitrary, so a peer may trail by several rounds of full traffic
     /// (`≈ 6·n_bound` counts) before it is genuinely late. `8·n_bound`
     /// keeps the spurious-suspicion probability negligible at every scale
-    /// the benches exercise while still detecting crashes within a few
+    /// the experiments exercise while still detecting crashes within a few
     /// rounds.
     pub fn for_n(n_bound: usize) -> Self {
         NodeConfig {
@@ -503,6 +503,30 @@ impl simnet::ScenarioTarget for ReconfigNode {
     }
 }
 
+/// The configuration every active node of `sim` has installed, or `None`
+/// while some active node has none installed or two of them differ.
+///
+/// Unlike [`ScenarioTarget::converged`](simnet::ScenarioTarget::converged)
+/// this does not ask for calm participants: it names *which* configuration
+/// the system agrees on, so tests and experiments can wait for a specific
+/// one.
+// `#[inline]` keeps this out of the crate's own codegen units: as a plain
+// function it shifts how they are split, and with them the inlining of
+// `ReconfigNode`'s message and timer handlers, in binaries that never call
+// it (checked on the benchmark binary's symbol sizes).
+#[inline]
+pub fn converged_config(sim: &simnet::Simulation<ReconfigNode>) -> Option<ConfigSet> {
+    let mut configs = BTreeSet::new();
+    for id in sim.active_ids() {
+        configs.insert(sim.process(id)?.installed_config()?);
+    }
+    if configs.len() == 1 {
+        configs.pop_first()
+    } else {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,23 +541,6 @@ mod tests {
             sim.add_process_with_id(id, ReconfigNode::new_participant(id, NodeConfig::for_n(16)));
         }
         sim
-    }
-
-    fn converged_config(sim: &Simulation<ReconfigNode>) -> Option<ConfigSet> {
-        let mut configs = BTreeSet::new();
-        for id in sim.active_ids() {
-            match sim.process(id).and_then(|p| p.installed_config()) {
-                Some(c) => {
-                    configs.insert(c);
-                }
-                None => return None,
-            }
-        }
-        if configs.len() == 1 {
-            configs.into_iter().next()
-        } else {
-            None
-        }
     }
 
     #[test]

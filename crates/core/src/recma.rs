@@ -14,8 +14,8 @@
 //!    processor trusts agree (`needReconf` flags).
 //!
 //! Lemma 3.18 bounds the number of spurious triggerings caused by stale
-//! `noMaj`/`needReconf` information to `O(N²·cap)`; the benchmark
-//! `recma_triggerings` measures this.
+//! `noMaj`/`needReconf` information to `O(N²·cap)`; experiment E3
+//! (`simctl experiments`) measures this.
 
 use std::collections::BTreeSet;
 

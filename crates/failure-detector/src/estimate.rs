@@ -7,31 +7,6 @@
 //! the `nᵢ`-th one, yielding the estimate `nᵢ` of the number of active
 //! processors.
 
-/// Finds the position and size of the largest gap between consecutive values
-/// of an ascending-sorted slice of heartbeat counts.
-///
-/// Returns `None` for slices with fewer than two elements.
-///
-/// ```
-/// use failure_detector::largest_gap;
-/// // counts: three fresh processors, then one that fell far behind
-/// let counts = [0, 1, 2, 100];
-/// assert_eq!(largest_gap(&counts), Some((2, 98)));
-/// ```
-pub fn largest_gap(sorted_counts: &[u64]) -> Option<(usize, u64)> {
-    if sorted_counts.len() < 2 {
-        return None;
-    }
-    let mut best: Option<(usize, u64)> = None;
-    for i in 0..sorted_counts.len() - 1 {
-        let gap = sorted_counts[i + 1].saturating_sub(sorted_counts[i]);
-        if best.map(|(_, g)| gap > g).unwrap_or(true) {
-            best = Some((i, gap));
-        }
-    }
-    best
-}
-
 /// Estimates how many of the ranked processors are active, given their
 /// heartbeat counts sorted ascending (freshest first) and the suspicion
 /// threshold `theta`.
@@ -59,19 +34,6 @@ pub fn gap_estimate(sorted_counts: &[u64], theta: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn largest_gap_handles_small_inputs() {
-        assert_eq!(largest_gap(&[]), None);
-        assert_eq!(largest_gap(&[5]), None);
-        assert_eq!(largest_gap(&[5, 5]), Some((0, 0)));
-    }
-
-    #[test]
-    fn largest_gap_finds_the_crash_boundary() {
-        let counts = [0, 2, 3, 4, 90, 95];
-        assert_eq!(largest_gap(&counts), Some((3, 86)));
-    }
 
     #[test]
     fn gap_estimate_without_crashes_counts_everyone() {

@@ -41,8 +41,6 @@
 
 pub mod estimate;
 pub mod theta;
-pub mod trust;
 
-pub use estimate::{gap_estimate, largest_gap};
+pub use estimate::gap_estimate;
 pub use theta::ThetaFailureDetector;
-pub use trust::TrustView;

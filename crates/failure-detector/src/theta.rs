@@ -7,7 +7,6 @@ use std::sync::Arc;
 use simnet::{Ascending, ProcessId};
 
 use crate::estimate::gap_estimate;
-use crate::trust::TrustView;
 
 /// Identifiers below this bound live in the dense baseline vector; larger
 /// ones (which only transient faults or forged packets can produce) spill
@@ -362,12 +361,6 @@ impl ThetaFailureDetector {
         (estimate + 1).min(self.n_bound) // +1 accounts for `me`
     }
 
-    /// A snapshot of the detector output, suitable for embedding in protocol
-    /// messages (the paper's `FD[i]` field).
-    pub fn view(&self) -> TrustView {
-        TrustView::new(self.trusted())
-    }
-
     /// Discards all knowledge about `peer`.
     pub fn forget(&mut self, peer: ProcessId) {
         self.remove_base(peer);
@@ -494,18 +487,6 @@ mod tests {
             fd.heartbeat(pid(2));
         }
         assert!(fd.trusts(pid(1)));
-    }
-
-    #[test]
-    fn view_reflects_trusted_set() {
-        let mut fd = ThetaFailureDetector::new(pid(0), 4, 8);
-        for _ in 0..5 {
-            fd.heartbeat(pid(1));
-        }
-        let view = fd.view();
-        assert!(view.contains(pid(0)));
-        assert!(view.contains(pid(1)));
-        assert_eq!(view.len(), 2);
     }
 
     #[test]

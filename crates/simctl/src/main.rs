@@ -22,6 +22,7 @@
 //! simctl slo --slo p99=ROUNDS[,p50=R,p999=R] --scenario A,B,C --node NODE
 //!            --clients N --arrival SPEC [--op-timeout R] [--n N] [--seeds 1,2]
 //!            [--jobs N] [--cell-budget-ms MS] [--out F]
+//! simctl experiments                           # the paper's E1–E13 table
 //! ```
 //!
 //! `--jobs N` sets the parallel campaign driver's worker-thread budget
@@ -73,6 +74,11 @@
 //! 0 only when the reports are equivalent (campaign names and opt-in wall
 //! times are ignored), so CI can assert both directions: identical inputs
 //! diff clean, genuinely different executions do not.
+//!
+//! `simctl experiments` runs the paper's experiments E1–E13
+//! (`bench::experiments`) and prints their table of exact counts, the
+//! committed `docs/EXPERIMENTS.md`. It exits 0 only when every row reached
+//! the predicate it waits for.
 //!
 //! Determinism contract: without `--timings`, `simctl run <scenario> --seeds S`
 //! produces byte-identical reports across repeated runs and at any
@@ -138,6 +144,7 @@ fn usage() -> String {
      simctl slo --slo p99=ROUNDS[,p50=R,p999=R] --scenario A,B,C --node NODE \
      --clients N --arrival SPEC [--op-timeout R] [--n N] [--seeds 1,2] \
      [--jobs N] [--cell-budget-ms MS] [--out FILE]\n  \
+     simctl experiments\n  \
      simctl deploy --node <reconfig|counter|smr|sharedmem> [--n N] [--tick-ms MS] \
      [--cluster FILE]\n  \
      simctl drive <scenario> [--cluster FILE] [--clients N --arrival SPEC] [--seed S] \
@@ -174,6 +181,7 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
         Some("smoke") => cmd_smoke(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("slo") => cmd_slo(&args[1..]),
+        Some("experiments") => cmd_experiments(&args[1..]),
         Some("deploy") => live::cmd_deploy(&args[1..]),
         Some("drive") => live::cmd_drive(&args[1..]),
         Some("kill") => live::cmd_kill(&args[1..]),
@@ -827,6 +835,17 @@ fn cmd_diff(args: &[String]) -> Result<bool, String> {
         );
         Ok(false)
     }
+}
+
+/// Prints the paper's experiment table (`docs/EXPERIMENTS.md`); fails when a
+/// row did not reach the predicate it waits for.
+fn cmd_experiments(args: &[String]) -> Result<bool, String> {
+    if let Some(arg) = args.first() {
+        return Err(format!("experiments takes no arguments, got `{arg}`"));
+    }
+    let rows = bench::experiments::run();
+    print!("{}", bench::experiments::render(&rows));
+    Ok(rows.iter().all(|row| row.reached))
 }
 
 /// The latency-SLO gate: runs the named catalog scenarios with the

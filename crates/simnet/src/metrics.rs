@@ -5,8 +5,8 @@ use crate::histogram::Histogram;
 
 /// Counters describing one simulation execution.
 ///
-/// The benchmark harness reads these to report convergence cost (rounds,
-/// messages) for every experiment the benches run. The scheduler-cost
+/// The experiments (`bench::experiments`) and the benchmark read these to
+/// report convergence cost (rounds, messages). The scheduler-cost
 /// counters (`wakeups`, `channel_visits`, the delivery batch histogram)
 /// hook the delivery path.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -9,25 +9,8 @@
 
 use std::collections::BTreeSet;
 
-use reconfig::{config_set, ConfigSet, NodeConfig, ReconfigNode};
+use reconfig::{config_set, converged_config, ConfigSet, NodeConfig, ReconfigNode};
 use simnet::{ProcessId, SimConfig, Simulation};
-
-fn converged_config(sim: &Simulation<ReconfigNode>) -> Option<ConfigSet> {
-    let mut configs = BTreeSet::new();
-    for id in sim.active_ids() {
-        match sim.process(id).and_then(|p| p.installed_config()) {
-            Some(c) => {
-                configs.insert(c);
-            }
-            None => return None,
-        }
-    }
-    if configs.len() == 1 {
-        configs.into_iter().next()
-    } else {
-        None
-    }
-}
 
 fn steady_cluster(n: u32, seed: u64) -> Simulation<ReconfigNode> {
     let cfg = config_set(0..n);

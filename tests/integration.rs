@@ -1,31 +1,14 @@
 //! Cross-crate integration tests: the whole stack (failure detector + recSA +
 //! recMA + joining + labels + counters + VS-SMR) running inside the
 //! simulated asynchronous network, including transient-fault and churn
-//! scenarios. Each test is named after the experiment (E1–E13, as the benches
-//! in `crates/bench` number them) it checks.
+//! scenarios. Each test is named after the experiment it checks (E1–E13, as
+//! `bench::experiments` and docs/EXPERIMENTS.md number them).
 
 use selfstab_reconfig::reconfiguration::{
-    config_set, ConfigSet, ConfigValue, EvalPolicy, NodeConfig, ReconfigNode,
+    config_set, converged_config, ConfigValue, EvalPolicy, NodeConfig, ReconfigNode,
 };
 use selfstab_reconfig::replication::SmrNode;
 use selfstab_reconfig::sim::{ProcessId, SimConfig, Simulation};
-
-fn converged_config(sim: &Simulation<ReconfigNode>) -> Option<ConfigSet> {
-    let mut configs = std::collections::BTreeSet::new();
-    for id in sim.active_ids() {
-        match sim.process(id).and_then(|p| p.installed_config()) {
-            Some(c) => {
-                configs.insert(c);
-            }
-            None => return None,
-        }
-    }
-    if configs.len() == 1 {
-        configs.into_iter().next()
-    } else {
-        None
-    }
-}
 
 /// E1 at scale — a 128-process cluster bootstraps from `⊥` to a single
 /// configuration within a handful of rounds. Guards the `(N,Θ)` calibration

@@ -5,30 +5,12 @@
 //! configuration members and only outside reconfiguration periods, and can
 //! never perturb the configuration just by joining.
 
-use std::collections::BTreeSet;
-
 use reconfig::{
-    config_set, AdmissionPolicy, ConfigSet, JoinMsg, NodeConfig, ReconfigMsg, ReconfigNode,
+    config_set, converged_config, AdmissionPolicy, ConfigSet, JoinMsg, NodeConfig, ReconfigMsg,
+    ReconfigNode,
 };
 use simnet::stack::{Layer, Outbox};
 use simnet::{ProcessId, ScenarioTarget, SimConfig, SimRng, Simulation};
-
-fn converged_config(sim: &Simulation<ReconfigNode>) -> Option<ConfigSet> {
-    let mut configs = BTreeSet::new();
-    for id in sim.active_ids() {
-        match sim.process(id).and_then(|p| p.installed_config()) {
-            Some(c) => {
-                configs.insert(c);
-            }
-            None => return None,
-        }
-    }
-    if configs.len() == 1 {
-        configs.into_iter().next()
-    } else {
-        None
-    }
-}
 
 fn members_cluster(n: u32, seed: u64, admission: AdmissionPolicy) -> Simulation<ReconfigNode> {
     let cfg = config_set(0..n);

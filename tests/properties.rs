@@ -9,26 +9,9 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use reconfig::{config_set, ConfigSet, ConfigValue, NodeConfig, ReconfigNode};
+use reconfig::{config_set, converged_config, ConfigSet, ConfigValue, NodeConfig, ReconfigNode};
 use sharedmem::{OpOutcome, RegisterId, SharedMemNode};
 use simnet::{ProcessId, SimConfig, Simulation};
-
-fn converged_config(sim: &Simulation<ReconfigNode>) -> Option<ConfigSet> {
-    let mut configs = BTreeSet::new();
-    for id in sim.active_ids() {
-        match sim.process(id).and_then(|p| p.installed_config()) {
-            Some(c) => {
-                configs.insert(c);
-            }
-            None => return None,
-        }
-    }
-    if configs.len() == 1 {
-        configs.into_iter().next()
-    } else {
-        None
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig {

@@ -7,27 +7,8 @@
 //! majority-supported prediction function both lead to a reconfiguration;
 //! Lemma 3.21 shows each event triggers at most once per participant.
 
-use std::collections::BTreeSet;
-
-use reconfig::{config_set, ConfigSet, EvalPolicy, NodeConfig, ReconfigNode};
+use reconfig::{config_set, converged_config, EvalPolicy, NodeConfig, ReconfigNode};
 use simnet::{ProcessId, SimConfig, Simulation};
-
-fn converged_config(sim: &Simulation<ReconfigNode>) -> Option<ConfigSet> {
-    let mut configs = BTreeSet::new();
-    for id in sim.active_ids() {
-        match sim.process(id).and_then(|p| p.installed_config()) {
-            Some(c) => {
-                configs.insert(c);
-            }
-            None => return None,
-        }
-    }
-    if configs.len() == 1 {
-        configs.into_iter().next()
-    } else {
-        None
-    }
-}
 
 fn total_triggerings(sim: &Simulation<ReconfigNode>) -> u64 {
     sim.active_ids()

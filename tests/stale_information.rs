@@ -8,31 +8,13 @@
 //! type of stale information — into local state and into the communication
 //! channels — and check convergence and closure.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use reconfig::{
-    config_set, shared_config, shared_ntf, shared_set, ConfigSet, ConfigValue, EchoTriple,
-    NodeConfig, Notification, Phase, RecSaMsg, RecSaOwn, ReconfigMsg, ReconfigNode,
+    config_set, converged_config, shared_config, shared_ntf, shared_set, ConfigSet, ConfigValue,
+    EchoTriple, NodeConfig, Notification, Phase, RecSaMsg, RecSaOwn, ReconfigMsg, ReconfigNode,
 };
 use simnet::{ProcessId, SimConfig, Simulation};
-
-fn converged_config(sim: &Simulation<ReconfigNode>) -> Option<ConfigSet> {
-    let mut configs = BTreeSet::new();
-    for id in sim.active_ids() {
-        match sim.process(id).and_then(|p| p.installed_config()) {
-            Some(c) => {
-                configs.insert(c);
-            }
-            None => return None,
-        }
-    }
-    if configs.len() == 1 {
-        configs.into_iter().next()
-    } else {
-        None
-    }
-}
 
 fn calm(sim: &Simulation<ReconfigNode>) -> bool {
     sim.active_ids()
