@@ -229,7 +229,7 @@ fn kill_dash_nine(pid: u32) -> Result<(), String> {
 }
 
 /// `simctl kill <id> [--cluster FILE]` — the manual face of the live
-/// CrashPlan adapter: `kill -9` one node by protocol id.
+/// crash adapter: `kill -9` one node by protocol id.
 pub fn cmd_kill(args: &[String]) -> Result<bool, String> {
     let flags = Flags::parse(args, &["cluster"], &[])?;
     let [id] = flags.positional.as_slice() else {

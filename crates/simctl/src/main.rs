@@ -61,9 +61,9 @@
 //! SLO bound in rounds. Round counts are deterministic, so the gate needs
 //! no baseline.
 //!
-//! `--plan` composes ad-hoc fault plans onto the named scenario (or onto a
+//! `--plan` appends ad-hoc faults to the named scenario's schedule (or to a
 //! fresh, empty scenario when the name is not in the catalog) without
-//! recompiling the catalog — the CLI face of the open `FaultPlan` API. The
+//! recompiling the catalog — the CLI face of `simnet::plan::Fault`. The
 //! grammar is `simnet::plan::PLAN_KINDS`; one value may hold a whole
 //! schedule separated by whitespace, and repeated flags compose.
 //! `simctl list` prints every catalog scenario's schedule in that grammar.
@@ -94,7 +94,7 @@ mod live;
 use counters::CounterNode;
 use reconfig::ReconfigNode;
 use sharedmem::SharedMemNode;
-use simnet::plan::{apply_spec, PLAN_KINDS};
+use simnet::plan::{apply_spec, Fault, PLAN_KINDS};
 use simnet::scenario::{catalog, ScenarioTarget};
 use simnet::{Campaign, CampaignReport, Json, Scenario};
 use vssmr::SmrNode;
@@ -396,8 +396,9 @@ fn parse_slo(spec: &str) -> Result<Vec<(&'static str, u64)>, String> {
 }
 
 /// The machine-readable catalog document (`simctl list --json`). Each
-/// scenario carries its registered counter keys (the sorted union of its
-/// plans' `FaultPlan::counter_keys()`) — exactly the `counters` object keys
+/// scenario carries its schedule in the `--plan` grammar and its registered
+/// counter keys (the sorted union of its faults' `Fault::counter_keys()`) —
+/// exactly the `counters` object keys
 /// a campaign report of that scenario will contain, so the cross-PR
 /// `chaos-diff` job can detect counter-schema drift from the catalog alone,
 /// without running a campaign.
@@ -408,8 +409,12 @@ fn catalog_json(n: usize) -> Json {
             catalog(n)
                 .iter()
                 .map(|s| {
-                    let mut counter_keys: Vec<&str> =
-                        s.plans().iter().flat_map(|p| p.counter_keys()).collect();
+                    let mut counter_keys: Vec<&str> = s
+                        .plans()
+                        .iter()
+                        .flat_map(Fault::counter_keys)
+                        .copied()
+                        .collect();
                     counter_keys.sort_unstable();
                     counter_keys.dedup();
                     Json::obj()
@@ -427,19 +432,7 @@ fn catalog_json(n: usize) -> Json {
                                     .collect(),
                             ),
                         )
-                        .field(
-                            "plans",
-                            Json::Arr(
-                                s.plans()
-                                    .iter()
-                                    .map(|p| {
-                                        Json::obj()
-                                            .field("kind", p.kind())
-                                            .field("events", p.events())
-                                    })
-                                    .collect(),
-                            ),
-                        )
+                        .field("schedule", s.render_schedule())
                 })
                 .collect(),
         ),
@@ -455,12 +448,12 @@ fn cmd_list(args: &[String]) -> Result<bool, String> {
     }
     println!("scenario catalog (n = {n}):");
     for s in catalog(n) {
-        let plans = match s.render_schedule() {
+        let faults = match s.render_schedule() {
             schedule if schedule.is_empty() => "none".to_string(),
             schedule => schedule,
         };
         println!(
-            "  {:<16} rounds≤{:<5} workload<{:<4} faults: {plans} — {}",
+            "  {:<16} rounds≤{:<5} workload<{:<4} faults: {faults} — {}",
             s.name(),
             s.rounds(),
             s.workload_rounds(),
@@ -605,7 +598,7 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
     let n = parse_n(&flags)?;
     let plan_specs = flags.values("plan");
     let mut scenarios = if !plan_specs.is_empty() && flags.positional.len() == 1 {
-        // Ad-hoc mode: compose plans onto the named catalog scenario, or
+        // Ad-hoc mode: append faults to the named catalog scenario, or
         // onto a fresh empty scenario when the name is not in the catalog.
         let name = &flags.positional[0];
         if name == "all" {
@@ -1129,17 +1122,17 @@ mod tests {
             .iter()
             .find(|s| s.get("name").and_then(Json::as_str) == Some("byzantine-storm"))
             .expect("byzantine-storm listed");
-        let plans = byz.get("plans").and_then(Json::as_arr).unwrap();
-        assert!(plans
-            .iter()
-            .any(|p| p.get("kind").and_then(Json::as_str) == Some("byzantine")));
+        let schedule = byz.get("schedule").and_then(Json::as_str).unwrap();
+        let storm = simnet::scenario::find("byzantine-storm", 5).unwrap();
+        assert_eq!(schedule, storm.render_schedule());
+        assert!(schedule.starts_with("byzantine="), "{schedule}");
         // The rendered document parses back: a stable machine interface.
         let parsed = Json::parse(&doc.render()).unwrap();
         assert_eq!(parsed, doc);
     }
 
     /// The counter-schema contract of `simctl list --json`: every scenario
-    /// carries the sorted union of its plans' registered counter keys —
+    /// carries the sorted union of its faults' registered counter keys —
     /// exactly the keys a campaign report of that scenario contains — so
     /// cross-PR schema drift is detectable without running a campaign.
     #[test]
@@ -1150,7 +1143,8 @@ mod tests {
             let mut expected: Vec<&str> = scenario
                 .plans()
                 .iter()
-                .flat_map(|p| p.counter_keys())
+                .flat_map(Fault::counter_keys)
+                .copied()
                 .collect();
             expected.sort_unstable();
             expected.dedup();

@@ -386,8 +386,8 @@ pub struct RunRecord {
     pub converged: bool,
     /// First post-fault round at which the target reported convergence.
     pub rounds_to_convergence: Option<u64>,
-    /// Fault counters keyed by the plans' registered counter keys (see
-    /// [`crate::plan::FaultPlan::counter_keys`]): `crashes`, `joins`,
+    /// Fault counters keyed by the faults' registered counter keys (see
+    /// [`crate::plan::Fault::counter_keys`]): `crashes`, `joins`,
     /// `corruptions`, `injections`, … — extensible per fault class instead
     /// of fixed fields.
     pub counters: BTreeMap<String, u64>,

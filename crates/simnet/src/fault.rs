@@ -1,164 +1,25 @@
-//! Fault and churn injection helpers.
+//! Fault windows: the channel-behaviour spikes and gray failures of a
+//! schedule compose over time.
 //!
 //! Self-stabilization is about recovery from *transient faults* — an
 //! arbitrary starting state — combined with ordinary crash failures and
-//! churn. This module provides declarative schedules for crashes
-//! ([`CrashPlan`]), joins ([`ChurnPlan`]), transient state corruption
-//! ([`CorruptionPlan`]) and channel-behaviour spikes ([`SpikePlan`]).
-//!
-//! The plans are the building blocks of the chaos-campaign engine: a
-//! [`crate::scenario::Scenario`] composes them into one declarative fault
-//! schedule, and the scenario runner ([`crate::scenario::ScenarioRunner`])
-//! is the one place that applies them, at round boundaries. A plan only
-//! decides *who* and *when*; *how* to corrupt a processor's state is
-//! protocol-specific and lives in
-//! [`crate::scenario::ScenarioTarget::corrupt`].
+//! churn. Most faults of a [`crate::plan::Fault`] schedule act at one round;
+//! [`crate::plan::Fault::Spike`] and [`crate::plan::Fault::Gray`] windows
+//! instead hold for a span of rounds and may overlap. At any round the
+//! network runs the base policy spiked by *every* window covering that round
+//! (element-wise worst case), and every gray victim runs at the slowest
+//! period of the windows covering it, so a short window inside a longer one
+//! never truncates the longer window on its way out. The functions here
+//! compute that composition over the whole schedule at each window start and
+//! end; everything happens at round boundaries, so scenario executions stay
+//! byte-identical for the same seed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::channel::ChannelPolicy;
+use crate::plan::Fault;
 use crate::process::ProcessId;
 use crate::time::Round;
-
-/// A schedule of crash failures: which processors crash at which round.
-///
-/// ```
-/// use simnet::{CrashPlan, ProcessId, Round};
-/// let plan = CrashPlan::new()
-///     .crash_at(Round::new(5), ProcessId::new(2))
-///     .crash_at(Round::new(5), ProcessId::new(3));
-/// assert_eq!(plan.due(Round::new(5)).len(), 2);
-/// assert!(plan.due(Round::new(4)).is_empty());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CrashPlan {
-    pub(crate) schedule: BTreeMap<Round, Vec<ProcessId>>,
-}
-
-impl CrashPlan {
-    /// Creates an empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `victim` to crash at `round` (builder style).
-    pub fn crash_at(mut self, round: Round, victim: ProcessId) -> Self {
-        self.schedule.entry(round).or_default().push(victim);
-        self
-    }
-
-    /// Schedules a group of victims at `round`.
-    pub fn crash_all_at(
-        mut self,
-        round: Round,
-        victims: impl IntoIterator<Item = ProcessId>,
-    ) -> Self {
-        self.schedule.entry(round).or_default().extend(victims);
-        self
-    }
-
-    /// The victims scheduled for exactly `round`.
-    pub fn due(&self, round: Round) -> &[ProcessId] {
-        self.schedule.get(&round).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Total number of scheduled crashes.
-    pub fn total(&self) -> usize {
-        self.schedule.values().map(Vec::len).sum()
-    }
-
-    /// The last round with a scheduled crash.
-    pub fn last_round(&self) -> Option<Round> {
-        self.schedule.keys().next_back().copied()
-    }
-}
-
-/// A schedule of joins: how many new processors join at which round. The
-/// runner builds each joiner through
-/// [`crate::scenario::ScenarioTarget::spawn_joiner`], because only the
-/// protocol knows how to construct a freshly joining node.
-#[derive(Debug, Clone, Default)]
-pub struct ChurnPlan {
-    pub(crate) joins: BTreeMap<Round, u32>,
-}
-
-impl ChurnPlan {
-    /// Creates an empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `count` joins at `round` (builder style).
-    pub fn join_at(mut self, round: Round, count: u32) -> Self {
-        *self.joins.entry(round).or_insert(0) += count;
-        self
-    }
-
-    /// Number of joins due at exactly `round`.
-    pub fn due(&self, round: Round) -> u32 {
-        self.joins.get(&round).copied().unwrap_or(0)
-    }
-
-    /// Total number of scheduled joins.
-    pub fn total(&self) -> u32 {
-        self.joins.values().sum()
-    }
-
-    /// The last round with a scheduled join.
-    pub fn last_round(&self) -> Option<Round> {
-        self.joins.keys().next_back().copied()
-    }
-}
-
-/// A schedule of transient state corruptions: which processors have their
-/// local state corrupted at which round. The plan only records *who* and
-/// *when*; the protocol-specific *how* is
-/// [`crate::scenario::ScenarioTarget::corrupt`], which the runner calls.
-///
-/// ```
-/// use simnet::{fault::CorruptionPlan, ProcessId, Round};
-/// let plan = CorruptionPlan::new()
-///     .corrupt_at(Round::new(10), [ProcessId::new(0), ProcessId::new(2)]);
-/// assert_eq!(plan.due(Round::new(10)).len(), 2);
-/// assert_eq!(plan.total(), 2);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CorruptionPlan {
-    pub(crate) schedule: BTreeMap<Round, Vec<ProcessId>>,
-}
-
-impl CorruptionPlan {
-    /// Creates an empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules the state of `victims` to be corrupted at `round` (builder
-    /// style).
-    pub fn corrupt_at(
-        mut self,
-        round: Round,
-        victims: impl IntoIterator<Item = ProcessId>,
-    ) -> Self {
-        self.schedule.entry(round).or_default().extend(victims);
-        self
-    }
-
-    /// The victims scheduled for exactly `round`.
-    pub fn due(&self, round: Round) -> &[ProcessId] {
-        self.schedule.get(&round).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Total number of scheduled corruptions.
-    pub fn total(&self) -> usize {
-        self.schedule.values().map(Vec::len).sum()
-    }
-
-    /// The last round with a scheduled corruption.
-    pub fn last_round(&self) -> Option<Round> {
-        self.schedule.keys().next_back().copied()
-    }
-}
 
 /// Overrides a [`ChannelPolicy`] for the duration of a spike: the paper's
 /// lossy, duplicating, delaying links turned up to adversarial levels for a
@@ -185,379 +46,84 @@ impl SpikeSpec {
     }
 }
 
-/// A schedule of channel-behaviour spikes: windows of rounds during which
-/// every link loses, duplicates and delays packets more aggressively than
-/// its base policy. Spikes start and end at round boundaries, so scenario
-/// executions remain byte-identical for the same seed.
-///
-/// Overlapping windows compose: at any round, the network runs the base
-/// policy spiked by *every* window covering that round (element-wise worst
-/// case), so a short spike inside a longer one never truncates the longer
-/// window on its way out.
-#[derive(Debug, Clone, Default)]
-pub struct SpikePlan {
-    /// Half-open windows `[start, end)` with their specs.
-    pub(crate) windows: Vec<(Round, Round, SpikeSpec)>,
-    /// Every window start and end: the rounds at which the composed policy
-    /// may change.
-    boundaries: BTreeSet<Round>,
-}
-
-impl SpikePlan {
-    /// Creates an empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `spec` to hold from `round` for `duration` rounds (builder
-    /// style). Windows may overlap; the covering specs compose.
-    pub fn spike_at(mut self, round: Round, duration: u64, spec: SpikeSpec) -> Self {
-        self.windows.push((round, round + duration, spec));
-        self.boundaries.insert(round);
-        self.boundaries.insert(round + duration);
-        self
-    }
-
-    /// Total number of scheduled spike windows.
-    pub fn total(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// The last round at which this plan changes the policy (including the
-    /// final restore).
-    pub fn last_round(&self) -> Option<Round> {
-        self.boundaries.iter().next_back().copied()
-    }
-
-    /// The policy change due at exactly `round`, if any: `Some(policy)`
-    /// means "switch the network to `policy` now". The policy is `base`
-    /// spiked by the element-wise worst case of every window covering
-    /// `round` (the covering specs are combined first, then applied once,
-    /// so overlapping delays take the maximum rather than summing).
-    pub fn due(&self, round: Round, base: &ChannelPolicy) -> Option<ChannelPolicy> {
-        if !self.boundaries.contains(&round) {
-            return None;
-        }
-        let combined = self
-            .windows
-            .iter()
-            .filter(|(start, end, _)| *start <= round && round < *end)
-            .fold(None::<SpikeSpec>, |acc, (_, _, spec)| {
-                Some(match acc {
-                    None => *spec,
-                    Some(a) => SpikeSpec {
-                        loss: a.loss.max(spec.loss),
-                        duplication: a.duplication.max(spec.duplication),
-                        extra_delay: a.extra_delay.max(spec.extra_delay),
-                    },
-                })
-            });
-        Some(match combined {
-            None => base.clone(),
-            Some(spec) => spec.apply_to(base),
-        })
-    }
-}
-
-/// A schedule of *gray failures*: windows of rounds during which a set of
-/// processors runs slow — their timer period is multiplied far beyond the
-/// common rate — without being dead. Gray failures are the asymmetric
-/// middle ground crash detectors are worst at: the slow processor still
-/// emits (occasional) heartbeats, still answers (late), and must neither be
-/// permanently expelled nor allowed to wedge the system.
-///
-/// Overlapping windows compose element-wise like [`SpikePlan`] windows: at
-/// any boundary round every mentioned victim is set to the *slowest* period
-/// of the windows covering that round, or restored when none covers it.
-/// Zero-length windows therefore never leave a stale override behind.
-///
-/// ```
-/// use simnet::{fault::GrayFailurePlan, ProcessId, Round};
-/// let plan = GrayFailurePlan::new()
-///     .slow_at(Round::new(10), 20, 8, [ProcessId::new(2)]);
-/// assert_eq!(plan.total(), 1);
-/// assert_eq!(plan.last_round(), Some(Round::new(30)));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct GrayFailurePlan {
-    /// Half-open windows `[start, end)` with their victims and slow period.
-    windows: Vec<(Round, Round, Vec<ProcessId>, u64)>,
-    /// Every window start and end: the rounds at which overrides change.
-    boundaries: BTreeSet<Round>,
-}
-
-impl GrayFailurePlan {
-    /// Creates an empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `victims` to run at timer period `period` (instead of the
-    /// simulation's base period) from `round` for `duration` rounds
-    /// (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn slow_at(
-        mut self,
-        round: Round,
-        duration: u64,
-        period: u64,
-        victims: impl IntoIterator<Item = ProcessId>,
-    ) -> Self {
-        assert!(period > 0, "gray-failure timer period must be at least 1");
-        self.windows.push((
+/// The half-open windows `[start, end)` of `faults`' `Fault::Gray` entries,
+/// with their victims and period.
+fn gray_windows(faults: &[Fault]) -> impl Iterator<Item = (Round, Round, &[ProcessId], u64)> {
+    faults.iter().filter_map(|fault| match fault {
+        Fault::Gray {
             round,
-            round + duration,
-            victims.into_iter().collect(),
             period,
-        ));
-        self.boundaries.insert(round);
-        self.boundaries.insert(round + duration);
-        self
-    }
+            victims,
+            ..
+        } => Some((*round, fault.last_round(), victims.as_slice(), *period)),
+        _ => None,
+    })
+}
 
-    /// Total number of scheduled gray windows.
-    pub fn total(&self) -> usize {
-        self.windows.len()
+/// The policy change `faults`' spike windows make at exactly `round`, if
+/// any: at a window's start or end the network switches to `base` spiked by
+/// the element-wise worst case of every window covering `round` (the
+/// covering specs are combined first, then applied once, so overlapping
+/// delays take the maximum rather than summing), or back to `base` when
+/// none covers it. `None` when `round` starts or ends no window.
+pub(crate) fn spike_policy_at(
+    faults: &[Fault],
+    round: Round,
+    base: &ChannelPolicy,
+) -> Option<ChannelPolicy> {
+    let windows = || {
+        faults.iter().filter_map(|fault| match fault {
+            Fault::Spike {
+                round: start, spec, ..
+            } => Some((*start, fault.last_round(), spec)),
+            _ => None,
+        })
+    };
+    if !windows().any(|(start, end, _)| start == round || end == round) {
+        return None;
     }
+    let combined = windows()
+        .filter(|(start, end, _)| *start <= round && round < *end)
+        .fold(None::<SpikeSpec>, |acc, (_, _, spec)| {
+            Some(match acc {
+                None => *spec,
+                Some(a) => SpikeSpec {
+                    loss: a.loss.max(spec.loss),
+                    duplication: a.duplication.max(spec.duplication),
+                    extra_delay: a.extra_delay.max(spec.extra_delay),
+                },
+            })
+        });
+    Some(match combined {
+        None => base.clone(),
+        Some(spec) => spec.apply_to(base),
+    })
+}
 
-    /// The scheduled windows as `(start, end, victims, period)` tuples.
-    pub fn windows(&self) -> &[(Round, Round, Vec<ProcessId>, u64)] {
-        &self.windows
+/// The timer overrides `faults`' gray windows set at exactly `round`, if it
+/// starts or ends a window: for every victim of any gray window, the
+/// slowest period of the windows covering `round` (`None` = the base
+/// period). Zero-length windows therefore never leave a stale override
+/// behind. `None` when `round` starts or ends no window.
+pub(crate) fn gray_periods_at(
+    faults: &[Fault],
+    round: Round,
+) -> Option<BTreeMap<ProcessId, Option<u64>>> {
+    if !gray_windows(faults).any(|(start, end, _, _)| start == round || end == round) {
+        return None;
     }
-
-    /// The last round at which this plan changes a timer period (including
-    /// the final restore).
-    pub fn last_round(&self) -> Option<Round> {
-        self.boundaries.iter().next_back().copied()
-    }
-
-    /// The override changes due at exactly `round`: for every victim
-    /// mentioned anywhere in the plan, the period it should run at from
-    /// this round on (`None` = the base period). Returns `None` when
-    /// `round` is not a boundary.
-    pub fn due(&self, round: Round) -> Option<BTreeMap<ProcessId, Option<u64>>> {
-        if !self.boundaries.contains(&round) {
-            return None;
-        }
-        let mut desired: BTreeMap<ProcessId, Option<u64>> = self
-            .windows
-            .iter()
-            .flat_map(|(_, _, victims, _)| victims.iter().copied())
-            .map(|v| (v, None))
-            .collect();
-        for (start, end, victims, period) in &self.windows {
-            if *start <= round && round < *end {
-                for v in victims {
-                    let slot = desired.entry(*v).or_insert(None);
-                    *slot = Some(slot.map_or(*period, |p: u64| p.max(*period)));
-                }
+    let mut desired: BTreeMap<ProcessId, Option<u64>> = gray_windows(faults)
+        .flat_map(|(_, _, victims, _)| victims.iter().map(|v| (*v, None)))
+        .collect();
+    for (start, end, victims, period) in gray_windows(faults) {
+        if start <= round && round < end {
+            for v in victims {
+                let slot = desired.entry(*v).or_insert(None);
+                *slot = Some(slot.map_or(period, |p: u64| p.max(period)));
             }
         }
-        Some(desired)
     }
-}
-
-/// A schedule of permanent *clock skew*: from a given round on, a set of
-/// processors runs its timer at a different (slower) period than the rest
-/// of the system, and never recovers. Relative timer rate is the only
-/// notion of clock the asynchronous model has, so skewing one processor's
-/// period models drift between local clocks; speeding a processor up is
-/// expressed by slowing everyone else down.
-///
-/// Unlike [`GrayFailurePlan`] there is no restore: the system must reach
-/// (and hold) its convergence predicate *with* the skew in force. When the
-/// same processor is targeted by both plans, the runner treats the skew as
-/// a floor ([`crate::plan::FaultAction::SetTimerFloor`]): a gray window
-/// slower than the skew wins while it covers, and a gray restore never
-/// wipes the skew.
-///
-/// ```
-/// use simnet::{fault::SkewPlan, ProcessId, Round};
-/// let plan = SkewPlan::new().skew_at(Round::new(5), 3, [ProcessId::new(0)]);
-/// assert_eq!(plan.total(), 1);
-/// assert_eq!(plan.last_round(), Some(Round::new(5)));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SkewPlan {
-    schedule: BTreeMap<Round, Vec<(ProcessId, u64)>>,
-}
-
-impl SkewPlan {
-    /// Creates an empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `victims` to run at timer period `period` from `round` on,
-    /// permanently (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn skew_at(
-        mut self,
-        round: Round,
-        period: u64,
-        victims: impl IntoIterator<Item = ProcessId>,
-    ) -> Self {
-        assert!(period > 0, "skewed timer period must be at least 1");
-        self.schedule
-            .entry(round)
-            .or_default()
-            .extend(victims.into_iter().map(|v| (v, period)));
-        self
-    }
-
-    /// The skews scheduled for exactly `round`.
-    pub fn due(&self, round: Round) -> &[(ProcessId, u64)] {
-        self.schedule.get(&round).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Total number of scheduled skews.
-    pub fn total(&self) -> usize {
-        self.schedule.values().map(Vec::len).sum()
-    }
-
-    /// Every `(victim, period)` pair the plan ever schedules.
-    pub fn all_skews(&self) -> impl Iterator<Item = (Round, ProcessId, u64)> + '_ {
-        self.schedule
-            .iter()
-            .flat_map(|(r, v)| v.iter().map(move |(id, p)| (*r, *id, *p)))
-    }
-
-    /// The last round with a scheduled skew.
-    pub fn last_round(&self) -> Option<Round> {
-        self.schedule.keys().next_back().copied()
-    }
-}
-
-/// A schedule of in-flight payload corruption: at given rounds, the
-/// contents of every packet currently travelling towards the victims are
-/// corrupted through [`crate::Network::corrupt_inbound_payloads`]. The packets
-/// themselves survive — corruption never creates or destroys packets, per
-/// the paper's channel model — but their payloads are shuffled across the
-/// victim's inbound channels (so a packet arrives attributed to the wrong
-/// sender) and then offered to a protocol-specific mutator
-/// ([`crate::scenario::ScenarioTarget::corrupt_payload`]).
-///
-/// All mutation draws from the adversary's random stream at a round
-/// boundary, so executions stay byte-identical for the same seed.
-///
-/// ```
-/// use simnet::{fault::PayloadCorruptionPlan, ProcessId, Round};
-/// let plan = PayloadCorruptionPlan::new()
-///     .corrupt_inbound_at(Round::new(7), [ProcessId::new(1)]);
-/// assert_eq!(plan.total(), 1);
-/// assert_eq!(plan.last_round(), Some(Round::new(7)));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PayloadCorruptionPlan {
-    pub(crate) schedule: BTreeMap<Round, Vec<ProcessId>>,
-}
-
-impl PayloadCorruptionPlan {
-    /// Creates an empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules the packets in flight towards `victims` to be corrupted at
-    /// `round` (builder style).
-    pub fn corrupt_inbound_at(
-        mut self,
-        round: Round,
-        victims: impl IntoIterator<Item = ProcessId>,
-    ) -> Self {
-        self.schedule.entry(round).or_default().extend(victims);
-        self
-    }
-
-    /// The victims scheduled for exactly `round`.
-    pub fn due(&self, round: Round) -> &[ProcessId] {
-        self.schedule.get(&round).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Total number of scheduled corruption events.
-    pub fn total(&self) -> usize {
-        self.schedule.values().map(Vec::len).sum()
-    }
-
-    /// The last round with a scheduled corruption.
-    pub fn last_round(&self) -> Option<Round> {
-        self.schedule.keys().next_back().copied()
-    }
-}
-
-/// A schedule of crash–recovery events: processors crash and later rejoin
-/// the system *under fresh identifiers*, exactly as the paper prescribes
-/// (identifiers are never reused; a recovering processor re-enters through
-/// the joining mechanism like any newcomer, forcing labeler rebuilds and
-/// configuration replacement instead of silent state resurrection).
-///
-/// ```
-/// use simnet::{fault::RecoveryPlan, ProcessId, Round};
-/// let plan = RecoveryPlan::new()
-///     .crash_recover_at(Round::new(10), [ProcessId::new(3)], 15);
-/// assert_eq!(plan.total(), 1);
-/// assert_eq!(plan.crashes_due(Round::new(10)).len(), 1);
-/// assert_eq!(plan.rejoins_due(Round::new(25)), 1);
-/// assert_eq!(plan.last_round(), Some(Round::new(25)));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryPlan {
-    pub(crate) crashes: BTreeMap<Round, Vec<ProcessId>>,
-    pub(crate) rejoins: BTreeMap<Round, u32>,
-}
-
-impl RecoveryPlan {
-    /// Creates an empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `victims` to crash at `round` and to rejoin — one fresh
-    /// identifier per victim — `downtime` rounds later (builder style).
-    pub fn crash_recover_at(
-        mut self,
-        round: Round,
-        victims: impl IntoIterator<Item = ProcessId>,
-        downtime: u64,
-    ) -> Self {
-        let victims: Vec<ProcessId> = victims.into_iter().collect();
-        *self.rejoins.entry(round + downtime).or_insert(0) += victims.len() as u32;
-        self.crashes.entry(round).or_default().extend(victims);
-        self
-    }
-
-    /// The crash victims scheduled for exactly `round`.
-    pub fn crashes_due(&self, round: Round) -> &[ProcessId] {
-        self.crashes.get(&round).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Number of fresh-identifier rejoins due at exactly `round`.
-    pub fn rejoins_due(&self, round: Round) -> u32 {
-        self.rejoins.get(&round).copied().unwrap_or(0)
-    }
-
-    /// Total number of scheduled crash–recovery events (victims).
-    pub fn total(&self) -> usize {
-        self.crashes.values().map(Vec::len).sum()
-    }
-
-    /// Every processor the plan ever crashes.
-    pub fn all_victims(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.crashes.values().flatten().copied()
-    }
-
-    /// The last round with a scheduled crash or rejoin.
-    pub fn last_round(&self) -> Option<Round> {
-        let last_crash = self.crashes.keys().next_back().copied();
-        let last_rejoin = self.rejoins.keys().next_back().copied();
-        last_crash.max(last_rejoin)
-    }
+    Some(desired)
 }
 
 #[cfg(test)]
@@ -576,41 +142,56 @@ mod tests {
         (run, sim)
     }
 
+    fn spike(start: u64, duration: u64, spec: SpikeSpec) -> Fault {
+        Fault::Spike {
+            round: Round::new(start),
+            duration,
+            spec,
+        }
+    }
+
+    fn gray(start: u64, duration: u64, period: u64, victim: ProcessId) -> Fault {
+        Fault::Gray {
+            round: Round::new(start),
+            duration,
+            period,
+            victims: vec![victim],
+        }
+    }
+
     #[test]
     fn crash_plan_applies_at_scheduled_round() {
-        let plan = CrashPlan::new()
-            .crash_at(Round::new(2), ProcessId::new(0))
-            .crash_all_at(Round::new(3), [ProcessId::new(1), ProcessId::new(2)]);
-        assert_eq!(plan.total(), 3);
-        let (run, sim) = run(&Scenario::new("crash", 4).with_plan(plan).with_rounds(5));
+        let scenario = Scenario::new("crash", 4)
+            .crash_at(Round::new(2), [ProcessId::new(0)])
+            .crash_at(Round::new(3), [ProcessId::new(1), ProcessId::new(2)])
+            .with_rounds(5);
+        let (run, sim) = run(&scenario);
         assert_eq!(run.counter("crashes"), 3);
         assert_eq!(sim.active_ids(), vec![ProcessId::new(3)]);
     }
 
     #[test]
     fn churn_plan_adds_processes() {
-        let plan = ChurnPlan::new()
+        let scenario = Scenario::new("churn", 1)
             .join_at(Round::new(1), 2)
-            .join_at(Round::new(3), 1);
-        assert_eq!(plan.total(), 3);
-        let (run, sim) = run(&Scenario::new("churn", 1).with_plan(plan).with_rounds(5));
+            .join_at(Round::new(3), 1)
+            .with_rounds(5);
+        let (run, sim) = run(&scenario);
         assert_eq!(run.counter("joins"), 3);
         assert_eq!(sim.ids().len(), 4);
     }
 
     #[test]
     fn corruption_plan_mutates_scheduled_victims_only() {
-        let plan = CorruptionPlan::new().corrupt_at(
-            Round::new(1),
-            [ProcessId::new(0), ProcessId::new(2), ProcessId::new(9)],
-        );
-        assert_eq!(plan.total(), 3);
-        assert_eq!(plan.last_round(), Some(Round::new(1)));
         // p2 crashes in the same round, before corruption lands.
         let scenario = Scenario::new("corrupt", 3)
             .crash_at(Round::new(1), [ProcessId::new(2)])
-            .with_plan(plan)
+            .corrupt_at(
+                Round::new(1),
+                [ProcessId::new(0), ProcessId::new(2), ProcessId::new(9)],
+            )
             .with_rounds(5);
+        assert_eq!(scenario.last_fault_round(), Round::new(1));
         let (run, _) = run(&scenario);
         // The crashed and the unknown victim are skipped.
         assert_eq!(run.counter("corruptions"), 1);
@@ -619,23 +200,22 @@ mod tests {
     #[test]
     fn spike_plan_switches_and_restores_the_policy() {
         let base = ChannelPolicy::default();
-        let plan = SpikePlan::new().spike_at(
-            Round::new(5),
+        let faults = [spike(
+            5,
             10,
             SpikeSpec {
                 loss: 0.4,
                 duplication: 0.2,
                 extra_delay: 3,
             },
-        );
-        assert_eq!(plan.total(), 1);
-        assert_eq!(plan.last_round(), Some(Round::new(15)));
-        assert!(plan.due(Round::new(4), &base).is_none());
-        let spiked = plan.due(Round::new(5), &base).unwrap();
+        )];
+        assert_eq!(faults[0].last_round(), Round::new(15));
+        assert!(spike_policy_at(&faults, Round::new(4), &base).is_none());
+        let spiked = spike_policy_at(&faults, Round::new(5), &base).unwrap();
         assert_eq!(spiked.loss_probability, 0.4);
         assert_eq!(spiked.duplication_probability, 0.2);
         assert_eq!(spiked.max_delay_rounds, base.max_delay_rounds + 3);
-        let restored = plan.due(Round::new(15), &base).unwrap();
+        let restored = spike_policy_at(&faults, Round::new(15), &base).unwrap();
         assert_eq!(restored, base);
     }
 
@@ -652,28 +232,26 @@ mod tests {
             duplication: 0.0,
             extra_delay: 0,
         };
-        let plan =
-            SpikePlan::new()
-                .spike_at(Round::new(0), 5, first)
-                .spike_at(Round::new(5), 5, second);
+        let faults = [spike(0, 5, first), spike(5, 5, second)];
         // The restore of the first spike coincides with the start of the
         // second: the second spike wins.
-        let at_five = plan.due(Round::new(5), &base).unwrap();
+        let at_five = spike_policy_at(&faults, Round::new(5), &base).unwrap();
         assert_eq!(at_five.loss_probability, 0.1);
-        assert_eq!(plan.due(Round::new(10), &base).unwrap(), base);
+        assert_eq!(
+            spike_policy_at(&faults, Round::new(10), &base).unwrap(),
+            base
+        );
     }
 
     #[test]
     fn gray_failure_plan_slows_and_restores() {
         let victim = ProcessId::new(1);
-        let plan = GrayFailurePlan::new().slow_at(Round::new(2), 6, 4, [victim]);
-        assert_eq!(plan.total(), 1);
-        assert_eq!(plan.last_round(), Some(Round::new(8)));
         // The workload window keeps the run going for all 12 rounds.
         let scenario = Scenario::new("gray", 3)
-            .with_plan(plan)
+            .slow_at(Round::new(2), 6, 4, [victim])
             .with_rounds(12)
             .with_workload_until(12);
+        assert_eq!(scenario.last_fault_round(), Round::new(8));
         let (run, sim) = run(&scenario);
         assert_eq!(run.counter("slowdowns"), 1);
         // Override cleared at the window's end.
@@ -688,40 +266,41 @@ mod tests {
     fn gray_windows_compose_and_zero_length_windows_leave_no_override() {
         let v = ProcessId::new(0);
         // Overlap: the slower (larger) period wins while both windows cover.
-        let plan = GrayFailurePlan::new()
-            .slow_at(Round::new(0), 10, 3, [v])
-            .slow_at(Round::new(5), 10, 8, [v]);
-        assert_eq!(plan.due(Round::new(0)).unwrap()[&v], Some(3));
-        assert_eq!(plan.due(Round::new(5)).unwrap()[&v], Some(8));
-        assert_eq!(plan.due(Round::new(10)).unwrap()[&v], Some(8));
-        assert_eq!(plan.due(Round::new(15)).unwrap()[&v], None);
-        assert!(plan.due(Round::new(7)).is_none(), "not a boundary");
+        let faults = [gray(0, 10, 3, v), gray(5, 10, 8, v)];
+        let at = |round: u64| gray_periods_at(&faults, Round::new(round));
+        assert_eq!(at(0).unwrap()[&v], Some(3));
+        assert_eq!(at(5).unwrap()[&v], Some(8));
+        assert_eq!(at(10).unwrap()[&v], Some(8));
+        assert_eq!(at(15).unwrap()[&v], None);
+        assert!(at(7).is_none(), "not a boundary");
         // A zero-length window is a boundary but covers nothing.
-        let degenerate = GrayFailurePlan::new().slow_at(Round::new(4), 0, 9, [v]);
-        assert_eq!(degenerate.due(Round::new(4)).unwrap()[&v], None);
+        let degenerate = [gray(4, 0, 9, v)];
+        assert_eq!(
+            gray_periods_at(&degenerate, Round::new(4)).unwrap()[&v],
+            None
+        );
     }
 
     #[test]
     fn adjacent_gray_windows_keep_the_victim_slowed_across_the_seam() {
         let v = ProcessId::new(0);
-        let plan = GrayFailurePlan::new()
-            .slow_at(Round::new(0), 5, 6, [v])
-            .slow_at(Round::new(5), 5, 6, [v]);
+        let faults = [gray(0, 5, 6, v), gray(5, 5, 6, v)];
         // At the seam the second window covers: no restore in between.
-        assert_eq!(plan.due(Round::new(5)).unwrap()[&v], Some(6));
-        assert_eq!(plan.due(Round::new(10)).unwrap()[&v], None);
+        assert_eq!(
+            gray_periods_at(&faults, Round::new(5)).unwrap()[&v],
+            Some(6)
+        );
+        assert_eq!(gray_periods_at(&faults, Round::new(10)).unwrap()[&v], None);
     }
 
     #[test]
     fn skew_plan_is_permanent() {
         let victim = ProcessId::new(1);
-        let plan = SkewPlan::new().skew_at(Round::new(3), 5, [victim]);
-        assert_eq!(plan.total(), 1);
-        assert_eq!(plan.all_skews().count(), 1);
         let scenario = Scenario::new("skew", 2)
-            .with_plan(plan)
+            .skew_at(Round::new(3), 5, [victim])
             .with_rounds(20)
             .with_workload_until(20);
+        assert_eq!(scenario.plans().len(), 1);
         let (run, sim) = run(&scenario);
         assert_eq!(run.counter("slowdowns"), 1);
         assert_eq!(sim.timer_period_override(victim), Some(5));
@@ -737,11 +316,9 @@ mod tests {
     #[test]
     fn payload_corruption_mutates_in_flight_packets_only() {
         let victim = ProcessId::new(2);
-        let plan = PayloadCorruptionPlan::new().corrupt_inbound_at(Round::ZERO, [victim]);
-        assert_eq!(plan.total(), 1);
         let scenario = Scenario::new("wire", 3)
             .crash_at(Round::ZERO, [victim])
-            .with_plan(plan)
+            .corrupt_payloads_at(Round::ZERO, [victim])
             .with_rounds(5);
         let mut sim = scenario.build_sim::<MaxNode>(1, SchedulerMode::EventDriven);
         sim.network_mut().inject(ProcessId::new(0), victim, 10);
@@ -795,15 +372,11 @@ mod tests {
 
     #[test]
     fn recovery_plan_crashes_then_rejoins_under_fresh_identifiers() {
-        let plan = RecoveryPlan::new().crash_recover_at(
-            Round::new(1),
-            [ProcessId::new(2), ProcessId::new(3)],
-            3,
-        );
-        assert_eq!(plan.total(), 2);
-        assert_eq!(plan.all_victims().count(), 2);
-        assert_eq!(plan.last_round(), Some(Round::new(4)));
-        let (run, sim) = run(&Scenario::new("recover", 4).with_plan(plan).with_rounds(6));
+        let scenario = Scenario::new("recover", 4)
+            .crash_recover_at(Round::new(1), [ProcessId::new(2), ProcessId::new(3)], 3)
+            .with_rounds(6);
+        assert_eq!(scenario.last_fault_round(), Round::new(4));
+        let (run, sim) = run(&scenario);
         assert_eq!(run.counter("crashes"), 2);
         assert_eq!(run.counter("recoveries"), 2);
         // The fresh identifiers continue the sequence; the victims stay dead.
@@ -813,23 +386,24 @@ mod tests {
         assert!(sim.is_active(ProcessId::new(5)));
     }
 
+    /// Faults with no victim and joins of nobody schedule no action.
     #[test]
     fn empty_plans_are_noops() {
         let scenario = Scenario::new("empty", 1)
-            .with_plan(CrashPlan::new())
-            .with_plan(ChurnPlan::new())
+            .crash_at(Round::new(1), [])
+            .join_at(Round::new(1), 0)
             .with_rounds(3);
+        assert!(scenario.actions_at(Round::new(1)).is_empty());
         let (_, sim) = run(&scenario);
         assert_eq!(sim.ids().len(), 1);
         assert!(sim.is_active(ProcessId::new(0)));
     }
 }
 
-/// Window-composition properties shared by [`SpikePlan`] and
-/// [`GrayFailurePlan`]: replaying the boundary-triggered `due` changes
-/// round by round must reproduce, at *every* round, the value computed
-/// directly from the covering windows — across overlapping, adjacent and
-/// zero-length windows.
+/// Window-composition properties of spike and gray windows: replaying the
+/// boundary-triggered changes round by round must reproduce, at *every*
+/// round, the value computed directly from the covering windows — across
+/// overlapping, adjacent and zero-length windows.
 #[cfg(test)]
 mod window_proptests {
     use super::*;
@@ -889,14 +463,18 @@ mod window_proptests {
                 })
                 .collect();
             let base = ChannelPolicy::default();
-            let mut plan = SpikePlan::new();
-            for (start, duration, spec) in &windows {
-                plan = plan.spike_at(Round::new(*start), *duration, *spec);
-            }
+            let faults: Vec<Fault> = windows
+                .iter()
+                .map(|(start, duration, spec)| Fault::Spike {
+                    round: Round::new(*start),
+                    duration: *duration,
+                    spec: *spec,
+                })
+                .collect();
             // Replay: the policy in force changes only at boundaries.
             let mut in_force = base.clone();
             for round in 0..=45u64 {
-                if let Some(next) = plan.due(Round::new(round), &base) {
+                if let Some(next) = spike_policy_at(&faults, Round::new(round), &base) {
                     in_force = next;
                 }
                 let expected = spiked_directly(&windows, round, &base);
@@ -919,19 +497,19 @@ mod window_proptests {
                 1..6,
             ),
         ) {
-            let mut plan = GrayFailurePlan::new();
-            for (start, duration, period, victim) in &windows {
-                plan = plan.slow_at(
-                    Round::new(*start),
-                    *duration,
-                    *period,
-                    [ProcessId::new(*victim)],
-                );
-            }
+            let faults: Vec<Fault> = windows
+                .iter()
+                .map(|(start, duration, period, victim)| Fault::Gray {
+                    round: Round::new(*start),
+                    duration: *duration,
+                    period: *period,
+                    victims: vec![ProcessId::new(*victim)],
+                })
+                .collect();
             // Replay: overrides change only at boundaries.
             let mut in_force: BTreeMap<ProcessId, Option<u64>> = BTreeMap::new();
             for round in 0..=45u64 {
-                if let Some(desired) = plan.due(Round::new(round)) {
+                if let Some(desired) = gray_periods_at(&faults, Round::new(round)) {
                     in_force.extend(desired);
                 }
                 for victim in 0u32..3 {

@@ -32,13 +32,13 @@
 //! sub-layer traffic over one wire format; a step's [`Context`] is the sink
 //! its layers send into.
 //!
-//! The fault layer is driven by the **chaos-campaign engine** built on the
-//! open fault-plan API ([`plan::FaultPlan`]): a declarative
-//! [`scenario::Scenario`] composes any list of fault plans — the built-in
-//! crash, churn, partition (symmetric *and* one-directional), message-spike,
-//! state-corruption, payload-corruption, gray-failure, clock-skew,
-//! crash-recovery and Byzantine-injection classes ([`fault`], [`partition`],
-//! [`plan`]) or user-defined ones — each scheduling typed
+//! The fault layer is driven by the **chaos-campaign engine**: a declarative
+//! [`scenario::Scenario`] holds one fault schedule, a list of
+//! [`plan::Fault`] values — crash, churn, partition (symmetric *and*
+//! one-directional), message-spike, state-corruption, payload-corruption,
+//! gray-failure, clock-skew, crash-recovery and Byzantine injection, one per
+//! `--plan` token ([`plan`], with window composition in [`fault`] and joiner
+//! confinement in [`partition`]) — each contributing typed
 //! [`plan::FaultAction`]s the runner applies, counts and checks. The
 //! [`campaign`] driver sweeps scenarios × seeds, and
 //! [`report`] renders deterministic JSON reports. Protocol crates plug in
@@ -113,20 +113,16 @@ pub use campaign::{Campaign, CampaignReport, RunRecord};
 pub use channel::{ChannelPolicy, InFlight};
 pub use codec::{DecodeError, Reader, WireCodec};
 pub use config::{SchedulerMode, SimConfig};
-pub use fault::{
-    ChurnPlan, CorruptionPlan, CrashPlan, GrayFailurePlan, PayloadCorruptionPlan, RecoveryPlan,
-    SkewPlan, SpikePlan, SpikeSpec,
-};
+pub use fault::SpikeSpec;
 pub use histogram::Histogram;
 pub use history::{History, HistoryCfg, HistoryRecorder, Observed, OpKind, OpResponse};
 pub use linearize::{Spec, Verdict};
 pub use load::{Arrival, LoadProfile};
 pub use metrics::Metrics;
 pub use network::{ChannelView, Network};
-pub use partition::{AsymmetricCutPlan, PartitionPlan};
 pub use payload::Payload;
 pub use peer_table::PeerTable;
-pub use plan::{ByzantinePlan, FaultAction, FaultPlan, ForgeKind, PlanCtx, RunObservations};
+pub use plan::{Fault, FaultAction, ForgeKind};
 pub use process::{Context, Process, ProcessId, ProcessStatus};
 pub use report::Json;
 pub use rng::SimRng;

@@ -417,7 +417,7 @@ impl<M: Clone> Network<M> {
     /// Replaces the policy of every link — existing and future. Packets
     /// already in flight keep their assigned delivery rounds. The scenario
     /// engine uses this to model message-drop/duplication/delay *spikes*
-    /// (see [`crate::fault::SpikePlan`]); the change is applied at a round
+    /// (see [`crate::plan::Fault::Spike`]); the change is applied at a round
     /// boundary.
     pub fn set_policy(&mut self, policy: ChannelPolicy) {
         self.policy = Arc::new(policy);

@@ -1,149 +1,82 @@
-//! Declarative network-partition schedules.
+//! Network partitions in a scenario run: symmetric splits, one-way cuts,
+//! and the confinement of joiners behind them.
 //!
 //! The paper's channels never disappear, but transient faults and violated
 //! churn assumptions can leave parts of the system unable to talk to each
-//! other for a while. [`PartitionPlan`] schedules *splits* (groups of
-//! processors that lose mutual connectivity) and *heals* at specific rounds,
-//! in the same declarative style as [`crate::CrashPlan`] and
-//! [`crate::ChurnPlan`]; the scenario runner applies them.
+//! other for a while. A schedule says so with [`crate::plan::Fault::Split`]
+//! and [`crate::plan::Fault::Heal`] (groups that lose mutual connectivity in
+//! both directions) and with [`crate::plan::Fault::Oneway`] and
+//! [`crate::plan::Fault::HealOneway`] (links that fail in one direction
+//! only — a channel and its twin fail independently); the scenario runner
+//! applies them. Processors that join while a cut is in force were never
+//! named in its groups, so the runner confines them to one side of every
+//! cut rather than let them bridge it.
 //!
 //! ```
-//! use simnet::{PartitionPlan, ProcessId, Round};
+//! use simnet::plan::FaultAction;
+//! use simnet::scenario::Scenario;
+//! use simnet::{ProcessId, Round};
 //! let p: Vec<ProcessId> = (0..4).map(ProcessId::new).collect();
-//! let plan = PartitionPlan::new()
-//!     .split_at(Round::new(10), vec![vec![p[0], p[1]], vec![p[2], p[3]]])
+//! let groups = vec![vec![p[0], p[1]], vec![p[2], p[3]]];
+//! let s = Scenario::new("split", 4)
+//!     .split_at(Round::new(10), groups.clone())
 //!     .heal_at(Round::new(50));
-//! assert!(plan.splits_due(Round::new(10)).next().is_some());
-//! assert!(plan.heals_at(Round::new(50)));
+//! assert_eq!(s.actions_at(Round::new(10)), vec![FaultAction::Split(groups)]);
+//! assert_eq!(s.actions_at(Round::new(50)), vec![FaultAction::HealSplits]);
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::process::ProcessId;
-use crate::time::Round;
+use crate::scenario::ScenarioTarget;
+use crate::scheduler::Simulation;
 
-/// A schedule of network splits and heals.
-#[derive(Debug, Clone, Default)]
-pub struct PartitionPlan {
-    pub(crate) splits: BTreeMap<Round, Vec<Vec<Vec<ProcessId>>>>,
-    pub(crate) heals: BTreeSet<Round>,
-}
-
-impl PartitionPlan {
-    /// Creates an empty plan.
-    pub fn new() -> Self {
-        Self::default()
+/// While partitions are active, every churned-in processor (id ≥ n — the
+/// scenario author could not have named it in the declared groups) is
+/// confined to one side of *each* cut, round-robin by id, and the cuts are
+/// re-applied so its links to the other sides are blocked. This covers
+/// joiners arriving during a split, joiners already present when a split
+/// fires, and stacked splits — and the same for one-way cuts, where a joiner
+/// lands on a side by identifier parity and inherits its deafness (to-side)
+/// or muteness (from-side).
+pub(crate) fn confine_joiners<T: ScenarioTarget>(
+    sim: &mut Simulation<T>,
+    n: usize,
+    active_splits: &mut [Vec<Vec<ProcessId>>],
+    active_oneway: &mut [(Vec<ProcessId>, Vec<ProcessId>)],
+) {
+    for groups in active_splits.iter_mut() {
+        let covered: BTreeSet<ProcessId> = groups.iter().flatten().copied().collect();
+        let stray: Vec<ProcessId> = sim
+            .active_ids()
+            .into_iter()
+            .filter(|id| id.as_u32() as usize >= n && !covered.contains(id))
+            .collect();
+        if !stray.is_empty() {
+            for id in stray {
+                let side = id.as_u32() as usize % groups.len();
+                groups[side].push(id);
+            }
+            sim.network_mut().split_into(groups);
+        }
     }
-
-    /// Schedules a split into `groups` at `round` (builder style). Processors
-    /// in different groups lose connectivity in both directions; processors
-    /// mentioned in no group are unaffected.
-    pub fn split_at(mut self, round: Round, groups: Vec<Vec<ProcessId>>) -> Self {
-        self.splits.entry(round).or_default().push(groups);
-        self
-    }
-
-    /// Schedules a full heal (unblocking every link) at `round`.
-    pub fn heal_at(mut self, round: Round) -> Self {
-        self.heals.insert(round);
-        self
-    }
-
-    /// The splits scheduled for exactly `round`.
-    pub fn splits_due(&self, round: Round) -> impl Iterator<Item = &Vec<Vec<ProcessId>>> {
-        self.splits.get(&round).into_iter().flatten()
-    }
-
-    /// Returns `true` when a heal is scheduled for exactly `round`.
-    pub fn heals_at(&self, round: Round) -> bool {
-        self.heals.contains(&round)
-    }
-
-    /// Total number of scheduled split events.
-    pub fn total_splits(&self) -> usize {
-        self.splits.values().map(Vec::len).sum()
-    }
-
-    /// The last round with a scheduled split or heal.
-    pub fn last_round(&self) -> Option<Round> {
-        let last_split = self.splits.keys().next_back().copied();
-        let last_heal = self.heals.iter().next_back().copied();
-        last_split.max(last_heal)
-    }
-}
-
-/// A schedule of *asymmetric* (one-directional) cuts: links from one group
-/// towards another fail while the reverse direction keeps delivering. This
-/// is the paper's fail-recovery link model taken seriously — a channel and
-/// its twin fail independently — and the condition under which failure
-/// detectors disagree most violently: the cut-off side suspects processors
-/// that can still hear *it* perfectly well.
-///
-/// Heals lift exactly the directed links the cuts in force blocked. The
-/// network's blocked-link set is shared (not reference-counted), so the
-/// runner composes this plan with a [`PartitionPlan`] over overlapping
-/// links by re-asserting whichever plan's blocks are still active after
-/// the other plan heals.
-///
-/// ```
-/// use simnet::{AsymmetricCutPlan, ProcessId, Round};
-/// let p: Vec<ProcessId> = (0..4).map(ProcessId::new).collect();
-/// let plan = AsymmetricCutPlan::new()
-///     .cut_at(Round::new(10), vec![p[0], p[1]], vec![p[2], p[3]])
-///     .heal_at(Round::new(50));
-/// assert_eq!(plan.total_cuts(), 1);
-/// assert_eq!(plan.last_round(), Some(Round::new(50)));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct AsymmetricCutPlan {
-    pub(crate) cuts: BTreeMap<Round, Vec<OnewayCut>>,
-    pub(crate) heals: BTreeSet<Round>,
-}
-
-/// One scheduled one-directional cut: the links from every member of the
-/// first group towards every member of the second are blocked.
-pub type OnewayCut = (Vec<ProcessId>, Vec<ProcessId>);
-
-impl AsymmetricCutPlan {
-    /// Creates an empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules the links from every member of `from` towards every member
-    /// of `to` to fail at `round` (builder style). The reverse links keep
-    /// working.
-    pub fn cut_at(mut self, round: Round, from: Vec<ProcessId>, to: Vec<ProcessId>) -> Self {
-        self.cuts.entry(round).or_default().push((from, to));
-        self
-    }
-
-    /// Schedules a heal at `round`: every one-way cut in force is lifted.
-    pub fn heal_at(mut self, round: Round) -> Self {
-        self.heals.insert(round);
-        self
-    }
-
-    /// The cuts scheduled for exactly `round`.
-    pub fn cuts_due(&self, round: Round) -> impl Iterator<Item = &OnewayCut> {
-        self.cuts.get(&round).into_iter().flatten()
-    }
-
-    /// Returns `true` when a heal is scheduled for exactly `round`.
-    pub fn heals_at(&self, round: Round) -> bool {
-        self.heals.contains(&round)
-    }
-
-    /// Total number of scheduled cut events.
-    pub fn total_cuts(&self) -> usize {
-        self.cuts.values().map(Vec::len).sum()
-    }
-
-    /// The last round with a scheduled cut or heal.
-    pub fn last_round(&self) -> Option<Round> {
-        let last_cut = self.cuts.keys().next_back().copied();
-        let last_heal = self.heals.iter().next_back().copied();
-        last_cut.max(last_heal)
+    for (from, to) in active_oneway.iter_mut() {
+        let covered: BTreeSet<ProcessId> = from.iter().chain(to.iter()).copied().collect();
+        let stray: Vec<ProcessId> = sim
+            .active_ids()
+            .into_iter()
+            .filter(|id| id.as_u32() as usize >= n && !covered.contains(id))
+            .collect();
+        if !stray.is_empty() {
+            for id in stray {
+                if id.as_u32() % 2 == 0 {
+                    from.push(id);
+                } else {
+                    to.push(id);
+                }
+            }
+            sim.network_mut().cut_oneway(from, to);
+        }
     }
 }
 
@@ -151,8 +84,10 @@ impl AsymmetricCutPlan {
 mod tests {
     use super::*;
     use crate::config::SchedulerMode;
+    use crate::plan::FaultAction;
     use crate::scenario::{Scenario, ScenarioRunner};
     use crate::testutil::MaxNode;
+    use crate::time::Round;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -173,15 +108,19 @@ mod tests {
 
     #[test]
     fn builder_records_events() {
-        let plan = PartitionPlan::new()
+        let scenario = Scenario::new("splits", 4)
             .split_at(Round::new(1), vec![vec![p(0)], vec![p(1)]])
             .split_at(Round::new(1), vec![vec![p(2)], vec![p(3)]])
             .heal_at(Round::new(9));
-        assert_eq!(plan.total_splits(), 2);
-        assert_eq!(plan.splits_due(Round::new(1)).count(), 2);
-        assert_eq!(plan.splits_due(Round::new(2)).count(), 0);
-        assert!(plan.heals_at(Round::new(9)));
-        assert!(!plan.heals_at(Round::new(8)));
+        assert_eq!(scenario.plans().len(), 3);
+        assert_eq!(scenario.actions_at(Round::new(1)).len(), 2);
+        assert!(scenario.actions_at(Round::new(2)).is_empty());
+        assert_eq!(
+            scenario.actions_at(Round::new(9)),
+            vec![FaultAction::HealSplits]
+        );
+        assert!(scenario.actions_at(Round::new(8)).is_empty());
+        assert_eq!(scenario.last_fault_round(), Round::new(9));
     }
 
     #[test]
@@ -211,11 +150,8 @@ mod tests {
         let lower = vec![p(0), p(1)];
         let upper = vec![p(2), p(3)];
         let scenario = Scenario::new("oneway", 4)
-            .with_plan(
-                AsymmetricCutPlan::new()
-                    .cut_at(Round::ZERO, upper, lower)
-                    .heal_at(Round::new(10)),
-            )
+            .cut_oneway_at(Round::ZERO, upper, lower)
+            .heal_oneway_at(Round::new(10))
             .with_rounds(30);
         let mut runner = start(&scenario, 3);
         runner.advance_to(Round::new(8));

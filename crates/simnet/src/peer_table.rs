@@ -60,7 +60,7 @@ impl<V> PeerTable<V> {
     /// Identifiers below this bound are array-indexed; larger ones (which
     /// only transient faults or forged packets produce) live in the ordered
     /// spill. Covers the largest populations the campaign tiers run
-    /// (n = 1024) plus the ghost-identifier ranges the fault plans forge.
+    /// (n = 1024) plus the ghost-identifier ranges the Byzantine faults forge.
     pub const DENSE_LIMIT: u32 = 4096;
 
     /// An empty table. Allocates nothing.

@@ -1,16 +1,16 @@
-//! Declarative chaos scenarios over the open fault-plan API.
+//! Declarative chaos scenarios over one fault schedule.
 //!
 //! The paper claims recovery from *any* transient fault on top of crashes,
 //! churn and unreliable links. A [`Scenario`] makes that claim testable at
-//! scale: it composes an open list of [`FaultPlan`]s — the built-in classes
-//! of [`crate::fault`], [`crate::partition`] and [`crate::plan`] plus any
-//! user-defined plan added through [`Scenario::with_plan`] — into one named,
-//! seed-reproducible fault schedule over rounds. Each plan turns rounds into
-//! typed [`FaultAction`]s; the runner ([`ScenarioRunner`], or
-//! [`run_scenario`] for a run in one call) applies them in a
-//! fixed per-class phase order, counts them into the run's extensible
-//! counter map, and enforces the safety invariants (generic ones itself,
-//! class-specific ones through [`FaultPlan::invariant`]). The
+//! scale: it holds one list of [`Fault`] values — the named,
+//! seed-reproducible fault schedule over rounds, one value per `--plan`
+//! token of [`crate::plan`]. Each fault contributes typed [`FaultAction`]s at its
+//! rounds; the runner ([`ScenarioRunner`], or [`run_scenario`] for a run in
+//! one call) applies them in a fixed per-class phase order, counts them into
+//! the run's counter map, and enforces the safety invariants (generic ones
+//! itself, class-specific ones through each fault). White-box steps no
+//! fault expresses run between rounds through [`ScenarioRunner::advance_to`]
+//! and [`ScenarioRunner::sim_mut`]. The
 //! [`crate::campaign`] module sweeps scenarios × seeds and
 //! records the results; the `simctl` binary runs named scenarios from the
 //! [`catalog`] against every composite node of the workspace.
@@ -41,24 +41,20 @@
 //! assert!(!s.actions_at(Round::new(8)).is_empty());
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::channel::ChannelPolicy;
 use crate::config::{SchedulerMode, SimConfig};
-use crate::fault::{
-    CorruptionPlan, CrashPlan, GrayFailurePlan, PayloadCorruptionPlan, RecoveryPlan, SkewPlan,
-    SpikePlan, SpikeSpec,
-};
+use crate::fault::SpikeSpec;
 use crate::history::{HistoryCfg, HistoryRecorder, OpKind, OpResponse};
 use crate::linearize::{self, Spec, Verdict};
 use crate::load::{LoadEngine, LoadProfile};
-use crate::partition::{AsymmetricCutPlan, PartitionPlan};
-use crate::plan::{ByzantinePlan, FaultAction, FaultPlan, ForgeKind, PlanCtx, RunObservations};
+use crate::partition::confine_joiners;
+use crate::plan::{self, halves, Fault, FaultAction, ForgeKind, RunObservations};
 use crate::process::{Context, Process, ProcessId};
 use crate::rng::SimRng;
 use crate::scheduler::Simulation;
 use crate::time::Round;
-use crate::ChurnPlan;
 
 /// Base behaviour of every link in a scenario, applied outside spike
 /// windows. A plain-data mirror of [`ChannelPolicy`] with scenario-friendly
@@ -102,15 +98,13 @@ impl LinkProfile {
     }
 }
 
-/// A named, declarative chaos scenario: an initial population plus an open
-/// list of [`FaultPlan`]s scheduling faults over rounds, with a round budget
-/// and a workload window.
+/// A named, declarative chaos scenario: an initial population plus a list
+/// of [`Fault`]s scheduling faults over rounds, with a round budget and a
+/// workload window.
 ///
-/// The convenience builders ([`Scenario::crash_at`], [`Scenario::spike_at`],
-/// [`Scenario::inject_at`], …) edit the scenario's plan of the matching
-/// built-in type in place (adding it on first use); [`Scenario::with_plan`]
-/// appends *any* [`FaultPlan`] — the uniform entry point custom fault
-/// classes use.
+/// Each builder ([`Scenario::crash_at`], [`Scenario::spike_at`],
+/// [`Scenario::inject_at`], …) appends one fault, as
+/// [`Scenario::with_fault`] does; the list keeps insertion order.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     name: String,
@@ -119,7 +113,7 @@ pub struct Scenario {
     rounds: u64,
     workload_rounds: u64,
     link: LinkProfile,
-    plans: Vec<Box<dyn FaultPlan>>,
+    faults: Vec<Fault>,
     load: Option<LoadProfile>,
     history: Option<HistoryCfg>,
 }
@@ -127,7 +121,7 @@ pub struct Scenario {
 impl Scenario {
     /// Creates an empty scenario over an initial population of `n`
     /// processors, with a default budget of 1,000 rounds, no workload window
-    /// and no fault plans.
+    /// and no faults.
     pub fn new(name: impl Into<String>, n: usize) -> Self {
         Scenario {
             name: name.into(),
@@ -136,7 +130,7 @@ impl Scenario {
             rounds: 1_000,
             workload_rounds: 0,
             link: LinkProfile::default(),
-            plans: Vec::new(),
+            faults: Vec::new(),
             load: None,
             history: None,
         }
@@ -196,93 +190,73 @@ impl Scenario {
         self
     }
 
-    /// Appends a fault plan (builder style): the uniform entry point of the
-    /// open fault API. Composition order never changes *what* happens in a
-    /// round — actions are applied in class-phase order
-    /// ([`FaultAction::phase`]) — only the order of same-phase actions.
-    pub fn with_plan(mut self, plan: impl FaultPlan + 'static) -> Self {
-        self.plans.push(Box::new(plan));
-        self
-    }
-
-    /// Appends an already-boxed fault plan (builder style).
-    pub fn with_boxed_plan(mut self, plan: Box<dyn FaultPlan>) -> Self {
-        self.plans.push(plan);
-        self
-    }
-
-    /// Edits the scenario's plan of type `P` in place, adding a default one
-    /// on first use — the engine behind the per-class convenience builders.
-    pub fn edit_plan<P: FaultPlan + Default + 'static>(
-        mut self,
-        edit: impl FnOnce(P) -> P,
-    ) -> Self {
-        for plan in &mut self.plans {
-            if let Some(p) = plan.as_any_mut().downcast_mut::<P>() {
-                *p = edit(std::mem::take(p));
-                return self;
-            }
-        }
-        self.plans.push(Box::new(edit(P::default())));
+    /// Appends one fault (builder style). Within a round, actions are
+    /// applied in class-phase order ([`FaultAction::phase`]); insertion
+    /// order only orders same-phase actions.
+    pub fn with_fault(mut self, fault: Fault) -> Self {
+        self.faults.push(fault);
         self
     }
 
     /// Schedules `victims` to crash at `round` (builder style).
     pub fn crash_at(self, round: Round, victims: impl IntoIterator<Item = ProcessId>) -> Self {
-        self.edit_plan(|p: CrashPlan| p.crash_all_at(round, victims))
+        self.with_fault(Fault::Crash {
+            round,
+            victims: victims.into_iter().collect(),
+        })
     }
 
     /// Schedules `count` fresh joiners at `round` (builder style).
     pub fn join_at(self, round: Round, count: u32) -> Self {
-        self.edit_plan(|p: ChurnPlan| p.join_at(round, count))
+        self.with_fault(Fault::Join { round, count })
     }
 
     /// Schedules a partition into `groups` at `round` (builder style).
+    /// Processors in different groups lose connectivity in both
+    /// directions; processors mentioned in no group are unaffected.
     pub fn split_at(self, round: Round, groups: Vec<Vec<ProcessId>>) -> Self {
-        self.edit_plan(|p: PartitionPlan| p.split_at(round, groups))
+        self.with_fault(Fault::Split { round, groups })
     }
 
     /// Schedules a split of the initial population into two halves at
     /// `round` (builder style).
     pub fn split_halves_at(self, round: Round) -> Self {
-        let n = self.n;
-        let mid = n / 2;
-        let lower: Vec<ProcessId> = (0..mid as u32).map(ProcessId::new).collect();
-        let upper: Vec<ProcessId> = (mid as u32..n as u32).map(ProcessId::new).collect();
-        self.split_at(round, vec![lower, upper])
+        let groups = halves(self.n).into();
+        self.split_at(round, groups)
     }
 
     /// Schedules a full heal at `round` (builder style).
     pub fn heal_at(self, round: Round) -> Self {
-        self.edit_plan(|p: PartitionPlan| p.heal_at(round))
+        self.with_fault(Fault::Heal { round })
     }
 
     /// Schedules a one-directional cut at `round`: links from members of
     /// `from` towards members of `to` fail while the reverse direction
     /// keeps delivering (builder style).
     pub fn cut_oneway_at(self, round: Round, from: Vec<ProcessId>, to: Vec<ProcessId>) -> Self {
-        self.edit_plan(|p: AsymmetricCutPlan| p.cut_at(round, from, to))
+        self.with_fault(Fault::Oneway { round, from, to })
     }
 
     /// Schedules a one-way cut of the initial population's halves at
     /// `round`: the lower half stops hearing the upper half, while the
     /// upper half still hears everything (builder style).
     pub fn cut_oneway_halves_at(self, round: Round) -> Self {
-        let n = self.n;
-        let mid = n / 2;
-        let lower: Vec<ProcessId> = (0..mid as u32).map(ProcessId::new).collect();
-        let upper: Vec<ProcessId> = (mid as u32..n as u32).map(ProcessId::new).collect();
+        let [lower, upper] = halves(self.n);
         self.cut_oneway_at(round, upper, lower)
     }
 
     /// Schedules a heal of every one-directional cut at `round` (builder
     /// style). Symmetric splits are unaffected.
     pub fn heal_oneway_at(self, round: Round) -> Self {
-        self.edit_plan(|p: AsymmetricCutPlan| p.heal_at(round))
+        self.with_fault(Fault::HealOneway { round })
     }
 
     /// Schedules a gray failure: `victims` run at timer period `period`
     /// from `round` for `duration` rounds, then recover (builder style).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period == 0`.
     pub fn slow_at(
         self,
         round: Round,
@@ -290,18 +264,33 @@ impl Scenario {
         period: u64,
         victims: impl IntoIterator<Item = ProcessId>,
     ) -> Self {
-        self.edit_plan(|p: GrayFailurePlan| p.slow_at(round, duration, period, victims))
+        assert!(period > 0, "gray-failure timer period must be at least 1");
+        self.with_fault(Fault::Gray {
+            round,
+            duration,
+            period,
+            victims: victims.into_iter().collect(),
+        })
     }
 
     /// Schedules permanent clock skew: `victims` run at timer period
     /// `period` from `round` on, forever (builder style).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period == 0`.
     pub fn skew_at(
         self,
         round: Round,
         period: u64,
         victims: impl IntoIterator<Item = ProcessId>,
     ) -> Self {
-        self.edit_plan(|p: SkewPlan| p.skew_at(round, period, victims))
+        assert!(period > 0, "skewed timer period must be at least 1");
+        self.with_fault(Fault::Skew {
+            round,
+            period,
+            victims: victims.into_iter().collect(),
+        })
     }
 
     /// Schedules in-flight payload corruption of every packet travelling
@@ -311,7 +300,10 @@ impl Scenario {
         round: Round,
         victims: impl IntoIterator<Item = ProcessId>,
     ) -> Self {
-        self.edit_plan(|p: PayloadCorruptionPlan| p.corrupt_inbound_at(round, victims))
+        self.with_fault(Fault::Payload {
+            round,
+            victims: victims.into_iter().collect(),
+        })
     }
 
     /// Schedules `victims` to crash at `round` and rejoin under fresh
@@ -322,24 +314,35 @@ impl Scenario {
         victims: impl IntoIterator<Item = ProcessId>,
         downtime: u64,
     ) -> Self {
-        self.edit_plan(|p: RecoveryPlan| p.crash_recover_at(round, victims, downtime))
+        self.with_fault(Fault::Recover {
+            round,
+            downtime,
+            victims: victims.into_iter().collect(),
+        })
     }
 
     /// Schedules transient state corruption of `victims` at `round`
     /// (builder style).
     pub fn corrupt_at(self, round: Round, victims: impl IntoIterator<Item = ProcessId>) -> Self {
-        self.edit_plan(|p: CorruptionPlan| p.corrupt_at(round, victims))
+        self.with_fault(Fault::Corrupt {
+            round,
+            victims: victims.into_iter().collect(),
+        })
     }
 
     /// Schedules a message drop/duplication/delay spike starting at `round`
     /// for `duration` rounds (builder style).
     pub fn spike_at(self, round: Round, duration: u64, spec: SpikeSpec) -> Self {
-        self.edit_plan(|p: SpikePlan| p.spike_at(round, duration, spec))
+        self.with_fault(Fault::Spike {
+            round,
+            duration,
+            spec,
+        })
     }
 
     /// Schedules one crafted (Byzantine) packet per target at `round`, each
     /// claiming to come from `claimed_sender` (builder style). See
-    /// [`ByzantinePlan`].
+    /// [`Fault::Byzantine`].
     pub fn inject_at(
         self,
         round: Round,
@@ -347,7 +350,12 @@ impl Scenario {
         claimed_sender: ProcessId,
         targets: impl IntoIterator<Item = ProcessId>,
     ) -> Self {
-        self.edit_plan(|p: ByzantinePlan| p.inject_at(round, forge, claimed_sender, targets))
+        self.with_fault(Fault::Byzantine {
+            round,
+            forge,
+            claimed: claimed_sender,
+            targets: targets.into_iter().collect(),
+        })
     }
 
     /// The scenario's name.
@@ -390,81 +398,42 @@ impl Scenario {
         &self.link
     }
 
-    /// The scenario's fault plans, in composition order.
-    pub fn plans(&self) -> &[Box<dyn FaultPlan>] {
-        &self.plans
-    }
-
-    /// Downcast access to the scenario's plan of type `P`, if one was
-    /// composed.
-    pub fn plan<P: FaultPlan + 'static>(&self) -> Option<&P> {
-        self.plans
-            .iter()
-            .find_map(|plan| plan.as_any().downcast_ref::<P>())
+    /// The scenario's faults, in insertion order.
+    pub fn plans(&self) -> &[Fault] {
+        &self.faults
     }
 
     /// The scenario's whole fault schedule as one `--plan` value: every
-    /// plan's [`FaultPlan::render`] tokens, in composition order, joined by
+    /// fault's [`Fault::render`] token, in insertion order, joined by
     /// spaces. [`crate::plan::apply_spec`] on a bare scenario of the same
-    /// size parses a built-in schedule back to the same actions.
+    /// size parses it back to an equal fault list.
     pub fn render_schedule(&self) -> String {
-        let tokens: Vec<String> = self.plans.iter().flat_map(|p| p.render()).collect();
+        let tokens: Vec<String> = self.faults.iter().filter_map(Fault::render).collect();
         tokens.join(" ")
     }
 
-    /// The context plans schedule against.
-    pub fn plan_ctx(&self) -> PlanCtx {
-        PlanCtx {
-            base_policy: self.link.to_policy(),
-            initial_size: self.n,
-        }
-    }
-
     /// Every fault action due at `round`, sorted (stably) into class-phase
-    /// order — exactly what the runner applies. Composition order of plans
-    /// therefore never changes the per-round action *set*, only the order
-    /// of same-phase actions.
+    /// order — exactly what the runner applies. Insertion order of the
+    /// faults never changes the per-round action *set*, only the order of
+    /// same-phase actions.
     pub fn actions_at(&self, round: Round) -> Vec<FaultAction> {
-        let ctx = self.plan_ctx();
-        let mut actions: Vec<FaultAction> = self
-            .plans
-            .iter()
-            .flat_map(|p| p.schedule(round, &ctx))
-            .collect();
-        actions.sort_by_key(FaultAction::phase);
-        actions
+        plan::actions_at(&self.faults, round, &self.link.to_policy())
     }
 
-    /// Whether every scheduled fault action has a live adapter, i.e.
+    /// Whether every fault has a live adapter ([`Fault::is_live`]), i.e.
     /// whether `simctl drive` can replay this scenario against a real
-    /// cluster. Live-adaptable classes: `Crash` (`kill -9`), `Join` and
-    /// `Rejoin` (fresh-id process spawns), `SetTimer`/`SetTimerFloor`
-    /// (control-plane timer retuning). Partitions, channel policies,
-    /// state/payload corruption and Byzantine injection act on the
-    /// simulator's modelled network or address space and stay
-    /// simulator-only.
+    /// cluster.
     pub fn live_capable(&self) -> bool {
-        (0..=self.last_fault_round().as_u64()).all(|round| {
-            self.actions_at(Round::new(round)).iter().all(|action| {
-                matches!(
-                    action,
-                    FaultAction::Crash(_)
-                        | FaultAction::Join { .. }
-                        | FaultAction::Rejoin { .. }
-                        | FaultAction::SetTimer { .. }
-                        | FaultAction::SetTimerFloor { .. }
-                )
-            })
-        })
+        self.faults.iter().all(Fault::is_live)
     }
 
     /// The last round at which this scenario injects any fault (convergence
     /// is only counted after this round). Clock skew is the exception: it
     /// never ends, so convergence is counted *with* the skew in force.
     pub fn last_fault_round(&self) -> Round {
-        self.plans
+        self.faults
             .iter()
-            .filter_map(|p| p.last_round())
+            .map(Fault::last_round)
             .max()
             .unwrap_or(Round::ZERO)
     }
@@ -519,7 +488,7 @@ impl Scenario {
     }
 
     /// The fault-free scenario every scenario sharing this one's prefix
-    /// follows up to its [`Scenario::fork_round`]: no plans, and neither the
+    /// follows up to its [`Scenario::fork_round`]: no faults, and neither the
     /// round budget nor the workload window ever ends.
     pub(crate) fn prefix(&self) -> Scenario {
         Scenario {
@@ -529,18 +498,18 @@ impl Scenario {
             rounds: u64::MAX,
             workload_rounds: u64::MAX,
             link: self.link.clone(),
-            plans: Vec::new(),
+            faults: Vec::new(),
             load: self.load.clone(),
             history: self.history.clone(),
         }
     }
 
-    /// The fault counter map a run starts from: every key the plans
+    /// The fault counter map a run starts from: every key the faults
     /// register, at zero.
     fn zeroed_counters(&self) -> BTreeMap<String, u64> {
-        self.plans
+        self.faults
             .iter()
-            .flat_map(|p| p.counter_keys())
+            .flat_map(Fault::counter_keys)
             .map(|k| (k.to_string(), 0))
             .collect()
     }
@@ -587,9 +556,9 @@ pub trait ScenarioTarget: Process<Msg: Send + Sync> + Clone + Send + 'static {
     fn corrupt(&mut self, rng: &mut SimRng);
 
     /// Mutates one in-flight packet payload — the paper's channel-content
-    /// corruption, driven by [`crate::fault::PayloadCorruptionPlan`].
+    /// corruption, driven by [`Fault::Payload`].
     /// Returns `true` when the payload was changed. The default leaves the
-    /// payload alone: the plan's sender-misattribution shuffle (packets
+    /// payload alone: the runner's sender-misattribution shuffle (packets
     /// towards a victim trade payloads across its inbound channels) is
     /// already a genuine corruption, and protocols add their own bit-level
     /// mutations on top (e.g. degrading a rich message to a bare heartbeat,
@@ -600,7 +569,7 @@ pub trait ScenarioTarget: Process<Msg: Send + Sync> + Clone + Send + 'static {
     }
 
     /// Forges one crafted packet for the declarative Byzantine adversary
-    /// ([`ByzantinePlan`]): a payload of the requested [`ForgeKind`] that
+    /// ([`Fault::Byzantine`]): a payload of the requested [`ForgeKind`] that
     /// will be injected into the channel `claimed_sender → target` through
     /// [`crate::Network::inject`]. Return `None` when no such payload is
     /// craftable in the current state — the injection is skipped (and not
@@ -807,9 +776,9 @@ pub fn tokens_agree(tokens: &[String]) -> bool {
 
 /// What happened during one scenario run.
 ///
-/// Fault counts live in an extensible per-plan counter map ([`Self::counters`],
-/// keys registered by [`FaultPlan::counter_keys`]) instead of fixed fields,
-/// so new fault classes extend the report without touching this type.
+/// Fault counts live in a counter map ([`Self::counters`], keys registered
+/// by [`Fault::counter_keys`]) instead of fixed fields, so new fault
+/// classes extend the report without touching this type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioRun {
     /// Rounds actually executed (≤ the scenario budget).
@@ -819,9 +788,9 @@ pub struct ScenarioRun {
     /// The first round (after the last fault and the workload window) at
     /// which the target reported convergence.
     pub rounds_to_convergence: Option<u64>,
-    /// Fault counters keyed by the plans' registered counter keys
+    /// Fault counters keyed by the faults' registered counter keys
     /// (`crashes`, `joins`, `corruptions`, `injections`, …). Keys registered
-    /// by the scenario's plans are always present, zero included, so the
+    /// by the scenario's faults are always present, zero included, so the
     /// report shape depends on the scenario, not on what fired.
     pub counters: BTreeMap<String, u64>,
     /// Invariant violations observed at the end of the run.
@@ -932,7 +901,7 @@ pub struct ScenarioRunner<T: ScenarioTarget> {
     /// Armed runs record every client op; unarmed runs never construct a
     /// recorder and follow today's exact code paths.
     recorder: Option<HistoryRecorder>,
-    /// The extensible counter map: every key the scenario's plans register
+    /// The counter map: every key the scenario's faults register
     /// is present from the start, zero included.
     counters: BTreeMap<String, u64>,
     /// Convergence is only counted after this round.
@@ -952,15 +921,15 @@ pub struct ScenarioRunner<T: ScenarioTarget> {
     active_splits: Vec<Vec<Vec<ProcessId>>>,
     /// Likewise for one-way cuts: the currently active directed cuts,
     /// including the sides joiners were confined to.
-    active_oneway: Vec<crate::partition::OnewayCut>,
+    active_oneway: Vec<(Vec<ProcessId>, Vec<ProcessId>)>,
     /// Permanent timer-period floors registered by `SetTimerFloor` actions:
     /// a windowed `SetTimer` restore never drops a victim below its floor.
     timer_floors: BTreeMap<ProcessId, u64>,
     /// Generic safety invariants checked by the runner while it applies
-    /// actions (the target's protocol invariants and the plans' class
+    /// actions (the target's protocol invariants and the faults' class
     /// invariants are collected at the end); see docs/FAULTS.md.
     runner_violations: Vec<String>,
-    /// What the plans' end-of-run invariants get to look at.
+    /// What the faults' end-of-run invariants get to look at.
     obs: RunObservations,
 }
 
@@ -1034,7 +1003,7 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
     /// [`Scenario::prefix`] over to `scenario`, which must share that prefix
     /// and must not have passed its [`Scenario::fork_round`]: up to there
     /// the two runs are the same execution, so only what depends on the
-    /// scenario's plans — the counter keys and the quiet round — changes.
+    /// scenario's faults — the counter keys and the quiet round — changes.
     pub(crate) fn rebind(mut self, scenario: Scenario) -> Self {
         debug_assert!(self.scenario.shares_prefix_with(&scenario));
         debug_assert!(self.sim.now() <= scenario.fork_round());
@@ -1052,7 +1021,7 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
     }
 
     /// Mutable access to the simulation between rounds: white-box steps no
-    /// [`FaultPlan`] expresses (rewriting one process's field, asserting or
+    /// [`Fault`] expresses (rewriting one process's field, asserting or
     /// altering link state mid-run).
     pub fn sim_mut(&mut self) -> &mut Simulation<T> {
         &mut self.sim
@@ -1087,15 +1056,14 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
         let violations = &mut self.runner_violations;
 
         // Fold the load engine's op-latency/goodput columns into the counter
-        // map before the plans' end-of-run invariants snapshot it.
+        // map.
         if let Some(engine) = self.load.take() {
             engine.finish(sim.now().as_u64(), counters);
         }
 
         // Armed-run verdicts: the stays-converged probe and the
         // linearizability check flow into the counter map (and the violation
-        // list) before the plans' end-of-run invariants snapshot the
-        // counters. `lin_result` encodes 0 = ok, 1 = violation, 2 = budget
+        // list). `lin_result` encodes 0 = ok, 1 = violation, 2 = budget
         // exhausted (inconclusive, not a failure); `converged_round` is 0
         // when the run never converged.
         if let Some(cfg) = self.scenario.history.as_ref() {
@@ -1134,8 +1102,8 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
             counters.insert("lin_result".to_string(), lin_result);
         }
 
-        // End-of-run class invariants: the plans inspect what the runner
-        // observed (timer baselines, final liveness, final counters).
+        // End-of-run class invariants: the faults inspect what the runner
+        // observed (timer baselines, final timers and liveness).
         let obs = &mut self.obs;
         obs.end_round = sim.now();
         for id in sim.ids() {
@@ -1149,9 +1117,8 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
                 obs.final_active.insert(id);
             }
         }
-        obs.counters = counters.clone();
-        for plan in &self.scenario.plans {
-            violations.extend(plan.invariant(obs));
+        for fault in &self.scenario.faults {
+            violations.extend(fault.invariant(obs));
         }
 
         let converged = self.rounds_to_convergence.is_some() || T::converged(sim);
@@ -1221,7 +1188,7 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
             }
         }
 
-        // Timer actions compose across plans within the round: floors
+        // Timer actions compose across faults within the round: floors
         // register first, then windowed overrides apply against them.
         for action in &actions {
             if let FaultAction::SetTimerFloor { victim, period } = action {
@@ -1232,9 +1199,9 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
 
         let mut past_churn = false;
         for action in &actions {
-            // The confinement sweep runs once per round between the churn
-            // and corruption phases (below); flush it when crossing.
-            if !past_churn && action.phase() > 6 {
+            // The confinement sweep runs once per round right after the
+            // join phase (below); flush it when crossing.
+            if !past_churn && action.phase() > FaultAction::JOIN_PHASE {
                 confine_joiners(sim, n, &mut self.active_splits, &mut self.active_oneway);
                 past_churn = true;
             }
@@ -1255,7 +1222,7 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
                 }
                 FaultAction::HealOneway => {
                     // Heal the *tracked* cuts (they include confined joiners
-                    // the declared plan never mentions), then re-assert the
+                    // the declared faults never mention), then re-assert the
                     // symmetric blocks the one-way heal may have lifted.
                     for (from, to) in self.active_oneway.drain(..) {
                         sim.network_mut().open_oneway(&from, &to);
@@ -1492,55 +1459,6 @@ fn bump(counters: &mut BTreeMap<String, u64>, key: &str, by: u64) {
     *counters.entry(key.to_string()).or_insert(0) += by;
 }
 
-/// While partitions are active, every churned-in processor (id ≥ n — the
-/// scenario author could not have named it in the declared groups) is
-/// confined to one side of *each* cut, round-robin by id, and the cuts are
-/// re-applied so its links to the other sides are blocked. This covers
-/// joiners arriving during a split, joiners already present when a split
-/// fires, and stacked splits — and the same for one-way cuts, where a joiner
-/// lands on a side by identifier parity and inherits its deafness (to-side)
-/// or muteness (from-side).
-fn confine_joiners<T: ScenarioTarget>(
-    sim: &mut Simulation<T>,
-    n: usize,
-    active_splits: &mut [Vec<Vec<ProcessId>>],
-    active_oneway: &mut [crate::partition::OnewayCut],
-) {
-    for groups in active_splits.iter_mut() {
-        let covered: BTreeSet<ProcessId> = groups.iter().flatten().copied().collect();
-        let stray: Vec<ProcessId> = sim
-            .active_ids()
-            .into_iter()
-            .filter(|id| id.as_u32() as usize >= n && !covered.contains(id))
-            .collect();
-        if !stray.is_empty() {
-            for id in stray {
-                let side = id.as_u32() as usize % groups.len();
-                groups[side].push(id);
-            }
-            sim.network_mut().split_into(groups);
-        }
-    }
-    for (from, to) in active_oneway.iter_mut() {
-        let covered: BTreeSet<ProcessId> = from.iter().chain(to.iter()).copied().collect();
-        let stray: Vec<ProcessId> = sim
-            .active_ids()
-            .into_iter()
-            .filter(|id| id.as_u32() as usize >= n && !covered.contains(id))
-            .collect();
-        if !stray.is_empty() {
-            for id in stray {
-                if id.as_u32() % 2 == 0 {
-                    from.push(id);
-                } else {
-                    to.push(id);
-                }
-            }
-            sim.network_mut().cut_oneway(from, to);
-        }
-    }
-}
-
 /// The built-in scenario catalog, sized for an initial population of `n`
 /// processors. These are the named scenarios `simctl run` accepts and the
 /// CI chaos matrix sweeps.
@@ -1741,7 +1659,6 @@ mod tests {
     #[test]
     fn catalog_names_are_unique_and_findable() {
         let scenarios = catalog(5);
-        assert!(scenarios.len() >= 14, "catalog shrank below 14 scenarios");
         for s in &scenarios {
             assert!(find(s.name(), 5).is_some(), "{} not findable", s.name());
             assert!(!s.description().is_empty());
@@ -1753,36 +1670,29 @@ mod tests {
         assert!(find("no-such-scenario", 5).is_none());
     }
 
+    /// The live-capable catalog scenarios are exactly the ones
+    /// docs/LIVE.md's "Live-capable today:" sentence names.
     #[test]
     fn live_capable_matches_the_adapter_inventory() {
-        let live = [
-            "quiescent",
-            "crash-minority",
-            "churn",
-            "gray-lag",
-            "clock-skew",
-            "crash-recovery",
-        ];
-        let simulator_only = [
-            "partition-heal",
-            "packet-storm",
-            "state-blast",
-            "partition-churn",
-            "chaos-mix",
-            "one-way-cut",
-            "wire-corruption",
-            "byzantine-storm",
-        ];
-        for name in live {
-            assert!(
-                find(name, 5).unwrap().live_capable(),
-                "{name} should be live-capable"
-            );
+        let doc =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/LIVE.md"))
+                .expect("docs/LIVE.md exists");
+        let doc = doc.split_whitespace().collect::<Vec<_>>().join(" ");
+        let (_, sentence) = doc
+            .split_once("Live-capable today:")
+            .expect("docs/LIVE.md lists the live-capable scenarios");
+        let sentence = &sentence[..sentence.find('.').unwrap_or(sentence.len())];
+        let listed: Vec<&str> = sentence.split('`').skip(1).step_by(2).collect();
+        assert!(!listed.is_empty(), "no scenario named in `{sentence}`");
+        for name in &listed {
+            assert!(find(name, 5).is_some(), "docs/LIVE.md names unknown {name}");
         }
-        for name in simulator_only {
-            assert!(
-                !find(name, 5).unwrap().live_capable(),
-                "{name} should be simulator-only"
+        for scenario in catalog(5) {
+            assert_eq!(
+                scenario.live_capable(),
+                listed.contains(&scenario.name()),
+                "{}: live_capable() disagrees with docs/LIVE.md",
+                scenario.name()
             );
         }
     }
@@ -1907,24 +1817,24 @@ mod tests {
         assert_eq!(run, self::run(&scenario, 5));
     }
 
-    /// Two Byzantine plans compose like any other plans: both inject, the
+    /// Two Byzantine faults compose like any other faults: both inject, the
     /// shared `injections` counter sums them, and no invariant misfires on
     /// the composition.
     #[test]
     fn two_byzantine_plans_compose_without_false_violations() {
         let scenario = Scenario::new("byz-pair", 4)
-            .with_plan(ByzantinePlan::new().inject_at(
+            .inject_at(
                 Round::new(3),
                 ForgeKind::ForgedSender,
                 ProcessId::new(9),
                 [ProcessId::new(0)],
-            ))
-            .with_plan(ByzantinePlan::new().inject_at(
+            )
+            .inject_at(
                 Round::new(5),
                 ForgeKind::ForgedSender,
                 ProcessId::new(9),
                 [ProcessId::new(1)],
-            ))
+            )
             .with_rounds(60);
         let run = run(&scenario, 7);
         assert!(run.converged, "{run:?}");
@@ -1950,25 +1860,32 @@ mod tests {
         let run = run(&scenario, 11);
         assert!(run.converged, "{run:?}");
         assert_eq!(run.counter("spikes"), 1, "{run:?}");
-        assert_eq!(scenario.plan::<SpikePlan>().unwrap().total(), 1);
+        assert_eq!(scenario.plans().len(), 1);
     }
 
-    /// A plan's composition order never changes the per-round action set:
-    /// phases order the classes, and same-phase actions keep plan order.
+    /// The order faults of different classes were scheduled in never changes
+    /// the per-round action list: phases order the classes, and same-phase
+    /// actions keep insertion order. Heals land before same-round cuts.
     #[test]
-    fn with_plan_composition_order_does_not_change_the_action_set() {
+    fn builder_order_does_not_change_the_action_set() {
         let p = |i: u32| ProcessId::new(i);
-        let crash = CrashPlan::new().crash_at(Round::new(4), p(1));
-        let churn = ChurnPlan::new().join_at(Round::new(4), 1);
-        let skew = SkewPlan::new().skew_at(Round::new(4), 3, [p(2)]);
+        let at = Round::new(4);
         let forward = Scenario::new("fwd", 4)
-            .with_plan(crash.clone())
-            .with_plan(churn.clone())
-            .with_plan(skew.clone());
+            .crash_at(at, [p(1)])
+            .join_at(at, 1)
+            .skew_at(at, 3, [p(2)])
+            .split_halves_at(at)
+            .heal_at(at)
+            .cut_oneway_halves_at(at)
+            .heal_oneway_at(at);
         let backward = Scenario::new("bwd", 4)
-            .with_plan(skew)
-            .with_plan(churn)
-            .with_plan(crash);
+            .heal_oneway_at(at)
+            .cut_oneway_halves_at(at)
+            .heal_at(at)
+            .split_halves_at(at)
+            .skew_at(at, 3, [p(2)])
+            .join_at(at, 1)
+            .crash_at(at, [p(1)]);
         for round in 0..8u64 {
             assert_eq!(
                 forward.actions_at(Round::new(round)),
@@ -2314,54 +2231,73 @@ mod tests {
     }
 
     #[test]
-    fn plan_downcast_accessor_finds_composed_plans() {
+    fn plans_lists_the_composed_faults_in_insertion_order() {
+        let spec = SpikeSpec {
+            loss: 0.5,
+            duplication: 0.0,
+            extra_delay: 0,
+        };
         let scenario = Scenario::new("access", 4)
-            .crash_at(Round::new(2), [ProcessId::new(0)])
-            .spike_at(
-                Round::new(3),
-                4,
-                SpikeSpec {
-                    loss: 0.5,
-                    duplication: 0.0,
-                    extra_delay: 0,
+            .spike_at(Round::new(3), 4, spec)
+            .crash_at(Round::new(2), [ProcessId::new(0)]);
+        assert_eq!(
+            scenario.plans(),
+            [
+                Fault::Spike {
+                    round: Round::new(3),
+                    duration: 4,
+                    spec
                 },
-            );
-        assert_eq!(scenario.plans().len(), 2);
-        assert_eq!(scenario.plan::<CrashPlan>().unwrap().total(), 1);
-        assert_eq!(scenario.plan::<SpikePlan>().unwrap().total(), 1);
-        assert!(scenario.plan::<ChurnPlan>().is_none());
+                Fault::Crash {
+                    round: Round::new(2),
+                    victims: vec![ProcessId::new(0)]
+                },
+            ]
+        );
+        assert_eq!(scenario.last_fault_round(), Round::new(7));
     }
 }
 
-/// Property tests for the open-plan composition rule: the per-round action
-/// set of a scenario is independent of the order its plans were composed in.
+/// Property tests for the composition rule: the per-round action set of a
+/// scenario is independent of the order its faults were scheduled in.
 #[cfg(test)]
 mod composition_proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// One randomly built plan, as a factory so both orders get equal
-    /// copies.
-    fn build_plan(choice: u8, round: u64, victim: u32, extra: u64) -> Box<dyn FaultPlan> {
-        let r = Round::new(round);
-        let v = ProcessId::new(victim);
+    /// One randomly built fault.
+    fn build_fault(choice: u8, round: u64, victim: u32, extra: u64) -> Fault {
+        let round = Round::new(round);
+        let victims = vec![ProcessId::new(victim)];
         match choice % 6 {
-            0 => Box::new(CrashPlan::new().crash_at(r, v)),
-            1 => Box::new(ChurnPlan::new().join_at(r, (extra % 3) as u32 + 1)),
-            2 => Box::new(CorruptionPlan::new().corrupt_at(r, [v])),
-            3 => Box::new(SkewPlan::new().skew_at(r, extra % 5 + 1, [v])),
-            4 => Box::new(GrayFailurePlan::new().slow_at(r, extra % 8, extra % 5 + 2, [v])),
-            _ => Box::new(ByzantinePlan::new().inject_at(
-                r,
-                ForgeKind::Replay,
-                v,
-                [ProcessId::new((victim + 1) % 4)],
-            )),
+            0 => Fault::Crash { round, victims },
+            1 => Fault::Join {
+                round,
+                count: (extra % 3) as u32 + 1,
+            },
+            2 => Fault::Corrupt { round, victims },
+            3 => Fault::Skew {
+                round,
+                period: extra % 5 + 1,
+                victims,
+            },
+            4 => Fault::Gray {
+                round,
+                duration: extra % 8,
+                period: extra % 5 + 2,
+                victims,
+            },
+            _ => Fault::Byzantine {
+                round,
+                forge: ForgeKind::Replay,
+                claimed: ProcessId::new(victim),
+                targets: vec![ProcessId::new((victim + 1) % 4)],
+            },
         }
     }
 
     proptest! {
-        /// Any composition order of arbitrary plans yields the same
+        /// Any insertion order of arbitrary faults yields the same
         /// phase-ordered action list at every round.
         #[test]
         fn composition_order_never_changes_the_per_round_action_set(
@@ -2371,16 +2307,16 @@ mod composition_proptests {
             let forward = specs
                 .iter()
                 .fold(Scenario::new("fwd", 4), |s, (c, r, v, e)| {
-                    s.with_boxed_plan(build_plan(*c, *r, *v, *e))
+                    s.with_fault(build_fault(*c, *r, *v, *e))
                 });
-            // A deterministic permutation of the same plans.
+            // A deterministic permutation of the same faults.
             let mut order: Vec<usize> = (0..specs.len()).collect();
             order.rotate_left(seed % specs.len().max(1));
             let shuffled = order
                 .iter()
                 .fold(Scenario::new("shuf", 4), |s, i| {
                     let (c, r, v, e) = specs[*i];
-                    s.with_boxed_plan(build_plan(c, r, v, e))
+                    s.with_fault(build_fault(c, r, v, e))
                 });
             for round in 0..16u64 {
                 let mut a = forward.actions_at(Round::new(round));

@@ -47,7 +47,7 @@ struct Slot<P> {
     /// Per-process timer period, when it deviates from
     /// [`SimConfig::timer_period`]. Gray failures and clock skew are
     /// modelled by slowing a single process's timer relative to its peers
-    /// (see [`crate::fault::GrayFailurePlan`] and [`crate::fault::SkewPlan`]).
+    /// (see [`crate::plan::Fault::Gray`] and [`crate::plan::Fault::Skew`]).
     timer_period_override: Option<u64>,
     /// Timer steps this process has taken (for per-process liveness checks).
     timer_steps: u64,
@@ -257,7 +257,7 @@ impl<P: Process> Simulation<P> {
 
     /// The next never-used identifier: what [`Simulation::add_process`]
     /// would assign. Identifiers are unique forever (processors never
-    /// rejoin under an old one), so fault plans spawning joiners or
+    /// rejoin under an old one), so fault actions spawning joiners or
     /// crash-recovered processors draw from here.
     pub fn fresh_id(&self) -> ProcessId {
         ProcessId::new(self.next_id)
@@ -297,8 +297,8 @@ impl<P: Process> Simulation<P> {
     }
 
     /// Runs `n` rounds, invoking `hook` with the simulation before each
-    /// round. Fault plans use the hook to crash processors or inject
-    /// corruption at scheduled rounds.
+    /// round. Hand-written fault schedules use the hook to crash
+    /// processors or inject corruption at scheduled rounds.
     pub fn run_rounds_with(&mut self, n: u64, mut hook: impl FnMut(&mut Self)) {
         for _ in 0..n {
             hook(self);

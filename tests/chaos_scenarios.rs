@@ -12,8 +12,9 @@ use selfstab_reconfig::counting::CounterNode;
 use selfstab_reconfig::reconfiguration::ReconfigNode;
 use selfstab_reconfig::replication::SmrNode;
 use selfstab_reconfig::shared_memory::SharedMemNode;
+use selfstab_reconfig::sim::plan::PLAN_KINDS;
 use selfstab_reconfig::sim::scenario::{catalog, find, run_scenario, ScenarioTarget};
-use selfstab_reconfig::sim::{Campaign, Scenario, SchedulerMode, Simulation};
+use selfstab_reconfig::sim::{Campaign, Fault, Scenario, SchedulerMode, Simulation};
 
 /// Runs `scenario`, returning the full trace rendering, the scenario
 /// outcome and the delivered-message count.
@@ -182,49 +183,67 @@ fn crash_recovery_rejoins_the_real_stack_under_fresh_identifiers() {
     }
 }
 
-/// The fault registry stays complete: every `FaultPlan` implementation in
-/// `simnet::plan::registry()` is documented in docs/FAULTS.md *and*
-/// exercised by at least one catalog scenario — an undocumented or
-/// unexercised fault class fails CI, per the acceptance criterion. The
-/// white-box escape hatch (the resumable `ScenarioRunner`, not a
-/// `FaultPlan`) must stay documented too, and every catalog scenario must
-/// appear in the atlas.
+/// The text of `doc` under the `## heading`, up to the next heading.
+fn section<'a>(doc: &'a str, heading: &str) -> &'a str {
+    let (_, rest) = doc
+        .split_once(&format!("## {heading}\n"))
+        .unwrap_or_else(|| panic!("docs/FAULTS.md has no `## {heading}` section"));
+    rest.split("\n## ").next().unwrap_or(rest)
+}
+
+/// The fault registry stays complete: every `--plan` token of
+/// `simnet::plan::PLAN_KINDS` has a row in docs/FAULTS.md's atlas that
+/// names the counter keys its faults feed, *and* is exercised by at least
+/// one catalog scenario — an undocumented or unexercised fault kind fails
+/// CI. The white-box escape hatch (the resumable `ScenarioRunner`) must stay
+/// documented too, and docs/FAULTS.md's catalog table lists exactly the
+/// catalog's scenarios, in both directions.
 #[test]
 fn fault_registry_is_documented_and_exercised_by_the_catalog() {
-    let atlas = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/FAULTS.md"))
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/FAULTS.md"))
         .expect("docs/FAULTS.md exists");
     let scenarios = catalog(5);
-    for (type_name, kind) in selfstab_reconfig::sim::plan::registry() {
+    let atlas = section(&doc, "The atlas");
+    for row in PLAN_KINDS {
+        let token = format!("`{}`", row.token);
+        // The third column of an atlas row lists its `--plan` tokens.
+        let line = atlas
+            .lines()
+            .find(|line| {
+                let tokens = line.split('|').nth(3).unwrap_or("");
+                tokens.split(',').any(|t| t.trim() == token)
+            })
+            .unwrap_or_else(|| panic!("docs/FAULTS.md has no atlas row for {token}"));
+        let faults: Vec<&Fault> = scenarios
+            .iter()
+            .flat_map(|s| s.plans())
+            .filter(|fault| fault.token() == row.token)
+            .collect();
         assert!(
-            atlas.contains(type_name),
-            "docs/FAULTS.md has no atlas entry for {type_name}"
+            !faults.is_empty(),
+            "no catalog scenario exercises the {token} fault kind"
         );
-        assert!(
-            atlas.contains(kind),
-            "docs/FAULTS.md does not name the `{kind}` counter/kind of {type_name}"
-        );
-        assert!(
-            scenarios
-                .iter()
-                .any(|s| s.plans().iter().any(|p| p.kind() == kind)),
-            "no catalog scenario exercises the `{kind}` fault class ({type_name})"
-        );
+        for key in faults.iter().flat_map(|fault| fault.counter_keys()) {
+            assert!(
+                line.contains(&format!("`{key}`")),
+                "the atlas row of {token} does not name its `{key}` counter"
+            );
+        }
     }
     assert!(
         atlas.contains("ScenarioRunner") && atlas.contains("advance_to"),
         "docs/FAULTS.md lost the ScenarioRunner escape-hatch entry"
     );
-    assert!(
-        atlas.contains("FaultPlan") && atlas.contains("with_plan"),
-        "docs/FAULTS.md must document the open FaultPlan API"
+    section(&doc, "Adding a fault kind");
+    let documented: Vec<&str> = section(&doc, "The catalog")
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .collect();
+    let names: Vec<&str> = scenarios.iter().map(|s| s.name()).collect();
+    assert_eq!(
+        documented, names,
+        "docs/FAULTS.md's catalog table must list the catalog, in order"
     );
-    for scenario in &scenarios {
-        assert!(
-            atlas.contains(scenario.name()),
-            "docs/FAULTS.md does not reference catalog scenario {}",
-            scenario.name()
-        );
-    }
 }
 
 /// The Byzantine adversary on the real stacks: byzantine-storm converges

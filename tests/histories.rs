@@ -5,86 +5,57 @@
 //! (`Scenario::with_history`) must also verify the *stays* part — a run
 //! that converges and then falls out of convergence inside the probe
 //! window is a failure, not a success that happened to be sampled early.
-//! These tests drive the probe with a white-box fault plan that corrupts
-//! state *after* convergence (which no built-in plan schedules, because
-//! `CorruptionPlan::last_round` defers convergence counting past it), and
-//! pin the armed/unarmed report contract: unarmed runs carry none of the
-//! history counters and stop at first convergence exactly as before.
+//! These tests drive the probe with a white-box step that corrupts state
+//! *after* convergence (which no scheduled fault does, because every fault's
+//! last round defers convergence counting past it), and pin the
+//! armed/unarmed report contract: unarmed runs carry none of the history
+//! counters and stop at first convergence exactly as before.
 
 use selfstab_reconfig::counting::CounterNode;
 use selfstab_reconfig::reconfiguration::ReconfigNode;
 use selfstab_reconfig::replication::SmrNode;
 use selfstab_reconfig::shared_memory::SharedMemNode;
-use selfstab_reconfig::sim::scenario::{run_scenario, ScenarioTarget};
+use selfstab_reconfig::sim::scenario::{run_scenario, ScenarioRunner, ScenarioTarget};
 use selfstab_reconfig::sim::{
-    Arrival, Campaign, FaultAction, FaultPlan, HistoryCfg, LoadProfile, PlanCtx, ProcessId, Round,
-    Scenario, ScenarioRun, SchedulerMode, Simulation,
+    Arrival, HistoryCfg, LoadProfile, ProcessId, Round, Scenario, ScenarioRun, SchedulerMode,
+    SimRng, Simulation,
 };
 
-/// A fault plan that corrupts the given victims at one round but reports
-/// `last_round() == None`, so the runner counts convergence *before* the
-/// corruption lands. Built-in plans deliberately defer convergence past
-/// their last action; the stays-converged probe needs the opposite — a
-/// fault landing inside the probe window, after convergence was recorded.
-#[derive(Debug, Clone)]
-struct LateCorruption {
-    round: Round,
-    victims: Vec<ProcessId>,
-}
-
-impl FaultPlan for LateCorruption {
-    fn kind(&self) -> &'static str {
-        "late-corruption"
-    }
-
-    fn schedule(&self, round: Round, _ctx: &PlanCtx) -> Vec<FaultAction> {
-        if round != self.round {
-            return Vec::new();
-        }
-        self.victims
-            .iter()
-            .copied()
-            .map(FaultAction::CorruptState)
-            .collect()
-    }
-
-    /// `None` on purpose: the runner must *not* wait this plan out before
-    /// counting convergence — the corruption is meant to land inside the
-    /// stays-converged probe window.
-    fn last_round(&self) -> Option<Round> {
-        None
-    }
-
-    fn events(&self) -> usize {
-        self.victims.len()
-    }
-
-    fn counter_keys(&self) -> Vec<&'static str> {
-        vec!["corruptions"]
-    }
-}
-
-/// A reconfiguration scenario that converges early and is then corrupted
-/// at round 450 — far inside the 600-round probe window. The victim is the
-/// recSA/recMA stack because its recovery from conflicting configurations
-/// takes many rounds (conflict resolution, possibly the brute-force
-/// reset), so the per-round probe is guaranteed to observe the
-/// unconverged window; the counter's `max`-merge gossip can repair an
-/// erased maximum within a single round on a healthy 4-clique, which the
-/// probe may never see.
+/// A reconfiguration scenario that converges early and runs a 600-round
+/// probe window; [`run_late_corrupted`] corrupts it at round 450, far
+/// inside that window. The victim is the recSA/recMA stack because its
+/// recovery from conflicting configurations takes many rounds (conflict
+/// resolution, possibly the brute-force reset), so the per-round probe is
+/// guaranteed to observe the unconverged window; the counter's
+/// `max`-merge gossip can repair an erased maximum within a single round on
+/// a healthy 4-clique, which the probe may never see.
 fn late_corruption_scenario(n: usize) -> Scenario {
     Scenario::new("late-corruption", n)
         .describe("state corruption after convergence, inside the probe window")
         .with_workload_until(40)
         .with_rounds(900)
-        .with_plan(LateCorruption {
-            round: Round::new(450),
-            victims: (0..n as u32).map(ProcessId::new).collect(),
-        })
         .with_history_cfg(HistoryCfg {
             probe_rounds: 600,
             ..HistoryCfg::default()
         })
+}
+
+/// Runs `scenario` to round 450, corrupts the state of every initial
+/// processor there through [`ScenarioTarget::corrupt`] — a white-box step
+/// between rounds, so the runner has already counted convergence — and
+/// finishes the run.
+fn run_late_corrupted<T: ScenarioTarget>(scenario: &Scenario, seed: u64) -> ScenarioRun {
+    let sim: Simulation<T> = scenario.build_sim(seed, SchedulerMode::EventDriven);
+    let mut runner = ScenarioRunner::new(scenario, sim);
+    let late = Round::new(450);
+    runner.advance_to(late);
+    assert_eq!(runner.sim().now(), late, "the run ended before the step");
+    let mut rng = SimRng::seed_from(seed);
+    for id in 0..scenario.initial_size() as u32 {
+        let process = runner.sim_mut().process_mut(ProcessId::new(id));
+        process.expect("initial processor").corrupt(&mut rng);
+    }
+    runner.finish()
 }
 
 fn run<T: ScenarioTarget>(scenario: &Scenario, seed: u64) -> ScenarioRun {
@@ -99,16 +70,11 @@ fn run<T: ScenarioTarget>(scenario: &Scenario, seed: u64) -> ScenarioRun {
 fn late_corruption_trips_stability_violations_reproducibly() {
     let scenario = late_corruption_scenario(4);
     for seed in [1u64, 2] {
-        let event = run::<ReconfigNode>(&scenario, seed);
+        let event = run_late_corrupted::<ReconfigNode>(&scenario, seed);
         assert_eq!(
             event,
-            run::<ReconfigNode>(&scenario, seed),
+            run_late_corrupted::<ReconfigNode>(&scenario, seed),
             "runs diverged on a rerun (seed {seed})"
-        );
-        assert_eq!(
-            event.counter("corruptions"),
-            4,
-            "the late plan fired (seed {seed})"
         );
         assert!(
             event.counter("stability_violations") >= 1,
@@ -124,21 +90,6 @@ fn late_corruption_trips_stability_violations_reproducibly() {
             event.invariant_violations
         );
     }
-}
-
-/// The same cell through the campaign driver is byte-identical across
-/// jobs ∈ {1, 4}: the parallel driver may not perturb armed runs.
-#[test]
-fn late_corruption_campaign_reports_are_identical_across_jobs() {
-    let scenarios = [late_corruption_scenario(4)];
-    let render = |jobs: usize| {
-        Campaign::new("stability-probe")
-            .with_seeds([1u64, 2])
-            .with_jobs(jobs)
-            .run::<ReconfigNode>(&scenarios)
-            .render()
-    };
-    assert_eq!(render(1), render(4), "campaign report depends on job count");
 }
 
 /// Arming a quiescent run changes its *report*, not its behaviour: the

@@ -14,9 +14,10 @@ use selfstab_reconfig::counting::CounterNode;
 use selfstab_reconfig::reconfiguration::ReconfigNode;
 use selfstab_reconfig::replication::SmrNode;
 use selfstab_reconfig::shared_memory::SharedMemNode;
-use selfstab_reconfig::sim::plan::FaultPlan;
 use selfstab_reconfig::sim::scenario::{catalog, find, ScenarioTarget};
-use selfstab_reconfig::sim::{Arrival, Campaign, LoadProfile, RunRecord, Scenario, Simulation};
+use selfstab_reconfig::sim::{
+    Arrival, Campaign, Fault, LoadProfile, RunRecord, Scenario, Simulation,
+};
 
 /// Renders the full catalog campaign for one node type at one jobs count.
 fn catalog_render<T: ScenarioTarget>(jobs: usize) -> String {
@@ -101,10 +102,14 @@ fn loaded_scenarios(arrival: Arrival) -> Vec<Scenario> {
 /// campaign renders byte-identically across jobs counts — the Poisson
 /// arrival stream, op completions, and every latency column included.
 /// A re-render from scratch is also identical, so the latency columns
-/// are reproducible run over run, not just order-stable.
+/// are reproducible run over run, not just order-stable. One more cell is
+/// armed (`with_history`): the history recorder, the stays-converged probe
+/// and the linearizability verdict obey the same contract.
 #[test]
 fn loaded_campaign_is_byte_identical_across_jobs_and_reruns() {
-    let scenarios = loaded_scenarios(Arrival::Poisson { rate: 4.0 });
+    let mut scenarios = loaded_scenarios(Arrival::Poisson { rate: 4.0 });
+    let armed = scenarios[1].clone().with_history();
+    scenarios.push(armed);
     let render = |jobs: usize| {
         Campaign::new("loaded-identity")
             .with_seeds([1, 2])
@@ -122,6 +127,10 @@ fn loaded_campaign_is_byte_identical_across_jobs_and_reruns() {
     assert!(
         serial.contains("op_latency_p99_rounds"),
         "loaded report is missing the latency columns"
+    );
+    assert!(
+        serial.contains("stability_violations"),
+        "the armed cell is missing the history counters"
     );
 }
 
@@ -144,13 +153,13 @@ fn burst_campaign_is_byte_identical_across_jobs() {
 }
 
 /// The Send-safety layer the cells are built on, asserted at compile time:
-/// scenarios (plans included), the composite node types and the records
+/// scenarios (faults included), the composite node types and the records
 /// that travel back from the workers.
 #[test]
 fn cells_are_send_safe() {
     fn assert_send<T: Send>() {}
     assert_send::<Scenario>();
-    assert_send::<Box<dyn FaultPlan>>();
+    assert_send::<Fault>();
     assert_send::<RunRecord>();
     assert_send::<ReconfigNode>();
     assert_send::<CounterNode>();
