@@ -160,7 +160,8 @@ struct Pending {
 #[derive(Debug, Clone)]
 pub struct CounterNode {
     me: ProcessId,
-    config: ConfigSet,
+    /// Also the service's configuration: [`Labeler::config`] and its member
+    /// index are the only copy.
     labeler: Labeler,
     max_counter: Option<Counter>,
     exhaustion_bound: u64,
@@ -197,8 +198,7 @@ impl CounterNode {
     pub fn new(me: ProcessId, config: ConfigSet) -> Self {
         CounterNode {
             me,
-            labeler: Labeler::new(me, config.clone()),
-            config,
+            labeler: Labeler::new(me, config),
             max_counter: None,
             exhaustion_bound: DEFAULT_EXHAUSTION_BOUND,
             reconfiguring: false,
@@ -242,14 +242,14 @@ impl CounterNode {
 
     /// Returns `true` when this processor is a configuration member.
     pub fn is_member(&self) -> bool {
-        self.config.contains(&self.me)
+        self.labeler.is_member()
     }
 
     /// The configuration this service currently works against. Embedders
     /// compare it with the installed configuration to decide when to call
     /// [`CounterNode::on_config_change`].
     pub fn config(&self) -> &ConfigSet {
-        &self.config
+        self.labeler.config()
     }
 
     /// The counter this processor currently believes to be maximal.
@@ -286,10 +286,9 @@ impl CounterNode {
     /// rebuilt and counters whose label was created by a non-member are
     /// discarded.
     pub fn on_config_change(&mut self, new_config: ConfigSet) {
-        self.labeler.on_config_change(new_config.clone());
-        self.config = new_config;
+        self.labeler.on_config_change(new_config);
         if let Some(c) = &self.max_counter {
-            if !self.config.contains(&c.label.creator) {
+            if !self.labeler.has_member(c.label.creator) {
                 self.max_counter = None;
             }
         }
@@ -316,7 +315,7 @@ impl CounterNode {
                 replies: BTreeMap::new(),
             },
         });
-        for m in self.config.iter().copied() {
+        for m in self.labeler.config().iter().copied() {
             out.push(m, QuorumMsg::ReadRequest { op });
         }
     }
@@ -352,7 +351,7 @@ impl CounterNode {
             }
             Some(c) => {
                 let exhausted = c.is_exhausted(self.exhaustion_bound);
-                let stale_creator = !self.config.contains(&c.label.creator);
+                let stale_creator = !self.labeler.has_member(c.label.creator);
                 if exhausted || stale_creator {
                     // Cancel the unusable epoch by moving to a label that
                     // dominates every label known locally (the labeler has
@@ -367,7 +366,7 @@ impl CounterNode {
     }
 
     fn adopt(&mut self, counter: Counter) {
-        if !self.config.contains(&counter.label.creator) {
+        if !self.labeler.has_member(counter.label.creator) {
             return;
         }
         self.labeler.observe_label(counter.label.clone());
@@ -426,7 +425,7 @@ impl CounterNode {
     }
 
     fn majority(&self) -> usize {
-        self.config.len() / 2 + 1
+        self.labeler.config().len() / 2 + 1
     }
 
     fn handle_read_reply(
@@ -507,7 +506,7 @@ impl CounterNode {
             acks: BTreeSet::new(),
         };
         self.pending = Some(pending);
-        for m in self.config.iter().copied() {
+        for m in self.labeler.config().iter().copied() {
             let counter = new_counter.clone();
             out.push(m, QuorumMsg::WriteRequest { op, counter });
         }
@@ -574,7 +573,13 @@ impl Layer for CounterNode {
                 // of audience allocations.
                 let mut audience = std::mem::take(&mut self.gossip_scratch);
                 audience.clear();
-                audience.extend(self.config.iter().copied().filter(|m| *m != self.me));
+                audience.extend(
+                    self.labeler
+                        .config()
+                        .iter()
+                        .copied()
+                        .filter(|m| *m != self.me),
+                );
                 out.push_to_all(&audience, c);
                 self.gossip_scratch = audience;
             }
@@ -809,7 +814,7 @@ impl simnet::ScenarioTarget for CounterNode {
         let mut violations = Vec::new();
         for (id, p) in sim.active_processes().filter(|(_, p)| p.is_member()) {
             if let Some(c) = &p.max_counter {
-                if !p.config.contains(&c.label.creator) {
+                if !p.labeler.has_member(c.label.creator) {
                     violations.push(format!(
                         "{id}: maximal counter labelled by non-member {}",
                         c.label.creator
@@ -1041,6 +1046,51 @@ mod tests {
         assert!(second.is_empty());
     }
 
+    /// A member whose identifier is at or above the per-peer tables' dense
+    /// limit (which only a transient fault or a forged configuration
+    /// produces) lives in the labeler's ordered spill. The service must not
+    /// tell it apart: the same increments commit the same counters, with
+    /// the member below the limit or above it, and the members end on one
+    /// counter.
+    #[test]
+    fn a_spilled_member_counts_like_a_dense_one() {
+        let run = |last: u32| {
+            let cfg: ConfigSet = [0, 1, 2, last].map(pid).into();
+            let mut h = Harness::new(&cfg, &[], DEFAULT_EXHAUSTION_BOUND);
+            for _ in 0..10 {
+                h.round();
+            }
+            let mask = |mut c: Counter| {
+                if c.label.creator == pid(last) {
+                    c.label.creator = pid(3);
+                }
+                if c.wid == pid(last) {
+                    c.wid = pid(3);
+                }
+                c
+            };
+            let mut committed = Vec::new();
+            for who in [0, 1, 2, last, last, 1] {
+                match h.increment(who) {
+                    IncrementOutcome::Committed(c) => committed.push(mask(c)),
+                    IncrementOutcome::Aborted => panic!("p{who}'s increment aborted"),
+                }
+                h.round();
+            }
+            let maxes: Vec<Option<Counter>> = h
+                .nodes
+                .values()
+                .map(|n| n.max_counter().cloned().map(mask))
+                .collect();
+            assert!(maxes.iter().all(|m| *m == maxes[0]), "members disagree: {maxes:?}");
+            (committed, maxes)
+        };
+        let dense = run(3);
+        for spilled in [simnet::PeerTable::<()>::DENSE_LIMIT, u32::MAX] {
+            assert_eq!(run(spilled), dense, "spilled p{spilled}");
+        }
+    }
+
     /// An operation whose quorum requests are lost (nobody ever answers)
     /// aborts after the timeout instead of staying in flight forever —
     /// without this, a partitioned requester (and the SMR view election on
@@ -1114,7 +1164,7 @@ mod tests {
     /// Calls the hook the way the live event loop does and returns what it
     /// sent.
     fn kick(node: &mut CounterNode) -> Vec<(ProcessId, CounterMsg)> {
-        let ids: Vec<ProcessId> = node.config.iter().copied().collect();
+        let ids: Vec<ProcessId> = node.config().iter().copied().collect();
         let mut ctx = simnet::Context::new(node.me, simnet::Round::new(99), &ids);
         simnet::ScenarioTarget::start_local(node, &mut ctx);
         ctx.into_outbox()
@@ -1469,7 +1519,7 @@ mod seeded_bug {
             let mut violations = Vec::new();
             for (id, p) in sim.active_processes().filter(|(_, p)| p.inner.is_member()) {
                 if let Some(c) = &p.inner.max_counter {
-                    if !p.inner.config.contains(&c.label.creator) {
+                    if !p.inner.labeler.has_member(c.label.creator) {
                         violations.push(format!(
                             "{id}: maximal counter labelled by non-member {}",
                             c.label.creator

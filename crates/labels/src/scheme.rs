@@ -11,11 +11,9 @@
 //! are voided — so a processor that left the configuration can never drive
 //! the labeling scheme again (Lemma 4.1).
 
-use std::collections::BTreeMap;
-
 use reconfig::ConfigSet;
 use simnet::stack::Sink;
-use simnet::ProcessId;
+use simnet::{PeerTable, ProcessId};
 
 use crate::label::{Label, LabelPair, LabelQueue};
 
@@ -39,10 +37,13 @@ simnet::wire_struct_codec!(LabelerMsg {
 pub struct Labeler {
     me: ProcessId,
     config: ConfigSet,
+    /// `config` as an index: the membership tests of every message are one
+    /// slot read. Written only beside `config`, in `on_config_change`.
+    members: PeerTable<()>,
     /// `maxC[]`-analogue for labels: own entry plus last received per member.
-    max: BTreeMap<ProcessId, LabelPair>,
+    max: PeerTable<LabelPair>,
     /// `storedLabels[]`: one bounded queue per member (keyed by creator).
-    stored: BTreeMap<ProcessId, LabelQueue>,
+    stored: PeerTable<LabelQueue>,
     queue_bound: usize,
     label_creations: u64,
     /// Soft state: `true` only while `max`/`stored` are known to be a fixed
@@ -64,8 +65,9 @@ impl Labeler {
         let mut l = Labeler {
             me,
             config: ConfigSet::new(),
-            max: BTreeMap::new(),
-            stored: BTreeMap::new(),
+            members: PeerTable::new(),
+            max: PeerTable::new(),
+            stored: PeerTable::new(),
             queue_bound: 8,
             label_creations: 0,
             settled: false,
@@ -84,7 +86,12 @@ impl Labeler {
     /// Returns `true` when this processor is a member of the current
     /// configuration (only members run the algorithm).
     pub fn is_member(&self) -> bool {
-        self.config.contains(&self.me)
+        self.has_member(self.me)
+    }
+
+    /// Returns `true` when `id` is a member of the current configuration.
+    pub fn has_member(&self, id: ProcessId) -> bool {
+        self.members.contains(id)
     }
 
     /// Number of labels this processor created so far (the cost measure of
@@ -96,7 +103,7 @@ impl Labeler {
     /// The label this processor currently considers globally maximal.
     pub fn local_max(&self) -> Option<Label> {
         self.max
-            .get(&self.me)
+            .get(self.me)
             .filter(|p| p.is_legit())
             .map(|p| p.ml.clone())
     }
@@ -110,12 +117,16 @@ impl Labeler {
         self.settled = false;
         let v = new_config.len().max(1);
         self.queue_bound = v * (v * v + 4) + v;
+        self.members.clear();
+        for id in new_config.iter() {
+            self.members.insert(*id, ());
+        }
         self.config = new_config;
         // rebuild(): keep entries of surviving members only, void label
         // pairs created by non-members (cleanMax)…
-        let cfg = &self.config;
+        let members = &self.members;
         self.max
-            .retain(|k, p| cfg.contains(k) && cfg.contains(&p.ml.creator));
+            .retain(|k, p| members.contains(k) && members.contains(p.ml.creator));
         // …and empty all queues: `store_pair` re-creates them under the new
         // bound.
         self.stored.clear();
@@ -136,14 +147,17 @@ impl Labeler {
         if !self.is_member() {
             return;
         }
-        if !self.max.contains_key(&self.me) {
+        if !self.max.contains(self.me) {
             self.use_own_label();
         }
-        let my_max = &self.max[&self.me];
+        let my_max = self
+            .max
+            .get(self.me)
+            .expect("a member holds its own maximum");
         for k in self.config.iter().copied().filter(|k| *k != self.me) {
             let msg = LabelerMsg {
                 sent_max: my_max.clone(),
-                last_sent: self.max.get(&k).cloned(),
+                last_sent: self.max.get(k).cloned(),
             };
             out.push(k, msg);
         }
@@ -152,11 +166,11 @@ impl Labeler {
     /// Handles a label exchange message from another member (the receive
     /// handler of Algorithm 4.1 plus the receipt action of Algorithm 4.2).
     pub fn on_message(&mut self, from: ProcessId, msg: LabelerMsg) {
-        if !self.is_member() || !self.config.contains(&from) {
+        if !self.is_member() || !self.has_member(from) {
             return;
         }
         // Labels created by non-members are voided before processing.
-        if !self.config.contains(&msg.sent_max.ml.creator) {
+        if !self.has_member(msg.sent_max.ml.creator) {
             return;
         }
         let at_rest = self.settled && self.repeats_stored(from, &msg);
@@ -172,7 +186,7 @@ impl Labeler {
         self.write_max(from, &msg.sent_max);
         self.store_pair(msg.sent_max);
         if let Some(last) = msg.last_sent {
-            if self.config.contains(&last.ml.creator) {
+            if self.has_member(last.ml.creator) {
                 if self.echo_cancels_own_max(&last) {
                     self.write_max(self.me, &last);
                 }
@@ -188,10 +202,10 @@ impl Labeler {
     /// `stored` as they are, queue order included. Expects the guards of
     /// [`Labeler::on_message`] to have passed.
     fn repeats_stored(&self, from: ProcessId, msg: &LabelerMsg) -> bool {
-        self.max.get(&from) == Some(&msg.sent_max)
+        self.max.get(from) == Some(&msg.sent_max)
             && self.stored_in_front(&msg.sent_max)
             && msg.last_sent.as_ref().map_or(true, |last| {
-                !self.config.contains(&last.ml.creator)
+                !self.has_member(last.ml.creator)
                     || (!self.echo_cancels_own_max(last) && self.stored_in_front(last))
             })
     }
@@ -202,19 +216,19 @@ impl Labeler {
         !last.is_legit()
             && self
                 .max
-                .get(&self.me)
+                .get(self.me)
                 .is_some_and(|own| own.is_legit() && own.ml == last.ml)
     }
 
     fn stored_in_front(&self, pair: &LabelPair) -> bool {
         self.stored
-            .get(&pair.ml.creator)
+            .get(pair.ml.creator)
             .is_some_and(|q| q.holds_in_front(pair))
     }
 
     /// Sets `max[owner]`.
     fn write_max(&mut self, owner: ProcessId, pair: &LabelPair) {
-        if self.max.get(&owner) != Some(pair) {
+        if self.max.get(owner) != Some(pair) {
             self.settled = false;
             self.max.insert(owner, pair.clone());
         }
@@ -223,12 +237,14 @@ impl Labeler {
     /// Adds a pair to the creator's bounded queue.
     fn store_pair(&mut self, pair: LabelPair) {
         let creator = pair.ml.creator;
-        if !self.config.contains(&creator) {
+        if !self.has_member(creator) {
             return;
         }
         let bound = self.queue_bound;
-        let queue = self.stored.entry(creator);
-        if queue.or_insert_with(|| LabelQueue::new(bound)).add(pair) {
+        let queue = self
+            .stored
+            .get_or_insert_with(creator, || LabelQueue::new(bound));
+        if queue.add(pair) {
             self.settled = false;
         }
     }
@@ -238,15 +254,15 @@ impl Labeler {
     /// action's bookkeeping.
     fn housekeeping(&mut self) {
         for (creator, queue) in self.stored.iter_mut() {
-            if queue.cancel_superseded(*creator != self.me) {
+            if queue.cancel_superseded(creator != self.me) {
                 self.settled = false;
             }
         }
         // Cancellations recorded in the queues propagate to the max[] array.
-        for pair in self.max.values_mut().filter(|p| p.is_legit()) {
+        for (_, pair) in self.max.iter_mut().filter(|(_, p)| p.is_legit()) {
             let stored = self
                 .stored
-                .get(&pair.ml.creator)
+                .get(pair.ml.creator)
                 .and_then(|q| q.iter().find(|p| p.ml == pair.ml));
             if let Some(stored) = stored.filter(|p| !p.is_legit()) {
                 self.settled = false;
@@ -258,14 +274,20 @@ impl Labeler {
     /// `legitLabels()` / `useOwnLabel()`: adopt the greatest legit label in
     /// view, or create a fresh one when none exists.
     fn pick_local_max(&mut self) {
-        let legit = || self.max.values().filter(|p| p.is_legit()).map(|p| &p.ml);
+        let legit = || {
+            self.max
+                .iter()
+                .map(|(_, p)| p)
+                .filter(|p| p.is_legit())
+                .map(|p| &p.ml)
+        };
         // A label is maximal when no other legit label dominates it.
         let best = legit()
             .filter(|l| !legit().any(|other| l.lb_less(other)))
             .max();
         match best {
             Some(best) => {
-                let own = self.max.get(&self.me);
+                let own = self.max.get(self.me);
                 if !own.is_some_and(|own| own.is_legit() && own.ml == *best) {
                     let pair = LabelPair::legit(best.clone());
                     self.write_max(self.me, &pair);
@@ -277,7 +299,7 @@ impl Labeler {
 
     fn use_own_label(&mut self) {
         // Reuse a legit stored label of our own if one exists…
-        let own = self.stored.get(&self.me).and_then(|q| q.newest_legit());
+        let own = self.stored.get(self.me).and_then(|q| q.newest_legit());
         if let Some(pair) = own.cloned() {
             self.write_max(self.me, &pair);
             return;
@@ -291,9 +313,9 @@ impl Labeler {
     fn adopt_fresh_label(&mut self) -> Label {
         let known: Vec<&Label> = self
             .stored
-            .values()
-            .flat_map(|q| q.iter().map(|p| &p.ml))
-            .chain(self.max.values().map(|p| &p.ml))
+            .iter()
+            .flat_map(|(_, q)| q.iter().map(|p| &p.ml))
+            .chain(self.max.iter().map(|(_, p)| &p.ml))
             .collect();
         let pair = LabelPair::legit(Label::next_label(self.me, &known));
         self.label_creations += 1;
@@ -329,6 +351,7 @@ impl Labeler {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use super::*;
@@ -466,7 +489,7 @@ mod tests {
                 antistings: Default::default(),
             });
         }
-        assert_eq!(l.stored[&pid(1)].len(), old_bound + 1);
+        assert_eq!(l.stored.get(pid(1)).unwrap().len(), old_bound + 1);
     }
 
     /// In a converged system the first message after a `step()` runs the
@@ -502,7 +525,11 @@ mod tests {
     fn wrongly_settled_labelers_still_converge() {
         let cfg = config_set([0, 1, 2, 3]);
         let mut h = Harness::new(&cfg);
-        let own: Vec<LabelPair> = h.nodes.values().map(|n| n.max[&n.me].clone()).collect();
+        let own: Vec<LabelPair> = h
+            .nodes
+            .values()
+            .map(|n| n.max.get(n.me).unwrap().clone())
+            .collect();
         for node in h.nodes.values_mut() {
             for (owner, pair) in cfg.iter().zip(&own) {
                 node.max.insert(*owner, pair.clone());
@@ -523,6 +550,31 @@ mod tests {
         h.rounds(20);
         let max = h.common_max().expect("all members agree on a label");
         assert!(cfg.contains(&max.creator));
+    }
+
+    /// A member whose identifier is at or above the per-peer tables' dense
+    /// limit (which only a transient fault or a forged configuration
+    /// produces) is kept in their ordered spill. It must be the same
+    /// algorithm: the system converges to the label, after the same label
+    /// creations, that it reaches with the member below the limit.
+    #[test]
+    fn a_spilled_member_converges_like_a_dense_one() {
+        let run = |last: u32| {
+            let cfg: ConfigSet = [0, 1, 2, last].map(pid).into();
+            let mut h = Harness::new(&cfg);
+            h.rounds(20);
+            let mut max = h.common_max().expect("all members agree on a label");
+            assert!(h.nodes.values().all(|n| n.has_member(pid(last))));
+            if max.creator == pid(last) {
+                max.creator = pid(3);
+            }
+            let creations: Vec<u64> = h.nodes.values().map(|n| n.label_creations()).collect();
+            (max, creations)
+        };
+        let dense = run(3);
+        for spilled in [PeerTable::<()>::DENSE_LIMIT, u32::MAX] {
+            assert_eq!(run(spilled), dense, "spilled p{spilled}");
+        }
     }
 
     #[test]
@@ -583,7 +635,7 @@ mod oracle {
 
         /// One of the pairs `l` stores, from any position of any queue.
         fn stored(&mut self, l: &Labeler) -> Option<LabelPair> {
-            let stored: Vec<&LabelPair> = l.stored.values().flat_map(|q| q.iter()).collect();
+            let stored: Vec<&LabelPair> = l.stored.iter().flat_map(|(_, q)| q.iter()).collect();
             let i = self.take(stored.len().max(1) as u64) as usize;
             stored.get(i).map(|p| (*p).clone())
         }
@@ -634,11 +686,11 @@ mod oracle {
                 let msg = match kind {
                     0..=3 => Some((from, bits.msg())),
                     4..=5 => sent.iter().rev().nth(bits.take(4) as usize).cloned(),
-                    6..=7 => fast.max.get(&me).cloned().map(|own| {
+                    6..=7 => fast.max.get(me).cloned().map(|own| {
                         let last_sent = (bits.take(4) != 0).then(|| own.clone());
                         (from, LabelerMsg { sent_max: own, last_sent })
                     }),
-                    8..=10 => fast.max.get(&from).cloned().map(|sent_max| {
+                    8..=10 => fast.max.get(from).cloned().map(|sent_max| {
                         let last_sent = bits.stored(&fast);
                         (from, LabelerMsg { sent_max, last_sent })
                     }),

@@ -19,6 +19,7 @@
 //! `BTreeMap<ProcessId, V>` wherever iteration order is observable.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use crate::process::ProcessId;
 
@@ -41,7 +42,7 @@ use crate::process::ProcessId;
 ///     ]
 /// );
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct PeerTable<V> {
     /// Slot `i` holds the entry of `ProcessId(i)`; grown on demand, never
     /// beyond [`PeerTable::DENSE_LIMIT`] slots.
@@ -53,6 +54,23 @@ pub struct PeerTable<V> {
 impl<V> Default for PeerTable<V> {
     fn default() -> Self {
         PeerTable::new()
+    }
+}
+
+/// Tables are equal when they hold the same entries: a slot that was
+/// cleared, or never reached, is no entry.
+impl<V: PartialEq> PartialEq for PeerTable<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl<V: Eq> Eq for PeerTable<V> {}
+
+/// Formats as the `BTreeMap` the table stands in for.
+impl<V: fmt::Debug> fmt::Debug for PeerTable<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -90,6 +108,36 @@ impl<V> PeerTable<V> {
             Some(i) => self.dense.get(i)?.as_ref(),
             None => self.spill.get(&id),
         }
+    }
+
+    /// Whether `id` has an entry.
+    pub fn contains(&self, id: ProcessId) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Whether the table holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.spill.is_empty() && self.dense.iter().all(Option::is_none)
+    }
+
+    /// Removes every entry. The dense vector keeps its allocation, so
+    /// refilling the same identifiers allocates nothing.
+    pub fn clear(&mut self) {
+        self.dense.clear();
+        self.spill.clear();
+    }
+
+    /// Keeps only the entries for which `keep` returns `true`, visiting
+    /// them in ascending identifier order.
+    pub fn retain(&mut self, mut keep: impl FnMut(ProcessId, &mut V) -> bool) {
+        for (i, slot) in self.dense.iter_mut().enumerate() {
+            if let Some(v) = slot {
+                if !keep(ProcessId::new(i as u32), v) {
+                    *slot = None;
+                }
+            }
+        }
+        self.spill.retain(|id, v| keep(*id, v));
     }
 
     /// Mutable access to the entry of `id`, if any.
@@ -195,6 +243,29 @@ mod tests {
         assert_eq!(t.get(ProcessId::new(LIMIT - 1)), Some(&LIMIT));
     }
 
+    /// `clear` empties the table but keeps the dense allocation, and a
+    /// cleared table equals a fresh one although their vectors differ.
+    #[test]
+    fn clear_keeps_the_allocation_and_equality_ignores_it() {
+        let mut t: PeerTable<u8> = PeerTable::new();
+        for raw in [0, 9, LIMIT + 2] {
+            t.insert(ProcessId::new(raw), 1);
+        }
+        let footprint = t.dense_footprint();
+        t.clear();
+        assert!(t.is_empty() && !t.contains(ProcessId::new(9)));
+        assert_eq!(t.dense_footprint(), footprint);
+        assert_eq!(t, PeerTable::new());
+        t.insert(ProcessId::new(3), 7);
+        let mut fresh = PeerTable::new();
+        fresh.insert(ProcessId::new(3), 7);
+        assert_eq!(t, fresh);
+        assert_eq!(t.dense_footprint(), footprint, "refilling allocated");
+        t.retain(|_, _| false);
+        assert!(t.is_empty());
+        assert_eq!(format!("{t:?}"), "{}");
+    }
+
     /// A forged maximal identifier must cost one spill node, not a
     /// 4-billion-slot vector.
     #[test]
@@ -230,13 +301,26 @@ mod proptests {
         })
     }
 
+    /// A table holding exactly `model`'s entries, inserted in descending
+    /// order so its dense vector is sized differently from one that grew
+    /// and was cleared.
+    fn rebuilt(model: &BTreeMap<ProcessId, u32>) -> PeerTable<u32> {
+        let mut t = PeerTable::new();
+        for (k, v) in model.iter().rev() {
+            t.insert(*k, *v);
+        }
+        t
+    }
+
     proptest! {
         /// The table is observationally a `BTreeMap<ProcessId, V>`: same
-        /// return values, same lookups, same ascending iteration, under
-        /// random inserts, upserts and in-place updates.
+        /// return values, same lookups and membership, same ascending
+        /// iteration, under random inserts, upserts, in-place updates,
+        /// `retain` and `clear`; and two tables are equal exactly when
+        /// their entries are, whatever their dense vectors' lengths.
         #[test]
         fn peer_table_matches_btreemap_model(
-            ops in proptest::collection::vec((0u8..4, (0u8..4, 0u32..24), 0u32..1000), 0..200),
+            ops in proptest::collection::vec((0u8..8, (0u8..4, 0u32..24), 0u32..1000), 0..200),
         ) {
             let mut table: PeerTable<u32> = PeerTable::new();
             let mut model: BTreeMap<ProcessId, u32> = BTreeMap::new();
@@ -259,7 +343,7 @@ mod proptests {
                             *v = value;
                         }
                     }
-                    _ => {
+                    3 => {
                         for (k, v) in table.iter_mut() {
                             *v ^= value ^ k.as_u32();
                         }
@@ -267,12 +351,45 @@ mod proptests {
                             *v ^= value ^ k.as_u32();
                         }
                     }
+                    4 => prop_assert_eq!(table.contains(id), model.contains_key(&id)),
+                    5 => {
+                        let mut seen = Vec::new();
+                        table.retain(|k, v| {
+                            seen.push(k);
+                            *v += 1;
+                            (*v ^ value) % 3 != 0
+                        });
+                        prop_assert!(seen.windows(2).all(|w| w[0] < w[1]), "retain visits ascending");
+                        model.retain(|_, v| {
+                            *v += 1;
+                            (*v ^ value) % 3 != 0
+                        });
+                    }
+                    6 => {
+                        // Rare, so most histories build up a populated table.
+                        if value < 50 {
+                            table.clear();
+                            model.clear();
+                        }
+                    }
+                    _ => {
+                        let same = rebuilt(&model);
+                        prop_assert!(table == same);
+                        let mut other = model.clone();
+                        *other.entry(id).or_insert(value) ^= 1;
+                        prop_assert!(table != rebuilt(&other));
+                    }
                 }
                 prop_assert_eq!(table.get(id), model.get(&id));
+                prop_assert_eq!(table.contains(id), model.contains_key(&id));
+                prop_assert_eq!(table.is_empty(), model.is_empty());
+                prop_assert_eq!(table == PeerTable::new(), model.is_empty());
             }
             let got: Vec<(ProcessId, u32)> = table.iter().map(|(k, v)| (k, *v)).collect();
             let want: Vec<(ProcessId, u32)> = model.iter().map(|(k, v)| (*k, *v)).collect();
             prop_assert_eq!(got, want);
+            prop_assert!(table == rebuilt(&model));
+            prop_assert_eq!(format!("{table:?}"), format!("{model:?}"));
             prop_assert!(table.dense.len() <= LIMIT as usize);
         }
     }

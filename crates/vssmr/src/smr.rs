@@ -29,7 +29,7 @@ use std::sync::Arc;
 use counters::{Counter, CounterMsg, CounterNode, IncrementOutcome};
 use reconfig::{ConfigSet, NodeConfig, ReconfigMsg, ReconfigNode, SharedSet};
 use simnet::stack::{Layer, Sink};
-use simnet::ProcessId;
+use simnet::{PeerTable, ProcessId};
 
 /// A command submitted to the replicated state machine.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -232,7 +232,7 @@ pub struct SmrNode {
     next_seq: u64,
     current_input: Option<Command>,
     /// Most recent state snapshot received from each peer.
-    peers: BTreeMap<ProcessId, Arc<StateMsg>>,
+    peers: PeerTable<Arc<StateMsg>>,
     /// Reconfiguration handshake flags (Algorithm 4.6/4.7).
     suspend: bool,
     reconf_requested: bool,
@@ -264,7 +264,7 @@ impl SmrNode {
             pending: VecDeque::new(),
             next_seq: 0,
             current_input: None,
-            peers: BTreeMap::new(),
+            peers: PeerTable::new(),
             suspend: false,
             reconf_requested: false,
             awaiting_view_id: false,
@@ -290,7 +290,7 @@ impl SmrNode {
             pending: VecDeque::new(),
             next_seq: 0,
             current_input: None,
-            peers: BTreeMap::new(),
+            peers: PeerTable::new(),
             suspend: false,
             reconf_requested: false,
             awaiting_view_id: false,
@@ -411,7 +411,10 @@ impl SmrNode {
     /// resurrect a proposal its coordinator already abandoned.
     fn best_visible_view(&self, config: &ConfigSet) -> Option<&View> {
         let received = self.peers.iter().flat_map(|(pid, msg)| {
-            let proposed = msg.prop_view.iter().filter(|pv| pv.coordinator() == *pid);
+            let proposed = msg
+                .prop_view
+                .iter()
+                .filter(move |pv| pv.coordinator() == pid);
             msg.view.iter().chain(proposed)
         });
         let mut best: Option<&View> = None;
@@ -479,7 +482,7 @@ impl SmrNode {
         if let Some(pv) = self.prop_view.clone() {
             let crd = pv.coordinator();
             if crd != self.me {
-                let abandoned = match self.peers.get(&crd) {
+                let abandoned = match self.peers.get(crd) {
                     Some(snap) => {
                         snap.prop_view.as_ref() != Some(&pv) && snap.view.as_ref() != Some(&pv)
                     }
@@ -621,7 +624,7 @@ impl SmrNode {
                     *m == self.me
                         || self
                             .peers
-                            .get(m)
+                            .get(*m)
                             .and_then(|s| s.prop_view.as_ref())
                             .map(|p| *p == prop)
                             .unwrap_or(false)
@@ -631,7 +634,7 @@ impl SmrNode {
                     // view members (including ourselves).
                     let mut best_state = self.state.clone();
                     for m in prop.members.iter() {
-                        if let Some(s) = self.peers.get(m) {
+                        if let Some(s) = self.peers.get(*m) {
                             if s.state.applied > best_state.applied {
                                 best_state = s.state.clone();
                             }
@@ -664,7 +667,7 @@ impl SmrNode {
                 if self.reconf_requested {
                     self.suspend = true;
                     let everyone_suspended = view.members.iter().all(|m| {
-                        *m == self.me || self.peers.get(m).map(|s| s.suspend).unwrap_or(false)
+                        *m == self.me || self.peers.get(*m).map(|s| s.suspend).unwrap_or(false)
                     });
                     if everyone_suspended {
                         let target: ConfigSet = self.reconfig.participants();
@@ -721,7 +724,7 @@ impl SmrNode {
                     if *m == self.me {
                         continue;
                     }
-                    if let Some(s) = self.peers.get(m).filter(|s| s.rnd == self.rnd) {
+                    if let Some(s) = self.peers.get(*m).filter(|s| s.rnd == self.rnd) {
                         if let Some(cmd) = &s.input {
                             inputs.push(cmd.clone());
                         }
@@ -1270,7 +1273,7 @@ mod tests {
         );
         let (after, _) = deliver(SmrMsg::State(Arc::clone(&snapshot)));
         assert!(member.peers.is_empty());
-        assert!(Arc::ptr_eq(&after.peers[&peer], &snapshot));
+        assert!(Arc::ptr_eq(after.peers.get(peer).unwrap(), &snapshot));
     }
 
     #[test]
@@ -1446,7 +1449,13 @@ mod tests {
             }
         }
         let entry = |sim: &Simulation<SmrNode>, at: u32| {
-            Arc::clone(&sim.process(ProcessId::new(at)).unwrap().peers[&sender])
+            Arc::clone(
+                sim.process(ProcessId::new(at))
+                    .unwrap()
+                    .peers
+                    .get(sender)
+                    .unwrap(),
+            )
         };
         let held: Vec<Arc<StateMsg>> = (0..3).map(|at| entry(&sim, at)).collect();
         assert!(
@@ -1469,7 +1478,7 @@ mod tests {
 
         // A fault written into replica 1's entry copies it first.
         let node = sim.process_mut(ProcessId::new(1)).unwrap();
-        let corrupted = node.peers.get_mut(&sender).unwrap();
+        let corrupted = node.peers.get_mut(sender).unwrap();
         Arc::make_mut(corrupted).rnd = 1 << 40;
         assert!(!Arc::ptr_eq(corrupted, &held[1]));
         assert!(untouched(&sim, 2));
