@@ -436,6 +436,11 @@ impl CounterNode {
         abort: bool,
         out: &mut impl Sink<CounterMsg>,
     ) {
+        // Only members' replies count toward a majority of the
+        // configuration (a ghost could otherwise complete the read phase).
+        if !self.labeler.has_member(from) {
+            return;
+        }
         // Take the pending operation out to avoid overlapping borrows; it is
         // reinstated below unless the operation finishes or aborts.
         let Some(mut pending) = self.pending.take() else {
@@ -513,6 +518,10 @@ impl CounterNode {
     }
 
     fn handle_write_ack(&mut self, from: ProcessId, op: u64, abort: bool) {
+        // As for read replies: only members' acknowledgements count.
+        if !self.labeler.has_member(from) {
+            return;
+        }
         let majority = self.majority();
         let Some(mut pending) = self.pending.take() else {
             return;
@@ -1082,7 +1091,10 @@ mod tests {
                 .values()
                 .map(|n| n.max_counter().cloned().map(mask))
                 .collect();
-            assert!(maxes.iter().all(|m| *m == maxes[0]), "members disagree: {maxes:?}");
+            assert!(
+                maxes.iter().all(|m| *m == maxes[0]),
+                "members disagree: {maxes:?}"
+            );
             (committed, maxes)
         };
         let dense = run(3);
@@ -1359,6 +1371,54 @@ mod tests {
         assert!(
             matches!(sent.as_slice(), [(to, CounterMsg::Quorum(QuorumMsg::ReadReply { op: 41, .. }))] if *to == pid(1)),
             "{sent:?}"
+        );
+    }
+
+    /// Quorum replies count only from configuration members. Two ghosts
+    /// that answer the read phase and acknowledge the write phase are not
+    /// a majority of `{0, 1, 2}`: the increment stays in flight, sends no
+    /// write phase, and the members' own answers then complete it.
+    #[test]
+    fn replies_from_non_members_make_no_quorum() {
+        let mut h = calm_harness();
+        let me = pid(0);
+        let ghosts = [pid(7), pid(8)];
+        let node = h.nodes.get_mut(&me).unwrap();
+        let mut requests = Outbox::<CounterMsg>::new();
+        node.request_increment(&mut requests);
+        let op = node.next_op - 1;
+        let mut sent = Outbox::<CounterMsg>::new();
+        for ghost in ghosts {
+            let counter = node.max_counter().cloned();
+            let reply = QuorumMsg::ReadReply {
+                op,
+                counter,
+                abort: false,
+            };
+            node.handle(ghost, CounterMsg::Quorum(reply), &mut sent);
+        }
+        for ghost in ghosts {
+            let ack = QuorumMsg::WriteAck { op, abort: false };
+            node.handle(ghost, CounterMsg::Quorum(ack), &mut sent);
+        }
+        assert_eq!(
+            node.take_completed(),
+            vec![],
+            "ghosts committed an increment"
+        );
+        assert!(sent.is_empty(), "ghost replies started the write phase");
+        assert!(node.increment_in_flight());
+        h.deliver(
+            requests
+                .into_messages()
+                .into_iter()
+                .map(|(to, m)| (me, to, m))
+                .collect(),
+        );
+        let done = h.nodes.get_mut(&me).unwrap().take_completed();
+        assert!(
+            matches!(done.as_slice(), [IncrementOutcome::Committed(_)]),
+            "{done:?}"
         );
     }
 
