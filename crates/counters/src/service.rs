@@ -315,7 +315,7 @@ impl CounterNode {
                 replies: BTreeMap::new(),
             },
         });
-        for m in self.labeler.config().iter().copied() {
+        for m in self.config().iter().copied() {
             out.push(m, QuorumMsg::ReadRequest { op });
         }
     }
@@ -425,7 +425,7 @@ impl CounterNode {
     }
 
     fn majority(&self) -> usize {
-        self.labeler.config().len() / 2 + 1
+        self.config().len() / 2 + 1
     }
 
     fn handle_read_reply(
@@ -511,7 +511,7 @@ impl CounterNode {
             acks: BTreeSet::new(),
         };
         self.pending = Some(pending);
-        for m in self.labeler.config().iter().copied() {
+        for m in self.config().iter().copied() {
             let counter = new_counter.clone();
             out.push(m, QuorumMsg::WriteRequest { op, counter });
         }
@@ -582,13 +582,7 @@ impl Layer for CounterNode {
                 // of audience allocations.
                 let mut audience = std::mem::take(&mut self.gossip_scratch);
                 audience.clear();
-                audience.extend(
-                    self.labeler
-                        .config()
-                        .iter()
-                        .copied()
-                        .filter(|m| *m != self.me),
-                );
+                audience.extend(self.config().iter().copied().filter(|m| *m != self.me));
                 out.push_to_all(&audience, c);
                 self.gossip_scratch = audience;
             }

@@ -277,9 +277,8 @@ impl Labeler {
         let legit = || {
             self.max
                 .iter()
-                .map(|(_, p)| p)
-                .filter(|p| p.is_legit())
-                .map(|p| &p.ml)
+                .filter(|(_, p)| p.is_legit())
+                .map(|(_, p)| &p.ml)
         };
         // A label is maximal when no other legit label dominates it.
         let best = legit()

@@ -65,8 +65,6 @@ impl<V: PartialEq> PartialEq for PeerTable<V> {
     }
 }
 
-impl<V: Eq> Eq for PeerTable<V> {}
-
 /// Formats as the `BTreeMap` the table stands in for.
 impl<V: fmt::Debug> fmt::Debug for PeerTable<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -301,9 +299,8 @@ mod proptests {
         })
     }
 
-    /// A table holding exactly `model`'s entries, inserted in descending
-    /// order so its dense vector is sized differently from one that grew
-    /// and was cleared.
+    /// A fresh table holding exactly `model`'s entries: its dense vector
+    /// is no longer than they need, unlike one that grew and was cleared.
     fn rebuilt(model: &BTreeMap<ProcessId, u32>) -> PeerTable<u32> {
         let mut t = PeerTable::new();
         for (k, v) in model.iter().rev() {
