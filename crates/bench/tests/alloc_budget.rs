@@ -17,11 +17,11 @@
 //! assertions and test-harness bookkeeping are excluded. A mutex serializes
 //! the tests: an armed window must not observe another test's setup.
 //!
-//! The pin is only asserted in release builds: debug builds run the
-//! `debug_assert_eq!` cache-coherence checks in recSA and the Θ failure
-//! detector, which recompute (and therefore allocate) the very sets the
-//! caches exist to avoid. Run `cargo test -p bench --test alloc_budget
-//! --release` to enforce the budgets; a debug run still prints the counts.
+//! The pin is only asserted in release builds: debug builds run recSA's
+//! `debug_assert_eq!` cache-coherence checks, which recompute (and
+//! therefore allocate) the very sets the caches exist to avoid. Run
+//! `cargo test -p bench --test alloc_budget --release` to enforce the
+//! budgets; a debug run still prints the counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

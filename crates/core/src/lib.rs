@@ -60,7 +60,6 @@ pub use quorum::QuorumSystem;
 pub use recma::{RecMa, RecMaMsg};
 pub use recsa::{RecSa, RecSaMsg, RecSaOwn};
 pub use types::{
-    config_set, has_majority, same_config, same_ntf, same_set, shared_config, shared_ntf,
-    shared_set, ConfigSet, ConfigValue, EchoTriple, Notification, Phase, SharedConfig, SharedNtf,
-    SharedSet,
+    config_set, same_config, same_ntf, same_set, shared_config, shared_ntf, shared_set, ConfigSet,
+    ConfigValue, EchoTriple, Notification, Phase, SharedConfig, SharedNtf, SharedSet,
 };

@@ -6,10 +6,8 @@
 //! (a function actually) that given a set of processors can generate the
 //! specific quorum system"* (Section 1, Related work). This module provides
 //! that mechanism: a [`QuorumSystem`] turns a configuration into a predicate
-//! over processor sets, and the applications (counter service, SMR) can use
-//! it instead of the raw majority test.
-
-use std::collections::BTreeSet;
+//! over processor sets, and the applications (shared memory, SMR) use it
+//! instead of the raw majority test.
 
 use simnet::ProcessId;
 
@@ -22,13 +20,6 @@ pub enum QuorumSystem {
     /// configuration members is a quorum (the paper's default).
     #[default]
     Majority,
-    /// Weighted majorities: each member has a weight (members missing from
-    /// the list weigh 1); a quorum holds strictly more than half of the total
-    /// weight.
-    Weighted {
-        /// Per-member weights.
-        weights: Vec<(ProcessId, u64)>,
-    },
     /// Grid quorums: the configuration is arranged row-major into a grid with
     /// `columns` columns; a quorum must contain one full row plus one member
     /// of every row (a standard √n-sized quorum construction). Falls back to
@@ -40,53 +31,23 @@ pub enum QuorumSystem {
 }
 
 impl QuorumSystem {
-    /// Returns `true` when `candidate ∩ config` forms a quorum of `config`.
-    pub fn is_quorum(&self, config: &ConfigSet, candidate: &BTreeSet<ProcessId>) -> bool {
-        if config.is_empty() {
-            return false;
-        }
-        let present: BTreeSet<ProcessId> = config.intersection(candidate).copied().collect();
+    /// Returns `true` when the members of `config` for which `present` holds
+    /// form a quorum of `config`. `present` is asked about members only, so
+    /// answers from outside the configuration never count.
+    pub fn is_quorum(&self, config: &ConfigSet, present: impl Fn(&ProcessId) -> bool) -> bool {
+        let majority = || config.iter().filter(|m| present(m)).count() > config.len() / 2;
         match self {
-            QuorumSystem::Majority => present.len() > config.len() / 2,
-            QuorumSystem::Weighted { weights } => {
-                let weight_of = |p: &ProcessId| {
-                    weights
-                        .iter()
-                        .find(|(id, _)| id == p)
-                        .map(|(_, w)| *w)
-                        .unwrap_or(1)
-                };
-                let total: u64 = config.iter().map(weight_of).sum();
-                let have: u64 = present.iter().map(weight_of).sum();
-                2 * have > total
-            }
+            QuorumSystem::Majority => majority(),
             QuorumSystem::Grid { columns } => {
                 let columns = (*columns).max(1);
-                let members: Vec<ProcessId> = config.iter().copied().collect();
-                if members.len() < columns {
-                    return present.len() > config.len() / 2;
+                if config.len() < columns {
+                    return majority();
                 }
-                let rows: Vec<&[ProcessId]> = members.chunks(columns).collect();
-                let full_row = rows
-                    .iter()
-                    .any(|row| row.iter().all(|m| present.contains(m)));
-                let one_per_row = rows
-                    .iter()
-                    .all(|row| row.iter().any(|m| present.contains(m)));
-                full_row && one_per_row
+                let members: Vec<ProcessId> = config.iter().copied().collect();
+                let rows = || members.chunks(columns);
+                rows().any(|row| row.iter().all(&present))
+                    && rows().all(|row| row.iter().any(&present))
             }
-        }
-    }
-
-    /// Returns `true` when any two quorums of `config` under this system must
-    /// intersect — the property the reconfiguration scheme and the register
-    /// emulation rely on. Checked by construction for the built-in systems.
-    pub fn quorums_intersect(&self, config: &ConfigSet) -> bool {
-        match self {
-            // Two strict (weighted) majorities always intersect.
-            QuorumSystem::Majority | QuorumSystem::Weighted { .. } => !config.is_empty(),
-            // A full row intersects every "one per row" cover.
-            QuorumSystem::Grid { .. } => !config.is_empty(),
         }
     }
 
@@ -96,31 +57,6 @@ impl QuorumSystem {
     pub fn minimum_quorum_size(&self, config: &ConfigSet) -> usize {
         match self {
             QuorumSystem::Majority => config.len() / 2 + 1,
-            QuorumSystem::Weighted { .. } => {
-                // Conservative: a single heavy member could dominate, so probe
-                // increasing subset sizes.
-                let members: Vec<ProcessId> = config.iter().copied().collect();
-                for size in 1..=members.len() {
-                    // Check the heaviest `size` members.
-                    let mut by_weight = members.clone();
-                    if let QuorumSystem::Weighted { weights } = self {
-                        by_weight.sort_by_key(|p| {
-                            std::cmp::Reverse(
-                                weights
-                                    .iter()
-                                    .find(|(id, _)| id == p)
-                                    .map(|(_, w)| *w)
-                                    .unwrap_or(1),
-                            )
-                        });
-                    }
-                    let candidate: BTreeSet<ProcessId> = by_weight.into_iter().take(size).collect();
-                    if self.is_quorum(config, &candidate) {
-                        return size;
-                    }
-                }
-                config.len()
-            }
             QuorumSystem::Grid { columns } => {
                 let columns = (*columns).max(1);
                 let n = config.len();
@@ -139,40 +75,26 @@ mod tests {
     use super::*;
     use crate::types::config_set;
 
-    fn set(ids: &[u32]) -> BTreeSet<ProcessId> {
-        ids.iter().map(|i| ProcessId::new(*i)).collect()
+    fn in_set(ids: &[u32]) -> impl Fn(&ProcessId) -> bool + '_ {
+        |p| ids.contains(&p.as_u32())
     }
 
     #[test]
     fn majority_quorums() {
         let cfg = config_set([0, 1, 2, 3, 4]);
         let q = QuorumSystem::Majority;
-        assert!(q.is_quorum(&cfg, &set(&[0, 1, 2])));
-        assert!(!q.is_quorum(&cfg, &set(&[0, 1])));
-        assert!(!q.is_quorum(&config_set([]), &set(&[0, 1])));
+        assert!(q.is_quorum(&cfg, in_set(&[0, 1, 2])));
+        assert!(!q.is_quorum(&cfg, in_set(&[0, 1])));
+        assert!(!q.is_quorum(&config_set([]), in_set(&[0, 1])));
         assert_eq!(q.minimum_quorum_size(&cfg), 3);
-        assert!(q.quorums_intersect(&cfg));
     }
 
     #[test]
     fn non_members_do_not_count_towards_a_quorum() {
         let cfg = config_set([0, 1, 2]);
         let q = QuorumSystem::Majority;
-        assert!(!q.is_quorum(&cfg, &set(&[0, 7, 8, 9])));
-        assert!(q.is_quorum(&cfg, &set(&[0, 1, 7])));
-    }
-
-    #[test]
-    fn weighted_quorums_respect_weights() {
-        let cfg = config_set([0, 1, 2, 3]);
-        let q = QuorumSystem::Weighted {
-            weights: vec![(ProcessId::new(0), 5)],
-        };
-        // Total weight = 5 + 1 + 1 + 1 = 8; the heavy member alone (5) is a
-        // strict majority of the weight.
-        assert!(q.is_quorum(&cfg, &set(&[0])));
-        assert!(!q.is_quorum(&cfg, &set(&[1, 2, 3])));
-        assert_eq!(q.minimum_quorum_size(&cfg), 1);
+        assert!(!q.is_quorum(&cfg, in_set(&[0, 7, 8, 9])));
+        assert!(q.is_quorum(&cfg, in_set(&[0, 1, 7])));
     }
 
     #[test]
@@ -181,18 +103,18 @@ mod tests {
         let cfg = config_set([0, 1, 2, 3]);
         let q = QuorumSystem::Grid { columns: 2 };
         assert!(
-            q.is_quorum(&cfg, &set(&[0, 1, 2])),
+            q.is_quorum(&cfg, in_set(&[0, 1, 2])),
             "row {{0,1}} + cover of row 2"
         );
         assert!(
-            !q.is_quorum(&cfg, &set(&[0, 1])),
+            !q.is_quorum(&cfg, in_set(&[0, 1])),
             "row without covering the other row"
         );
         assert!(
-            !q.is_quorum(&cfg, &set(&[0, 2])),
+            !q.is_quorum(&cfg, in_set(&[0, 2])),
             "cover without a full row"
         );
-        assert!(q.is_quorum(&cfg, &set(&[2, 3, 1])));
+        assert!(q.is_quorum(&cfg, in_set(&[2, 3, 1])));
         assert_eq!(q.minimum_quorum_size(&cfg), 3);
     }
 
@@ -200,8 +122,8 @@ mod tests {
     fn grid_smaller_than_a_row_falls_back_to_majority() {
         let cfg = config_set([0, 1]);
         let q = QuorumSystem::Grid { columns: 5 };
-        assert!(q.is_quorum(&cfg, &set(&[0, 1])));
-        assert!(!q.is_quorum(&cfg, &set(&[0])));
+        assert!(q.is_quorum(&cfg, in_set(&[0, 1])));
+        assert!(!q.is_quorum(&cfg, in_set(&[0])));
     }
 
     #[test]
@@ -214,6 +136,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     proptest! {
         /// For every generated configuration and pair of candidate quorums,
@@ -229,7 +152,7 @@ mod proptests {
             let a: BTreeSet<ProcessId> = a.into_iter().map(ProcessId::new).collect();
             let b: BTreeSet<ProcessId> = b.into_iter().map(ProcessId::new).collect();
             for system in [QuorumSystem::Majority, QuorumSystem::Grid { columns }] {
-                if system.is_quorum(&cfg, &a) && system.is_quorum(&cfg, &b) {
+                if system.is_quorum(&cfg, |m| a.contains(m)) && system.is_quorum(&cfg, |m| b.contains(m)) {
                     let intersection: Vec<_> = a.intersection(&b)
                         .filter(|p| cfg.contains(p))
                         .collect();

@@ -323,15 +323,6 @@ pub fn config_set(ids: impl IntoIterator<Item = u32>) -> ConfigSet {
     ids.into_iter().map(ProcessId::new).collect()
 }
 
-/// Returns `true` when `trusted` contains a strict majority of `config`.
-pub fn has_majority(config: &ConfigSet, trusted: &BTreeSet<ProcessId>) -> bool {
-    if config.is_empty() {
-        return false;
-    }
-    let alive = config.iter().filter(|p| trusted.contains(p)).count();
-    alive > config.len() / 2
-}
-
 // --- wire codec ---------------------------------------------------------
 //
 // Binary encodings for the live runtime (`simnet::codec`). Enum tags are
@@ -461,16 +452,6 @@ mod tests {
         let n2 = Notification::new(Phase::Two, config_set([1]));
         assert_eq!(n2.degree(true), 5);
         assert_eq!(Notification::dflt().degree(false), 0);
-    }
-
-    #[test]
-    fn majority_detection() {
-        let cfg = config_set([1, 2, 3, 4, 5]);
-        let trusted: BTreeSet<ProcessId> = config_set([1, 2, 3]);
-        assert!(has_majority(&cfg, &trusted));
-        let minority: BTreeSet<ProcessId> = config_set([1, 2]);
-        assert!(!has_majority(&cfg, &minority));
-        assert!(!has_majority(&ConfigSet::new(), &trusted));
     }
 
     #[test]

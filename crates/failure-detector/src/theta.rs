@@ -1,24 +1,12 @@
 //! The heartbeat-count vector detector.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use simnet::{Ascending, ProcessId};
+use simnet::{PeerTable, ProcessId};
 
 use crate::estimate::gap_estimate;
-
-/// Identifiers below this bound live in the dense baseline vector; larger
-/// ones (which only transient faults or forged packets can produce) spill
-/// into an ordered map. Covers the largest populations the campaign tiers
-/// run (n = 1024 → `n_bound` = 2048) plus the ghost-identifier ranges the
-/// fault plans forge.
-const DENSE_LIMIT: u32 = 4096;
-
-/// Absent-entry sentinel for the dense baseline vector. No legal baseline
-/// reaches it: baselines are `total − count` with `total ≥ 0` bounded by the
-/// number of heartbeats processed and `count ≤ u64::MAX`.
-const ABSENT: i128 = i128::MIN;
 
 /// The `(N,Θ)`-failure detector of one processor.
 ///
@@ -35,8 +23,8 @@ const ABSENT: i128 = i128::MIN;
 /// `total` counts every heartbeat processed, and per peer only the clock
 /// value of its latest heartbeat is kept, so that
 /// `count(p) = total − base[p]`. This makes [`ThetaFailureDetector::heartbeat`]
-/// — which runs for **every** received packet — `O(log N)` instead of the
-/// naive `O(N)` sweep incrementing every other entry, while producing
+/// — which runs for **every** received packet — one table write instead of
+/// the naive `O(N)` sweep incrementing every other entry, while producing
 /// exactly the same counts.
 #[derive(Debug, Clone)]
 pub struct ThetaFailureDetector {
@@ -45,31 +33,32 @@ pub struct ThetaFailureDetector {
     theta: u64,
     /// Logical clock: total heartbeats processed.
     total: i128,
-    /// Per-peer baseline for identifiers below [`DENSE_LIMIT`], indexed by
-    /// the raw identifier; `count(p) = total − dense[p]`, [`ABSENT`] marks an
-    /// untracked slot. Signed because transient-fault injection may set
-    /// counts above the clock. The dense layout makes the per-packet
-    /// [`ThetaFailureDetector::heartbeat`] a plain array write instead of an
-    /// ordered-map insertion.
-    dense: Vec<i128>,
-    /// Baselines of identifiers at or above [`DENSE_LIMIT`].
-    spill: BTreeMap<ProcessId, i128>,
-    /// Number of tracked entries across `dense` and `spill`.
+    /// Per-peer baseline: `count(p) = total − bases[p]`. Signed because
+    /// transient-fault injection may set counts above the clock.
+    bases: PeerTable<i128>,
+    /// Number of entries in `bases`.
     tracked: usize,
     /// Bumped on every mutation; keys `trusted_cache`.
     version: u64,
-    /// The trusted set computed at `version`, reused until the next
-    /// mutation so the several trust queries a composite node issues per
-    /// step rank the vector once. Shared (`Arc`) so callers on the hot path
-    /// can hold the set without cloning it, and so a stale version stamp
-    /// whose *membership* did not change (the steady-state norm — heartbeats
-    /// move counts every round, membership almost never) revalidates the
-    /// existing allocation instead of rebuilding the set.
-    trusted_cache: RefCell<Option<(u64, Arc<BTreeSet<ProcessId>>)>>,
+    /// The trusted set as of `version`, so the several trust queries a
+    /// composite node issues per step rank the vector once.
+    trusted_cache: RefCell<TrustedCache>,
+}
+
+/// The trusted set behind a shared handle, and the scratch it is recomputed
+/// into. Shared (`Arc`) so callers on the hot path can hold the set without
+/// cloning it; kept across a recompute whose *membership* did not change
+/// (the steady-state norm — heartbeats move counts every round, membership
+/// almost never), so the steady state allocates nothing.
+#[derive(Debug, Clone)]
+struct TrustedCache {
+    version: u64,
+    set: Arc<BTreeSet<ProcessId>>,
+    scratch: Vec<ProcessId>,
 }
 
 /// A raw count from the difference representation, saturated into `u64`
-/// exactly like the former explicit vector (which used `saturating_add`).
+/// exactly like the explicit vector (which uses `saturating_add`).
 fn saturate(diff: i128) -> u64 {
     diff.clamp(0, u64::MAX as i128) as u64
 }
@@ -89,71 +78,28 @@ impl ThetaFailureDetector {
             n_bound,
             theta,
             total: 0,
-            dense: Vec::new(),
-            spill: BTreeMap::new(),
+            bases: PeerTable::new(),
             tracked: 0,
             version: 0,
-            trusted_cache: RefCell::new(None),
+            trusted_cache: RefCell::new(TrustedCache {
+                version: 0,
+                set: Arc::new(BTreeSet::from([me])),
+                scratch: Vec::new(),
+            }),
         }
     }
 
-    // ----- baseline storage ------------------------------------------------
-
-    /// Stores `baseline` for `peer`, routing small identifiers to the dense
-    /// vector.
+    /// Stores `baseline` for `peer`.
     fn set_base(&mut self, peer: ProcessId, baseline: i128) {
         self.version += 1;
-        let raw = peer.as_u32();
-        if raw < DENSE_LIMIT {
-            let idx = raw as usize;
-            if idx >= self.dense.len() {
-                self.dense.resize(idx + 1, ABSENT);
-            }
-            if self.dense[idx] == ABSENT {
-                self.tracked += 1;
-            }
-            self.dense[idx] = baseline;
-        } else if self.spill.insert(peer, baseline).is_none() {
+        if self.bases.insert(peer, baseline).is_none() {
             self.tracked += 1;
         }
     }
 
-    fn get_base(&self, peer: ProcessId) -> Option<i128> {
-        let raw = peer.as_u32();
-        if raw < DENSE_LIMIT {
-            match self.dense.get(raw as usize) {
-                Some(&b) if b != ABSENT => Some(b),
-                _ => None,
-            }
-        } else {
-            self.spill.get(&peer).copied()
-        }
-    }
-
-    fn remove_base(&mut self, peer: ProcessId) {
-        self.version += 1;
-        let raw = peer.as_u32();
-        if raw < DENSE_LIMIT {
-            if let Some(slot) = self.dense.get_mut(raw as usize) {
-                if *slot != ABSENT {
-                    *slot = ABSENT;
-                    self.tracked -= 1;
-                }
-            }
-        } else if self.spill.remove(&peer).is_some() {
-            self.tracked -= 1;
-        }
-    }
-
-    /// All tracked `(peer, baseline)` entries in ascending identifier order
-    /// (dense identifiers are all smaller than spilled ones).
-    fn entries(&self) -> impl Iterator<Item = (ProcessId, i128)> + '_ {
-        self.dense
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b != ABSENT)
-            .map(|(i, &b)| (ProcessId::new(i as u32), b))
-            .chain(self.spill.iter().map(|(p, &b)| (*p, b)))
+    /// The count a baseline stands for.
+    fn count_of(&self, baseline: i128) -> u64 {
+        saturate(self.total - baseline)
     }
 
     /// The owner of this detector.
@@ -194,139 +140,74 @@ impl ThetaFailureDetector {
         if self.tracked <= limit {
             return;
         }
-        let mut ranked = self.ranked();
-        ranked.truncate(limit);
-        let keep: BTreeSet<ProcessId> = ranked.into_iter().map(|(p, _)| p).collect();
-        let evict: Vec<ProcessId> = self
-            .entries()
-            .map(|(p, _)| p)
-            .filter(|p| !keep.contains(p))
-            .collect();
-        for p in evict {
-            self.remove_base(p);
-        }
+        let (last_id, last_count) = self.ranked()[limit - 1];
+        let total = self.total;
+        self.bases
+            .retain(|p, b| (saturate(total - *b), p) <= (last_count, last_id));
+        self.tracked = limit;
+        self.version += 1;
     }
 
     /// The heartbeat count currently recorded for `peer` (`None` if `peer`
     /// was never heard from or has been pruned).
     pub fn count(&self, peer: ProcessId) -> Option<u64> {
-        self.get_base(peer).map(|b| saturate(self.total - b))
+        self.bases.get(peer).map(|b| self.count_of(*b))
     }
 
     /// All tracked processors ranked from most to least recently heard
     /// (ties broken by identifier).
     pub fn ranked(&self) -> Vec<(ProcessId, u64)> {
         let mut ranked: Vec<(ProcessId, u64)> = self
-            .entries()
-            .map(|(p, b)| (p, saturate(self.total - b)))
+            .bases
+            .iter()
+            .map(|(p, b)| (p, self.count_of(*b)))
             .collect();
         ranked.sort_by_key(|(p, c)| (*c, *p));
         ranked
     }
 
-    /// Runs `f` on the current trusted set, computing it only when a
-    /// mutation happened since the last query.
-    fn with_trusted<R>(&self, f: impl FnOnce(&BTreeSet<ProcessId>) -> R) -> R {
-        f(&self.trusted_shared())
+    /// Writes the trusted set into `out` in ascending order: the first `N`
+    /// ranked entries whose count lags the freshest count by at most `Θ`,
+    /// plus `me`.
+    ///
+    /// Everyone inside the `Θ` window outranks everyone outside it (ranking
+    /// is by count), so unless more than `N` entries are in the window they
+    /// all are the first ones and no ranking is needed.
+    fn fill_trusted(&self, out: &mut Vec<ProcessId>) {
+        out.clear();
+        if let Some(freshest) = self.bases.iter().map(|(_, b)| self.count_of(*b)).min() {
+            out.extend(
+                self.bases
+                    .iter()
+                    .filter(|(_, b)| self.count_of(**b) - freshest <= self.theta)
+                    .map(|(p, _)| p),
+            );
+            if out.len() > self.n_bound {
+                out.sort_unstable_by_key(|p| (self.count(*p), *p));
+                out.truncate(self.n_bound);
+                out.sort_unstable();
+            }
+        }
+        if let Err(at) = out.binary_search(&self.me) {
+            out.insert(at, self.me);
+        }
     }
 
     /// The trusted set behind a shared handle — the zero-clone face of
-    /// [`ThetaFailureDetector::trusted`] for the per-step hot path. The
-    /// cached allocation is reused as long as the *membership* is unchanged,
-    /// even across heartbeats (which bump the version every round but only
-    /// move counts): a cheap subset-plus-cardinality sweep revalidates the
-    /// stale stamp before falling back to a full recompute.
+    /// [`ThetaFailureDetector::trusted`] for the per-step hot path. After a
+    /// mutation the set is recomputed into a scratch vector, and the cached
+    /// allocation is kept when the membership is unchanged.
     pub fn trusted_shared(&self) -> Arc<BTreeSet<ProcessId>> {
         let mut cache = self.trusted_cache.borrow_mut();
-        if let Some((version, set)) = cache.as_ref() {
-            if *version == self.version {
-                return set.clone();
-            }
-            if self.cached_still_trusted(set) {
-                debug_assert_eq!(
-                    **set,
-                    self.compute_trusted(),
-                    "trusted-set revalidation accepted a stale membership"
-                );
-                let set = set.clone();
-                *cache = Some((self.version, set.clone()));
-                return set;
+        let cache = &mut *cache;
+        if cache.version != self.version {
+            cache.version = self.version;
+            self.fill_trusted(&mut cache.scratch);
+            if !cache.set.iter().eq(cache.scratch.iter()) {
+                cache.set = Arc::new(cache.scratch.iter().copied().collect());
             }
         }
-        let set = Arc::new(self.compute_trusted());
-        *cache = Some((self.version, set.clone()));
-        set
-    }
-
-    /// Whether `cached` is still exactly the trusted set, checked without
-    /// allocating: every in-window entry must be in `cached` and account —
-    /// together with `me` — for its whole cardinality (a subset of equal
-    /// size is equal). Only valid for the unranked fast path; more than `N`
-    /// window members forces the ranked recompute.
-    fn cached_still_trusted(&self, cached: &BTreeSet<ProcessId>) -> bool {
-        debug_assert!(cached.contains(&self.me), "trusted sets always hold me");
-        if self.tracked == 0 {
-            return cached.len() == 1;
-        }
-        let freshest = self
-            .entries()
-            .map(|(_, b)| saturate(self.total - b))
-            .min()
-            .expect("tracked > 0");
-        let in_window = |b: i128| saturate(self.total - b).saturating_sub(freshest) <= self.theta;
-        let mut window = 0usize;
-        let mut me_in_window = false;
-        // Entries and the cached set both ascend: one walk of each.
-        let mut cached_ids = Ascending::new(cached.iter().copied());
-        for (p, b) in self.entries() {
-            if in_window(b) {
-                window += 1;
-                me_in_window |= p == self.me;
-                if window > self.n_bound || !cached_ids.contains(&p) {
-                    return false;
-                }
-            }
-        }
-        cached.len() == window + usize::from(!me_in_window)
-    }
-
-    /// Computes the trusted set: the first `N` ranked entries whose count
-    /// lags the freshest count by at most `Θ`, plus `me`.
-    ///
-    /// In the common case — no more than `N` processors inside the `Θ`
-    /// window — no ranking is needed at all: everyone inside the window
-    /// outranks everyone outside it (ranking is by count), so the window
-    /// members *are* the first entries and a single unsorted sweep suffices.
-    fn compute_trusted(&self) -> BTreeSet<ProcessId> {
-        let mut trusted = BTreeSet::new();
-        trusted.insert(self.me);
-        if self.tracked == 0 {
-            return trusted;
-        }
-        let freshest = self
-            .entries()
-            .map(|(_, b)| saturate(self.total - b))
-            .min()
-            .expect("tracked > 0");
-        let in_window = |b: i128| saturate(self.total - b).saturating_sub(freshest) <= self.theta;
-        let window = self.entries().filter(|(_, b)| in_window(*b)).count();
-        if window <= self.n_bound {
-            trusted.extend(
-                self.entries()
-                    .filter(|(_, b)| in_window(*b))
-                    .map(|(p, _)| p),
-            );
-        } else {
-            let mut ranked: Vec<(u64, ProcessId)> = self
-                .entries()
-                .filter(|(_, b)| in_window(*b))
-                .map(|(p, b)| (saturate(self.total - b), p))
-                .collect();
-            ranked.sort_unstable();
-            ranked.truncate(self.n_bound);
-            trusted.extend(ranked.into_iter().map(|(_, p)| p));
-        }
-        trusted
+        cache.set.clone()
     }
 
     /// Returns `true` when `peer` is currently trusted.
@@ -335,22 +216,22 @@ impl ThetaFailureDetector {
     /// its heartbeat count does not lag the freshest count by more than `Θ`
     /// and it is ranked among the first `N` entries.
     pub fn trusts(&self, peer: ProcessId) -> bool {
-        self.with_trusted(|t| t.contains(&peer))
+        self.trusted_shared().contains(&peer)
     }
 
     /// The set of trusted processors (always contains `me`).
     pub fn trusted(&self) -> BTreeSet<ProcessId> {
-        self.with_trusted(|t| t.clone())
+        (*self.trusted_shared()).clone()
     }
 
     /// The set of tracked-but-suspected processors.
     pub fn suspected(&self) -> BTreeSet<ProcessId> {
-        self.with_trusted(|trusted| {
-            self.entries()
-                .map(|(p, _)| p)
-                .filter(|p| !trusted.contains(p))
-                .collect()
-        })
+        let trusted = self.trusted_shared();
+        self.bases
+            .iter()
+            .map(|(p, _)| p)
+            .filter(|p| !trusted.contains(p))
+            .collect()
     }
 
     /// The gap-based estimate of the number of currently active processors
@@ -359,11 +240,6 @@ impl ThetaFailureDetector {
         let counts: Vec<u64> = self.ranked().into_iter().map(|(_, c)| c).collect();
         let estimate = gap_estimate(&counts, self.theta);
         (estimate + 1).min(self.n_bound) // +1 accounts for `me`
-    }
-
-    /// Discards all knowledge about `peer`.
-    pub fn forget(&mut self, peer: ProcessId) {
-        self.remove_base(peer);
     }
 
     /// Overwrites the count of `peer` (transient-fault injection helper).
@@ -377,6 +253,7 @@ impl ThetaFailureDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::PeerTable;
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -462,14 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn forget_removes_peer() {
-        let mut fd = ThetaFailureDetector::new(pid(0), 4, 4);
-        fd.heartbeat(pid(1));
-        fd.forget(pid(1));
-        assert_eq!(fd.count(pid(1)), None);
-    }
-
-    #[test]
     fn recovers_from_corrupted_counts() {
         let mut fd = ThetaFailureDetector::new(pid(0), 4, 8);
         for _ in 0..10 {
@@ -487,6 +356,49 @@ mod tests {
             fd.heartbeat(pid(2));
         }
         assert!(fd.trusts(pid(1)));
+    }
+
+    /// Identifiers at and above `PeerTable::DENSE_LIMIT` live outside the
+    /// table's dense vector; the detector must not be able to tell.
+    #[test]
+    fn a_spilled_peer_is_tracked_like_a_dense_one() {
+        let run = |last: u32| {
+            let as_3 = |p: ProcessId| if p == pid(last) { pid(3) } else { p };
+            let observe = |fd: &ThetaFailureDetector| {
+                let ranked: Vec<_> = fd.ranked().into_iter().map(|(p, c)| (as_3(p), c)).collect();
+                let suspected: BTreeSet<_> = fd.suspected().into_iter().map(as_3).collect();
+                (fd.trusts(pid(last)), fd.count(pid(last)), ranked, suspected)
+            };
+            let mut fd = ThetaFailureDetector::new(pid(0), 2, 4);
+            for _ in 0..3 {
+                for p in [1, last, 2] {
+                    fd.heartbeat(pid(p));
+                }
+            }
+            let mut seen = vec![observe(&fd)];
+            // `last` falls silent and is suspected...
+            for _ in 0..4 {
+                fd.heartbeat(pid(1));
+                fd.heartbeat(pid(2));
+                seen.push(observe(&fd));
+            }
+            // ...then newcomers push the vector past 2·N and it is pruned.
+            for p in [5, 6] {
+                fd.heartbeat(pid(p));
+                seen.push(observe(&fd));
+            }
+            seen
+        };
+        let dense = run(3);
+        assert!(dense[0].0, "trusted while heard from");
+        assert!(
+            !dense[4].0 && dense[4].3.contains(&pid(3)),
+            "suspected after silence"
+        );
+        assert_eq!(dense.last().unwrap().1, None, "pruned");
+        for spilled in [PeerTable::<()>::DENSE_LIMIT, u32::MAX] {
+            assert_eq!(run(spilled), dense, "spilled p{spilled}");
+        }
     }
 
     #[test]
@@ -546,6 +458,141 @@ mod proptests {
             }
             prop_assert!(fd.estimate_active() <= n);
             prop_assert!(fd.estimate_active() >= 1);
+        }
+    }
+}
+
+/// The paper's detector as written: an explicit count vector, no baselines
+/// and no cache. The refinement proptest holds the detector to it.
+#[cfg(test)]
+mod model {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
+    use simnet::{PeerTable, ProcessId};
+
+    use super::ThetaFailureDetector;
+    use crate::estimate::gap_estimate;
+
+    struct Model {
+        me: ProcessId,
+        n_bound: usize,
+        theta: u64,
+        counts: BTreeMap<ProcessId, u64>,
+    }
+
+    impl Model {
+        /// Token from `peer`: its count drops to zero, every other count
+        /// grows by one; then only the `2·N` best-ranked entries stay.
+        fn heartbeat(&mut self, peer: ProcessId) {
+            if peer == self.me {
+                return;
+            }
+            for count in self.counts.values_mut() {
+                *count = count.saturating_add(1);
+            }
+            self.counts.insert(peer, 0);
+            let keep: BTreeSet<ProcessId> = self
+                .ranked()
+                .into_iter()
+                .take(2 * self.n_bound)
+                .map(|(p, _)| p)
+                .collect();
+            self.counts.retain(|p, _| keep.contains(p));
+        }
+
+        fn corrupt_count(&mut self, peer: ProcessId, count: u64) {
+            if peer != self.me {
+                self.counts.insert(peer, count);
+            }
+        }
+
+        fn ranked(&self) -> Vec<(ProcessId, u64)> {
+            let mut ranked: Vec<(ProcessId, u64)> =
+                self.counts.iter().map(|(p, c)| (*p, *c)).collect();
+            ranked.sort_by_key(|(p, c)| (*c, *p));
+            ranked
+        }
+
+        /// The first `N` ranked entries within `Θ` of the freshest, plus `me`.
+        fn trusted(&self) -> BTreeSet<ProcessId> {
+            let ranked = self.ranked();
+            let freshest = ranked.first().map_or(0, |(_, c)| *c);
+            let mut trusted: BTreeSet<ProcessId> = ranked
+                .into_iter()
+                .filter(|(_, c)| c - freshest <= self.theta)
+                .take(self.n_bound)
+                .map(|(p, _)| p)
+                .collect();
+            trusted.insert(self.me);
+            trusted
+        }
+
+        fn suspected(&self) -> BTreeSet<ProcessId> {
+            let trusted = self.trusted();
+            self.counts
+                .keys()
+                .filter(|p| !trusted.contains(p))
+                .copied()
+                .collect()
+        }
+
+        fn estimate_active(&self) -> usize {
+            let counts: Vec<u64> = self.ranked().into_iter().map(|(_, c)| c).collect();
+            (gap_estimate(&counts, self.theta) + 1).min(self.n_bound)
+        }
+    }
+
+    const LIMIT: u32 = PeerTable::<()>::DENSE_LIMIT;
+
+    /// Small identifiers (the owner is `0`), ones on both sides of the
+    /// dense limit, and the largest.
+    fn id((region, offset): (u8, u32)) -> ProcessId {
+        ProcessId::new(match region {
+            0 => offset,
+            1 => LIMIT - 2 + offset,
+            _ => u32::MAX - offset,
+        })
+    }
+
+    /// Corrupted counts: small ones, ones near the saturation point, and
+    /// the saturation point itself.
+    fn corrupted(raw: u64) -> u64 {
+        match raw % 4 {
+            0 => raw / 4 % 16,
+            1 => u64::MAX - raw / 4 % 4,
+            2 => u64::MAX,
+            _ => raw,
+        }
+    }
+
+    proptest! {
+        /// Under heartbeats and corrupted counts from any identifier, the
+        /// detector answers every query exactly like the count vector.
+        #[test]
+        fn detector_matches_the_count_vector(
+            n_bound in 1usize..4,
+            theta in 1u64..6,
+            ops in proptest::collection::vec((0u8..4, (0u8..3, 0u32..4), any::<u64>()), 0..120),
+        ) {
+            let me = ProcessId::new(0);
+            let mut fd = ThetaFailureDetector::new(me, n_bound, theta);
+            let mut model = Model { me, n_bound, theta, counts: BTreeMap::new() };
+            for (op, raw, value) in ops {
+                let peer = id(raw);
+                if op == 0 {
+                    fd.corrupt_count(peer, corrupted(value));
+                    model.corrupt_count(peer, corrupted(value));
+                } else {
+                    fd.heartbeat(peer);
+                    model.heartbeat(peer);
+                }
+                prop_assert_eq!(fd.ranked(), model.ranked());
+                prop_assert_eq!(fd.trusted(), model.trusted());
+                prop_assert_eq!(fd.suspected(), model.suspected());
+                prop_assert_eq!(fd.count(peer), model.counts.get(&peer).copied());
+                prop_assert_eq!(fd.estimate_active(), model.estimate_active());
+            }
         }
     }
 }

@@ -133,8 +133,7 @@ impl PendingOp {
             return OpStep::Continue;
         }
         self.responses.insert(member, current);
-        let responders: BTreeSet<ProcessId> = self.responses.keys().copied().collect();
-        if !quorum.is_quorum(config, &responders) {
+        if !quorum.is_quorum(config, |m| self.responses.contains_key(m)) {
             return OpStep::Continue;
         }
 
@@ -181,7 +180,7 @@ impl PendingOp {
             return OpStep::Continue;
         }
         self.acks.insert(member);
-        if !quorum.is_quorum(config, &self.acks) {
+        if !quorum.is_quorum(config, |m| self.acks.contains(m)) {
             return OpStep::Continue;
         }
         let chosen = self

@@ -34,7 +34,6 @@
 //! prefix it managed to linearize and, for each frontier candidate at the
 //! deepest stuck configuration, why the spec rejected it.
 
-use std::collections::BTreeMap;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -519,17 +518,10 @@ pub fn check(history: &History, spec: Spec, budget: u64) -> Verdict {
     Verdict::Ok { ops_checked }
 }
 
-/// `check` with per-object op counts, for tests asserting coverage.
-pub fn object_op_counts(history: &History, spec: Spec) -> BTreeMap<u64, usize> {
-    history
-        .objects()
-        .into_iter()
-        .map(|object| (object, project(history, spec, object).len()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::history::ADVERSARY_CLIENT;
 

@@ -1,14 +1,13 @@
 //! Execution metrics collected by the simulator.
 
 use crate::channel::SendOutcome;
-use crate::histogram::Histogram;
 
 /// Counters describing one simulation execution.
 ///
 /// The experiments (`bench::experiments`) and the benchmark read these to
 /// report convergence cost (rounds, messages). The scheduler-cost
-/// counters (`wakeups`, `channel_visits`, the delivery batch histogram)
-/// hook the delivery path.
+/// counters (`wakeups`, `delivery_batches`, `channel_visits`) hook the
+/// delivery path.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     rounds: u64,
@@ -21,7 +20,6 @@ pub struct Metrics {
     wakeups: u64,
     delivery_batches: u64,
     channel_visits: u64,
-    batch_sizes: Histogram,
 }
 
 impl Metrics {
@@ -61,12 +59,11 @@ impl Metrics {
         self.wakeups += 1;
     }
 
-    /// Records the size of one per-destination delivery batch. Empty batches
-    /// are not counted.
+    /// Records one per-destination delivery batch of `size` packets. Empty
+    /// batches are not counted.
     pub fn record_delivery_batch(&mut self, size: usize) {
         if size > 0 {
             self.delivery_batches += 1;
-            self.batch_sizes.record(size as u64);
         }
     }
 
@@ -123,11 +120,6 @@ impl Metrics {
     /// Total non-empty channels visited in the destinations' rows.
     pub fn channel_visits(&self) -> u64 {
         self.channel_visits
-    }
-
-    /// Distribution of per-destination delivery batch sizes.
-    pub fn delivery_batch_sizes(&self) -> &Histogram {
-        &self.batch_sizes
     }
 }
 

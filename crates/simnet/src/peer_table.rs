@@ -10,9 +10,9 @@
 //! Identifiers are also attacker-controlled: a transient fault or a forged
 //! packet can name `ProcessId(u32::MAX)`, and a vector indexed by it would
 //! allocate by *identifier*, not by population. Identifiers at or above
-//! [`PeerTable::DENSE_LIMIT`] therefore spill into an ordered map (the
-//! pattern the Θ failure detector's baseline vector established), which
-//! bounds the vector at `DENSE_LIMIT` slots whatever arrives.
+//! [`PeerTable::DENSE_LIMIT`] therefore spill into an ordered map, which
+//! bounds the vector at `DENSE_LIMIT` slots whatever arrives. The Θ failure
+//! detector keeps its per-peer heartbeat baselines in one.
 //!
 //! Iteration is in ascending identifier order — every dense identifier is
 //! smaller than every spilled one — so a `PeerTable` can replace a

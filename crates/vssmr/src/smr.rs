@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use counters::{Counter, CounterMsg, CounterNode, IncrementOutcome};
-use reconfig::{ConfigSet, NodeConfig, ReconfigMsg, ReconfigNode, SharedSet};
+use reconfig::{ConfigSet, NodeConfig, QuorumSystem, ReconfigMsg, ReconfigNode, SharedSet};
 use simnet::stack::{Layer, Sink};
 use simnet::{PeerTable, ProcessId};
 
@@ -559,7 +559,9 @@ impl SmrNode {
         // identifier from the counter service.
         if self.no_valid_coordinator() && self.prop_view.is_none() && !self.awaiting_view_id {
             let trusted = self.reconfig.trusted_shared();
-            if reconfig::has_majority(cfg, &trusted) && self.i_should_lead(cfg, &trusted) {
+            if QuorumSystem::Majority.is_quorum(cfg, |m| trusted.contains(m))
+                && self.i_should_lead(cfg, &trusted)
+            {
                 self.awaiting_view_id = true;
                 self.counter.request_increment(&mut out.nest());
             }
