@@ -61,6 +61,14 @@ const BACKOFF_MAX: Duration = Duration::from_millis(500);
 /// How long a freshly started node waits for the cluster file to list it.
 const CLUSTER_FILE_WAIT: Duration = Duration::from_secs(30);
 
+/// How often a waiting node looks for the cluster file. The nodes of a
+/// fresh cluster start serving when each one next looks, so this bounds
+/// their start skew, and the skew must stay well below a tick: a pair that
+/// starts a dozen ticks early trusts only itself, and recMA's majority
+/// collapse then reconfigures the cluster just after boot (docs/LIVE.md,
+/// "Start skew").
+const CLUSTER_FILE_POLL: Duration = Duration::from_millis(1);
+
 /// Configuration for one live node process.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
@@ -197,7 +205,7 @@ fn wait_for_cluster_file(cfg: &NodeConfig) -> io::Result<ClusterSpec> {
                 ),
             ));
         }
-        thread::sleep(Duration::from_millis(25));
+        thread::sleep(CLUSTER_FILE_POLL);
     }
 }
 
