@@ -11,13 +11,24 @@
 //! |----------------------|--------------------------------------------------|
 //! | `status`             | `id`, `settled`, `token` (hex), `ticks`, `sent`, `recv`, `drops`, `decode_errors`, `submitted`, `completed_ok`, `completed_fail`, `timer_period` |
 //! | `submit <key> <val>` | `accepted`                                       |
-//! | `claim`              | `claimed`, `ok` (present when `claimed`)         |
+//! | `claim`              | `claimed`, `ok` (present when `claimed`) — see below |
 //! | `timer <p>`          | `timer_period` — sets the period to `p` ticks    |
 //! | `timer default`      | `timer_period` — restores the base period of 1   |
 //! | `floor <p>`          | `timer_period` — raises the period to ≥ `p`      |
 //! | `shutdown`           | `bye` — the node exits after replying            |
 //!
 //! Unknown or malformed requests get `{"error": "..."}`.
+//!
+//! **When a `claim` waits.** A `claim` that finds a completion answers at
+//! once. One that finds none answers `{"claimed":false}` at once, unless
+//! its connection has an accepted `submit` of its own that it has not
+//! claimed yet. Then it waits in the node's event loop. The next
+//! completion the node records answers it (waiting claims are answered
+//! oldest first), and if none comes within one base tick (`tick_ms` of
+//! wall time, whatever the `timer` period) it answers `{"claimed":false}`.
+//! So a closed-loop client that submits and claims on one connection gets
+//! its op back in one round trip, while one-shot connections
+//! (`simctl drive`) and status pollers never wait.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;

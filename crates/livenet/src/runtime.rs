@@ -16,8 +16,11 @@
 //! client operation does not wait for a tick: an accepted `submit` and
 //! every delivery are followed by [`ScenarioTarget::start_local`], which
 //! starts the next queued operation when its slot is free and does nothing
-//! else (it is not a loop iteration — see the hook's contract). The loop
-//! then routes the drained outbox: self-sends loop straight back onto the
+//! else (it is not a loop iteration — see the hook's contract). A `claim`
+//! that finds no completion waits in the loop, up to one base tick, when
+//! its connection has an accepted `submit` it has not claimed yet (see
+//! [`crate::control`]): the next completion the node records answers it.
+//! The loop then routes the drained outbox: self-sends loop straight back onto the
 //! event queue, peer sends are encoded once and handed to that peer's
 //! writer thread. Writer queues are bounded and lossy — a slow or dead peer
 //! costs dropped frames, never a stalled event loop — matching the
@@ -35,7 +38,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -120,8 +123,18 @@ enum Event<M> {
     DecodeError,
     Control {
         request: Request,
-        reply: Sender<String>,
+        /// A `claim` from a connection with an accepted `submit` it has not
+        /// claimed: it waits up to a base tick for a completion.
+        waits: bool,
+        reply: Sender<Json>,
     },
+}
+
+/// A `claim` waiting for a completion, answered `claimed: false` at
+/// `deadline` if none comes.
+struct WaitingClaim {
+    reply: Sender<Json>,
+    deadline: Instant,
 }
 
 struct PeerLink {
@@ -283,29 +296,41 @@ where
     let mut writer = stream.try_clone()?;
     let reader = BufReader::new(stream);
     let (reply_tx, reply_rx) = mpsc::channel();
+    // Accepted `submit`s of this connection that it has not claimed yet.
+    let mut unclaimed = 0u64;
     for line in reader.lines() {
         let line = line?;
-        let mut reply_line = match Request::parse(&line) {
+        let reply = match Request::parse(&line) {
             Ok(request) => {
+                let waits = request == Request::Claim && unclaimed > 0;
                 if events
                     .send(Event::Control {
                         request,
+                        waits,
                         reply: reply_tx.clone(),
                     })
                     .is_err()
                 {
                     return Ok(()); // event loop gone: node is shutting down
                 }
-                match reply_rx.recv() {
-                    Ok(reply) => reply,
-                    Err(_) => return Ok(()),
+                let Ok(reply) = reply_rx.recv() else {
+                    return Ok(());
+                };
+                let says = |field| reply.get(field).and_then(Json::as_bool) == Some(true);
+                if says("accepted") {
+                    unclaimed += 1;
                 }
+                if says("claimed") {
+                    unclaimed = unclaimed.saturating_sub(1);
+                }
+                reply
             }
-            Err(err) => render_line(&Json::obj().field("error", err.as_str())),
+            Err(err) => Json::obj().field("error", err.as_str()),
         };
         // Line and newline in one write: on a `TCP_NODELAY` socket two
         // writes are two segments, and the first wakes a reader that finds
         // no newline yet.
+        let mut reply_line = render_line(&reply);
         reply_line.push('\n');
         writer.write_all(reply_line.as_bytes())?;
     }
@@ -353,8 +378,25 @@ where
     let mut stats = NodeStats::default();
     let mut round = 0u64;
     let mut outbox: VecDeque<(ProcessId, T::Msg)> = VecDeque::new();
+    let tick = Duration::from_millis(cfg.tick_ms.max(1));
+    let mut waiting: VecDeque<WaitingClaim> = VecDeque::new();
 
-    while let Ok(event) = events.recv() {
+    loop {
+        // A waiting claim bounds the wait for the next event by its deadline.
+        let next = match waiting.front() {
+            Some(claim) => {
+                events.recv_timeout(claim.deadline.saturating_duration_since(Instant::now()))
+            }
+            None => events.recv().map_err(RecvTimeoutError::from),
+        };
+        let event = match next {
+            Ok(event) => event,
+            Err(RecvTimeoutError::Timeout) => {
+                answer_waiting(&mut waiting, &mut node, &mut stats);
+                continue;
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
         match event {
             Event::Tick => {
                 round += 1;
@@ -381,17 +423,26 @@ where
                 }
             }
             Event::DecodeError => stats.decode_errors += 1,
-            Event::Control { request, reply } => {
-                let (line, shutdown) =
+            Event::Control {
+                request: Request::Claim,
+                waits: true,
+                reply,
+            } => waiting.push_back(WaitingClaim {
+                reply,
+                deadline: Instant::now() + tick,
+            }),
+            Event::Control { request, reply, .. } => {
+                let (json, shutdown) =
                     step(&mut node, me, round, &ids, &mut outbox, |node, ctx| {
                         handle_control(&request, node, ctx, &mut stats, timer_period)
                     });
-                let _ = reply.send(line);
+                let _ = reply.send(json);
                 if shutdown {
                     return Ok(());
                 }
             }
         }
+        answer_waiting(&mut waiting, &mut node, &mut stats);
         for (dest, msg) in outbox.drain(..) {
             if dest == me {
                 // Self-sends loop back through the queue like the
@@ -447,13 +498,49 @@ where
     result
 }
 
+/// Claims the node's oldest completion and counts it; `None` when nothing
+/// has completed. Every `claim` answer with a completion comes from here.
+fn claim<T: ScenarioTarget>(node: &mut T, stats: &mut NodeStats) -> Option<Json> {
+    let ok = node.complete_local()?;
+    if ok {
+        stats.completed_ok += 1;
+    } else {
+        stats.completed_fail += 1;
+    }
+    Some(Json::obj().field("claimed", true).field("ok", ok))
+}
+
+fn unclaimed() -> Json {
+    Json::obj().field("claimed", false)
+}
+
+/// Answers waiting claims, oldest first: each with the next completion the
+/// node has recorded, or with `claimed: false` once its deadline has
+/// passed. Runs after every event, so a steady stream of frames cannot
+/// hold a claim past its tick.
+fn answer_waiting<T: ScenarioTarget>(
+    waiting: &mut VecDeque<WaitingClaim>,
+    node: &mut T,
+    stats: &mut NodeStats,
+) {
+    while let Some(oldest) = waiting.front() {
+        let answer = match claim(node, stats) {
+            Some(answer) => answer,
+            None if oldest.deadline <= Instant::now() => unclaimed(),
+            None => return,
+        };
+        let _ = oldest.reply.send(answer);
+        waiting.pop_front();
+    }
+}
+
 fn handle_control<T>(
     request: &Request,
     node: &mut T,
     ctx: &mut Context<'_, T::Msg>,
     stats: &mut NodeStats,
     timer_period: &AtomicU64,
-) -> (String, bool)
+) -> (Json, bool)
 where
     T: ScenarioTarget,
 {
@@ -480,17 +567,7 @@ where
             }
             Json::obj().field("accepted", accepted)
         }
-        Request::Claim => match node.complete_local() {
-            Some(ok) => {
-                if ok {
-                    stats.completed_ok += 1;
-                } else {
-                    stats.completed_fail += 1;
-                }
-                Json::obj().field("claimed", true).field("ok", ok)
-            }
-            None => Json::obj().field("claimed", false),
-        },
+        Request::Claim => claim(node, stats).unwrap_or_else(unclaimed),
         Request::Timer(period) => {
             timer_period.store(period.unwrap_or(1).max(1), Ordering::Relaxed);
             Json::obj().field("timer_period", timer_period.load(Ordering::Relaxed))
@@ -500,11 +577,9 @@ where
             timer_period.store(current.max(*period).max(1), Ordering::Relaxed);
             Json::obj().field("timer_period", timer_period.load(Ordering::Relaxed))
         }
-        Request::Shutdown => {
-            return (render_line(&Json::obj().field("bye", true)), true);
-        }
+        Request::Shutdown => return (Json::obj().field("bye", true), true),
     };
-    (render_line(&json), false)
+    (json, false)
 }
 
 fn spawn_writer(me: ProcessId, my_data_port: u16, addr: String) -> PeerLink {
@@ -562,5 +637,121 @@ fn run_writer(me: ProcessId, my_data_port: u16, addr: &str, rx: &Receiver<Vec<u8
                 break 'connected;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::{Process, SimRng, Simulation};
+
+    /// A target that accepts every op and completes none.
+    #[derive(Clone)]
+    struct NeverCompletes;
+
+    impl Process for NeverCompletes {
+        type Msg = u64;
+        fn on_timer(&mut self, _ctx: &mut Context<'_, u64>) {}
+        fn on_message(&mut self, _from: ProcessId, _msg: u64, _ctx: &mut Context<'_, u64>) {}
+    }
+
+    impl ScenarioTarget for NeverCompletes {
+        const NAME: &'static str = "never-completes";
+        fn spawn_initial(_id: ProcessId, _n: usize) -> Self {
+            NeverCompletes
+        }
+        fn spawn_joiner(_id: ProcessId, _n: usize) -> Self {
+            NeverCompletes
+        }
+        fn corrupt(&mut self, _rng: &mut SimRng) {}
+        fn submit_local(&mut self, _key: u64, _value: u64) -> bool {
+            true
+        }
+        fn converged(_sim: &Simulation<Self>) -> bool {
+            true
+        }
+        fn invariant_violations(_sim: &Simulation<Self>) -> Vec<String> {
+            Vec::new()
+        }
+        fn state_line(id: ProcessId, _process: &Self) -> String {
+            id.to_string()
+        }
+    }
+
+    /// A claim that waits for an op that never completes is answered
+    /// `claimed: false` about one tick later, although frames arrive every
+    /// 100 µs and the event queue is never idle; a claim that does not
+    /// wait is answered at once.
+    #[test]
+    fn a_waiting_claim_is_answered_after_one_tick_while_frames_keep_arriving() {
+        const TICK: Duration = Duration::from_millis(100);
+        let (events, queue) = mpsc::channel();
+        let loopback = events.clone();
+        let cfg = NodeConfig {
+            me: ProcessId::new(0),
+            n: 2,
+            joiner: false,
+            tick_ms: TICK.as_millis() as u64,
+            cluster_path: PathBuf::new(),
+        };
+        let node = thread::spawn(move || {
+            let timer_period = AtomicU64::new(1);
+            event_loop(
+                cfg,
+                0,
+                NeverCompletes,
+                &mut BTreeMap::new(),
+                queue,
+                &loopback,
+                &timer_period,
+            )
+        });
+        let ask = |request, waits| {
+            let (reply, answer) = mpsc::channel();
+            events
+                .send(Event::Control {
+                    request,
+                    waits,
+                    reply,
+                })
+                .expect("the event loop runs");
+            answer
+        };
+        let submitted = ask(Request::Submit { key: 1, value: 1 }, false).recv();
+        assert_eq!(submitted, Ok(Json::obj().field("accepted", true)));
+
+        let asked = Instant::now();
+        let answer = ask(Request::Claim, true);
+        let reply = loop {
+            events
+                .send(Event::Packet {
+                    from: ProcessId::new(1),
+                    msg: 0,
+                })
+                .expect("the event loop runs");
+            if let Ok(reply) = answer.try_recv() {
+                break reply;
+            }
+            assert!(asked.elapsed() < 10 * TICK, "the claim was never answered");
+            thread::sleep(Duration::from_micros(100));
+        };
+        let waited = asked.elapsed();
+        assert_eq!(reply, unclaimed());
+        assert!(
+            waited >= TICK && waited < 2 * TICK,
+            "answered after {waited:?}"
+        );
+
+        let asked = Instant::now();
+        assert_eq!(ask(Request::Claim, false).recv(), Ok(unclaimed()));
+        assert!(asked.elapsed() < TICK / 2, "{:?}", asked.elapsed());
+
+        assert_eq!(
+            ask(Request::Shutdown, false).recv(),
+            Ok(Json::obj().field("bye", true))
+        );
+        node.join()
+            .expect("the event loop does not panic")
+            .expect("the event loop exits cleanly");
     }
 }

@@ -176,6 +176,50 @@ fn counter_ops_start_on_submission_not_on_the_next_tick() {
     ops_do_not_wait_for_the_timer("counter");
 }
 
+/// A `claim` on a connection with an unclaimed `submit` of its own waits
+/// for the completion: on a 200 ms-tick `sharedmem` cluster, each of 20
+/// closed-loop ops at p0 is claimed `ok` by the first `claim` after its
+/// `submit`. A `claim` on a fresh connection that submitted nothing does
+/// not wait: it answers `claimed: false` well inside the tick.
+#[test]
+fn the_first_claim_after_a_submit_claims_the_op() {
+    let tick = SLOW_TICK_MS.to_string();
+    let cluster = Cluster::deploy_with("sharedmem", 4, &["--tick-ms", &tick]);
+    let mut nodes = cluster.connect();
+    cluster.wait_settled(&mut nodes);
+    let p0 = &mut nodes[0];
+    for i in 0..20u64 {
+        submit(p0, i, 3 * i + 1);
+        let reply = p0.request("claim").expect("claim");
+        assert_eq!(
+            reply.get("claimed").and_then(Json::as_bool),
+            Some(true),
+            "op {i}: the first claim after its submit claimed nothing: {reply:?}"
+        );
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "op {i} failed: {reply:?}"
+        );
+    }
+
+    let spec = livenet::ClusterSpec::load(cluster.path()).expect("cluster file");
+    let mut fresh = ControlClient::connect(&spec.nodes[0].control_addr(), Duration::from_secs(2))
+        .expect("control connection");
+    let asked = Instant::now();
+    let reply = fresh.request("claim").expect("claim");
+    assert_eq!(
+        reply.get("claimed").and_then(Json::as_bool),
+        Some(false),
+        "{reply:?}"
+    );
+    assert!(
+        asked.elapsed() < HALF_TICK / 2,
+        "a claim from a connection that submitted nothing waited {:?}",
+        asked.elapsed()
+    );
+}
+
 impl Drop for Cluster {
     fn drop(&mut self) {
         let _ = Command::new(SIMCTL)
