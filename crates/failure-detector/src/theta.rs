@@ -2,6 +2,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::num::NonZeroU128;
 use std::sync::Arc;
 
 use simnet::{PeerTable, ProcessId};
@@ -25,17 +26,19 @@ use crate::estimate::gap_estimate;
 /// `count(p) = total − base[p]`. This makes [`ThetaFailureDetector::heartbeat`]
 /// — which runs for **every** received packet — one table write instead of
 /// the naive `O(N)` sweep incrementing every other entry, while producing
-/// exactly the same counts.
+/// exactly the same counts. The clock starts at 2⁶⁴, so `total − count` is
+/// positive for every `u64` count, including a corrupted one: a baseline
+/// is a `NonZeroU128`, whose table slot is 16 bytes.
 #[derive(Debug, Clone)]
 pub struct ThetaFailureDetector {
     me: ProcessId,
     n_bound: usize,
     theta: u64,
-    /// Logical clock: total heartbeats processed.
-    total: i128,
-    /// Per-peer baseline: `count(p) = total − bases[p]`. Signed because
-    /// transient-fault injection may set counts above the clock.
-    bases: PeerTable<i128>,
+    /// Logical clock: total heartbeats processed, plus `CLOCK_START`.
+    total: u128,
+    /// Per-peer baseline: `count(p) = total − bases[p]`, saturated into
+    /// `u64`. Never above `total`.
+    bases: PeerTable<Baseline>,
     /// Number of entries in `bases`.
     tracked: usize,
     /// Bumped on every mutation; keys `trusted_cache`.
@@ -57,10 +60,19 @@ struct TrustedCache {
     scratch: Vec<ProcessId>,
 }
 
+/// The clock value of a detector that has processed no heartbeat: above
+/// every `u64` count, so that `total − count` is never zero.
+const CLOCK_START: u128 = 1 << 64;
+
+/// A per-peer baseline: the clock value at which the peer's count was 0.
+/// Nonzero (see `CLOCK_START`), so `Option<Baseline>` needs no tag and a
+/// table slot is 16 bytes, where an `Option<i128>` is 32.
+type Baseline = NonZeroU128;
+
 /// A raw count from the difference representation, saturated into `u64`
 /// exactly like the explicit vector (which uses `saturating_add`).
-fn saturate(diff: i128) -> u64 {
-    diff.clamp(0, u64::MAX as i128) as u64
+fn saturate(diff: u128) -> u64 {
+    diff.min(u64::MAX.into()) as u64
 }
 
 impl ThetaFailureDetector {
@@ -77,7 +89,7 @@ impl ThetaFailureDetector {
             me,
             n_bound,
             theta,
-            total: 0,
+            total: CLOCK_START,
             bases: PeerTable::new(),
             tracked: 0,
             version: 0,
@@ -90,7 +102,8 @@ impl ThetaFailureDetector {
     }
 
     /// Stores `baseline` for `peer`.
-    fn set_base(&mut self, peer: ProcessId, baseline: i128) {
+    fn set_base(&mut self, peer: ProcessId, baseline: u128) {
+        let baseline = Baseline::new(baseline).expect("the clock starts above every count");
         self.version += 1;
         if self.bases.insert(peer, baseline).is_none() {
             self.tracked += 1;
@@ -98,8 +111,8 @@ impl ThetaFailureDetector {
     }
 
     /// The count a baseline stands for.
-    fn count_of(&self, baseline: i128) -> u64 {
-        saturate(self.total - baseline)
+    fn count_of(&self, baseline: Baseline) -> u64 {
+        saturate(self.total - baseline.get())
     }
 
     /// The owner of this detector.
@@ -143,7 +156,7 @@ impl ThetaFailureDetector {
         let (last_id, last_count) = self.ranked()[limit - 1];
         let total = self.total;
         self.bases
-            .retain(|p, b| (saturate(total - *b), p) <= (last_count, last_id));
+            .retain(|p, b| (saturate(total - b.get()), p) <= (last_count, last_id));
         self.tracked = limit;
         self.version += 1;
     }
@@ -245,7 +258,7 @@ impl ThetaFailureDetector {
     /// Overwrites the count of `peer` (transient-fault injection helper).
     pub fn corrupt_count(&mut self, peer: ProcessId, count: u64) {
         if peer != self.me {
-            self.set_base(peer, self.total - count as i128);
+            self.set_base(peer, self.total - u128::from(count));
         }
     }
 }
@@ -257,6 +270,19 @@ mod tests {
 
     fn pid(i: u32) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    /// A baseline slot is 16 bytes, and counts stay exact up to `u64::MAX`.
+    #[test]
+    fn a_baseline_slot_is_16_bytes_and_counts_reach_u64_max() {
+        assert_eq!(std::mem::size_of::<Option<Baseline>>(), 16);
+        let mut fd = ThetaFailureDetector::new(pid(0), 4, 8);
+        fd.corrupt_count(pid(1), u64::MAX - 1);
+        assert_eq!(fd.count(pid(1)), Some(u64::MAX - 1));
+        fd.heartbeat(pid(2));
+        assert_eq!(fd.count(pid(1)), Some(u64::MAX));
+        fd.heartbeat(pid(2));
+        assert_eq!(fd.count(pid(1)), Some(u64::MAX));
     }
 
     #[test]
