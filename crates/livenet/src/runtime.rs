@@ -20,11 +20,11 @@
 //! that finds no completion waits in the loop, up to one base tick, when
 //! its connection has an accepted `submit` it has not claimed yet (see
 //! [`crate::control`]): the next completion the node records answers it.
-//! The loop then routes the drained outbox: self-sends loop straight back onto the
-//! event queue, peer sends are encoded once and handed to that peer's
-//! writer thread. Writer queues are bounded and lossy — a slow or dead peer
-//! costs dropped frames, never a stalled event loop — matching the
-//! simulator's fair-lossy channel model.
+//! After each event the loop routes the drained outbox: self-sends loop
+//! straight back onto the event queue, peer sends are encoded once and
+//! handed to that peer's writer thread. Writer queues are bounded and
+//! lossy — a slow or dead peer costs dropped frames, never a stalled event
+//! loop — matching the simulator's fair-lossy channel model.
 //!
 //! Peers are discovered from the cluster file and from inbound [`Hello`]s
 //! (which carry the dialer's data port), so a rejoiner with a fresh id that

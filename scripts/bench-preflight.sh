@@ -16,8 +16,9 @@
 # The gate is the benchmark's own correctness checks: the last line of each
 # run's stdout must report `"correct": true` with `"failed": 0`.
 #
-# `--sim-only` skips live-n4 (CI's `live-smoke` job covers the live
-# backend). Result lines are kept in benchmark-<workload>[-traced].txt.
+# `--sim-only` skips live-n4: CI's `live-smoke` job runs the same command
+# for live-n4 itself, on seeds 1-5. Result lines are kept in
+# benchmark-<workload>[-traced].txt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
