@@ -276,7 +276,8 @@ fn e1_recsa_convergence() -> Vec<Row> {
         .into_iter()
         .map(|n| {
             let seed = 7;
-            let mut sim = fresh_reconfig_sim(n, seed);
+            let mut sim =
+                fresh_reconfig_sim(n, SimConfig::default().with_seed(seed).with_max_delay(0));
             let expected = config_set(0..n);
             let (rounds, reached) = run_until_reached(&mut sim, 2000, |s| {
                 converged_config(s).as_ref() == Some(&expected)

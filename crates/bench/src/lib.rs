@@ -21,9 +21,10 @@ use simnet::{
 use vssmr::SmrNode;
 
 /// Builds a simulation of `n` reconfiguration nodes that boot with no agreed
-/// configuration (arbitrary state → brute-force bootstrap).
-pub fn fresh_reconfig_sim(n: u32, seed: u64) -> Simulation<ReconfigNode> {
-    let mut sim = Simulation::new(SimConfig::default().with_seed(seed).with_max_delay(0));
+/// configuration (arbitrary state → brute-force bootstrap), over the links
+/// and seed of `config`.
+pub fn fresh_reconfig_sim(n: u32, config: SimConfig) -> Simulation<ReconfigNode> {
+    let mut sim = Simulation::new(config);
     for i in 0..n {
         let id = ProcessId::new(i);
         sim.add_process_with_id(
@@ -152,17 +153,7 @@ pub fn catalog_matrix_report(ns: &[usize], seeds: &[u64], jobs: usize) -> Campai
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reconfig::converged_config;
     use simnet::{Arrival, LoadProfile};
-
-    #[test]
-    fn helpers_build_working_scenarios() {
-        let mut sim = fresh_reconfig_sim(3, 1);
-        sim.run_until(300, |s| converged_config(s) == Some(config_set(0..3)));
-        assert_eq!(converged_config(&sim), Some(config_set(0..3)));
-        let steady = steady_reconfig_sim(3, 3, 2);
-        assert_eq!(converged_config(&steady), Some(config_set(0..3)));
-    }
 
     #[test]
     fn loaded_scenario_reports_latency_counters() {

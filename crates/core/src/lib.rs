@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod audit;
 pub mod join;
 pub mod node;
 pub mod policy;
@@ -52,7 +51,6 @@ pub mod recma;
 pub mod recsa;
 pub mod types;
 
-pub use audit::{audit, Finding, NodeReport, SystemReport};
 pub use join::{JoinMsg, Joining};
 pub use node::{converged_config, NodeConfig, ReconfigMsg, ReconfigNode};
 pub use policy::{AdmissionPolicy, EvalPolicy};

@@ -348,12 +348,11 @@ impl simnet::ScenarioTarget for ReconfigNode {
         ReconfigNode::new_joiner(id, NodeConfig::for_n(2 * n.max(4)))
     }
 
-    /// The paper's signature fault class, reproducing the transient faults
-    /// of `examples/transient_recovery.rs`: a conflicting configuration, a
-    /// stale phase-0 notification carrying a proposal, or a wiped failure
-    /// detector. recSA's conflict resolution plus the brute-force reset must
+    /// The paper's signature fault class: a conflicting configuration
+    /// (Definition 3.1, type 2), a stale phase-0 notification carrying a
+    /// proposal (type 1), or a wiped failure detector. recSA's conflict resolution plus the brute-force reset must
     /// wash any of these out.
-    fn corrupt(&mut self, rng: &mut simnet::SimRng) {
+    fn corrupt(&mut self, rng: &mut simnet::SimRng) -> Vec<(u64, u64)> {
         use crate::types::{config_set, Notification, Phase};
         let me = self.me;
         match rng.range_inclusive(0, 2) {
@@ -380,6 +379,7 @@ impl simnet::ScenarioTarget for ReconfigNode {
                 self.lonely_steps = 0;
             }
         }
+        Vec::new()
     }
 
     /// In-flight payload corruption: half the affected packets are degraded
@@ -583,27 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn majority_collapse_recovers_via_recma() {
-        let mut sim = fresh_sim(5, 14);
-        sim.run_rounds(80);
-        assert_eq!(converged_config(&sim), Some(config_set(0..5)));
-        for i in 2..5 {
-            sim.crash(ProcessId::new(i));
-        }
-        let rounds = sim.run_until(400, |s| converged_config(s) == Some(config_set(0..2)));
-        assert!(
-            rounds < 400,
-            "survivors never installed a live configuration"
-        );
-        let triggerings: u64 = sim
-            .active_ids()
-            .iter()
-            .map(|id| sim.process(*id).unwrap().recma_triggerings())
-            .sum();
-        assert!(triggerings >= 1);
-    }
-
-    #[test]
     fn request_reconfiguration_is_honoured() {
         let mut sim = fresh_sim(4, 15);
         sim.run_rounds(60);
@@ -636,28 +615,6 @@ mod tests {
         }
         let rounds = sim.run_until(200, |s| converged_config(s) == Some(config_set(0..3)));
         assert!(rounds < 200, "lonely joiners never bootstrapped");
-    }
-
-    #[test]
-    fn eval_policy_always_reconfigures_after_membership_change() {
-        let mut sim: Simulation<ReconfigNode> =
-            Simulation::new(SimConfig::default().with_seed(17).with_max_delay(0));
-        for i in 0..4u32 {
-            let id = ProcessId::new(i);
-            let cfg = NodeConfig::for_n(16)
-                .with_eval_policy(EvalPolicy::MissingFraction { fraction: 0.25 });
-            sim.add_process_with_id(id, ReconfigNode::new_participant(id, cfg));
-        }
-        sim.run_rounds(80);
-        assert_eq!(converged_config(&sim), Some(config_set(0..4)));
-        // One member crashes (25% of the configuration): the prediction
-        // function asks for a reconfiguration and the configuration shrinks.
-        sim.crash(ProcessId::new(3));
-        let rounds = sim.run_until(400, |s| converged_config(s) == Some(config_set(0..3)));
-        assert!(
-            rounds < 400,
-            "prediction-driven reconfiguration did not happen"
-        );
     }
 
     #[test]

@@ -628,7 +628,7 @@ impl simnet::ScenarioTarget for CounterNode {
     /// gossip refills it) or jump it forward a few increments (the jumped
     /// value simply becomes the new maximum everyone adopts). Both states
     /// wash out through the `max`-merge gossip of Algorithm 4.3.
-    fn corrupt(&mut self, rng: &mut simnet::SimRng) {
+    fn corrupt(&mut self, rng: &mut simnet::SimRng) -> Vec<(u64, u64)> {
         if rng.chance(0.5) {
             self.max_counter = None;
         } else if let Some(c) = self.max_counter.take() {
@@ -642,6 +642,7 @@ impl simnet::ScenarioTarget for CounterNode {
         // state; the requester recovers through the operation timeout.
         self.pending = None;
         self.pending_age = 0;
+        Vec::new()
     }
 
     /// In-flight payload corruption: gossiped counters jump forward a few
@@ -1525,7 +1526,7 @@ mod seeded_bug {
         /// The seeded bug: jump back to the start of the current epoch
         /// (label kept, sequence number zeroed) and keep re-installing
         /// that stale state for the next 40 rounds.
-        fn corrupt(&mut self, _rng: &mut simnet::SimRng) {
+        fn corrupt(&mut self, _rng: &mut simnet::SimRng) -> Vec<(u64, u64)> {
             if let Some(c) = &self.inner.max_counter {
                 let mut stale = c.clone();
                 stale.seqn = 0;
@@ -1535,6 +1536,7 @@ mod seeded_bug {
             }
             self.inner.pending = None;
             self.inner.pending_age = 0;
+            Vec::new()
         }
 
         fn submit_local(&mut self, key: u64, value: u64) -> bool {

@@ -663,7 +663,9 @@ mod tests {
         fn spawn_joiner(_id: ProcessId, _n: usize) -> Self {
             NeverCompletes
         }
-        fn corrupt(&mut self, _rng: &mut SimRng) {}
+        fn corrupt(&mut self, _rng: &mut SimRng) -> Vec<(u64, u64)> {
+            Vec::new()
+        }
         fn submit_local(&mut self, _key: u64, _value: u64) -> bool {
             true
         }

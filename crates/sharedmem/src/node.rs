@@ -622,17 +622,12 @@ impl simnet::ScenarioTarget for SharedMemNode {
     /// wash both out — reads and writes propagate the maximal tag to every
     /// member, so the members re-agree on the workload registers. The
     /// store-sync marker is also cleared, as after a reconfiguration.
-    fn corrupt(&mut self, rng: &mut simnet::SimRng) {
-        self.corrupt_observed(rng);
-    }
-
-    /// The same corruption, reporting the adopted bogus value (if the coin
-    /// landed on the adopt branch) so armed histories record it as an
-    /// adversary write: a read observing the dominating bogus value then
-    /// linearizes against it instead of tripping a false violation. Wiping
-    /// the store has no effect to report — a wiped member serves quorum
-    /// reads from whatever the quorum still holds.
-    fn corrupt_observed(&mut self, rng: &mut simnet::SimRng) -> Vec<(u64, u64)> {
+    ///
+    /// The adopted bogus value is the client-visible effect: a read that
+    /// observes it linearizes against it. Wiping the store has no effect to
+    /// report — a wiped member serves quorum reads from whatever the quorum
+    /// still holds.
+    fn corrupt(&mut self, rng: &mut simnet::SimRng) -> Vec<(u64, u64)> {
         let mut effects = Vec::new();
         if rng.chance(0.5) {
             self.store.clear();

@@ -12,7 +12,6 @@
 //!            [--plan kind=spec]... [--rounds R] [--workload W]
 //!            [--clients N --arrival poisson:RATE|burst:SIZE:PERIOD [--op-timeout R]]
 //!            [--out FILE] [--timings] [--name NAME]
-//! simctl smoke [--n N] [--jobs N] [--out FILE]  # the CI preset (3 scenarios × 4 nodes)
 //! simctl diff <baseline.json> <current.json>   # PR-to-PR report comparison
 //! simctl deploy --node KIND [--n N] [--tick-ms MS] [--cluster F]  # boot a live cluster
 //! simctl drive <scenario> [--cluster F] [--clients N --arrival SPEC]
@@ -87,6 +86,7 @@
 //! over all of them finds due. Exit status is 0 only when every run
 //! converged and no safety invariant was violated.
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 mod live;
@@ -101,9 +101,6 @@ use vssmr::SmrNode;
 
 /// All node types `simctl --node` accepts.
 const NODES: [&str; 4] = ["reconfig", "counter", "smr", "sharedmem"];
-
-/// The CI smoke preset: scenarios every node type must survive on every PR.
-const SMOKE_SCENARIOS: [&str; 3] = ["crash-minority", "partition-heal", "state-blast"];
 
 /// Default population for CLI runs; small enough for CI, large enough for
 /// real quorums, partitions with two non-trivial sides, and a minority worth
@@ -139,7 +136,6 @@ fn usage() -> String {
      [--plan kind=spec]... [--rounds R] [--workload W] \
      [--clients N --arrival SPEC [--op-timeout R]] [--check-histories] \
      [--out FILE] [--timings] [--name NAME]\n  \
-     simctl smoke [--n N] [--jobs N] [--sample-scenarios K] [--cell-budget-ms MS] [--out FILE]\n  \
      simctl diff <baseline.json> <current.json> [--jobs N]\n  \
      simctl slo --slo p99=ROUNDS[,p50=R,p999=R] --scenario A,B,C --node NODE \
      --clients N --arrival SPEC [--op-timeout R] [--n N] [--seeds 1,2] \
@@ -161,7 +157,10 @@ fn usage() -> String {
      --op-timeout R: count ops unanswered for R rounds as timeouts (0 disarms)\n\
      --check-histories: record op histories, check linearizability against the \
      node's sequential spec, and enforce stays-converged (attaches a default \
-     200-client poisson:1 population when --clients is absent)\n\
+     200-client poisson:1 population when --clients is absent; clients submit \
+     only inside the workload window, so a scenario whose window is 0 rounds, \
+     such as a fresh --plan scenario, is refused: open one with --workload W). \
+     A cell that checked no op prints lin=vacuous\n\
      --slo p50|p99|p999=ROUNDS,...: per-percentile op-latency bounds, in rounds\n\n\
      --jobs N: worker threads for the cell matrix (default: available \
      parallelism; 1 = serial; reports are byte-identical at any N)\n\
@@ -178,7 +177,6 @@ fn dispatch(args: &[String]) -> Result<bool, String> {
     match args.first().map(String::as_str) {
         Some("list") => cmd_list(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
-        Some("smoke") => cmd_smoke(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("slo") => cmd_slo(&args[1..]),
         Some("experiments") => cmd_experiments(&args[1..]),
@@ -539,13 +537,7 @@ fn emit(report: &CampaignReport, out: Option<&str>) -> Result<(), String> {
         } else {
             "INVARIANT-VIOLATION"
         };
-        // Armed history runs carry a linearizability verdict column.
-        let lin = match run.counters.get("lin_result") {
-            None => "",
-            Some(0) => " lin=ok",
-            Some(2) => " lin=budget",
-            Some(_) => " lin=VIOLATION",
-        };
+        let lin = lin_column(&run.counters);
         eprintln!(
             "  [{status}] {}/{} seed={} rounds={} msgs={}{lin}",
             run.node, run.scenario, run.seed, run.rounds_run, run.messages_sent
@@ -571,6 +563,21 @@ fn emit(report: &CampaignReport, out: Option<&str>) -> Result<(), String> {
         report.runs.len()
     );
     Ok(())
+}
+
+/// The linearizability verdict column of an armed history run's summary
+/// line; unarmed runs have none. A verdict over zero checked operations —
+/// a stack with no sequential spec, or no op submitted — says so as
+/// `lin=vacuous` instead of `lin=ok`.
+fn lin_column(counters: &BTreeMap<String, u64>) -> &'static str {
+    let checked = counters.get("lin_ops_checked").copied().unwrap_or(0);
+    match counters.get("lin_result") {
+        None => "",
+        Some(0 | 2) if checked == 0 => " lin=vacuous",
+        Some(0) => " lin=ok",
+        Some(2) => " lin=budget",
+        Some(_) => " lin=VIOLATION",
+    }
 }
 
 fn cmd_run(args: &[String]) -> Result<bool, String> {
@@ -658,6 +665,15 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
             .collect();
     }
     if check_histories {
+        // Clients submit only inside the workload window: with none, the
+        // history is empty and every verdict would check nothing.
+        if let Some(s) = scenarios.iter().find(|s| s.workload_rounds() == 0) {
+            return Err(format!(
+                "--check-histories: scenario `{}` has a workload window of 0 rounds, so no \
+                 client op would be submitted; open one with --workload W",
+                s.name()
+            ));
+        }
         scenarios = scenarios.into_iter().map(Scenario::with_history).collect();
     }
     let seeds = parse_seeds(&flags)?;
@@ -672,31 +688,6 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
         parse_jobs(&flags)?,
     );
     let report = run_matrix(&campaign, &nodes, &scenarios)?;
-    emit(&report, flags.value("out"))?;
-    Ok(report.passed())
-}
-
-fn cmd_smoke(args: &[String]) -> Result<bool, String> {
-    let flags = Flags::parse(
-        args,
-        &["n", "jobs", "out", "sample-scenarios", "cell-budget-ms"],
-        &[],
-    )?;
-    let n = parse_n(&flags)?;
-    let scenarios: Vec<Scenario> = SMOKE_SCENARIOS
-        .iter()
-        .map(|name| simnet::scenario::find(name, n).expect("smoke scenario exists"))
-        .collect();
-    // The smoke campaign's first seed is 1; sampling keys off it so a
-    // sampled smoke tier is reproducible without extra flags.
-    let scenarios = apply_sampling(&flags, scenarios, 1)?;
-    let campaign = with_jobs(
-        Campaign::new("smoke")
-            .with_seeds([1, 2])
-            .with_cell_budget_ms(parse_cell_budget(&flags)?),
-        parse_jobs(&flags)?,
-    );
-    let report = run_matrix(&campaign, &NODES, &scenarios)?;
     emit(&report, flags.value("out"))?;
     Ok(report.passed())
 }
@@ -960,12 +951,6 @@ mod tests {
         assert_eq!(CounterNode::NAME, "counter");
         assert_eq!(SmrNode::NAME, "smr");
         assert_eq!(SharedMemNode::NAME, "sharedmem");
-        for smoke in SMOKE_SCENARIOS {
-            assert!(
-                simnet::scenario::find(smoke, DEFAULT_N).is_some(),
-                "smoke scenario {smoke} missing from the catalog"
-            );
-        }
     }
 
     #[test]
@@ -1110,6 +1095,45 @@ mod tests {
             .collect();
         let err = cmd_run(&args).unwrap_err();
         assert!(err.contains("not `all`"), "{err}");
+    }
+
+    /// `--check-histories` onto a fresh `--plan` scenario would submit no
+    /// op (its workload window is 0 rounds), so it is refused with an error
+    /// that names the flag which opens a window.
+    #[test]
+    fn check_histories_refuses_a_scenario_without_a_workload_window() {
+        let args: Vec<String> = [
+            "x",
+            "--node",
+            "all",
+            "--n",
+            "5",
+            "--plan",
+            "crash=30:2+3+4",
+            "--check-histories",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let err = cmd_run(&args).unwrap_err();
+        assert!(err.contains("--workload"), "{err}");
+    }
+
+    /// No summary line says `lin=ok` about zero checked operations.
+    #[test]
+    fn a_verdict_over_no_checked_op_renders_vacuous() {
+        let counters = |result: u64, checked: u64| {
+            BTreeMap::from([
+                ("lin_result".to_string(), result),
+                ("lin_ops_checked".to_string(), checked),
+            ])
+        };
+        assert_eq!(lin_column(&BTreeMap::new()), "");
+        assert_eq!(lin_column(&counters(0, 0)), " lin=vacuous");
+        assert_eq!(lin_column(&counters(2, 0)), " lin=vacuous");
+        assert_eq!(lin_column(&counters(0, 12)), " lin=ok");
+        assert_eq!(lin_column(&counters(2, 12)), " lin=budget");
+        assert_eq!(lin_column(&counters(1, 12)), " lin=VIOLATION");
     }
 
     #[test]

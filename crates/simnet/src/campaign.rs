@@ -69,7 +69,10 @@
 //! #         Flood { value: id.as_u32() as u64 }
 //! #     }
 //! #     fn spawn_joiner(_id: ProcessId, _n: usize) -> Self { Flood { value: 0 } }
-//! #     fn corrupt(&mut self, rng: &mut SimRng) { self.value = rng.range_inclusive(50, 99); }
+//! #     fn corrupt(&mut self, rng: &mut SimRng) -> Vec<(u64, u64)> {
+//! #         self.value = rng.range_inclusive(50, 99);
+//! #         Vec::new()
+//! #     }
 //! #     fn converged(sim: &Simulation<Self>) -> bool {
 //! #         let mut v = sim.active_processes().map(|(_, p)| p.value);
 //! #         let first = v.next();

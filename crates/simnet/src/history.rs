@@ -27,7 +27,7 @@
 //!   write by the reserved client [`ADVERSARY_CLIENT`], invoked at the
 //!   corruption round. Reads that observe the bogus value then linearize
 //!   against it instead of tripping a false violation. Targets report these
-//!   effects through [`crate::ScenarioTarget::corrupt_observed`].
+//!   effects through [`crate::ScenarioTarget::corrupt`].
 //!
 //! Recording is strictly opt-in: an unarmed run never constructs a
 //! recorder, calls the exact same target hooks as before, and produces a

@@ -106,7 +106,6 @@ pub mod stack;
 #[cfg(test)]
 pub(crate) mod testutil;
 pub mod time;
-pub mod trace;
 
 pub use ascending::Ascending;
 pub use campaign::{Campaign, CampaignReport, RunRecord};
@@ -130,4 +129,3 @@ pub use scenario::{LinkProfile, Scenario, ScenarioRun, ScenarioRunner, ScenarioT
 pub use scheduler::Simulation;
 pub use stack::{Layer, Outbox, Sink};
 pub use time::Round;
-pub use trace::{Trace, TraceEvent};

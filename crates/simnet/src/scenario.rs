@@ -549,11 +549,18 @@ pub trait ScenarioTarget: Process<Msg: Send + Sync> + Clone + Send + 'static {
     fn spawn_joiner(id: ProcessId, n: usize) -> Self;
 
     /// Applies one transient fault to the local state — the paper's
-    /// signature fault class. Implementations must only produce states the
+    /// signature fault class — and returns its client-visible effects as
+    /// `(object, value)` pairs. Implementations must only produce states the
     /// protocol provably recovers from agreement-wise (self-stabilization
     /// quantifies over arbitrary states, but a campaign needs its
     /// convergence predicate to become true again in bounded time).
-    fn corrupt(&mut self, rng: &mut SimRng);
+    ///
+    /// Armed runs record each effect as an adversary write (see
+    /// [`crate::history::HistoryRecorder::adversary_write`]), so reads
+    /// observing a corrupted value linearize against it instead of
+    /// tripping a false violation. A target whose corruption is never
+    /// client-visible returns an empty `Vec`.
+    fn corrupt(&mut self, rng: &mut SimRng) -> Vec<(u64, u64)>;
 
     /// Mutates one in-flight packet payload — the paper's channel-content
     /// corruption, driven by [`Fault::Payload`].
@@ -614,21 +621,6 @@ pub trait ScenarioTarget: Process<Msg: Send + Sync> + Clone + Send + 'static {
     /// stays-converged probe.
     fn lin_spec() -> Option<Spec> {
         None
-    }
-
-    /// Armed-run variant of [`ScenarioTarget::corrupt`]: applies the same
-    /// transient fault *and* reports its client-visible effects as
-    /// `(object, value)` pairs, which the runner records as adversary
-    /// writes (see [`crate::history::HistoryRecorder::adversary_write`]) so
-    /// reads observing a corrupted value linearize against it instead of
-    /// tripping a false violation. Implementations must consume exactly the
-    /// adversary randomness `corrupt` consumes (byte-determinism couples
-    /// armed and unarmed corruption streams only through the rng). The
-    /// default delegates to `corrupt` and reports no effects — correct for
-    /// targets whose corruption is never client-visible.
-    fn corrupt_observed(&mut self, rng: &mut SimRng) -> Vec<(u64, u64)> {
-        self.corrupt(rng);
-        Vec::new()
     }
 
     /// Accepts one open-loop client operation at this processor: `key` is
@@ -865,7 +857,10 @@ const ADVERSARY_SALT: u64 = 0xc4a0_5eed_c4a0_5eed;
 /// #         Flood { value: id.as_u32() as u64 }
 /// #     }
 /// #     fn spawn_joiner(_id: ProcessId, _n: usize) -> Self { Flood { value: 0 } }
-/// #     fn corrupt(&mut self, rng: &mut SimRng) { self.value = rng.range_inclusive(50, 99); }
+/// #     fn corrupt(&mut self, rng: &mut SimRng) -> Vec<(u64, u64)> {
+/// #         self.value = rng.range_inclusive(50, 99);
+/// #         Vec::new()
+/// #     }
 /// #     fn converged(sim: &Simulation<Self>) -> bool {
 /// #         let mut v = sim.active_processes().map(|(_, p)| p.value);
 /// #         let first = v.next();
@@ -1324,18 +1319,11 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
                     // adversary randomness.
                     if sim.is_active(*victim) {
                         if let Some(process) = sim.process_mut(*victim) {
-                            match self.recorder.as_mut() {
-                                Some(rec) => {
-                                    // Armed: the same corruption, with its
-                                    // client-visible effects recorded as
-                                    // adversary writes.
-                                    for (object, value) in
-                                        process.corrupt_observed(&mut self.adversary_rng)
-                                    {
-                                        rec.adversary_write(object, value, now.as_u64());
-                                    }
+                            let effects = process.corrupt(&mut self.adversary_rng);
+                            if let Some(rec) = self.recorder.as_mut() {
+                                for (object, value) in effects {
+                                    rec.adversary_write(object, value, now.as_u64());
                                 }
-                                None => process.corrupt(&mut self.adversary_rng),
                             }
                             bump(counters, "corruptions", 1);
                         }

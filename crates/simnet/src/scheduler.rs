@@ -36,7 +36,6 @@ use crate::process::{Context, Process, ProcessId, ProcessStatus};
 use crate::report;
 use crate::rng::SimRng;
 use crate::time::Round;
-use crate::trace::{Trace, TraceEvent};
 
 #[derive(Clone)]
 struct Slot<P> {
@@ -167,7 +166,6 @@ pub struct Simulation<P: Process> {
     slots: BTreeMap<ProcessId, Slot<P>>,
     network: Network<P::Msg>,
     metrics: Metrics,
-    trace: Trace,
     /// Wake-ups due to timers.
     timer_wakes: WakeSet,
     /// Wake-ups due to deliverable packets.
@@ -201,7 +199,6 @@ impl<P: Process> Simulation<P> {
             slots: BTreeMap::new(),
             network,
             metrics: Metrics::new(),
-            trace: Trace::new(),
             timer_wakes: WakeSet::default(),
             packet_wakes: WakeSet::default(),
             scratch_woken: Vec::new(),
@@ -239,7 +236,6 @@ impl<P: Process> Simulation<P> {
     }
 
     fn insert(&mut self, id: ProcessId, process: P) {
-        self.trace.record(TraceEvent::Joined(id));
         self.slots.insert(
             id,
             Slot {
@@ -271,7 +267,6 @@ impl<P: Process> Simulation<P> {
         if let Some(slot) = self.slots.get_mut(&id) {
             if slot.status.is_active() {
                 slot.status = ProcessStatus::Crashed;
-                self.trace.record(TraceEvent::Crashed(id));
             }
         }
     }
@@ -326,7 +321,6 @@ impl<P: Process> Simulation<P> {
     /// randomness. Debug builds check, before the shuffle, that the visited
     /// set is exactly the due set a scan over every process finds.
     pub fn step_round(&mut self) {
-        self.trace.record(TraceEvent::RoundStarted(self.now));
         let mut woken = std::mem::take(&mut self.scratch_woken);
         let mut order = std::mem::take(&mut self.scratch_order);
         let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
@@ -412,7 +406,6 @@ impl<P: Process> Simulation<P> {
             // into it, and its buffer is flushed after each of them.
             let mut ctx = Context::with_outbox(id, self.now, &all_ids, outbox);
             for (from, msg) in deliveries.drain(..) {
-                self.trace.record(TraceEvent::Delivered { from, to: id });
                 slot.process.on_message(from, msg, &mut ctx);
                 slot.activity += 1;
                 flush_sends(
@@ -425,7 +418,6 @@ impl<P: Process> Simulation<P> {
             }
             // ...then take the timer step if it is due.
             if slot.next_timer <= self.now {
-                self.trace.record(TraceEvent::TimerStep(id));
                 self.metrics.record_timer_step();
                 slot.process.on_timer(&mut ctx);
                 slot.activity += 1;
@@ -494,16 +486,6 @@ impl<P: Process> Simulation<P> {
     /// Execution metrics collected so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// The execution trace (disabled by default; see [`Simulation::trace_mut`]).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable access to the trace, e.g. to enable recording.
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// All known processor identifiers (active and crashed), in ascending
@@ -653,8 +635,8 @@ impl<P: Process> Simulation<P> {
 impl<P: Process + Clone> Simulation<P> {
     /// An independent copy of this execution at the current round boundary:
     /// the processes, the channel rows (arrival logs and link records), both
-    /// wake sets, the scheduler's random stream, the metrics, the trace, the
-    /// membership snapshot and the digest cache. Stepping the fork and the
+    /// wake sets, the scheduler's random stream, the metrics, the membership
+    /// snapshot and the digest cache. Stepping the fork and the
     /// original the same way yields byte-identical executions; mutating one
     /// never shows in the other (shared in-flight payloads are
     /// copy-on-write). The per-round scratch buffers start empty. A
@@ -669,7 +651,6 @@ impl<P: Process + Clone> Simulation<P> {
             slots: self.slots.clone(),
             network: self.network.clone(),
             metrics: self.metrics.clone(),
-            trace: self.trace.clone(),
             timer_wakes: self.timer_wakes.clone(),
             packet_wakes: self.packet_wakes.clone(),
             scratch_woken: Vec::new(),
@@ -826,14 +807,12 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_trace_record_activity() {
+    fn metrics_record_activity() {
         let mut sim = sim_with(3, SimConfig::default().with_seed(6));
-        sim.trace_mut().set_enabled(true);
         sim.run_rounds(4);
         assert_eq!(sim.metrics().rounds(), 4);
         assert!(sim.metrics().messages_sent() > 0);
         assert!(sim.metrics().messages_delivered() > 0);
-        assert!(!sim.trace().is_empty());
     }
 
     #[test]
@@ -866,35 +845,34 @@ mod tests {
         }
     }
 
-    /// Renders a run's trace into one comparable byte string.
-    fn trace_bytes(sim: &Simulation<Gossip>) -> String {
-        sim.trace()
-            .iter()
-            .map(|e| format!("{e:?}\n"))
-            .collect::<String>()
+    /// The digest of every process's state after one round.
+    fn round_digest(sim: &Simulation<Gossip>) -> u64 {
+        sim.state_digest_with(|id, p| format!("{id} {p:?}"))
     }
 
-    fn traced_run(cfg: SimConfig, rounds: u64) -> (String, Vec<u64>, u64) {
+    /// Runs `rounds` rounds and records the state digest after each, the
+    /// final values and the metrics.
+    fn digested_run(cfg: SimConfig, rounds: u64) -> (Vec<u64>, Vec<u64>, Metrics) {
         let mut sim = sim_with(5, cfg);
-        sim.trace_mut().set_enabled(true);
-        sim.run_rounds(rounds);
+        let digests = (0..rounds)
+            .map(|_| {
+                sim.step_round();
+                round_digest(&sim)
+            })
+            .collect();
         let values = sim.processes().map(|(_, p)| p.value).collect();
-        (
-            trace_bytes(&sim),
-            values,
-            sim.metrics().messages_delivered(),
-        )
+        (digests, values, sim.metrics().clone())
     }
 
-    /// Same seed ⇒ byte-identical trace.
+    /// Same seed ⇒ the same state after every round, and the same metrics.
     #[test]
-    fn same_seed_gives_byte_identical_traces() {
+    fn same_seed_gives_identical_per_round_digests() {
         let cfg = SimConfig::default()
             .with_seed(11)
             .with_loss_probability(0.3)
             .with_max_delay(2);
-        let a = traced_run(cfg.clone(), 30);
-        let b = traced_run(cfg, 30);
+        let a = digested_run(cfg.clone(), 30);
+        let b = digested_run(cfg, 30);
         assert_eq!(a, b, "non-deterministic execution");
     }
 
@@ -1034,8 +1012,8 @@ mod tests {
 
     /// The gray-failure tent-pole at the scheduler level: per-process timer
     /// overrides applied and restored mid-run replay byte for byte from the
-    /// same seed — same trace, same states, same step counts, same
-    /// deliveries — even over lossy, delaying links.
+    /// same seed — the same state after every round, the same step counts
+    /// and the same metrics — even over lossy, delaying links.
     #[test]
     fn timer_period_overrides_are_reproducible() {
         let run = || {
@@ -1045,7 +1023,7 @@ mod tests {
                 .with_duplication_probability(0.05)
                 .with_max_delay(2);
             let mut sim = sim_with(6, cfg);
-            sim.trace_mut().set_enabled(true);
+            let mut digests = Vec::new();
             for round in 0..60u64 {
                 match round {
                     5 => {
@@ -1057,6 +1035,7 @@ mod tests {
                     _ => {}
                 }
                 sim.step_round();
+                digests.push(round_digest(&sim));
             }
             let steps: Vec<u64> = sim
                 .ids()
@@ -1064,12 +1043,7 @@ mod tests {
                 .map(|id| sim.timer_steps_of(*id).unwrap())
                 .collect();
             let values: Vec<u64> = sim.processes().map(|(_, p)| p.value).collect();
-            (
-                trace_bytes(&sim),
-                values,
-                steps,
-                sim.metrics().messages_delivered(),
-            )
+            (digests, values, steps, sim.metrics().clone())
         };
         let first = run();
         assert_eq!(first, run(), "timer overrides made the execution diverge");

@@ -53,8 +53,9 @@ impl ScenarioTarget for MaxNode {
         }
     }
 
-    fn corrupt(&mut self, rng: &mut SimRng) {
+    fn corrupt(&mut self, rng: &mut SimRng) -> Vec<(u64, u64)> {
         self.value = rng.range_inclusive(100, 200);
+        Vec::new()
     }
 
     /// In-flight corruption scrambles the gossiped value (bounded, so the

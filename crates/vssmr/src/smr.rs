@@ -938,7 +938,7 @@ impl simnet::ScenarioTarget for SmrNode {
     /// reliable-multicast adoption (Algorithm 4.7, lines 18–22) re-syncs the
     /// corrupted replica from the coordinator's next broadcast; losing the
     /// view triggers the election / view-proposal path instead.
-    fn corrupt(&mut self, rng: &mut simnet::SimRng) {
+    fn corrupt(&mut self, rng: &mut simnet::SimRng) -> Vec<(u64, u64)> {
         self.peers.clear();
         self.rnd = rng.range_inclusive(0, 1 << 20);
         for key in CHAOS_KEYS {
@@ -953,6 +953,7 @@ impl simnet::ScenarioTarget for SmrNode {
             self.status = Status::Multicast;
             self.awaiting_view_id = false;
         }
+        Vec::new()
     }
 
     /// In-flight payload corruption: half the affected packets collapse to

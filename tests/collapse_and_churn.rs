@@ -5,33 +5,24 @@
 //! the configuration looked like before, once the failure detectors settle
 //! the active processors converge onto a configuration made of themselves.
 //! These tests drive collapse, staggered churn, repeated replacements and a
-//! partition/heal episode through the full stack.
+//! partition/heal episode through the full stack, and name the
+//! configuration each must end on; catalog cells check only that one is
+//! agreed. ROADMAP item 2's cells are to take them over.
 
 use std::collections::BTreeSet;
 
+use bench::steady_reconfig_sim;
 use reconfig::{config_set, converged_config, ConfigSet, NodeConfig, ReconfigNode};
 use simnet::{ProcessId, SimConfig, Simulation};
 
-fn steady_cluster(n: u32, seed: u64) -> Simulation<ReconfigNode> {
-    let cfg = config_set(0..n);
-    let mut sim = Simulation::new(SimConfig::default().with_seed(seed).with_max_delay(0));
-    for i in 0..n {
-        let id = ProcessId::new(i);
-        sim.add_process_with_id(
-            id,
-            ReconfigNode::new_with_config(id, cfg.clone(), NodeConfig::for_n(32)),
-        );
-    }
-    sim.run_rounds(60);
-    assert_eq!(converged_config(&sim), Some(cfg));
-    sim
-}
+/// Every node's `N` is 32: a population of 16, joiners included.
+const POPULATION: u32 = 16;
 
 /// Total collapse: every configuration member crashes. Previously admitted
 /// participants rebuild the system among themselves by brute force.
 #[test]
 fn total_collapse_rebuilds_from_the_surviving_participants() {
-    let mut sim = steady_cluster(3, 701);
+    let mut sim = steady_reconfig_sim(3, POPULATION, 701);
     // Three more processors join as participants (not members).
     for i in 10..13u32 {
         let id = ProcessId::new(i);
@@ -88,7 +79,7 @@ fn rolling_crashes_keep_shrinking_the_configuration() {
 /// them, always ending calm with exactly the requested member set.
 #[test]
 fn repeated_replacements_all_complete() {
-    let mut sim = steady_cluster(5, 703);
+    let mut sim = steady_reconfig_sim(5, POPULATION, 703);
     let targets: Vec<ConfigSet> = vec![
         config_set([0, 1, 2, 3]),
         config_set([1, 2, 3, 4]),
@@ -116,7 +107,7 @@ fn repeated_replacements_all_complete() {
 /// back onto one common configuration.
 #[test]
 fn partition_and_heal_reconverges_to_one_configuration() {
-    let mut sim = steady_cluster(6, 704);
+    let mut sim = steady_reconfig_sim(6, POPULATION, 704);
     let left: Vec<ProcessId> = (0..3).map(ProcessId::new).collect();
     let right: Vec<ProcessId> = (3..6).map(ProcessId::new).collect();
     sim.run_rounds_with(500, |s| match s.now().as_u64() {
@@ -148,7 +139,7 @@ fn partition_and_heal_reconverges_to_one_configuration() {
 /// configuration with a live majority.
 #[test]
 fn scripted_adversary_with_churn_still_converges() {
-    let mut sim = steady_cluster(4, 705);
+    let mut sim = steady_reconfig_sim(4, POPULATION, 705);
     // Drive through the whole adversarial episode first (the scripted rounds
     // lie between 70 and 140), then wait for convergence.
     sim.run_rounds_with(150, |s| match s.now().as_u64() {
@@ -205,7 +196,7 @@ fn scripted_adversary_with_churn_still_converges() {
 /// exactly as requested, with the newcomer in and the crashed member out.
 #[test]
 fn replacement_swaps_a_crashed_member_for_a_newcomer() {
-    let mut sim = steady_cluster(4, 706);
+    let mut sim = steady_reconfig_sim(4, POPULATION, 706);
     sim.crash(ProcessId::new(3));
     let newcomer = ProcessId::new(9);
     sim.add_process_with_id(

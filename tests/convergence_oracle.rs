@@ -9,12 +9,12 @@
 //! the two together, in both directions, in every executed round of every
 //! catalog cell at n = 4 and 6, seed 1.
 
-use selfstab_reconfig::counting::CounterNode;
-use selfstab_reconfig::reconfiguration::ReconfigNode;
-use selfstab_reconfig::replication::SmrNode;
-use selfstab_reconfig::shared_memory::SharedMemNode;
-use selfstab_reconfig::sim::scenario::{catalog, tokens_agree, ScenarioRunner, ScenarioTarget};
-use selfstab_reconfig::sim::{SchedulerMode, Simulation};
+use counters::CounterNode;
+use reconfig::ReconfigNode;
+use sharedmem::SharedMemNode;
+use simnet::scenario::{catalog, tokens_agree, ScenarioRunner, ScenarioTarget};
+use simnet::{SchedulerMode, Simulation};
+use vssmr::SmrNode;
 
 /// The live driver's rule, evaluated on a simulation.
 fn settled_and_agreed<T: ScenarioTarget>(sim: &Simulation<T>) -> bool {

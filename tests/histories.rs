@@ -11,15 +11,15 @@
 //! armed/unarmed report contract: unarmed runs carry none of the history
 //! counters and stop at first convergence exactly as before.
 
-use selfstab_reconfig::counting::CounterNode;
-use selfstab_reconfig::reconfiguration::ReconfigNode;
-use selfstab_reconfig::replication::SmrNode;
-use selfstab_reconfig::shared_memory::SharedMemNode;
-use selfstab_reconfig::sim::scenario::{run_scenario, ScenarioRunner, ScenarioTarget};
-use selfstab_reconfig::sim::{
+use counters::CounterNode;
+use reconfig::ReconfigNode;
+use sharedmem::SharedMemNode;
+use simnet::scenario::{run_scenario, ScenarioRunner, ScenarioTarget};
+use simnet::{
     Arrival, HistoryCfg, LoadProfile, ProcessId, Round, Scenario, ScenarioRun, SchedulerMode,
     SimRng, Simulation,
 };
+use vssmr::SmrNode;
 
 /// A reconfiguration scenario that converges early and runs a 600-round
 /// probe window; [`run_late_corrupted`] corrupts it at round 450, far
@@ -193,7 +193,7 @@ fn armed_loaded_runs_linearize_on_both_services() {
 /// first converged, and the stays-converged probe failed the cell.
 #[test]
 fn smr_clock_skew_stays_converged_with_checked_histories() {
-    let scenario = selfstab_reconfig::sim::scenario::find("clock-skew", 4)
+    let scenario = simnet::scenario::find("clock-skew", 4)
         .expect("the catalog has `clock-skew`")
         .with_load(LoadProfile::new(200, Arrival::Poisson { rate: 1.0 }).with_op_timeout(300))
         .with_history();

@@ -3,33 +3,20 @@
 //! Theorem 3.26: a joining processor keeps trying while the application
 //! allows it, becomes a participant only with the approval of a majority of
 //! configuration members and only outside reconfiguration periods, and can
-//! never perturb the configuration just by joining.
+//! never perturb the configuration just by joining. E5 and the catalog
+//! admit joiners under `AdmitAll` only; these tests check the admission
+//! policy, joins during a reconfiguration, and stale packets on new links.
 
+use bench::steady_reconfig_sim;
 use reconfig::{
     config_set, converged_config, AdmissionPolicy, ConfigSet, JoinMsg, NodeConfig, ReconfigMsg,
     ReconfigNode,
 };
 use simnet::stack::{Layer, Outbox};
-use simnet::{ProcessId, ScenarioTarget, SimConfig, SimRng, Simulation};
+use simnet::{ProcessId, ScenarioTarget, SimRng, Simulation};
 
-fn members_cluster(n: u32, seed: u64, admission: AdmissionPolicy) -> Simulation<ReconfigNode> {
-    let cfg = config_set(0..n);
-    let mut sim = Simulation::new(SimConfig::default().with_seed(seed).with_max_delay(0));
-    for i in 0..n {
-        let id = ProcessId::new(i);
-        sim.add_process_with_id(
-            id,
-            ReconfigNode::new_with_config(
-                id,
-                cfg.clone(),
-                NodeConfig::for_n(32).with_admission(admission),
-            ),
-        );
-    }
-    sim.run_rounds(60);
-    assert_eq!(converged_config(&sim), Some(cfg));
-    sim
-}
+/// Every node's `N` is 32: a population of 16, joiners included.
+const POPULATION: u32 = 16;
 
 fn add_joiner(sim: &mut Simulation<ReconfigNode>, id: u32) -> ProcessId {
     let pid = ProcessId::new(id);
@@ -44,7 +31,7 @@ fn add_joiner(sim: &mut Simulation<ReconfigNode>, id: u32) -> ProcessId {
 /// itself does not change.
 #[test]
 fn joiner_admitted_without_changing_the_configuration() {
-    let mut sim = members_cluster(3, 401, AdmissionPolicy::AdmitAll);
+    let mut sim = steady_reconfig_sim(3, POPULATION, 401);
     let joiner = add_joiner(&mut sim, 10);
     let rounds = sim.run_until(400, |s| s.process(joiner).unwrap().is_participant());
     assert!(rounds < 400, "joiner was never admitted");
@@ -61,7 +48,12 @@ fn joiner_admitted_without_changing_the_configuration() {
 /// Theorem 3.26 requires).
 #[test]
 fn deny_all_blocks_until_the_application_relents() {
-    let mut sim = members_cluster(3, 402, AdmissionPolicy::DenyAll);
+    let mut sim = steady_reconfig_sim(3, POPULATION, 402);
+    for i in 0..3u32 {
+        sim.process_mut(ProcessId::new(i))
+            .unwrap()
+            .set_admission(AdmissionPolicy::DenyAll);
+    }
     let joiner = add_joiner(&mut sim, 10);
     sim.run_rounds(300);
     assert!(
@@ -84,7 +76,7 @@ fn deny_all_blocks_until_the_application_relents() {
 /// participants and the configuration never changes.
 #[test]
 fn many_joiners_are_admitted_in_sequence() {
-    let mut sim = members_cluster(3, 403, AdmissionPolicy::AdmitAll);
+    let mut sim = steady_reconfig_sim(3, POPULATION, 403);
     let joiners: Vec<ProcessId> = (20..25).map(|i| add_joiner(&mut sim, i)).collect();
     let rounds = sim.run_until(1500, |s| {
         joiners
@@ -102,7 +94,7 @@ fn many_joiners_are_admitted_in_sequence() {
 /// 180); the configuration survives the whole churn episode untouched.
 #[test]
 fn staggered_churn_does_not_perturb_the_configuration() {
-    let mut sim = members_cluster(4, 404, AdmissionPolicy::AdmitAll);
+    let mut sim = steady_reconfig_sim(4, POPULATION, 404);
     let mut joined: Vec<ProcessId> = Vec::new();
     sim.run_rounds_with(260, |s| {
         let count = match s.now().as_u64() {
@@ -132,7 +124,7 @@ fn staggered_churn_does_not_perturb_the_configuration() {
 /// admitted before the replacement completes, and is admitted afterwards.
 #[test]
 fn joining_waits_for_an_ongoing_reconfiguration() {
-    let mut sim = members_cluster(4, 405, AdmissionPolicy::AdmitAll);
+    let mut sim = steady_reconfig_sim(4, POPULATION, 405);
     let target = config_set([0, 1, 2]);
     assert!(sim
         .process_mut(ProcessId::new(1))
@@ -156,7 +148,7 @@ fn joining_waits_for_an_ongoing_reconfiguration() {
 /// delicate replacement that names it.
 #[test]
 fn admitted_joiner_can_become_a_member_via_replacement() {
-    let mut sim = members_cluster(3, 406, AdmissionPolicy::AdmitAll);
+    let mut sim = steady_reconfig_sim(3, POPULATION, 406);
     let joiner = add_joiner(&mut sim, 7);
     let rounds = sim.run_until(400, |s| s.process(joiner).unwrap().is_participant());
     assert!(rounds < 400);
@@ -177,7 +169,7 @@ fn admitted_joiner_can_become_a_member_via_replacement() {
 /// participants — admission control cannot stand in the way of recovery.
 #[test]
 fn collapse_recovery_includes_admitted_participants() {
-    let mut sim = members_cluster(3, 407, AdmissionPolicy::AdmitAll);
+    let mut sim = steady_reconfig_sim(3, POPULATION, 407);
     let joiners: Vec<ProcessId> = (10..13).map(|i| add_joiner(&mut sim, i)).collect();
     let rounds = sim.run_until(800, |s| {
         joiners
@@ -205,7 +197,7 @@ fn collapse_recovery_includes_admitted_participants() {
 /// nor loses its calm.
 #[test]
 fn stale_packets_on_a_joiners_links_are_tolerated() {
-    let mut sim = members_cluster(4, 409, AdmissionPolicy::AdmitAll);
+    let mut sim = steady_reconfig_sim(4, POPULATION, 409);
     let members = sim.ids();
     let joiner = ProcessId::new(4);
     let mut rng = SimRng::seed_from(409);
@@ -247,7 +239,7 @@ fn stale_packets_on_a_joiners_links_are_tolerated() {
 /// Observability: the joining layer reports completed joins.
 #[test]
 fn joining_observability_counters() {
-    let mut sim = members_cluster(3, 408, AdmissionPolicy::AdmitAll);
+    let mut sim = steady_reconfig_sim(3, POPULATION, 408);
     let joiner = add_joiner(&mut sim, 11);
     sim.run_until(400, |s| s.process(joiner).unwrap().is_participant());
     assert!(sim.process(joiner).unwrap().is_participant());

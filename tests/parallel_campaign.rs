@@ -9,15 +9,13 @@
 //! partitioning the pool happens to pick at runtime. These tests assert
 //! exactly that, plus the `Send`-safety the cells rely on.
 
+use counters::CounterNode;
 use proptest::prelude::*;
-use selfstab_reconfig::counting::CounterNode;
-use selfstab_reconfig::reconfiguration::ReconfigNode;
-use selfstab_reconfig::replication::SmrNode;
-use selfstab_reconfig::shared_memory::SharedMemNode;
-use selfstab_reconfig::sim::scenario::{catalog, find, ScenarioTarget};
-use selfstab_reconfig::sim::{
-    Arrival, Campaign, Fault, LoadProfile, RunRecord, Scenario, Simulation,
-};
+use reconfig::ReconfigNode;
+use sharedmem::SharedMemNode;
+use simnet::scenario::{catalog, find, ScenarioTarget};
+use simnet::{Arrival, Campaign, Fault, LoadProfile, RunRecord, Scenario, Simulation};
+use vssmr::SmrNode;
 
 /// Renders the full catalog campaign for one node type at one jobs count.
 fn catalog_render<T: ScenarioTarget>(jobs: usize) -> String {

@@ -3,8 +3,9 @@
 //! Randomised, seed-driven variants of the main theorems: convergence of the
 //! reconfiguration scheme from randomly corrupted states, monotonicity of the
 //! register emulation under random operation schedules, and agreement of the
-//! full stack under random crash patterns. The simulations are deterministic
-//! per seed, so every counterexample proptest finds is replayable.
+//! full stack under random crash patterns: states and schedules no row or
+//! catalog cell fixes. The simulations are deterministic per seed, so every
+//! counterexample proptest finds is replayable.
 
 use std::collections::BTreeSet;
 

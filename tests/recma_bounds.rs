@@ -5,10 +5,13 @@
 //! configuration stays steady when the majority survives and the prediction
 //! function stays quiet; Lemma 3.20 shows that majority loss and a
 //! majority-supported prediction function both lead to a reconfiguration;
-//! Lemma 3.21 shows each event triggers at most once per participant.
+//! Lemma 3.21 shows each event triggers at most once per participant. E3 and
+//! E4 bound triggerings and time the survivors' install; these tests check
+//! the prediction function and that a triggering happened at all.
 
-use reconfig::{config_set, converged_config, EvalPolicy, NodeConfig, ReconfigNode};
-use simnet::{ProcessId, SimConfig, Simulation};
+use bench::steady_reconfig_sim;
+use reconfig::{config_set, converged_config, EvalPolicy, ReconfigNode};
+use simnet::{ProcessId, Simulation};
 
 fn total_triggerings(sim: &Simulation<ReconfigNode>) -> u64 {
     sim.active_ids()
@@ -17,22 +20,16 @@ fn total_triggerings(sim: &Simulation<ReconfigNode>) -> u64 {
         .sum()
 }
 
-fn cluster_with_policy(n: u32, seed: u64, policy: EvalPolicy) -> Simulation<ReconfigNode> {
-    let cfg = config_set(0..n);
-    let mut sim = Simulation::new(SimConfig::default().with_seed(seed).with_max_delay(0));
-    for i in 0..n {
-        let id = ProcessId::new(i);
-        sim.add_process_with_id(
-            id,
-            ReconfigNode::new_with_config(
-                id,
-                cfg.clone(),
-                NodeConfig::for_n(16).with_eval_policy(policy.clone()),
-            ),
-        );
+/// Every node's `N` is 16.
+const POPULATION: u32 = 8;
+
+/// Switches every node of `sim` to the prediction function `policy`.
+fn with_policy(mut sim: Simulation<ReconfigNode>, policy: EvalPolicy) -> Simulation<ReconfigNode> {
+    for id in sim.ids() {
+        sim.process_mut(id)
+            .expect("the builder added it")
+            .set_eval_policy(policy.clone());
     }
-    sim.run_rounds(80);
-    assert_eq!(converged_config(&sim), Some(cfg));
     sim
 }
 
@@ -40,7 +37,7 @@ fn cluster_with_policy(n: u32, seed: u64, policy: EvalPolicy) -> Simulation<Reco
 /// long fault-free execution contains no triggering at all.
 #[test]
 fn steady_state_never_triggers() {
-    let mut sim = cluster_with_policy(5, 301, EvalPolicy::Never);
+    let mut sim = steady_reconfig_sim(5, POPULATION, 301);
     sim.run_rounds(500);
     assert_eq!(total_triggerings(&sim), 0);
     assert_eq!(converged_config(&sim), Some(config_set(0..5)));
@@ -51,7 +48,7 @@ fn steady_state_never_triggers() {
 /// configuration.
 #[test]
 fn corrupt_no_majority_flags_cause_bounded_triggerings() {
-    let mut sim = cluster_with_policy(5, 302, EvalPolicy::Never);
+    let mut sim = steady_reconfig_sim(5, POPULATION, 302);
     // Transient fault: p0 believes every peer reported "no majority".
     {
         let node = sim.process_mut(ProcessId::new(0)).unwrap();
@@ -77,7 +74,7 @@ fn corrupt_no_majority_flags_cause_bounded_triggerings() {
 /// Lemma 3.18, second source: corrupt `needReconf` flags.
 #[test]
 fn corrupt_need_reconf_flags_cause_bounded_triggerings() {
-    let mut sim = cluster_with_policy(4, 303, EvalPolicy::Never);
+    let mut sim = steady_reconfig_sim(4, POPULATION, 303);
     {
         let node = sim.process_mut(ProcessId::new(2)).unwrap();
         for peer in 0..4u32 {
@@ -100,7 +97,7 @@ fn corrupt_need_reconf_flags_cause_bounded_triggerings() {
 /// survivors only.
 #[test]
 fn majority_collapse_triggers_reconfiguration() {
-    let mut sim = cluster_with_policy(5, 304, EvalPolicy::Never);
+    let mut sim = steady_reconfig_sim(5, POPULATION, 304);
     for i in 2..5u32 {
         sim.crash(ProcessId::new(i));
     }
@@ -117,7 +114,10 @@ fn majority_collapse_triggers_reconfiguration() {
 /// members for a reconfiguration.
 #[test]
 fn prediction_function_majority_triggers_reconfiguration() {
-    let mut sim = cluster_with_policy(4, 305, EvalPolicy::MissingFraction { fraction: 0.25 });
+    let mut sim = with_policy(
+        steady_reconfig_sim(4, POPULATION, 305),
+        EvalPolicy::MissingFraction { fraction: 0.25 },
+    );
     sim.crash(ProcessId::new(3));
     let rounds = sim.run_until(1000, |s| converged_config(s) == Some(config_set(0..3)));
     assert!(
@@ -131,7 +131,7 @@ fn prediction_function_majority_triggers_reconfiguration() {
 /// its crashed member: nothing in recMA forces an unnecessary replacement.
 #[test]
 fn minority_crash_without_prediction_does_not_reconfigure() {
-    let mut sim = cluster_with_policy(5, 306, EvalPolicy::Never);
+    let mut sim = steady_reconfig_sim(5, POPULATION, 306);
     sim.crash(ProcessId::new(4));
     sim.run_rounds(400);
     assert_eq!(total_triggerings(&sim), 0);
@@ -142,7 +142,7 @@ fn minority_crash_without_prediction_does_not_reconfigure() {
 /// per surviving participant, not a storm.
 #[test]
 fn one_event_triggers_at_most_once_per_participant() {
-    let mut sim = cluster_with_policy(5, 307, EvalPolicy::Never);
+    let mut sim = steady_reconfig_sim(5, POPULATION, 307);
     for i in 3..5u32 {
         sim.crash(ProcessId::new(i));
     }
@@ -165,7 +165,10 @@ fn one_event_triggers_at_most_once_per_participant() {
 #[test]
 fn prediction_threshold_below_fraction_stays_quiet() {
     // Threshold ½, only ¼ of the members crash.
-    let mut sim = cluster_with_policy(4, 308, EvalPolicy::MissingFraction { fraction: 0.5 });
+    let mut sim = with_policy(
+        steady_reconfig_sim(4, POPULATION, 308),
+        EvalPolicy::MissingFraction { fraction: 0.5 },
+    );
     sim.crash(ProcessId::new(0));
     sim.run_rounds(400);
     assert_eq!(total_triggerings(&sim), 0);
@@ -176,7 +179,7 @@ fn prediction_threshold_below_fraction_stays_quiet() {
 /// `Never` to an eager fraction, an old crash is finally acted upon.
 #[test]
 fn runtime_policy_change_takes_effect() {
-    let mut sim = cluster_with_policy(4, 309, EvalPolicy::Never);
+    let mut sim = steady_reconfig_sim(4, POPULATION, 309);
     sim.crash(ProcessId::new(3));
     sim.run_rounds(300);
     assert_eq!(

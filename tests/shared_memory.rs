@@ -4,25 +4,13 @@
 //! being replaced and resume afterwards; completed writes survive delicate
 //! reconfigurations; reads never travel backwards in time while the
 //! configuration is stable; network partitions block operations on the side
-//! without a quorum and completed values win after the heal.
+//! without a quorum and completed values win after the heal. E11 and E12 time
+//! one write and one read; these tests check the values reads return.
 
+use bench::steady_sharedmem_sim;
 use reconfig::{config_set, NodeConfig, QuorumSystem};
 use sharedmem::{OpOutcome, RegisterId, SharedMemNode};
-use simnet::{ProcessId, ScenarioTarget, SimConfig, Simulation};
-
-fn cluster(n: u32, seed: u64) -> Simulation<SharedMemNode> {
-    let cfg = config_set(0..n);
-    let mut sim = Simulation::new(SimConfig::default().with_seed(seed).with_max_delay(0));
-    for i in 0..n {
-        let id = ProcessId::new(i);
-        sim.add_process_with_id(
-            id,
-            SharedMemNode::new_member(id, cfg.clone(), NodeConfig::for_n(16)),
-        );
-    }
-    sim.run_rounds(40);
-    sim
-}
+use simnet::{ProcessId, ScenarioTarget, Simulation};
 
 fn committed_read_value(outcomes: &[OpOutcome]) -> Option<Option<u64>> {
     outcomes.iter().find_map(|o| match o {
@@ -36,7 +24,7 @@ fn committed_read_value(outcomes: &[OpOutcome]) -> Option<Option<u64>> {
 /// older value. Exercised as an alternating write/read history.
 #[test]
 fn reads_never_return_stale_values() {
-    let mut sim = cluster(3, 601);
+    let mut sim = steady_sharedmem_sim(3, QuorumSystem::Majority, 601);
     let key = RegisterId::new(1);
     let writer = ProcessId::new(0);
     let reader = ProcessId::new(2);
@@ -64,7 +52,7 @@ fn reads_never_return_stale_values() {
 /// reads through the quorum.
 #[test]
 fn a_client_reads_its_own_writes() {
-    let mut sim = cluster(3, 602);
+    let mut sim = steady_sharedmem_sim(3, QuorumSystem::Majority, 602);
     let node = ProcessId::new(1);
     let key = RegisterId::new(3);
     for v in [10u64, 20, 30] {
@@ -84,7 +72,7 @@ fn a_client_reads_its_own_writes() {
 /// another.
 #[test]
 fn registers_are_independent() {
-    let mut sim = cluster(3, 603);
+    let mut sim = steady_sharedmem_sim(3, QuorumSystem::Majority, 603);
     for (i, key) in [1u64, 2, 3].into_iter().enumerate() {
         sim.process_mut(ProcessId::new(i as u32))
             .unwrap()
@@ -121,7 +109,7 @@ fn registers_are_independent() {
 /// installed succeeds and still sees the pre-reconfiguration value.
 #[test]
 fn operations_abort_during_reconfiguration_and_resume_after() {
-    let mut sim = cluster(4, 604);
+    let mut sim = steady_sharedmem_sim(4, QuorumSystem::Majority, 604);
     let key = RegisterId::new(9);
     let writer = ProcessId::new(0);
     sim.process_mut(writer).unwrap().submit_write(key, 111);
@@ -176,7 +164,7 @@ fn operations_abort_during_reconfiguration_and_resume_after() {
 /// the majority side is preserved.
 #[test]
 fn minority_partition_blocks_until_healed() {
-    let mut sim = cluster(5, 605);
+    let mut sim = steady_sharedmem_sim(5, QuorumSystem::Majority, 605);
     let key = RegisterId::new(2);
     // Partition {4} away from {0,1,2,3}.
     let minority = vec![ProcessId::new(4)];
@@ -230,17 +218,7 @@ fn minority_partition_blocks_until_healed() {
 /// paper sketches): reads and writes complete and stay coherent.
 #[test]
 fn grid_quorums_serve_reads_and_writes() {
-    let cfg = config_set(0..4);
-    let mut sim = Simulation::new(SimConfig::default().with_seed(606).with_max_delay(0));
-    for i in 0..4u32 {
-        let id = ProcessId::new(i);
-        sim.add_process_with_id(
-            id,
-            SharedMemNode::new_member(id, cfg.clone(), NodeConfig::for_n(16))
-                .with_quorum_system(QuorumSystem::Grid { columns: 2 }),
-        );
-    }
-    sim.run_rounds(40);
+    let mut sim = steady_sharedmem_sim(4, QuorumSystem::Grid { columns: 2 }, 606);
     let key = RegisterId::new(1);
     sim.process_mut(ProcessId::new(0))
         .unwrap()
@@ -263,7 +241,7 @@ fn grid_quorums_serve_reads_and_writes() {
 /// member through the post-reconfiguration state transfer.
 #[test]
 fn new_member_learns_the_registers_after_joining_the_configuration() {
-    let mut sim = cluster(3, 607);
+    let mut sim = steady_sharedmem_sim(3, QuorumSystem::Majority, 607);
     let key = RegisterId::new(6);
     sim.process_mut(ProcessId::new(0))
         .unwrap()
@@ -322,7 +300,7 @@ fn new_member_learns_the_registers_after_joining_the_configuration() {
 /// read returns one of the written values.
 #[test]
 fn concurrent_writers_converge_on_one_final_value() {
-    let mut sim = cluster(4, 608);
+    let mut sim = steady_sharedmem_sim(4, QuorumSystem::Majority, 608);
     let key = RegisterId::new(5);
     for i in 0..4u32 {
         sim.process_mut(ProcessId::new(i))
@@ -408,8 +386,8 @@ impl ScenarioTarget for Eager<SharedMemNode> {
         }
     }
 
-    fn corrupt(&mut self, rng: &mut simnet::SimRng) {
-        self.node.corrupt(rng);
+    fn corrupt(&mut self, rng: &mut simnet::SimRng) -> Vec<(u64, u64)> {
+        self.node.corrupt(rng)
     }
 
     fn submit_local(&mut self, key: u64, value: u64) -> bool {

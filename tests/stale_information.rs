@@ -6,10 +6,12 @@
 //! configuration, and Theorem 3.16 (closure) that it stays conflict-free and
 //! that delicate replacements complete exactly once. These tests inject each
 //! type of stale information — into local state and into the communication
-//! channels — and check convergence and closure.
+//! channels — white-box, a state no `--plan` fault can write, and check
+//! convergence and closure.
 
 use std::sync::Arc;
 
+use bench::steady_reconfig_sim;
 use reconfig::{
     config_set, converged_config, shared_config, shared_ntf, shared_set, ConfigSet, ConfigValue,
     EchoTriple, NodeConfig, Notification, Phase, RecSaMsg, RecSaOwn, ReconfigMsg, ReconfigNode,
@@ -22,26 +24,14 @@ fn calm(sim: &Simulation<ReconfigNode>) -> bool {
         .all(|id| sim.process(*id).unwrap().no_reconfiguration())
 }
 
-fn steady_cluster(n: u32, seed: u64) -> Simulation<ReconfigNode> {
-    let cfg = config_set(0..n);
-    let mut sim = Simulation::new(SimConfig::default().with_seed(seed).with_max_delay(0));
-    for i in 0..n {
-        let id = ProcessId::new(i);
-        sim.add_process_with_id(
-            id,
-            ReconfigNode::new_with_config(id, cfg.clone(), NodeConfig::for_n(16)),
-        );
-    }
-    sim.run_rounds(60);
-    assert_eq!(converged_config(&sim), Some(cfg));
-    sim
-}
+/// Every node's `N` is 16.
+const POPULATION: u32 = 8;
 
 /// Type-1 stale information: a phase-0 notification that carries a proposal
 /// set. It must be cleaned without disturbing the installed configuration.
 #[test]
 fn type1_phase_zero_notification_with_set_is_cleaned() {
-    let mut sim = steady_cluster(5, 201);
+    let mut sim = steady_reconfig_sim(5, POPULATION, 201);
     let victim = ProcessId::new(2);
     sim.process_mut(victim)
         .unwrap()
@@ -63,7 +53,7 @@ fn type1_phase_zero_notification_with_set_is_cleaned() {
 /// triggers must end with every participant adopting its trusted set.
 #[test]
 fn type2_empty_configuration_triggers_recovering_reset() {
-    let mut sim = steady_cluster(4, 202);
+    let mut sim = steady_reconfig_sim(4, POPULATION, 202);
     let victim = ProcessId::new(1);
     sim.process_mut(victim)
         .unwrap()
@@ -88,7 +78,7 @@ fn type2_empty_configuration_triggers_recovering_reset() {
 /// different processors at once.
 #[test]
 fn type2_three_way_configuration_conflict_heals() {
-    let mut sim = steady_cluster(6, 203);
+    let mut sim = steady_reconfig_sim(6, POPULATION, 203);
     for (node, cfg) in [
         (0u32, config_set([0, 1])),
         (2, config_set([2, 3, 4])),
@@ -110,7 +100,7 @@ fn type2_three_way_configuration_conflict_heals() {
 /// (modelling what a transient fault may leave in transit).
 #[test]
 fn stale_packet_in_channel_with_conflicting_configuration_heals() {
-    let mut sim = steady_cluster(4, 204);
+    let mut sim = steady_reconfig_sim(4, POPULATION, 204);
     let stale = RecSaMsg {
         own: Arc::new(RecSaOwn {
             fd: shared_set(config_set(0..4)),
@@ -138,7 +128,7 @@ fn stale_packet_in_channel_with_conflicting_configuration_heals() {
 /// `allSeen` set.
 #[test]
 fn type3_phase_gap_and_corrupt_allseen_recover() {
-    let mut sim = steady_cluster(5, 205);
+    let mut sim = steady_reconfig_sim(5, POPULATION, 205);
     let victim = ProcessId::new(3);
     {
         let node = sim.process_mut(victim).unwrap();
@@ -168,7 +158,7 @@ fn type3_phase_gap_and_corrupt_allseen_recover() {
 /// peer echoed values it never sent).
 #[test]
 fn type3_corrupt_echo_entry_recovers() {
-    let mut sim = steady_cluster(4, 206);
+    let mut sim = steady_reconfig_sim(4, POPULATION, 206);
     let victim = ProcessId::new(0);
     sim.process_mut(victim).unwrap().recsa_mut().corrupt_echo(
         ProcessId::new(2),
@@ -206,7 +196,7 @@ fn type4_configuration_of_ghosts_is_replaced() {
 /// does not change and no resets start without an external cause.
 #[test]
 fn closure_steady_state_stays_steady() {
-    let mut sim = steady_cluster(5, 208);
+    let mut sim = steady_reconfig_sim(5, POPULATION, 208);
     sim.run_rounds(100);
     let resets_before: u64 = sim
         .active_ids()
@@ -245,7 +235,7 @@ fn closure_steady_state_stays_steady() {
 /// every participant are resolved into exactly one of the proposed sets.
 #[test]
 fn concurrent_proposals_select_a_single_winner() {
-    let mut sim = steady_cluster(5, 209);
+    let mut sim = steady_reconfig_sim(5, POPULATION, 209);
     let proposals: Vec<ConfigSet> = vec![
         config_set([0, 1, 2]),
         config_set([1, 2, 3]),
@@ -279,7 +269,7 @@ fn concurrent_proposals_select_a_single_winner() {
 /// later replacements still work.
 #[test]
 fn replacement_after_recovery_still_works() {
-    let mut sim = steady_cluster(4, 210);
+    let mut sim = steady_reconfig_sim(4, POPULATION, 210);
     // Inject a conflict…
     sim.process_mut(ProcessId::new(3))
         .unwrap()
