@@ -73,18 +73,6 @@ impl NodeConfig {
         }
     }
 
-    /// Sets the prediction function (builder style).
-    pub fn with_eval_policy(mut self, policy: EvalPolicy) -> Self {
-        self.eval_policy = policy;
-        self
-    }
-
-    /// Sets the admission policy (builder style).
-    pub fn with_admission(mut self, admission: AdmissionPolicy) -> Self {
-        self.admission = admission;
-        self
-    }
-
     /// Sets or disables the bootstrap patience (builder style).
     pub fn with_bootstrap_patience(mut self, patience: Option<u64>) -> Self {
         self.bootstrap_patience = patience;
@@ -444,30 +432,19 @@ impl simnet::ScenarioTarget for ReconfigNode {
     // `start_local` keeps its do-nothing default: a configuration probe
     // sends nothing — it completes on a standing local condition.
 
-    /// The node-local conjunct of [`ScenarioTarget::converged`]: a settled participant
-    /// of a calm, installed configuration.
-    ///
-    /// [`ScenarioTarget::converged`]: simnet::ScenarioTarget::converged
+    /// A settled participant of a calm, installed configuration.
     fn settled(&self) -> bool {
         self.is_participant() && self.no_reconfiguration() && self.installed_config_ref().is_some()
     }
 
-    /// The agreement token is the installed configuration.
-    fn settle_token(&self) -> String {
-        match self.installed_config() {
-            Some(c) => format!("config={}", ConfigValue::Set(c.clone())),
-            None => String::new(),
-        }
-    }
+    type State<'a> = ();
 
-    /// Converged: every active processor is [`settled`](simnet::ScenarioTarget::settled) and
-    /// all report the same installed configuration.
-    fn converged(sim: &simnet::Simulation<Self>) -> bool {
-        let mut first = None;
-        sim.active_processes().all(|(_, node)| {
-            let config = node.installed_config_ref();
-            node.settled() && *first.get_or_insert(config) == config
-        })
+    /// The installed configuration alone.
+    fn agreement(&self) -> simnet::Agreement<'_, ()> {
+        simnet::Agreement {
+            config: self.installed_config_ref(),
+            state: None,
+        }
     }
 
     /// Safety: two participants that both report a calm system (`noReco()`)

@@ -291,13 +291,7 @@ impl RecSa {
     }
 
     /// The trusted set currently installed as `FD[i]` (set by the latest
-    /// [`RecSa::step`]).
-    pub fn my_trusted(&self) -> BTreeSet<ProcessId> {
-        (**self.fd_of(self.me)).clone()
-    }
-
-    /// [`RecSa::my_trusted`] without the set copy: the shared allocation
-    /// installed as `FD[i]`.
+    /// [`RecSa::step`]), as the shared allocation.
     pub fn my_trusted_shared(&self) -> SharedSet {
         self.fd_of(self.me).clone()
     }
@@ -337,12 +331,7 @@ impl RecSa {
         self.config_of(self.me).marks_participant()
     }
 
-    /// Own `config[i]` value.
-    pub fn own_config(&self) -> ConfigValue {
-        (**self.own_config_shared()).clone()
-    }
-
-    /// [`RecSa::own_config`] behind the shared handle it is stored in: read
+    /// Own `config[i]` value, behind the shared handle it is stored in: read
     /// it in place, or clone the handle to keep reading across a step.
     pub fn own_config_shared(&self) -> &SharedConfig {
         self.config_of(self.me)
@@ -1177,32 +1166,25 @@ mod tests {
             }
         }
 
-        /// All alive nodes hold the same concrete configuration?
-        fn converged(&self) -> Option<ConfigSet> {
-            let mut configs: BTreeSet<ConfigSet> = BTreeSet::new();
-            for id in &self.alive {
-                match self.nodes[id].installed_config() {
-                    Some(c) => {
-                        configs.insert(c);
-                    }
-                    None => return None,
-                }
-            }
-            if configs.len() == 1 {
-                configs.into_iter().next()
-            } else {
-                None
-            }
+        /// The concrete configuration all alive nodes hold, if they agree.
+        fn agreed_config(&self) -> Option<ConfigSet> {
+            let configs: Option<BTreeSet<ConfigSet>> = self
+                .alive
+                .iter()
+                .map(|id| self.nodes[id].installed_config())
+                .collect();
+            let mut configs = configs?;
+            (configs.len() == 1).then(|| configs.pop_first()).flatten()
         }
 
         fn rounds_until_converged(&mut self, max: usize) -> Option<usize> {
             for r in 0..max {
-                if self.converged().is_some() {
+                if self.agreed_config().is_some() {
                     return Some(r);
                 }
                 self.round();
             }
-            if self.converged().is_some() {
+            if self.agreed_config().is_some() {
                 Some(max)
             } else {
                 None
@@ -1214,7 +1196,7 @@ mod tests {
     fn bootstrap_from_bottom_installs_fd_set() {
         let mut h = Harness::participants(4);
         let rounds = h.rounds_until_converged(50).expect("must converge");
-        let cfg = h.converged().unwrap();
+        let cfg = h.agreed_config().unwrap();
         assert_eq!(cfg, config_set([0, 1, 2, 3]));
         assert!(rounds <= 50);
     }
@@ -1223,14 +1205,14 @@ mod tests {
     fn conflicting_configurations_are_resolved_by_brute_force() {
         let mut h = Harness::participants(4);
         h.rounds(20);
-        assert!(h.converged().is_some());
+        assert!(h.agreed_config().is_some());
         // Transient fault: two different configurations appear.
         h.node_mut(0)
             .corrupt_config(ProcessId::new(0), ConfigValue::Set(config_set([0, 1])));
         h.node_mut(2)
             .corrupt_config(ProcessId::new(2), ConfigValue::Set(config_set([2, 3])));
         h.rounds(60);
-        let cfg = h.converged().expect("must re-converge");
+        let cfg = h.agreed_config().expect("must re-converge");
         assert_eq!(cfg, config_set([0, 1, 2, 3]));
         assert!(h.node(0).resets_started() > 0 || h.node(2).resets_started() > 0);
     }
@@ -1254,11 +1236,11 @@ mod tests {
         let cfg = config_set([0, 1, 2, 3]);
         let mut h = Harness::with_config(4, &cfg);
         h.rounds(20);
-        assert!(h.converged().is_some());
+        assert!(h.agreed_config().is_some());
         let new_cfg = config_set([0, 1, 2]);
         assert!(h.node_mut(0).estab(new_cfg.clone()));
         h.rounds(60);
-        assert_eq!(h.converged(), Some(new_cfg));
+        assert_eq!(h.agreed_config(), Some(new_cfg));
         // The replacement was delicate: nobody had to brute-force reset.
         for id in 0..4 {
             assert_eq!(h.node(id).resets_started(), 0, "p{id} reset");
@@ -1277,7 +1259,7 @@ mod tests {
         assert!(h.node_mut(0).estab(a.clone()));
         assert!(h.node_mut(4).estab(b.clone()));
         h.rounds(80);
-        let result = h.converged().expect("converged after concurrent estab");
+        let result = h.agreed_config().expect("converged after concurrent estab");
         assert!(result == a || result == b, "unexpected config {result:?}");
         for id in 0..5 {
             assert_eq!(h.node(id).resets_started(), 0);
@@ -1319,7 +1301,7 @@ mod tests {
         assert_eq!(h.node(3).installed_config(), Some(cfg.clone()));
         h.rounds(10);
         // The configuration itself is unchanged by the join.
-        assert_eq!(h.converged(), Some(cfg));
+        assert_eq!(h.agreed_config(), Some(cfg));
     }
 
     #[test]
@@ -1349,7 +1331,7 @@ mod tests {
         );
         h.rounds(40);
         assert!(
-            h.converged().is_some(),
+            h.agreed_config().is_some(),
             "must re-converge after type-1 fault"
         );
         for id in 0..3 {
@@ -1372,7 +1354,7 @@ mod tests {
             Notification::new(Phase::Two, config_set([1, 2])),
         );
         h.rounds(60);
-        let cfg = h.converged().expect("recovers from type-3");
+        let cfg = h.agreed_config().expect("recovers from type-3");
         assert_eq!(cfg, config_set([0, 1, 2]), "brute force adopts the FD set");
     }
 
@@ -1383,7 +1365,7 @@ mod tests {
         let dead_cfg = config_set([10, 11, 12]);
         let mut h = Harness::with_config(3, &dead_cfg);
         h.rounds(40);
-        assert_eq!(h.converged(), Some(config_set([0, 1, 2])));
+        assert_eq!(h.agreed_config(), Some(config_set([0, 1, 2])));
     }
 
     #[test]
@@ -1397,11 +1379,11 @@ mod tests {
         // Some configuration members survive, so no type-4 reset occurs; the
         // old configuration is still in place (recMA is responsible for
         // requesting the replacement).
-        assert_eq!(h.converged(), Some(cfg));
+        assert_eq!(h.agreed_config(), Some(cfg));
         // A delicate replacement can then shrink the configuration.
         assert!(h.node_mut(0).estab(config_set([0, 1, 2])));
         h.rounds(60);
-        assert_eq!(h.converged(), Some(config_set([0, 1, 2])));
+        assert_eq!(h.agreed_config(), Some(config_set([0, 1, 2])));
     }
 
     #[test]
@@ -1424,7 +1406,7 @@ mod tests {
         h.rounds(10);
         assert!(h.node_mut(2).estab(config_set([0, 1, 2])));
         h.rounds(60);
-        assert_eq!(h.converged(), Some(config_set([0, 1, 2])));
+        assert_eq!(h.agreed_config(), Some(config_set([0, 1, 2])));
     }
 
     /// A steady four-processor system, returned as processor 0's layer and
@@ -1448,7 +1430,7 @@ mod tests {
         node.step(trusted, &mut out);
         (
             out.into_messages(),
-            node.own_config(),
+            (**node.own_config_shared()).clone(),
             node.own_notification(),
             node.resets_started(),
             node.no_reco(),
@@ -1592,7 +1574,7 @@ mod tests {
     fn single_participant_system_converges_and_reconfigures() {
         let mut h = Harness::participants(1);
         h.rounds(5);
-        assert_eq!(h.converged(), Some(config_set([0])));
+        assert_eq!(h.agreed_config(), Some(config_set([0])));
         // With itself as the only participant, an estab for a different set
         // that includes an unknown processor is still installed (the new
         // member will have to join and catch up).

@@ -763,28 +763,22 @@ impl simnet::ScenarioTarget for CounterNode {
         self.start_queued_increment(ctx);
     }
 
-    /// The node-local conjunct of [`ScenarioTarget::converged`]: no in-flight or
-    /// queued work, and (for members) a maximal counter to agree on.
-    ///
-    /// [`ScenarioTarget::converged`]: simnet::ScenarioTarget::converged
+    /// No in-flight or queued work, and (for members) a maximal counter to
+    /// agree on.
     fn settled(&self) -> bool {
         self.pending.is_none()
             && self.queued_increments == 0
             && (!self.is_member() || self.max_counter.is_some())
     }
 
-    /// The agreement token is the maximal counter members gossip on;
-    /// non-members abstain, so clients never block agreement.
-    fn settle_token(&self) -> String {
-        if !self.is_member() {
-            return String::new();
-        }
-        match &self.max_counter {
-            Some(c) => format!(
-                "counter={}:{}:{}:{}",
-                c.label.creator, c.label.sting, c.seqn, c.wid
-            ),
-            None => "counter=none".to_string(),
+    type State<'a> = &'a Counter;
+
+    /// A member's maximal counter, label and all; non-members abstain, so
+    /// clients never block agreement.
+    fn agreement(&self) -> simnet::Agreement<'_, &Counter> {
+        simnet::Agreement {
+            config: None,
+            state: self.max_counter.as_ref().filter(|_| self.is_member()),
         }
     }
 
@@ -800,33 +794,11 @@ impl simnet::ScenarioTarget for CounterNode {
         Some(simnet::Spec::MonotoneToken)
     }
 
-    /// Converged: every active processor is [`settled`](simnet::ScenarioTarget::settled) —
-    /// nothing queued or in flight, and a maximal counter at every member —
-    /// and all members hold the same one.
-    fn converged(sim: &simnet::Simulation<Self>) -> bool {
-        let mut first = None;
-        sim.active_processes().all(|(_, p)| {
-            p.settled()
-                && (!p.is_member() || *first.get_or_insert(&p.max_counter) == &p.max_counter)
-        })
-    }
-
     /// Safety: a member's maximal counter must carry a *legit* label — one
     /// created by a configuration member (Theorem 4.6's precondition).
     /// Corruption can violate this transiently; the gossip must wash it out.
     fn invariant_violations(sim: &simnet::Simulation<Self>) -> Vec<String> {
-        let mut violations = Vec::new();
-        for (id, p) in sim.active_processes().filter(|(_, p)| p.is_member()) {
-            if let Some(c) = &p.max_counter {
-                if !p.labeler.has_member(c.label.creator) {
-                    violations.push(format!(
-                        "{id}: maximal counter labelled by non-member {}",
-                        c.label.creator
-                    ));
-                }
-            }
-        }
-        violations
+        label_violations(sim.active_processes())
     }
 
     fn state_line(id: simnet::ProcessId, p: &Self) -> String {
@@ -838,6 +810,19 @@ impl simnet::ScenarioTarget for CounterNode {
             p.queued_increments
         )
     }
+}
+
+/// The members among `nodes` whose maximal counter carries a label no
+/// configuration member created, one line each.
+fn label_violations<'a>(nodes: impl Iterator<Item = (ProcessId, &'a CounterNode)>) -> Vec<String> {
+    nodes
+        .filter(|(_, p)| p.is_member())
+        .filter_map(|(id, p)| {
+            let creator = p.max_counter.as_ref()?.label.creator;
+            (!p.labeler.has_member(creator))
+                .then(|| format!("{id}: maximal counter labelled by non-member {creator}"))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1447,6 +1432,35 @@ mod tests {
         );
         assert!(!node.increment_in_flight());
     }
+    /// Two settled members whose maximal counters differ only in their
+    /// label's antistings have not converged, and their settle tokens do
+    /// not agree either: the token renders the whole counter.
+    #[test]
+    fn counters_differing_only_in_antistings_neither_converge_nor_agree() {
+        use simnet::scenario::{tokens_agree, ScenarioTarget};
+        let cfg = config_set([0, 1]);
+        let sim_with = |antistings: [[u32; 1]; 2]| {
+            let mut sim = simnet::Simulation::new(simnet::SimConfig::default());
+            for (i, antistings) in (0..).zip(antistings) {
+                let mut node = CounterNode::new(pid(i), cfg.clone());
+                let label = labels::Label {
+                    creator: pid(0),
+                    sting: 3,
+                    antistings: std::sync::Arc::new(BTreeSet::from(antistings)),
+                };
+                node.max_counter = Some(Counter::zero(label, pid(0)));
+                sim.add_process_with_id(pid(i), node);
+            }
+            let tokens: Vec<String> = sim
+                .active_processes()
+                .map(|(_, p)| p.settle_token())
+                .collect();
+            assert!(sim.active_processes().all(|(_, p)| p.settled()));
+            (CounterNode::converged(&sim), tokens_agree(&tokens))
+        };
+        assert_eq!(sim_with([[7], [7]]), (true, true));
+        assert_eq!(sim_with([[7], [8]]), (false, false));
+    }
 }
 
 /// Seeded-bug regression: re-introduces the stale-label counter bug (an
@@ -1555,35 +1569,18 @@ mod seeded_bug {
             CounterNode::lin_spec()
         }
 
-        fn converged(sim: &simnet::Simulation<Self>) -> bool {
-            let mut members = sim
-                .active_processes()
-                .filter(|(_, p)| p.inner.is_member())
-                .map(|(_, p)| p.inner.max_counter.clone());
-            let agreed = match members.next() {
-                None => true,
-                Some(None) => false,
-                Some(first) => members.all(|c| c == first),
-            };
-            agreed
-                && sim
-                    .active_processes()
-                    .all(|(_, p)| p.inner.pending.is_none() && p.inner.queued_increments == 0)
+        fn settled(&self) -> bool {
+            self.inner.settled()
+        }
+
+        type State<'a> = &'a Counter;
+
+        fn agreement(&self) -> simnet::Agreement<'_, &Counter> {
+            self.inner.agreement()
         }
 
         fn invariant_violations(sim: &simnet::Simulation<Self>) -> Vec<String> {
-            let mut violations = Vec::new();
-            for (id, p) in sim.active_processes().filter(|(_, p)| p.inner.is_member()) {
-                if let Some(c) = &p.inner.max_counter {
-                    if !p.inner.labeler.has_member(c.label.creator) {
-                        violations.push(format!(
-                            "{id}: maximal counter labelled by non-member {}",
-                            c.label.creator
-                        ));
-                    }
-                }
-            }
-            violations
+            label_violations(sim.active_processes().map(|(id, p)| (id, &p.inner)))
         }
 
         fn state_line(id: ProcessId, p: &Self) -> String {

@@ -9,7 +9,7 @@
 //!
 //! | request              | response fields                                  |
 //! |----------------------|--------------------------------------------------|
-//! | `status`             | `id`, `settled`, `token` (hex), `ticks`, `sent`, `recv`, `drops`, `decode_errors`, `submitted`, `completed_ok`, `completed_fail`, `timer_period` |
+//! | `status`             | `id`, `settled`, `token` (hex of the node's `settle_token`: its `agreement` as a `config=…` and a `state=…` line), `ticks`, `sent`, `recv`, `drops`, `decode_errors`, `submitted`, `completed_ok`, `completed_fail`, `timer_period` |
 //! | `submit <key> <val>` | `accepted`                                       |
 //! | `claim`              | `claimed`, `ok` (present when `claimed`) — see below |
 //! | `timer <p>`          | `timer_period` — sets the period to `p` ticks    |

@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread;
@@ -98,7 +98,8 @@ pub struct NodeStats {
     pub sent: u64,
     /// Frames decoded and delivered to `on_message`.
     pub recv: u64,
-    /// Frames dropped: full writer queue or no known address for the peer.
+    /// Frames dropped: full writer queue, no known address for the peer, or
+    /// a peer whose writer failed its last connect attempt.
     pub drops: u64,
     /// Inbound frames that failed to decode.
     pub decode_errors: u64,
@@ -139,6 +140,10 @@ struct WaitingClaim {
 
 struct PeerLink {
     queue: SyncSender<Vec<u8>>,
+    /// Cleared by the writer when a connect attempt fails and set when one
+    /// succeeds; set at spawn, so frames queue while the first attempt is
+    /// under way.
+    up: Arc<AtomicBool>,
 }
 
 /// Runs one live node until it is told to `shutdown` (or its event sources
@@ -458,6 +463,12 @@ where
             let link = links
                 .entry(dest)
                 .or_insert_with(|| spawn_writer(me, my_data_port, addr.clone()));
+            if !link.up.load(Ordering::Relaxed) {
+                // The writer would discard the frame before its next
+                // connect attempt: count the drop and skip the encoding.
+                stats.drops += 1;
+                continue;
+            }
             match link.queue.try_send(msg.to_bytes()) {
                 Ok(()) => stats.sent += 1,
                 Err(TrySendError::Full(_)) => stats.drops += 1,
@@ -584,18 +595,30 @@ where
 
 fn spawn_writer(me: ProcessId, my_data_port: u16, addr: String) -> PeerLink {
     let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(WRITER_QUEUE);
-    thread::spawn(move || run_writer(me, my_data_port, &addr, &rx));
-    PeerLink { queue: tx }
+    let up = Arc::new(AtomicBool::new(true));
+    let writer_up = Arc::clone(&up);
+    thread::spawn(move || run_writer(me, my_data_port, &addr, &rx, &writer_up));
+    PeerLink { queue: tx, up }
 }
 
 /// Writer thread body: connect with capped exponential backoff, send the
 /// hello, then drain the queue into frames. On any socket error, drop the
 /// connection and reconnect; frames arriving while disconnected pile into
-/// the bounded queue (overflow is dropped at the sender).
-fn run_writer(me: ProcessId, my_data_port: u16, addr: &str, rx: &Receiver<Vec<u8>>) {
+/// the bounded queue (overflow is dropped at the sender). `up` tells the
+/// sender whether the last connect attempt succeeded: while it failed, the
+/// sender drops frames instead of queueing them.
+fn run_writer(
+    me: ProcessId,
+    my_data_port: u16,
+    addr: &str,
+    rx: &Receiver<Vec<u8>>,
+    up: &AtomicBool,
+) {
     let mut backoff = BACKOFF_MIN;
     loop {
-        let Ok(stream) = TcpStream::connect(addr) else {
+        let connected = TcpStream::connect(addr);
+        up.store(connected.is_ok(), Ordering::Relaxed);
+        let Ok(stream) = connected else {
             thread::sleep(backoff);
             backoff = (backoff * 2).min(BACKOFF_MAX);
             // Keep the queue from filling with stale frames while the
@@ -643,15 +666,20 @@ fn run_writer(me: ProcessId, my_data_port: u16, addr: &str, rx: &Receiver<Vec<u8
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{Process, SimRng, Simulation};
+    use simnet::{Agreement, Process, SimRng, Simulation};
 
-    /// A target that accepts every op and completes none.
+    /// A target that accepts every op and completes none, and sends every
+    /// peer a frame each tick.
     #[derive(Clone)]
     struct NeverCompletes;
 
     impl Process for NeverCompletes {
         type Msg = u64;
-        fn on_timer(&mut self, _ctx: &mut Context<'_, u64>) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_, u64>) {
+            for peer in ctx.peers() {
+                ctx.send(peer, 0);
+            }
+        }
         fn on_message(&mut self, _from: ProcessId, _msg: u64, _ctx: &mut Context<'_, u64>) {}
     }
 
@@ -669,8 +697,12 @@ mod tests {
         fn submit_local(&mut self, _key: u64, _value: u64) -> bool {
             true
         }
-        fn converged(_sim: &Simulation<Self>) -> bool {
+        fn settled(&self) -> bool {
             true
+        }
+        type State<'a> = ();
+        fn agreement(&self) -> Agreement<'_, ()> {
+            Agreement::default()
         }
         fn invariant_violations(_sim: &Simulation<Self>) -> Vec<String> {
             Vec::new()
@@ -680,20 +712,20 @@ mod tests {
         }
     }
 
-    /// A claim that waits for an op that never completes is answered
-    /// `claimed: false` about one tick later, although frames arrive every
-    /// 100 µs and the event queue is never idle; a claim that does not
-    /// wait is answered at once.
-    #[test]
-    fn a_waiting_claim_is_answered_after_one_tick_while_frames_keep_arriving() {
-        const TICK: Duration = Duration::from_millis(100);
+    /// Runs `NeverCompletes` as node 0 of two in an event loop on its own
+    /// thread, with `book` as its address book: the event queue and the
+    /// loop's thread.
+    fn spawn_loop(
+        tick: Duration,
+        mut book: BTreeMap<ProcessId, String>,
+    ) -> (Sender<Event<u64>>, thread::JoinHandle<io::Result<()>>) {
         let (events, queue) = mpsc::channel();
         let loopback = events.clone();
         let cfg = NodeConfig {
             me: ProcessId::new(0),
             n: 2,
             joiner: false,
-            tick_ms: TICK.as_millis() as u64,
+            tick_ms: tick.as_millis() as u64,
             cluster_path: PathBuf::new(),
         };
         let node = thread::spawn(move || {
@@ -702,28 +734,49 @@ mod tests {
                 cfg,
                 0,
                 NeverCompletes,
-                &mut BTreeMap::new(),
+                &mut book,
                 queue,
                 &loopback,
                 &timer_period,
             )
         });
-        let ask = |request, waits| {
-            let (reply, answer) = mpsc::channel();
-            events
-                .send(Event::Control {
-                    request,
-                    waits,
-                    reply,
-                })
-                .expect("the event loop runs");
-            answer
-        };
-        let submitted = ask(Request::Submit { key: 1, value: 1 }, false).recv();
+        (events, node)
+    }
+
+    /// Sends a control request; the receiver gets its reply.
+    fn ask(events: &Sender<Event<u64>>, request: Request, waits: bool) -> Receiver<Json> {
+        let (reply, answer) = mpsc::channel();
+        events
+            .send(Event::Control {
+                request,
+                waits,
+                reply,
+            })
+            .expect("the event loop runs");
+        answer
+    }
+
+    fn shut_down(events: &Sender<Event<u64>>, node: thread::JoinHandle<io::Result<()>>) {
+        let bye = ask(events, Request::Shutdown, false).recv();
+        assert_eq!(bye, Ok(Json::obj().field("bye", true)));
+        node.join()
+            .expect("the event loop does not panic")
+            .expect("the event loop exits cleanly");
+    }
+
+    /// A claim that waits for an op that never completes is answered
+    /// `claimed: false` about one tick later, although frames arrive every
+    /// 100 µs and the event queue is never idle; a claim that does not
+    /// wait is answered at once.
+    #[test]
+    fn a_waiting_claim_is_answered_after_one_tick_while_frames_keep_arriving() {
+        const TICK: Duration = Duration::from_millis(100);
+        let (events, node) = spawn_loop(TICK, BTreeMap::new());
+        let submitted = ask(&events, Request::Submit { key: 1, value: 1 }, false).recv();
         assert_eq!(submitted, Ok(Json::obj().field("accepted", true)));
 
         let asked = Instant::now();
-        let answer = ask(Request::Claim, true);
+        let answer = ask(&events, Request::Claim, true);
         let reply = loop {
             events
                 .send(Event::Packet {
@@ -745,15 +798,39 @@ mod tests {
         );
 
         let asked = Instant::now();
-        assert_eq!(ask(Request::Claim, false).recv(), Ok(unclaimed()));
+        assert_eq!(ask(&events, Request::Claim, false).recv(), Ok(unclaimed()));
         assert!(asked.elapsed() < TICK / 2, "{:?}", asked.elapsed());
+        shut_down(&events, node);
+    }
 
-        assert_eq!(
-            ask(Request::Shutdown, false).recv(),
-            Ok(Json::obj().field("bye", true))
-        );
-        node.join()
-            .expect("the event loop does not panic")
-            .expect("the event loop exits cleanly");
+    /// Once the writer's connect to a peer has been refused, every frame
+    /// for that peer is counted as a drop, and none is handed to the
+    /// writer only to be discarded there.
+    #[test]
+    fn frames_for_a_peer_that_refuses_connections_are_counted_as_drops() {
+        // A port nothing listens on: bound, then released.
+        let refused = TcpListener::bind("127.0.0.1:0")
+            .and_then(|listener| listener.local_addr())
+            .expect("a free port");
+        let book = BTreeMap::from([(ProcessId::new(1), refused.to_string())]);
+        let (events, node) = spawn_loop(Duration::from_millis(100), book);
+        let tick = || events.send(Event::Tick).expect("the event loop runs");
+        let sent_and_drops = || {
+            let status = ask(&events, Request::Status, false).recv().expect("status");
+            let count = |field| status.get(field).and_then(Json::as_u64).expect(field);
+            (count("sent"), count("drops"))
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while sent_and_drops().1 == 0 {
+            assert!(Instant::now() < deadline, "no frame was ever dropped");
+            tick();
+            thread::sleep(Duration::from_millis(5));
+        }
+        let (sent, drops) = sent_and_drops();
+        for _ in 0..10 {
+            tick();
+        }
+        assert_eq!(sent_and_drops(), (sent, drops + 10));
+        shut_down(&events, node);
     }
 }

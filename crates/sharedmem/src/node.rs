@@ -767,37 +767,23 @@ impl simnet::ScenarioTarget for SharedMemNode {
         self.start_next_op(cfg, ctx);
     }
 
-    /// The node-local conjunct of [`ScenarioTarget::converged`]: a calm, installed
-    /// reconfiguration layer and no operation in flight or queued.
-    ///
-    /// [`ScenarioTarget::converged`]: simnet::ScenarioTarget::converged
+    /// A [`settled`](simnet::ScenarioTarget::settled) reconfiguration layer
+    /// and no operation in flight or queued.
     fn settled(&self) -> bool {
-        let r = self.reconfig();
-        r.is_participant()
-            && r.no_reconfiguration()
-            && r.installed_config_ref().is_some()
-            && !self.has_pending_ops()
+        simnet::ScenarioTarget::settled(self.reconfig()) && !self.has_pending_ops()
     }
 
-    /// The agreement token: the installed configuration for everyone, plus
-    /// one component per workload register for configuration members —
-    /// mirroring [`ScenarioTarget::converged`]'s member-only register comparison.
-    ///
-    /// [`ScenarioTarget::converged`]: simnet::ScenarioTarget::converged
-    fn settle_token(&self) -> String {
-        let r = self.reconfig();
-        let Some(config) = r.installed_config() else {
-            return String::new();
-        };
-        let cfg = reconfig::types::ConfigValue::Set(config.clone());
-        let mut token = format!("config={cfg}");
-        if config.contains(&self.me) {
-            for key in CHAOS_KEYS {
-                let value = self.local_value(RegisterId::new(key));
-                token.push_str(&format!("\nreg:{key}={value:?}"));
-            }
+    type State<'a> = [Option<u64>; CHAOS_KEYS.len()];
+
+    /// The installed configuration, plus — for its members — the value of
+    /// every workload register.
+    fn agreement(&self) -> simnet::Agreement<'_, Self::State<'_>> {
+        simnet::Agreement {
+            config: self.reconfig().installed_config_ref(),
+            state: self
+                .is_member()
+                .then(|| CHAOS_KEYS.map(|key| self.local_value(RegisterId::new(key)))),
         }
-        token
     }
 
     /// The recordable shape of `Self::submit_local`'s operation: client keys
@@ -818,35 +804,6 @@ impl simnet::ScenarioTarget for SharedMemNode {
     /// against the register spec.
     fn lin_spec() -> Option<simnet::Spec> {
         Some(simnet::Spec::Register)
-    }
-
-    /// Converged: every active processor is [`settled`](simnet::ScenarioTarget::settled) —
-    /// a calm installed configuration, no operation queued or in flight —
-    /// under the same configuration, and every active member reports the
-    /// same value for every workload register.
-    fn converged(sim: &simnet::Simulation<Self>) -> bool {
-        let mut config = None;
-        for (_, node) in sim.active_processes() {
-            let installed = node.reconfig().installed_config_ref();
-            if !node.settled() || *config.get_or_insert(installed) != installed {
-                return false;
-            }
-        }
-        let Some(Some(config)) = config else {
-            return true;
-        };
-        for key in CHAOS_KEYS {
-            let key = RegisterId::new(key);
-            let mut values = sim
-                .active_processes()
-                .filter(|(id, _)| config.contains(id))
-                .map(|(_, p)| p.local_value(key));
-            let first = values.next().unwrap_or(None);
-            if values.any(|v| v != first) {
-                return false;
-            }
-        }
-        true
     }
 
     /// Safety: tags totally order writes, so two members holding the *same*

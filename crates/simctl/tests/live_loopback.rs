@@ -67,8 +67,9 @@ impl Cluster {
             .collect()
     }
 
-    /// Blocks until every node has taken a timer step and reports `settled`
-    /// under one agreed token. (An initial member is settled as spawned; it
+    /// Blocks until every node has taken a timer step and reports `settled`,
+    /// and their settle tokens agree by `simctl drive`'s rule
+    /// (`tokens_agree`). (An initial member is settled as spawned; it
     /// is its first step that synchronises its store towards the
     /// configuration and makes it ready to serve.)
     fn wait_settled(&self, nodes: &mut [ControlClient]) {
@@ -82,8 +83,15 @@ impl Cluster {
                 s.get("settled").and_then(Json::as_bool) == Some(true)
                     && s.get("ticks").and_then(Json::as_u64) >= Some(1)
             });
-            let token = |s: &Json| s.get("token").and_then(Json::as_str).map(String::from);
-            if settled && statuses.iter().all(|s| token(s) == token(&statuses[0])) {
+            let tokens: Vec<String> = statuses
+                .iter()
+                .map(|s| {
+                    let hex = s.get("token").and_then(Json::as_str).expect("token");
+                    String::from_utf8(livenet::hex_decode(hex).expect("hex token"))
+                        .expect("utf-8 token")
+                })
+                .collect();
+            if settled && simnet::scenario::tokens_agree(&tokens) {
                 return;
             }
             assert!(

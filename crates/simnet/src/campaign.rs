@@ -50,7 +50,7 @@
 //! prefix counts towards the cell that ran it.
 //!
 //! ```
-//! # use simnet::scenario::ScenarioTarget;
+//! # use simnet::scenario::{Agreement, ScenarioTarget};
 //! # use simnet::{Context, Process, ProcessId, SimRng, Simulation};
 //! # #[derive(Debug, Clone)]
 //! # struct Flood { value: u64 }
@@ -73,10 +73,10 @@
 //! #         self.value = rng.range_inclusive(50, 99);
 //! #         Vec::new()
 //! #     }
-//! #     fn converged(sim: &Simulation<Self>) -> bool {
-//! #         let mut v = sim.active_processes().map(|(_, p)| p.value);
-//! #         let first = v.next();
-//! #         v.all(|x| Some(x) == first)
+//! #     fn settled(&self) -> bool { true }
+//! #     type State<'a> = u64;
+//! #     fn agreement(&self) -> Agreement<'_, u64> {
+//! #         Agreement { config: None, state: Some(self.value) }
 //! #     }
 //! #     fn invariant_violations(_sim: &Simulation<Self>) -> Vec<String> { Vec::new() }
 //! #     fn state_line(i: ProcessId, p: &Self) -> String { format!("{i} {}", p.value) }

@@ -125,7 +125,7 @@ pub use plan::{Fault, FaultAction, ForgeKind};
 pub use process::{Context, Process, ProcessId, ProcessStatus};
 pub use report::Json;
 pub use rng::SimRng;
-pub use scenario::{LinkProfile, Scenario, ScenarioRun, ScenarioRunner, ScenarioTarget};
+pub use scenario::{Agreement, LinkProfile, Scenario, ScenarioRun, ScenarioRunner, ScenarioTarget};
 pub use scheduler::Simulation;
 pub use stack::{Layer, Outbox, Sink};
 pub use time::Round;

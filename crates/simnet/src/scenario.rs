@@ -41,7 +41,8 @@
 //! assert!(!s.actions_at(Round::new(8)).is_empty());
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use crate::channel::ChannelPolicy;
 use crate::config::{SchedulerMode, SimConfig};
@@ -680,34 +681,49 @@ pub trait ScenarioTarget: Process<Msg: Send + Sync> + Clone + Send + 'static {
         let _ = ctx;
     }
 
-    /// This node's *local* claim that it has converged (the node-local
-    /// conjunct of [`ScenarioTarget::converged`]). The live driver declares
-    /// a cluster converged when every live node is settled **and** all
-    /// [`ScenarioTarget::settle_token`]s agree — the same shape as the
-    /// simulator's global predicate, assembled from per-process answers.
-    /// The default never settles: backends refuse to declare convergence
-    /// for targets that do not implement the hook.
-    fn settled(&self) -> bool {
-        false
+    /// This node's *local* claim that it has converged: the per-process
+    /// conjunct of [`ScenarioTarget::converged`].
+    fn settled(&self) -> bool;
+
+    /// The type of [`Agreement::state`].
+    type State<'a>: PartialEq + fmt::Debug
+    where
+        Self: 'a;
+
+    /// What this node vouches for when [`settled`](ScenarioTarget::settled):
+    /// the configuration it follows and its state in it, each `None` where
+    /// it has no stake (a client reports no replica state). Borrowed, not
+    /// cloned: [`ScenarioTarget::converged`] asks every active process for
+    /// it every round after the last fault.
+    fn agreement(&self) -> Agreement<'_, Self::State<'_>>;
+
+    /// Returns `true` once the system has (re-)converged, the scenario's
+    /// liveness criterion: every active process is
+    /// [`settled`](ScenarioTarget::settled), and each component of their
+    /// [`agreement`](ScenarioTarget::agreement)s is equal among the
+    /// processes that report it.
+    fn converged(sim: &Simulation<Self>) -> bool {
+        let mut seen = Agreement {
+            config: None,
+            state: None,
+        };
+        sim.active_processes()
+            .all(|(_, p)| p.settled() && seen.absorb(p.agreement()))
     }
 
-    /// A canonical description of the agreement-relevant part of this
-    /// node's state (installed configuration, view, register contents …):
-    /// newline-separated `key=value` components. The live driver declares
-    /// agreement when, for every `key`, all nodes reporting that key report
-    /// the same value — so a node reports only the components it has a
-    /// stake in (a non-member reports the configuration it follows but no
-    /// view/state component), mirroring the pairwise checks of
-    /// [`ScenarioTarget::converged`]. An empty token abstains from every
-    /// component. Values must be deterministic and platform-independent,
-    /// and must not contain newlines.
+    /// [`ScenarioTarget::agreement`] as text, for the live backend's
+    /// `status` reply: a `config=…` line and a `state=…` line, each the
+    /// component's `Debug` rendering and present only when reported. An
+    /// empty token abstains. Two tokens pass [`tokens_agree`] exactly when
+    /// the typed values pass [`ScenarioTarget::converged`]'s comparison.
     fn settle_token(&self) -> String {
-        String::new()
+        let Agreement { config, state } = self.agreement();
+        let lines = [
+            config.map(|c| format!("config={c:?}")),
+            state.map(|s| format!("state={s:?}")),
+        ];
+        lines.into_iter().flatten().collect::<Vec<_>>().join("\n")
     }
-
-    /// Returns `true` once the system has (re-)converged: the scenario's
-    /// liveness criterion.
-    fn converged(sim: &Simulation<Self>) -> bool;
 
     /// Safety-invariant violations observable in the current global state;
     /// checked at the end of a run (after convergence, or after the round
@@ -732,22 +748,55 @@ pub trait ScenarioTarget: Process<Msg: Send + Sync> + Clone + Send + 'static {
     }
 }
 
-/// The agreement half of the per-process convergence rule: whether a set
-/// of [`ScenarioTarget::settle_token`]s agree. Every `key=value` component
-/// is compared per key across the tokens that report it — nodes
-/// legitimately report different key sets (an SMR non-member has no
-/// `view`), and an empty token abstains entirely. The live driver declares
-/// a cluster converged when every live node is
-/// [`settled`](ScenarioTarget::settled) and this holds; in the simulator
-/// that rule and [`ScenarioTarget::converged`] agree in every round.
+/// What a process vouches for when settled ([`ScenarioTarget::agreement`]):
+/// the configuration it follows and its state in it. A component is
+/// `None` where the process has no stake, and then abstains from that
+/// component's comparison.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Agreement<'a, S> {
+    /// The installed configuration this process follows.
+    pub config: Option<&'a BTreeSet<ProcessId>>,
+    /// The state this process holds in that configuration.
+    pub state: Option<S>,
+}
+
+impl<'a, S: PartialEq> Agreement<'a, S> {
+    /// Folds `other` into the components reported so far: `false` when a
+    /// component both report differs.
+    fn absorb(&mut self, other: Self) -> bool {
+        agree(&mut self.config, other.config) && agree(&mut self.state, other.state)
+    }
+}
+
+/// The first reported value of a component is kept; every later one must
+/// equal it.
+fn agree<T: PartialEq>(seen: &mut Option<T>, value: Option<T>) -> bool {
+    match (seen.as_ref(), value) {
+        (_, None) => true,
+        (Some(prior), Some(value)) => *prior == value,
+        (None, value) => {
+            *seen = value;
+            true
+        }
+    }
+}
+
+/// The live driver's agreement rule: whether a set of
+/// [`ScenarioTarget::settle_token`]s agree. Every `key=value` line is
+/// compared per key across the tokens that report it — nodes legitimately
+/// report different key sets (an SMR non-member has no `state`), and an
+/// empty token abstains entirely. The live driver declares a cluster
+/// converged when every live node is
+/// [`settled`](ScenarioTarget::settled) and this holds: the rule
+/// [`ScenarioTarget::converged`] applies to the typed values.
 ///
 /// ```
 /// use simnet::scenario::tokens_agree;
 ///
-/// let member = "config={0,1}\nview=7".to_string();
-/// let client = "config={0,1}".to_string();
+/// let member = "config={p0, p1}\nstate=7".to_string();
+/// let client = "config={p0, p1}".to_string();
 /// assert!(tokens_agree(&[member.clone(), client, String::new()]));
-/// assert!(!tokens_agree(&[member, "view=8".to_string()]));
+/// assert!(!tokens_agree(&[member, "state=8".to_string()]));
 /// ```
 pub fn tokens_agree(tokens: &[String]) -> bool {
     let mut seen: BTreeMap<&str, &str> = BTreeMap::new();
@@ -838,7 +887,7 @@ const ADVERSARY_SALT: u64 = 0xc4a0_5eed_c4a0_5eed;
 /// cell that shares it ([`crate::Campaign::cell_jobs`]).
 ///
 /// ```
-/// # use simnet::scenario::ScenarioTarget;
+/// # use simnet::scenario::{Agreement, ScenarioTarget};
 /// # use simnet::{Context, Process, ProcessId, SimRng, Simulation};
 /// # #[derive(Debug, Clone)]
 /// # struct Flood { value: u64 }
@@ -861,10 +910,10 @@ const ADVERSARY_SALT: u64 = 0xc4a0_5eed_c4a0_5eed;
 /// #         self.value = rng.range_inclusive(50, 99);
 /// #         Vec::new()
 /// #     }
-/// #     fn converged(sim: &Simulation<Self>) -> bool {
-/// #         let mut v = sim.active_processes().map(|(_, p)| p.value);
-/// #         let first = v.next();
-/// #         v.all(|x| Some(x) == first)
+/// #     fn settled(&self) -> bool { true }
+/// #     type State<'a> = u64;
+/// #     fn agreement(&self) -> Agreement<'_, u64> {
+/// #         Agreement { config: None, state: Some(self.value) }
 /// #     }
 /// #     fn invariant_violations(_sim: &Simulation<Self>) -> Vec<String> { Vec::new() }
 /// #     fn state_line(i: ProcessId, p: &Self) -> String { format!("{i} {}", p.value) }

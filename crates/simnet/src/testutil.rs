@@ -4,7 +4,7 @@
 use crate::history::OpResponse;
 use crate::process::{Context, Process, ProcessId};
 use crate::rng::SimRng;
-use crate::scenario::ScenarioTarget;
+use crate::scenario::{Agreement, ScenarioTarget};
 use crate::scheduler::Simulation;
 use crate::time::Round;
 
@@ -115,11 +115,16 @@ impl ScenarioTarget for MaxNode {
         })
     }
 
-    fn converged(sim: &Simulation<Self>) -> bool {
-        let mut values = sim.active_processes().map(|(_, p)| p.value);
-        match values.next() {
-            None => true,
-            Some(first) => values.all(|v| v == first),
+    fn settled(&self) -> bool {
+        true
+    }
+
+    type State<'a> = u64;
+
+    fn agreement(&self) -> Agreement<'_, u64> {
+        Agreement {
+            config: None,
+            state: Some(self.value),
         }
     }
 

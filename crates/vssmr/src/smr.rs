@@ -335,6 +335,13 @@ impl SmrNode {
         &self.reconfig
     }
 
+    /// Whether this replica is a member of its installed configuration.
+    fn is_member(&self) -> bool {
+        self.reconfig
+            .installed_config_ref()
+            .is_some_and(|cfg| cfg.contains(&self.me))
+    }
+
     /// Returns `true` when this replica currently acts as the coordinator of
     /// an installed view.
     pub fn is_coordinator(&self) -> bool {
@@ -1075,89 +1082,28 @@ impl simnet::ScenarioTarget for SmrNode {
     // broadcast of the multicast round (Alg. 4.7), which only the timer
     // step emits.
 
-    /// The node-local conjunct of [`ScenarioTarget::converged`]: the reconfiguration
-    /// layer is calm and installed, and — for configuration members — a
-    /// view is installed with no undelivered inputs.
-    ///
-    /// [`ScenarioTarget::converged`]: simnet::ScenarioTarget::converged
+    /// The reconfiguration layer is [`settled`](simnet::ScenarioTarget::settled),
+    /// and — for configuration members — a view is installed with no
+    /// undelivered inputs.
     fn settled(&self) -> bool {
-        let r = self.reconfig();
-        if !r.is_participant() || !r.no_reconfiguration() {
-            return false;
-        }
-        let Some(config) = r.installed_config_ref() else {
-            return false;
-        };
-        if !config.contains(&self.me) {
-            return true;
-        }
-        self.view.is_some() && self.current_input.is_none() && self.pending.is_empty()
+        simnet::ScenarioTarget::settled(self.reconfig())
+            && (!self.is_member()
+                || self.view.is_some() && self.current_input.is_none() && self.pending.is_empty())
     }
 
-    /// The agreement token: the installed configuration plus — for members
-    /// — the view identifier/membership and the replica state. Non-members
-    /// report only the configuration component, mirroring
-    /// [`ScenarioTarget::converged`]'s two loops.
-    ///
-    /// [`ScenarioTarget::converged`]: simnet::ScenarioTarget::converged
-    fn settle_token(&self) -> String {
-        let r = self.reconfig();
-        let Some(config) = r.installed_config() else {
-            return String::new();
-        };
-        let cfg = reconfig::types::ConfigValue::Set(config.clone());
-        if !config.contains(&self.me) {
-            return format!("config={cfg}");
-        }
-        let view = match &self.view {
-            Some(v) => format!(
-                "{}:{}:{}:{}@{:?}",
-                v.id.label.creator,
-                v.id.label.sting,
-                v.id.seqn,
-                v.id.wid,
-                v.members.iter().map(|p| p.as_u32()).collect::<Vec<_>>()
-            ),
-            None => "none".to_string(),
-        };
-        format!(
-            "config={cfg}\nview={view}\nstate=applied:{} registers:{:?}",
-            self.state.applied, self.state.registers
-        )
-    }
+    type State<'a> = (&'a View, &'a ReplicaState);
 
-    /// Converged: every active processor is [`settled`](simnet::ScenarioTarget::settled) under
-    /// the same installed configuration, and every active member of it sits
-    /// in the same view with the same replica state.
-    fn converged(sim: &simnet::Simulation<Self>) -> bool {
-        let mut config = None;
-        for (_, node) in sim.active_processes() {
-            let installed = node.reconfig().installed_config_ref();
-            if !node.settled() || *config.get_or_insert(installed) != installed {
-                return false;
-            }
+    /// The installed configuration, plus — for its members — the view and
+    /// the replica state.
+    fn agreement(&self) -> simnet::Agreement<'_, Self::State<'_>> {
+        simnet::Agreement {
+            config: self.reconfig().installed_config_ref(),
+            state: self
+                .view
+                .as_ref()
+                .filter(|_| self.is_member())
+                .map(|view| (view, &self.state)),
         }
-        let Some(Some(config)) = config else {
-            return true;
-        };
-        let mut reference: Option<(&View, &ReplicaState)> = None;
-        for (id, node) in sim.active_processes() {
-            if !config.contains(&id) {
-                continue;
-            }
-            let Some(view) = node.view() else {
-                return false;
-            };
-            match &reference {
-                None => reference = Some((view, node.state())),
-                Some((v, s)) => {
-                    if view != *v || node.state() != *s {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
     }
 
     /// Safety: view identifiers are drawn from the counter service, so two

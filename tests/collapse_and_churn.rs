@@ -52,15 +52,9 @@ fn rolling_crashes_keep_shrinking_the_configuration() {
     let mut sim = Simulation::new(SimConfig::default().with_seed(702).with_max_delay(0));
     for i in 0..6u32 {
         let id = ProcessId::new(i);
-        sim.add_process_with_id(
-            id,
-            ReconfigNode::new_with_config(
-                id,
-                cfg.clone(),
-                NodeConfig::for_n(32)
-                    .with_eval_policy(reconfig::EvalPolicy::MissingFraction { fraction: 0.15 }),
-            ),
-        );
+        let mut node = ReconfigNode::new_with_config(id, cfg.clone(), NodeConfig::for_n(32));
+        node.set_eval_policy(reconfig::EvalPolicy::MissingFraction { fraction: 0.15 });
+        sim.add_process_with_id(id, node);
     }
     sim.run_rounds(60);
     sim.run_rounds_with(800, |s| match s.now().as_u64() {

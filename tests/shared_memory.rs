@@ -369,8 +369,7 @@ impl<P: ScenarioTarget> simnet::Process for Eager<P> {
 }
 
 /// The shared-memory adapter re-expressed over the wrapper from the node's
-/// per-process hooks: convergence is the live driver's rule (everyone
-/// settled, tokens agree), claims are the node's own.
+/// per-process hooks: settlement, agreement and claims are the node's own.
 impl ScenarioTarget for Eager<SharedMemNode> {
     const NAME: &'static str = "eager-sharedmem";
 
@@ -406,13 +405,14 @@ impl ScenarioTarget for Eager<SharedMemNode> {
         SharedMemNode::lin_spec()
     }
 
-    fn converged(sim: &Simulation<Self>) -> bool {
-        let tokens: Vec<String> = sim
-            .active_processes()
-            .map(|(_, p)| p.node.settle_token())
-            .collect();
-        sim.active_processes().all(|(_, p)| p.node.settled())
-            && simnet::scenario::tokens_agree(&tokens)
+    fn settled(&self) -> bool {
+        self.node.settled()
+    }
+
+    type State<'a> = <SharedMemNode as ScenarioTarget>::State<'a>;
+
+    fn agreement(&self) -> simnet::Agreement<'_, Self::State<'_>> {
+        self.node.agreement()
     }
 
     fn invariant_violations(_sim: &Simulation<Self>) -> Vec<String> {
