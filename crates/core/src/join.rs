@@ -26,39 +26,20 @@ use simnet::ProcessId;
 use crate::recsa::RecSa;
 use crate::types::ConfigValue;
 
-/// Messages of the joining mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinMsg {
-    /// "Join" — a joiner asking the configuration members for a pass.
-    Request,
-    /// A configuration member's response: whether the pass is granted.
-    /// (The application-state snapshot the paper attaches here is exchanged
-    /// by the application layer itself — in this repository by the virtual
-    /// synchrony state transfer — so the core message stays payload-free.)
-    Response {
-        /// `true` grants the pass; `false` denies or retracts it.
-        pass: bool,
-    },
-}
-
-impl simnet::codec::WireCodec for JoinMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            JoinMsg::Request => out.push(0),
-            JoinMsg::Response { pass } => {
-                out.push(1);
-                simnet::codec::WireCodec::encode(pass, out);
-            }
-        }
-    }
-    fn decode(r: &mut simnet::codec::Reader<'_>) -> Result<Self, simnet::codec::DecodeError> {
-        match r.u8()? {
-            0 => Ok(JoinMsg::Request),
-            1 => Ok(JoinMsg::Response {
-                pass: simnet::codec::WireCodec::decode(r)?,
-            }),
-            tag => Err(simnet::codec::DecodeError::UnknownLane { ty: "JoinMsg", tag }),
-        }
+simnet::wire_enum! {
+    /// Messages of the joining mechanism.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum JoinMsg {
+        /// "Join" — a joiner asking the configuration members for a pass.
+        Request,
+        /// A configuration member's response: whether the pass is granted.
+        /// (The application-state snapshot the paper attaches here is exchanged
+        /// by the application layer itself — in this repository by the virtual
+        /// synchrony state transfer — so the core message stays payload-free.)
+        Response {
+            /// `true` grants the pass; `false` denies or retracts it.
+            pass: bool,
+        },
     }
 }
 

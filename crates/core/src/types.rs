@@ -12,7 +12,6 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use simnet::codec::{DecodeError, Reader, WireCodec};
 use simnet::ProcessId;
 
 /// A quorum configuration: a non-empty set of processors. Majorities of this
@@ -133,22 +132,24 @@ pub fn same_ntf(a: &SharedNtf, b: &SharedNtf) -> bool {
     Arc::ptr_eq(a, b) || a == b
 }
 
-/// The value of a `config[]` entry.
-///
-/// * [`ConfigValue::NonParticipant`] is the paper's `]` marker: the processor
-///   has not (yet) joined the participant set.
-/// * [`ConfigValue::Bottom`] is `⊥`: the processor detected stale information
-///   and takes part in a brute-force configuration reset.
-/// * [`ConfigValue::Set`] is an actual configuration.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum ConfigValue {
-    /// `]` — the processor is not a participant.
-    #[default]
-    NonParticipant,
-    /// `⊥` — a configuration reset is in progress.
-    Bottom,
-    /// A concrete quorum configuration.
-    Set(ConfigSet),
+simnet::wire_enum! {
+    /// The value of a `config[]` entry.
+    ///
+    /// * [`ConfigValue::NonParticipant`] is the paper's `]` marker: the processor
+    ///   has not (yet) joined the participant set.
+    /// * [`ConfigValue::Bottom`] is `⊥`: the processor detected stale information
+    ///   and takes part in a brute-force configuration reset.
+    /// * [`ConfigValue::Set`] is an actual configuration.
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+    pub enum ConfigValue {
+        /// `]` — the processor is not a participant.
+        #[default]
+        NonParticipant,
+        /// `⊥` — a configuration reset is in progress.
+        Bottom,
+        /// A concrete quorum configuration.
+        Set(ConfigSet),
+    }
 }
 
 impl ConfigValue {
@@ -202,17 +203,19 @@ impl fmt::Display for ConfigValue {
     }
 }
 
-/// The phase of the delicate-replacement automaton (Figure 2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum Phase {
-    /// Phase 0: no replacement in progress; the algorithm only monitors for
-    /// stale information.
-    #[default]
-    Zero,
-    /// Phase 1: converge to a single (lexicographically maximal) proposal.
-    One,
-    /// Phase 2: replace the configuration with the selected proposal.
-    Two,
+simnet::wire_enum! {
+    /// The phase of the delicate-replacement automaton (Figure 2 of the paper).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+    pub enum Phase {
+        /// Phase 0: no replacement in progress; the algorithm only monitors for
+        /// stale information.
+        #[default]
+        Zero,
+        /// Phase 1: converge to a single (lexicographically maximal) proposal.
+        One,
+        /// Phase 2: replace the configuration with the selected proposal.
+        Two,
+    }
 }
 
 impl Phase {
@@ -325,49 +328,9 @@ pub fn config_set(ids: impl IntoIterator<Item = u32>) -> ConfigSet {
 
 // --- wire codec ---------------------------------------------------------
 //
-// Binary encodings for the live runtime (`simnet::codec`). Enum tags are
-// declaration indices; struct fields encode in declaration order. The shared
-// `Arc` wrappers encode as their contents — decoding does not re-intern,
-// which is safe because `same_set`/`same_config`/`same_ntf` fall back to
-// value equality when pointer identity fails.
-
-impl WireCodec for ConfigValue {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ConfigValue::NonParticipant => out.push(0),
-            ConfigValue::Bottom => out.push(1),
-            ConfigValue::Set(set) => {
-                out.push(2);
-                set.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(ConfigValue::NonParticipant),
-            1 => Ok(ConfigValue::Bottom),
-            2 => Ok(ConfigValue::Set(ConfigSet::decode(r)?)),
-            tag => Err(DecodeError::UnknownLane {
-                ty: "ConfigValue",
-                tag,
-            }),
-        }
-    }
-}
-
-impl WireCodec for Phase {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.as_u8());
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(Phase::Zero),
-            1 => Ok(Phase::One),
-            2 => Ok(Phase::Two),
-            tag => Err(DecodeError::UnknownLane { ty: "Phase", tag }),
-        }
-    }
-}
+// The enums above derive theirs in `wire_enum!`. The shared `Arc` wrappers
+// encode as their contents; decoding does not re-intern, which is safe
+// because `same_set`/`same_config`/`same_ntf` fall back to value equality.
 
 simnet::wire_struct_codec!(Notification { phase, set });
 simnet::wire_struct_codec!(EchoTriple { part, prp, all });

@@ -4,6 +4,7 @@
 //! errors — never panics.
 
 use std::collections::BTreeSet;
+use std::fmt::Debug;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -170,4 +171,36 @@ fn oversized_set_claim_is_rejected() {
         err,
         DecodeError::TooLarge { .. } | DecodeError::Truncated { .. }
     ));
+}
+
+/// One value of every variant of `T`, in declaration order, with the bytes
+/// the hand-written codec gave it; the next tag is an unknown lane of `ty`.
+fn pin_every_variant<T: WireCodec + PartialEq + Debug>(ty: &'static str, table: &[(T, Vec<u8>)]) {
+    for (value, bytes) in table {
+        assert_eq!(&value.to_bytes(), bytes, "{value:?}");
+        assert_eq!(T::from_bytes(bytes).as_ref(), Ok(value));
+    }
+    let tag = table.len() as u8;
+    let unknown = DecodeError::UnknownLane { ty, tag };
+    assert_eq!(T::from_bytes(&[tag]).err(), Some(unknown));
+}
+
+/// The bytes of every variant of the enums this crate puts on the wire.
+#[rustfmt::skip]
+#[test]
+fn every_variant_wire_bytes_are_pinned() {
+    pin_every_variant("JoinMsg", &[
+        (JoinMsg::Request, vec![0]),
+        (JoinMsg::Response { pass: true }, vec![1, 1]),
+    ]);
+    pin_every_variant("ConfigValue", &[
+        (ConfigValue::NonParticipant, vec![0]),
+        (ConfigValue::Bottom, vec![1]),
+        (ConfigValue::Set(config_set([1, 2])), vec![2, 2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0]),
+    ]);
+    pin_every_variant("Phase", &[
+        (Phase::Zero, vec![0]),
+        (Phase::One, vec![1]),
+        (Phase::Two, vec![2]),
+    ]);
 }

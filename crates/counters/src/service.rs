@@ -26,87 +26,38 @@ use simnet::ProcessId;
 
 use crate::counter::{Counter, DEFAULT_EXHAUSTION_BOUND};
 
-/// The two-phase quorum messages of an increment operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QuorumMsg {
-    /// `majRead` query.
-    ReadRequest {
-        /// Operation identifier, local to the requester.
-        op: u64,
-    },
-    /// Reply to a read: the member's maximal counter, or an abort.
-    ReadReply {
-        /// Operation identifier echoed back.
-        op: u64,
-        /// The member's maximal counter (`None` when it has none yet).
-        counter: Option<Counter>,
-        /// `true` when the member is reconfiguring and aborts the operation.
-        abort: bool,
-    },
-    /// `majWrite` of a freshly incremented counter.
-    WriteRequest {
-        /// Operation identifier.
-        op: u64,
-        /// The counter to install.
-        counter: Counter,
-    },
-    /// Acknowledgement of a write, or an abort.
-    WriteAck {
-        /// Operation identifier echoed back.
-        op: u64,
-        /// `true` when the member aborted the write.
-        abort: bool,
-    },
-}
-
-impl simnet::codec::WireCodec for QuorumMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use simnet::codec::WireCodec as W;
-        match self {
-            QuorumMsg::ReadRequest { op } => {
-                out.push(0);
-                W::encode(op, out);
-            }
-            QuorumMsg::ReadReply { op, counter, abort } => {
-                out.push(1);
-                W::encode(op, out);
-                W::encode(counter, out);
-                W::encode(abort, out);
-            }
-            QuorumMsg::WriteRequest { op, counter } => {
-                out.push(2);
-                W::encode(op, out);
-                W::encode(counter, out);
-            }
-            QuorumMsg::WriteAck { op, abort } => {
-                out.push(3);
-                W::encode(op, out);
-                W::encode(abort, out);
-            }
-        }
-    }
-    fn decode(r: &mut simnet::codec::Reader<'_>) -> Result<Self, simnet::codec::DecodeError> {
-        use simnet::codec::WireCodec as W;
-        match r.u8()? {
-            0 => Ok(QuorumMsg::ReadRequest { op: W::decode(r)? }),
-            1 => Ok(QuorumMsg::ReadReply {
-                op: W::decode(r)?,
-                counter: W::decode(r)?,
-                abort: W::decode(r)?,
-            }),
-            2 => Ok(QuorumMsg::WriteRequest {
-                op: W::decode(r)?,
-                counter: W::decode(r)?,
-            }),
-            3 => Ok(QuorumMsg::WriteAck {
-                op: W::decode(r)?,
-                abort: W::decode(r)?,
-            }),
-            tag => Err(simnet::codec::DecodeError::UnknownLane {
-                ty: "QuorumMsg",
-                tag,
-            }),
-        }
+simnet::wire_enum! {
+    /// The two-phase quorum messages of an increment operation.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum QuorumMsg {
+        /// `majRead` query.
+        ReadRequest {
+            /// Operation identifier, local to the requester.
+            op: u64,
+        },
+        /// Reply to a read: the member's maximal counter, or an abort.
+        ReadReply {
+            /// Operation identifier echoed back.
+            op: u64,
+            /// The member's maximal counter (`None` when it has none yet).
+            counter: Option<Counter>,
+            /// `true` when the member is reconfiguring and aborts the operation.
+            abort: bool,
+        },
+        /// `majWrite` of a freshly incremented counter.
+        WriteRequest {
+            /// Operation identifier.
+            op: u64,
+            /// The counter to install.
+            counter: Counter,
+        },
+        /// Acknowledgement of a write, or an abort.
+        WriteAck {
+            /// Operation identifier echoed back.
+            op: u64,
+            /// `true` when the member aborted the write.
+            abort: bool,
+        },
     }
 }
 

@@ -2,6 +2,7 @@
 //! envelope ([`CounterMsg`]).
 
 use std::collections::BTreeSet;
+use std::fmt::Debug;
 use std::sync::Arc;
 
 use counters::{Counter, CounterMsg, QuorumMsg};
@@ -121,4 +122,35 @@ fn oversized_antisting_claim_is_rejected() {
         err,
         DecodeError::TooLarge { .. } | DecodeError::Truncated { .. }
     ));
+}
+
+/// One value of every variant of `T`, in declaration order, with the bytes
+/// the hand-written codec gave it; the next tag is an unknown lane of `ty`.
+fn pin_every_variant<T: WireCodec + PartialEq + Debug>(ty: &'static str, table: &[(T, Vec<u8>)]) {
+    for (value, bytes) in table {
+        assert_eq!(&value.to_bytes(), bytes, "{value:?}");
+        assert_eq!(T::from_bytes(bytes).as_ref(), Ok(value));
+    }
+    let tag = table.len() as u8;
+    let unknown = DecodeError::UnknownLane { ty, tag };
+    assert_eq!(T::from_bytes(&[tag]).err(), Some(unknown));
+}
+
+/// The bytes of every variant of the enums this crate puts on the wire.
+#[rustfmt::skip]
+#[test]
+fn every_variant_wire_bytes_are_pinned() {
+    let counter = Counter::zero(Label::genesis(ProcessId::new(2)), ProcessId::new(1));
+    let reply = QuorumMsg::ReadReply { op: 5, counter: Some(counter.clone()), abort: false };
+    let (c, op5, op6): (&[u8], &[u8], &[u8]) = (
+        &[2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0], // counter
+        &[5, 0, 0, 0, 0, 0, 0, 0], // op 5
+        &[6, 0, 0, 0, 0, 0, 0, 0], // op 6
+    );
+    pin_every_variant("QuorumMsg", &[
+        (QuorumMsg::ReadRequest { op: 5 }, [&[0], op5].concat()),
+        (reply, [&[1], op5, &[1], c, &[0]].concat()),
+        (QuorumMsg::WriteRequest { op: 6, counter }, [&[2], op6, c].concat()),
+        (QuorumMsg::WriteAck { op: 6, abort: true }, [&[3], op6, &[1]].concat()),
+    ]);
 }

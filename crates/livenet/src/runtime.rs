@@ -98,8 +98,9 @@ pub struct NodeStats {
     pub sent: u64,
     /// Frames decoded and delivered to `on_message`.
     pub recv: u64,
-    /// Frames dropped: full writer queue, no known address for the peer, or
-    /// a peer whose writer failed its last connect attempt.
+    /// Frames dropped: full writer queue, no known address for the peer, a
+    /// peer whose writer failed its last connect attempt, or frames a writer
+    /// discarded because they were queued before its connect failed.
     pub drops: u64,
     /// Inbound frames that failed to decode.
     pub decode_errors: u64,
@@ -378,6 +379,8 @@ where
 {
     let me = cfg.me;
     let mut links: BTreeMap<ProcessId, PeerLink> = BTreeMap::new();
+    // Frames the writers discarded, not yet folded into `stats.drops`.
+    let discarded = Arc::new(AtomicU64::new(0));
     let mut ids: Vec<ProcessId> = book.keys().copied().chain([me]).collect();
     ids.sort_unstable();
     let mut stats = NodeStats::default();
@@ -437,6 +440,7 @@ where
                 deadline: Instant::now() + tick,
             }),
             Event::Control { request, reply, .. } => {
+                stats.drops += discarded.swap(0, Ordering::Relaxed);
                 let (json, shutdown) =
                     step(&mut node, me, round, &ids, &mut outbox, |node, ctx| {
                         handle_control(&request, node, ctx, &mut stats, timer_period)
@@ -462,7 +466,7 @@ where
             };
             let link = links
                 .entry(dest)
-                .or_insert_with(|| spawn_writer(me, my_data_port, addr.clone()));
+                .or_insert_with(|| spawn_writer(me, my_data_port, addr.clone(), &discarded));
             if !link.up.load(Ordering::Relaxed) {
                 // The writer would discard the frame before its next
                 // connect attempt: count the drop and skip the encoding.
@@ -476,7 +480,10 @@ where
                     // Writer thread died (it never exits on socket errors,
                     // only on queue disconnect, so this is unreachable in
                     // practice); respawn it.
-                    links.insert(dest, spawn_writer(me, my_data_port, addr.clone()));
+                    links.insert(
+                        dest,
+                        spawn_writer(me, my_data_port, addr.clone(), &discarded),
+                    );
                     stats.drops += 1;
                 }
             }
@@ -593,11 +600,17 @@ where
     (json, false)
 }
 
-fn spawn_writer(me: ProcessId, my_data_port: u16, addr: String) -> PeerLink {
+fn spawn_writer(
+    me: ProcessId,
+    my_data_port: u16,
+    addr: String,
+    discarded: &Arc<AtomicU64>,
+) -> PeerLink {
     let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(WRITER_QUEUE);
     let up = Arc::new(AtomicBool::new(true));
     let writer_up = Arc::clone(&up);
-    thread::spawn(move || run_writer(me, my_data_port, &addr, &rx, &writer_up));
+    let discarded = Arc::clone(discarded);
+    thread::spawn(move || run_writer(me, my_data_port, &addr, &rx, &writer_up, &discarded));
     PeerLink { queue: tx, up }
 }
 
@@ -606,13 +619,15 @@ fn spawn_writer(me: ProcessId, my_data_port: u16, addr: String) -> PeerLink {
 /// connection and reconnect; frames arriving while disconnected pile into
 /// the bounded queue (overflow is dropped at the sender). `up` tells the
 /// sender whether the last connect attempt succeeded: while it failed, the
-/// sender drops frames instead of queueing them.
+/// sender drops frames instead of queueing them. Frames queued before a
+/// connect failed are discarded and added to `discarded`.
 fn run_writer(
     me: ProcessId,
     my_data_port: u16,
     addr: &str,
     rx: &Receiver<Vec<u8>>,
     up: &AtomicBool,
+    discarded: &AtomicU64,
 ) {
     let mut backoff = BACKOFF_MIN;
     loop {
@@ -622,8 +637,10 @@ fn run_writer(
             thread::sleep(backoff);
             backoff = (backoff * 2).min(BACKOFF_MAX);
             // Keep the queue from filling with stale frames while the
-            // peer is down: discard whatever accumulated.
-            while rx.try_recv().is_ok() {}
+            // peer is down: discard whatever accumulated, and count it.
+            while rx.try_recv().is_ok() {
+                discarded.fetch_add(1, Ordering::Relaxed);
+            }
             continue;
         };
         backoff = BACKOFF_MIN;
@@ -805,7 +822,9 @@ mod tests {
 
     /// Once the writer's connect to a peer has been refused, every frame
     /// for that peer is counted as a drop, and none is handed to the
-    /// writer only to be discarded there.
+    /// writer only to be discarded there. The frames handed to it before
+    /// the refusal are discarded by the writer and counted too: after K
+    /// ticks, `drops` reaches K.
     #[test]
     fn frames_for_a_peer_that_refuses_connections_are_counted_as_drops() {
         // A port nothing listens on: bound, then released.
@@ -821,16 +840,25 @@ mod tests {
             (count("sent"), count("drops"))
         };
         let deadline = Instant::now() + Duration::from_secs(10);
+        let mut ticks = 0;
         while sent_and_drops().1 == 0 {
             assert!(Instant::now() < deadline, "no frame was ever dropped");
             tick();
+            ticks += 1;
             thread::sleep(Duration::from_millis(5));
         }
-        let (sent, drops) = sent_and_drops();
+        let (sent, _) = sent_and_drops();
         for _ in 0..10 {
             tick();
         }
-        assert_eq!(sent_and_drops(), (sent, drops + 10));
+        ticks += 10;
+        // One frame per tick, none handed to the writer after the refusal,
+        // and every one of them dropped in the end.
+        while sent_and_drops() != (sent, ticks) {
+            let now = sent_and_drops();
+            assert!(Instant::now() < deadline, "{ticks} frames: {now:?}");
+            thread::sleep(Duration::from_millis(5));
+        }
         shut_down(&events, node);
     }
 }

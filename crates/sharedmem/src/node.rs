@@ -26,115 +26,52 @@ use crate::op::{OpStep, PendingOp};
 use crate::store::RegisterStore;
 use crate::types::{OpId, OpKind, OpOutcome, RegisterId, TaggedValue};
 
-/// The two-phase register protocol messages (query, propagate, abort and
-/// post-reconfiguration state transfer).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegisterMsg {
-    /// Query phase request: "send me your latest tagged value for `key`".
-    Query {
-        /// The operation this request belongs to.
-        op: OpId,
-        /// The register queried.
-        key: RegisterId,
-    },
-    /// Query phase response.
-    QueryResp {
-        /// The operation this response belongs to.
-        op: OpId,
-        /// The register queried.
-        key: RegisterId,
-        /// The responder's latest tagged value, if any.
-        current: Option<TaggedValue>,
-    },
-    /// Propagate phase request: "adopt this tagged value for `key`".
-    Update {
-        /// The operation this request belongs to.
-        op: OpId,
-        /// The register written.
-        key: RegisterId,
-        /// The tagged value to adopt.
-        value: TaggedValue,
-    },
-    /// Propagate phase acknowledgement.
-    UpdateAck {
-        /// The acknowledged operation.
-        op: OpId,
-    },
-    /// A member refuses to serve the operation because a reconfiguration is
-    /// in progress.
-    OpAbort {
-        /// The refused operation.
-        op: OpId,
-    },
-    /// Post-reconfiguration state transfer: the sender's whole store.
-    StoreSync {
-        /// Snapshot of the sender's register store.
-        entries: Vec<(RegisterId, TaggedValue)>,
-    },
-}
-
-impl simnet::codec::WireCodec for RegisterMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use simnet::codec::WireCodec as W;
-        match self {
-            RegisterMsg::Query { op, key } => {
-                out.push(0);
-                W::encode(op, out);
-                W::encode(key, out);
-            }
-            RegisterMsg::QueryResp { op, key, current } => {
-                out.push(1);
-                W::encode(op, out);
-                W::encode(key, out);
-                W::encode(current, out);
-            }
-            RegisterMsg::Update { op, key, value } => {
-                out.push(2);
-                W::encode(op, out);
-                W::encode(key, out);
-                W::encode(value, out);
-            }
-            RegisterMsg::UpdateAck { op } => {
-                out.push(3);
-                W::encode(op, out);
-            }
-            RegisterMsg::OpAbort { op } => {
-                out.push(4);
-                W::encode(op, out);
-            }
-            RegisterMsg::StoreSync { entries } => {
-                out.push(5);
-                W::encode(entries, out);
-            }
-        }
-    }
-    fn decode(r: &mut simnet::codec::Reader<'_>) -> Result<Self, simnet::codec::DecodeError> {
-        use simnet::codec::WireCodec as W;
-        match r.u8()? {
-            0 => Ok(RegisterMsg::Query {
-                op: W::decode(r)?,
-                key: W::decode(r)?,
-            }),
-            1 => Ok(RegisterMsg::QueryResp {
-                op: W::decode(r)?,
-                key: W::decode(r)?,
-                current: W::decode(r)?,
-            }),
-            2 => Ok(RegisterMsg::Update {
-                op: W::decode(r)?,
-                key: W::decode(r)?,
-                value: W::decode(r)?,
-            }),
-            3 => Ok(RegisterMsg::UpdateAck { op: W::decode(r)? }),
-            4 => Ok(RegisterMsg::OpAbort { op: W::decode(r)? }),
-            5 => Ok(RegisterMsg::StoreSync {
-                entries: W::decode(r)?,
-            }),
-            tag => Err(simnet::codec::DecodeError::UnknownLane {
-                ty: "RegisterMsg",
-                tag,
-            }),
-        }
+simnet::wire_enum! {
+    /// The two-phase register protocol messages (query, propagate, abort and
+    /// post-reconfiguration state transfer).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum RegisterMsg {
+        /// Query phase request: "send me your latest tagged value for `key`".
+        Query {
+            /// The operation this request belongs to.
+            op: OpId,
+            /// The register queried.
+            key: RegisterId,
+        },
+        /// Query phase response.
+        QueryResp {
+            /// The operation this response belongs to.
+            op: OpId,
+            /// The register queried.
+            key: RegisterId,
+            /// The responder's latest tagged value, if any.
+            current: Option<TaggedValue>,
+        },
+        /// Propagate phase request: "adopt this tagged value for `key`".
+        Update {
+            /// The operation this request belongs to.
+            op: OpId,
+            /// The register written.
+            key: RegisterId,
+            /// The tagged value to adopt.
+            value: TaggedValue,
+        },
+        /// Propagate phase acknowledgement.
+        UpdateAck {
+            /// The acknowledged operation.
+            op: OpId,
+        },
+        /// A member refuses to serve the operation because a reconfiguration is
+        /// in progress.
+        OpAbort {
+            /// The refused operation.
+            op: OpId,
+        },
+        /// Post-reconfiguration state transfer: the sender's whole store.
+        StoreSync {
+            /// Snapshot of the sender's register store.
+            entries: Vec<(RegisterId, TaggedValue)>,
+        },
     }
 }
 

@@ -1,6 +1,7 @@
 //! Wire-codec round-trip and malformed-input tests for the shared-memory
 //! envelope ([`SharedMemMsg`]).
 
+use std::fmt::Debug;
 use std::sync::Arc;
 
 use counters::Counter;
@@ -128,4 +129,41 @@ fn oversized_store_sync_claim_is_rejected() {
         err,
         DecodeError::TooLarge { .. } | DecodeError::Truncated { .. }
     ));
+}
+
+/// One value of every variant of `T`, in declaration order, with the bytes
+/// the hand-written codec gave it; the next tag is an unknown lane of `ty`.
+fn pin_every_variant<T: WireCodec + PartialEq + Debug>(ty: &'static str, table: &[(T, Vec<u8>)]) {
+    for (value, bytes) in table {
+        assert_eq!(&value.to_bytes(), bytes, "{value:?}");
+        assert_eq!(T::from_bytes(bytes).as_ref(), Ok(value));
+    }
+    let tag = table.len() as u8;
+    let unknown = DecodeError::UnknownLane { ty, tag };
+    assert_eq!(T::from_bytes(&[tag]).err(), Some(unknown));
+}
+
+/// The bytes of every variant of the enums this crate puts on the wire.
+#[rustfmt::skip]
+#[test]
+fn every_variant_wire_bytes_are_pinned() {
+    let (op, key) = (OpId::new(ProcessId::new(3), 4), RegisterId::new(8));
+    let tag = Counter::zero(Label::genesis(ProcessId::new(2)), ProcessId::new(1));
+    let value = TaggedValue::new(tag, 10);
+    let (o, k, v): (&[u8], &[u8], &[u8]) = (
+        &[3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0],  // op: origin, seq
+        &[8, 0, 0, 0, 0, 0, 0, 0],              // key
+        &[2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,   // tag: creator, sting, antistings
+          0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0,   // seqn, wid
+          10, 0, 0, 0, 0, 0, 0, 0],             // value
+    );
+    let (current, update) = (Some(value.clone()), value.clone());
+    pin_every_variant("RegisterMsg", &[
+        (RegisterMsg::Query { op, key }, [&[0], o, k].concat()),
+        (RegisterMsg::QueryResp { op, key, current }, [&[1], o, k, &[1], v].concat()),
+        (RegisterMsg::Update { op, key, value: update }, [&[2], o, k, v].concat()),
+        (RegisterMsg::UpdateAck { op }, [&[3], o].concat()),
+        (RegisterMsg::OpAbort { op }, [&[4], o].concat()),
+        (RegisterMsg::StoreSync { entries: vec![(key, value)] }, [&[5, 1, 0, 0, 0], k, v].concat()),
+    ]);
 }

@@ -444,19 +444,16 @@ pub fn cmd_drive(args: &[String]) -> Result<bool, String> {
     let scenario = simnet::scenario::find(scenario_name, n)
         .ok_or_else(|| format!("unknown scenario `{scenario_name}` (try `simctl list`)"))?;
     if !scenario.live_capable() {
-        let live: Vec<&str> = simnet::scenario::catalog(n)
+        let live = simnet::scenario::catalog(n)
             .iter()
             .filter(|s| s.live_capable())
             .map(|s| s.name())
             .collect::<Vec<_>>()
-            .into_iter()
-            .map(|s| Box::leak(s.to_string().into_boxed_str()) as &str)
-            .collect();
+            .join(", ");
         return Err(format!(
             "scenario `{scenario_name}` schedules simulator-only fault actions \
              (partitions, channel policies, corruption or injection); live-capable \
-             scenarios: {}",
-            live.join(", ")
+             scenarios: {live}"
         ));
     }
     let clients: u64 = parse_flag(&flags, "clients", 0u64)?;
@@ -715,5 +712,27 @@ fn claim_completions(
             latencies.record(invoked.elapsed().as_millis() as u64);
         }
         driver.bump(if ok { "ops_completed_ok" } else { "ops_failed" }, 1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A scenario with a simulator-only fault action is refused before any
+    /// node is contacted, and the refusal names every live-capable one.
+    #[test]
+    fn drive_refuses_a_simulator_only_scenario_and_lists_the_live_ones() {
+        let cluster = std::env::temp_dir().join(format!("drive-refusal-{}", std::process::id()));
+        let no_nodes = r#"{"node_kind": "sharedmem", "tick_ms": 10, "initial_n": 4, "nodes": []}"#;
+        std::fs::write(&cluster, no_nodes).expect("the cluster file is written");
+        let args = ["partition-heal", "--cluster", cluster.to_str().unwrap()].map(String::from);
+        let refusal = cmd_drive(&args).expect_err("partition-heal has no live adapter");
+        let _ = std::fs::remove_file(&cluster);
+        let live = "quiescent, crash-minority, churn, gray-lag, clock-skew, crash-recovery";
+        assert!(
+            refusal.ends_with(&format!("live-capable scenarios: {live}")),
+            "{refusal}"
+        );
     }
 }

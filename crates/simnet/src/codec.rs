@@ -1,11 +1,17 @@
 //! Deterministic binary wire codec for the live runtime.
 //!
-//! Every envelope declared with [`wire_enum!`](crate::wire_enum) gets a
-//! derived [`WireCodec`] implementation: one byte of **lane tag** (the
-//! variant's declaration index) followed by the variant payload, each payload
-//! field encoded in declaration order. Payload types implement [`WireCodec`]
-//! by hand (or via [`wire_struct_codec!`](crate::wire_struct_codec)) in the
-//! crate that defines them.
+//! Every wire value's [`WireCodec`] is either one of the primitive
+//! implementations below or derived by one of three macros, and none is
+//! written by hand:
+//!
+//! * [`wire_enum!`](crate::wire_enum) for every enum: one byte of **tag**
+//!   (the variant's declaration index) followed by the variant's fields in
+//!   declaration order. A variant is a unit variant, a single-payload tuple
+//!   variant (a *lane*) or a struct-like variant;
+//! * [`wire_struct_codec!`](crate::wire_struct_codec) for a named-field
+//!   struct: its fields in declaration order;
+//! * [`wire_newtype_codec!`](crate::wire_newtype_codec) for a newtype: its
+//!   inner value.
 //!
 //! ## Encoding rules
 //!
@@ -23,7 +29,7 @@
 //!   a sender-side optimisation, and every cross-`Arc` comparison in the
 //!   protocol stack falls back to value equality, so a non-interned decode is
 //!   behaviour-identical;
-//! * enums are a one-byte tag (declaration index) followed by the payload.
+//! * enums are a one-byte tag (declaration index) followed by the fields.
 //!
 //! Framing (length prefixes, protocol version, sender identity) lives one
 //! level up, in `livenet`; this module is only concerned with the payload
@@ -193,9 +199,11 @@ impl<'a> Reader<'a> {
 
 /// Deterministic binary encode/decode for one wire value.
 ///
-/// Derived for every [`wire_enum!`](crate::wire_enum) envelope; implemented
-/// by hand (or via [`wire_struct_codec!`](crate::wire_struct_codec)) for the
-/// payload types the envelopes carry.
+/// Implemented here for the primitives and derived for everything else: by
+/// [`wire_enum!`](crate::wire_enum) for every enum (unit, lane and
+/// struct-like variants), by [`wire_struct_codec!`](crate::wire_struct_codec)
+/// for named-field structs and by
+/// [`wire_newtype_codec!`](crate::wire_newtype_codec) for newtypes.
 pub trait WireCodec: Sized {
     /// Appends this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);

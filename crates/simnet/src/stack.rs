@@ -254,20 +254,45 @@ pub trait Layer {
     fn handle<O: Sink<Self::Wire>>(&mut self, from: ProcessId, wire: Self::Wire, out: &mut O);
 }
 
-/// Defines a composite wire enum and derives `From<Payload>` for it per
-/// payload-carrying variant (a *lane*), so a [`Sink`] of the wire takes the
-/// payload type directly. Unit variants are allowed and stay lane-less (send
-/// them as wire values; every type converts into itself).
+/// Defines a wire enum and derives its [`crate::codec::WireCodec`], the one
+/// enum encoding of the workspace: one tag byte, the variant's declaration
+/// index, then the variant's fields in declaration order. A variant is
 ///
-/// Also derives [`crate::codec::WireCodec`]: the wire encoding is one byte of
-/// lane tag — the variant's declaration index — followed by the payload's
-/// encoding (nothing for unit variants). Every payload type must therefore
-/// implement `WireCodec`; an undeclared tag byte decodes to
-/// [`crate::codec::DecodeError::UnknownLane`]. Because tags are declaration
-/// indices, appending variants is wire-compatible but reordering or removing
-/// them is a breaking protocol change (see `docs/LIVE.md`).
+/// * a unit variant, `Ping`: the tag alone;
+/// * a *lane*, `Seq(u64)`: a single-payload tuple variant, for which
+///   `From<Payload>` is derived too, so a [`Sink`] of the wire takes the
+///   payload directly (the other forms are sent as wire values);
+/// * a struct-like variant, `Ack { op: u64, ok: bool }`, whose fields may
+///   carry doc comments.
 ///
-/// See the [module documentation](self) for a full example.
+/// Every payload and field type must implement `WireCodec`; an undeclared
+/// tag decodes to [`crate::codec::DecodeError::UnknownLane`] naming the enum.
+/// Appending variants is wire-compatible; reordering or removing variants or
+/// fields is a breaking protocol change (see `docs/LIVE.md`).
+///
+/// ```
+/// use simnet::codec::WireCodec;
+///
+/// simnet::wire_enum! {
+///     #[derive(Debug, Clone, PartialEq, Eq)]
+///     pub enum ProbeMsg {
+///         Ping,
+///         Seq(u64),
+///         Ack {
+///             /// The acknowledged sequence number.
+///             op: u64,
+///             ok: bool,
+///         },
+///     }
+/// }
+///
+/// let ack = ProbeMsg::Ack { op: 7, ok: true };
+/// assert_eq!(ack.to_bytes(), [2, 7, 0, 0, 0, 0, 0, 0, 0, 1]);
+/// assert_eq!(ProbeMsg::from_bytes(&ack.to_bytes()), Ok(ack));
+/// assert_eq!(ProbeMsg::from(9u64), ProbeMsg::Seq(9));
+/// ```
+///
+/// See the [module documentation](self) for a composite wire of lanes.
 #[macro_export]
 macro_rules! wire_enum {
     (
@@ -275,7 +300,9 @@ macro_rules! wire_enum {
         $vis:vis enum $name:ident {
             $(
                 $(#[$vmeta:meta])*
-                $variant:ident $( ( $payload:ty ) )?
+                $variant:ident
+                $( ( $payload:ty ) )?
+                $( { $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)? } )?
             ),* $(,)?
         }
     ) => {
@@ -283,113 +310,97 @@ macro_rules! wire_enum {
         $vis enum $name {
             $(
                 $(#[$vmeta])*
-                $variant $( ( $payload ) )?,
+                $variant
+                $( ( $payload ) )?
+                $( { $( $(#[$fmeta])* $field : $fty ),* } )?,
             )*
         }
 
-        $(
-            $crate::__wire_enum_lane! { $name, $variant $( ( $payload ) )? }
-        )*
+        $( $crate::__wire_enum_variant! { @lane $name $variant $( ( $payload ) )? } )*
 
-        impl $crate::codec::WireCodec for $name {
-            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
-                $crate::__wire_enum_encode_step! {
-                    self, out, $name, 0u8;
-                    $( $variant $( ( $payload ) )? ),*
+        const _: () = {
+            // The compiler numbers a field-less enum's variants by
+            // declaration index: the tag of each variant of the wire enum.
+            enum __WireEnumTag { $( $variant, )* }
+
+            impl $crate::codec::WireCodec for $name {
+                fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                    match self {
+                        $(
+                            $crate::__wire_enum_variant! {
+                                @pat $name $variant payload
+                                $( ( $payload ) )?
+                                $( { $( $field )* } )?
+                            } => {
+                                out.push(__WireEnumTag::$variant as u8);
+                                $crate::__wire_enum_variant! {
+                                    @enc out payload
+                                    $( ( $payload ) )?
+                                    $( { $( $field )* } )?
+                                }
+                            }
+                        )*
+                    }
+                }
+
+                fn decode(
+                    r: &mut $crate::codec::Reader<'_>,
+                ) -> ::std::result::Result<Self, $crate::codec::DecodeError> {
+                    let tag = r.u8()?;
+                    $(
+                        if tag == __WireEnumTag::$variant as u8 {
+                            return ::std::result::Result::Ok($crate::__wire_enum_variant! {
+                                @dec $name $variant r
+                                $( ( $payload ) )?
+                                $( { $( $field )* } )?
+                            });
+                        }
+                    )*
+                    ::std::result::Result::Err($crate::codec::DecodeError::UnknownLane {
+                        ty: ::std::stringify!($name),
+                        tag,
+                    })
                 }
             }
-
-            fn decode(
-                r: &mut $crate::codec::Reader<'_>,
-            ) -> ::std::result::Result<Self, $crate::codec::DecodeError> {
-                let tag = r.u8()?;
-                $crate::__wire_enum_decode_step! {
-                    tag, r, $name, 0u8;
-                    $( $variant $( ( $payload ) )? ),*
-                }
-            }
-        }
+        };
     };
 }
 
-/// Implementation detail of [`wire_enum!`](crate::wire_enum): emits the
-/// encode body as a chain of `if let` arms, threading the variant's
-/// declaration index through as a constant-folded unary sum (macro_rules has
-/// no `${index()}` on this toolchain).
+/// Implementation detail of [`wire_enum!`](crate::wire_enum): a variant's
+/// `From` lane, match pattern, field encoding and decoding constructor, per
+/// form. The caller passes the tuple form's binding (macro hygiene).
 #[doc(hidden)]
 #[macro_export]
-macro_rules! __wire_enum_encode_step {
-    ($self:expr, $out:ident, $name:ident, $idx:expr ; ) => {
-        // Every variant was peeled off in an earlier arm; nothing reaches
-        // here, but the chain needs a tail expression.
-        {}
-    };
-    ($self:expr, $out:ident, $name:ident, $idx:expr ; $variant:ident ( $payload:ty ) $(, $($rest:tt)*)?) => {
-        if let $name::$variant(payload) = $self {
-            $out.push($idx);
-            $crate::codec::WireCodec::encode(payload, $out);
-        } else {
-            $crate::__wire_enum_encode_step! {
-                $self, $out, $name, $idx + 1u8; $($($rest)*)?
-            }
-        }
-    };
-    ($self:expr, $out:ident, $name:ident, $idx:expr ; $variant:ident $(, $($rest:tt)*)?) => {
-        if let $name::$variant = $self {
-            $out.push($idx);
-        } else {
-            $crate::__wire_enum_encode_step! {
-                $self, $out, $name, $idx + 1u8; $($($rest)*)?
-            }
-        }
-    };
-}
-
-/// Implementation detail of [`wire_enum!`](crate::wire_enum): emits the
-/// decode body as a chain of tag comparisons mirroring
-/// [`__wire_enum_encode_step!`](crate::__wire_enum_encode_step).
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __wire_enum_decode_step {
-    ($tag:ident, $r:ident, $name:ident, $idx:expr ; ) => {
-        ::std::result::Result::Err($crate::codec::DecodeError::UnknownLane {
-            ty: ::std::stringify!($name),
-            tag: $tag,
-        })
-    };
-    ($tag:ident, $r:ident, $name:ident, $idx:expr ; $variant:ident ( $payload:ty ) $(, $($rest:tt)*)?) => {
-        if $tag == ($idx) {
-            ::std::result::Result::Ok($name::$variant(
-                <$payload as $crate::codec::WireCodec>::decode($r)?,
-            ))
-        } else {
-            $crate::__wire_enum_decode_step! {
-                $tag, $r, $name, $idx + 1u8; $($($rest)*)?
-            }
-        }
-    };
-    ($tag:ident, $r:ident, $name:ident, $idx:expr ; $variant:ident $(, $($rest:tt)*)?) => {
-        if $tag == ($idx) {
-            ::std::result::Result::Ok($name::$variant)
-        } else {
-            $crate::__wire_enum_decode_step! {
-                $tag, $r, $name, $idx + 1u8; $($($rest)*)?
-            }
-        }
-    };
-}
-
-/// Implementation detail of [`wire_enum!`](crate::wire_enum).
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __wire_enum_lane {
-    ($name:ident, $variant:ident) => {};
-    ($name:ident, $variant:ident ( $payload:ty )) => {
+macro_rules! __wire_enum_variant {
+    (@lane $name:ident $variant:ident ( $payload:ty )) => {
         impl ::std::convert::From<$payload> for $name {
             fn from(msg: $payload) -> Self {
                 $name::$variant(msg)
             }
         }
+    };
+    (@lane $name:ident $variant:ident) => {};
+
+    (@pat $name:ident $variant:ident $bind:ident) => { $name::$variant };
+    (@pat $name:ident $variant:ident $bind:ident ( $payload:ty )) => { $name::$variant($bind) };
+    (@pat $name:ident $variant:ident $bind:ident { $( $field:ident )* }) => {
+        $name::$variant { $( $field ),* }
+    };
+
+    (@enc $out:ident $bind:ident) => {};
+    (@enc $out:ident $bind:ident ( $payload:ty )) => {
+        $crate::codec::WireCodec::encode($bind, $out);
+    };
+    (@enc $out:ident $bind:ident { $( $field:ident )* }) => {
+        $( $crate::codec::WireCodec::encode($field, $out); )*
+    };
+
+    (@dec $name:ident $variant:ident $r:ident) => { $name::$variant };
+    (@dec $name:ident $variant:ident $r:ident ( $payload:ty )) => {
+        $name::$variant(<$payload as $crate::codec::WireCodec>::decode($r)?)
+    };
+    (@dec $name:ident $variant:ident $r:ident { $( $field:ident )* }) => {
+        $name::$variant { $( $field: $crate::codec::WireCodec::decode($r)?, )* }
     };
 }
 

@@ -42,19 +42,21 @@ pub struct Command {
     pub op: Op,
 }
 
-/// Operations understood by the replicated state machine: a small key–value
-/// store, rich enough to emulate MWMR registers (Section 4.3).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Op {
-    /// Write `value` into register `key`.
-    Write {
-        /// Register name.
-        key: u32,
-        /// Value to store.
-        value: u64,
-    },
-    /// A no-op (used for liveness probes in tests and benchmarks).
-    Noop,
+simnet::wire_enum! {
+    /// Operations understood by the replicated state machine: a small key–value
+    /// store, rich enough to emulate MWMR registers (Section 4.3).
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum Op {
+        /// Write `value` into register `key`.
+        Write {
+            /// Register name.
+            key: u32,
+            /// Value to store.
+            value: u64,
+        },
+        /// A no-op (used for liveness probes in tests and benchmarks).
+        Noop,
+    }
 }
 
 /// The replicated state: the registers plus the count of applied commands.
@@ -107,15 +109,17 @@ impl View {
     }
 }
 
-/// The status of a replica (Algorithm 4.7's `status` field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Status {
-    /// Normal operation inside an installed view.
-    Multicast,
-    /// A view proposal is being echoed.
-    Propose,
-    /// The coordinator is installing the new view.
-    Install,
+simnet::wire_enum! {
+    /// The status of a replica (Algorithm 4.7's `status` field).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Status {
+        /// Normal operation inside an installed view.
+        Multicast,
+        /// A view proposal is being echoed.
+        Propose,
+        /// The coordinator is installing the new view.
+        Install,
+    }
 }
 
 /// The state snapshot broadcast by every participant each step.
@@ -154,49 +158,6 @@ simnet::wire_struct_codec!(StateMsg {
     no_crd,
     suspend,
 });
-
-impl simnet::codec::WireCodec for Op {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use simnet::codec::WireCodec as W;
-        match self {
-            Op::Write { key, value } => {
-                out.push(0);
-                W::encode(key, out);
-                W::encode(value, out);
-            }
-            Op::Noop => out.push(1),
-        }
-    }
-    fn decode(r: &mut simnet::codec::Reader<'_>) -> Result<Self, simnet::codec::DecodeError> {
-        use simnet::codec::WireCodec as W;
-        match r.u8()? {
-            0 => Ok(Op::Write {
-                key: W::decode(r)?,
-                value: W::decode(r)?,
-            }),
-            1 => Ok(Op::Noop),
-            tag => Err(simnet::codec::DecodeError::UnknownLane { ty: "Op", tag }),
-        }
-    }
-}
-
-impl simnet::codec::WireCodec for Status {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            Status::Multicast => 0,
-            Status::Propose => 1,
-            Status::Install => 2,
-        });
-    }
-    fn decode(r: &mut simnet::codec::Reader<'_>) -> Result<Self, simnet::codec::DecodeError> {
-        match r.u8()? {
-            0 => Ok(Status::Multicast),
-            1 => Ok(Status::Propose),
-            2 => Ok(Status::Install),
-            tag => Err(simnet::codec::DecodeError::UnknownLane { ty: "Status", tag }),
-        }
-    }
-}
 
 simnet::wire_enum! {
     /// Messages exchanged by [`SmrNode`]s: the reconfiguration stack, the
