@@ -49,9 +49,6 @@ pub struct Joining {
     me: ProcessId,
     /// `pass[]` — the most recent response from each configuration member.
     pass: BTreeMap<ProcessId, bool>,
-    /// Number of times this processor became a participant through
-    /// `participate()` (0 or 1 in legal executions; observability).
-    joins_completed: u64,
 }
 
 impl Joining {
@@ -61,18 +58,12 @@ impl Joining {
         Joining {
             me,
             pass: BTreeMap::new(),
-            joins_completed: 0,
         }
     }
 
     /// Resets all collected passes (used on (re)initialization).
     pub fn reset(&mut self) {
         self.pass.clear();
-    }
-
-    /// Number of successful `participate()` transitions.
-    pub fn joins_completed(&self) -> u64 {
-        self.joins_completed
     }
 
     /// Number of currently collected positive passes (observability).
@@ -96,7 +87,6 @@ impl Joining {
                     .filter(|m| self.pass.get(m).copied().unwrap_or(false))
                     .count();
                 if granted > com_conf.len() / 2 && recsa.participate() {
-                    self.joins_completed += 1;
                     return;
                 }
             }
@@ -267,7 +257,6 @@ mod tests {
         h.add_joiner(3);
         h.rounds(20);
         assert!(h.is_participant(3), "joiner should have been admitted");
-        assert_eq!(h.joining[&ProcessId::new(3)].joins_completed(), 1);
         // The configuration itself did not change because of the join.
         assert_eq!(
             h.recsa[&ProcessId::new(0)].installed_config(),

@@ -14,7 +14,6 @@
 //! | `claim`              | `claimed`, `ok` (present when `claimed`) — see below |
 //! | `timer <p>`          | `timer_period` — sets the period to `p` ticks    |
 //! | `timer default`      | `timer_period` — restores the base period of 1   |
-//! | `floor <p>`          | `timer_period` — raises the period to ≥ `p`      |
 //! | `shutdown`           | `bye` — the node exits after replying            |
 //!
 //! Unknown or malformed requests get `{"error": "..."}`.
@@ -81,8 +80,6 @@ pub enum Request {
     Claim,
     /// Override the timer period (`None` restores the base period).
     Timer(Option<u64>),
-    /// Raise the timer period to at least this many ticks.
-    Floor(u64),
     /// Exit the node process.
     Shutdown,
 }
@@ -105,7 +102,6 @@ impl Request {
                 Some("default") => Request::Timer(None),
                 other => Request::Timer(Some(parse_u64(other, "timer", "period")?)),
             },
-            "floor" => Request::Floor(parse_u64(words.next(), "floor", "period")?),
             "shutdown" => Request::Shutdown,
             other => return Err(format!("unknown request `{other}`")),
         };
@@ -179,7 +175,6 @@ mod tests {
         assert_eq!(Request::parse("claim"), Ok(Request::Claim));
         assert_eq!(Request::parse("timer 4"), Ok(Request::Timer(Some(4))));
         assert_eq!(Request::parse("timer default"), Ok(Request::Timer(None)));
-        assert_eq!(Request::parse("floor 3"), Ok(Request::Floor(3)));
         assert_eq!(Request::parse("shutdown"), Ok(Request::Shutdown));
     }
 

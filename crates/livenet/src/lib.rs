@@ -20,8 +20,7 @@
 //!   unchanged `Process::on_message`/`on_timer` path.
 //! - [`control`]: the line-based TCP control protocol through which
 //!   `simctl drive` submits client operations, polls settlement, retunes
-//!   timers (live `SetTimer`/`SetTimerFloor` fault adapters), and shuts a
-//!   node down.
+//!   timers (the live `SetTimer` fault adapter), and shuts a node down.
 //!
 //! Fault injection maps onto the deployment instead of the model: `Crash`
 //! becomes `kill -9` of a real pid, `Join`/`Rejoin` become freshly spawned

@@ -590,11 +590,6 @@ where
             timer_period.store(period.unwrap_or(1).max(1), Ordering::Relaxed);
             Json::obj().field("timer_period", timer_period.load(Ordering::Relaxed))
         }
-        Request::Floor(period) => {
-            let current = timer_period.load(Ordering::Relaxed);
-            timer_period.store(current.max(*period).max(1), Ordering::Relaxed);
-            Json::obj().field("timer_period", timer_period.load(Ordering::Relaxed))
-        }
         Request::Shutdown => return (Json::obj().field("bye", true), true),
     };
     (json, false)

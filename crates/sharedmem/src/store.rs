@@ -15,7 +15,6 @@ use crate::types::{RegisterId, TaggedValue};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegisterStore {
     entries: BTreeMap<RegisterId, TaggedValue>,
-    adoptions: u64,
 }
 
 impl RegisterStore {
@@ -51,7 +50,6 @@ impl RegisterStore {
             Some(current) if !candidate.newer_than(current) => false,
             _ => {
                 self.entries.insert(key, candidate);
-                self.adoptions += 1;
                 true
             }
         }
@@ -77,20 +75,6 @@ impl RegisterStore {
     /// A snapshot of every entry, for state-transfer messages.
     pub fn snapshot(&self) -> Vec<(RegisterId, TaggedValue)> {
         self.entries.iter().map(|(k, v)| (*k, v.clone())).collect()
-    }
-
-    /// Rebuilds a store from a snapshot (adopting each entry).
-    pub fn from_snapshot(entries: impl IntoIterator<Item = (RegisterId, TaggedValue)>) -> Self {
-        let mut store = RegisterStore::new();
-        for (key, value) in entries {
-            store.adopt(key, value);
-        }
-        store
-    }
-
-    /// Total number of successful adoptions (observability).
-    pub fn adoptions(&self) -> u64 {
-        self.adoptions
     }
 
     /// Discards every entry. Used when a brute-force reset tells a member
@@ -127,7 +111,6 @@ mod tests {
         assert_eq!(store.len(), 0);
         assert_eq!(store.get(RegisterId::new(1)), None);
         assert_eq!(store.value(RegisterId::new(1)), None);
-        assert_eq!(store.adoptions(), 0);
     }
 
     #[test]
@@ -140,7 +123,6 @@ mod tests {
         assert!(!store.adopt(key, tv(2, 0, 20)));
         assert!(!store.adopt(key, tv(3, 0, 99)));
         assert_eq!(store.value(key), Some(30));
-        assert_eq!(store.adoptions(), 2);
     }
 
     #[test]
@@ -173,7 +155,10 @@ mod tests {
         let mut store = RegisterStore::new();
         store.adopt(RegisterId::new(1), tv(5, 0, 50));
         store.adopt(RegisterId::new(9), tv(2, 1, 22));
-        let rebuilt = RegisterStore::from_snapshot(store.snapshot());
+        let mut rebuilt = RegisterStore::new();
+        for (key, value) in store.snapshot() {
+            assert!(rebuilt.adopt(key, value));
+        }
         assert_eq!(rebuilt.value(RegisterId::new(1)), Some(50));
         assert_eq!(rebuilt.value(RegisterId::new(9)), Some(22));
         assert_eq!(rebuilt.len(), store.len());

@@ -8,27 +8,31 @@
 //! target multiple machines later). `simctl drive` replays a catalog
 //! scenario's fault schedule against the running cluster in wall time:
 //! `Crash` becomes `kill -9`, `Join`/`Rejoin` become fresh-id process
-//! spawns, `SetTimer`/`SetTimerFloor` become control-plane timer retuning
-//! — and renders a live, `RunRecord`-shaped JSON report with the familiar
-//! counter and latency columns. Only [`simnet::Scenario::live_capable`]
-//! scenarios are accepted; the rest are refused up front.
+//! spawns, `SetTimer` becomes control-plane timer retuning. Its client load
+//! is the simulator's own [`LoadEngine`], driven through the control plane
+//! ([`LoadPort`]), and it renders a live, `RunRecord`-shaped JSON report
+//! with the simulator's counter keys: the scenario's fault keys and the
+//! load's [`simnet::load::COUNTER_KEYS`], latencies in rounds (ticks). Only
+//! [`simnet::Scenario::live_capable`] scenarios are accepted; the rest are
+//! refused up front.
 //!
 //! Liveness of the drive itself is bounded: the fault schedule runs for a
 //! fixed number of wall ticks, and convergence polling is capped by
 //! `--timeout-secs`. Teardown is `simctl down` (graceful `shutdown` per
 //! node with a `kill -9` fallback), which CI runs from an exit trap.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use livenet::control::control_request;
 use livenet::{hex_decode, ClusterSpec, NodeSpec};
+use simnet::load::{LoadEngine, LoadPort};
 use simnet::report::Json;
-use simnet::{Histogram, ProcessId, Round, SimRng};
+use simnet::{OpResponse, ProcessId, Round};
 
-use crate::{Flags, NODES};
+use crate::{parse_load, Flags, NODES};
 
 /// Default cluster file, shared by every live subcommand.
 const DEFAULT_CLUSTER_FILE: &str = "live-cluster.json";
@@ -304,6 +308,16 @@ fn poll_status(node: &NodeSpec) -> Option<NodeStatus> {
     })
 }
 
+/// A running victim of a live timer override.
+struct Slowed {
+    /// Its timer steps when it was slowed.
+    ticks: u64,
+    /// When it was slowed.
+    at: Instant,
+    /// The period in force, in ticks.
+    period: u64,
+}
+
 /// Live drive state: which ids are up, which were killed, which ids were
 /// ever used (fresh-id allocation + the no-resurrection invariant).
 struct Driver {
@@ -316,18 +330,26 @@ struct Driver {
     killed: BTreeMap<ProcessId, NodeSpec>,
     used_ids: BTreeSet<ProcessId>,
     /// Victims of a live timer override that are still running — the
-    /// slow-not-dead invariant tracks their timer progress.
-    slowed: BTreeSet<ProcessId>,
+    /// slow-not-dead invariant checks their timer progress since.
+    slowed: BTreeMap<ProcessId, Slowed>,
+    /// The run's counters, counted by the scenario runner's rules.
     counters: BTreeMap<String, u64>,
     violations: Vec<String>,
 }
 
 impl Driver {
-    fn bump(&mut self, key: &str, by: u64) {
-        *self.counters.entry(key.to_string()).or_insert(0) += by;
+    fn bump(&mut self, key: &str) {
+        *self.counters.entry(key.to_string()).or_insert(0) += 1;
     }
 
-    fn spawn_fresh(&mut self, count: u32, rejoin: bool) -> Result<(), String> {
+    fn save_spec(&self) -> Result<(), String> {
+        self.spec
+            .save(&self.cluster)
+            .map_err(|e| format!("rewriting {}: {e}", self.cluster.display()))
+    }
+
+    /// Spawns `count` joiners under fresh ids, counting each under `key`.
+    fn spawn_fresh(&mut self, count: u32, key: &str) -> Result<(), String> {
         for _ in 0..count {
             let id = ProcessId::new(
                 self.used_ids
@@ -348,19 +370,21 @@ impl Driver {
             )?;
             self.used_ids.insert(id);
             self.spec.nodes.push(node.clone());
-            self.spec
-                .save(&self.cluster)
-                .map_err(|e| format!("rewriting {}: {e}", self.cluster.display()))?;
+            self.save_spec()?;
             self.alive.insert(id, node);
-            self.bump(if rejoin { "live_rejoins" } else { "live_joins" }, 1);
+            self.bump(key);
         }
         Ok(())
     }
 
+    /// Applies one fault action, counting it as the scenario runner does:
+    /// every crash, every spawned joiner or recovery, and each none → slow
+    /// transition of a running victim.
     fn apply_action(&mut self, action: &simnet::FaultAction) -> Result<(), String> {
         use simnet::FaultAction;
         match action {
             FaultAction::Crash(victim) => {
+                self.bump("crashes");
                 let Some(node) = self.alive.remove(victim) else {
                     return Ok(());
                 };
@@ -375,37 +399,30 @@ impl Driver {
                 self.killed.insert(*victim, node);
                 self.slowed.remove(victim);
                 self.spec.nodes.retain(|n| n.id != *victim);
-                self.spec
-                    .save(&self.cluster)
-                    .map_err(|e| format!("rewriting {}: {e}", self.cluster.display()))?;
-                self.bump("live_crashes", 1);
+                self.save_spec()?;
             }
-            FaultAction::Join { count } => self.spawn_fresh(*count, false)?,
-            FaultAction::Rejoin { count } => self.spawn_fresh(*count, true)?,
+            FaultAction::Join { count } => self.spawn_fresh(*count, "joins")?,
+            FaultAction::Rejoin { count } => self.spawn_fresh(*count, "recoveries")?,
             FaultAction::SetTimer { victim, period } => {
-                if let Some(node) = self.alive.get(victim) {
-                    let line = match period {
-                        Some(p) => format!("timer {p}"),
-                        None => "timer default".to_string(),
-                    };
-                    let _ = control_request(&node.control_addr(), &line, CONTROL_TIMEOUT);
-                    match period {
-                        Some(_) => {
-                            self.slowed.insert(*victim);
-                        }
-                        None => {
-                            self.slowed.remove(victim);
-                        }
+                let Some(node) = self.alive.get(victim) else {
+                    return Ok(());
+                };
+                let line = match period {
+                    Some(p) => format!("timer {p}"),
+                    None => "timer default".to_string(),
+                };
+                let _ = control_request(&node.control_addr(), &line, CONTROL_TIMEOUT);
+                match (*period, self.slowed.get_mut(victim)) {
+                    (Some(period), Some(slowed)) => slowed.period = period,
+                    (Some(period), None) => {
+                        let ticks = poll_status(node).map_or(0, |status| status.ticks);
+                        let at = Instant::now();
+                        self.slowed.insert(*victim, Slowed { ticks, at, period });
+                        self.bump("slowdowns");
                     }
-                    self.bump("live_timer_overrides", 1);
-                }
-            }
-            FaultAction::SetTimerFloor { victim, period } => {
-                if let Some(node) = self.alive.get(victim) {
-                    let line = format!("floor {period}");
-                    let _ = control_request(&node.control_addr(), &line, CONTROL_TIMEOUT);
-                    self.slowed.insert(*victim);
-                    self.bump("live_timer_overrides", 1);
+                    (None, _) => {
+                        self.slowed.remove(victim);
+                    }
                 }
             }
             other => {
@@ -416,6 +433,39 @@ impl Driver {
             }
         }
         Ok(())
+    }
+}
+
+/// The live cluster as the load engine's port: ops go to running nodes
+/// through their control plane, one connection per request. A `claim`
+/// reply carries only `ok`, so claimed ops observe nothing.
+impl LoadPort for Driver {
+    fn active_ids(&self) -> Vec<ProcessId> {
+        self.alive.keys().copied().collect()
+    }
+
+    fn submit(&mut self, via: ProcessId, key: u64, value: u64) -> bool {
+        let Some(node) = self.alive.get(&via) else {
+            return false;
+        };
+        control_request(
+            &node.control_addr(),
+            &format!("submit {key} {value}"),
+            CONTROL_TIMEOUT,
+        )
+        .ok()
+        .and_then(|j| j.get("accepted").and_then(Json::as_bool))
+        .unwrap_or(false)
+    }
+
+    fn claim(&mut self, via: ProcessId) -> Option<OpResponse> {
+        let node = self.alive.get(&via)?;
+        let reply = control_request(&node.control_addr(), "claim", CONTROL_TIMEOUT).ok()?;
+        (reply.get("claimed").and_then(Json::as_bool) == Some(true)).then(|| OpResponse {
+            ok: reply.get("ok").and_then(Json::as_bool).unwrap_or(false),
+            observed: None,
+            indeterminate: false,
+        })
     }
 }
 
@@ -456,8 +506,7 @@ pub fn cmd_drive(args: &[String]) -> Result<bool, String> {
              scenarios: {live}"
         ));
     }
-    let clients: u64 = parse_flag(&flags, "clients", 0u64)?;
-    let arrival = simnet::Arrival::parse(flags.value("arrival").unwrap_or("poisson:2"))?;
+    let load = parse_load(&flags)?;
     let seed: u64 = parse_flag(&flags, "seed", 1u64)?;
     let timeout = Duration::from_secs(parse_flag(&flags, "timeout-secs", 90u64)?);
     let name = flags.value("name").unwrap_or("live").to_string();
@@ -471,20 +520,25 @@ pub fn cmd_drive(args: &[String]) -> Result<bool, String> {
             .collect(),
         used_ids: spec.nodes.iter().map(|node| node.id).collect(),
         killed: BTreeMap::new(),
-        slowed: BTreeSet::new(),
-        counters: BTreeMap::new(),
+        slowed: BTreeMap::new(),
+        counters: scenario.zeroed_counters(),
         violations: Vec::new(),
         spec,
         cluster,
     };
-    let mut rng = SimRng::seed_from(seed);
-    let mut pending: BTreeMap<ProcessId, VecDeque<Instant>> = BTreeMap::new();
-    let mut latencies = Histogram::new();
-    let tick = Duration::from_millis(driver.spec.tick_ms.max(1));
+    let mut engine = load.map(|profile| LoadEngine::new(profile, seed));
+    let loaded = engine.is_some();
+    let tick_ms = driver.spec.tick_ms.max(1);
+    let tick = Duration::from_millis(tick_ms);
+    // The live clock in rounds: wall time over the tick, as `rounds_run`
+    // and `rounds_to_convergence` count it.
+    let rounds_at = |at: Duration| (at.as_millis() as u64) / tick_ms;
 
     // Phase 1: replay the fault schedule (and the workload window) in wall
-    // time, one scenario round per tick.
-    let workload_until = if clients > 0 {
+    // time, one scenario round per tick. The engine draws this round's
+    // arrivals at the loop round and claims at the round's end, as the
+    // simulator polls after stepping it.
+    let workload_until = if loaded {
         scenario.workload_rounds()
     } else {
         0
@@ -495,44 +549,25 @@ pub fn cmd_drive(args: &[String]) -> Result<bool, String> {
         for action in scenario.actions_at(Round::new(round)) {
             driver.apply_action(&action)?;
         }
-        if round < workload_until {
-            let live_ids: Vec<ProcessId> = driver.alive.keys().copied().collect();
-            for _ in 0..arrival.draw(&mut rng, round) {
-                let client = rng.range_inclusive(0, clients.max(1) - 1);
-                if live_ids.is_empty() {
-                    driver.bump("ops_rejected", 1);
-                    continue;
-                }
-                let via = live_ids[(client % live_ids.len() as u64) as usize];
-                let value = driver.counters.get("ops_submitted").copied().unwrap_or(0);
-                let line = format!("submit {client} {value}");
-                let Some(node) = driver.alive.get(&via) else {
-                    continue;
-                };
-                let accepted = control_request(&node.control_addr(), &line, CONTROL_TIMEOUT)
-                    .ok()
-                    .and_then(|j| j.get("accepted").and_then(Json::as_bool))
-                    .unwrap_or(false);
-                if accepted {
-                    driver.bump("ops_submitted", 1);
-                    pending.entry(via).or_default().push_back(Instant::now());
-                } else {
-                    driver.bump("ops_rejected", 1);
-                }
+        if let Some(engine) = engine.as_mut() {
+            if round < workload_until {
+                engine.drive(&mut driver, round, None);
             }
+            engine.poll(&mut driver, round + 1, None);
         }
-        claim_completions(&mut driver, &mut pending, &mut latencies);
     }
 
     // Phase 2: poll for convergence — every live node settled, and their
     // settle tokens agree per key. Meanwhile keep claiming op completions
-    // and watching the per-class runner invariants.
+    // (at the wall clock's round) and watching the per-class runner
+    // invariants.
     let poll = tick.max(Duration::from_millis(50));
     let deadline = Instant::now() + timeout;
-    let mut slow_progress: BTreeMap<ProcessId, (u64, u64)> = BTreeMap::new();
     let (converged_at, final_stats) = loop {
         std::thread::sleep(poll);
-        claim_completions(&mut driver, &mut pending, &mut latencies);
+        if let Some(engine) = engine.as_mut() {
+            engine.poll(&mut driver, rounds_at(started.elapsed()), None);
+        }
 
         // No-resurrection: a killed id must never answer again. (Fresh
         // incarnations take fresh ids by construction.)
@@ -558,14 +593,6 @@ pub fn cmd_drive(args: &[String]) -> Result<bool, String> {
                 Some(status) => {
                     all_settled &= status.settled;
                     tokens.push(status.token.clone());
-                    // Slow-not-dead: a timer-degraded node must keep taking
-                    // timer steps.
-                    if driver.slowed.contains(id) {
-                        let entry = slow_progress
-                            .entry(*id)
-                            .or_insert((status.ticks, status.ticks));
-                        entry.1 = status.ticks;
-                    }
                     statuses.insert(*id, status);
                 }
                 None => all_settled = false,
@@ -578,37 +605,33 @@ pub fn cmd_drive(args: &[String]) -> Result<bool, String> {
             break (None, statuses);
         }
     };
-    for (id, (first, last)) in &slow_progress {
-        if last <= first {
+    // Slow-not-dead, the simulator's skew rule: a node still slowed must
+    // have taken a timer step since it was slowed, once two of its periods
+    // have passed.
+    for (id, slowed) in &driver.slowed {
+        let Some(status) = final_stats.get(id) else {
+            continue;
+        };
+        let due = slowed.at.elapsed().as_millis()
+            >= u128::from(slowed.period.saturating_mul(2 * tick_ms));
+        if due && status.ticks <= slowed.ticks {
             driver.violations.push(format!(
-                "slowed {id} made no timer progress ({first} → {last})"
+                "slowed {id} made no timer progress ({} → {})",
+                slowed.ticks, status.ticks
             ));
         }
     }
-    let unclaimed: u64 = pending.values().map(|q| q.len() as u64).sum();
-    if unclaimed > 0 {
-        driver.bump("ops_unclaimed", unclaimed);
-    }
 
     // Fold the live run into a RunRecord-shaped report.
-    let elapsed = started.elapsed();
-    let rounds_run = (elapsed.as_millis() as u64) / driver.spec.tick_ms.max(1);
+    let rounds_run = rounds_at(started.elapsed());
+    if let Some(engine) = engine {
+        engine.finish(rounds_run, &mut driver.counters);
+    }
     let converged = converged_at.is_some();
     if let Some(at) = converged_at {
         driver
             .counters
             .insert("live_converged_ms".to_string(), at.as_millis() as u64);
-    }
-    if latencies.count() > 0 {
-        for (key, p) in [
-            ("op_latency_p50_ms", 50.0),
-            ("op_latency_p99_ms", 99.0),
-            ("op_latency_p999_ms", 99.9),
-        ] {
-            if let Some(v) = latencies.percentile(p) {
-                driver.counters.insert(key.to_string(), v);
-            }
-        }
     }
     let sum = |f: fn(&NodeStatus) -> u64| final_stats.values().map(f).sum::<u64>();
     let record = Json::obj()
@@ -620,10 +643,7 @@ pub fn cmd_drive(args: &[String]) -> Result<bool, String> {
         .field("converged", converged)
         .field(
             "rounds_to_convergence",
-            match converged_at {
-                Some(at) => Json::UInt((at.as_millis() as u64) / driver.spec.tick_ms.max(1)),
-                None => Json::Null,
-            },
+            converged_at.map_or(Json::Null, |at| Json::UInt(rounds_at(at))),
         )
         .field("counters", simnet::report::obj_from_map(&driver.counters))
         .field("messages_sent", sum(|s| s.sent))
@@ -655,12 +675,8 @@ pub fn cmd_drive(args: &[String]) -> Result<bool, String> {
         }
     }
 
-    let ops_ok = driver
-        .counters
-        .get("ops_completed_ok")
-        .copied()
-        .unwrap_or(0);
-    let passed = converged && driver.violations.is_empty() && (clients == 0 || ops_ok > 0);
+    let completed = driver.counters.get("ops_completed").copied().unwrap_or(0);
+    let passed = converged && driver.violations.is_empty() && (!loaded || completed > 0);
     let status = if !converged {
         "NO-CONVERGENCE"
     } else if !driver.violations.is_empty() {
@@ -671,7 +687,7 @@ pub fn cmd_drive(args: &[String]) -> Result<bool, String> {
         "ok"
     };
     eprintln!(
-        "  [{status}] live {}/{} seed={seed} rounds={rounds_run} msgs={} ops_ok={ops_ok}",
+        "  [{status}] live {}/{} seed={seed} rounds={rounds_run} msgs={} ops_completed={completed}",
         driver.spec.node_kind,
         scenario.name(),
         sum(|s| s.sent),
@@ -680,39 +696,6 @@ pub fn cmd_drive(args: &[String]) -> Result<bool, String> {
         eprintln!("  violation: {violation}");
     }
     Ok(passed)
-}
-
-/// Claims every available op completion FIFO per node, folding latencies.
-fn claim_completions(
-    driver: &mut Driver,
-    pending: &mut BTreeMap<ProcessId, VecDeque<Instant>>,
-    latencies: &mut Histogram,
-) {
-    let mut done: Vec<(ProcessId, bool)> = Vec::new();
-    for (id, queue) in pending.iter() {
-        if queue.is_empty() {
-            continue;
-        }
-        let Some(node) = driver.alive.get(id) else {
-            continue;
-        };
-        for _ in 0..queue.len() {
-            let claimed = control_request(&node.control_addr(), "claim", CONTROL_TIMEOUT)
-                .ok()
-                .filter(|j| j.get("claimed").and_then(Json::as_bool) == Some(true))
-                .map(|j| j.get("ok").and_then(Json::as_bool).unwrap_or(false));
-            match claimed {
-                Some(ok) => done.push((*id, ok)),
-                None => break,
-            }
-        }
-    }
-    for (id, ok) in done {
-        if let Some(invoked) = pending.get_mut(&id).and_then(VecDeque::pop_front) {
-            latencies.record(invoked.elapsed().as_millis() as u64);
-        }
-        driver.bump(if ok { "ops_completed_ok" } else { "ops_failed" }, 1);
-    }
 }
 
 #[cfg(test)]

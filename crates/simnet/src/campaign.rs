@@ -178,11 +178,6 @@ impl Campaign {
         &self.name
     }
 
-    /// The armed per-cell wall budget, if any.
-    pub fn cell_budget_ms(&self) -> Option<f64> {
-        self.cell_budget_ms
-    }
-
     /// The seeds swept.
     pub fn seeds(&self) -> &[u64] {
         &self.seeds

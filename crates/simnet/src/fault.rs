@@ -1,17 +1,19 @@
-//! Fault windows: the channel-behaviour spikes and gray failures of a
+//! Fault windows: the channel-behaviour spikes and timer faults of a
 //! schedule compose over time.
 //!
 //! Self-stabilization is about recovery from *transient faults* — an
 //! arbitrary starting state — combined with ordinary crash failures and
 //! churn. Most faults of a [`crate::plan::Fault`] schedule act at one round;
 //! [`crate::plan::Fault::Spike`] and [`crate::plan::Fault::Gray`] windows
-//! instead hold for a span of rounds and may overlap. At any round the
-//! network runs the base policy spiked by *every* window covering that round
-//! (element-wise worst case), and every gray victim runs at the slowest
-//! period of the windows covering it, so a short window inside a longer one
-//! never truncates the longer window on its way out. The functions here
-//! compute that composition over the whole schedule at each window start and
-//! end; everything happens at round boundaries, so scenario executions stay
+//! instead hold for a span of rounds and may overlap, and a
+//! [`crate::plan::Fault::Skew`] is a timer window that never ends. At any
+//! round the network runs the base policy spiked by *every* window covering
+//! that round (element-wise worst case), and every timer victim runs at the
+//! slowest period of the gray and skew windows covering it, so a short
+//! window inside a longer one never truncates the longer window on its way
+//! out, and a gray restore never wipes a skew. The functions here compute
+//! that composition over the whole schedule at each window start and end;
+//! everything happens at round boundaries, so scenario executions stay
 //! byte-identical for the same seed.
 
 use std::collections::BTreeMap;
@@ -46,16 +48,29 @@ impl SpikeSpec {
     }
 }
 
-/// The half-open windows `[start, end)` of `faults`' `Fault::Gray` entries,
-/// with their victims and period.
-fn gray_windows(faults: &[Fault]) -> impl Iterator<Item = (Round, Round, &[ProcessId], u64)> {
+/// The timer windows of `faults`, with their victims and period: each
+/// `Fault::Gray` covers `[start, end)`, each `Fault::Skew` covers every
+/// round from its start on (`None` = no end).
+fn timer_windows(
+    faults: &[Fault],
+) -> impl Iterator<Item = (Round, Option<Round>, &[ProcessId], u64)> {
     faults.iter().filter_map(|fault| match fault {
         Fault::Gray {
             round,
             period,
             victims,
             ..
-        } => Some((*round, fault.last_round(), victims.as_slice(), *period)),
+        } => Some((
+            *round,
+            Some(fault.last_round()),
+            victims.as_slice(),
+            *period,
+        )),
+        Fault::Skew {
+            round,
+            period,
+            victims,
+        } => Some((*round, None, victims.as_slice(), *period)),
         _ => None,
     })
 }
@@ -100,23 +115,25 @@ pub(crate) fn spike_policy_at(
     })
 }
 
-/// The timer overrides `faults`' gray windows set at exactly `round`, if it
-/// starts or ends a window: for every victim of any gray window, the
-/// slowest period of the windows covering `round` (`None` = the base
-/// period). Zero-length windows therefore never leave a stale override
-/// behind. `None` when `round` starts or ends no window.
-pub(crate) fn gray_periods_at(
+/// The timer periods `faults`' gray and skew windows set at exactly
+/// `round`, if it starts or ends a window: for every victim of any timer
+/// window, the slowest period of the windows covering `round` (`None` = the
+/// base period). Zero-length windows therefore never leave a stale override
+/// behind, and a skew, which covers every round from its start on, is a
+/// floor under every gray window. `None` when `round` starts or ends no
+/// window.
+pub(crate) fn timer_periods_at(
     faults: &[Fault],
     round: Round,
 ) -> Option<BTreeMap<ProcessId, Option<u64>>> {
-    if !gray_windows(faults).any(|(start, end, _, _)| start == round || end == round) {
+    if !timer_windows(faults).any(|(start, end, _, _)| start == round || end == Some(round)) {
         return None;
     }
-    let mut desired: BTreeMap<ProcessId, Option<u64>> = gray_windows(faults)
+    let mut desired: BTreeMap<ProcessId, Option<u64>> = timer_windows(faults)
         .flat_map(|(_, _, victims, _)| victims.iter().map(|v| (*v, None)))
         .collect();
-    for (start, end, victims, period) in gray_windows(faults) {
-        if start <= round && round < end {
+    for (start, end, victims, period) in timer_windows(faults) {
+        if start <= round && end.map_or(true, |end| round < end) {
             for v in victims {
                 let slot = desired.entry(*v).or_insert(None);
                 *slot = Some(slot.map_or(period, |p: u64| p.max(period)));
@@ -267,7 +284,7 @@ mod tests {
         let v = ProcessId::new(0);
         // Overlap: the slower (larger) period wins while both windows cover.
         let faults = [gray(0, 10, 3, v), gray(5, 10, 8, v)];
-        let at = |round: u64| gray_periods_at(&faults, Round::new(round));
+        let at = |round: u64| timer_periods_at(&faults, Round::new(round));
         assert_eq!(at(0).unwrap()[&v], Some(3));
         assert_eq!(at(5).unwrap()[&v], Some(8));
         assert_eq!(at(10).unwrap()[&v], Some(8));
@@ -276,7 +293,7 @@ mod tests {
         // A zero-length window is a boundary but covers nothing.
         let degenerate = [gray(4, 0, 9, v)];
         assert_eq!(
-            gray_periods_at(&degenerate, Round::new(4)).unwrap()[&v],
+            timer_periods_at(&degenerate, Round::new(4)).unwrap()[&v],
             None
         );
     }
@@ -287,10 +304,10 @@ mod tests {
         let faults = [gray(0, 5, 6, v), gray(5, 5, 6, v)];
         // At the seam the second window covers: no restore in between.
         assert_eq!(
-            gray_periods_at(&faults, Round::new(5)).unwrap()[&v],
+            timer_periods_at(&faults, Round::new(5)).unwrap()[&v],
             Some(6)
         );
-        assert_eq!(gray_periods_at(&faults, Round::new(10)).unwrap()[&v], None);
+        assert_eq!(timer_periods_at(&faults, Round::new(10)).unwrap()[&v], None);
     }
 
     #[test]
@@ -509,7 +526,7 @@ mod window_proptests {
             // Replay: overrides change only at boundaries.
             let mut in_force: BTreeMap<ProcessId, Option<u64>> = BTreeMap::new();
             for round in 0..=45u64 {
-                if let Some(desired) = gray_periods_at(&faults, Round::new(round)) {
+                if let Some(desired) = timer_periods_at(&faults, Round::new(round)) {
                     in_force.extend(desired);
                 }
                 for victim in 0u32..3 {

@@ -2,14 +2,21 @@
 //!
 //! A [`LoadProfile`] attaches a population of logical clients to a
 //! [`crate::Scenario`]: every round inside the scenario's workload window the
-//! engine draws an arrival count from a deterministic [`Arrival`] process,
-//! maps each arriving client onto one of the currently active processors,
-//! and submits a keyed operation to that processor through
-//! [`crate::ScenarioTarget::submit_local`]. Completions are claimed back
-//! through [`crate::ScenarioTarget::claim_local`] after every round, and the
+//! [`LoadEngine`] draws an arrival count from a deterministic [`Arrival`]
+//! process, maps each arriving client onto one of the currently active
+//! processors, and submits a keyed operation through a [`LoadPort`].
+//! Completions are claimed back through the port after every round, and the
 //! invoke→response distance **in rounds** is folded into a [`Histogram`] —
 //! latency measured in rounds is byte-deterministic and diffable across
 //! machines, unlike wall-clock.
+//!
+//! The engine is the one open-loop client driver of both backends. A
+//! [`Simulation`] is a port through each process's
+//! [`crate::ScenarioTarget::submit_local`] and
+//! [`crate::ScenarioTarget::claim_local`]; `simctl drive` makes a live
+//! cluster one through its control plane. Either way the engine takes the
+//! round from its caller, so for a given seed both submit the same open-loop
+//! stream of (round, client, value) arrivals.
 //!
 //! The engine's random stream is derived from the simulation seed but
 //! independent of both the scheduler's and the fault adversary's draws, so
@@ -30,7 +37,7 @@ use std::fmt;
 use rand::RngCore;
 
 use crate::histogram::Histogram;
-use crate::history::HistoryRecorder;
+use crate::history::{HistoryRecorder, OpKind, OpResponse};
 use crate::process::ProcessId;
 use crate::rng::SimRng;
 use crate::scenario::ScenarioTarget;
@@ -134,9 +141,9 @@ impl Arrival {
 
 impl Arrival {
     /// Draws this round's arrival count. Deterministic in (`rng` state,
-    /// `round`); shared by the simulator's load engine and the live
-    /// driver (`simctl drive`), so both submit identical open-loop
-    /// streams for a given seed.
+    /// `round`). [`LoadEngine`] is its one caller on both backends, so the
+    /// simulator and `simctl drive` submit identical open-loop streams for
+    /// a given seed.
     pub fn draw(&self, rng: &mut SimRng, round: u64) -> u64 {
         match *self {
             Arrival::Poisson { rate } => poisson(rng, rate),
@@ -192,6 +199,51 @@ impl LoadProfile {
     }
 }
 
+/// What a [`LoadEngine`] drives its operations through: a backend that
+/// names the processors an op may be routed to, accepts ops at one of them
+/// and hands completions back FIFO per processor. [`Simulation`] implements
+/// it through each process's [`ScenarioTarget::submit_local`] and
+/// [`ScenarioTarget::claim_local`]; `simctl drive` implements it over a live
+/// cluster's control plane.
+pub trait LoadPort {
+    /// The processors an arriving op may be routed through, in id order.
+    fn active_ids(&self) -> Vec<ProcessId>;
+
+    /// Submits the op `(key, value)` at `via`; `true` when it was accepted
+    /// and will be claimable at `via` eventually.
+    fn submit(&mut self, via: ProcessId, key: u64, value: u64) -> bool;
+
+    /// Claims the oldest completed op at `via` not claimed yet, if any.
+    fn claim(&mut self, via: ProcessId) -> Option<OpResponse>;
+
+    /// What the op `(key, value)` does, for history recording
+    /// ([`ScenarioTarget::op_spec`]). Consulted only when the engine is
+    /// given a recorder; the default records nothing.
+    fn op_spec(key: u64, value: u64) -> Option<(u64, OpKind)> {
+        let _ = (key, value);
+        None
+    }
+}
+
+impl<T: ScenarioTarget> LoadPort for Simulation<T> {
+    fn active_ids(&self) -> Vec<ProcessId> {
+        Simulation::active_ids(self)
+    }
+
+    fn submit(&mut self, via: ProcessId, key: u64, value: u64) -> bool {
+        self.process_mut(via)
+            .is_some_and(|node| node.submit_local(key, value))
+    }
+
+    fn claim(&mut self, via: ProcessId) -> Option<OpResponse> {
+        self.process_mut(via).and_then(T::claim_local)
+    }
+
+    fn op_spec(key: u64, value: u64) -> Option<(u64, OpKind)> {
+        T::op_spec(key, value)
+    }
+}
+
 /// One submitted-but-unclaimed operation.
 #[derive(Debug, Clone)]
 struct PendingOp {
@@ -205,7 +257,7 @@ struct PendingOp {
 /// The per-run engine: draws arrivals, routes submissions, claims
 /// completions FIFO per processor, and folds latencies into counters.
 #[derive(Debug, Clone)]
-pub(crate) struct LoadEngine {
+pub struct LoadEngine {
     profile: LoadProfile,
     rng: SimRng,
     /// Monotone op sequence — doubles as the submitted value, so every op's
@@ -221,10 +273,11 @@ pub(crate) struct LoadEngine {
 }
 
 impl LoadEngine {
-    pub(crate) fn new(profile: LoadProfile, sim_seed: u64) -> Self {
+    /// An engine for `profile`, its arrival stream salted off `seed`.
+    pub fn new(profile: LoadProfile, seed: u64) -> Self {
         LoadEngine {
             profile,
-            rng: SimRng::seed_from(sim_seed ^ LOAD_SEED_SALT),
+            rng: SimRng::seed_from(seed ^ LOAD_SEED_SALT),
             next_value: 0,
             pending: BTreeMap::new(),
             latencies: Histogram::new(),
@@ -236,21 +289,21 @@ impl LoadEngine {
         }
     }
 
-    /// Draws this round's arrivals and submits them, called once per round
+    /// Draws round `now`'s arrivals and submits them, called once per round
     /// inside the workload window, before the round steps. On armed runs
-    /// (`history` is `Some`) every accepted submission the target declares
+    /// (`history` is `Some`) every accepted submission the port declares
     /// an op spec for is recorded as an invocation.
-    pub(crate) fn drive<T: ScenarioTarget>(
+    pub fn drive<P: LoadPort>(
         &mut self,
-        sim: &mut Simulation<T>,
+        port: &mut P,
+        now: u64,
         mut history: Option<&mut HistoryRecorder>,
     ) {
-        let now = sim.now().as_u64();
         let arrivals = self.profile.arrival.draw(&mut self.rng, now);
         if arrivals == 0 {
             return;
         }
-        let actives = sim.active_ids();
+        let actives = port.active_ids();
         for _ in 0..arrivals {
             let client = self.rng.next_u64() % self.profile.clients.max(1);
             if actives.is_empty() {
@@ -260,13 +313,10 @@ impl LoadEngine {
             let via = actives[(client % actives.len() as u64) as usize];
             let value = self.next_value;
             self.next_value += 1;
-            let accepted = sim
-                .process_mut(via)
-                .is_some_and(|node| node.submit_local(client, value));
-            if accepted {
+            if port.submit(via, client, value) {
                 self.submitted += 1;
                 let op = history.as_deref_mut().and_then(|rec| {
-                    T::op_spec(client, value)
+                    P::op_spec(client, value)
                         .map(|(object, kind)| rec.invoke(client, object, kind, now))
                 });
                 self.pending.entry(via).or_default().push_back(PendingOp {
@@ -280,17 +330,17 @@ impl LoadEngine {
         }
     }
 
-    /// Claims completed ops FIFO per processor and sweeps timeouts, called
-    /// once per round after the round steps. The claim loop is bounded by
-    /// the number of ops this engine has outstanding at each processor, so
-    /// targets whose `claim_local` reports a standing condition (e.g. the
-    /// reconfiguration probe) cannot over-complete.
-    pub(crate) fn poll<T: ScenarioTarget>(
+    /// Claims completed ops FIFO per processor at round `now` and sweeps
+    /// timeouts, called once per round after the round steps. The claim
+    /// loop is bounded by the number of ops this engine has outstanding at
+    /// each processor, so targets whose `claim_local` reports a standing
+    /// condition (e.g. the reconfiguration probe) cannot over-complete.
+    pub fn poll<P: LoadPort>(
         &mut self,
-        sim: &mut Simulation<T>,
+        port: &mut P,
+        now: u64,
         mut history: Option<&mut HistoryRecorder>,
     ) {
-        let now = sim.now().as_u64();
         let vias: Vec<ProcessId> = self.pending.keys().copied().collect();
         for via in vias {
             loop {
@@ -298,7 +348,7 @@ impl LoadEngine {
                 if outstanding == 0 {
                     break;
                 }
-                let Some(response) = sim.process_mut(via).and_then(T::claim_local) else {
+                let Some(response) = port.claim(via) else {
                     break;
                 };
                 let ok = response.ok;
@@ -342,8 +392,9 @@ impl LoadEngine {
         self.pending.retain(|_, queue| !queue.is_empty());
     }
 
-    /// Folds the engine's results into a run's counter map.
-    pub(crate) fn finish(mut self, rounds_run: u64, counters: &mut BTreeMap<String, u64>) {
+    /// Folds the engine's results into a run's counter map, one entry per
+    /// [`COUNTER_KEYS`] key; `rounds_run` is the goodput's denominator.
+    pub fn finish(mut self, rounds_run: u64, counters: &mut BTreeMap<String, u64>) {
         let inflight = self
             .pending
             .values()
@@ -564,6 +615,70 @@ mod tests {
         for key in COUNTER_KEYS {
             assert!(run.counters.contains_key(key), "missing {key}");
         }
+    }
+
+    /// A port that accepts every op at three processors and records each
+    /// submission with the round the engine was driven at.
+    #[derive(Default)]
+    struct RecordingPort {
+        round: u64,
+        submissions: Vec<(u64, ProcessId, u64, u64)>,
+        claimable: BTreeMap<ProcessId, u64>,
+    }
+
+    impl LoadPort for RecordingPort {
+        fn active_ids(&self) -> Vec<ProcessId> {
+            (0..3).map(ProcessId::new).collect()
+        }
+
+        fn submit(&mut self, via: ProcessId, key: u64, value: u64) -> bool {
+            self.submissions.push((self.round, via, key, value));
+            *self.claimable.entry(via).or_insert(0) += 1;
+            true
+        }
+
+        fn claim(&mut self, via: ProcessId) -> Option<OpResponse> {
+            let ready = self.claimable.get_mut(&via).filter(|ready| **ready > 0)?;
+            *ready -= 1;
+            Some(OpResponse {
+                ok: true,
+                observed: None,
+                indeterminate: false,
+            })
+        }
+    }
+
+    /// The open-loop stream is a function of the seed alone, whatever the
+    /// backend: these are the first submissions (round, via, key, value)
+    /// any port sees for seed 7, 1,000 clients at Poisson(2) over three
+    /// active processors.
+    #[test]
+    fn engine_submits_a_pinned_stream_through_any_port() {
+        let profile = LoadProfile::new(1_000, Arrival::Poisson { rate: 2.0 });
+        let mut engine = LoadEngine::new(profile, 7);
+        let mut port = RecordingPort::default();
+        for round in 0..4 {
+            port.round = round;
+            engine.drive(&mut port, round, None);
+            engine.poll(&mut port, round + 1, None);
+        }
+        let p = ProcessId::new;
+        assert_eq!(
+            port.submissions[..6],
+            [
+                (0, p(1), 904, 0),
+                (1, p(2), 848, 1),
+                (1, p(0), 954, 2),
+                (1, p(1), 22, 3),
+                (2, p(2), 23, 4),
+                (3, p(2), 728, 5),
+            ]
+        );
+        let mut counters = BTreeMap::new();
+        engine.finish(4, &mut counters);
+        assert_eq!(counters["ops_submitted"], port.submissions.len() as u64);
+        assert_eq!(counters["ops_completed"], port.submissions.len() as u64);
+        assert_eq!(counters["op_latency_p999_rounds"], 1);
     }
 
     #[test]

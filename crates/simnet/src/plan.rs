@@ -36,7 +36,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::channel::ChannelPolicy;
-use crate::fault::{gray_periods_at, spike_policy_at, SpikeSpec};
+use crate::fault::{spike_policy_at, timer_periods_at, SpikeSpec};
 use crate::process::ProcessId;
 use crate::scenario::Scenario;
 use crate::time::Round;
@@ -65,21 +65,15 @@ pub enum FaultAction {
     /// Switch every channel to this policy (spike windows compose over the
     /// whole schedule; the action carries the already-composed policy).
     SetPolicy(ChannelPolicy),
-    /// Set (or with `None` restore) a windowed timer-period override.
-    /// Composes with any registered floor: the slower period wins.
+    /// Set (or with `None` restore) a processor's timer period. Gray and
+    /// skew windows compose over the whole schedule; the action carries the
+    /// already-composed period, the slowest of the windows covering the
+    /// round.
     SetTimer {
         /// The slowed processor.
         victim: ProcessId,
         /// Desired period, `None` to restore the base rate.
         period: Option<u64>,
-    },
-    /// Register a *permanent* timer-period floor: a windowed restore never
-    /// drops the victim below it.
-    SetTimerFloor {
-        /// The permanently skewed processor.
-        victim: ProcessId,
-        /// The floor period.
-        period: u64,
     },
     /// Crash a processor (fail-stop, forever).
     Crash(ProcessId),
@@ -131,7 +125,7 @@ impl FaultAction {
             FaultAction::HealOneway => 3,
             FaultAction::CutOneway { .. } => 4,
             FaultAction::SetPolicy(_) => 5,
-            FaultAction::SetTimer { .. } | FaultAction::SetTimerFloor { .. } => 6,
+            FaultAction::SetTimer { .. } => 6,
             FaultAction::Crash(_) => 7,
             FaultAction::Join { .. } | FaultAction::Rejoin { .. } => Self::JOIN_PHASE,
             FaultAction::CorruptState(_) => 9,
@@ -245,9 +239,10 @@ pub enum Fault {
         victims: Vec<ProcessId>,
     },
     /// `skew`: the victims run their timer at `period` from `round` on and
-    /// never recover — drift between local clocks. The skew is a floor
-    /// ([`FaultAction::SetTimerFloor`]): a slower gray window wins while it
-    /// covers, and a gray restore never wipes the skew.
+    /// never recover — drift between local clocks. The skew is a timer
+    /// window with no end, composed with the gray windows: a slower gray
+    /// window wins while it covers, and a gray restore never wipes the
+    /// skew.
     Skew {
         /// The round the skew starts at.
         round: Round,
@@ -483,8 +478,8 @@ impl Fault {
     }
 
     /// Appends the actions this fault contributes at exactly `round`, in
-    /// application order. Spike and gray windows compose over the whole
-    /// schedule, so [`actions_at`] emits theirs.
+    /// application order. Spike, gray and skew windows compose over the
+    /// whole schedule, so [`actions_at`] emits theirs.
     fn push_actions(&self, round: Round, out: &mut Vec<FaultAction>) {
         if round == self.round() {
             match self {
@@ -504,12 +499,6 @@ impl Fault {
                 Fault::Corrupt { victims, .. } => {
                     out.extend(victims.iter().copied().map(FaultAction::CorruptState));
                 }
-                Fault::Skew {
-                    period, victims, ..
-                } => out.extend(victims.iter().map(|&victim| FaultAction::SetTimerFloor {
-                    victim,
-                    period: *period,
-                })),
                 Fault::Payload { victims, .. } => {
                     out.extend(victims.iter().copied().map(FaultAction::CorruptPayloads));
                 }
@@ -611,20 +600,20 @@ impl Fault {
 
 /// Every fault action `faults` schedule at `round`, sorted (stably) into
 /// class-phase order: within a phase, actions follow the faults' insertion
-/// order, and the composed spike policy and gray overrides stand at the
-/// first spike's and first gray window's place.
+/// order, and the composed spike policy and timer periods stand at the
+/// first spike's and first gray or skew window's place.
 pub(crate) fn actions_at(faults: &[Fault], round: Round, base: &ChannelPolicy) -> Vec<FaultAction> {
     let mut actions = Vec::new();
-    let (mut spikes_done, mut grays_done) = (false, false);
+    let (mut spikes_done, mut timers_done) = (false, false);
     for fault in faults {
         match fault {
             Fault::Spike { .. } if !spikes_done => {
                 spikes_done = true;
                 actions.extend(spike_policy_at(faults, round, base).map(FaultAction::SetPolicy));
             }
-            Fault::Gray { .. } if !grays_done => {
-                grays_done = true;
-                for (victim, period) in gray_periods_at(faults, round).into_iter().flatten() {
+            Fault::Gray { .. } | Fault::Skew { .. } if !timers_done => {
+                timers_done = true;
+                for (victim, period) in timer_periods_at(faults, round).into_iter().flatten() {
                     actions.push(FaultAction::SetTimer { victim, period });
                 }
             }
@@ -1111,6 +1100,26 @@ mod tests {
                 forge: ForgeKind::Replay
             }]
         );
+    }
+
+    /// A skew is a timer window with no end: under a gray window the
+    /// schedule emits only `SetTimer` actions, each carrying the slowest
+    /// period covering its victim, for every timer victim at every
+    /// boundary.
+    #[test]
+    fn skew_under_gray_emits_composed_set_timer_actions() {
+        let scenario =
+            apply_spec(Scenario::new("skewgray", 5), "skew=20:3:4 gray=25+30:6:3+4").unwrap();
+        let at = |round: u64| scenario.actions_at(Round::new(round));
+        let set = |victim: u32, period: Option<u64>| FaultAction::SetTimer {
+            victim: p(victim),
+            period,
+        };
+        assert_eq!(at(20), vec![set(3, None), set(4, Some(3))]);
+        assert!(at(21).is_empty());
+        assert_eq!(at(25), vec![set(3, Some(6)), set(4, Some(6))]);
+        assert_eq!(at(55), vec![set(3, None), set(4, Some(3))]);
+        assert!(at(56).is_empty());
     }
 
     #[test]

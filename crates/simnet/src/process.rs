@@ -187,11 +187,6 @@ impl<'a, M> Context<'a, M> {
         self.sends.push(to, msg);
     }
 
-    /// Number of packets queued so far in this step.
-    pub fn pending_sends(&self) -> usize {
-        self.sends.len()
-    }
-
     /// Takes the packets queued so far out of the buffer, in send order,
     /// keeping its capacity: the scheduler flushes after every delivery and
     /// timer step of one visit, through one context.
@@ -246,7 +241,6 @@ mod tests {
         let mut ctx: Context<'_, u32> = Context::new(ProcessId::new(0), Round::new(5), &all);
         ctx.send(ProcessId::new(1), 11);
         ctx.send(ProcessId::new(2), 22);
-        assert_eq!(ctx.pending_sends(), 2);
         assert_eq!(ctx.now(), Round::new(5));
         assert_eq!(ctx.me(), ProcessId::new(0));
         let out: Vec<(ProcessId, u32)> = ctx

@@ -506,8 +506,9 @@ impl Scenario {
     }
 
     /// The fault counter map a run starts from: every key the faults
-    /// register, at zero.
-    fn zeroed_counters(&self) -> BTreeMap<String, u64> {
+    /// register, at zero. `simctl drive` starts a live run's map from it
+    /// too.
+    pub fn zeroed_counters(&self) -> BTreeMap<String, u64> {
         self.faults
             .iter()
             .flat_map(Fault::counter_keys)
@@ -874,8 +875,7 @@ const ADVERSARY_SALT: u64 = 0xc4a0_5eed_c4a0_5eed;
 /// One run of a [`Scenario`] as a resumable value: the simulation plus
 /// everything the runner tracks about it — the adversary's random stream,
 /// the load engine, the history recorder, the fault counters, the active
-/// partitions and one-way cuts, the timer floors and the stays-converged
-/// probe.
+/// partitions and one-way cuts and the stays-converged probe.
 ///
 /// [`ScenarioRunner::advance_to`] executes rounds up to a round boundary,
 /// where the simulation can be inspected or mutated white-box
@@ -966,9 +966,6 @@ pub struct ScenarioRunner<T: ScenarioTarget> {
     /// Likewise for one-way cuts: the currently active directed cuts,
     /// including the sides joiners were confined to.
     active_oneway: Vec<(Vec<ProcessId>, Vec<ProcessId>)>,
-    /// Permanent timer-period floors registered by `SetTimerFloor` actions:
-    /// a windowed `SetTimer` restore never drops a victim below its floor.
-    timer_floors: BTreeMap<ProcessId, u64>,
     /// Generic safety invariants checked by the runner while it applies
     /// actions (the target's protocol invariants and the faults' class
     /// invariants are collected at the end); see docs/FAULTS.md.
@@ -1006,7 +1003,6 @@ impl<T: ScenarioTarget> Clone for ScenarioRunner<T> {
             probe: self.probe.clone(),
             active_splits: self.active_splits.clone(),
             active_oneway: self.active_oneway.clone(),
-            timer_floors: self.timer_floors.clone(),
             runner_violations: self.runner_violations.clone(),
             obs: self.obs.clone(),
         }
@@ -1035,7 +1031,6 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
             probe: Probe::default(),
             active_splits: Vec::new(),
             active_oneway: Vec::new(),
-            timer_floors: BTreeMap::new(),
             runner_violations: Vec::new(),
             obs: RunObservations::default(),
             scenario: scenario.clone(),
@@ -1191,14 +1186,15 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
         // attached, else the target's legacy convergence workload.
         if now.as_u64() < self.scenario.workload_rounds {
             match self.load.as_mut() {
-                Some(engine) => engine.drive(&mut self.sim, self.recorder.as_mut()),
+                Some(engine) => engine.drive(&mut self.sim, now.as_u64(), self.recorder.as_mut()),
                 None => T::drive_workload(&mut self.sim, now, &mut self.adversary_rng),
             }
         }
         self.sim.step_round();
         self.steps += 1;
         if let Some(engine) = self.load.as_mut() {
-            engine.poll(&mut self.sim, self.recorder.as_mut());
+            let now = self.sim.now().as_u64();
+            engine.poll(&mut self.sim, now, self.recorder.as_mut());
         }
         self.stopped = self.probe_convergence();
     }
@@ -1223,21 +1219,10 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
         // liveness invariants: recorded for every victim of a due timer
         // action, before the round's actions apply.
         for action in &actions {
-            if let FaultAction::SetTimer { victim, .. }
-            | FaultAction::SetTimerFloor { victim, .. } = action
-            {
+            if let FaultAction::SetTimer { victim, .. } = action {
                 if let Some(steps) = sim.timer_steps_of(*victim) {
                     self.obs.timer_steps_at.insert((now, *victim), steps);
                 }
-            }
-        }
-
-        // Timer actions compose across faults within the round: floors
-        // register first, then windowed overrides apply against them.
-        for action in &actions {
-            if let FaultAction::SetTimerFloor { victim, period } = action {
-                let floor = self.timer_floors.entry(*victim).or_insert(*period);
-                *floor = (*floor).max(*period);
             }
         }
 
@@ -1317,26 +1302,13 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
                     }
                 }
                 FaultAction::SetTimer { victim, period } => {
-                    let floor = self.timer_floors.get(victim).copied();
-                    let effective = match (*period, floor) {
-                        (Some(g), Some(s)) => Some(g.max(s)),
-                        (g, s) => g.or(s),
-                    };
-                    if effective.is_some()
+                    if period.is_some()
                         && sim.timer_period_override(*victim).is_none()
                         && sim.is_active(*victim)
                     {
                         bump(counters, "slowdowns", 1);
                     }
-                    sim.set_timer_period_override(*victim, effective);
-                }
-                FaultAction::SetTimerFloor { victim, period } => {
-                    let prior = sim.timer_period_override(*victim);
-                    if prior.is_none() && sim.is_active(*victim) {
-                        bump(counters, "slowdowns", 1);
-                    }
-                    let floored = prior.map_or(*period, |p| p.max(*period));
-                    sim.set_timer_period_override(*victim, Some(floored));
+                    sim.set_timer_period_override(*victim, *period);
                 }
                 FaultAction::Crash(victim) => {
                     sim.crash(*victim);
