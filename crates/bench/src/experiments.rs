@@ -19,8 +19,9 @@ use failure_detector::ThetaFailureDetector;
 use labels::{Label, LabelPair, Labeler};
 use reconfig::{config_set, converged_config, ConfigValue, NodeConfig, QuorumSystem, ReconfigNode};
 use sharedmem::RegisterId;
+use simnet::plan::apply_spec;
 use simnet::stack::{Layer, Outbox};
-use simnet::{ProcessId, Round, Scenario, SimConfig, Simulation};
+use simnet::{ProcessId, Scenario, SimConfig, Simulation};
 
 use crate::{
     catalog_scenario, fresh_reconfig_sim, run_scenario_bench, smr_cluster, steady_reconfig_sim,
@@ -766,17 +767,17 @@ fn e12_quorum_systems() -> Vec<Row> {
 }
 
 /// The `partition-heal` catalog scenario for the default 40-round window,
-/// or a stretched variant built through the same plan builders.
+/// or a stretched variant with the same `--plan` schedule.
 fn partition_scenario(n: usize, duration: u64) -> Scenario {
     if duration == 40 {
         return catalog_scenario("partition-heal", n);
     }
-    Scenario::new(format!("partition-heal-{duration}"), n)
+    let scenario = Scenario::new(format!("partition-heal-{duration}"), n)
         .describe("halves split, stretched heal")
-        .split_halves_at(Round::new(30))
-        .heal_at(Round::new(30 + duration))
         .with_rounds(4_000)
-        .with_workload_until(70 + duration)
+        .with_workload_until(70 + duration);
+    apply_spec(scenario, &format!("split=30 heal={}", 30 + duration))
+        .expect("a valid --plan schedule")
 }
 
 fn e13_partition_recovery() -> Vec<Row> {

@@ -16,9 +16,10 @@ use counters::CounterNode;
 use proptest::prelude::*;
 use reconfig::ReconfigNode;
 use sharedmem::SharedMemNode;
+use simnet::plan::apply_spec;
 use simnet::report::digest_lines;
 use simnet::scenario::{run_scenario, Scenario, ScenarioTarget};
-use simnet::{ProcessId, Round, SchedulerMode};
+use simnet::SchedulerMode;
 use vssmr::SmrNode;
 
 /// One raw fault draw: `(kind, round, a, b)`. The kind selects the fault
@@ -27,26 +28,22 @@ use vssmr::SmrNode;
 /// reduced modulo whatever range the class needs, so any draw is valid.
 type RawFault = (u32, u64, u32, u64);
 
-/// Composes one drawn fault onto the scenario. Fault rounds stay inside
-/// [5, 40) and deferred effects (heals, rejoins) within ~10 rounds, so a
-/// 60-round scenario contains every effect.
-fn apply(scenario: Scenario, fault: RawFault, n: usize) -> Scenario {
+/// One drawn fault as `--plan` text. Fault rounds stay inside [5, 40) and
+/// deferred effects (heals, rejoins) within ~10 rounds, so a 60-round
+/// scenario contains every effect.
+fn token(fault: RawFault, n: usize) -> String {
     let (kind, round, a, b) = fault;
-    let victim = ProcessId::new(a % n as u32);
-    let at = Round::new(round);
+    let victim = a % n as u32;
+    let later = round + 2 + b % 8;
     match kind % 8 {
-        0 => scenario.crash_at(at, [victim]),
-        1 => scenario.join_at(at, 1 + a % 2),
-        2 => scenario
-            .split_halves_at(at)
-            .heal_at(Round::new(round + 2 + b % 8)),
-        3 => scenario
-            .cut_oneway_halves_at(at)
-            .heal_oneway_at(Round::new(round + 2 + b % 8)),
-        4 => scenario.slow_at(at, 2 + b % 6, 2 + u64::from(a) % 3, [victim]),
-        5 => scenario.skew_at(at, 2 + b % 3, [victim]),
-        6 => scenario.crash_recover_at(at, [victim], 2 + b % 6),
-        _ => scenario.corrupt_at(at, [victim]),
+        0 => format!("crash={round}:{victim}"),
+        1 => format!("join={round}:{}", 1 + a % 2),
+        2 => format!("split={round} heal={later}"),
+        3 => format!("oneway={round} healoneway={later}"),
+        4 => format!("gray={round}+{}:{}:{victim}", 2 + b % 6, 2 + a % 3),
+        5 => format!("skew={round}:{}:{victim}", 2 + b % 3),
+        6 => format!("recover={round}+{}:{victim}", 2 + b % 6),
+        _ => format!("corrupt={round}:{victim}"),
     }
 }
 
@@ -78,10 +75,10 @@ proptest! {
             0..6,
         ),
     ) {
-        let mut scenario = Scenario::new("digest-property", n).with_rounds(60);
-        for fault in faults {
-            scenario = apply(scenario, fault, n);
-        }
+        let schedule: Vec<String> = faults.into_iter().map(|fault| token(fault, n)).collect();
+        let scenario = apply_spec(Scenario::new("digest-property", n), &schedule.join(" "))
+            .unwrap()
+            .with_rounds(60);
         check_target::<ReconfigNode>(&scenario, seed);
         check_target::<CounterNode>(&scenario, seed);
         check_target::<SmrNode>(&scenario, seed);

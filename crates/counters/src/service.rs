@@ -1426,8 +1426,9 @@ mod tests {
 #[cfg(test)]
 mod seeded_bug {
     use super::*;
+    use simnet::plan::apply_spec;
     use simnet::scenario::run_scenario;
-    use simnet::{Arrival, LoadProfile, Round, Scenario, SchedulerMode};
+    use simnet::{Arrival, LoadProfile, Scenario, SchedulerMode};
 
     /// [`CounterNode`] with one deliberate defect, modelled on the fixed
     /// epoch-forgetting bug: corruption jumps the node back to a *stale
@@ -1546,8 +1547,9 @@ mod seeded_bug {
     #[test]
     fn checker_rejects_the_stale_label_rollback() {
         let scenario = Scenario::new("stale-label-seeded-bug", 4)
-            .describe("epoch rollback on every member under client load")
-            .corrupt_at(Round::new(60), (0..4).map(ProcessId::new))
+            .describe("epoch rollback on every member under client load");
+        let scenario = apply_spec(scenario, "corrupt=60:0+1+2+3")
+            .unwrap()
             .with_workload_until(120)
             .with_rounds(800)
             .with_load(

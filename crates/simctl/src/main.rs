@@ -94,7 +94,7 @@ mod live;
 use counters::CounterNode;
 use reconfig::ReconfigNode;
 use sharedmem::SharedMemNode;
-use simnet::plan::{apply_spec, Fault, PLAN_KINDS};
+use simnet::plan::{apply_spec, PLAN_KINDS};
 use simnet::scenario::{catalog, ScenarioTarget};
 use simnet::{Campaign, CampaignReport, Json, Scenario};
 use vssmr::SmrNode;
@@ -395,11 +395,10 @@ fn parse_slo(spec: &str) -> Result<Vec<(&'static str, u64)>, String> {
 
 /// The machine-readable catalog document (`simctl list --json`). Each
 /// scenario carries its schedule in the `--plan` grammar and its registered
-/// counter keys (the sorted union of its faults' `Fault::counter_keys()`) —
-/// exactly the `counters` object keys
-/// a campaign report of that scenario will contain, so the cross-PR
-/// `chaos-diff` job can detect counter-schema drift from the catalog alone,
-/// without running a campaign.
+/// counter keys (the keys of `Scenario::zeroed_counters()`, sorted and
+/// unique) — exactly the `counters` object keys a campaign report of that
+/// scenario will contain, so the cross-PR `chaos-diff` job can detect
+/// counter-schema drift from the catalog alone, without running a campaign.
 fn catalog_json(n: usize) -> Json {
     Json::obj().field("n", n).field(
         "scenarios",
@@ -407,14 +406,6 @@ fn catalog_json(n: usize) -> Json {
             catalog(n)
                 .iter()
                 .map(|s| {
-                    let mut counter_keys: Vec<&str> = s
-                        .plans()
-                        .iter()
-                        .flat_map(Fault::counter_keys)
-                        .copied()
-                        .collect();
-                    counter_keys.sort_unstable();
-                    counter_keys.dedup();
                     Json::obj()
                         .field("name", s.name())
                         .field("description", s.description())
@@ -423,12 +414,7 @@ fn catalog_json(n: usize) -> Json {
                         .field("live_capable", s.live_capable())
                         .field(
                             "counters",
-                            Json::Arr(
-                                counter_keys
-                                    .into_iter()
-                                    .map(|k| Json::Str(k.to_string()))
-                                    .collect(),
-                            ),
+                            Json::Arr(s.zeroed_counters().into_keys().map(Json::Str).collect()),
                         )
                         .field("schedule", s.render_schedule())
                 })
@@ -944,6 +930,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::plan::Fault;
 
     #[test]
     fn node_names_match_the_adapters() {

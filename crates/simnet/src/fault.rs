@@ -149,7 +149,7 @@ mod tests {
     use crate::config::SchedulerMode;
     use crate::scenario::{run_scenario, Scenario, ScenarioRun, ScenarioRunner};
     use crate::scheduler::Simulation;
-    use crate::testutil::MaxNode;
+    use crate::testutil::{planned, MaxNode};
 
     /// Runs `scenario` over the toy target, returning the run and the
     /// simulation it left behind.
@@ -178,10 +178,7 @@ mod tests {
 
     #[test]
     fn crash_plan_applies_at_scheduled_round() {
-        let scenario = Scenario::new("crash", 4)
-            .crash_at(Round::new(2), [ProcessId::new(0)])
-            .crash_at(Round::new(3), [ProcessId::new(1), ProcessId::new(2)])
-            .with_rounds(5);
+        let scenario = planned("crash", 4, "crash=2:0 crash=3:1+2").with_rounds(5);
         let (run, sim) = run(&scenario);
         assert_eq!(run.counter("crashes"), 3);
         assert_eq!(sim.active_ids(), vec![ProcessId::new(3)]);
@@ -189,10 +186,7 @@ mod tests {
 
     #[test]
     fn churn_plan_adds_processes() {
-        let scenario = Scenario::new("churn", 1)
-            .join_at(Round::new(1), 2)
-            .join_at(Round::new(3), 1)
-            .with_rounds(5);
+        let scenario = planned("churn", 1, "join=1:2 join=3:1").with_rounds(5);
         let (run, sim) = run(&scenario);
         assert_eq!(run.counter("joins"), 3);
         assert_eq!(sim.ids().len(), 4);
@@ -201,13 +195,7 @@ mod tests {
     #[test]
     fn corruption_plan_mutates_scheduled_victims_only() {
         // p2 crashes in the same round, before corruption lands.
-        let scenario = Scenario::new("corrupt", 3)
-            .crash_at(Round::new(1), [ProcessId::new(2)])
-            .corrupt_at(
-                Round::new(1),
-                [ProcessId::new(0), ProcessId::new(2), ProcessId::new(9)],
-            )
-            .with_rounds(5);
+        let scenario = planned("corrupt", 3, "crash=1:2 corrupt=1:0+2+9").with_rounds(5);
         assert_eq!(scenario.last_fault_round(), Round::new(1));
         let (run, _) = run(&scenario);
         // The crashed and the unknown victim are skipped.
@@ -264,8 +252,7 @@ mod tests {
     fn gray_failure_plan_slows_and_restores() {
         let victim = ProcessId::new(1);
         // The workload window keeps the run going for all 12 rounds.
-        let scenario = Scenario::new("gray", 3)
-            .slow_at(Round::new(2), 6, 4, [victim])
+        let scenario = planned("gray", 3, "gray=2+6:4:1")
             .with_rounds(12)
             .with_workload_until(12);
         assert_eq!(scenario.last_fault_round(), Round::new(8));
@@ -313,8 +300,7 @@ mod tests {
     #[test]
     fn skew_plan_is_permanent() {
         let victim = ProcessId::new(1);
-        let scenario = Scenario::new("skew", 2)
-            .skew_at(Round::new(3), 5, [victim])
+        let scenario = planned("skew", 2, "skew=3:5:1")
             .with_rounds(20)
             .with_workload_until(20);
         assert_eq!(scenario.plans().len(), 1);
@@ -333,10 +319,7 @@ mod tests {
     #[test]
     fn payload_corruption_mutates_in_flight_packets_only() {
         let victim = ProcessId::new(2);
-        let scenario = Scenario::new("wire", 3)
-            .crash_at(Round::ZERO, [victim])
-            .corrupt_payloads_at(Round::ZERO, [victim])
-            .with_rounds(5);
+        let scenario = planned("wire", 3, "crash=0:2 payload=0:2").with_rounds(5);
         let mut sim = scenario.build_sim::<MaxNode>(1, SchedulerMode::EventDriven);
         sim.network_mut().inject(ProcessId::new(0), victim, 10);
         sim.network_mut().inject(ProcessId::new(1), victim, 20);
@@ -353,10 +336,7 @@ mod tests {
     #[test]
     fn payload_corruption_permutes_values_across_channels() {
         let victim = ProcessId::new(2);
-        let scenario = Scenario::new("wire", 3)
-            .crash_at(Round::ZERO, [victim])
-            .corrupt_payloads_at(Round::ZERO, [victim])
-            .with_rounds(5);
+        let scenario = planned("wire", 3, "crash=0:2 payload=0:2").with_rounds(5);
         let (mut swapped, mut kept) = (0, 0);
         for seed in 0..16 {
             let mut sim = scenario.build_sim::<MaxNode>(seed, SchedulerMode::EventDriven);
@@ -389,9 +369,7 @@ mod tests {
 
     #[test]
     fn recovery_plan_crashes_then_rejoins_under_fresh_identifiers() {
-        let scenario = Scenario::new("recover", 4)
-            .crash_recover_at(Round::new(1), [ProcessId::new(2), ProcessId::new(3)], 3)
-            .with_rounds(6);
+        let scenario = planned("recover", 4, "recover=1+3:2+3").with_rounds(6);
         assert_eq!(scenario.last_fault_round(), Round::new(4));
         let (run, sim) = run(&scenario);
         assert_eq!(run.counter("crashes"), 2);
@@ -406,10 +384,7 @@ mod tests {
     /// Faults with no victim and joins of nobody schedule no action.
     #[test]
     fn empty_plans_are_noops() {
-        let scenario = Scenario::new("empty", 1)
-            .crash_at(Round::new(1), [])
-            .join_at(Round::new(1), 0)
-            .with_rounds(3);
+        let scenario = planned("empty", 1, "crash=1: join=1:0").with_rounds(3);
         assert!(scenario.actions_at(Round::new(1)).is_empty());
         let (_, sim) = run(&scenario);
         assert_eq!(sim.ids().len(), 1);

@@ -1,9 +1,8 @@
-//! A small fixed-storage histogram for experiment statistics.
+//! A sample set for latency percentiles.
 //!
-//! The benchmark harness measures distributions — rounds to converge, label
-//! creations, spurious triggerings — across many seeds. [`Histogram`]
-//! accumulates `u64` samples and reports count, min, max, mean and arbitrary
-//! percentiles without external dependencies.
+//! The load engine ([`crate::load`]) folds every completed operation's
+//! latency into a [`Histogram`] and reports nearest-rank percentiles of it
+//! without external dependencies.
 //!
 //! ```
 //! use simnet::Histogram;
@@ -11,15 +10,12 @@
 //! for v in [5u64, 1, 9, 7, 3] {
 //!     h.record(v);
 //! }
-//! assert_eq!(h.count(), 5);
-//! assert_eq!(h.min(), Some(1));
-//! assert_eq!(h.max(), Some(9));
+//! assert_eq!(h.percentile(0.0), Some(1));
 //! assert_eq!(h.percentile(50.0), Some(5));
+//! assert_eq!(h.percentile(100.0), Some(9));
 //! ```
 
-use std::fmt;
-
-/// An accumulating sample set with summary statistics.
+/// An accumulating sample set with nearest-rank percentiles.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     samples: Vec<u64>,
@@ -36,47 +32,6 @@ impl Histogram {
     pub fn record(&mut self, value: u64) {
         self.samples.push(value);
         self.sorted = false;
-    }
-
-    /// Records every sample of an iterator.
-    pub fn record_all(&mut self, values: impl IntoIterator<Item = u64>) {
-        for v in values {
-            self.record(v);
-        }
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns `true` when no sample has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Smallest recorded sample.
-    pub fn min(&self) -> Option<u64> {
-        self.samples.iter().copied().min()
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> Option<u64> {
-        self.samples.iter().copied().max()
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.samples.iter().sum()
-    }
-
-    /// Arithmetic mean of the samples.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.sum() as f64 / self.samples.len() as f64)
-        }
     }
 
     /// The `p`-th percentile (nearest-rank method), `p` in `[0, 100]`.
@@ -112,49 +67,16 @@ impl Histogram {
         let idx = rank.saturating_sub(1).min(n - 1);
         Some(self.samples[idx])
     }
-
-    /// The median (50th percentile).
-    pub fn median(&mut self) -> Option<u64> {
-        self.percentile(50.0)
-    }
-
-    /// A one-line summary (`n / min / mean / p50 / p95 / max`) for printing
-    /// in benchmark reports.
-    pub fn summary(&mut self) -> String {
-        if self.is_empty() {
-            return "n=0".to_string();
-        }
-        format!(
-            "n={} min={} mean={:.1} p50={} p95={} max={}",
-            self.count(),
-            self.min().unwrap(),
-            self.mean().unwrap(),
-            self.percentile(50.0).unwrap(),
-            self.percentile(95.0).unwrap(),
-            self.max().unwrap()
-        )
-    }
 }
 
-impl FromIterator<u64> for Histogram {
-    fn from_iter<T: IntoIterator<Item = u64>>(iter: T) -> Self {
-        let mut h = Histogram::new();
-        h.record_all(iter);
-        h
+/// A histogram holding `samples`, for the tests.
+#[cfg(test)]
+fn of(samples: impl IntoIterator<Item = u64>) -> Histogram {
+    let mut h = Histogram::new();
+    for sample in samples {
+        h.record(sample);
     }
-}
-
-impl Extend<u64> for Histogram {
-    fn extend<T: IntoIterator<Item = u64>>(&mut self, iter: T) {
-        self.record_all(iter);
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut copy = self.clone();
-        write!(f, "{}", copy.summary())
-    }
+    h
 }
 
 #[cfg(test)]
@@ -164,59 +86,43 @@ mod tests {
     #[test]
     fn empty_histogram_reports_nothing() {
         let mut h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.median(), None);
-        assert_eq!(h.summary(), "n=0");
+        assert_eq!(h, Histogram::default());
+        assert_eq!(h.percentile(50.0), None);
     }
 
     #[test]
     fn statistics_match_hand_computed_values() {
-        let mut h: Histogram = [10u64, 20, 30, 40].into_iter().collect();
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.min(), Some(10));
-        assert_eq!(h.max(), Some(40));
-        assert_eq!(h.sum(), 100);
-        assert_eq!(h.mean(), Some(25.0));
+        let mut h = of([10u64, 20, 30, 40]);
+        assert_eq!(h.percentile(25.0), Some(10));
         assert_eq!(h.percentile(50.0), Some(20));
+        assert_eq!(h.percentile(75.0), Some(30));
         assert_eq!(h.percentile(100.0), Some(40));
         assert_eq!(h.percentile(0.0), Some(10));
     }
 
+    /// A `record` after a query clears the sorted flag, so the next query
+    /// sorts the new sample in.
     #[test]
     fn recording_after_a_percentile_query_stays_correct() {
         let mut h = Histogram::new();
         h.record(5);
-        assert_eq!(h.median(), Some(5));
+        assert_eq!(h.percentile(50.0), Some(5));
         h.record(1);
         h.record(9);
-        assert_eq!(h.median(), Some(5));
-        assert_eq!(h.max(), Some(9));
-    }
-
-    #[test]
-    fn extend_and_display() {
-        let mut h = Histogram::new();
-        h.extend([3u64, 1, 2]);
-        let text = format!("{h}");
-        assert!(text.contains("n=3"));
-        assert!(text.contains("min=1"));
-        assert!(text.contains("max=3"));
+        assert_eq!(h.percentile(50.0), Some(5));
+        assert_eq!(h.percentile(100.0), Some(9));
+        assert_eq!(h.percentile(0.0), Some(1));
     }
 
     #[test]
     #[should_panic(expected = "percentile")]
     fn percentile_out_of_range_panics() {
-        let mut h: Histogram = [1u64].into_iter().collect();
-        let _ = h.percentile(150.0);
+        let _ = of([1u64]).percentile(150.0);
     }
 
     #[test]
     fn single_sample_is_every_percentile() {
-        let mut h: Histogram = [42u64].into_iter().collect();
+        let mut h = of([42u64]);
         assert_eq!(h.percentile(1.0), Some(42));
         assert_eq!(h.percentile(50.0), Some(42));
         assert_eq!(h.percentile(99.0), Some(42));
@@ -234,7 +140,7 @@ mod tests {
 
     #[test]
     fn single_sample_tail_percentiles() {
-        let mut h: Histogram = [7u64].into_iter().collect();
+        let mut h = of([7u64]);
         assert_eq!(h.percentile(99.9), Some(7));
         assert_eq!(h.percentile(100.0), Some(7));
         assert_eq!(h.percentile(0.0), Some(7));
@@ -246,16 +152,15 @@ mod tests {
         // p99.9 rank is ceil(999 · 1000 / 1000) = 999 — computed in integer
         // arithmetic, so the f64 artifact that used to push the rank to
         // 1,000 (surfacing the outlier one rank early) no longer applies.
-        let mut h: Histogram = std::iter::repeat(2u64)
-            .take(999)
-            .chain(std::iter::once(500))
-            .collect();
+        let mut h = of(std::iter::repeat_n(2u64, 999).chain(std::iter::once(500)));
         assert_eq!(h.percentile(99.0), Some(2));
         assert_eq!(h.percentile(99.9), Some(2));
         assert_eq!(h.percentile(100.0), Some(500));
         // With 2,000 samples the outlier sits at rank 2,000 while p99.9's
         // rank is 1,999 — the duplicate mass hides a 1-in-2000 outlier.
-        h.record_all(std::iter::repeat(2u64).take(1000));
+        for _ in 0..1000 {
+            h.record(2);
+        }
         assert_eq!(h.percentile(99.9), Some(2));
         assert_eq!(h.percentile(100.0), Some(500));
     }
@@ -266,13 +171,12 @@ mod tests {
         // statistic exactly — ceil(0.999 · 2000) = 1998, never a value
         // interpolated between samples and never rank 1,999 (the f64
         // artifact `0.999 * 2000 = 1998.0000000000002` used to produce).
-        let mut h: Histogram = (1u64..=2000).collect();
+        let mut h = of(1u64..=2000);
         assert_eq!(h.percentile(99.9), Some(1998));
         assert_eq!(h.percentile(100.0), Some(2000));
         // The rank is computed on the sample count, not the value range:
         // with 10 distinct values p99.9 is simply the maximum.
-        let mut small: Histogram = (1u64..=10).collect();
-        assert_eq!(small.percentile(99.9), Some(10));
+        assert_eq!(of(1u64..=10).percentile(99.9), Some(10));
     }
 }
 
@@ -282,29 +186,21 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Percentiles are monotone in `p` and bounded by min/max.
+        /// Percentiles are monotone in `p` and bounded by the samples' own
+        /// min and max.
         #[test]
         fn percentiles_are_monotone(
             samples in proptest::collection::vec(0u64..10_000, 1..200),
             p1 in 0.0f64..100.0,
             p2 in 0.0f64..100.0,
         ) {
-            let mut h: Histogram = samples.iter().copied().collect();
+            let mut h = of(samples.iter().copied());
             let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
             let a = h.percentile(lo).unwrap();
             let b = h.percentile(hi).unwrap();
             prop_assert!(a <= b);
-            prop_assert!(h.min().unwrap() <= a);
-            prop_assert!(b <= h.max().unwrap());
-        }
-
-        /// The mean always lies between min and max.
-        #[test]
-        fn mean_is_bounded(samples in proptest::collection::vec(0u64..10_000, 1..200)) {
-            let h: Histogram = samples.iter().copied().collect();
-            let mean = h.mean().unwrap();
-            prop_assert!(h.min().unwrap() as f64 <= mean + 1e-9);
-            prop_assert!(mean <= h.max().unwrap() as f64 + 1e-9);
+            prop_assert!(*samples.iter().min().unwrap() <= a);
+            prop_assert!(b <= *samples.iter().max().unwrap());
         }
     }
 }

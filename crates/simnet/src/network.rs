@@ -473,16 +473,6 @@ impl<M: Clone> Network<M> {
         }
     }
 
-    /// Unblocks the links *from* members of `from` *to* members of `to`,
-    /// lifting a one-directional cut. Links never blocked are unaffected.
-    pub fn open_oneway(&mut self, from: &[ProcessId], to: &[ProcessId]) {
-        for a in from {
-            for b in to {
-                self.blocked.remove(&(*a, *b));
-            }
-        }
-    }
-
     /// Removes every blocked link, healing all partitions.
     pub fn heal_all_links(&mut self) {
         self.blocked.clear();
@@ -905,8 +895,6 @@ mod tests {
         // The reverse direction keeps working.
         assert!(!net.is_blocked(p[2], p[0]));
         assert!(!net.is_blocked(p[3], p[1]));
-        net.open_oneway(&[p[0], p[1]], &[p[2], p[3]]);
-        assert_eq!(net.blocked_link_count(), 0);
         // Self-links are never blocked even when a process is in both groups.
         net.cut_oneway(&[p[0]], &[p[0], p[1]]);
         assert!(!net.is_blocked(p[0], p[0]));

@@ -13,69 +13,84 @@
 //! cut rather than let them bridge it.
 //!
 //! ```
-//! use simnet::plan::FaultAction;
+//! use simnet::plan::{apply_spec, FaultAction};
 //! use simnet::scenario::Scenario;
 //! use simnet::{ProcessId, Round};
 //! let p: Vec<ProcessId> = (0..4).map(ProcessId::new).collect();
 //! let groups = vec![vec![p[0], p[1]], vec![p[2], p[3]]];
-//! let s = Scenario::new("split", 4)
-//!     .split_at(Round::new(10), groups.clone())
-//!     .heal_at(Round::new(50));
+//! let s = apply_spec(Scenario::new("split", 4), "split=10:0+1/2+3 heal=50").unwrap();
 //! assert_eq!(s.actions_at(Round::new(10)), vec![FaultAction::Split(groups)]);
 //! assert_eq!(s.actions_at(Round::new(50)), vec![FaultAction::HealSplits]);
 //! ```
 
 use std::collections::BTreeSet;
 
+use crate::network::Network;
 use crate::process::ProcessId;
 use crate::scenario::ScenarioTarget;
 use crate::scheduler::Simulation;
 
-/// While partitions are active, every churned-in processor (id ≥ n — the
-/// scenario author could not have named it in the declared groups) is
-/// confined to one side of *each* cut, round-robin by id, and the cuts are
-/// re-applied so its links to the other sides are blocked. This covers
-/// joiners arriving during a split, joiners already present when a split
-/// fires, and stacked splits — and the same for one-way cuts, where a joiner
-/// lands on a side by identifier parity and inherits its deafness (to-side)
-/// or muteness (from-side).
-pub(crate) fn confine_joiners<T: ScenarioTarget>(
-    sim: &mut Simulation<T>,
-    n: usize,
-    active_splits: &mut [Vec<Vec<ProcessId>>],
-    active_oneway: &mut [(Vec<ProcessId>, Vec<ProcessId>)],
-) {
-    for groups in active_splits.iter_mut() {
-        let covered: BTreeSet<ProcessId> = groups.iter().flatten().copied().collect();
-        let stray: Vec<ProcessId> = sim
-            .active_ids()
-            .into_iter()
-            .filter(|id| id.as_u32() as usize >= n && !covered.contains(id))
-            .collect();
-        if !stray.is_empty() {
-            for id in stray {
-                let side = id.as_u32() as usize % groups.len();
-                groups[side].push(id);
-            }
-            sim.network_mut().split_into(groups);
+/// The cuts in force during a scenario run: every symmetric split and every
+/// one-way cut, with the joiners confined behind them. This is the only
+/// record of them; whenever it changes, the runner rebuilds the network's
+/// blocked set from it ([`Cuts::block`]), so a heal of one kind never lifts
+/// the other kind's blocks, even on shared links.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Cuts {
+    /// Every split in force, as its groups (empty: fully connected).
+    pub(crate) splits: Vec<Vec<Vec<ProcessId>>>,
+    /// Every one-way cut in force, as `(from, to)`.
+    pub(crate) oneway: Vec<(Vec<ProcessId>, Vec<ProcessId>)>,
+}
+
+impl Cuts {
+    /// Rebuilds `network`'s blocked set from the cuts: every link healed,
+    /// then each split, then each one-way cut.
+    pub(crate) fn block<M: Clone>(&self, network: &mut Network<M>) {
+        network.heal_all_links();
+        for groups in &self.splits {
+            network.split_into(groups);
+        }
+        for (from, to) in &self.oneway {
+            network.cut_oneway(from, to);
         }
     }
-    for (from, to) in active_oneway.iter_mut() {
-        let covered: BTreeSet<ProcessId> = from.iter().chain(to.iter()).copied().collect();
-        let stray: Vec<ProcessId> = sim
-            .active_ids()
-            .into_iter()
-            .filter(|id| id.as_u32() as usize >= n && !covered.contains(id))
-            .collect();
-        if !stray.is_empty() {
-            for id in stray {
+
+    /// While cuts are in force, every churned-in processor (id ≥ n — the
+    /// scenario author could not have named it in the declared groups) is
+    /// confined to one side of *each* cut, round-robin by id, and the
+    /// blocked set is rebuilt so its links to the other sides are blocked.
+    /// This covers joiners arriving during a split, joiners already present
+    /// when a split fires, and stacked splits — and the same for one-way
+    /// cuts, where a joiner lands on a side by identifier parity and
+    /// inherits its deafness (to-side) or muteness (from-side).
+    pub(crate) fn confine_joiners<T: ScenarioTarget>(&mut self, sim: &mut Simulation<T>, n: usize) {
+        let stray = |covered: BTreeSet<ProcessId>| -> Vec<ProcessId> {
+            sim.active_ids()
+                .into_iter()
+                .filter(|id| id.as_u32() as usize >= n && !covered.contains(id))
+                .collect()
+        };
+        let mut confined = false;
+        for groups in &mut self.splits {
+            for id in stray(groups.iter().flatten().copied().collect()) {
+                let side = id.as_u32() as usize % groups.len();
+                groups[side].push(id);
+                confined = true;
+            }
+        }
+        for (from, to) in &mut self.oneway {
+            for id in stray(from.iter().chain(to.iter()).copied().collect()) {
                 if id.as_u32() % 2 == 0 {
                     from.push(id);
                 } else {
                     to.push(id);
                 }
+                confined = true;
             }
-            sim.network_mut().cut_oneway(from, to);
+        }
+        if confined {
+            self.block(sim.network_mut());
         }
     }
 }
@@ -86,7 +101,7 @@ mod tests {
     use crate::config::SchedulerMode;
     use crate::plan::FaultAction;
     use crate::scenario::{Scenario, ScenarioRunner};
-    use crate::testutil::MaxNode;
+    use crate::testutil::{planned, MaxNode};
     use crate::time::Round;
 
     fn p(i: u32) -> ProcessId {
@@ -108,10 +123,7 @@ mod tests {
 
     #[test]
     fn builder_records_events() {
-        let scenario = Scenario::new("splits", 4)
-            .split_at(Round::new(1), vec![vec![p(0)], vec![p(1)]])
-            .split_at(Round::new(1), vec![vec![p(2)], vec![p(3)]])
-            .heal_at(Round::new(9));
+        let scenario = planned("splits", 4, "split=1:0/1 split=1:2/3 heal=9");
         assert_eq!(scenario.plans().len(), 3);
         assert_eq!(scenario.actions_at(Round::new(1)).len(), 2);
         assert!(scenario.actions_at(Round::new(2)).is_empty());
@@ -125,10 +137,7 @@ mod tests {
 
     #[test]
     fn partition_prevents_cross_group_gossip_until_healed() {
-        let scenario = Scenario::new("split", 4)
-            .split_at(Round::ZERO, vec![vec![p(0), p(1)], vec![p(2), p(3)]])
-            .heal_at(Round::new(10))
-            .with_rounds(30);
+        let scenario = planned("split", 4, "split=0:0+1/2+3 heal=10").with_rounds(30);
         let mut runner = start(&scenario, 1);
         runner.advance_to(Round::new(8));
         // While partitioned, the large value stays on its side of the cut.
@@ -147,12 +156,7 @@ mod tests {
     /// it.
     #[test]
     fn asymmetric_cut_blocks_one_direction_and_heals() {
-        let lower = vec![p(0), p(1)];
-        let upper = vec![p(2), p(3)];
-        let scenario = Scenario::new("oneway", 4)
-            .cut_oneway_at(Round::ZERO, upper, lower)
-            .heal_oneway_at(Round::new(10))
-            .with_rounds(30);
+        let scenario = planned("oneway", 4, "oneway=0:2+3>0+1 healoneway=10").with_rounds(30);
         let mut runner = start(&scenario, 3);
         runner.advance_to(Round::new(8));
         // upper → lower is cut: the maximum (3) stays on the upper side…
@@ -176,11 +180,12 @@ mod tests {
     /// partition's blocks on the same links.
     #[test]
     fn asymmetric_heal_does_not_lift_symmetric_splits() {
-        let scenario = Scenario::new("oneway-over-split", 3)
-            .split_at(Round::ZERO, vec![vec![p(0)], vec![p(1)]])
-            .cut_oneway_at(Round::ZERO, vec![p(2)], vec![p(0)])
-            .heal_oneway_at(Round::new(1))
-            .with_rounds(30);
+        let scenario = planned(
+            "oneway-over-split",
+            3,
+            "split=0:0/1 oneway=0:2>0 healoneway=1",
+        )
+        .with_rounds(30);
         let mut runner = start(&scenario, 4);
         runner.advance_to(Round::new(1));
         assert!(runner.sim().network().is_blocked(p(2), p(0)));
@@ -194,11 +199,7 @@ mod tests {
 
     #[test]
     fn heal_and_split_at_same_round_leave_new_split() {
-        let scenario = Scenario::new("resplit", 3)
-            .split_at(Round::ZERO, vec![vec![p(0)], vec![p(1)]])
-            .heal_at(Round::new(3))
-            .split_at(Round::new(3), vec![vec![p(1)], vec![p(2)]])
-            .with_rounds(30);
+        let scenario = planned("resplit", 3, "split=0:0/1 heal=3 split=3:1/2").with_rounds(30);
         let mut runner = start(&scenario, 2);
         runner.advance_to(Round::new(4));
         let net = runner.sim().network();

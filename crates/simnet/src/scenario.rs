@@ -26,14 +26,14 @@
 //! executions.
 //!
 //! ```
-//! use simnet::scenario::{LinkProfile, Scenario};
-//! use simnet::{ProcessId, Round};
+//! use simnet::plan::apply_spec;
+//! use simnet::scenario::Scenario;
+//! use simnet::Round;
 //!
 //! let s = Scenario::new("partition-heal", 6)
 //!     .describe("split the cluster in half, heal after 20 rounds")
-//!     .split_halves_at(Round::new(8))
-//!     .heal_at(Round::new(28))
 //!     .with_rounds(400);
+//! let s = apply_spec(s, "split=8 heal=28").unwrap();
 //! assert_eq!(s.name(), "partition-heal");
 //! assert_eq!(s.initial_size(), 6);
 //! assert!(s.last_fault_round() >= Round::new(28));
@@ -46,12 +46,11 @@ use std::fmt;
 
 use crate::channel::ChannelPolicy;
 use crate::config::{SchedulerMode, SimConfig};
-use crate::fault::SpikeSpec;
 use crate::history::{HistoryCfg, HistoryRecorder, OpKind, OpResponse};
 use crate::linearize::{self, Spec, Verdict};
 use crate::load::{LoadEngine, LoadProfile};
-use crate::partition::confine_joiners;
-use crate::plan::{self, halves, Fault, FaultAction, ForgeKind, RunObservations};
+use crate::partition::Cuts;
+use crate::plan::{self, Fault, FaultAction, ForgeKind, RunObservations};
 use crate::process::{Context, Process, ProcessId};
 use crate::rng::SimRng;
 use crate::scheduler::Simulation;
@@ -103,9 +102,9 @@ impl LinkProfile {
 /// of [`Fault`]s scheduling faults over rounds, with a round budget and a
 /// workload window.
 ///
-/// Each builder ([`Scenario::crash_at`], [`Scenario::spike_at`],
-/// [`Scenario::inject_at`], …) appends one fault, as
-/// [`Scenario::with_fault`] does; the list keeps insertion order.
+/// A schedule is `--plan` text, which [`crate::plan::apply_spec`] appends
+/// one fault per token, or typed values appended by
+/// [`Scenario::with_fault`]; the list keeps insertion order.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     name: String,
@@ -199,166 +198,6 @@ impl Scenario {
         self
     }
 
-    /// Schedules `victims` to crash at `round` (builder style).
-    pub fn crash_at(self, round: Round, victims: impl IntoIterator<Item = ProcessId>) -> Self {
-        self.with_fault(Fault::Crash {
-            round,
-            victims: victims.into_iter().collect(),
-        })
-    }
-
-    /// Schedules `count` fresh joiners at `round` (builder style).
-    pub fn join_at(self, round: Round, count: u32) -> Self {
-        self.with_fault(Fault::Join { round, count })
-    }
-
-    /// Schedules a partition into `groups` at `round` (builder style).
-    /// Processors in different groups lose connectivity in both
-    /// directions; processors mentioned in no group are unaffected.
-    pub fn split_at(self, round: Round, groups: Vec<Vec<ProcessId>>) -> Self {
-        self.with_fault(Fault::Split { round, groups })
-    }
-
-    /// Schedules a split of the initial population into two halves at
-    /// `round` (builder style).
-    pub fn split_halves_at(self, round: Round) -> Self {
-        let groups = halves(self.n).into();
-        self.split_at(round, groups)
-    }
-
-    /// Schedules a full heal at `round` (builder style).
-    pub fn heal_at(self, round: Round) -> Self {
-        self.with_fault(Fault::Heal { round })
-    }
-
-    /// Schedules a one-directional cut at `round`: links from members of
-    /// `from` towards members of `to` fail while the reverse direction
-    /// keeps delivering (builder style).
-    pub fn cut_oneway_at(self, round: Round, from: Vec<ProcessId>, to: Vec<ProcessId>) -> Self {
-        self.with_fault(Fault::Oneway { round, from, to })
-    }
-
-    /// Schedules a one-way cut of the initial population's halves at
-    /// `round`: the lower half stops hearing the upper half, while the
-    /// upper half still hears everything (builder style).
-    pub fn cut_oneway_halves_at(self, round: Round) -> Self {
-        let [lower, upper] = halves(self.n);
-        self.cut_oneway_at(round, upper, lower)
-    }
-
-    /// Schedules a heal of every one-directional cut at `round` (builder
-    /// style). Symmetric splits are unaffected.
-    pub fn heal_oneway_at(self, round: Round) -> Self {
-        self.with_fault(Fault::HealOneway { round })
-    }
-
-    /// Schedules a gray failure: `victims` run at timer period `period`
-    /// from `round` for `duration` rounds, then recover (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn slow_at(
-        self,
-        round: Round,
-        duration: u64,
-        period: u64,
-        victims: impl IntoIterator<Item = ProcessId>,
-    ) -> Self {
-        assert!(period > 0, "gray-failure timer period must be at least 1");
-        self.with_fault(Fault::Gray {
-            round,
-            duration,
-            period,
-            victims: victims.into_iter().collect(),
-        })
-    }
-
-    /// Schedules permanent clock skew: `victims` run at timer period
-    /// `period` from `round` on, forever (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn skew_at(
-        self,
-        round: Round,
-        period: u64,
-        victims: impl IntoIterator<Item = ProcessId>,
-    ) -> Self {
-        assert!(period > 0, "skewed timer period must be at least 1");
-        self.with_fault(Fault::Skew {
-            round,
-            period,
-            victims: victims.into_iter().collect(),
-        })
-    }
-
-    /// Schedules in-flight payload corruption of every packet travelling
-    /// towards `victims` at `round` (builder style).
-    pub fn corrupt_payloads_at(
-        self,
-        round: Round,
-        victims: impl IntoIterator<Item = ProcessId>,
-    ) -> Self {
-        self.with_fault(Fault::Payload {
-            round,
-            victims: victims.into_iter().collect(),
-        })
-    }
-
-    /// Schedules `victims` to crash at `round` and rejoin under fresh
-    /// identifiers `downtime` rounds later (builder style).
-    pub fn crash_recover_at(
-        self,
-        round: Round,
-        victims: impl IntoIterator<Item = ProcessId>,
-        downtime: u64,
-    ) -> Self {
-        self.with_fault(Fault::Recover {
-            round,
-            downtime,
-            victims: victims.into_iter().collect(),
-        })
-    }
-
-    /// Schedules transient state corruption of `victims` at `round`
-    /// (builder style).
-    pub fn corrupt_at(self, round: Round, victims: impl IntoIterator<Item = ProcessId>) -> Self {
-        self.with_fault(Fault::Corrupt {
-            round,
-            victims: victims.into_iter().collect(),
-        })
-    }
-
-    /// Schedules a message drop/duplication/delay spike starting at `round`
-    /// for `duration` rounds (builder style).
-    pub fn spike_at(self, round: Round, duration: u64, spec: SpikeSpec) -> Self {
-        self.with_fault(Fault::Spike {
-            round,
-            duration,
-            spec,
-        })
-    }
-
-    /// Schedules one crafted (Byzantine) packet per target at `round`, each
-    /// claiming to come from `claimed_sender` (builder style). See
-    /// [`Fault::Byzantine`].
-    pub fn inject_at(
-        self,
-        round: Round,
-        forge: ForgeKind,
-        claimed_sender: ProcessId,
-        targets: impl IntoIterator<Item = ProcessId>,
-    ) -> Self {
-        self.with_fault(Fault::Byzantine {
-            round,
-            forge,
-            claimed: claimed_sender,
-            targets: targets.into_iter().collect(),
-        })
-    }
-
     /// The scenario's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -409,7 +248,7 @@ impl Scenario {
     /// spaces. [`crate::plan::apply_spec`] on a bare scenario of the same
     /// size parses it back to an equal fault list.
     pub fn render_schedule(&self) -> String {
-        let tokens: Vec<String> = self.faults.iter().filter_map(Fault::render).collect();
+        let tokens: Vec<String> = self.faults.iter().map(Fault::render).collect();
         tokens.join(" ")
     }
 
@@ -918,12 +757,12 @@ const ADVERSARY_SALT: u64 = 0xc4a0_5eed_c4a0_5eed;
 /// #     fn invariant_violations(_sim: &Simulation<Self>) -> Vec<String> { Vec::new() }
 /// #     fn state_line(i: ProcessId, p: &Self) -> String { format!("{i} {}", p.value) }
 /// # }
+/// use simnet::plan::apply_spec;
 /// use simnet::scenario::{Scenario, ScenarioRunner};
 /// use simnet::{Round, SchedulerMode};
 ///
-/// let scenario = Scenario::new("split", 4)
-///     .split_halves_at(Round::new(2))
-///     .heal_at(Round::new(10))
+/// let scenario = apply_spec(Scenario::new("split", 4), "split=2 heal=10")
+///     .unwrap()
 ///     .with_rounds(60);
 /// let sim = scenario.build_sim::<Flood>(1, SchedulerMode::EventDriven);
 /// let mut runner = ScenarioRunner::new(&scenario, sim);
@@ -959,13 +798,10 @@ pub struct ScenarioRunner<T: ScenarioTarget> {
     finished: bool,
     rounds_to_convergence: Option<u64>,
     probe: Probe,
-    /// Mirror of every currently active split (empty = fully connected), so
-    /// that churned-in processors can be confined with respect to *each*
-    /// cut instead of silently bridging one of them with open links.
-    active_splits: Vec<Vec<Vec<ProcessId>>>,
-    /// Likewise for one-way cuts: the currently active directed cuts,
-    /// including the sides joiners were confined to.
-    active_oneway: Vec<(Vec<ProcessId>, Vec<ProcessId>)>,
+    /// The splits and one-way cuts in force, joiners confined behind them
+    /// included: the only record of them, from which the network's blocked
+    /// set is rebuilt whenever they change.
+    cuts: Cuts,
     /// Generic safety invariants checked by the runner while it applies
     /// actions (the target's protocol invariants and the faults' class
     /// invariants are collected at the end); see docs/FAULTS.md.
@@ -1001,8 +837,7 @@ impl<T: ScenarioTarget> Clone for ScenarioRunner<T> {
             finished: self.finished,
             rounds_to_convergence: self.rounds_to_convergence,
             probe: self.probe.clone(),
-            active_splits: self.active_splits.clone(),
-            active_oneway: self.active_oneway.clone(),
+            cuts: self.cuts.clone(),
             runner_violations: self.runner_violations.clone(),
             obs: self.obs.clone(),
         }
@@ -1029,8 +864,7 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
             finished: false,
             rounds_to_convergence: None,
             probe: Probe::default(),
-            active_splits: Vec::new(),
-            active_oneway: Vec::new(),
+            cuts: Cuts::default(),
             runner_violations: Vec::new(),
             obs: RunObservations::default(),
             scenario: scenario.clone(),
@@ -1231,33 +1065,25 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
             // The confinement sweep runs once per round right after the
             // join phase (below); flush it when crossing.
             if !past_churn && action.phase() > FaultAction::JOIN_PHASE {
-                confine_joiners(sim, n, &mut self.active_splits, &mut self.active_oneway);
+                self.cuts.confine_joiners(sim, n);
                 past_churn = true;
             }
             match action {
                 FaultAction::HealSplits => {
-                    self.active_splits.clear();
-                    sim.network_mut().heal_all_links();
-                    // The full heal lifted every one-way cut still in
-                    // force; re-assert them.
-                    for (from, to) in &self.active_oneway {
-                        sim.network_mut().cut_oneway(from, to);
+                    if !self.cuts.splits.is_empty() {
+                        self.cuts.splits.clear();
+                        self.cuts.block(sim.network_mut());
                     }
                 }
                 FaultAction::Split(groups) => {
-                    self.active_splits.push(groups.clone());
-                    sim.network_mut().split_into(groups);
+                    self.cuts.splits.push(groups.clone());
+                    self.cuts.block(sim.network_mut());
                     bump(counters, "splits", 1);
                 }
                 FaultAction::HealOneway => {
-                    // Heal the *tracked* cuts (they include confined joiners
-                    // the declared faults never mention), then re-assert the
-                    // symmetric blocks the one-way heal may have lifted.
-                    for (from, to) in self.active_oneway.drain(..) {
-                        sim.network_mut().open_oneway(&from, &to);
-                    }
-                    for groups in &self.active_splits {
-                        sim.network_mut().split_into(groups);
+                    if !self.cuts.oneway.is_empty() {
+                        self.cuts.oneway.clear();
+                        self.cuts.block(sim.network_mut());
                     }
                 }
                 FaultAction::CutOneway { from, to } => {
@@ -1274,8 +1100,8 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
                                 .collect::<Vec<bool>>()
                         })
                         .collect();
-                    self.active_oneway.push((from.clone(), to.clone()));
-                    sim.network_mut().cut_oneway(from, to);
+                    self.cuts.oneway.push((from.clone(), to.clone()));
+                    self.cuts.block(sim.network_mut());
                     bump(counters, "oneway_cuts", 1);
                     let mut pair = 0;
                     for b in to {
@@ -1413,7 +1239,7 @@ impl<T: ScenarioTarget> ScenarioRunner<T> {
             }
         }
         if !past_churn {
-            confine_joiners(sim, n, &mut self.active_splits, &mut self.active_oneway);
+            self.cuts.confine_joiners(sim, n);
         }
         // The generalized conservation check: whatever the round's actions
         // did to the network, the packet count moved by exactly the number
@@ -1468,154 +1294,73 @@ fn bump(counters: &mut BTreeMap<String, u64>, key: &str, by: u64) {
     *counters.entry(key.to_string()).or_insert(0) += by;
 }
 
+/// The catalog's rows: name, round budget, workload window, schedule and
+/// description. A schedule is one `--plan` line ([`crate::plan::apply_spec`])
+/// in which `{m}` stands for the minority (the ⌊(n−1)/2⌋ highest initial
+/// identifiers counting down, joined by `+`; empty for n ≤ 2), `{l}` for the
+/// last initial identifier n−1 and `{g}` for n+40, a sender that never
+/// exists at any population size the campaigns run (forged-sender
+/// injections claim to come from it).
+#[rustfmt::skip]
+const CATALOG: &[(&str, u64, u64, &str, &str)] = &[
+    ("quiescent", 1_500, 40, "",
+     "no faults: bootstrap from scratch and settle"),
+    ("crash-minority", 1_500, 60, "crash=30:{m}",
+     "a minority of the population crashes simultaneously"),
+    ("partition-heal", 2_000, 110, "split=30 heal=70",
+     "the cluster splits into halves and heals 40 rounds later"),
+    ("churn", 2_000, 90, "join=30:2 crash=45:{l} join=60:1",
+     "two joiners, then a crash, then one more joiner"),
+    ("packet-storm", 2_000, 90, "spike=30+30:0.25/0.1/2",
+     "a 30-round loss/duplication/delay spike on every link"),
+    ("state-blast", 2_000, 90, "corrupt=30:{m} corrupt=60:0",
+     "transient state corruption of a minority, twice"),
+    ("partition-churn", 2_500, 110, "split=30 join=40:2 heal=60 crash=80:{l}",
+     "joins during a partition, heal, then a late crash"),
+    ("chaos-mix", 3_000, 120,
+     "spike=20+20:0.25/0.1/2 split=30 join=40:1 heal=55 crash=70:{l} corrupt=85:0",
+     "spike + partition + crash + joins + corruption, overlapping"),
+    ("one-way-cut", 2_500, 110, "oneway=30 healoneway=70",
+     "the lower half goes deaf to the upper half, healing 40 rounds later"),
+    ("gray-lag", 2_500, 100, "gray=30+40:6:{m}",
+     "a minority runs at 6x the timer period for 40 rounds, then recovers"),
+    ("wire-corruption", 2_000, 90, "payload=30:{m} payload=45:0 payload=60:{m}",
+     "payloads in flight towards a minority are corrupted, three times"),
+    ("clock-skew", 2_500, 80, "skew=20:3:{m}",
+     "a minority's clock runs 3x slow forever; the system converges anyway"),
+    ("crash-recovery", 2_500, 100, "recover=30+30:{m}",
+     "a minority crashes, then rejoins under fresh identifiers"),
+    ("byzantine-storm", 2_500, 90,
+     "byzantine=30:forged-sender:{g}:{m} byzantine=40:replay:0:{m} \
+      byzantine=50:stale-state:0:{m} byzantine=60:forged-sender:{g}:0",
+     "crafted packets: forged-sender heartbeats from a ghost, replays and \
+      stale-state payloads towards a minority"),
+];
+
 /// The built-in scenario catalog, sized for an initial population of `n`
-/// processors. These are the named scenarios `simctl run` accepts and the
-/// CI chaos matrix sweeps.
-///
-/// | name | fault mix |
-/// |------|-----------|
-/// | `quiescent` | none — pure bootstrap convergence |
-/// | `crash-minority` | a minority of the population crashes at once |
-/// | `partition-heal` | the cluster splits in half, then heals |
-/// | `churn` | joins and a crash interleaved |
-/// | `packet-storm` | a loss/duplication/delay spike window |
-/// | `state-blast` | transient state corruption of a minority |
-/// | `partition-churn` | joins *during* a partition, heal, late crash |
-/// | `chaos-mix` | everything above in one schedule |
-/// | `one-way-cut` | an asymmetric cut: half the cluster goes deaf, then heals |
-/// | `gray-lag` | a minority runs 6× slow for a window, then recovers |
-/// | `wire-corruption` | in-flight payload corruption towards a minority, thrice |
-/// | `clock-skew` | a minority runs 3× slow forever — convergence under skew |
-/// | `crash-recovery` | a minority crashes and rejoins under fresh identifiers |
-/// | `byzantine-storm` | crafted packets: forged-sender, replay and stale-state injections towards a minority |
+/// processors: one scenario per row of its table, each with its schedule
+/// parsed from `--plan` text. These are the named scenarios `simctl run`
+/// accepts and the CI chaos matrix sweeps; docs/FAULTS.md "The catalog"
+/// says what each one exercises.
 pub fn catalog(n: usize) -> Vec<Scenario> {
-    let n_u32 = n as u32;
-    let minority: Vec<ProcessId> = {
-        let k = (n.saturating_sub(1)) / 2;
-        (0..k as u32)
-            .map(|i| ProcessId::new(n_u32 - 1 - i))
-            .collect()
-    };
-    let storm = SpikeSpec {
-        loss: 0.25,
-        duplication: 0.1,
-        extra_delay: 2,
-    };
-    // A processor identifier that never exists at any population size the
-    // campaigns run: forged-sender injections claim to come from it.
-    let ghost = ProcessId::new(n_u32 + 40);
-    vec![
-        Scenario::new("quiescent", n)
-            .describe("no faults: bootstrap from scratch and settle")
-            .with_rounds(1_500)
-            .with_workload_until(40),
-        Scenario::new("crash-minority", n)
-            .describe("a minority of the population crashes simultaneously")
-            .crash_at(Round::new(30), minority.clone())
-            .with_rounds(1_500)
-            .with_workload_until(60),
-        Scenario::new("partition-heal", n)
-            .describe("the cluster splits into halves and heals 40 rounds later")
-            .split_halves_at(Round::new(30))
-            .heal_at(Round::new(70))
-            .with_rounds(2_000)
-            .with_workload_until(110),
-        Scenario::new("churn", n)
-            .describe("two joiners, then a crash, then one more joiner")
-            .join_at(Round::new(30), 2)
-            .crash_at(Round::new(45), [ProcessId::new(n_u32 - 1)])
-            .join_at(Round::new(60), 1)
-            .with_rounds(2_000)
-            .with_workload_until(90),
-        Scenario::new("packet-storm", n)
-            .describe("a 30-round loss/duplication/delay spike on every link")
-            .spike_at(Round::new(30), 30, storm)
-            .with_rounds(2_000)
-            .with_workload_until(90),
-        Scenario::new("state-blast", n)
-            .describe("transient state corruption of a minority, twice")
-            .corrupt_at(Round::new(30), minority.clone())
-            .corrupt_at(Round::new(60), vec![ProcessId::new(0)])
-            .with_rounds(2_000)
-            .with_workload_until(90),
-        Scenario::new("partition-churn", n)
-            .describe("joins during a partition, heal, then a late crash")
-            .split_halves_at(Round::new(30))
-            .join_at(Round::new(40), 2)
-            .heal_at(Round::new(60))
-            .crash_at(Round::new(80), [ProcessId::new(n_u32 - 1)])
-            .with_rounds(2_500)
-            .with_workload_until(110),
-        Scenario::new("chaos-mix", n)
-            .describe("spike + partition + crash + joins + corruption, overlapping")
-            .spike_at(Round::new(20), 20, storm)
-            .split_halves_at(Round::new(30))
-            .join_at(Round::new(40), 1)
-            .heal_at(Round::new(55))
-            .crash_at(Round::new(70), [ProcessId::new(n_u32 - 1)])
-            .corrupt_at(Round::new(85), vec![ProcessId::new(0)])
-            .with_rounds(3_000)
-            .with_workload_until(120),
-        Scenario::new("one-way-cut", n)
-            .describe("the lower half goes deaf to the upper half, healing 40 rounds later")
-            .cut_oneway_halves_at(Round::new(30))
-            .heal_oneway_at(Round::new(70))
-            .with_rounds(2_500)
-            .with_workload_until(110),
-        Scenario::new("gray-lag", n)
-            .describe("a minority runs at 6x the timer period for 40 rounds, then recovers")
-            .slow_at(Round::new(30), 40, 6, minority.clone())
-            .with_rounds(2_500)
-            .with_workload_until(100),
-        Scenario::new("wire-corruption", n)
-            .describe("payloads in flight towards a minority are corrupted, three times")
-            .corrupt_payloads_at(Round::new(30), minority.clone())
-            .corrupt_payloads_at(Round::new(45), vec![ProcessId::new(0)])
-            .corrupt_payloads_at(Round::new(60), minority.clone())
-            .with_rounds(2_000)
-            .with_workload_until(90),
-        Scenario::new("clock-skew", n)
-            .describe("a minority's clock runs 3x slow forever; the system converges anyway")
-            .skew_at(Round::new(20), 3, minority.clone())
-            .with_rounds(2_500)
-            .with_workload_until(80),
-        Scenario::new("crash-recovery", n)
-            .describe("a minority crashes, then rejoins under fresh identifiers")
-            .crash_recover_at(Round::new(30), minority.clone(), 30)
-            .with_rounds(2_500)
-            .with_workload_until(100),
-        Scenario::new("byzantine-storm", n)
-            .describe(
-                "crafted packets: forged-sender heartbeats from a ghost, replays and \
-                 stale-state payloads towards a minority",
-            )
-            .inject_at(
-                Round::new(30),
-                ForgeKind::ForgedSender,
-                ghost,
-                minority.clone(),
-            )
-            .inject_at(
-                Round::new(40),
-                ForgeKind::Replay,
-                ProcessId::new(0),
-                minority.clone(),
-            )
-            .inject_at(
-                Round::new(50),
-                ForgeKind::StaleState,
-                ProcessId::new(0),
-                minority.clone(),
-            )
-            .inject_at(
-                Round::new(60),
-                ForgeKind::ForgedSender,
-                ghost,
-                vec![ProcessId::new(0)],
-            )
-            .with_rounds(2_500)
-            .with_workload_until(90),
-    ]
+    let l = n.saturating_sub(1);
+    let m: Vec<String> = (0..l / 2).map(|i| (l - i).to_string()).collect();
+    let (m, l, g) = (m.join("+"), l.to_string(), (n + 40).to_string());
+    CATALOG
+        .iter()
+        .map(|&(name, rounds, workload, schedule, description)| {
+            let schedule = schedule
+                .replace("{m}", &m)
+                .replace("{l}", &l)
+                .replace("{g}", &g);
+            let scenario = Scenario::new(name, n)
+                .describe(description)
+                .with_rounds(rounds)
+                .with_workload_until(workload);
+            plan::apply_spec(scenario, &schedule)
+                .unwrap_or_else(|err| panic!("catalog scenario {name}: {err}"))
+        })
+        .collect()
 }
 
 /// Looks up a catalog scenario by name.
@@ -1651,7 +1396,8 @@ pub fn sample_scenarios(scenarios: Vec<Scenario>, k: usize, seed: u64) -> Vec<Sc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::MaxNode;
+    use crate::fault::SpikeSpec;
+    use crate::testutil::{planned, MaxNode};
 
     fn run(scenario: &Scenario, seed: u64) -> ScenarioRun {
         let mut sim = scenario.build_sim::<MaxNode>(seed, SchedulerMode::EventDriven);
@@ -1754,11 +1500,7 @@ mod tests {
 
     #[test]
     fn fault_counters_match_the_schedule() {
-        let scenario = Scenario::new("counts", 5)
-            .crash_at(Round::new(2), [ProcessId::new(4)])
-            .join_at(Round::new(3), 2)
-            .corrupt_at(Round::new(4), [ProcessId::new(0), ProcessId::new(1)])
-            .with_rounds(40);
+        let scenario = planned("counts", 5, "crash=2:4 join=3:2 corrupt=4:0+1").with_rounds(40);
         let run = run(&scenario, 9);
         assert_eq!(run.counter("crashes"), 1);
         assert_eq!(run.counter("joins"), 2);
@@ -1777,12 +1519,12 @@ mod tests {
     /// crashes/rejoins split across `crashes` and `recoveries`.
     #[test]
     fn new_fault_counters_match_the_schedule() {
-        let scenario = Scenario::new("new-counts", 6)
-            .slow_at(Round::new(2), 10, 4, [ProcessId::new(1)])
-            .skew_at(Round::new(3), 2, [ProcessId::new(2)])
-            .corrupt_payloads_at(Round::new(4), [ProcessId::new(0)])
-            .crash_recover_at(Round::new(5), [ProcessId::new(5)], 6)
-            .with_rounds(80);
+        let scenario = planned(
+            "new-counts",
+            6,
+            "gray=2+10:4:1 skew=3:2:2 payload=4:0 recover=5+6:5",
+        )
+        .with_rounds(80);
         let run = run(&scenario, 4);
         assert_eq!(run.counter("slowdowns"), 2, "{run:?}");
         assert!(run.counter("payload_corruptions") > 0, "{run:?}");
@@ -1798,26 +1540,12 @@ mod tests {
     /// and the max-flood target still converges.
     #[test]
     fn byzantine_injections_are_applied_and_accounted() {
-        let scenario = Scenario::new("byz", 4)
-            .inject_at(
-                Round::new(3),
-                ForgeKind::ForgedSender,
-                ProcessId::new(9),
-                [ProcessId::new(0), ProcessId::new(1)],
-            )
-            .inject_at(
-                Round::new(5),
-                ForgeKind::Replay,
-                ProcessId::new(2),
-                [ProcessId::new(0)],
-            )
-            .inject_at(
-                Round::new(7),
-                ForgeKind::StaleState,
-                ProcessId::new(1),
-                [ProcessId::new(2)],
-            )
-            .with_rounds(60);
+        let scenario = planned(
+            "byz",
+            4,
+            "byzantine=3:forged-sender:9:0+1 byzantine=5:replay:2:0 byzantine=7:stale-state:1:2",
+        )
+        .with_rounds(60);
         let run = run(&scenario, 5);
         assert!(run.converged, "{run:?}");
         assert!(run.invariant_violations.is_empty(), "{run:?}");
@@ -1831,20 +1559,12 @@ mod tests {
     /// the composition.
     #[test]
     fn two_byzantine_plans_compose_without_false_violations() {
-        let scenario = Scenario::new("byz-pair", 4)
-            .inject_at(
-                Round::new(3),
-                ForgeKind::ForgedSender,
-                ProcessId::new(9),
-                [ProcessId::new(0)],
-            )
-            .inject_at(
-                Round::new(5),
-                ForgeKind::ForgedSender,
-                ProcessId::new(9),
-                [ProcessId::new(1)],
-            )
-            .with_rounds(60);
+        let scenario = planned(
+            "byz-pair",
+            4,
+            "byzantine=3:forged-sender:9:0 byzantine=5:forged-sender:9:1",
+        )
+        .with_rounds(60);
         let run = run(&scenario, 7);
         assert!(run.converged, "{run:?}");
         assert!(run.invariant_violations.is_empty(), "{run:?}");
@@ -1855,17 +1575,7 @@ mod tests {
     /// base policy is not re-counted.
     #[test]
     fn a_spike_window_counts_once() {
-        let scenario = Scenario::new("spike-count", 4)
-            .spike_at(
-                Round::new(3),
-                6,
-                SpikeSpec {
-                    loss: 0.3,
-                    duplication: 0.0,
-                    extra_delay: 1,
-                },
-            )
-            .with_rounds(80);
+        let scenario = planned("spike-count", 4, "spike=3+6:0.3/0/1").with_rounds(80);
         let run = run(&scenario, 11);
         assert!(run.converged, "{run:?}");
         assert_eq!(run.counter("spikes"), 1, "{run:?}");
@@ -1877,24 +1587,16 @@ mod tests {
     /// actions keep insertion order. Heals land before same-round cuts.
     #[test]
     fn builder_order_does_not_change_the_action_set() {
-        let p = |i: u32| ProcessId::new(i);
-        let at = Round::new(4);
-        let forward = Scenario::new("fwd", 4)
-            .crash_at(at, [p(1)])
-            .join_at(at, 1)
-            .skew_at(at, 3, [p(2)])
-            .split_halves_at(at)
-            .heal_at(at)
-            .cut_oneway_halves_at(at)
-            .heal_oneway_at(at);
-        let backward = Scenario::new("bwd", 4)
-            .heal_oneway_at(at)
-            .cut_oneway_halves_at(at)
-            .heal_at(at)
-            .split_halves_at(at)
-            .skew_at(at, 3, [p(2)])
-            .join_at(at, 1)
-            .crash_at(at, [p(1)]);
+        let forward = planned(
+            "fwd",
+            4,
+            "crash=4:1 join=4:1 skew=4:3:2 split=4 heal=4 oneway=4 healoneway=4",
+        );
+        let backward = planned(
+            "bwd",
+            4,
+            "healoneway=4 oneway=4 heal=4 split=4 skew=4:3:2 join=4:1 crash=4:1",
+        );
         for round in 0..8u64 {
             assert_eq!(
                 forward.actions_at(Round::new(round)),
@@ -1909,9 +1611,7 @@ mod tests {
     /// state.
     #[test]
     fn crash_recovery_rejoins_under_a_fresh_identifier() {
-        let scenario = Scenario::new("recovery", 4)
-            .crash_recover_at(Round::new(3), [ProcessId::new(3)], 5)
-            .with_rounds(60);
+        let scenario = planned("recovery", 4, "recover=3+5:3").with_rounds(60);
         let mut sim = scenario.build_sim::<MaxNode>(2, SchedulerMode::EventDriven);
         let run = run_scenario(&scenario, &mut sim);
         assert!(run.converged, "{run:?}");
@@ -1927,10 +1627,7 @@ mod tests {
     /// and the runner's asymmetry invariant holds.
     #[test]
     fn one_way_cut_is_asymmetric_and_heals() {
-        let scenario = Scenario::new("oneway", 4)
-            .cut_oneway_halves_at(Round::ZERO)
-            .heal_oneway_at(Round::new(12))
-            .with_rounds(60);
+        let scenario = planned("oneway", 4, "oneway=0 healoneway=12").with_rounds(60);
         let mut sim = scenario.build_sim::<MaxNode>(3, SchedulerMode::EventDriven);
         let run = run_scenario(&scenario, &mut sim);
         assert!(run.converged, "{run:?}");
@@ -1944,9 +1641,7 @@ mod tests {
     #[test]
     fn gray_failure_slows_then_recovers() {
         let victim = ProcessId::new(2);
-        let scenario = Scenario::new("gray", 4)
-            .slow_at(Round::new(4), 20, 5, [victim])
-            .with_rounds(80);
+        let scenario = planned("gray", 4, "gray=4+20:5:2").with_rounds(80);
         let mut sim = scenario.build_sim::<MaxNode>(5, SchedulerMode::EventDriven);
         let run = run_scenario(&scenario, &mut sim);
         assert!(run.converged, "{run:?}");
@@ -1963,14 +1658,12 @@ mod tests {
     /// when the new cut is the old one reversed.
     #[test]
     fn same_round_oneway_heal_and_cut_flip_cleanly() {
-        let a = vec![ProcessId::new(0), ProcessId::new(1)];
-        let b = vec![ProcessId::new(2), ProcessId::new(3)];
-        let scenario = Scenario::new("flip", 4)
-            .cut_oneway_at(Round::new(2), a.clone(), b.clone())
-            .cut_oneway_at(Round::new(6), b, a)
-            .heal_oneway_at(Round::new(6))
-            .heal_oneway_at(Round::new(10))
-            .with_rounds(60);
+        let scenario = planned(
+            "flip",
+            4,
+            "oneway=2:0+1>2+3 oneway=6:2+3>0+1 healoneway=6 healoneway=10",
+        )
+        .with_rounds(60);
         let mut sim = scenario.build_sim::<MaxNode>(4, SchedulerMode::EventDriven);
         let run = run_scenario(&scenario, &mut sim);
         assert!(run.invariant_violations.is_empty(), "{run:?}");
@@ -1984,14 +1677,12 @@ mod tests {
     #[test]
     fn oneway_and_symmetric_plans_compose_on_shared_links() {
         let p = |i: u32| ProcessId::new(i);
-        let lower = || vec![p(0), p(1)];
-        let upper = || vec![p(2), p(3)];
-        let scenario = Scenario::new("compose", 4)
-            .split_at(Round::new(2), vec![lower(), upper()])
-            .cut_oneway_at(Round::new(4), upper(), lower())
-            .heal_oneway_at(Round::new(6))
-            .heal_at(Round::new(20))
-            .with_rounds(60);
+        let scenario = planned(
+            "compose",
+            4,
+            "split=2:0+1/2+3 oneway=4:2+3>0+1 healoneway=6 heal=20",
+        )
+        .with_rounds(60);
         let mut runner = start(&scenario, 1);
         // Between the one-way heal (6) and the full heal (20), the
         // symmetric split must still block both directions.
@@ -2005,12 +1696,12 @@ mod tests {
 
         // The other direction: a symmetric full heal must not lift a
         // one-way cut still in force.
-        let scenario = Scenario::new("compose-rev", 4)
-            .cut_oneway_at(Round::new(2), upper(), lower())
-            .split_at(Round::new(4), vec![lower(), upper()])
-            .heal_at(Round::new(6))
-            .heal_oneway_at(Round::new(20))
-            .with_rounds(60);
+        let scenario = planned(
+            "compose-rev",
+            4,
+            "oneway=2:2+3>0+1 split=4:0+1/2+3 heal=6 healoneway=20",
+        )
+        .with_rounds(60);
         let mut runner = start(&scenario, 1);
         runner.advance_to(Round::new(10));
         assert!(runner.sim().network().is_blocked(p(2), p(0)));
@@ -2025,10 +1716,7 @@ mod tests {
     /// side of it — they must not relay around the cut in either direction.
     #[test]
     fn joiners_during_a_oneway_cut_do_not_bridge_it() {
-        let scenario = Scenario::new("oneway-bridge", 4)
-            .cut_oneway_halves_at(Round::ZERO)
-            .join_at(Round::new(2), 2)
-            .with_rounds(15);
+        let scenario = planned("oneway-bridge", 4, "oneway=0 join=2:2").with_rounds(15);
         let mut sim = scenario.build_sim::<MaxNode>(1, SchedulerMode::EventDriven);
         let run = run_scenario(&scenario, &mut sim);
         assert_eq!(run.counter("joins"), 2);
@@ -2057,10 +1745,7 @@ mod tests {
     #[test]
     fn adjacent_gray_windows_count_one_slowdown() {
         let victim = ProcessId::new(1);
-        let scenario = Scenario::new("adjacent", 4)
-            .slow_at(Round::new(2), 5, 6, [victim])
-            .slow_at(Round::new(7), 5, 6, [victim])
-            .with_rounds(60);
+        let scenario = planned("adjacent", 4, "gray=2+5:6:1 gray=7+5:6:1").with_rounds(60);
         let mut sim = scenario.build_sim::<MaxNode>(9, SchedulerMode::EventDriven);
         let run = run_scenario(&scenario, &mut sim);
         assert!(run.converged, "{run:?}");
@@ -2074,10 +1759,7 @@ mod tests {
     #[test]
     fn skew_is_a_floor_under_gray_windows() {
         let victim = ProcessId::new(1);
-        let scenario = Scenario::new("gray-over-skew", 4)
-            .skew_at(Round::new(2), 3, [victim])
-            .slow_at(Round::new(4), 8, 7, [victim])
-            .with_rounds(80);
+        let scenario = planned("gray-over-skew", 4, "skew=2:3:1 gray=4+8:7:1").with_rounds(80);
         let mut runner = start(&scenario, 8);
         // Probe the composed override mid-window by gossiping it: with no
         // workload the probe (7 = max(skew 3, gray 7)) dominates every
@@ -2099,9 +1781,7 @@ mod tests {
     #[test]
     fn clock_skew_converges_with_the_skew_in_force() {
         let victim = ProcessId::new(1);
-        let scenario = Scenario::new("skew", 4)
-            .skew_at(Round::new(2), 3, [victim])
-            .with_rounds(80);
+        let scenario = planned("skew", 4, "skew=2:3:1").with_rounds(80);
         let mut sim = scenario.build_sim::<MaxNode>(6, SchedulerMode::EventDriven);
         let run = run_scenario(&scenario, &mut sim);
         assert!(run.converged, "{run:?}");
@@ -2111,9 +1791,7 @@ mod tests {
 
     #[test]
     fn corruption_is_deterministic_per_seed() {
-        let scenario = Scenario::new("det", 4)
-            .corrupt_at(Round::new(1), [ProcessId::new(0)])
-            .with_rounds(30);
+        let scenario = planned("det", 4, "corrupt=1:0").with_rounds(30);
         let a = run(&scenario, 5);
         let b = run(&scenario, 5);
         assert_eq!(a, b);
@@ -2147,10 +1825,7 @@ mod tests {
     /// side of the cut — they must not bridge the halves with open links.
     #[test]
     fn joiners_during_a_partition_do_not_bridge_the_cut() {
-        let scenario = Scenario::new("bridge", 4)
-            .split_halves_at(Round::ZERO)
-            .join_at(Round::new(2), 2)
-            .with_rounds(15);
+        let scenario = planned("bridge", 4, "split=0 join=2:2").with_rounds(15);
         let mut sim = scenario.build_sim::<MaxNode>(1, SchedulerMode::EventDriven);
         let run = run_scenario(&scenario, &mut sim);
         assert_eq!(run.counter("joins"), 2);
@@ -2176,11 +1851,7 @@ mod tests {
     /// side B after the split must not reach side A through the joiner.
     #[test]
     fn pre_split_joiners_are_confined_when_the_split_fires() {
-        let scenario = Scenario::new("pre-bridge", 4)
-            .join_at(Round::new(2), 1)
-            .split_halves_at(Round::new(6))
-            .corrupt_at(Round::new(8), [ProcessId::new(3)])
-            .with_rounds(20);
+        let scenario = planned("pre-bridge", 4, "join=2:1 split=6 corrupt=8:3").with_rounds(20);
         let mut sim = scenario.build_sim::<MaxNode>(1, SchedulerMode::EventDriven);
         let run = run_scenario(&scenario, &mut sim);
         assert_eq!(run.counter("joins"), 1);
@@ -2207,11 +1878,8 @@ mod tests {
     #[test]
     fn joiners_are_confined_by_every_stacked_split() {
         let p = |i: u32| ProcessId::new(i);
-        let scenario = Scenario::new("stacked", 4)
-            .split_at(Round::new(2), vec![vec![p(0), p(1)], vec![p(2), p(3)]])
-            .split_at(Round::new(4), vec![vec![p(0), p(2)], vec![p(1), p(3)]])
-            .join_at(Round::new(6), 1)
-            .with_rounds(20);
+        let scenario =
+            planned("stacked", 4, "split=2:0+1/2+3 split=4:0+2/1+3 join=6:1").with_rounds(20);
         let mut sim = scenario.build_sim::<MaxNode>(1, SchedulerMode::EventDriven);
         let run = run_scenario(&scenario, &mut sim);
         assert_eq!(run.counter("joins"), 1);
@@ -2230,10 +1898,7 @@ mod tests {
 
     #[test]
     fn partition_delays_convergence_until_heal() {
-        let scenario = Scenario::new("split", 4)
-            .split_halves_at(Round::new(0))
-            .heal_at(Round::new(15))
-            .with_rounds(60);
+        let scenario = planned("split", 4, "split=0 heal=15").with_rounds(60);
         let run = run(&scenario, 2);
         assert!(run.converged);
         assert!(run.rounds_to_convergence.unwrap() > 15);
@@ -2246,9 +1911,7 @@ mod tests {
             duplication: 0.0,
             extra_delay: 0,
         };
-        let scenario = Scenario::new("access", 4)
-            .spike_at(Round::new(3), 4, spec)
-            .crash_at(Round::new(2), [ProcessId::new(0)]);
+        let scenario = planned("access", 4, "spike=3+4:0.5/0/0 crash=2:0");
         assert_eq!(
             scenario.plans(),
             [
@@ -2366,37 +2029,25 @@ mod fork_oracle {
     /// the selected class whatever the values.
     type RawFault = (u32, u64, u32, u64);
 
-    fn compose(scenario: Scenario, (kind, round, a, b): RawFault, n: usize) -> Scenario {
-        let victim = ProcessId::new(a % n as u32);
-        let at = Round::new(round);
-        let later = Round::new(round + 2 + b % 8);
+    /// The fault as `--plan` text.
+    fn compose((kind, round, a, b): RawFault, n: usize) -> String {
+        let victim = a % n as u32;
+        let later = round + 2 + b % 8;
         match kind % 11 {
-            0 => scenario.crash_at(at, [victim]),
-            1 => scenario.join_at(at, 1 + a % 2),
-            2 => scenario.split_halves_at(at).heal_at(later),
-            3 => scenario.cut_oneway_halves_at(at).heal_oneway_at(later),
-            4 => scenario.slow_at(at, 2 + b % 10, 2 + u64::from(a) % 4, [victim]),
-            5 => scenario.skew_at(at, 2 + b % 3, [victim]),
-            6 => scenario.crash_recover_at(at, [victim], 2 + b % 6),
-            7 => scenario.corrupt_payloads_at(at, [victim]),
-            8 => {
-                let spec = SpikeSpec {
-                    loss: 0.3,
-                    duplication: 0.3,
-                    extra_delay: b % 3,
-                };
-                scenario.spike_at(at, 2 + b % 6, spec)
-            }
+            0 => format!("crash={round}:{victim}"),
+            1 => format!("join={round}:{}", 1 + a % 2),
+            2 => format!("split={round} heal={later}"),
+            3 => format!("oneway={round} healoneway={later}"),
+            4 => format!("gray={round}+{}:{}:{victim}", 2 + b % 10, 2 + a % 4),
+            5 => format!("skew={round}:{}:{victim}", 2 + b % 3),
+            6 => format!("recover={round}+{}:{victim}", 2 + b % 6),
+            7 => format!("payload={round}:{victim}"),
+            8 => format!("spike={round}+{}:0.3/0.3/{}", 2 + b % 6, b % 3),
             9 => {
-                let forge = [
-                    ForgeKind::Replay,
-                    ForgeKind::ForgedSender,
-                    ForgeKind::StaleState,
-                ];
-                let claimed = ProcessId::new((a + 1) % n as u32);
-                scenario.inject_at(at, forge[b as usize % 3], claimed, [victim])
+                let forge = ["replay", "forged-sender", "stale-state"][b as usize % 3];
+                format!("byzantine={round}:{forge}:{}:{victim}", (a + 1) % n as u32)
             }
-            _ => scenario.corrupt_at(at, [victim]),
+            _ => format!("corrupt={round}:{victim}"),
         }
     }
 
@@ -2469,9 +2120,8 @@ mod fork_oracle {
                     ..HistoryCfg::default()
                 });
             }
-            for fault in faults {
-                scenario = compose(scenario, fault, n);
-            }
+            let schedule: Vec<String> = faults.into_iter().map(|fault| compose(fault, n)).collect();
+            let scenario = plan::apply_spec(scenario, &schedule.join(" ")).unwrap();
             let sim = || scenario.build_sim::<MaxNode>(seed, SchedulerMode::EventDriven);
             let start = || ScenarioRunner::new(&scenario, sim());
 

@@ -1,10 +1,12 @@
 //! Test-only support: a toy [`ScenarioTarget`] shared by the scenario and
-//! campaign test modules.
+//! campaign test modules, and [`planned`] for scenarios written as `--plan`
+//! text.
 
 use crate::history::OpResponse;
+use crate::plan::apply_spec;
 use crate::process::{Context, Process, ProcessId};
 use crate::rng::SimRng;
-use crate::scenario::{Agreement, ScenarioTarget};
+use crate::scenario::{Agreement, Scenario, ScenarioTarget};
 use crate::scheduler::Simulation;
 use crate::time::Round;
 
@@ -138,4 +140,10 @@ impl ScenarioTarget for MaxNode {
     fn state_line(id: ProcessId, p: &Self) -> String {
         format!("{id} value={}", p.value)
     }
+}
+
+/// A scenario of `n` initial processors whose schedule is the `--plan`
+/// value `schedule`.
+pub(crate) fn planned(name: &str, n: usize, schedule: &str) -> Scenario {
+    apply_spec(Scenario::new(name, n), schedule).unwrap_or_else(|err| panic!("{name}: {err}"))
 }
