@@ -466,7 +466,7 @@ fn run_labelers(n: u32, corrupt: bool, seed: u64) -> (u64, u64, bool) {
         }
         for (from, to, m) in outbox {
             if let Some(node) = nodes.get_mut(&to) {
-                node.on_message(from, m);
+                node.on_message(from, &m);
             }
         }
         if agreed(&nodes) {
@@ -522,7 +522,7 @@ fn run_increments(members: u32, increments: u32, bound: u64) -> (u64, bool) {
         while let Some((from, to, msg)) = queue.pop() {
             if let Some(node) = nodes.get_mut(&to) {
                 let mut replies = Outbox::new();
-                node.handle(from, msg, &mut replies);
+                node.handle(from, &msg, &mut replies);
                 for (next, reply) in replies.into_messages() {
                     queue.push((to, next, reply));
                 }

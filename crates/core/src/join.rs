@@ -201,7 +201,7 @@ mod tests {
             }
             for (from, to, m) in sa_out {
                 if alive.contains(&to) {
-                    self.recsa.get_mut(&to).unwrap().on_message(from, m);
+                    self.recsa.get_mut(&to).unwrap().on_message(from, &m);
                 }
             }
             let mut responses = Vec::new();

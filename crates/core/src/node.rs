@@ -296,7 +296,7 @@ impl Layer for ReconfigNode {
         self.joining.step(&mut self.recsa, &mut out.nest());
     }
 
-    fn handle<O: Sink<ReconfigMsg>>(&mut self, from: ProcessId, msg: ReconfigMsg, out: &mut O) {
+    fn handle<O: Sink<ReconfigMsg>>(&mut self, from: ProcessId, msg: &ReconfigMsg, out: &mut O) {
         // Every packet doubles as a heartbeat of its sender.
         self.fd.heartbeat(from);
         match msg {
@@ -305,7 +305,7 @@ impl Layer for ReconfigNode {
             ReconfigMsg::RecSa(m) => self.recsa.on_message(from, m),
             ReconfigMsg::RecMa(m) => {
                 let is_participant = self.recsa.is_participant();
-                self.recma.on_message(from, m, is_participant);
+                self.recma.on_message(from, *m, is_participant);
             }
             ReconfigMsg::Join(JoinMsg::Request) => {
                 let admit = self.config.admission.admit(from);
@@ -315,7 +315,7 @@ impl Layer for ReconfigNode {
             }
             ReconfigMsg::Join(JoinMsg::Response { pass }) => {
                 let is_participant = self.recsa.is_participant();
-                self.joining.on_response(from, pass, is_participant);
+                self.joining.on_response(from, *pass, is_participant);
             }
         }
     }
@@ -624,7 +624,7 @@ mod tests {
             ReconfigNode::new_with_config(peer, config_set([0, 1]), NodeConfig::for_n(4));
         sender.handle(
             me,
-            ReconfigMsg::Heartbeat,
+            &ReconfigMsg::Heartbeat,
             &mut Outbox::<ReconfigMsg>::new(),
         );
         let mut out = Outbox::new();
@@ -664,7 +664,7 @@ mod tests {
             let sent: Vec<_> = ctx
                 .into_outbox()
                 .into_iter()
-                .map(|(to, p)| (to, p.into_msg()))
+                .map(|(to, p)| (to, p.get().clone()))
                 .collect();
             (after, sent)
         };

@@ -310,7 +310,7 @@ mod tests {
             }
             for (from, to, m) in sa_out {
                 if alive.contains(&to) {
-                    self.recsa.get_mut(&to).unwrap().on_message(from, m);
+                    self.recsa.get_mut(&to).unwrap().on_message(from, &m);
                 }
             }
             for (from, to, m) in ma_out {

@@ -616,12 +616,13 @@ impl RecSa {
         self.broadcast(&trusted, out);
     }
 
-    /// Handles a protocol message from `from` (line 30): the received shared
-    /// values are stored as-is, keeping the sender's allocations canonical
-    /// across the whole system. A slot that already holds the allocation it
-    /// is sent is left alone, so a receipt that repeats the stored values —
-    /// every receipt of a converged system — writes no handle.
-    pub fn on_message(&mut self, from: ProcessId, msg: RecSaMsg) {
+    /// Handles a protocol message from `from` (line 30), read in place: the
+    /// received shared values are stored as-is, keeping the sender's
+    /// allocations canonical across the whole system. A slot that already
+    /// holds the allocation it is sent is left alone, so a receipt that
+    /// repeats the stored values — every receipt of a converged system —
+    /// writes no handle and clones nothing.
+    pub fn on_message(&mut self, from: ProcessId, msg: &RecSaMsg) {
         if from == self.me {
             return;
         }
@@ -644,7 +645,7 @@ impl RecSa {
                 && old.all == echo.all
         });
         if !echo_stored {
-            peer.echo = Some(echo);
+            peer.echo = Some(echo.clone());
         }
         if stale {
             self.invalidate_part();
@@ -1056,7 +1057,7 @@ impl RecSa {
     /// the slot already holds it: the reference its compare-before-store is
     /// checked against.
     #[cfg(test)]
-    fn on_message_storing_all(&mut self, from: ProcessId, msg: RecSaMsg) {
+    fn on_message_storing_all(&mut self, from: ProcessId, msg: &RecSaMsg) {
         if from == self.me {
             return;
         }
@@ -1072,7 +1073,7 @@ impl RecSa {
         peer.config = Some(own.config.clone());
         peer.prp = Some(own.prp.clone());
         peer.all = own.all;
-        peer.echo = Some(echo);
+        peer.echo = Some(echo.clone());
         if stale {
             self.invalidate_part();
         }
@@ -1154,7 +1155,7 @@ mod tests {
             for (from, to, msg) in outbox {
                 if alive.contains(&to) {
                     if let Some(node) = self.nodes.get_mut(&to) {
-                        node.on_message(from, msg);
+                        node.on_message(from, &msg);
                     }
                 }
             }
@@ -1611,7 +1612,7 @@ mod proptests {
             }
             for (from, to, msg) in outbox {
                 if let Some(n) = nodes.get_mut(&to) {
-                    n.on_message(from, msg);
+                    n.on_message(from, &msg);
                 }
             }
             let configs: BTreeSet<Option<ConfigSet>> =
@@ -1684,7 +1685,7 @@ mod proptests {
                 }
                 for (from, to, msg) in outbox {
                     if let Some(node) = nodes.get_mut(&to) {
-                        node.on_message(from, msg);
+                        node.on_message(from, &msg);
                     }
                 }
             }
@@ -1706,7 +1707,7 @@ mod proptests {
                 }
                 for (from, to, msg) in outbox {
                     if let Some(node) = nodes.get_mut(&to) {
-                        node.on_message(from, msg);
+                        node.on_message(from, &msg);
                     }
                 }
             }
@@ -1867,12 +1868,12 @@ mod oracle {
         fn deliver(&mut self, from: ProcessId, to: ProcessId, msg: RecSaMsg) {
             match to.as_u32() {
                 0 => {
-                    self.reference.on_message_storing_all(from, msg.clone());
-                    self.nodes[0].on_message(from, msg.clone());
+                    self.reference.on_message_storing_all(from, &msg);
+                    self.nodes[0].on_message(from, &msg);
                     self.delivered.push((from, msg));
                 }
                 k if (k as usize) < self.nodes.len() => {
-                    self.nodes[k as usize].on_message(from, msg)
+                    self.nodes[k as usize].on_message(from, &msg)
                 }
                 _ => {}
             }

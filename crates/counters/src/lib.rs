@@ -29,7 +29,7 @@
 //! while let Some((to, msg)) = queue.pop() {
 //!     assert_eq!(to, me);
 //!     let mut replies = Outbox::new();
-//!     node.handle(me, msg, &mut replies);
+//!     node.handle(me, &msg, &mut replies);
 //!     queue.extend(replies.into_messages());
 //! }
 //! assert!(matches!(node.take_completed().pop(), Some(IncrementOutcome::Committed(_))));

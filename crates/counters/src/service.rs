@@ -218,7 +218,7 @@ impl CounterNode {
     /// like gossiped ones.
     pub fn observe(&mut self, counter: &Counter) {
         if self.is_member() {
-            self.adopt(counter.clone());
+            self.adopt(counter);
         }
     }
 
@@ -316,20 +316,25 @@ impl CounterNode {
         }
     }
 
-    fn adopt(&mut self, counter: Counter) {
+    /// Folds `counter` into the maximum ([`Counter::max`], the existing
+    /// maximum preferred), cloning it only when it wins.
+    fn adopt(&mut self, counter: &Counter) {
         if !self.labeler.has_member(counter.label.creator) {
             return;
         }
-        self.labeler.observe_label(counter.label.clone());
-        self.max_counter = Some(match self.max_counter.take() {
-            None => counter,
-            Some(existing) => existing.max(counter),
-        });
+        self.labeler.observe_label(&counter.label);
+        let wins = self
+            .max_counter
+            .as_ref()
+            .map_or(true, |max| max.ct_less(counter));
+        if wins {
+            self.max_counter = Some(counter.clone());
+        }
     }
 
     /// Handles one two-phase quorum message (Algorithms 4.4/4.5).
-    fn handle_quorum(&mut self, from: ProcessId, msg: QuorumMsg, out: &mut impl Sink<CounterMsg>) {
-        match msg {
+    fn handle_quorum(&mut self, from: ProcessId, msg: &QuorumMsg, out: &mut impl Sink<CounterMsg>) {
+        match *msg {
             QuorumMsg::ReadRequest { op } => {
                 if !self.is_member() {
                     return;
@@ -355,10 +360,14 @@ impl CounterNode {
                     },
                 );
             }
-            QuorumMsg::ReadReply { op, counter, abort } => {
+            QuorumMsg::ReadReply {
+                op,
+                ref counter,
+                abort,
+            } => {
                 self.handle_read_reply(from, op, counter, abort, out);
             }
-            QuorumMsg::WriteRequest { op, counter } => {
+            QuorumMsg::WriteRequest { op, ref counter } => {
                 if !self.is_member() {
                     return;
                 }
@@ -383,7 +392,7 @@ impl CounterNode {
         &mut self,
         from: ProcessId,
         op: u64,
-        counter: Option<Counter>,
+        counter: &Option<Counter>,
         abort: bool,
         out: &mut impl Sink<CounterMsg>,
     ) {
@@ -409,7 +418,7 @@ impl CounterNode {
             self.pending = Some(pending);
             return;
         };
-        replies.insert(from, counter);
+        replies.insert(from, counter.clone());
         if replies.len() < self.majority() {
             self.pending = Some(pending);
             return;
@@ -420,22 +429,15 @@ impl CounterNode {
         } else {
             None
         };
-        let reply_labels: Vec<_> = replies
-            .values()
-            .flatten()
-            .map(|c| c.label.clone())
-            .collect();
         for c in replies.values().flatten() {
             let candidate = c.clone();
             best = Some(match best {
                 None => candidate,
                 Some(b) => b.max(candidate),
             });
-        }
-        // Make sure any label learned through the replies is known to the
-        // labeler, so a rollover label created below dominates it.
-        for label in reply_labels {
-            self.labeler.observe_label(label);
+            // Make sure any label learned through the replies is known to
+            // the labeler, so a rollover label created below dominates it.
+            self.labeler.observe_label(&c.label);
         }
         let base = match best {
             Some(c) if !c.is_exhausted(self.exhaustion_bound) => c,
@@ -492,7 +494,7 @@ impl CounterNode {
         acks.insert(from);
         if acks.len() >= majority {
             let committed = counter.clone();
-            self.adopt(committed.clone());
+            self.adopt(&committed);
             self.completed
                 .push_back(IncrementOutcome::Committed(committed));
         } else {
@@ -540,7 +542,7 @@ impl Layer for CounterNode {
         }
     }
 
-    fn handle<O: Sink<CounterMsg>>(&mut self, from: ProcessId, msg: CounterMsg, out: &mut O) {
+    fn handle<O: Sink<CounterMsg>>(&mut self, from: ProcessId, msg: &CounterMsg, out: &mut O) {
         match msg {
             CounterMsg::Sync(c) => {
                 if self.is_member() && !self.reconfiguring {
@@ -815,7 +817,7 @@ mod tests {
             while let Some((from, to, msg)) = queue.pop() {
                 if let Some(node) = self.nodes.get_mut(&to) {
                     let mut replies = Outbox::new();
-                    node.handle(from, msg, &mut replies);
+                    node.handle(from, &msg, &mut replies);
                     for (next_to, reply) in replies.into_messages() {
                         queue.push((to, next_to, reply));
                     }
@@ -1112,7 +1114,7 @@ mod tests {
         simnet::ScenarioTarget::start_local(node, &mut ctx);
         ctx.into_outbox()
             .into_iter()
-            .map(|(to, payload)| (to, payload.into_msg()))
+            .map(|(to, payload)| (to, payload.get().clone()))
             .collect()
     }
 
@@ -1236,7 +1238,7 @@ mod tests {
         let sent: Vec<(ProcessId, CounterMsg)> = ctx
             .into_outbox()
             .into_iter()
-            .map(|(to, payload)| (to, payload.into_msg()))
+            .map(|(to, payload)| (to, payload.get().clone()))
             .collect();
         assert!(
             matches!(&sent[0], (to, CounterMsg::Quorum(QuorumMsg::ReadReply { op: 41, .. })) if *to == pid(1)),
@@ -1264,7 +1266,7 @@ mod tests {
             let sent: Vec<(ProcessId, CounterMsg)> = ctx
                 .into_outbox()
                 .into_iter()
-                .map(|(to, payload)| (to, payload.into_msg()))
+                .map(|(to, payload)| (to, payload.get().clone()))
                 .collect();
             (after, sent)
         };
@@ -1326,11 +1328,11 @@ mod tests {
                 counter,
                 abort: false,
             };
-            node.handle(ghost, CounterMsg::Quorum(reply), &mut sent);
+            node.handle(ghost, &CounterMsg::Quorum(reply), &mut sent);
         }
         for ghost in ghosts {
             let ack = QuorumMsg::WriteAck { op, abort: false };
-            node.handle(ghost, CounterMsg::Quorum(ack), &mut sent);
+            node.handle(ghost, &CounterMsg::Quorum(ack), &mut sent);
         }
         assert_eq!(
             node.take_completed(),
@@ -1463,7 +1465,7 @@ mod seeded_bug {
             self.inner.poll(peers, out);
         }
 
-        fn handle<O: Sink<CounterMsg>>(&mut self, from: ProcessId, msg: CounterMsg, out: &mut O) {
+        fn handle<O: Sink<CounterMsg>>(&mut self, from: ProcessId, msg: &CounterMsg, out: &mut O) {
             self.inner.handle(from, msg, out);
         }
     }

@@ -28,10 +28,10 @@
 //! for _ in 0..10 {
 //!     let mut out = Outbox::new();
 //!     a.step(&mut out);
-//!     for (to, m) in out.into_messages() { assert_eq!(to, p1); b.on_message(p0, m); }
+//!     for (to, m) in out.into_messages() { assert_eq!(to, p1); b.on_message(p0, &m); }
 //!     let mut out = Outbox::new();
 //!     b.step(&mut out);
-//!     for (to, m) in out.into_messages() { assert_eq!(to, p0); a.on_message(p1, m); }
+//!     for (to, m) in out.into_messages() { assert_eq!(to, p0); a.on_message(p1, &m); }
 //! }
 //! let max: Label = a.local_max().unwrap();
 //! assert_eq!(b.local_max(), Some(max));

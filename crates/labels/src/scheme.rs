@@ -54,7 +54,8 @@ pub struct Labeler {
     /// While it holds, a message that repeats what is stored is done after
     /// the comparisons of [`Labeler::repeats_stored`].
     settled: bool,
-    /// Test oracle: run the full receipt action for every message.
+    /// Test oracle: run the full receipt action for every message, and add
+    /// every stored or observed pair to its queue, held in front or not.
     #[cfg(test)]
     full_receipt_only: bool,
 }
@@ -127,7 +128,7 @@ impl Labeler {
         let members = &self.members;
         self.max
             .retain(|k, p| members.contains(k) && members.contains(p.ml.creator));
-        // …and empty all queues: `store_pair` re-creates them under the new
+        // …and empty all queues: `add_pair` re-creates them under the new
         // bound.
         self.stored.clear();
         if self.is_member() {
@@ -165,7 +166,7 @@ impl Labeler {
 
     /// Handles a label exchange message from another member (the receive
     /// handler of Algorithm 4.1 plus the receipt action of Algorithm 4.2).
-    pub fn on_message(&mut self, from: ProcessId, msg: LabelerMsg) {
+    pub fn on_message(&mut self, from: ProcessId, msg: &LabelerMsg) {
         if !self.is_member() || !self.has_member(from) {
             return;
         }
@@ -173,7 +174,7 @@ impl Labeler {
         if !self.has_member(msg.sent_max.ml.creator) {
             return;
         }
-        let at_rest = self.settled && self.repeats_stored(from, &msg);
+        let at_rest = self.settled && self.repeats_stored(from, msg);
         #[cfg(test)]
         let at_rest = at_rest && !self.full_receipt_only;
         if at_rest {
@@ -184,11 +185,11 @@ impl Labeler {
         self.settled = true;
         // Store the sender's maximum.
         self.write_max(from, &msg.sent_max);
-        self.store_pair(msg.sent_max);
-        if let Some(last) = msg.last_sent {
+        self.store_pair(&msg.sent_max);
+        if let Some(last) = &msg.last_sent {
             if self.has_member(last.ml.creator) {
-                if self.echo_cancels_own_max(&last) {
-                    self.write_max(self.me, &last);
+                if self.echo_cancels_own_max(last) {
+                    self.write_max(self.me, last);
                 }
                 self.store_pair(last);
             }
@@ -234,8 +235,21 @@ impl Labeler {
         }
     }
 
-    /// Adds a pair to the creator's bounded queue.
-    fn store_pair(&mut self, pair: LabelPair) {
+    /// Adds a pair to the creator's bounded queue, cloning it only when the
+    /// queue does not hold it in front already: [`LabelQueue::add`] leaves
+    /// such a queue as it is.
+    fn store_pair(&mut self, pair: &LabelPair) {
+        let held = self.stored_in_front(pair);
+        #[cfg(test)]
+        let held = held && !self.full_receipt_only;
+        if !held {
+            self.add_pair(pair.clone());
+        }
+    }
+
+    /// [`LabelQueue::add`] on the queue of `pair`'s creator, when the creator
+    /// is a member.
+    fn add_pair(&mut self, pair: LabelPair) {
         let creator = pair.ml.creator;
         if !self.has_member(creator) {
             return;
@@ -318,15 +332,23 @@ impl Labeler {
             .collect();
         let pair = LabelPair::legit(Label::next_label(self.me, &known));
         self.label_creations += 1;
-        self.store_pair(pair.clone());
+        self.store_pair(&pair);
         self.write_max(self.me, &pair);
         pair.ml
     }
 
     /// Records a label observed by a higher layer (e.g. a label carried by a
-    /// counter) so that subsequently created labels dominate it.
-    pub fn observe_label(&mut self, label: Label) {
-        self.store_pair(LabelPair::legit(label));
+    /// counter) so that subsequently created labels dominate it. A label its
+    /// creator's queue holds in front already is not cloned: storing it as a
+    /// legit pair would change nothing.
+    pub fn observe_label(&mut self, label: &Label) {
+        let front = self.stored.get(label.creator).and_then(|q| q.iter().next());
+        let held = front.is_some_and(|front| front.ml == *label);
+        #[cfg(test)]
+        let held = held && !self.full_receipt_only;
+        if !held {
+            self.add_pair(LabelPair::legit(label.clone()));
+        }
     }
 
     /// Replaces the current maximum by a fresh label that dominates every
@@ -386,7 +408,7 @@ mod tests {
             }
             for (from, to, m) in outbox {
                 if let Some(node) = self.nodes.get_mut(&to) {
-                    node.on_message(from, m);
+                    node.on_message(from, &m);
                 }
             }
         }
@@ -478,11 +500,11 @@ mod tests {
         let mut l = Labeler::new(pid(0), config_set([0, 1, 2]));
         let old_bound = l.queue_bound;
         assert_eq!(old_bound, 42);
-        l.observe_label(Label::genesis(pid(1)));
+        l.observe_label(&Label::genesis(pid(1)));
         l.on_config_change(config_set(0..8));
         assert_eq!(l.queue_bound, 552);
         for sting in 0..=old_bound as u32 {
-            l.observe_label(Label {
+            l.observe_label(&Label {
                 creator: pid(1),
                 sting,
                 antistings: Default::default(),
@@ -510,7 +532,7 @@ mod tests {
         assert!(node.repeats_stored(pid(1), &from_1.1));
         node.step(&mut Outbox::<LabelerMsg>::new());
         assert!(!node.settled, "step() withdraws the shortcut");
-        node.on_message(pid(1), from_1.1);
+        node.on_message(pid(1), &from_1.1);
         assert!(node.settled, "a full run that changed nothing re-earns it");
         assert_eq!((&node.max, &node.stored), (&before.max, &before.stored));
     }
@@ -532,7 +554,7 @@ mod tests {
         for node in h.nodes.values_mut() {
             for (owner, pair) in cfg.iter().zip(&own) {
                 node.max.insert(*owner, pair.clone());
-                node.store_pair(pair.clone());
+                node.store_pair(pair);
             }
         }
         let mut out = Outbox::new();
@@ -662,10 +684,11 @@ mod oracle {
     }
 
     proptest! {
-        /// A labeler that takes the early return and one that never does go
-        /// through the same random history and agree after every operation
-        /// on `max`, on `stored` including queue order, on the number of
-        /// labels created and on what `step()` would send.
+        /// A labeler that takes the early returns — a message answered at
+        /// rest, a pair its queue holds in front already — and one that
+        /// never does go through the same random history and agree after
+        /// every operation on `max`, on `stored` including queue order, on
+        /// the number of labels created and on what `step()` would send.
         #[test]
         fn early_return_matches_full_receipt_action(
             raw_ops in proptest::collection::vec((0u8..18, 0u8..6, 0u64..u64::MAX), 0..160),
@@ -700,15 +723,15 @@ mod oracle {
                 if let Some((from, msg)) = msg {
                     sent.push((from, msg.clone()));
                     for _ in 0..=bits.take(3) {
-                        fast.on_message(from, msg.clone());
-                        full.on_message(from, msg.clone());
+                        fast.on_message(from, &msg);
+                        full.on_message(from, &msg);
                     }
                 }
                 match kind {
                     11 => {
                         let label = bits.label();
-                        fast.observe_label(label.clone());
-                        full.observe_label(label);
+                        fast.observe_label(&label);
+                        full.observe_label(&label);
                     }
                     12 => prop_assert_eq!(fast.create_next_label(), full.create_next_label()),
                     13 => {

@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use simnet::codec::WireCodec;
 use simnet::report::Json;
 use simnet::scenario::ScenarioTarget;
-use simnet::{Context, ProcessId, Round};
+use simnet::{Context, Payload, ProcessId, Round};
 
 use crate::cluster::ClusterSpec;
 use crate::control::{render_line, Request};
@@ -385,7 +385,7 @@ where
     ids.sort_unstable();
     let mut stats = NodeStats::default();
     let mut round = 0u64;
-    let mut outbox: VecDeque<(ProcessId, T::Msg)> = VecDeque::new();
+    let mut outbox: VecDeque<(ProcessId, Payload<T::Msg>)> = VecDeque::new();
     let tick = Duration::from_millis(cfg.tick_ms.max(1));
     let mut waiting: VecDeque<WaitingClaim> = VecDeque::new();
 
@@ -456,6 +456,7 @@ where
             if dest == me {
                 // Self-sends loop back through the queue like the
                 // simulator's self-channel (delivered, not synchronous).
+                let msg = msg.get().clone();
                 let _ = loopback.send(Event::Packet { from: me, msg });
                 stats.sent += 1;
                 continue;
@@ -473,7 +474,7 @@ where
                 stats.drops += 1;
                 continue;
             }
-            match link.queue.try_send(msg.to_bytes()) {
+            match link.queue.try_send(msg.get().to_bytes()) {
                 Ok(()) => stats.sent += 1,
                 Err(TrySendError::Full(_)) => stats.drops += 1,
                 Err(TrySendError::Disconnected(_)) => {
@@ -500,7 +501,7 @@ fn step<T, R>(
     me: ProcessId,
     round: u64,
     ids: &[ProcessId],
-    outbox: &mut VecDeque<(ProcessId, T::Msg)>,
+    outbox: &mut VecDeque<(ProcessId, Payload<T::Msg>)>,
     act: impl FnOnce(&mut T, &mut Context<'_, T::Msg>) -> R,
 ) -> R
 where
@@ -508,11 +509,7 @@ where
 {
     let mut ctx = Context::new(me, Round::new(round), ids);
     let result = act(node, &mut ctx);
-    outbox.extend(
-        ctx.into_outbox()
-            .into_iter()
-            .map(|(to, p)| (to, p.into_msg())),
-    );
+    outbox.extend(ctx.into_outbox());
     result
 }
 

@@ -312,10 +312,10 @@ impl SharedMemNode {
     fn handle_register(
         &mut self,
         from: ProcessId,
-        msg: RegisterMsg,
+        msg: &RegisterMsg,
         out: &mut impl Sink<SharedMemMsg>,
     ) {
-        match msg {
+        match *msg {
             RegisterMsg::Query { op, key } => {
                 if self.is_member() && !self.reconfiguring() {
                     out.push(
@@ -330,15 +330,19 @@ impl SharedMemNode {
                     out.push(from, RegisterMsg::OpAbort { op });
                 }
             }
-            RegisterMsg::Update { op, key, value } => {
+            RegisterMsg::Update { op, key, ref value } => {
                 if self.is_member() && !self.reconfiguring() {
-                    self.store.adopt(key, value);
+                    self.store.adopt(key, value.clone());
                     out.push(from, RegisterMsg::UpdateAck { op });
                 } else {
                     out.push(from, RegisterMsg::OpAbort { op });
                 }
             }
-            RegisterMsg::QueryResp { op, key, current } => {
+            RegisterMsg::QueryResp {
+                op,
+                key,
+                ref current,
+            } => {
                 self.drive_query_response(from, op, key, current, out);
             }
             RegisterMsg::UpdateAck { op } => {
@@ -351,9 +355,9 @@ impl SharedMemNode {
                     self.record_outcome(outcome);
                 }
             }
-            RegisterMsg::StoreSync { entries } => {
+            RegisterMsg::StoreSync { ref entries } => {
                 for (key, value) in entries {
-                    self.store.adopt(key, value);
+                    self.store.adopt(*key, value.clone());
                 }
             }
         }
@@ -364,7 +368,7 @@ impl SharedMemNode {
         from: ProcessId,
         op: OpId,
         _key: RegisterId,
-        current: Option<TaggedValue>,
+        current: &Option<TaggedValue>,
         out: &mut impl Sink<SharedMemMsg>,
     ) {
         let Some(cfg) = Self::members_of(&self.reconfig) else {
@@ -378,7 +382,7 @@ impl SharedMemNode {
         }
         let step = pending.on_query_response(
             from,
-            current,
+            current.clone(),
             cfg,
             &self.quorum,
             self.me,
@@ -522,7 +526,7 @@ impl Layer for SharedMemNode {
         }
     }
 
-    fn handle<O: Sink<SharedMemMsg>>(&mut self, from: ProcessId, msg: SharedMemMsg, out: &mut O) {
+    fn handle<O: Sink<SharedMemMsg>>(&mut self, from: ProcessId, msg: &SharedMemMsg, out: &mut O) {
         match msg {
             SharedMemMsg::Reconfig(m) => {
                 Layer::handle(&mut self.reconfig, from, m, &mut out.nest())
@@ -823,7 +827,7 @@ mod tests {
             let sent: Vec<(ProcessId, SharedMemMsg)> = ctx
                 .into_outbox()
                 .into_iter()
-                .map(|(to, payload)| (to, payload.into_msg()))
+                .map(|(to, payload)| (to, payload.get().clone()))
                 .collect();
             (after, sent)
         };
@@ -1167,7 +1171,7 @@ mod tests {
         simnet::ScenarioTarget::start_local(node, &mut ctx);
         ctx.into_outbox()
             .into_iter()
-            .map(|(to, payload)| (to, payload.into_msg()))
+            .map(|(to, payload)| (to, payload.get().clone()))
             .collect()
     }
 
@@ -1376,7 +1380,7 @@ mod tests {
                 query_replies += 1;
             }
             let mut replies = Outbox::new();
-            nodes[to.as_u32() as usize].handle(from, SharedMemMsg::Register(msg), &mut replies);
+            nodes[to.as_u32() as usize].handle(from, &SharedMemMsg::Register(msg), &mut replies);
             wire.extend(
                 register_lane(replies.into_messages())
                     .into_iter()

@@ -23,8 +23,10 @@ use crate::time::Round;
 /// let mut net: Network<&'static str> = Network::new(ChannelPolicy::default());
 /// let (mut rng, mut metrics) = (SimRng::seed_from(1), Metrics::default());
 /// net.send(from, to, "hello", Round::ZERO, &mut rng, &mut metrics);
-/// let (delivered, next_ready) =
-///     net.deliver_due(to, Round::new(10), usize::MAX, &mut rng, &mut metrics);
+/// let mut delivered = Vec::new();
+/// let next_ready = net.deliver(to, Round::new(10), usize::MAX, &mut rng, &mut metrics, |from, msg| {
+///     delivered.push((from, *msg));
+/// });
 /// assert_eq!(delivered, vec![(from, "hello")]);
 /// assert_eq!(next_ready, None);
 /// ```
@@ -89,11 +91,6 @@ impl<M: Clone> InFlight<M> {
     pub fn msg_mut(&mut self) -> &mut M {
         self.payload.make_mut()
     }
-
-    /// Delivery: the message by value, as [`Payload::into_msg`] yields it.
-    pub(crate) fn into_msg(self) -> M {
-        self.payload.into_msg()
-    }
 }
 
 /// What happened to a packet handed to [`crate::Network::send`], as
@@ -157,8 +154,10 @@ mod tests {
         pub(super) fn drain(&mut self, now: Round, limit: usize) -> Vec<u32> {
             let (_, to) = Link::ends();
             let (rng, metrics) = (&mut self.rng, &mut self.metrics);
-            let (delivered, _) = self.net.deliver_due(to, now, limit, rng, metrics);
-            delivered.into_iter().map(|(_, msg)| msg).collect()
+            let mut delivered = Vec::new();
+            self.net
+                .deliver(to, now, limit, rng, metrics, |_, msg| delivered.push(*msg));
+            delivered
         }
 
         pub(super) fn len(&self) -> usize {

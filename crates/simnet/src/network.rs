@@ -226,13 +226,15 @@ impl<M> Row<M> {
     }
 }
 
-impl<M: Clone> Row<M> {
+impl<M> Row<M> {
     /// The one delivery loop: hands `sink` up to `limit` packets whose round
     /// has come, visiting the links with packets in flight in a random
     /// interleaving of senders (shuffled from ascending sender order) and
     /// each link oldest first — or, when `reorder` is set, in uniform draws
-    /// among its ready packets. Returns the number of links visited and the
-    /// earliest round at which a packet left behind becomes deliverable.
+    /// among its ready packets. Each message is lent to `sink` in place in
+    /// its log entry, which is dropped after the call. Returns the number of
+    /// links visited and the earliest round at which a packet left behind
+    /// becomes deliverable.
     fn deliver(
         &mut self,
         now: Round,
@@ -240,7 +242,7 @@ impl<M: Clone> Row<M> {
         reorder: bool,
         rng: &mut SimRng,
         scratch: &mut Scratch,
-        mut sink: impl FnMut(ProcessId, M),
+        mut sink: impl FnMut(ProcessId, &M),
     ) -> (usize, Option<Round>) {
         let Scratch {
             visit,
@@ -297,7 +299,7 @@ impl<M: Clone> Row<M> {
                     };
                     budget -= 1;
                     let logged = self.log[ready.remove(pick)].take().expect(LOGGED);
-                    sink(from, logged.packet.into_msg());
+                    sink(from, logged.packet.msg());
                 }
             }
             for &at in bucket {
@@ -308,7 +310,7 @@ impl<M: Clone> Row<M> {
                 };
                 if !reorder && budget > 0 && ready_at <= now {
                     budget -= 1;
-                    sink(from, slot.take().expect(LOGGED).packet.into_msg());
+                    sink(from, slot.take().expect(LOGGED).packet.msg());
                 } else {
                     note_ready(&mut next_ready, ready_at);
                 }
@@ -563,65 +565,32 @@ impl<M: Clone> Network<M> {
         Some(ready)
     }
 
-    /// [`Row::deliver`] on the row of `to`, into `into`: returns the number
-    /// of links visited and the earliest round at which `to` has another
-    /// deliverable packet.
-    fn deliver_row_into(
+    /// Delivers up to `limit` deliverable packets addressed to `to`, across
+    /// all of its incoming links, in a random interleaving of senders: each
+    /// is lent to `sink` as `(from, &msg)`, read in place, and dropped after
+    /// the call. Charges `metrics` for the packets and the links visited.
+    /// Returns the earliest round at which `to` has another deliverable
+    /// packet (so the scheduler can re-wake it then).
+    pub fn deliver(
         &mut self,
         to: ProcessId,
         now: Round,
         limit: usize,
         rng: &mut SimRng,
         metrics: &mut Metrics,
-        into: &mut Vec<(ProcessId, M)>,
-    ) -> (usize, Option<Round>) {
-        let Some(row) = self.rows.get_mut(to) else {
-            return (0, None);
-        };
-        let start = into.len();
-        let sink = |from, msg| {
+        mut sink: impl FnMut(ProcessId, &M),
+    ) -> Option<Round> {
+        let row = self.rows.get_mut(to)?;
+        let mut delivered = 0;
+        let counted = |from, msg: &M| {
             metrics.record_delivery();
-            into.push((from, msg));
+            delivered += 1;
+            sink(from, msg);
         };
         let reorder = self.policy.reorder;
-        let outcome = row.deliver(now, limit, reorder, rng, &mut self.scratch, sink);
-        metrics.record_delivery_batch(into.len() - start);
-        outcome
-    }
-
-    /// Drains up to `limit` deliverable packets addressed to `to`, across all
-    /// of its incoming channels, in a random interleaving of senders, and
-    /// charges `metrics` for the channels it visits. Returns the `(from, msg)`
-    /// pairs and the earliest round at which `to` has another deliverable
-    /// packet (so the scheduler can re-wake it then).
-    pub fn deliver_due(
-        &mut self,
-        to: ProcessId,
-        now: Round,
-        limit: usize,
-        rng: &mut SimRng,
-        metrics: &mut Metrics,
-    ) -> (Vec<(ProcessId, M)>, Option<Round>) {
-        let mut delivered = Vec::new();
-        let next_ready = self.deliver_due_into(to, now, limit, rng, metrics, &mut delivered);
-        (delivered, next_ready)
-    }
-
-    /// Allocation-free form of [`Network::deliver_due`]: `(from, msg)` pairs
-    /// are appended to the caller's `into` buffer and the visit list is
-    /// recycled inside the network, so a steady-state delivery touches no
-    /// allocator. Returns the earliest round at which `to` has another
-    /// deliverable packet.
-    pub fn deliver_due_into(
-        &mut self,
-        to: ProcessId,
-        now: Round,
-        limit: usize,
-        rng: &mut SimRng,
-        metrics: &mut Metrics,
-        into: &mut Vec<(ProcessId, M)>,
-    ) -> Option<Round> {
-        let (visited, next_ready) = self.deliver_row_into(to, now, limit, rng, metrics, into);
+        let (visited, next_ready) =
+            row.deliver(now, limit, reorder, rng, &mut self.scratch, counted);
+        metrics.record_delivery_batch(delivered);
         metrics.record_channel_visits(visited);
         next_ready
     }
@@ -747,6 +716,7 @@ impl<M: Clone> Network<M> {
 mod tests {
     use super::reference::RefChannel;
     use super::*;
+    use crate::testutil::delivered;
 
     fn ids(n: u32) -> Vec<ProcessId> {
         (0..n).map(ProcessId::new).collect()
@@ -774,17 +744,29 @@ mod tests {
         let mut metrics = Metrics::default();
         net.send(p[0], p[1], 10, Round::ZERO, &mut rng, &mut metrics);
         net.send(p[2], p[1], 20, Round::ZERO, &mut rng, &mut metrics);
-        let mut got = net
-            .deliver_due(p[1], Round::ZERO, usize::MAX, &mut rng, &mut metrics)
-            .0;
+        let mut got = delivered(
+            &mut net,
+            p[1],
+            Round::ZERO,
+            usize::MAX,
+            &mut rng,
+            &mut metrics,
+        )
+        .0;
         got.sort();
         assert_eq!(got, vec![(p[0], 10), (p[2], 20)]);
         assert_eq!(metrics.messages_delivered(), 2);
         // Nothing was addressed to p0.
-        assert!(net
-            .deliver_due(p[0], Round::ZERO, usize::MAX, &mut rng, &mut metrics)
-            .0
-            .is_empty());
+        assert!(delivered(
+            &mut net,
+            p[0],
+            Round::ZERO,
+            usize::MAX,
+            &mut rng,
+            &mut metrics
+        )
+        .0
+        .is_empty());
     }
 
     #[test]
@@ -794,13 +776,26 @@ mod tests {
         let mut rng = SimRng::seed_from(2);
         let mut metrics = Metrics::default();
         net.send(p[0], p[1], 5, Round::ZERO, &mut rng, &mut metrics);
-        assert!(net
-            .deliver_due(p[0], Round::ZERO, usize::MAX, &mut rng, &mut metrics)
-            .0
-            .is_empty());
+        assert!(delivered(
+            &mut net,
+            p[0],
+            Round::ZERO,
+            usize::MAX,
+            &mut rng,
+            &mut metrics
+        )
+        .0
+        .is_empty());
         assert_eq!(
-            net.deliver_due(p[1], Round::ZERO, usize::MAX, &mut rng, &mut metrics)
-                .0,
+            delivered(
+                &mut net,
+                p[1],
+                Round::ZERO,
+                usize::MAX,
+                &mut rng,
+                &mut metrics
+            )
+            .0,
             vec![(p[0], 5)]
         );
     }
@@ -819,10 +814,16 @@ mod tests {
         net.inject(p[1], p[0], 88);
         net.clear_all();
         assert_eq!(net.in_flight_total(), 0);
-        assert!(net
-            .deliver_due(p[1], Round::new(5), usize::MAX, &mut rng, &mut metrics)
-            .0
-            .is_empty());
+        assert!(delivered(
+            &mut net,
+            p[1],
+            Round::new(5),
+            usize::MAX,
+            &mut rng,
+            &mut metrics
+        )
+        .0
+        .is_empty());
     }
 
     #[test]
@@ -834,9 +835,7 @@ mod tests {
         for (i, src) in [p[0], p[1], p[2]].iter().enumerate() {
             net.send(*src, p[3], i as u32, Round::ZERO, &mut rng, &mut metrics);
         }
-        let got = net
-            .deliver_due(p[3], Round::ZERO, 2, &mut rng, &mut metrics)
-            .0;
+        let got = delivered(&mut net, p[3], Round::ZERO, 2, &mut rng, &mut metrics).0;
         assert_eq!(got.len(), 2);
         assert_eq!(net.in_flight_total(), 1);
     }
@@ -859,9 +858,15 @@ mod tests {
         assert_eq!(net.in_flight_total(), 2);
         net.unblock_link(p[0], p[1]);
         net.send(p[0], p[1], 4, Round::ZERO, &mut rng, &mut metrics);
-        let mut got = net
-            .deliver_due(p[1], Round::ZERO, usize::MAX, &mut rng, &mut metrics)
-            .0;
+        let mut got = delivered(
+            &mut net,
+            p[1],
+            Round::ZERO,
+            usize::MAX,
+            &mut rng,
+            &mut metrics,
+        )
+        .0;
         got.sort();
         assert_eq!(got, vec![(p[0], 1), (p[0], 4)]);
     }
@@ -945,9 +950,15 @@ mod tests {
         assert_eq!(touched, 2);
         assert_eq!(net.in_flight_total(), before);
         assert!(net.take_dirty().contains(&p[2]));
-        let mut got = net
-            .deliver_due(p[2], Round::ZERO, usize::MAX, &mut rng, &mut metrics)
-            .0;
+        let mut got = delivered(
+            &mut net,
+            p[2],
+            Round::ZERO,
+            usize::MAX,
+            &mut rng,
+            &mut metrics,
+        )
+        .0;
         got.sort();
         assert_eq!(got, vec![(p[0], 11), (p[1], 21)]);
         // No packets towards p1: the mutation closure is never called.
@@ -1073,8 +1084,7 @@ mod tests {
                 net.send(p[0], p[1], value, now, &mut rng, &mut metrics);
                 oracle.send(value, now, &mut oracle_rng);
             }
-            let mut got = Vec::new();
-            net.deliver_due_into(p[1], now, 1, &mut rng, &mut metrics, &mut got);
+            let (got, _) = delivered(&mut net, p[1], now, 1, &mut rng, &mut metrics);
             let got: Vec<u32> = got.into_iter().map(|(_, m)| m).collect();
             assert_eq!(
                 got,
@@ -1109,9 +1119,7 @@ mod tests {
             }
         };
         send(&mut net, &mut oracle, 1..=5);
-        let delivered = net
-            .deliver_due(p[1], Round::new(2), 2, &mut rng, &mut metrics)
-            .0;
+        let delivered = delivered(&mut net, p[1], Round::new(2), 2, &mut rng, &mut metrics).0;
         assert_eq!(delivered, vec![(p[0], 1), (p[0], 2)]);
         assert_eq!(oracle.drain_ready(Round::new(2), 2, &mut rng), vec![1, 2]);
         send(&mut net, &mut oracle, 6..=9);
@@ -1221,13 +1229,14 @@ mod proptests {
 /// The network as it was before the destination-major rows: one
 /// [`RefChannel`] per link in a `BTreeMap` keyed by `(from, to)`, a separate
 /// per-destination index of senders that had to agree with it, and a
-/// whole-map scan behind `deliver_due`/`earliest_inbound_ready`. It exists
+/// whole-map scan behind delivery and `earliest_inbound_ready`. It exists
 /// only as the oracle for `row_network_matches_ordered_map_reference`.
 #[cfg(test)]
 mod reference {
     use std::collections::{BTreeMap, VecDeque};
 
     use super::*;
+    use crate::testutil::delivered;
     use proptest::prelude::*;
     use rand::RngCore;
 
@@ -1449,9 +1458,9 @@ mod reference {
                 metrics.record_send(SendOutcome::Lost);
                 return None;
             }
-            let (outcome, ready) = self
-                .channel_entry(from, to)
-                .send(payload.into_msg(), now, rng);
+            let (outcome, ready) =
+                self.channel_entry(from, to)
+                    .send(payload.get().clone(), now, rng);
             metrics.record_send(outcome);
             if ready.is_some() {
                 self.inbound.entry(to).or_default().insert(from);
@@ -1476,8 +1485,7 @@ mod reference {
         /// One delivery visit over `senders`, the non-empty links into `to`
         /// in ascending order: shuffled, drained in that order up to `limit`
         /// packets, and the earliest round a packet left behind is ready.
-        #[allow(clippy::too_many_arguments)]
-        fn deliver_from_into(
+        fn deliver_from(
             &mut self,
             to: ProcessId,
             mut senders: Vec<ProcessId>,
@@ -1485,38 +1493,37 @@ mod reference {
             limit: usize,
             rng: &mut SimRng,
             metrics: &mut Metrics,
-            into: &mut Vec<(ProcessId, M)>,
-        ) -> Option<Round> {
+        ) -> (Vec<(ProcessId, M)>, Option<Round>) {
+            let mut delivered = Vec::new();
             if senders.is_empty() {
                 metrics.record_delivery_batch(0);
-                return None;
+                return (delivered, None);
             }
             metrics.record_channel_visits(senders.len());
             rng.shuffle(&mut senders);
-            let start = into.len();
             for from in senders.iter().copied() {
-                let delivered = into.len() - start;
-                if delivered >= limit {
+                if delivered.len() >= limit {
                     break;
                 }
-                let remaining = limit - delivered;
+                let remaining = limit - delivered.len();
                 if let Some(ch) = self.channels.get_mut(&(from, to)) {
                     for msg in ch.drain_ready(now, remaining, rng) {
                         metrics.record_delivery();
-                        into.push((from, msg));
+                        delivered.push((from, msg));
                     }
                 }
             }
-            metrics.record_delivery_batch(into.len() - start);
-            senders
+            metrics.record_delivery_batch(delivered.len());
+            let next_ready = senders
                 .iter()
                 .filter_map(|src| self.channels.get(&(*src, to)))
                 .filter_map(RefChannel::earliest_ready)
-                .min()
+                .min();
+            (delivered, next_ready)
         }
 
-        /// Finds the senders by a scan of the whole map.
-        pub fn deliver_due(
+        /// A delivery that finds the senders by a scan of the whole map.
+        pub fn deliver_by_scan(
             &mut self,
             to: ProcessId,
             now: Round,
@@ -1530,24 +1537,20 @@ mod reference {
                 .filter(|((_, dst), ch)| *dst == to && !ch.is_empty())
                 .map(|((src, _), _)| *src)
                 .collect();
-            let mut delivered = Vec::new();
-            let next_ready =
-                self.deliver_from_into(to, senders, now, limit, rng, metrics, &mut delivered);
-            (delivered, next_ready)
+            self.deliver_from(to, senders, now, limit, rng, metrics)
         }
 
-        /// Finds the senders through the inbound index.
-        pub fn deliver_due_into(
+        /// A delivery that finds the senders through the inbound index.
+        pub fn deliver_by_index(
             &mut self,
             to: ProcessId,
             now: Round,
             limit: usize,
             rng: &mut SimRng,
             metrics: &mut Metrics,
-            into: &mut Vec<(ProcessId, M)>,
-        ) -> Option<Round> {
+        ) -> (Vec<(ProcessId, M)>, Option<Round>) {
             let senders = self.nonempty_senders(to);
-            self.deliver_from_into(to, senders, now, limit, rng, metrics, into)
+            self.deliver_from(to, senders, now, limit, rng, metrics)
         }
 
         pub fn take_dirty(&mut self) -> BTreeSet<ProcessId> {
@@ -1657,7 +1660,7 @@ mod reference {
     pub enum Op {
         Send(ProcessId, ProcessId, u32),
         /// A send whose payload is shared with a live sibling handle (a
-        /// broadcast), so delivery takes the clone path.
+        /// broadcast).
         SendShared(ProcessId, ProcessId, u32),
         Inject(ProcessId, ProcessId, u32),
         /// White-box channel access: creates the channel, marks `to` dirty,
@@ -1671,9 +1674,10 @@ mod reference {
         ClearChannel(ProcessId, ProcessId),
         ClearAll,
         SetPolicy(ChannelPolicy),
-        DeliverDue(ProcessId, usize),
-        /// The allocating delivery, [`Network::deliver_due`].
+        /// A delivery, checked against the oracle's inbound index.
         Deliver(ProcessId, usize),
+        /// A delivery, checked against the oracle's whole-map scan.
+        DeliverScan(ProcessId, usize),
         Corrupt(ProcessId, u32),
         TakeDirty,
         Advance(u64),
@@ -1688,9 +1692,9 @@ mod reference {
                 0..=2 => Op::Send(id(BUSY.0), id(BUSY.1), value),
                 3..=7 => Op::Send(from, to, value),
                 8..=11 => Op::SendShared(from, to, value),
-                12 => Op::DeliverDue(id(BUSY.1), due_limit),
-                13..=15 => Op::DeliverDue(to, due_limit),
-                16..=18 => Op::Deliver(to, (value % 7) as usize),
+                12 => Op::Deliver(id(BUSY.1), due_limit),
+                13..=15 => Op::Deliver(to, due_limit),
+                16..=18 => Op::DeliverScan(to, (value % 7) as usize),
                 19 => Op::Inject(from, to, value),
                 20 => Op::ChannelMut(from, to, value % 49 + 1),
                 21 => Op::Block(from, to),
@@ -1813,31 +1817,40 @@ mod reference {
                     rows.set_policy(policy.clone());
                     oracle.set_policy(policy.clone());
                 }
-                Op::DeliverDue(to, limit) => {
-                    let (mut got, mut want) = (vec![(*to, 0)], vec![(*to, 0)]);
-                    let got_next = rows.deliver_due_into(
+                Op::Deliver(to, limit) => {
+                    let got = delivered(
+                        &mut rows,
                         *to,
                         now,
                         *limit,
                         &mut rows_rng,
                         &mut rows_metrics,
-                        &mut got,
                     );
-                    let want_next = oracle.deliver_due_into(
+                    let want = oracle.deliver_by_index(
                         *to,
                         now,
                         *limit,
                         &mut oracle_rng,
                         &mut oracle_metrics,
-                        &mut want,
                     );
                     prop_assert_eq!(got, want);
-                    prop_assert_eq!(got_next, want_next);
                 }
-                Op::Deliver(to, limit) => {
-                    let got = rows.deliver_due(*to, now, *limit, &mut rows_rng, &mut rows_metrics);
-                    let want =
-                        oracle.deliver_due(*to, now, *limit, &mut oracle_rng, &mut oracle_metrics);
+                Op::DeliverScan(to, limit) => {
+                    let got = delivered(
+                        &mut rows,
+                        *to,
+                        now,
+                        *limit,
+                        &mut rows_rng,
+                        &mut rows_metrics,
+                    );
+                    let want = oracle.deliver_by_scan(
+                        *to,
+                        now,
+                        *limit,
+                        &mut oracle_rng,
+                        &mut oracle_metrics,
+                    );
                     prop_assert_eq!(got, want);
                 }
                 Op::Corrupt(to, delta) => {

@@ -14,13 +14,15 @@
 //!
 //! Ownership rules on the delivery path:
 //!
-//! * the link owns the payload while the packet is in flight;
-//! * delivery ([`crate::Network::deliver_due_into`]) passes the message to
-//!   the sink by value — an owned payload moves, the *last* handle to a
-//!   shared payload moves out of the allocation, and an earlier handle
-//!   clones (so a broadcast to `n` peers costs one allocation plus `n − 1`
-//!   delivery clones instead of `2n` construction-plus-send clones, and
-//!   lost or evicted packets never materialise a copy at all);
+//! * the link owns the payload while the packet is in flight, and until
+//!   its delivery returns;
+//! * delivery ([`crate::Network::deliver`]) lends the message: the receiver
+//!   reads it in place, through [`Payload::get`], and the payload is dropped
+//!   after the call. A receiver copies only what it keeps, so a broadcast to
+//!   `n` peers costs one allocation and no delivery clone. Only a process
+//!   that implements [`crate::Process::on_message`] alone — a wrapper that
+//!   forwards the message by value, a runtime that decoded it from a frame —
+//!   gets a copy, through [`crate::Process::on_delivery`]'s default;
 //! * adversarial mutation goes through [`Payload::make_mut`], which is
 //!   copy-on-write: corrupting one handle of a shared payload un-shares it
 //!   first, so corruption never aliases into other channels' packets.
@@ -90,16 +92,6 @@ impl<M> Payload<M> {
 }
 
 impl<M: Clone> Payload<M> {
-    /// Consumes the payload, yielding the message by value: an owned message
-    /// moves, the last handle to a shared message moves out of the
-    /// allocation, and an earlier handle clones.
-    pub fn into_msg(self) -> M {
-        match self {
-            Payload::Owned(m) => m,
-            Payload::Shared(a) => Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()),
-        }
-    }
-
     /// Mutable access with copy-on-write: mutating a shared payload first
     /// un-shares it (cloning the message into a private allocation), so the
     /// mutation is invisible to every other handle.
@@ -172,11 +164,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn owned_roundtrip_moves_without_cloning() {
+    fn owned_payload_is_read_in_place() {
         let p = Payload::owned(vec![1u8, 2, 3]);
         assert!(!p.is_shared());
         assert_eq!(p.get(), &vec![1, 2, 3]);
-        assert_eq!(p.into_msg(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -185,11 +176,11 @@ mod tests {
         assert!(a.is_shared());
         assert!(b.is_shared());
         assert_eq!(a, b);
-        // Consuming one handle un-shares the other.
-        assert_eq!(a.into_msg(), "x");
+        assert!(std::ptr::eq(a.get(), b.get()));
+        // Dropping one handle un-shares the other.
+        drop(a);
         assert!(!b.is_shared());
-        // The last handle moves the value out instead of cloning.
-        assert_eq!(b.into_msg(), "x");
+        assert_eq!(b.get(), "x");
     }
 
     #[test]

@@ -460,9 +460,9 @@ impl Fault {
         )
     }
 
-    /// The processors this fault names one by one (empty for kinds that
-    /// name none or name groups).
-    fn victims(&self) -> &[ProcessId] {
+    /// The processors this fault names one by one, or `None` for kinds that
+    /// name none or name groups.
+    fn victims(&self) -> Option<&[ProcessId]> {
         match self {
             Fault::Crash { victims, .. }
             | Fault::Corrupt { victims, .. }
@@ -472,13 +472,24 @@ impl Fault {
             | Fault::Recover { victims, .. }
             | Fault::Byzantine {
                 targets: victims, ..
-            } => victims,
-            _ => &[],
+            } => Some(victims),
+            _ => None,
         }
     }
 
     fn ids(&self) -> String {
-        render_ids(self.victims())
+        render_ids(self.victims().unwrap_or_default())
+    }
+
+    /// Whether the fault acts on any processor: `false` for a kind that
+    /// names its processors one by one when it names none (`crash=30:`, the
+    /// minority of n = 2) and for `join` of nobody. Such a fault applies
+    /// nothing.
+    pub fn acts(&self) -> bool {
+        match self {
+            Fault::Join { count, .. } => *count > 0,
+            fault => fault.victims().map_or(true, |victims| !victims.is_empty()),
+        }
     }
 
     /// Appends the actions this fault contributes at exactly `round`, in
@@ -1331,9 +1342,9 @@ mod tests {
     }
 
     /// An empty id list is a fault with no victims: `crash=30:` parses to
-    /// a crash of nobody, renders back to itself, and a run of it registers
-    /// the `crashes` counter at zero and crashes nobody. The catalog's
-    /// minority schedules at n = 2 are such faults.
+    /// a crash of nobody, renders back to itself, does not act, and a run
+    /// of it registers the `crashes` counter at zero and crashes nobody.
+    /// The catalog's minority faults at n = 2 are such faults.
     #[test]
     fn an_empty_victim_list_parses_renders_and_crashes_nobody() {
         let scenario = apply_spec(Scenario::new("nobody", 3), "crash=30:")
@@ -1344,6 +1355,7 @@ mod tests {
             victims: Vec::new(),
         };
         assert_eq!(crash.render(), "crash=30:");
+        assert!(!crash.acts());
         assert_eq!(scenario.plans(), [crash]);
         assert_eq!(scenario.render_schedule(), "crash=30:");
         assert!(scenario.actions_at(Round::new(30)).is_empty());

@@ -83,11 +83,14 @@ impl ProcessStatus {
 ///
 /// * [`Process::on_timer`] — the periodic timer firing, i.e. one iteration of
 ///   the algorithm's `do forever` loop;
-/// * [`Process::on_message`] — the arrival of a packet from another
-///   processor.
+/// * [`Process::on_delivery`] — the arrival of a packet from another
+///   processor, lent in place by the link that carried it.
 ///
 /// Both receive a [`Context`] through which the process can send packets and
 /// observe its own identifier and the identifiers of the other processors.
+/// The simulator delivers only through `on_delivery`, whose default clones
+/// the message into the by-value [`Process::on_message`] (all a forwarding
+/// wrapper implements); [`crate::impl_process_for_layer!`] lends it instead.
 pub trait Process {
     /// The message (high-level packet payload) type exchanged by this
     /// protocol.
@@ -96,8 +99,13 @@ pub trait Process {
     /// One iteration of the process's `do forever` loop.
     fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>);
 
-    /// Handles the arrival of `msg` sent by `from`.
+    /// Handles the arrival of `msg` sent by `from`, owned by the process.
     fn on_message(&mut self, from: ProcessId, msg: Self::Msg, ctx: &mut Context<'_, Self::Msg>);
+
+    /// Handles the arrival of `msg` sent by `from`, lent for the call.
+    fn on_delivery(&mut self, from: ProcessId, msg: &Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
+        self.on_message(from, msg.clone(), ctx);
+    }
 }
 
 /// Handle through which a process interacts with the simulated network
@@ -125,10 +133,8 @@ impl<'a, M> Context<'a, M> {
         Context::with_outbox(me, now, peers, Vec::new())
     }
 
-    /// Like [`Context::new`], but reusing an (empty) outbox buffer so a
-    /// steady-state scheduler step performs no allocation: the scheduler
-    /// recycles one send buffer across steps and recovers it through
-    /// [`Context::into_outbox`] after the last flush.
+    /// Like [`Context::new`], reusing an empty send buffer: the scheduler
+    /// recycles one across steps, recovering it through [`Context::into_outbox`].
     pub fn with_outbox(
         me: ProcessId,
         now: Round,
@@ -169,12 +175,6 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// All processor identifiers known to the simulation, including the
-    /// caller.
-    pub fn all_ids(&self) -> Vec<ProcessId> {
-        self.peers.to_vec()
-    }
-
-    /// All processor identifiers known to the simulation, including the
     /// caller, as the borrowed slice (no copy; the lifetime is that of the
     /// simulation's identifier snapshot, not of this context).
     pub fn ids(&self) -> &'a [ProcessId] {
@@ -188,8 +188,8 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Takes the packets queued so far out of the buffer, in send order,
-    /// keeping its capacity: the scheduler flushes after every delivery and
-    /// timer step of one visit, through one context.
+    /// keeping its capacity: the scheduler flushes after the delivery batch
+    /// and after the timer step of one visit, through one context.
     pub(crate) fn drain_sends(&mut self) -> std::vec::Drain<'_, (ProcessId, Payload<M>)> {
         self.sends.msgs.drain(..)
     }
@@ -232,7 +232,7 @@ mod tests {
         let peers = ctx.peers();
         assert_eq!(peers.len(), 3);
         assert!(!peers.contains(&ProcessId::new(2)));
-        assert_eq!(ctx.all_ids().len(), 4);
+        assert_eq!(ctx.ids().len(), 4);
     }
 
     #[test]
@@ -246,7 +246,7 @@ mod tests {
         let out: Vec<(ProcessId, u32)> = ctx
             .into_outbox()
             .into_iter()
-            .map(|(to, payload)| (to, payload.into_msg()))
+            .map(|(to, payload)| (to, *payload.get()))
             .collect();
         assert_eq!(out, vec![(ProcessId::new(1), 11), (ProcessId::new(2), 22)]);
     }

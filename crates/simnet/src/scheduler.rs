@@ -171,11 +171,10 @@ pub struct Simulation<P: Process> {
     /// Wake-ups due to deliverable packets.
     packet_wakes: WakeSet,
     /// Per-round scratch buffers, recycled so a steady-state round performs
-    /// no allocation: the merged wake set, the shuffled visiting order, the
-    /// delivery batch, and the outbox handed to [`Context`].
+    /// no allocation: the merged wake set, the shuffled visiting order, and
+    /// the outbox handed to [`Context`].
     scratch_woken: Vec<ProcessId>,
     scratch_order: Vec<ProcessId>,
-    scratch_deliveries: Vec<(ProcessId, P::Msg)>,
     scratch_outbox: Vec<(ProcessId, Payload<P::Msg>)>,
     /// Cached membership snapshot handed to visited processes, rebuilt only
     /// when a processor joins (`ids_dirty`).
@@ -203,7 +202,6 @@ impl<P: Process> Simulation<P> {
             packet_wakes: WakeSet::default(),
             scratch_woken: Vec::new(),
             scratch_order: Vec::new(),
-            scratch_deliveries: Vec::new(),
             scratch_outbox: Vec::new(),
             ids_snapshot: Vec::new(),
             ids_dirty: true,
@@ -323,7 +321,6 @@ impl<P: Process> Simulation<P> {
     pub fn step_round(&mut self) {
         let mut woken = std::mem::take(&mut self.scratch_woken);
         let mut order = std::mem::take(&mut self.scratch_order);
-        let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
         let mut outbox = std::mem::take(&mut self.scratch_outbox);
         woken.clear();
         order.clear();
@@ -376,48 +373,45 @@ impl<P: Process> Simulation<P> {
 
         for &id in &order {
             self.metrics.record_wakeup();
-            // Deliver the due packets first (receive steps)...
-            deliveries.clear();
-            let next_ready = self.network.deliver_due_into(
+            // One slot lookup per visit, not per message: nothing a process
+            // does in a step can crash it or remove it (only the harness can,
+            // between steps), so the slot resolved here stays valid for
+            // every delivery and the timer step below. A destination that
+            // crashed earlier in this round drains its batch undelivered.
+            let mut slot = self.slots.get_mut(&id).filter(|s| s.status.is_active());
+            // One context per visit: the deliveries and the timer step push
+            // into it, and its buffer is flushed after each of the two.
+            let mut ctx = Context::with_outbox(id, self.now, &all_ids, outbox);
+            // Receive steps first, each reading its packet in place. Every
+            // draw of the delivery precedes every send draw of the visit, and
+            // the batch is taken before any of its sends is enqueued.
+            let next_ready = self.network.deliver(
                 id,
                 self.now,
                 self.config.max_deliveries_per_round(),
                 &mut self.rng,
                 &mut self.metrics,
-                &mut deliveries,
+                |from, msg| {
+                    if let Some(slot) = slot.as_mut() {
+                        slot.process.on_delivery(from, msg, &mut ctx);
+                        slot.activity += 1;
+                    }
+                },
             );
             if let Some(ready) = next_ready {
                 // Packets remain (delayed or over the per-round delivery
                 // bound): re-wake the destination when they become due.
                 self.packet_wakes.schedule(ready.max(self.now), id);
             }
-            // One slot lookup per visit, not per message: nothing a process
-            // does in a step can crash it or remove it (only the harness can,
-            // between steps), so the slot resolved here stays valid for
-            // every delivery and the timer step below. A destination that
-            // crashed earlier in this round drops its batch undelivered.
-            let Some(slot) = self.slots.get_mut(&id) else {
-                continue;
-            };
-            if !slot.status.is_active() {
-                continue;
-            }
-            // One context per visit: each delivery and the timer step push
-            // into it, and its buffer is flushed after each of them.
-            let mut ctx = Context::with_outbox(id, self.now, &all_ids, outbox);
-            for (from, msg) in deliveries.drain(..) {
-                slot.process.on_message(from, msg, &mut ctx);
-                slot.activity += 1;
-                flush_sends(
-                    &mut self.network,
-                    &mut self.rng,
-                    &mut self.metrics,
-                    &mut self.packet_wakes,
-                    &mut ctx,
-                );
-            }
-            // ...then take the timer step if it is due.
-            if slot.next_timer <= self.now {
+            flush_sends(
+                &mut self.network,
+                &mut self.rng,
+                &mut self.metrics,
+                &mut self.packet_wakes,
+                &mut ctx,
+            );
+            // ...then the timer step, if it is due.
+            if let Some(slot) = slot.filter(|s| s.next_timer <= self.now) {
                 self.metrics.record_timer_step();
                 slot.process.on_timer(&mut ctx);
                 slot.activity += 1;
@@ -442,7 +436,6 @@ impl<P: Process> Simulation<P> {
         self.ids_snapshot = all_ids;
         self.scratch_woken = woken;
         self.scratch_order = order;
-        self.scratch_deliveries = deliveries;
         self.scratch_outbox = outbox;
         self.metrics.record_round();
         self.now = self.now.next();
@@ -655,7 +648,6 @@ impl<P: Process + Clone> Simulation<P> {
             packet_wakes: self.packet_wakes.clone(),
             scratch_woken: Vec::new(),
             scratch_order: Vec::new(),
-            scratch_deliveries: Vec::new(),
             scratch_outbox: Vec::new(),
             ids_snapshot: self.ids_snapshot.clone(),
             ids_dirty: self.ids_dirty,
@@ -874,6 +866,140 @@ mod tests {
         let a = digested_run(cfg.clone(), 30);
         let b = digested_run(cfg, 30);
         assert_eq!(a, b, "non-deterministic execution");
+    }
+
+    thread_local! {
+        /// Clones of [`Counted`] made on this test's thread.
+        static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A message that counts its clones.
+    #[derive(Debug)]
+    struct Counted(u64);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    /// Floods a value — through `push_to_all`, one payload shared by every
+    /// packet, when `shared`; else one owned packet per peer — folds what it
+    /// receives into an order-sensitive trace, and answers a smaller value
+    /// at once, so that deliveries send too.
+    #[derive(Debug)]
+    struct Flood {
+        value: u64,
+        trace: u64,
+        shared: bool,
+    }
+
+    impl Flood {
+        fn timer(&mut self, ctx: &mut Context<'_, Counted>) {
+            self.value += 1;
+            if self.shared {
+                crate::stack::Sink::<Counted>::push_to_all(ctx, ctx.ids(), Counted(self.value));
+            } else {
+                for peer in ctx.peers() {
+                    ctx.send(peer, Counted(self.value));
+                }
+            }
+        }
+
+        fn receive(&mut self, from: ProcessId, msg: &Counted, ctx: &mut Context<'_, Counted>) {
+            self.trace = self.trace.wrapping_mul(31) ^ u64::from(from.as_u32()) << 32 ^ msg.0;
+            if msg.0 < self.value {
+                ctx.send(from, Counted(self.value));
+            }
+            self.value = self.value.max(msg.0);
+        }
+    }
+
+    /// Implements only the by-value entry point, so the scheduler reaches it
+    /// through `on_delivery`'s cloning default.
+    struct Owning(Flood);
+
+    impl Process for Owning {
+        type Msg = Counted;
+        fn on_timer(&mut self, ctx: &mut Context<'_, Counted>) {
+            self.0.timer(ctx);
+        }
+        fn on_message(&mut self, from: ProcessId, msg: Counted, ctx: &mut Context<'_, Counted>) {
+            self.0.receive(from, &msg, ctx);
+        }
+    }
+
+    /// Overrides `on_delivery`: reads each message where the link keeps it.
+    struct Lending(Flood);
+
+    impl Process for Lending {
+        type Msg = Counted;
+        fn on_timer(&mut self, ctx: &mut Context<'_, Counted>) {
+            self.0.timer(ctx);
+        }
+        fn on_message(&mut self, from: ProcessId, msg: Counted, ctx: &mut Context<'_, Counted>) {
+            self.0.receive(from, &msg, ctx);
+        }
+        fn on_delivery(&mut self, from: ProcessId, msg: &Counted, ctx: &mut Context<'_, Counted>) {
+            self.0.receive(from, msg, ctx);
+        }
+    }
+
+    /// Runs five `Flood`s behind `wrap` for 60 rounds: the state digest
+    /// after every round, the metrics, and the message clones made.
+    fn flood_run<P: Process<Msg = Counted>>(
+        cfg: SimConfig,
+        shared: bool,
+        wrap: impl Fn(Flood) -> P,
+        flood: impl Fn(&P) -> &Flood,
+    ) -> (Vec<u64>, Metrics, u64) {
+        CLONES.with(|c| c.set(0));
+        let mut sim = Simulation::new(cfg);
+        for i in 0..5 {
+            let (value, trace) = (i * 10, 0);
+            sim.add_process(wrap(Flood {
+                value,
+                trace,
+                shared,
+            }));
+        }
+        let digests = (0..60)
+            .map(|_| {
+                sim.step_round();
+                sim.state_digest_with(|id, p| format!("{id} {:?}", flood(p)))
+            })
+            .collect();
+        (digests, sim.metrics().clone(), CLONES.with(|c| c.get()))
+    }
+
+    /// The two entry points are one execution: a process that implements
+    /// only `on_message` and one that overrides `on_delivery` step through
+    /// the same states and metrics under loss, duplication, delay, reorder
+    /// and a per-round delivery bound. The borrowing path clones no message,
+    /// owned or shared; the by-value default clones once per delivery.
+    #[test]
+    fn by_value_and_borrowing_delivery_are_one_execution() {
+        let faulty = SimConfig::default()
+            .with_loss_probability(0.2)
+            .with_duplication_probability(0.2)
+            .with_max_delay(3)
+            .with_reordering(true)
+            .with_channel_capacity(4)
+            .with_max_deliveries_per_round(2);
+        for cfg in [SimConfig::default(), faulty] {
+            for (seed, shared) in [(1, false), (2, true), (3, false), (4, true)] {
+                let cfg = cfg.clone().with_seed(seed);
+                let owning = flood_run(cfg.clone(), shared, Owning, |p| &p.0);
+                let lending = flood_run(cfg, shared, Lending, |p| &p.0);
+                assert_eq!(owning.0, lending.0, "seed {seed}: the states differ");
+                assert_eq!(owning.1, lending.1, "seed {seed}: the metrics differ");
+                let delivered = owning.1.messages_delivered();
+                assert!(delivered > 0);
+                assert_eq!(owning.2, delivered, "seed {seed}: one clone per delivery");
+                assert_eq!(lending.2, 0, "seed {seed}: the borrowing path cloned");
+            }
+        }
     }
 
     /// A process that gossips a fixed number of times and then goes quiet.

@@ -25,8 +25,8 @@
 //!   lane, [`Sink::nest`]: its messages are wrapped twice and land in the
 //!   same buffer, broadcasts still shared, with no intermediate collection;
 //! * an incoming wire message is dispatched by one exhaustive `match` on the
-//!   wire enum, each arm handing its payload to the sub-layer that owns it —
-//!   the compiler checks that every variant has its arm;
+//!   borrowed wire enum, each arm lending its payload to the sub-layer that
+//!   owns it — the compiler checks that every variant has its arm;
 //! * the composite implements [`Layer`], and [`impl_process_for_layer!`](crate::impl_process_for_layer)
 //!   turns any `Layer` into a [`crate::Process`] that can run in a
 //!   [`crate::Simulation`].
@@ -66,12 +66,12 @@
 //!             out.push(*p, Ping(self.pings)); // wrapped into WireMsg::Ping
 //!         }
 //!     }
-//!     fn handle<O: Sink<WireMsg>>(&mut self, from: ProcessId, wire: WireMsg, out: &mut O) {
+//!     fn handle<O: Sink<WireMsg>>(&mut self, from: ProcessId, wire: &WireMsg, out: &mut O) {
 //!         match wire {
-//!             WireMsg::Ping(Ping(n)) => self.pings = self.pings.max(n),
+//!             WireMsg::Ping(Ping(n)) => self.pings = self.pings.max(*n),
 //!             WireMsg::Gossip(Gossip(r)) => {
 //!                 out.push(from, Ping(self.pings)); // an acknowledgement
-//!                 self.rumours.push(r);
+//!                 self.rumours.push(r.clone()); // what it keeps
 //!             }
 //!         }
 //!     }
@@ -79,7 +79,7 @@
 //!
 //! let mut node = Node::default();
 //! let mut out = Outbox::new();
-//! node.handle(ProcessId::new(1), WireMsg::Gossip(Gossip("hi".into())), &mut out);
+//! node.handle(ProcessId::new(1), &WireMsg::Gossip(Gossip("hi".into())), &mut out);
 //! assert_eq!(node.rumours, vec!["hi".to_string()]);
 //! assert_eq!(out.into_messages(), vec![(ProcessId::new(1), WireMsg::Ping(Ping(0)))]);
 //! ```
@@ -124,8 +124,7 @@ impl<W> Outbox<W> {
 
     /// Queues one native message for *every* destination in `peers`, sharing
     /// a single payload allocation across all of them: the broadcast travels
-    /// through the network as refcount bumps, and only deliveries that
-    /// overlap other live handles pay a clone. Use this where the same value
+    /// through the network as refcount bumps. Use this where the same value
     /// genuinely fans out (state snapshots, gossip); per-peer messages keep
     /// going through [`Outbox::push`].
     pub fn push_to_all<M: Into<W>>(&mut self, peers: &[ProcessId], msg: M) {
@@ -150,13 +149,11 @@ impl<W> Outbox<W> {
 }
 
 impl<W: Clone> Outbox<W> {
-    /// Consumes the outbox, returning the queued wire messages in send order.
-    /// Owned messages move; shared broadcast payloads clone per destination.
+    /// Consumes the outbox, returning a copy of each queued wire message in
+    /// send order.
     pub fn into_messages(self) -> Vec<(ProcessId, W)> {
-        self.msgs
-            .into_iter()
-            .map(|(to, payload)| (to, payload.into_msg()))
-            .collect()
+        let copy = |(to, payload): (ProcessId, Payload<W>)| (to, payload.get().clone());
+        self.msgs.into_iter().map(copy).collect()
     }
 }
 
@@ -250,8 +247,9 @@ pub trait Layer {
     /// every processor the node may address.
     fn poll<O: Sink<Self::Wire>>(&mut self, peers: &[ProcessId], out: &mut O);
 
-    /// Handles one received wire message, pushing any replies into `out`.
-    fn handle<O: Sink<Self::Wire>>(&mut self, from: ProcessId, wire: Self::Wire, out: &mut O);
+    /// Handles one received wire message, lent in place by the link that
+    /// carried it (clone only what the layer keeps), replying into `out`.
+    fn handle<O: Sink<Self::Wire>>(&mut self, from: ProcessId, wire: &Self::Wire, out: &mut O);
 }
 
 /// Defines a wire enum and derives its [`crate::codec::WireCodec`], the one
@@ -404,9 +402,9 @@ macro_rules! __wire_enum_variant {
     };
 }
 
-/// Implements [`crate::Process`] for a type that implements [`Layer`]: both
-/// step entry points hand the step's [`Context`] itself to the layer as its
-/// sink, so every message goes straight into the step's send buffer. Keeps
+/// Implements [`crate::Process`] for a type that implements [`Layer`]: every
+/// entry point hands the step's [`Context`] itself to the layer as its sink,
+/// and both receive methods lend the message to [`Layer::handle`]. Keeps
 /// the `Process` impl of every composite node a one-line facade.
 #[macro_export]
 macro_rules! impl_process_for_layer {
@@ -422,6 +420,15 @@ macro_rules! impl_process_for_layer {
                 &mut self,
                 from: $crate::ProcessId,
                 msg: Self::Msg,
+                ctx: &mut $crate::Context<'_, Self::Msg>,
+            ) {
+                $crate::stack::Layer::handle(self, from, &msg, ctx);
+            }
+
+            fn on_delivery(
+                &mut self,
+                from: $crate::ProcessId,
+                msg: &Self::Msg,
                 ctx: &mut $crate::Context<'_, Self::Msg>,
             ) {
                 $crate::stack::Layer::handle(self, from, msg, ctx);
@@ -482,7 +489,7 @@ mod tests {
     fn messages<W: Clone>(sends: Vec<(ProcessId, Payload<W>)>) -> Vec<(ProcessId, W)> {
         sends
             .into_iter()
-            .map(|(to, p)| (to, p.into_msg()))
+            .map(|(to, p)| (to, p.get().clone()))
             .collect()
     }
 
@@ -603,14 +610,14 @@ mod tests {
         fn poll<O: Sink<Wire>>(&mut self, peers: &[ProcessId], out: &mut O) {
             out.push_to_all(peers, Wire::Beat);
         }
-        fn handle<O: Sink<Wire>>(&mut self, from: ProcessId, wire: Wire, out: &mut O) {
+        fn handle<O: Sink<Wire>>(&mut self, from: ProcessId, wire: &Wire, out: &mut O) {
             match wire {
                 Wire::Beat => self.beats += 1,
                 Wire::Lower(Lower(n)) => {
                     out.push(from, Lower(n + 1));
                     out.push(from, Upper("ack".into()));
                 }
-                Wire::Upper(Upper(s)) => self.upper.push(s),
+                Wire::Upper(Upper(s)) => self.upper.push(s.clone()),
             }
         }
     }
@@ -626,7 +633,7 @@ mod tests {
         // Sends already in the buffer stay in front of the step's own.
         ctx.send(pid(2), Wire::Beat);
         echo.on_message(pid(2), Wire::Lower(Lower(1)), &mut ctx);
-        echo.on_message(pid(2), Wire::Upper(Upper("u".into())), &mut ctx);
+        echo.on_delivery(pid(2), &Wire::Upper(Upper("u".into())), &mut ctx);
         echo.on_timer(&mut ctx);
         assert_eq!(echo.upper, vec!["u".to_string()]);
         let sends = ctx.into_outbox();

@@ -1,8 +1,10 @@
 //! Test-only support: a toy [`ScenarioTarget`] shared by the scenario and
-//! campaign test modules, and [`planned`] for scenarios written as `--plan`
-//! text.
+//! campaign test modules, [`planned`] for scenarios written as `--plan`
+//! text, and [`delivered`] for reading one delivery back as values.
 
 use crate::history::OpResponse;
+use crate::metrics::Metrics;
+use crate::network::Network;
 use crate::plan::apply_spec;
 use crate::process::{Context, Process, ProcessId};
 use crate::rng::SimRng;
@@ -146,4 +148,22 @@ impl ScenarioTarget for MaxNode {
 /// value `schedule`.
 pub(crate) fn planned(name: &str, n: usize, schedule: &str) -> Scenario {
     apply_spec(Scenario::new(name, n), schedule).unwrap_or_else(|err| panic!("{name}: {err}"))
+}
+
+/// One [`Network::deliver`] to `to`, its lent messages cloned into
+/// `(from, msg)` pairs, and the earliest round at which `to` has another
+/// deliverable packet.
+pub(crate) fn delivered<M: Clone>(
+    net: &mut Network<M>,
+    to: ProcessId,
+    now: Round,
+    limit: usize,
+    rng: &mut SimRng,
+    metrics: &mut Metrics,
+) -> (Vec<(ProcessId, M)>, Option<Round>) {
+    let mut got = Vec::new();
+    let next = net.deliver(to, now, limit, rng, metrics, |from, msg| {
+        got.push((from, msg.clone()));
+    });
+    (got, next)
 }

@@ -723,7 +723,7 @@ impl SmrNode {
         }
     }
 
-    fn on_state(&mut self, from: ProcessId, s: Arc<StateMsg>) {
+    fn on_state(&mut self, from: ProcessId, s: &Arc<StateMsg>) {
         // View identifiers are counters: the counter service must observe
         // every identifier still in circulation so its maximum (and hence
         // the next granted identifier) dominates them all.
@@ -810,7 +810,7 @@ impl SmrNode {
                 }
             }
         }
-        self.peers.insert(from, s);
+        self.peers.insert(from, Arc::clone(s));
     }
 }
 
@@ -871,7 +871,7 @@ impl Layer for SmrNode {
         }
     }
 
-    fn handle<O: Sink<SmrMsg>>(&mut self, from: ProcessId, msg: SmrMsg, out: &mut O) {
+    fn handle<O: Sink<SmrMsg>>(&mut self, from: ProcessId, msg: &SmrMsg, out: &mut O) {
         match msg {
             SmrMsg::Reconfig(m) => Layer::handle(&mut self.reconfig, from, m, &mut out.nest()),
             SmrMsg::Counter(m) => Layer::handle(&mut self.counter, from, m, &mut out.nest()),
@@ -1158,7 +1158,7 @@ mod tests {
             let sent: Vec<(ProcessId, SmrMsg)> = ctx
                 .into_outbox()
                 .into_iter()
-                .map(|(to, payload)| (to, payload.into_msg()))
+                .map(|(to, payload)| (to, payload.get().clone()))
                 .collect();
             (after, sent)
         };
@@ -1328,7 +1328,7 @@ mod tests {
         let coordinator = sim.process_mut(crd).unwrap();
         let applied = coordinator.state().applied;
         for _ in 0..2 {
-            coordinator.handle(follower, snapshot.clone(), &mut Outbox::<SmrMsg>::new());
+            coordinator.handle(follower, &snapshot, &mut Outbox::<SmrMsg>::new());
             coordinator.poll(&ids, &mut Outbox::<SmrMsg>::new());
         }
         assert_eq!(coordinator.state().applied, applied + 1);
@@ -1355,7 +1355,7 @@ mod tests {
         for (to, msg) in out.into_messages() {
             if let SmrMsg::State(_) = msg {
                 let receiver = sim.process_mut(to).unwrap();
-                receiver.handle(sender, msg, &mut Outbox::<SmrMsg>::new());
+                receiver.handle(sender, &msg, &mut Outbox::<SmrMsg>::new());
             }
         }
         let entry = |sim: &Simulation<SmrNode>, at: u32| {
@@ -1406,7 +1406,7 @@ mod tests {
         assert!(held.iter().all(|s| !Arc::ptr_eq(s, &forged_state)));
         sim.process_mut(target)
             .unwrap()
-            .handle(sender, forged, &mut Outbox::<SmrMsg>::new());
+            .handle(sender, &forged, &mut Outbox::<SmrMsg>::new());
         assert!(Arc::ptr_eq(&entry(&sim, 2), &forged_state));
         assert_ne!(*entry(&sim, 2), sent);
         assert_eq!(*entry(&sim, 1), {

@@ -7,10 +7,13 @@
 # 1. `cargo test` on the standalone `benchmark/` package (the root workspace
 #    never compiles it, so a product API change that breaks it shows here);
 # 2. the exact BENCHMARK.json command with `--seed 1 --seconds 2 --trace 0`
-#    for every workload, and `--trace 1` for steady-n256 and ops-n24 (the
-#    traced pass is a second code path through the harness; ops-n24's is a
-#    round loop of its own whose submitted-op counts must equal the
-#    runner's, and it is where the layers above recMA are attributed).
+#    for every workload, and `--trace 1` for steady-n256, campaign-n8 and
+#    ops-n24 (the traced pass is a second code path through the harness;
+#    ops-n24's is a round loop of its own whose submitted-op counts must
+#    equal the runner's, and it is where the layers above recMA are
+#    attributed; campaign-n8's wraps all four stacks in the benchmark's
+#    by-value `Timed<P>` under every fault class and checks its cold-cell
+#    digests against the campaign's).
 #
 # Not a measurement — two seconds on a shared box say nothing about speed.
 # The gate is the benchmark's own correctness checks: the last line of each
@@ -48,5 +51,6 @@ for workload in "${workloads[@]}"; do
   run "$workload" 0 "benchmark-$workload.txt"
 done
 run steady-n256 1 benchmark-steady-n256-traced.txt
+run campaign-n8 1 benchmark-campaign-n8-traced.txt
 run ops-n24 1 benchmark-ops-n24-traced.txt
-echo "bench-preflight: ok (${workloads[*]}, steady-n256 and ops-n24 traced)"
+echo "bench-preflight: ok (${workloads[*]}, steady-n256, campaign-n8 and ops-n24 traced)"

@@ -35,7 +35,7 @@ fn pump_labelers(labelers: &mut BTreeMap<ProcessId, Labeler>, rounds: usize) {
         }
         for (from, to, msg) in in_flight {
             if let Some(l) = labelers.get_mut(&to) {
-                l.on_message(from, msg);
+                l.on_message(from, &msg);
             }
         }
     }
@@ -64,7 +64,7 @@ fn deliver_until_quiet(
     while let Some((from, to, msg)) = queue.pop_front() {
         if let Some(n) = nodes.get_mut(&to) {
             let mut replies = Outbox::new();
-            n.handle(from, msg, &mut replies);
+            n.handle(from, &msg, &mut replies);
             for (next_to, reply) in replies.into_messages() {
                 queue.push_back((to, next_to, reply));
             }
