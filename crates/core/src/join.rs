@@ -18,10 +18,8 @@
 //! `stale_packets_on_a_joiners_links_are_tolerated`
 //! (`tests/joining_admission.rs`) checks.
 
-use std::collections::BTreeMap;
-
 use simnet::stack::Sink;
-use simnet::ProcessId;
+use simnet::{PeerTable, ProcessId};
 
 use crate::recsa::RecSa;
 use crate::types::ConfigValue;
@@ -48,7 +46,7 @@ simnet::wire_enum! {
 pub struct Joining {
     me: ProcessId,
     /// `pass[]` — the most recent response from each configuration member.
-    pass: BTreeMap<ProcessId, bool>,
+    pass: PeerTable<bool>,
 }
 
 impl Joining {
@@ -57,7 +55,7 @@ impl Joining {
     pub fn new(me: ProcessId) -> Self {
         Joining {
             me,
-            pass: BTreeMap::new(),
+            pass: PeerTable::new(),
         }
     }
 
@@ -68,7 +66,7 @@ impl Joining {
 
     /// Number of currently collected positive passes (observability).
     pub fn passes_collected(&self) -> usize {
-        self.pass.values().filter(|p| **p).count()
+        self.pass.iter().filter(|(_, p)| **p).count()
     }
 
     /// One iteration of the joiner's side of the `do forever` loop
@@ -84,7 +82,7 @@ impl Joining {
             if let ConfigValue::Set(com_conf) = &*recsa.get_config_shared() {
                 let granted = com_conf
                     .iter()
-                    .filter(|m| self.pass.get(m).copied().unwrap_or(false))
+                    .filter(|m| self.pass.get(**m).copied().unwrap_or(false))
                     .count();
                 if granted > com_conf.len() / 2 && recsa.participate() {
                     return;
@@ -141,7 +139,7 @@ mod tests {
     use super::*;
     use crate::types::{config_set, ConfigSet};
     use simnet::stack::Outbox;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Synchronous harness combining recSA and the joining mechanism with a
     /// perfect failure detector.

@@ -52,7 +52,7 @@ pub mod recsa;
 pub mod types;
 
 pub use join::{JoinMsg, Joining};
-pub use node::{converged_config, NodeConfig, ReconfigMsg, ReconfigNode};
+pub use node::{converged_config, corrupt_to_heartbeat, NodeConfig, ReconfigMsg, ReconfigNode};
 pub use policy::{AdmissionPolicy, EvalPolicy};
 pub use quorum::QuorumSystem;
 pub use recma::{RecMa, RecMaMsg};

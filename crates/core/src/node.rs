@@ -22,7 +22,7 @@ use crate::join::{JoinMsg, Joining};
 use crate::policy::{AdmissionPolicy, EvalPolicy};
 use crate::recma::{RecMa, RecMaMsg};
 use crate::recsa::{RecSa, RecSaMsg};
-use crate::types::{ConfigSet, ConfigValue, SharedSet};
+use crate::types::{ConfigSet, ConfigValue, SharedConfig, SharedSet};
 
 /// Static configuration of a [`ReconfigNode`].
 #[derive(Debug, Clone)]
@@ -71,6 +71,14 @@ impl NodeConfig {
             theta: (8 * n_bound as u64).max(16),
             ..NodeConfig::default()
         }
+    }
+
+    /// The sizing every catalog stack spawns with for a population of `n`
+    /// processes: [`NodeConfig::for_n`] with `N = 2·max(n, 4)`, which leaves
+    /// room for the joiners a scenario adds.
+    #[inline]
+    pub fn for_population(n: usize) -> Self {
+        Self::for_n(2 * n.max(4))
     }
 
     /// Sets or disables the bootstrap patience (builder style).
@@ -170,9 +178,61 @@ impl ReconfigNode {
         self.recsa.own_config_shared().as_set()
     }
 
+    // `sharedmem` and `vssmr` call the `#[inline]` service methods below per
+    // message; inlined there, they cost what a private helper would.
+
     /// `noReco()`: `true` while no reconfiguration activity is apparent.
+    /// The counter service aborts quorum requests while it is `false`
+    /// (`CounterNode::follow_reconfig`), as Section 4.2's increments do.
     pub fn no_reconfiguration(&self) -> bool {
         self.recsa.no_reco()
+    }
+
+    /// `true` while this node's own notification is non-default (a delicate
+    /// replacement) or its own configuration is ⊥ (a brute-force reset). The
+    /// shared-memory emulation suspends register operations only then: this
+    /// is narrower than `!noReco()`, which also reacts to participant churn.
+    /// `tests/service_glue.rs` checks that it implies `!noReco()` for every
+    /// active participant in every round of the `sharedmem` and `smr` catalog
+    /// at n = 4 and 6, seed 1: in flux in 184 and 182 of 13,031 and 13,046
+    /// (round, participant) pairs, `!noReco()` alone in 811 and 859 more.
+    #[inline]
+    pub fn config_in_flux(&self) -> bool {
+        !self.recsa.own_notification_shared().is_default()
+            || self.recsa.own_config_shared().is_bottom()
+    }
+
+    /// Returns `true` when this node is a member of its installed
+    /// configuration.
+    #[inline]
+    pub fn is_member(&self) -> bool {
+        self.installed_config_ref()
+            .is_some_and(|cfg| cfg.contains(&self.me))
+    }
+
+    /// The installed configuration when it is a non-empty set: the quorums
+    /// of the shared-memory emulation, which ignores an installed empty set.
+    #[inline]
+    pub fn installed_members(&self) -> Option<&ConfigSet> {
+        self.recsa.own_config_shared().non_empty_set()
+    }
+
+    /// This node's `config[i]` behind recSA's shared handle: one
+    /// reference-count bump, so an embedding service can read the installed
+    /// configuration while it writes its own fields in the same step.
+    #[inline]
+    pub fn installed_config_shared(&self) -> SharedConfig {
+        self.recsa.own_config_shared().clone()
+    }
+
+    /// `true` when the installed configuration holds no majority of
+    /// `population`: the majority-loss recovery's state (recMA lines 13–14),
+    /// with no quorum intersection with the pre-collapse configuration. The
+    /// shared-memory emulation marks ops completed under it indeterminate.
+    #[inline]
+    pub fn config_collapsed(&self, population: u32) -> bool {
+        self.installed_members()
+            .is_some_and(|cfg| (cfg.len() as u32) * 2 <= population)
     }
 
     /// Returns `true` when this node is a participant.
@@ -329,11 +389,11 @@ impl simnet::ScenarioTarget for ReconfigNode {
     /// Initial members are participants with `config = ⊥`: the population
     /// must run the brute-force bootstrap before any scenario fault lands.
     fn spawn_initial(id: ProcessId, n: usize) -> Self {
-        ReconfigNode::new_participant(id, NodeConfig::for_n(2 * n.max(4)))
+        ReconfigNode::new_participant(id, NodeConfig::for_population(n))
     }
 
     fn spawn_joiner(id: ProcessId, n: usize) -> Self {
-        ReconfigNode::new_joiner(id, NodeConfig::for_n(2 * n.max(4)))
+        ReconfigNode::new_joiner(id, NodeConfig::for_population(n))
     }
 
     /// The paper's signature fault class: a conflicting configuration
@@ -370,19 +430,10 @@ impl simnet::ScenarioTarget for ReconfigNode {
         Vec::new()
     }
 
-    /// In-flight payload corruption: half the affected packets are degraded
-    /// to a bare [`ReconfigMsg::Heartbeat`] — the wire analogue of a
-    /// checksum failure destroying a packet's content while its arrival
-    /// still witnesses the sender's liveness. The other half keep the
-    /// (already sender-misattributed) payload the corruption plan shuffled
-    /// in. recSA's conflict resolution treats both as stale information.
+    /// [`corrupt_to_heartbeat`]: recSA's conflict resolution treats a kept,
+    /// misattributed payload as stale information.
     fn corrupt_payload(msg: &mut ReconfigMsg, rng: &mut simnet::SimRng) -> bool {
-        if rng.chance(0.5) {
-            *msg = ReconfigMsg::Heartbeat;
-            true
-        } else {
-            false
-        }
+        corrupt_to_heartbeat(msg, rng)
     }
 
     /// Byzantine forging. A forged-sender packet is a bare heartbeat: the
@@ -478,6 +529,19 @@ impl simnet::ScenarioTarget for ReconfigNode {
             p.trusted()
         )
     }
+}
+
+/// In-flight payload corruption for every stack over this scheme: one draw
+/// of `rng` degrades half the packets to a bare [`ReconfigMsg::Heartbeat`]
+/// (a checksum failure: content destroyed, the sender's liveness witnessed)
+/// and returns whether it did; the rest keep the misattributed payload the
+/// corruption plan shuffled in.
+pub fn corrupt_to_heartbeat<M: From<ReconfigMsg>>(msg: &mut M, rng: &mut simnet::SimRng) -> bool {
+    let degraded = rng.chance(0.5);
+    if degraded {
+        *msg = ReconfigMsg::Heartbeat.into();
+    }
+    degraded
 }
 
 /// The configuration every active node of `sim` has installed, or `None`

@@ -161,6 +161,12 @@ impl ConfigValue {
         }
     }
 
+    /// Returns the configuration set if this value holds a non-empty one.
+    #[inline]
+    pub fn non_empty_set(&self) -> Option<&ConfigSet> {
+        self.as_set().filter(|set| !set.is_empty())
+    }
+
     /// Returns `true` for [`ConfigValue::NonParticipant`] (`]`).
     pub fn is_non_participant(&self) -> bool {
         matches!(self, ConfigValue::NonParticipant)

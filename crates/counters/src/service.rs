@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use labels::{Labeler, LabelerMsg};
-use reconfig::ConfigSet;
+use reconfig::{ConfigSet, ReconfigNode};
 use simnet::stack::{Layer, Sink};
 use simnet::ProcessId;
 
@@ -196,9 +196,7 @@ impl CounterNode {
         self.labeler.is_member()
     }
 
-    /// The configuration this service currently works against. Embedders
-    /// compare it with the installed configuration to decide when to call
-    /// [`CounterNode::on_config_change`].
+    /// The configuration this service currently works against.
     pub fn config(&self) -> &ConfigSet {
         self.labeler.config()
     }
@@ -249,6 +247,20 @@ impl CounterNode {
         if self.pending.take().is_some() {
             self.completed.push_back(IncrementOutcome::Aborted);
         }
+    }
+
+    /// Follows the reconfiguration scheme below, once per step: adopts a
+    /// differing installed configuration ([`CounterNode::on_config_change`];
+    /// a counter stuck on an old member set waits for a majority that never
+    /// answers, an endless elect-and-abort loop of SMR views in the chaos
+    /// campaigns) and aborts quorum requests while `noReco()` is false.
+    pub fn follow_reconfig(&mut self, reconfig: &ReconfigNode) {
+        if let Some(cfg) = reconfig.installed_config_ref() {
+            if self.config() != cfg {
+                self.on_config_change(cfg.clone());
+            }
+        }
+        self.set_reconfiguring(!reconfig.no_reconfiguration());
     }
 
     /// Starts an increment, sending its read phase to every member through

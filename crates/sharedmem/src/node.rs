@@ -14,8 +14,13 @@
 //! themselves survive a delicate reconfiguration because every member pushes
 //! its store to the members of the newly installed configuration, and stored
 //! tags only ever move forward.
+//!
+//! The node reads the reconfiguration scheme only through [`ReconfigNode`]'s
+//! service methods: quorums run against `installed_members`, operations
+//! suspend while `config_in_flux` (narrower than `noReco()`), and completions
+//! under a `config_collapsed` configuration are indeterminate.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use counters::DEFAULT_EXHAUSTION_BOUND;
 use reconfig::{ConfigSet, NodeConfig, QuorumSystem, ReconfigMsg, ReconfigNode};
@@ -201,14 +206,6 @@ impl SharedMemNode {
         &self.store
     }
 
-    /// Returns `true` when this node is a member of the currently installed
-    /// configuration.
-    pub fn is_member(&self) -> bool {
-        self.reconfig
-            .installed_config_ref()
-            .is_some_and(|cfg| cfg.contains(&self.me))
-    }
-
     /// The locally stored value of `key`, if any (no quorum interaction).
     pub fn local_value(&self, key: RegisterId) -> Option<u64> {
         self.store.value(key)
@@ -267,44 +264,16 @@ impl SharedMemNode {
             .collect()
     }
 
-    /// `true` when the installed configuration holds no majority of the
-    /// declared population — the state the majority-loss recovery leaves
-    /// behind, where quorum intersection with the pre-collapse epoch is
-    /// gone and completed ops carry no atomicity promise. Always `false`
-    /// when no population was declared.
-    fn config_collapsed(&self) -> bool {
-        match (self.population, Self::members_of(&self.reconfig)) {
-            (Some(n), Some(cfg)) => (cfg.len() as u32) * 2 <= n,
-            _ => false,
-        }
-    }
-
-    /// `true` while this node observes an actual reconfiguration activity: a
-    /// replacement notification of its own or a brute-force reset. This is
-    /// deliberately narrower than `noReco()` (which also reacts to benign
-    /// participant-set churn) so that register operations suspend only while
-    /// the configuration really is in flux.
-    fn reconfiguring(&self) -> bool {
-        let recsa = self.reconfig.recsa();
-        !recsa.own_notification_shared().is_default() || recsa.own_config_shared().is_bottom()
-    }
-
     fn record_outcome(&mut self, outcome: OpOutcome) {
         match &outcome {
             OpOutcome::ReadCommitted { .. } => self.reads_committed += 1,
             OpOutcome::WriteCommitted { .. } => self.writes_committed += 1,
             OpOutcome::Aborted { .. } => self.ops_aborted += 1,
         }
-        let collapsed = self.config_collapsed();
+        let collapsed = self
+            .population
+            .is_some_and(|n| self.reconfig.config_collapsed(n));
         self.completed.push_back((outcome, collapsed));
-    }
-
-    /// The installed configuration, when it is a non-empty set. Borrows the
-    /// reconfiguration layer only, so the other fields stay writable.
-    fn members_of(reconfig: &ReconfigNode) -> Option<&ConfigSet> {
-        reconfig
-            .installed_config_ref()
-            .filter(|cfg| !cfg.is_empty())
     }
 
     /// Handles one register-protocol message (the two-phase quorum driver and
@@ -317,7 +286,7 @@ impl SharedMemNode {
     ) {
         match *msg {
             RegisterMsg::Query { op, key } => {
-                if self.is_member() && !self.reconfiguring() {
+                if self.reconfig.is_member() && !self.reconfig.config_in_flux() {
                     out.push(
                         from,
                         RegisterMsg::QueryResp {
@@ -331,7 +300,7 @@ impl SharedMemNode {
                 }
             }
             RegisterMsg::Update { op, key, ref value } => {
-                if self.is_member() && !self.reconfiguring() {
+                if self.reconfig.is_member() && !self.reconfig.config_in_flux() {
                     self.store.adopt(key, value.clone());
                     out.push(from, RegisterMsg::UpdateAck { op });
                 } else {
@@ -371,7 +340,7 @@ impl SharedMemNode {
         current: &Option<TaggedValue>,
         out: &mut impl Sink<SharedMemMsg>,
     ) {
-        let Some(cfg) = Self::members_of(&self.reconfig) else {
+        let Some(cfg) = self.reconfig.installed_members() else {
             return;
         };
         let Some(pending) = &mut self.pending else {
@@ -406,7 +375,7 @@ impl SharedMemNode {
     }
 
     fn drive_ack(&mut self, from: ProcessId, op: OpId) {
-        let Some(cfg) = Self::members_of(&self.reconfig) else {
+        let Some(cfg) = self.reconfig.installed_members() else {
             return;
         };
         let Some(pending) = &mut self.pending else {
@@ -434,7 +403,7 @@ impl SharedMemNode {
         if self.pending.is_some()
             || self.queue.is_empty()
             || self.synced_config.as_ref() != Some(cfg)
-            || self.reconfiguring()
+            || self.reconfig.config_in_flux()
         {
             return false;
         }
@@ -467,12 +436,6 @@ impl SharedMemNode {
         };
         out.push_to_all(&targets, msg);
     }
-
-    /// The set of processors this node currently trusts (failure-detector
-    /// view), exposed for tests and benchmarks.
-    pub fn trusted(&self) -> BTreeSet<ProcessId> {
-        self.reconfig.trusted()
-    }
 }
 
 impl Layer for SharedMemNode {
@@ -482,46 +445,45 @@ impl Layer for SharedMemNode {
         // 1. Reconfiguration stack, sending through our wire format.
         Layer::poll(&mut self.reconfig, peers, &mut out.nest());
 
-        // The handle keeps the installed configuration readable while this
-        // node's own fields are written.
-        let installed = self.reconfig.recsa().own_config_shared().clone();
-        let config = installed.as_set().filter(|cfg| !cfg.is_empty());
-        let reconfiguring = self.reconfiguring();
+        // Steps 2 and 3 run against a non-empty configuration that is not in
+        // flux. The handle keeps it readable while this node's own fields
+        // are written.
+        let installed = self.reconfig.installed_config_shared();
+        let Some(cfg) = installed.non_empty_set() else {
+            return;
+        };
+        if self.reconfig.config_in_flux() {
+            return;
+        }
 
         // 2. Post-reconfiguration state transfer: when the installed
         //    configuration changes, every member pushes its store to the new
         //    members so the register contents survive the replacement.
-        if !reconfiguring {
-            if let Some(cfg) = config {
-                if self.synced_config.as_ref() != Some(cfg) {
-                    // Abort any operation that was driven against the old
-                    // configuration: its quorum arithmetic no longer applies.
-                    if let Some(pending) = self.pending.take() {
-                        let outcome = pending.abort();
-                        self.record_outcome(outcome);
-                    }
-                    if cfg.contains(&self.me) && !self.store.is_empty() {
-                        // Same store snapshot to every other member: one
-                        // shared payload instead of a deep clone per peer.
-                        let snapshot = self.store.snapshot();
-                        let members: Vec<ProcessId> =
-                            cfg.iter().copied().filter(|m| *m != self.me).collect();
-                        self.syncs_sent += members.len() as u64;
-                        out.push_to_all(&members, RegisterMsg::StoreSync { entries: snapshot });
-                    }
-                    self.synced_config = Some(cfg.clone());
-                }
+        if self.synced_config.as_ref() != Some(cfg) {
+            // Abort any operation that was driven against the old
+            // configuration: its quorum arithmetic no longer applies.
+            if let Some(pending) = self.pending.take() {
+                let outcome = pending.abort();
+                self.record_outcome(outcome);
             }
+            if cfg.contains(&self.me) && !self.store.is_empty() {
+                // Same store snapshot to every other member: one shared
+                // payload instead of a deep clone per peer.
+                let snapshot = self.store.snapshot();
+                let members: Vec<ProcessId> =
+                    cfg.iter().copied().filter(|m| *m != self.me).collect();
+                self.syncs_sent += members.len() as u64;
+                out.push_to_all(&members, RegisterMsg::StoreSync { entries: snapshot });
+            }
+            self.synced_config = Some(cfg.clone());
         }
 
         // 3. Drive the client side: start the next queued operation, or
         //    retransmit the current phase to members that have not answered
         //    (fair communication makes the retransmissions eventually land).
-        if let (Some(cfg), false) = (config, reconfiguring) {
-            if !self.start_next_op(cfg, out) {
-                if let Some(pending) = &self.pending {
-                    Self::send_phase(pending, cfg, out);
-                }
+        if !self.start_next_op(cfg, out) {
+            if let Some(pending) = &self.pending {
+                Self::send_phase(pending, cfg, out);
             }
         }
     }
@@ -548,13 +510,13 @@ impl simnet::ScenarioTarget for SharedMemNode {
         SharedMemNode::new_member(
             id,
             reconfig::config_set(0..n as u32),
-            NodeConfig::for_n(2 * n.max(4)),
+            NodeConfig::for_population(n),
         )
         .with_population(n as u32)
     }
 
     fn spawn_joiner(id: ProcessId, n: usize) -> Self {
-        SharedMemNode::new_joiner(id, NodeConfig::for_n(2 * n.max(4))).with_population(n as u32)
+        SharedMemNode::new_joiner(id, NodeConfig::for_population(n)).with_population(n as u32)
     }
 
     /// Transient faults hit the register store: either it is wiped entirely
@@ -585,18 +547,11 @@ impl simnet::ScenarioTarget for SharedMemNode {
         effects
     }
 
-    /// In-flight payload corruption: half the affected packets collapse to
-    /// a bare heartbeat (content destroyed, liveness witness kept); the
-    /// rest keep the sender-misattributed payload the corruption plan
-    /// shuffled in. Misattributed register replies carry unexpected
-    /// operation identifiers and are discarded by the two-phase protocol.
+    /// [`reconfig::corrupt_to_heartbeat`]: misattributed register replies
+    /// carry unexpected operation identifiers, which the two-phase protocol
+    /// discards.
     fn corrupt_payload(msg: &mut SharedMemMsg, rng: &mut simnet::SimRng) -> bool {
-        if rng.chance(0.5) {
-            *msg = SharedMemMsg::Reconfig(ReconfigMsg::Heartbeat);
-            true
-        } else {
-            false
-        }
+        reconfig::corrupt_to_heartbeat(msg, rng)
     }
 
     /// Byzantine forging. A forged-sender packet is a bare heartbeat into
@@ -701,11 +656,10 @@ impl simnet::ScenarioTarget for SharedMemNode {
         if self.pending.is_some() || self.queue.is_empty() {
             return;
         }
-        let installed = self.reconfig.recsa().own_config_shared().clone();
-        let Some(cfg) = installed.as_set().filter(|cfg| !cfg.is_empty()) else {
-            return;
-        };
-        self.start_next_op(cfg, ctx);
+        let installed = self.reconfig.installed_config_shared();
+        if let Some(cfg) = installed.non_empty_set() {
+            self.start_next_op(cfg, ctx);
+        }
     }
 
     /// A [`settled`](simnet::ScenarioTarget::settled) reconfiguration layer
@@ -722,6 +676,7 @@ impl simnet::ScenarioTarget for SharedMemNode {
         simnet::Agreement {
             config: self.reconfig().installed_config_ref(),
             state: self
+                .reconfig
                 .is_member()
                 .then(|| CHAOS_KEYS.map(|key| self.local_value(RegisterId::new(key)))),
         }
@@ -755,7 +710,7 @@ impl simnet::ScenarioTarget for SharedMemNode {
             let key = RegisterId::new(key);
             let tagged: Vec<_> = sim
                 .active_processes()
-                .filter(|(_, p)| p.is_member())
+                .filter(|(_, p)| p.reconfig.is_member())
                 .filter_map(|(id, p)| p.store.get(key).map(|tv| (id, tv.clone())))
                 .collect();
             for (i, (a, ta)) in tagged.iter().enumerate() {
@@ -774,7 +729,7 @@ impl simnet::ScenarioTarget for SharedMemNode {
     fn state_line(id: simnet::ProcessId, p: &Self) -> String {
         format!(
             "{id} member={} store={:?} pending={} reads={} writes={} aborted={}",
-            p.is_member(),
+            p.reconfig.is_member(),
             p.store.snapshot(),
             p.has_pending_ops(),
             p.reads_committed,
@@ -790,6 +745,7 @@ mod tests {
     use reconfig::config_set;
     use simnet::stack::Outbox;
     use simnet::{SimConfig, Simulation};
+    use std::collections::BTreeSet;
 
     fn cluster(n: u32, seed: u64) -> Simulation<SharedMemNode> {
         let cfg = config_set(0..n);
@@ -940,7 +896,7 @@ mod tests {
             .iter()
             .any(|o| matches!(o, OpOutcome::ReadCommitted { value: Some(5), .. })));
         // The client is not a configuration member and holds no replica.
-        assert!(!sim.process(client).unwrap().is_member());
+        assert!(!sim.process(client).unwrap().reconfig().is_member());
         assert!(sim.process(client).unwrap().store().is_empty());
         // The configuration itself did not change because a client showed up.
         assert_eq!(
@@ -1110,10 +1066,10 @@ mod tests {
         assert_eq!(n.reads_committed(), 1);
         assert_eq!(n.ops_aborted(), 0);
         assert!(!n.has_pending_ops());
-        assert!(n.is_member());
+        assert!(n.reconfig().is_member());
         assert_eq!(n.local_value(key), Some(1));
         assert_eq!(n.id(), node);
-        assert!(n.trusted().contains(&ProcessId::new(1)));
+        assert!(n.reconfig().trusted().contains(&ProcessId::new(1)));
     }
 
     #[test]
@@ -1243,7 +1199,7 @@ mod tests {
                 set: Some(reconfig::config_set(0..2)),
             },
         );
-        assert!(replacing.reconfiguring());
+        assert!(replacing.reconfig().config_in_flux());
         let mut resetting = calm.clone();
         resetting
             .reconfig_mut()

@@ -22,6 +22,10 @@
 //!   reports `suspend`, triggers `estab()` through the reconfiguration node
 //!   and, once the new configuration is installed, proposes a fresh view that
 //!   carries the preserved state into the new configuration.
+//!
+//! The replica reads the reconfiguration scheme only through [`ReconfigNode`]'s
+//! service methods, and its counter follows the scheme through
+//! [`CounterNode::follow_reconfig`] (increments abort while `noReco()` is false).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -209,10 +213,7 @@ pub struct SmrNode {
 }
 
 impl SmrNode {
-    /// Creates a replica that is one of the initial configuration members.
-    pub fn new_member(me: ProcessId, initial_config: ConfigSet, node_config: NodeConfig) -> Self {
-        let reconfig = ReconfigNode::new_with_config(me, initial_config.clone(), node_config);
-        let counter = CounterNode::new(me, initial_config);
+    fn assemble(me: ProcessId, reconfig: ReconfigNode, counter: CounterNode) -> Self {
         SmrNode {
             me,
             reconfig,
@@ -235,30 +236,22 @@ impl SmrNode {
         }
     }
 
+    /// Creates a replica that is one of the initial configuration members.
+    pub fn new_member(me: ProcessId, initial_config: ConfigSet, node_config: NodeConfig) -> Self {
+        Self::assemble(
+            me,
+            ReconfigNode::new_with_config(me, initial_config.clone(), node_config),
+            CounterNode::new(me, initial_config),
+        )
+    }
+
     /// Creates a replica that joins an already running system.
     pub fn new_joiner(me: ProcessId, node_config: NodeConfig) -> Self {
-        let reconfig = ReconfigNode::new_joiner(me, node_config);
-        let counter = CounterNode::new(me, ConfigSet::new());
-        SmrNode {
+        Self::assemble(
             me,
-            reconfig,
-            counter,
-            view: None,
-            prop_view: None,
-            status: Status::Multicast,
-            rnd: 0,
-            state: ReplicaState::default(),
-            pending: VecDeque::new(),
-            next_seq: 0,
-            current_input: None,
-            peers: PeerTable::new(),
-            suspend: false,
-            reconf_requested: false,
-            awaiting_view_id: false,
-            views_installed: 0,
-            commands_applied_total: 0,
-            unclaimed_completions: 0,
-        }
+            ReconfigNode::new_joiner(me, node_config),
+            CounterNode::new(me, ConfigSet::new()),
+        )
     }
 
     /// This replica's identifier.
@@ -296,13 +289,6 @@ impl SmrNode {
         &self.reconfig
     }
 
-    /// Whether this replica is a member of its installed configuration.
-    fn is_member(&self) -> bool {
-        self.reconfig
-            .installed_config_ref()
-            .is_some_and(|cfg| cfg.contains(&self.me))
-    }
-
     /// Returns `true` when this replica currently acts as the coordinator of
     /// an installed view.
     pub fn is_coordinator(&self) -> bool {
@@ -336,10 +322,6 @@ impl SmrNode {
         }
     }
 
-    fn current_config(&self) -> Option<&ConfigSet> {
-        self.reconfig.installed_config_ref()
-    }
-
     /// The configuration members this replica trusts, in ascending order.
     fn trusted_members<'a>(
         config: &'a ConfigSet,
@@ -363,7 +345,7 @@ impl SmrNode {
     /// Whether our own installed view is void: its identifier is no longer
     /// legit under the installed configuration.
     fn own_view_void(&self) -> bool {
-        match (&self.view, self.current_config()) {
+        match (&self.view, self.reconfig.installed_config_ref()) {
             (Some(v), Some(cfg)) => !Self::view_id_legit(cfg, v),
             _ => false,
         }
@@ -411,7 +393,7 @@ impl SmrNode {
     }
 
     fn no_valid_coordinator(&self) -> bool {
-        let Some(cfg) = self.current_config() else {
+        let Some(cfg) = self.reconfig.installed_config_ref() else {
             return true;
         };
         match &self.view {
@@ -745,7 +727,7 @@ impl SmrNode {
         // configuration keeps gossiping its stale view, and adopting it
         // would wipe the election progress of the remaining members every
         // round.
-        let legit_here = |v: &View| match self.current_config() {
+        let legit_here = |v: &View| match self.reconfig.installed_config_ref() {
             Some(cfg) => Self::view_id_legit(cfg, v),
             None => true,
         };
@@ -821,35 +803,17 @@ impl Layer for SmrNode {
         // 1. Reconfiguration stack, sending through our wire format.
         Layer::poll(&mut self.reconfig, peers, &mut out.nest());
 
-        // 2. Counter service: keep it aligned with the current configuration
-        //    and the reconfiguration status.
-        // A configuration replacement that keeps this node a member must
-        // still reach the counter service: view identifiers are drawn from
-        // majorities of the *installed* configuration, and a counter stuck
-        // on the old member set waits for a majority that can never answer
-        // again (the chaos campaigns caught exactly this as an endless
-        // elect-and-abort loop after a partition shrank the configuration).
-        // The handle keeps the installed configuration readable while the
-        // counter and replication layers are stepped.
-        let installed = self.reconfig.recsa().own_config_shared().clone();
-        let config = installed.as_set();
-        if let Some(cfg) = config {
-            if self.counter.config() != cfg {
-                self.counter.on_config_change(cfg.clone());
-            }
-        }
-        self.counter
-            .set_reconfiguring(!self.reconfig.no_reconfiguration());
+        // 2. Counter service, following the installed configuration and
+        //    `noReco()`.
+        self.counter.follow_reconfig(&self.reconfig);
         Layer::poll(&mut self.counter, &[], &mut out.nest());
 
-        // 3. Replication layer.
-        if let Some(cfg) = config {
-            if cfg.contains(&self.me) {
-                self.replication_step(cfg, out);
-            } else {
-                // Not a member: follow the installed view passively (state is
-                // adopted in `handle`); nothing to drive.
-            }
+        // 3. Replication layer, driven by members; a non-member follows the
+        //    installed view passively (state is adopted in `handle`). The
+        //    handle keeps the configuration readable while the layer steps.
+        let installed = self.reconfig.installed_config_shared();
+        if let Some(cfg) = installed.as_set().filter(|cfg| cfg.contains(&self.me)) {
+            self.replication_step(cfg, out);
         }
 
         // 4. Broadcast the replication snapshot to the configuration members
@@ -892,12 +856,12 @@ impl simnet::ScenarioTarget for SmrNode {
         SmrNode::new_member(
             id,
             reconfig::config_set(0..n as u32),
-            NodeConfig::for_n(2 * n.max(4)),
+            NodeConfig::for_population(n),
         )
     }
 
     fn spawn_joiner(id: ProcessId, n: usize) -> Self {
-        SmrNode::new_joiner(id, NodeConfig::for_n(2 * n.max(4)))
+        SmrNode::new_joiner(id, NodeConfig::for_population(n))
     }
 
     /// Transient faults hit the replication layer: the peer-snapshot cache,
@@ -924,18 +888,11 @@ impl simnet::ScenarioTarget for SmrNode {
         Vec::new()
     }
 
-    /// In-flight payload corruption: half the affected packets collapse to
-    /// a bare heartbeat (content destroyed, liveness witness kept); the
-    /// rest keep the sender-misattributed payload the corruption plan
-    /// shuffled in. Stale `State` broadcasts and view traffic from the
-    /// wrong sender are exactly what the view-legitimacy checks filter.
+    /// [`reconfig::corrupt_to_heartbeat`]: stale `State` broadcasts and view
+    /// traffic from the wrong sender are what the view-legitimacy checks
+    /// filter.
     fn corrupt_payload(msg: &mut SmrMsg, rng: &mut simnet::SimRng) -> bool {
-        if rng.chance(0.5) {
-            *msg = SmrMsg::Reconfig(ReconfigMsg::Heartbeat);
-            true
-        } else {
-            false
-        }
+        reconfig::corrupt_to_heartbeat(msg, rng)
     }
 
     /// Byzantine forging. A forged-sender packet is a bare heartbeat into
@@ -1048,7 +1005,7 @@ impl simnet::ScenarioTarget for SmrNode {
     /// undelivered inputs.
     fn settled(&self) -> bool {
         simnet::ScenarioTarget::settled(self.reconfig())
-            && (!self.is_member()
+            && (!self.reconfig.is_member()
                 || self.view.is_some() && self.current_input.is_none() && self.pending.is_empty())
     }
 
@@ -1062,7 +1019,7 @@ impl simnet::ScenarioTarget for SmrNode {
             state: self
                 .view
                 .as_ref()
-                .filter(|_| self.is_member())
+                .filter(|_| self.reconfig.is_member())
                 .map(|view| (view, &self.state)),
         }
     }
